@@ -1,9 +1,10 @@
-"""Benchmarks: JIT vs numpy kernel throughput, and solver wall-time scaling.
+"""Benchmarks: kernel throughput per backend, and solver wall-time scaling.
 
 `bench kernels` times the population-fitness and water-filling kernels under
-both backends on a realistic fat-tree instance. `bench scaling` measures
-run_cect wall time across flow counts at a fixed iteration budget, the
-measurement behind the published near-N^1.5 growth claim.
+each backend that runs here (numba only when it is importable) on a
+realistic fat-tree instance. `bench scaling` measures run_cect wall time
+across flow counts at a fixed iteration budget, the measurement behind the
+published near-N^1.5 growth claim.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _time_call(func, *args, repeats: int) -> float:
 def bench_kernels(
     k: int = 4, n_flows: int = 2000, x: int = 4, seed: int = 0, repeats: int = 5
 ) -> list[KernelTiming]:
-    """Time both backends of each hot kernel on one fat-tree instance."""
+    """Time each runnable backend of each hot kernel on one fat-tree instance."""
     topology = make_fat_tree(k)
     table = precompute_xpaths(topology, x, cap_c=50)
     flows = generate_flows(topology, n_flows, BENCH_MIX, plr=0.7, seed=seed)
@@ -54,19 +55,12 @@ def bench_kernels(
     demands_f = np.array([f.demand for f in flows.flows])
 
     # flow-path CSR for the water-filling kernel: shortest path per flow
-    ptr = np.zeros(flows.count + 1, dtype=np.int64)
-    flat: list[np.ndarray] = []
-    total = 0
-    for i in range(flows.count):
-        label = inst.shortest[i]
-        row = inst.label_edges[inst.label_ptr[label - 1] : inst.label_ptr[label]]
-        flat.append(row)
-        total += len(row)
-        ptr[i + 1] = total
-    flow_edges = np.concatenate(flat)
+    ptr, flow_edges = kernels.csr_rows(inst.label_ptr, inst.label_edges, inst.shortest - 1)
 
     timings = []
     for backend, (loads_fn, fitness_fn, maxmin_fn) in kernels.IMPLEMENTATIONS.items():
+        if backend == "numba" and not kernels.HAVE_NUMBA:
+            continue  # the numba entries would only run as interpreted Python
         per_call = _time_call(
             loads_fn, genes, inst.label_ptr, inst.label_edges, inst.demands,
             inst.n_edges, repeats=repeats,

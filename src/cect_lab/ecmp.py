@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from .errors import UnreachableFlowError
 from .routing import RoutingAssignment
 from .topology import Topology
@@ -73,20 +75,22 @@ def route_ecmp(
         xpath_table = precompute_xpaths(topology, x=needed)
 
     choice: dict[int, int] = {}
+    candidates_of: dict[tuple[int, int], tuple[int, ...]] = {}
     for flow in flowset.flows:
-        labels = feasible_labels(xpath_table, flow.src, flow.dst)
-        if not labels:
-            if dist(flow.src, flow.dst) is None:
-                raise UnreachableFlowError(flow.id, flow.src, flow.dst)
-            raise ValueError(
-                f"flow {flow.id}: table hop bound {xpath_table.x} is below the "
-                f"shortest-path distance {dist(flow.src, flow.dst)}"
-            )
-        min_hops = xpath_table.paths[labels[0]].edge_count
-        candidates = [
-            lab for lab in labels if xpath_table.paths[lab].edge_count == min_hops
-        ]
-        if max_paths is not None:
-            candidates = candidates[: max(1, max_paths)]
+        pair = (flow.src, flow.dst)
+        if pair not in candidates_of:
+            labels = feasible_labels(xpath_table, flow.src, flow.dst)
+            if not labels:
+                if dist(flow.src, flow.dst) is None:
+                    raise UnreachableFlowError(flow.id, flow.src, flow.dst)
+                raise ValueError(
+                    f"flow {flow.id}: table hop bound {xpath_table.x} is below the "
+                    f"shortest-path distance {dist(flow.src, flow.dst)}"
+                )
+            # labels run shortest first, so the minimum-hop paths are a prefix
+            hop_counts = xpath_table.hop_counts[np.asarray(labels) - 1]
+            shortest = labels[: int(np.count_nonzero(hop_counts == hop_counts[0]))]
+            candidates_of[pair] = shortest if max_paths is None else shortest[: max(1, max_paths)]
+        candidates = candidates_of[pair]
         choice[flow.id] = candidates[fnv1a64(flow.src, flow.dst, flow.id) % len(candidates)]
     return RoutingAssignment(choice=choice)

@@ -50,14 +50,12 @@ def solve_exact(
         if space > budget:
             raise SearchBudgetExceededError(budget)
 
-    edge_ids = topology.edge_index()
     cap_units = topology.capacity_units()
     demands = flowset.demand_units()
-    label_edges = {
-        label: np.array([edge_ids[e] for e in path.edges()], dtype=np.int64)
-        for label, path in xpath_table.paths.items()
-    }
-    hop_cost = {label: path.edge_count for label, path in xpath_table.paths.items()}
+    ptr, edge_ids = xpath_table.label_edge_csr(topology)
+    used = {label for labels in options for label in labels}
+    label_edges = {label: edge_ids[ptr[label - 1] : ptr[label]] for label in used}
+    hop_cost = {label: int(xpath_table.hop_counts[label - 1]) for label in used}
 
     loads = np.zeros(len(cap_units), dtype=np.int64)
     chosen = [0] * n_flows

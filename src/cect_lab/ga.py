@@ -43,16 +43,6 @@ class Chromosome:
 
 
 @dataclass
-class Population:
-    members: list[Chromosome]
-    generation: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass
 class GaConfig:
     """Solver knobs; defaults follow the published tuning.
 
@@ -109,32 +99,35 @@ class RunStats:
     population_size: int = 0
 
 
+def _feasible_csr(flowset: FlowSet, table: XPathTable) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (row ptr, labels) of every flow's feasible labels, in flow order."""
+    ptr = np.zeros(flowset.count + 1, dtype=np.int64)
+    flat: list[int] = []
+    for i, flow in enumerate(flowset.flows):
+        labels = feasible_labels(table, flow.src, flow.dst)
+        if not labels:
+            raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
+        flat.extend(labels)
+        ptr[i + 1] = len(flat)
+    return ptr, np.array(flat, dtype=np.int64)
+
+
 class _Instance:
     """Array views of one (flows, table, topology) problem instance."""
 
     def __init__(self, flowset: FlowSet, table: XPathTable, topology: Topology):
         self.flowset = flowset
         self.table = table
-        self.topology = topology
         self.n_flows = flowset.count
         self.label_ptr, self.label_edges = table.label_edge_csr(topology)
         self.demands = flowset.demand_units()
         self.caps = topology.capacity_units()
         self.n_edges = len(self.caps)
 
-        feas_ptr = np.zeros(self.n_flows + 1, dtype=np.int64)
-        flat: list[int] = []
-        for i, flow in enumerate(flowset.flows):
-            labels = feasible_labels(table, flow.src, flow.dst)
-            if not labels:
-                raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
-            flat.extend(labels)
-            feas_ptr[i + 1] = len(flat)
-        self.feas_ptr = feas_ptr
-        self.feas_labels = np.array(flat, dtype=np.int64)
-        self.feas_counts = np.diff(feas_ptr)
+        self.feas_ptr, self.feas_labels = _feasible_csr(flowset, table)
+        self.feas_counts = np.diff(self.feas_ptr)
         # feasible lists are shortest-first, so column 0 is the greedy pick
-        self.shortest = self.feas_labels[feas_ptr[:-1]]
+        self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
     def evaluate(self, genes: np.ndarray, penalty: int) -> tuple[np.ndarray, np.ndarray]:
         loads = kernels.population_loads(
@@ -143,11 +136,15 @@ class _Instance:
         return kernels.fitness_mu(loads, self.caps, penalty)
 
     def check_feasible(self, genes: np.ndarray) -> None:
-        for i, flow in enumerate(self.flowset.flows):
-            label = int(genes[i])
-            path = self.table.paths.get(label)
-            if path is None or (path.src, path.dst) != (flow.src, flow.dst):
-                raise InfeasibleLabelError(flow.id, label)
+        table, flows = self.table, self.flowset.flows
+        labels = np.asarray(genes, dtype=np.int64)
+        ok = (labels >= 1) & (labels <= table.path_count)
+        rows = np.where(ok, labels, 1) - 1
+        ok &= table.hops[table.hop_ptr[rows]] == [f.src for f in flows]
+        ok &= table.hops[table.hop_ptr[rows + 1] - 1] == [f.dst for f in flows]
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InfeasibleLabelError(flows[i].id, int(genes[i]))
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
         draws = rng.random((n_members, self.n_flows))
@@ -180,7 +177,7 @@ def fitness(
 
 
 def roulette_select(
-    population: Population | list[Chromosome],
+    members: list[Chromosome],
     fitnesses: np.ndarray | list[float],
     count: int,
     rng: np.random.Generator,
@@ -195,7 +192,6 @@ def roulette_select(
     """
     if count % 2 != 0:
         raise ValueError("selection count must be even")
-    members = population.members if isinstance(population, Population) else population
     fit = np.asarray(fitnesses, dtype=np.float64)
     if len(members) != len(fit):
         raise ValueError("one fitness per chromosome required")
@@ -275,18 +271,8 @@ def multipoint_mutate(
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
-    ptr = np.zeros(flowset.count + 1, dtype=np.int64)
-    flat: list[int] = []
-    for i, flow in enumerate(flowset.flows):
-        labels = feasible_labels(xpath_table, flow.src, flow.dst)
-        if not labels:
-            raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
-        flat.extend(labels)
-        ptr[i + 1] = len(flat)
-    labels_arr = np.array(flat, dtype=np.int64)
-    genes = _mutate_genes(
-        chromosome.genes, mutation_rate, ptr[:-1], labels_arr, np.diff(ptr), rng
-    )
+    ptr, labels = _feasible_csr(flowset, xpath_table)
+    genes = _mutate_genes(chromosome.genes, mutation_rate, ptr[:-1], labels, np.diff(ptr), rng)
     return Chromosome(genes=genes)
 
 

@@ -39,29 +39,27 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap
 
 
+def csr_rows(ptr: np.ndarray, data: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (row ptr, data) holding rows `rows` of CSR (ptr, data), in order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    out_ptr = np.concatenate(([0], np.cumsum(counts)))
+    flat = np.arange(out_ptr[-1], dtype=np.int64) + np.repeat(starts - out_ptr[:-1], counts)
+    return out_ptr, data[flat]
+
+
 def _np_population_loads(genes, label_ptr, label_edges, demands, n_edges):
     """Per-edge integer loads for each member of a population.
 
     genes holds 1-based path labels, one row per member, one column per
     flow; label_ptr/label_edges are the CSR edge lists of every label.
     """
-    n_members = genes.shape[0]
-    loads = np.zeros((n_members, n_edges), dtype=np.int64)
-    counts_all = np.diff(label_ptr)
-    for m in range(n_members):
-        rows = genes[m] - 1
-        counts = counts_all[rows]
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        starts = label_ptr[rows]
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-        edge_ids = label_edges[flat]
-        weights = np.repeat(demands, counts)
-        loads[m] = np.bincount(
-            edge_ids, weights=weights, minlength=n_edges
-        ).astype(np.int64)
+    loads = np.zeros((genes.shape[0], n_edges), dtype=np.int64)
+    for m, labels in enumerate(genes):
+        ptr, edge_ids = csr_rows(label_ptr, label_edges, labels - 1)
+        weights = np.repeat(demands, np.diff(ptr))
+        loads[m] = np.bincount(edge_ids, weights=weights, minlength=n_edges).astype(np.int64)
     return loads
 
 

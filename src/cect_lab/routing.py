@@ -49,9 +49,6 @@ class RoutingAssignment:
 
     choice: dict[int, int]
 
-    def label_vector(self, flowset: FlowSet) -> np.ndarray:
-        return np.array([self.choice[f.id] for f in flowset.flows], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -140,15 +137,15 @@ def assemble(
     topology: Topology,
 ) -> RoutingMatrix:
     """Resolve labels to paths and accumulate per-link loads."""
-    hops_by_flow: dict[int, tuple[int, ...]] = {}
+    labels = []
     for flow in flowset.flows:
         label = assignment.choice.get(flow.id)
         if label is None:
             raise InfeasibleLabelError(flow.id, -1, "no label assigned")
-        path = xpath_table.paths.get(label)
-        if path is None:
+        if not 1 <= label <= xpath_table.path_count:
             raise InfeasibleLabelError(flow.id, label, "label not in table")
-        hops_by_flow[flow.id] = path.hops
+        labels.append(label)
+    hops_by_flow = dict(zip((flow.id for flow in flowset.flows), xpath_table.hops_many(labels)))
     return matrix_from_paths(hops_by_flow, flowset, topology)
 
 
@@ -241,12 +238,11 @@ def format_assignment(
     assignment: RoutingAssignment, flowset: FlowSet, xpath_table: XPathTable
 ) -> str:
     """Text dump, one `flow <id> via <label>: s1 -> ... -> sk` line per flow."""
-    lines = []
-    for flow in flowset.flows:
-        label = assignment.choice[flow.id]
-        hops = " -> ".join(str(h) for h in xpath_table.paths[label].hops)
-        lines.append(f"flow {flow.id} via {label}: {hops}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    labels = [assignment.choice[flow.id] for flow in flowset.flows]
+    return "".join(
+        f"flow {flow.id} via {label}: {' -> '.join(map(str, hops))}\n"
+        for flow, label, hops in zip(flowset.flows, labels, xpath_table.hops_many(labels))
+    )
 
 
 def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:

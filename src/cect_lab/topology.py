@@ -266,7 +266,7 @@ def save_topology(topology: Topology, path) -> None:
         for node in topology.nodes:
             fh.write(f"node {node}\n")
         for src, dst, cap in topology.sorted_links():
-            fh.write(f"edge {src} {dst} {cap:g}\n")
+            fh.write(f"edge {src} {dst} {float(cap)!r}\n")
         for node in sorted(topology.pod_of):
             fh.write(f"pod {node} {topology.pod_of[node]}\n")
 

@@ -252,7 +252,7 @@ def save_flows(flowset: FlowSet, path) -> None:
     """Write flows as `flow <id> <src> <dst> <demand> <class>` lines."""
     with open(path, "w", encoding="utf-8") as fh:
         for f in flowset.flows:
-            fh.write(f"flow {f.id} {f.src} {f.dst} {f.demand:g} {f.cls}\n")
+            fh.write(f"flow {f.id} {f.src} {f.dst} {float(f.demand)!r} {f.cls}\n")
 
 
 def load_flows(path) -> FlowSet:

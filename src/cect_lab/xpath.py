@@ -5,14 +5,19 @@ and given a small-integer label; the genetic solver's genes are these
 labels. Labels are assigned breadth-first by path length, then by (source,
 destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
+
+The table is a set of numpy arrays built one hop length at a time; XPath
+objects are only created when a caller reads one through `paths`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import csr_rows
 from .topology import Topology
 
 
@@ -45,66 +50,85 @@ class XPath:
         return list(zip(self.hops[:-1], self.hops[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XPathTable:
-    """All retained x-paths of a topology, indexed by label and by endpoint pair."""
+    """All retained x-paths of a topology, indexed by label and by endpoint pair.
+
+    Label l is row l-1 of every per-label array: hop_ptr/hops is the CSR of
+    the switch ids along each path, hop_counts holds each path's edge
+    count, and edge_ptr/edge_ids is the CSR of its edges as ids of
+    edge_index() of the topology whose sorted edges are edge_keys.
+    """
 
     x: int
-    paths: dict[int, XPath]
+    cap_c: int | None
+    hop_ptr: np.ndarray
+    hops: np.ndarray
+    hop_counts: np.ndarray
+    edge_ptr: np.ndarray
+    edge_ids: np.ndarray
+    edge_keys: tuple[tuple[int, int], ...]
     by_pair: dict[tuple[int, int], tuple[int, ...]]
-    cap_c: int | None = None
+
+    @property
+    def paths(self) -> Mapping[int, XPath]:
+        """Read-only label -> XPath view; each XPath is built when accessed."""
+        return _PathView(self)
 
     @property
     def path_count(self) -> int:
-        return len(self.paths)
+        return len(self.hop_counts)
 
-    def hops_of(self, label: int) -> tuple[int, ...]:
-        return self.paths[label].hops
+    def hops_many(self, labels) -> list[tuple[int, ...]]:
+        """Hop sequences of many labels, gathered in one pass."""
+        rows = np.asarray(labels, dtype=np.int64) - 1
+        if rows.size and (rows.min() < 0 or rows.max() >= self.path_count):
+            raise KeyError(f"labels must lie in 1..{self.path_count}")
+        ptr, flat = csr_rows(self.hop_ptr, self.hops, rows)
+        hops, bounds = flat.tolist(), ptr.tolist()
+        return [tuple(hops[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def label_edge_csr(self, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
         """CSR view (row ptr, edge ids) of every path's edge list.
 
-        Row i holds the edges of label i+1, using topology.edge_index() ids.
-        Cached on the table; the arrays feed the load-accumulation kernels.
+        Row i holds the edges of label i+1, using topology.edge_index() ids;
+        the arrays feed the load-accumulation kernels. Raises ValueError
+        when topology's edges are not the ones the table was built from.
         """
-        cached = getattr(self, "_csr", None)
-        if cached is not None:
-            return cached
-        edge_ids = topology.edge_index()
-        ptr = np.zeros(len(self.paths) + 1, dtype=np.int64)
-        flat: list[int] = []
-        for label in range(1, len(self.paths) + 1):
-            for edge in self.paths[label].edges():
-                flat.append(edge_ids[edge])
-            ptr[label] = len(flat)
-        csr = (ptr, np.array(flat, dtype=np.int64))
-        object.__setattr__(self, "_csr", csr)
-        return csr
+        keys = tuple(topology.edge_index())
+        if keys != self.edge_keys:
+            src, dst = min(set(keys) ^ set(self.edge_keys))
+            raise ValueError(f"table was built for another topology: edge {src} -> {dst} differs")
+        return self.edge_ptr, self.edge_ids
 
 
-def _simple_paths_from(
-    topology: Topology, start: int, max_edges: int
-) -> list[tuple[int, ...]]:
-    """Depth-first enumeration of all simple paths of 1..max_edges edges."""
-    found: list[tuple[int, ...]] = []
-    path = [start]
-    on_path = {start}
+class _PathView(Mapping):
+    def __init__(self, table: XPathTable):
+        self._table = table
 
-    def extend():
-        if len(path) > max_edges:
-            return
-        for nxt in topology.out_neighbors(path[-1]):
-            if nxt in on_path:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            found.append(tuple(path))
-            extend()
-            on_path.remove(nxt)
-            path.pop()
+    def __getitem__(self, label) -> XPath:
+        if not isinstance(label, (int, np.integer)) or not 1 <= label <= len(self):
+            raise KeyError(label)
+        return XPath(label=int(label), hops=self._table.hops_many([label])[0])
 
-    extend()
-    return found
+    def __len__(self) -> int:
+        return self._table.path_count
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self) + 1))
+
+
+def _extend(level: np.ndarray, adj_ptr: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Every one-edge loop-free extension of the paths in level.
+
+    Rows of level are node-position paths in lexicographic order; the result
+    is too, because each row's extensions follow its sorted out-neighbours.
+    """
+    ptr, nxt = csr_rows(adj_ptr, adj, level[:, -1])
+    parent = np.repeat(np.arange(len(level), dtype=np.int32), np.diff(ptr))
+    # without self-loops the last switch never recurs, so skip that column
+    fresh = np.logical_and.reduce([column[parent] != nxt for column in level.T[:-1]])
+    return np.column_stack([level[parent[fresh]], nxt[fresh]])
 
 
 def precompute_xpaths(
@@ -121,32 +145,58 @@ def precompute_xpaths(
     if cap_c is not None and cap_c < 1:
         raise ValueError("per-pair cap must be >= 1")
 
-    all_paths: list[tuple[int, ...]] = []
-    for node in topology.nodes:
-        all_paths.extend(_simple_paths_from(topology, node, x))
-    all_paths.sort(key=lambda hops: (len(hops), hops[0], hops[-1], hops))
+    # switches become dense positions in id order, so comparing positions
+    # orders paths exactly as comparing switch ids does
+    nodes = np.array(sorted(topology.nodes), dtype=np.int64)
+    n = len(nodes)
+    edge_keys = tuple(topology.edge_index())
+    tail, head = np.searchsorted(nodes, np.array(edge_keys, dtype=np.int64).reshape(-1, 2)).T
+    eid = np.full((n, n), -1, dtype=np.int64)  # edge id of each position pair
+    eid[tail, head] = np.arange(len(edge_keys))
+    adj_ptr = np.searchsorted(tail, np.arange(n + 1))  # edge ids sort by tail
+    adj = head.astype(np.int32)
+    kept = np.zeros(n * n, dtype=np.int64)
 
-    if cap_c is not None:
-        kept: list[tuple[int, ...]] = []
-        pair_counts: dict[tuple[int, int], int] = {}
-        for hops in all_paths:
-            pair = (hops[0], hops[-1])
-            if pair_counts.get(pair, 0) < cap_c:
-                pair_counts[pair] = pair_counts.get(pair, 0) + 1
-                kept.append(hops)
-        all_paths = kept
+    level = np.column_stack([tail, head]).astype(np.int32)
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (hops, edges, pairs)
+    for length in range(1, x + 1):
+        if length > 1:
+            level = _extend(level, adj_ptr, adj)
+        # level is in hop order, so a stable sort by pair gives (src, dst, hops)
+        pair = level[:, 0].astype(np.int64) * n + level[:, -1]
+        order = np.argsort(pair, kind="stable")
+        if cap_c is not None:
+            grouped = pair[order]
+            rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+            order = order[rank + kept[grouped] < cap_c]
+            kept += np.bincount(pair[order], minlength=n * n)
+        rows = level[order]
+        levels.append((nodes[rows].ravel(), eid[rows[:, :-1], rows[:, 1:]].ravel(), pair[order]))
 
-    paths: dict[int, XPath] = {}
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for label, hops in enumerate(all_paths, start=1):
-        paths[label] = XPath(label=label, hops=hops)
-        by_pair.setdefault((hops[0], hops[-1]), []).append(label)
+    hops, edge_ids, pairs = (np.concatenate(arrays) for arrays in zip(*levels))
+    hop_counts = np.repeat(np.arange(1, x + 1), [len(p) for _, _, p in levels])
+    edge_ptr = np.r_[0, np.cumsum(hop_counts)]
 
+    # by_pair: group labels by pair with one stable sort, keyed in first-label order
+    order = np.argsort(pairs, kind="stable")
+    grouped = pairs[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    labels, bounds = (order + 1).tolist(), np.r_[starts, len(order)].tolist()
+    src, dst = nodes[grouped[starts] // n].tolist(), nodes[grouped[starts] % n].tolist()
+    by_pair = {
+        (src[g], dst[g]): tuple(labels[bounds[g] : bounds[g + 1]])
+        for g in np.argsort(order[starts]).tolist()
+    }
     return XPathTable(
         x=x,
-        paths=paths,
-        by_pair={pair: tuple(labels) for pair, labels in by_pair.items()},
         cap_c=cap_c,
+        hop_ptr=edge_ptr + np.arange(len(edge_ptr)),
+        hops=hops,
+        hop_counts=hop_counts,
+        edge_ptr=edge_ptr,
+        edge_ids=edge_ids,
+        edge_keys=edge_keys,
+        by_pair=by_pair,
     )
 
 
@@ -155,35 +205,9 @@ def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:
     return table.by_pair.get((src, dst), ())
 
 
-def grow_xpaths(topology: Topology, x: int = 10) -> set[tuple[int, ...]]:
-    """Alternate enumeration by iterative one-hop extension.
-
-    Grows the 1-edge paths tier by tier instead of depth-first; retained as
-    an independent construction for cross-checking precompute_xpaths.
-    """
-    if x < 1:
-        raise ValueError("hop bound x must be >= 1")
-    frontier = {
-        (src, dst) for src, dst, _ in topology.links
-    }
-    result: set[tuple[int, ...]] = set(frontier)
-    for _ in range(x - 1):
-        grown = set()
-        for hops in frontier:
-            for nxt in topology.out_neighbors(hops[-1]):
-                if nxt not in hops:
-                    grown.add(hops + (nxt,))
-        if not grown:
-            break
-        result |= grown
-        frontier = grown
-    return result
-
-
 def format_table(table: XPathTable) -> str:
     """Text dump, one `label <n>: s1 -> s2 -> ...` line per path."""
-    lines = []
-    for label in range(1, table.path_count + 1):
-        hops = " -> ".join(str(h) for h in table.paths[label].hops)
-        lines.append(f"label {label}: {hops}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    hops = table.hops_many(np.arange(1, table.path_count + 1))
+    return "".join(
+        f"label {label}: {' -> '.join(map(str, h))}\n" for label, h in enumerate(hops, 1)
+    )

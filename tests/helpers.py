@@ -44,6 +44,21 @@ def brute_force_simple_paths(topology: Topology, x: int) -> set[tuple[int, ...]]
     return acc
 
 
+def grow_xpaths(topology: Topology, x: int) -> set[tuple[int, ...]]:
+    """All simple paths with 1..x edges, grown one hop per round from the edges."""
+    frontier = {(src, dst) for src, dst, _ in topology.links}
+    result: set[tuple[int, ...]] = set(frontier)
+    for _ in range(x - 1):
+        frontier = {
+            hops + (nxt,)
+            for hops in frontier
+            for nxt in topology.out_neighbors(hops[-1])
+            if nxt not in hops
+        }
+        result |= frontier
+    return result
+
+
 def make_flows(pairs_demands: list[tuple[int, int, float]]) -> FlowSet:
     """FlowSet from (src, dst, demand) triples, ids assigned in order."""
     return FlowSet(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cect_lab import experiment
+from cect_lab import experiment, kernels
 from cect_lab.cli import main
 from cect_lab.errors import ConfigError
 from cect_lab.fluidsim import simulate
@@ -304,4 +304,7 @@ def test_cli_error_paths(tmp_path):
 def test_cli_bench_kernels_smoke(tmp_path):
     assert main(["bench", "kernels", "--n", "60", "--repeats", "1",
                  "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "bench_kernels.csv").exists()
+    rows = (tmp_path / "bench_kernels.csv").read_text(encoding="utf-8").splitlines()
+    backends = {row.split(",")[1] for row in rows[1:]}
+    # without numba its kernels would run as plain Python, so no row claims it
+    assert backends == ({"numpy", "numba"} if kernels.HAVE_NUMBA else {"numpy"})

@@ -130,6 +130,7 @@ def test_sample_topology_rejects_bad_input():
     lambda: make_sample_topology("fig2a", 10.0),
     lambda: make_sample_topology("fig2b", 3.0),
     lambda: make_fat_tree(4, 10.0, 20.0, 30.0),
+    lambda: make_fat_tree(4, 100.123456789, 0.1 + 0.2, 1 / 3),
 ])
 def test_save_load_round_trip(builder, tmp_path):
     topo = builder()

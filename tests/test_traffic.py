@@ -217,6 +217,13 @@ def test_flow_file_round_trip(tmp_path):
     assert load_flows(path) == flows
 
 
+def test_flow_file_round_trip_keeps_every_digit(tmp_path):
+    flows = make_flows([(1, 2, 0.500617283945), (2, 1, 1 / 3), (1, 3, 123456.789012345)])
+    path = tmp_path / "flows.txt"
+    save_flows(flows, path)
+    assert load_flows(path) == flows
+
+
 def test_flow_invariants():
     with pytest.raises(ValueError):
         Flow(id=1, src=2, dst=2, demand=1.0)

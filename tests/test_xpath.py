@@ -1,16 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cect_lab.topology import make_fat_tree, make_sample_topology
+from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
     XPath,
     feasible_labels,
     format_table,
-    grow_xpaths,
     precompute_xpaths,
 )
 
-from helpers import brute_force_simple_paths, random_topology
+from helpers import brute_force_simple_paths, grow_xpaths, random_topology
 
 # Published 3-hop labeling of the 3-node sample, label -> hops.
 GOLDEN_FIG2A = {
@@ -185,3 +188,95 @@ def test_every_path_forms_a_valid_single_flow_route():
             )
             matrix = assemble(RoutingAssignment({1: label}), flowset, table, topo)
             assert validate(matrix, flowset, topo) == []
+
+
+def _table_order(hops):
+    return (len(hops), hops[0], hops[-1], hops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 6),
+    edge_prob=st.floats(0.2, 0.9),
+    x=st.integers(1, 4),
+    cap_c=st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c):
+    topo = random_topology(np.random.default_rng(seed), n_nodes, edge_prob)
+    table = precompute_xpaths(topo, x=x, cap_c=cap_c)
+    every = brute_force_simple_paths(topo, x)
+
+    # labels are dense and ordered by (length, src, dst, hop sequence)
+    assert list(table.paths) == list(range(1, table.path_count + 1))
+    hops = [table.paths[label].hops for label in table.paths]
+    assert hops == sorted(set(hops), key=_table_order)
+
+    # each pair keeps its cap_c shortest paths, in label order
+    ranked: dict[tuple[int, int], list] = {}
+    for path in sorted(every, key=_table_order):
+        ranked.setdefault((path[0], path[-1]), []).append(path)
+    expected = {pair: paths[:cap_c] for pair, paths in ranked.items()}
+    assert {
+        pair: [hops[label - 1] for label in labels] for pair, labels in table.by_pair.items()
+    } == expected
+    if cap_c is None:
+        assert set(hops) == every
+
+    # each CSR row holds the edge_index() ids of its path's hops
+    ptr, edges = table.label_edge_csr(topo)
+    ids = topo.edge_index()
+    for label, path in enumerate(hops, 1):
+        row = edges[ptr[label - 1] : ptr[label]].tolist()
+        assert row == [ids[e] for e in zip(path[:-1], path[1:])]
+        assert table.hop_counts[label - 1] == len(path) - 1
+
+    # paths[l].hops round-trips through the batch lookup and the text dump
+    assert table.hops_many(list(table.paths)) == hops
+    dumped = [
+        tuple(int(h) for h in line.split(":")[1].split("->"))
+        for line in format_table(table).splitlines()
+    ]
+    assert dumped == hops
+
+
+@pytest.mark.parametrize("k, count, digest", [
+    (4, 1408, "40609fa60166ffd055f8f6fdd62d945df6bec8c8a5813b16dd30323ed1679edd"),
+    (6, 19224, "c9d8ca651a524e22b1a1393ff1ce8a68814a668fb3ee9dde7a881042fba3f3bd"),
+])
+def test_fat_tree_table_dump_is_pinned(k, count, digest):
+    table = precompute_xpaths(make_fat_tree(k), 4, 50)
+    assert table.path_count == count
+    assert hashlib.sha256(format_table(table).encode()).hexdigest() == digest
+
+
+def test_label_edge_csr_rejects_another_topology():
+    base = make_fat_tree(4)
+    table = precompute_xpaths(base, x=4, cap_c=50)
+    ptr, edges = table.label_edge_csr(base)
+    # same edges, so same numbering: the prebuilt CSR is returned
+    assert table.label_edge_csr(make_fat_tree(4, 10.0, 20.0, 30.0))[1] is edges
+    # an extra access-to-access link shifts the ids of every later edge
+    wider = Topology(
+        nodes=base.nodes, links=base.links + ((1, 2, 100.0),), pod_of=base.pod_of
+    )
+    assert wider.edge_index() != base.edge_index()
+    with pytest.raises(ValueError, match="edge 1 -> 2 differs"):
+        table.label_edge_csr(wider)
+    # a second fat-tree reuses the switch ids with other wiring
+    with pytest.raises(ValueError, match="another topology"):
+        table.label_edge_csr(make_fat_tree(6))
+    ids = base.edge_index()
+    assert edges.tolist() == [
+        ids[e] for label in table.paths for e in table.paths[label].edges()
+    ]
+    assert ptr.tolist() == [0, *np.cumsum(table.hop_counts).tolist()]
+
+
+def test_paths_view_rejects_unknown_labels(fig2a_table):
+    assert len(fig2a_table.paths) == 6
+    for label in (0, 7, -1, "1"):
+        assert label not in fig2a_table.paths
+        assert fig2a_table.paths.get(label) is None
+    with pytest.raises(KeyError):
+        fig2a_table.hops_many([1, 7])
