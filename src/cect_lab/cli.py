@@ -192,24 +192,15 @@ def _cmd_report(args) -> int:
 def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.what == "kernels":
-        timings = bench_mod.bench_kernels(
-            k=args.k, n_flows=args.n, x=args.x, seed=args.seed or 0,
-            repeats=args.repeats,
-        )
-        bench_mod.write_kernel_csv(timings, out_dir / "bench_kernels.csv")
-        for t in timings:
-            print(f"{t.kernel:18s} {t.backend:6s} {t.seconds_per_call * 1e3:9.3f} ms/call")
-    else:
-        counts = tuple(int(v) for v in args.flow_counts.split(","))
-        points, slope = bench_mod.bench_scaling(
-            k=args.k, flow_counts=counts, x=args.x,
-            iterations=args.itr, seed=args.seed or 0,
-        )
-        bench_mod.write_scaling_csv(points, slope, out_dir / "bench_scaling.csv")
-        for p in points:
-            print(f"n_flows={p.n_flows:6d} pop={p.population:4d} time={p.wall_time:.3f}s")
-        print(f"log-log slope: {slope:.3f}")
+    counts = tuple(int(v) for v in args.flow_counts.split(","))
+    points, slope = bench_mod.bench_scaling(
+        k=args.k, flow_counts=counts, x=args.x,
+        iterations=args.itr, seed=args.seed or 0,
+    )
+    bench_mod.write_scaling_csv(points, slope, out_dir / "bench_scaling.csv")
+    for p in points:
+        print(f"n_flows={p.n_flows:6d} pop={p.population:4d} time={p.wall_time:.3f}s")
+    print(f"log-log slope: {slope:.3f}")
     return 0
 
 
@@ -289,12 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = add_parser("bench", help="kernel and scaling benchmarks")
-    p.add_argument("what", choices=("kernels", "scaling"))
+    p = add_parser("bench", help="solver wall-time scaling benchmark")
+    p.add_argument("what", choices=("scaling",))
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--n", type=int, default=2000)
     p.add_argument("--x", type=int, default=4)
-    p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--itr", type=int, default=20)
     p.add_argument("--flow-counts", default="250,500,1000,2000")
     p.set_defaults(func=_cmd_bench)

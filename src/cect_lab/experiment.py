@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ecmp import route_ecmp
-from .errors import ConfigError
+from .errors import CectLabError, ConfigError
 from .exact import solve_exact
 from .fluidsim import simulate
 from .ga import GaConfig, run_cect
@@ -104,12 +104,21 @@ def _parse_n_flows(text: str) -> tuple[int, ...]:
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config, reporting the file and option on errors."""
+    return _parse_config(_read_config(path), path)
+
+
+def _read_config(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file") from exc
+
+
+def _parse_config(data: bytes, path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"{path}: cannot read config file")
     cfg = ExperimentConfig()
     try:
+        parser.read_string(data.decode("utf-8"), source=str(path))
         if parser.has_section("experiment"):
             cfg.master_seed = parser.getint("experiment", "seed", fallback=0)
         if parser.has_section("topology"):
@@ -248,32 +257,35 @@ def _solve_cell(
     return assignment, elapsed
 
 
-# Per-process cache so parallel workers build the topology and table once.
-_WORKER_STATE: dict[str, tuple[ExperimentConfig, Topology, XPathTable]] = {}
+# Per-process cache so parallel workers build the topology and table once:
+# one entry per config path, rebuilt when the config's bytes change.
+_WORKER_STATE: dict[str, tuple[bytes, ExperimentConfig, Topology, XPathTable]] = {}
 
 
-def _worker_state(config_path: str) -> tuple[ExperimentConfig, Topology, XPathTable]:
+def _worker_state(
+    config_path: str, data: bytes
+) -> tuple[ExperimentConfig, Topology, XPathTable]:
     state = _WORKER_STATE.get(config_path)
-    if state is None:
-        cfg = load_config(config_path)
+    if state is None or state[0] != data:
+        cfg = _parse_config(data, config_path)
         topology = build_topology(cfg)
         table = precompute_xpaths(topology, cfg.x, cfg.cap_c)
-        state = (cfg, topology, table)
+        state = (data, cfg, topology, table)
         _WORKER_STATE[config_path] = state
-    return state
+    return state[1:]
 
 
-def _run_cell(args: tuple[str, str, int, int]) -> dict:
-    config_path, method, n_flows, seed_index = args
+def _run_cell(args: tuple[str, bytes, str, int, int]) -> dict:
+    config_path, data, method, n_flows, seed_index = args
     try:
-        cfg, topology, table = _worker_state(config_path)
+        cfg, topology, table = _worker_state(config_path, data)
         traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
         flows = _prepare_workload(cfg, topology, n_flows, traffic_seed)
         assignment, elapsed = _solve_cell(cfg, topology, table, flows, method, ga_seed)
         matrix = assemble(assignment, flows, table, topology)
         result = simulate(matrix, flows, topology, cfg.sim_model)
-    except Exception as exc:  # recorded in the manifest; sweep continues
-        return {"_error": f"{type(exc).__name__}: {exc}", "_cell": args}
+    except (CectLabError, ValueError) as exc:  # recorded in the manifest; sweep continues
+        return {"_error": f"{type(exc).__name__}: {exc}", "_cell": args[2:]}
     return {
         "method": method,
         "n_flows": n_flows,
@@ -297,18 +309,20 @@ def _fmt(value) -> str:
 def run_experiment(config_path, out_dir, threads: int | None = None) -> Path:
     """Execute every sweep cell and write results, dumps, and a manifest.
 
-    Returns the output directory. Cell failures are recorded in the manifest
-    and do not stop the sweep; the CLI maps them to a nonzero exit code.
+    Returns the output directory. Cell failures (a CectLabError or
+    ValueError) are recorded in the manifest and do not stop the sweep; the
+    CLI maps them to a nonzero exit code. Any other exception propagates.
     """
     config_path = str(config_path)
+    data = _read_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, topology, table = _worker_state(config_path)
+    cfg, topology, table = _worker_state(config_path, data)
 
     if threads is None:
         threads = int(os.environ.get(THREADS_ENV, "1"))
     cells = [
-        (config_path, method, n, s)
+        (config_path, data, method, n, s)
         for n in cfg.n_flows_list
         for s in range(cfg.n_seeds)
         for method in cfg.methods
@@ -328,7 +342,7 @@ def run_experiment(config_path, out_dir, threads: int | None = None) -> Path:
     flows_written: set[tuple[int, int]] = set()
     for outcome in outcomes:
         if "_error" in outcome:
-            _, method, n, s = outcome["_cell"]
+            method, n, s = outcome["_cell"]
             failures.append(
                 {"method": method, "n_flows": n, "seed": s, "error": outcome["_error"]}
             )
@@ -349,9 +363,8 @@ def run_experiment(config_path, out_dir, threads: int | None = None) -> Path:
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in RESULT_COLUMNS])
 
-    config_text = Path(config_path).read_bytes()
     manifest = {
-        "config_sha256": hashlib.sha256(config_text).hexdigest(),
+        "config_sha256": hashlib.sha256(data).hexdigest(),
         "master_seed": cfg.master_seed,
         "methods": list(cfg.methods),
         "n_flows": list(cfg.n_flows_list),
@@ -365,7 +378,7 @@ def run_experiment(config_path, out_dir, threads: int | None = None) -> Path:
                 "traffic_seed": cell_seeds(cfg.master_seed, n, s)[0],
                 "solver_seed": cell_seeds(cfg.master_seed, n, s)[1],
             }
-            for (_, method, n, s) in cells
+            for (_, _, method, n, s) in cells
         ],
         "failures": failures,
     }

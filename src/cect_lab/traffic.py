@@ -8,6 +8,7 @@ endpoint pair, shrinking the gene count the solver has to optimize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,10 @@ class Flow:
             raise ValueError(f"flow {self.id}: src equals dst ({self.src})")
         if self.demand <= 0:
             raise ValueError(f"flow {self.id}: demand must be positive")
+        if not math.isfinite(self.demand) or to_units(self.demand) == 0:
+            raise ValueError(
+                f"flow {self.id}: demand {self.demand!r} is not finite or rounds to 0 load units"
+            )
         if self.cls not in FLOW_CLASSES:
             raise ValueError(f"flow {self.id}: unknown class {self.cls!r}")
 

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per acceptance criterion, tolerances pinned.
 
 Each test prints a `ACCEPTANCE <n> <name>: PASS/FAIL` line so a verbose run
-reads as a checklist. Runtimes are wall-clock on the host; the JIT kernels
-are warmed up front so compile time is not billed to any criterion.
+reads as a checklist. Runtimes are wall-clock on the host.
 """
 
 import csv
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cect_lab import experiment, kernels
+from cect_lab import experiment
 from cect_lab.bench import bench_scaling
 from cect_lab.errors import SearchBudgetExceededError
 from cect_lab.exact import solve_exact
@@ -52,11 +51,6 @@ def criterion(number: int, name: str):
         print(f"\nACCEPTANCE {number} {name}: FAIL")
         raise
     print(f"\nACCEPTANCE {number} {name}: PASS")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    kernels.warmup()
 
 
 def test_criterion_1_golden_path_enumeration():

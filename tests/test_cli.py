@@ -1,10 +1,11 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from cect_lab import experiment, kernels
+from cect_lab import experiment
 from cect_lab.cli import main
 from cect_lab.errors import ConfigError
 from cect_lab.fluidsim import simulate
@@ -160,6 +161,39 @@ max_iterations = 5
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "r2")]) == 1
 
 
+def test_programming_errors_propagate_from_cells(config_file, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the simulator")
+
+    monkeypatch.setattr(experiment, "simulate", broken)
+    with pytest.raises(RuntimeError, match="bug in the simulator"):
+        experiment.run_experiment(config_file, tmp_path / "res", threads=1)
+
+
+def test_rewritten_config_is_reread(tmp_path):
+    config = tmp_path / "sweep.ini"
+    template = """
+[topology]
+kind = fat_tree
+k = 4
+edge_capacity = {capacity}
+agg_capacity = {capacity}
+core_capacity = {capacity}
+[sweep]
+n_flows = {n}
+methods = ecmp
+"""
+    config.write_text(template.format(capacity=10, n=2), encoding="utf-8")
+    experiment.run_experiment(config, tmp_path / "r1")
+    config.write_text(template.format(capacity=77, n=3), encoding="utf-8")
+    out = experiment.run_experiment(config, tmp_path / "r2")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == []
+    assert manifest["n_flows"] == [3]
+    assert load_flows(out / "flows" / "flows_3_0.txt").count == 3
+    assert {c for _, _, c in load_topology(out / "topology.txt").links} == {77.0}
+
+
 def test_report_rejects_missing_or_empty(tmp_path):
     with pytest.raises(FileNotFoundError):
         experiment.report(tmp_path)
@@ -301,10 +335,13 @@ def test_cli_error_paths(tmp_path):
     assert main(["report", "--results", str(tmp_path)]) == 2
 
 
-def test_cli_bench_kernels_smoke(tmp_path):
-    assert main(["bench", "kernels", "--n", "60", "--repeats", "1",
+def test_cli_bench_scaling_smoke(tmp_path):
+    assert main(["bench", "scaling", "--flow-counts", "20,40", "--itr", "2",
                  "--out-dir", str(tmp_path)]) == 0
-    rows = (tmp_path / "bench_kernels.csv").read_text(encoding="utf-8").splitlines()
-    backends = {row.split(",")[1] for row in rows[1:]}
-    # without numba its kernels would run as plain Python, so no row claims it
-    assert backends == ({"numpy", "numba"} if kernels.HAVE_NUMBA else {"numpy"})
+    with open(tmp_path / "bench_scaling.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n_flows", "population", "wall_time", "loglog_slope"]
+    assert [row[0] for row in rows[1:]] == ["20", "40"]
+    # one fitted slope, repeated on every row
+    assert len({row[3] for row in rows[1:]}) == 1
+    assert math.isfinite(float(rows[1][3]))

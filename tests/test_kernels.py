@@ -3,14 +3,19 @@ import pytest
 
 from cect_lab import kernels
 from cect_lab.ga import _Instance
+from cect_lab.routing import RoutingAssignment, assemble
 from cect_lab.topology import make_fat_tree
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
 
 
 @pytest.fixture(scope="module")
-def instance():
-    topology = make_fat_tree(4)
+def topology():
+    return make_fat_tree(4)
+
+
+@pytest.fixture(scope="module")
+def instance(topology):
     table = precompute_xpaths(topology, x=4, cap_c=50)
     flows = generate_flows(
         topology, 300, {"micro": 0.4, "small": 0.3, "medium": 0.2, "big": 0.1},
@@ -19,57 +24,14 @@ def instance():
     return _Instance(flows, table, topology)
 
 
-def test_backends_agree_on_loads_and_fitness(instance):
-    rng = np.random.default_rng(1)
-    genes = instance.random_genes(16, rng)
-    np_loads, np_fit, np_maxmin = kernels.IMPLEMENTATIONS["numpy"]
-    nb_loads, nb_fit, nb_maxmin = kernels.IMPLEMENTATIONS["numba"]
-
-    loads_a = np_loads(genes, instance.label_ptr, instance.label_edges,
-                       instance.demands, instance.n_edges)
-    loads_b = nb_loads(genes, instance.label_ptr, instance.label_edges,
-                       instance.demands, instance.n_edges)
-    assert np.array_equal(loads_a, loads_b)
-
-    fit_a, mu_a = np_fit(loads_a, instance.caps, 20)
-    fit_b, mu_b = nb_fit(loads_b, instance.caps, 20)
-    assert np.array_equal(fit_a, fit_b)
-    assert np.array_equal(mu_a, mu_b)
-
-
-def test_backends_agree_on_maxmin(instance):
-    rng = np.random.default_rng(2)
-    np_maxmin = kernels.IMPLEMENTATIONS["numpy"][2]
-    nb_maxmin = kernels.IMPLEMENTATIONS["numba"][2]
-    for _ in range(10):
-        n = int(rng.integers(2, 40))
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        flat = []
-        for f in range(n):
-            label = int(instance.feas_labels[
-                instance.feas_ptr[rng.integers(instance.n_flows)]
-            ])
-            row = instance.label_edges[
-                instance.label_ptr[label - 1] : instance.label_ptr[label]
-            ]
-            flat.extend(row.tolist())
-            ptr[f + 1] = len(flat)
-        edges = np.array(flat, dtype=np.int64)
-        demands = rng.uniform(0.5, 60.0, size=n)
-        caps = instance.caps.astype(np.float64) / 1000.0
-        rates_a = np_maxmin(ptr, edges, demands, caps)
-        rates_b = nb_maxmin(ptr, edges, demands, caps)
-        assert np.allclose(rates_a, rates_b, rtol=1e-9, atol=1e-9)
-
-
 def test_loads_match_manual_accumulation(instance):
     rng = np.random.default_rng(3)
-    genes = instance.random_genes(4, rng)
+    genes = instance.random_genes(16, rng)
     loads = kernels.population_loads(
         genes, instance.label_ptr, instance.label_edges,
         instance.demands, instance.n_edges,
     )
-    for m in range(4):
+    for m in range(16):
         manual = np.zeros(instance.n_edges, dtype=np.int64)
         for f in range(instance.n_flows):
             label = int(genes[m, f])
@@ -78,6 +40,69 @@ def test_loads_match_manual_accumulation(instance):
             ]:
                 manual[e] += instance.demands[f]
         assert np.array_equal(loads[m], manual)
+
+
+def test_backends_agree_on_loads_and_fitness(instance, topology):
+    # the vectorised kernels against an independent oracle: the routing
+    # layer's per-flow dict accumulation of the same assignments
+    rng = np.random.default_rng(1)
+    genes = instance.random_genes(16, rng)
+    loads = kernels.population_loads(
+        genes, instance.label_ptr, instance.label_edges,
+        instance.demands, instance.n_edges,
+    )
+    penalty = 20
+    fit, mu = kernels.fitness_mu(loads, instance.caps, penalty)
+    edge_index = topology.edge_index()
+    for m in range(16):
+        choice = {flow.id: int(g) for flow, g in zip(instance.flowset.flows, genes[m])}
+        matrix = assemble(RoutingAssignment(choice), instance.flowset, instance.table, topology)
+        assembled = np.zeros(instance.n_edges, dtype=np.int64)
+        for edge, units in matrix.load_units.items():
+            assembled[edge_index[edge]] = units
+        assert np.array_equal(loads[m], assembled)
+        assert mu[m] == matrix.mu
+
+        residual = instance.caps - assembled
+        overload = np.clip(-residual, 0, None)
+        assert fit[m] == pytest.approx((residual.sum() - penalty * overload.sum()) / 1000.0)
+
+
+def _random_flow_csr(instance, rng):
+    n = int(rng.integers(2, 40))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    flat = []
+    for f in range(n):
+        label = int(instance.feas_labels[instance.feas_ptr[rng.integers(instance.n_flows)]])
+        flat.extend(
+            instance.label_edges[instance.label_ptr[label - 1] : instance.label_ptr[label]]
+        )
+        ptr[f + 1] = len(flat)
+    return ptr, np.array(flat, dtype=np.int64), rng.uniform(0.5, 60.0, size=n)
+
+
+def test_maxmin_rates_certify_max_min_fairness(instance):
+    rng = np.random.default_rng(2)
+    caps = instance.caps.astype(np.float64) / 1000.0
+    for _ in range(10):
+        ptr, edges, demands = _random_flow_csr(instance, rng)
+        rates = kernels.maxmin_rates(ptr, edges, demands, caps)
+        tol = 1e-9 * max(caps.max(), demands.max())
+        flow_of = np.repeat(np.arange(len(demands)), np.diff(ptr))
+        load = np.bincount(edges, weights=rates[flow_of], minlength=len(caps))
+        top_rate = np.zeros(len(caps))
+        np.maximum.at(top_rate, edges, rates[flow_of])
+
+        assert (rates <= demands).all()
+        assert (load <= caps + tol).all()
+        # a flow held below its demand is stopped by a full edge it shares
+        # only with flows no faster than itself
+        for f in np.flatnonzero(rates < demands - tol):
+            crossed = edges[ptr[f] : ptr[f + 1]]
+            bottleneck = (load[crossed] >= caps[crossed] - tol) & (
+                rates[f] >= top_rate[crossed] - tol
+            )
+            assert bottleneck.any(), f"flow {f} has no bottleneck edge"
 
 
 def test_fitness_formula_matches_reference(instance):
@@ -95,17 +120,3 @@ def test_fitness_formula_matches_reference(instance):
         expected = (residual.sum() - penalty * overload.sum()) / 1000.0
         assert fit[m] == pytest.approx(expected)
         assert mu[m] == pytest.approx((loads[m] / instance.caps).max())
-
-
-def test_backend_selection_flag(monkeypatch):
-    monkeypatch.setenv(kernels._ENV_FLAG, "numpy")
-    assert kernels._select_backend() == "numpy"
-    monkeypatch.setenv(kernels._ENV_FLAG, "numba")
-    assert kernels._select_backend() == "numba" if kernels.HAVE_NUMBA else "numpy"
-    monkeypatch.setenv(kernels._ENV_FLAG, "fortran")
-    with pytest.raises(ValueError):
-        kernels._select_backend()
-
-
-def test_warmup_runs():
-    kernels.warmup()

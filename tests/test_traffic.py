@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cect_lab.errors import FlowFormatError
 from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import (
     CLASS_FRACTION,
@@ -227,10 +228,19 @@ def test_flow_file_round_trip_keeps_every_digit(tmp_path):
 def test_flow_invariants():
     with pytest.raises(ValueError):
         Flow(id=1, src=2, dst=2, demand=1.0)
-    with pytest.raises(ValueError):
-        Flow(id=1, src=1, dst=2, demand=0.0)
+    # 0.0004 rounds to 0 load units
+    for demand in (0.0, 0.0004, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="flow 1"):
+            Flow(id=1, src=1, dst=2, demand=demand)
     with pytest.raises(ValueError):
         FlowSet(flows=(Flow(id=2, src=1, dst=2, demand=1.0),))
+
+
+def test_load_flows_names_line_of_unit_less_demand(tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("flow 1 1 2 1.0 custom\nflow 2 2 1 0.0004 custom\n", encoding="utf-8")
+    with pytest.raises(FlowFormatError, match="line 2: flow 2"):
+        load_flows(path)
 
 
 def test_class_fractions_match_published_values():
