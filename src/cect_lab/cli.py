@@ -22,7 +22,13 @@ from .routing import (
     matrix_from_paths,
     parse_assignment_dump,
 )
-from .topology import load_topology, make_fat_tree, make_sample_topology, save_topology
+from .topology import (
+    UNITS_PER_BW,
+    load_topology,
+    make_fat_tree,
+    make_sample_topology,
+    save_topology,
+)
 from .traffic import generate_flows, load_flows, save_flows
 from .xpath import format_table, precompute_xpaths
 
@@ -109,9 +115,9 @@ def _cmd_solve(args) -> int:
     (out_dir / "assignment.txt").write_text(
         format_assignment(assignment, flows, table), encoding="utf-8"
     )
+    loads = {edge: units / UNITS_PER_BW for edge, units in matrix.load_units.items()}
     edge_rows = [
-        (s, d, f"{matrix.link_load.get((s, d), 0.0):.10g}",
-         f"{matrix.link_load.get((s, d), 0.0) / c:.10g}")
+        (s, d, f"{loads.get((s, d), 0.0):.10g}", f"{loads.get((s, d), 0.0) / c:.10g}")
         for s, d, c in topo.sorted_links()
     ]
     _write_rows(out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"),

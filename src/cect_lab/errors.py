@@ -19,6 +19,14 @@ class FlowFormatError(CectLabError):
     """A flow file failed to parse."""
 
 
+class AssignmentFormatError(CectLabError):
+    """An assignment dump failed to parse; the message names the line."""
+
+    def __init__(self, message: str, line_no: int):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {message}")
+
+
 class NoFeasiblePathError(CectLabError):
     """A flow has no candidate path in the path table."""
 

@@ -257,22 +257,22 @@ def _solve_cell(
     return assignment, elapsed
 
 
-# Per-process cache so parallel workers build the topology and table once:
-# one entry per config path, rebuilt when the config's bytes change.
-_WORKER_STATE: dict[str, tuple[bytes, ExperimentConfig, Topology, XPathTable]] = {}
+# Per-process cache so parallel workers build the topology and table once.
+# It holds a single config, keyed by its path and bytes, so a process keeps
+# at most one path table alive and re-reads a rewritten config.
+_WORKER_STATE: dict[tuple[str, bytes], tuple[ExperimentConfig, Topology, XPathTable]] = {}
 
 
 def _worker_state(
     config_path: str, data: bytes
 ) -> tuple[ExperimentConfig, Topology, XPathTable]:
-    state = _WORKER_STATE.get(config_path)
-    if state is None or state[0] != data:
+    key = (config_path, data)
+    if key not in _WORKER_STATE:
+        _WORKER_STATE.clear()
         cfg = _parse_config(data, config_path)
         topology = build_topology(cfg)
-        table = precompute_xpaths(topology, cfg.x, cfg.cap_c)
-        state = (data, cfg, topology, table)
-        _WORKER_STATE[config_path] = state
-    return state[1:]
+        _WORKER_STATE[key] = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
+    return _WORKER_STATE[key]
 
 
 def _run_cell(args: tuple[str, bytes, str, int, int]) -> dict:

@@ -1,11 +1,12 @@
 """Fluid-flow evaluation of routings: delivered rates, throughput, and loss.
 
-Rates are allocated at the flow level without packet dynamics. The default
-max-min model water-fills link capacities among path-constrained flows; the
-cheaper bottleneck model scales each flow by its worst oversubscribed link
-and then repairs any remaining overload in one pass. Either way, delivered
-rates never exceed demands and per-link delivered load never exceeds
-capacity.
+Rates are allocated at the flow level without packet dynamics, on the
+routing's per-flow edge-id CSR. The default max-min model water-fills link
+capacities among path-constrained flows; the cheaper bottleneck model scales
+each flow by its worst oversubscribed link and then repairs any remaining
+overload in one pass. Either way, delivered rates never exceed demands and
+per-link delivered load never exceeds capacity. Volume schedules allocate
+among the still-active rows of the same CSR at every step.
 """
 
 from __future__ import annotations
@@ -69,31 +70,43 @@ def _bottleneck_rates(
     id order and rescales the flows crossing any still-overloaded edge, which
     only lowers rates, so every edge ends at or below capacity.
     """
-    n_edges = len(caps)
-    offered = np.bincount(
-        edges, weights=np.repeat(demands, np.diff(ptr)), minlength=n_edges
-    )
+    flow_of = np.repeat(np.arange(len(demands)), np.diff(ptr))
+    offered = np.bincount(edges, weights=demands[flow_of], minlength=len(caps))
     with np.errstate(divide="ignore"):
         edge_factor = np.minimum(1.0, caps / np.where(offered > 0, offered, 1.0))
-    rates = demands.astype(np.float64).copy()
-    for f in range(len(demands)):
-        path = edges[ptr[f] : ptr[f + 1]]
-        if path.size:
-            rates[f] = demands[f] * edge_factor[path].min()
+    factor = np.ones(len(demands))
+    np.minimum.at(factor, flow_of, edge_factor[edges])
+    rates = demands * factor
 
-    crossing: list[list[int]] = [[] for _ in range(n_edges)]
-    for f in range(len(demands)):
-        for e in edges[ptr[f] : ptr[f + 1]]:
-            crossing[e].append(f)
-    for e in range(n_edges):
-        if not crossing[e]:
-            continue
-        load = sum(rates[f] for f in crossing[e])
+    # the flows crossing each edge, in flow order, as one stable sort
+    order = np.argsort(edges, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(edges, minlength=len(caps)))]
+    for e in np.flatnonzero(np.diff(bounds)):
+        crossing = flow_of[order[bounds[e] : bounds[e + 1]]]
+        load = sum(rates[crossing].tolist())
         if load > caps[e]:
-            scale = caps[e] / load
-            for f in crossing[e]:
-                rates[f] *= scale
+            np.multiply.at(rates, crossing, caps[e] / load)
     return rates
+
+
+def _rates(
+    model: str, ptr: np.ndarray, edges: np.ndarray, demands: np.ndarray, caps: np.ndarray
+) -> np.ndarray:
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if model == "maxmin":
+        return kernels.maxmin_rates(ptr, edges, demands, caps)
+    return _bottleneck_rates(ptr, edges, demands, caps)
+
+
+def _arrays(
+    routing_matrix: RoutingMatrix, flowset: FlowSet, topology: Topology
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The routing's CSR (row ptr, edge ids), the demands and the capacities."""
+    ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
+    demands = np.array([f.demand for f in flowset.flows], dtype=np.float64)
+    caps = np.array([c for _, _, c in topology.sorted_links()], dtype=np.float64)
+    return ptr, edges, demands, caps
 
 
 def simulate(
@@ -102,43 +115,21 @@ def simulate(
     topology: Topology,
     model: str = "maxmin",
 ) -> SimResult:
-    """Allocate delivered rates for every flow under the chosen model."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    """Allocate delivered rates for every flow under the chosen model.
 
-    sorted_links = topology.sorted_links()
-    caps = np.array([c for _, _, c in sorted_links], dtype=np.float64)
-    ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
-    demands = np.array([f.demand for f in flowset.flows], dtype=np.float64)
-
-    if flowset.count == 0:
-        return SimResult(
-            per_flow_rate={},
-            link_utilization={(s, d): 0.0 for s, d, _ in sorted_links},
-            mu=0.0,
-            total_offered=0.0,
-            total_delivered=0.0,
-            loss_pct=0.0,
-            model=model,
-        )
-
-    if model == "maxmin":
-        rates = kernels.maxmin_rates(ptr, edges, demands, caps)
-    else:
-        rates = _bottleneck_rates(ptr, edges, demands, caps)
-
+    Raises ValueError for an unknown model, or for a routing built for other
+    flows or for a topology with other edges.
+    """
+    ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
+    rates = _rates(model, ptr, edges, demands, caps)
     delivered_load = np.bincount(
         edges, weights=np.repeat(rates, np.diff(ptr)), minlength=len(caps)
     )
-    utilization = {
-        (s, d): float(delivered_load[i] / caps[i])
-        for i, (s, d, _) in enumerate(sorted_links)
-    }
     offered = float(demands.sum())
     delivered = float(rates.sum())
     return SimResult(
-        per_flow_rate={f.id: float(rates[i]) for i, f in enumerate(flowset.flows)},
-        link_utilization=utilization,
+        per_flow_rate=dict(zip((f.id for f in flowset.flows), rates.tolist())),
+        link_utilization=dict(zip(routing_matrix.edge_keys, (delivered_load / caps).tolist())),
         mu=routing_matrix.mu,
         total_offered=offered,
         total_delivered=delivered,
@@ -189,36 +180,22 @@ def run_volume_schedule(
 
     Each step allocates rates among the still-active flows, transfers
     rate x interval (clipped to the remaining volume), and retires finished
-    flows so their capacity is freed for the rest.
+    flows so their capacity is freed for the rest. The routing's CSR is
+    read once; each step gathers the active rows of it.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
-    remaining = {f.id: float(volumes.get(f.id, 0.0)) for f in flowset.flows}
+    ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
+    remaining = np.array([volumes.get(f.id, 0.0) for f in flowset.flows], dtype=np.float64)
     steps: list[VolumeStep] = []
     for step in range(max_steps):
-        active = tuple(f for f in flowset.flows if remaining[f.id] > 0)
-        if not active:
+        active = np.flatnonzero(remaining > 0)
+        if not active.size:
             break
-        renumbered = FlowSet(
-            flows=tuple(
-                type(f)(id=i + 1, src=f.src, dst=f.dst, demand=f.demand, cls=f.cls)
-                for i, f in enumerate(active)
-            )
-        )
-        submatrix = RoutingMatrix(
-            indicator={
-                i + 1: routing_matrix.indicator[f.id] for i, f in enumerate(active)
-            },
-            link_load={},
-            mu=routing_matrix.mu,
-        )
-        result = simulate(submatrix, renumbered, topology, model)
-        moved = 0.0
-        for i, f in enumerate(active):
-            shipped = min(result.per_flow_rate[i + 1] * interval, remaining[f.id])
-            remaining[f.id] -= shipped
-            if remaining[f.id] < 1e-12:
-                remaining[f.id] = 0.0
-            moved += shipped
-        steps.append(VolumeStep(step=step, transferred=moved, active_flows=len(active)))
+        rates = _rates(model, *kernels.csr_rows(ptr, edges, active), demands[active], caps)
+        shipped = np.minimum(rates * interval, remaining[active])
+        left = remaining[active] - shipped
+        remaining[active] = np.where(left < 1e-12, 0.0, left)
+        # summed in flow order, as a running total would be
+        steps.append(VolumeStep(step, sum(shipped.tolist()), int(active.size)))
     return steps

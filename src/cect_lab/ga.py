@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import InfeasibleLabelError, NoFeasiblePathError
-from .routing import HOT_SPOT_THRESHOLD, RoutingAssignment
+from .errors import NoFeasiblePathError
+from .routing import HOT_SPOT_THRESHOLD, RoutingAssignment, check_labels
 from .topology import Topology
 from .traffic import FlowSet
 from .xpath import XPathTable, feasible_labels
@@ -135,17 +135,6 @@ class _Instance:
         )
         return kernels.fitness_mu(loads, self.caps, penalty)
 
-    def check_feasible(self, genes: np.ndarray) -> None:
-        table, flows = self.table, self.flowset.flows
-        labels = np.asarray(genes, dtype=np.int64)
-        ok = (labels >= 1) & (labels <= table.path_count)
-        rows = np.where(ok, labels, 1) - 1
-        ok &= table.hops[table.hop_ptr[rows]] == [f.src for f in flows]
-        ok &= table.hops[table.hop_ptr[rows + 1] - 1] == [f.dst for f in flows]
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise InfeasibleLabelError(flows[i].id, int(genes[i]))
-
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
         draws = rng.random((n_members, self.n_flows))
         offsets = (draws * self.feas_counts).astype(np.int64)
@@ -167,7 +156,7 @@ def fitness(
 ) -> float:
     """Residual-capacity fitness of one chromosome (higher is better)."""
     inst = _Instance(flowset, xpath_table, topology)
-    inst.check_feasible(chromosome.genes)
+    check_labels(np.asarray(chromosome.genes, dtype=np.int64), flowset, xpath_table)
     penalty = (
         int(round(penalty_weight)) if penalty_weight is not None else topology.node_count
     )

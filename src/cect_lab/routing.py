@@ -1,23 +1,25 @@
-"""Routing assignments as per-flow link indicators, with loads and validation.
+"""Routing assignments as per-flow edge lists, with loads and validation.
 
-An assignment maps every flow to one path label; assembling it yields the
-per-flow edge indicators, per-link loads, and the achieved maximum link
-utilization. Loads are accumulated in integer milli-units so that comparing
-two routings never depends on float summation order.
+An assignment maps every flow to one path label. Assembling it yields a
+RoutingMatrix: each flow's edges in hop order as a CSR of edge ids (the form
+the path table and the kernels use), the per-link loads, and the achieved
+maximum link utilization. Loads are accumulated in integer milli-units so
+that comparing two routings never depends on float summation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLabelError
-from .topology import UNITS_PER_BW, Topology, to_units
+from .errors import AssignmentFormatError, InfeasibleLabelError
+from .kernels import csr_rows
+from .topology import Topology
 from .traffic import FlowSet
 from .xpath import XPathTable
 
-# Structural rules a per-flow indicator must satisfy to form a simple
+# Structural rules a flow's edge list must satisfy to form a simple
 # source-to-destination path (the validator names the rule it saw broken).
 RULE_NO_RETURN_TO_SOURCE = "no-return-to-source"
 RULE_NO_EXIT_FROM_DESTINATION = "no-exit-from-destination"
@@ -64,23 +66,38 @@ class Violation:
         return f"{msg} ({self.detail})" if self.detail else msg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingMatrix:
-    """Per-flow edge indicators with accumulated loads.
+    """Per-flow edge lists with accumulated loads.
 
-    indicator[f][(i, j)] is 1 when flow f crosses directed edge i -> j
-    (values other than 0/1 only ever appear in hand-built instances fed to
-    the validator). link_load is in bandwidth units; mu is the maximum over
-    edges of load / capacity.
+    Row i of the CSR flow_ptr/edge_ids lists the edges flow i+1 crosses, in
+    hop order, as indices into edge_keys: the sorted edges of the topology
+    the matrix was built for, numbered as its edge_index(). An edge listed k
+    times in a row stands for an indicator value of k, which the validator
+    rejects. load_units maps every loaded edge to its load in milli-units;
+    mu is the maximum over edges of load / capacity.
     """
 
-    indicator: dict[int, dict[tuple[int, int], int]]
-    link_load: dict[tuple[int, int], float]
+    flow_ptr: np.ndarray
+    edge_ids: np.ndarray
+    edge_keys: tuple[tuple[int, int], ...]
+    load_units: dict[tuple[int, int], int]
     mu: float
-    load_units: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def flow_edges(self, flow_id: int) -> list[tuple[int, int]]:
-        return [e for e, v in self.indicator.get(flow_id, {}).items() if v]
+
+def _matrix(
+    flow_ptr: np.ndarray, edge_ids: np.ndarray, flowset: FlowSet, topology: Topology
+) -> RoutingMatrix:
+    """The RoutingMatrix of a per-flow edge-id CSR, with its loads and mu."""
+    edge_keys = tuple(topology.edge_index())
+    weights = np.repeat(flowset.demand_units(), np.diff(flow_ptr))
+    units = np.bincount(edge_ids, weights=weights, minlength=len(edge_keys)).astype(np.int64)
+    # int64 -> float64 is exact below 2**53 and the division is correctly
+    # rounded, so the largest quotient is the exact maximum, rounded once
+    mu = float((units / topology.capacity_units()).max(initial=0.0))
+    loaded = np.flatnonzero(units)
+    load_units = dict(zip([edge_keys[i] for i in loaded], units[loaded].tolist()))
+    return RoutingMatrix(flow_ptr, edge_ids, edge_keys, load_units, mu)
 
 
 def matrix_from_paths(
@@ -88,46 +105,42 @@ def matrix_from_paths(
     flowset: FlowSet,
     topology: Topology,
 ) -> RoutingMatrix:
-    """Build indicators and loads from explicit hop sequences.
-
-    mu is the smallest utilization bound the resulting loads satisfy,
-    computed by exact integer comparison across edges.
-    """
-    indicator: dict[int, dict[tuple[int, int], int]] = {}
-    load_units: dict[tuple[int, int], int] = {}
-
+    """Build edge lists and loads from explicit hop sequences, one per flow id."""
+    edge_index = topology.edge_index()
+    flow_ptr = np.zeros(flowset.count + 1, dtype=np.int64)
+    ids: list[int] = []
     for flow in flowset.flows:
         hops = hops_by_flow.get(flow.id)
-        if hops is None:
-            raise InfeasibleLabelError(flow.id, -1, "no path assigned")
+        if not hops:
+            detail = "no path assigned" if hops is None else "empty path"
+            raise InfeasibleLabelError(flow.id, -1, detail)
         if (hops[0], hops[-1]) != (flow.src, flow.dst):
-            raise InfeasibleLabelError(
-                flow.id,
-                -1,
-                f"path {hops[0]}->{hops[-1]} does not match flow "
-                f"{flow.src}->{flow.dst}",
-            )
-        units = to_units(flow.demand)
-        indicator[flow.id] = {}
+            detail = f"path {hops[0]}->{hops[-1]} does not match flow {flow.src}->{flow.dst}"
+            raise InfeasibleLabelError(flow.id, -1, detail)
         for edge in zip(hops[:-1], hops[1:]):
-            indicator[flow.id][edge] = 1
-            load_units[edge] = load_units.get(edge, 0) + units
+            if edge not in edge_index:
+                raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {edge}")
+            ids.append(edge_index[edge])
+        flow_ptr[flow.id] = len(ids)
+    return _matrix(flow_ptr, np.array(ids, dtype=np.int64), flowset, topology)
 
-    best_load, best_cap = 0, 1
-    for edge, load in sorted(load_units.items()):
-        cap = to_units(topology.capacity(*edge))
-        if cap <= 0:
-            raise InfeasibleLabelError(-1, -1, f"path uses unknown edge {edge}")
-        if load * best_cap > best_load * cap:
-            best_load, best_cap = load, cap
 
-    link_load = {e: u / UNITS_PER_BW for e, u in load_units.items()}
-    return RoutingMatrix(
-        indicator=indicator,
-        link_load=link_load,
-        mu=best_load / best_cap,
-        load_units=load_units,
-    )
+def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) -> None:
+    """Raise InfeasibleLabelError at the first flow, in flow order, whose
+    int64 label is not in the table or names a path between other switches."""
+    hop_ptr, hops = xpath_table.hop_ptr, xpath_table.hops
+    in_table = (labels >= 1) & (labels <= xpath_table.path_count)
+    rows = np.where(in_table, labels, 1) - 1
+    ends = np.column_stack([hops[hop_ptr[rows]], hops[hop_ptr[rows + 1] - 1]])
+    ok = in_table & (ends == np.array(flowset.pairs(), dtype=np.int64).reshape(-1, 2)).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        flow, (src, dst) = flowset.flows[i], ends[i].tolist()
+        detail = (
+            f"path {src}->{dst} does not match flow {flow.src}->{flow.dst}"
+            if in_table[i] else "label not in table"
+        )
+        raise InfeasibleLabelError(flow.id, int(labels[i]), detail)
 
 
 def assemble(
@@ -136,81 +149,78 @@ def assemble(
     xpath_table: XPathTable,
     topology: Topology,
 ) -> RoutingMatrix:
-    """Resolve labels to paths and accumulate per-link loads."""
-    labels = []
-    for flow in flowset.flows:
-        label = assignment.choice.get(flow.id)
-        if label is None:
-            raise InfeasibleLabelError(flow.id, -1, "no label assigned")
-        if not 1 <= label <= xpath_table.path_count:
-            raise InfeasibleLabelError(flow.id, label, "label not in table")
-        labels.append(label)
-    hops_by_flow = dict(zip((flow.id for flow in flowset.flows), xpath_table.hops_many(labels)))
-    return matrix_from_paths(hops_by_flow, flowset, topology)
+    """Resolve labels to their paths' edges and accumulate per-link loads."""
+    chosen = [assignment.choice.get(flow.id) for flow in flowset.flows]
+    if None in chosen:
+        raise InfeasibleLabelError(flowset.flows[chosen.index(None)].id, -1, "no label assigned")
+    labels = np.array(chosen, dtype=np.int64)
+    check_labels(labels, flowset, xpath_table)
+    flow_ptr, edge_ids = csr_rows(*xpath_table.label_edge_csr(topology), labels - 1)
+    return _matrix(flow_ptr, edge_ids, flowset, topology)
+
+
+def _check_rows(routing_matrix: RoutingMatrix, flowset: FlowSet) -> None:
+    rows = len(routing_matrix.flow_ptr) - 1
+    if rows != flowset.count:
+        raise ValueError(f"routing has {rows} flows but the flow set has {flowset.count}")
 
 
 def validate(
     routing_matrix: RoutingMatrix, flowset: FlowSet, topology: Topology
 ) -> list[Violation]:
-    """Check every flow's indicator against the simple-path rules.
+    """Check every flow's edge list against the simple-path rules.
 
-    Returns one Violation per broken rule; an empty list means every flow's
-    edge set forms a loop-free path from its source to its destination.
+    Returns one Violation per broken rule, grouped by flow; an empty list
+    means every flow's edges form a loop-free path from its source to its
+    destination. Degrees count each distinct edge of a flow once. An edge
+    id outside edge_keys, or a key the topology lacks, breaks known-edge.
+    Raises ValueError for a matrix that holds another number of flows.
     """
-    known_edges = {(s, d) for s, d, _ in topology.links}
-    violations: list[Violation] = []
+    _check_rows(routing_matrix, flowset)
+    keys, ids = routing_matrix.edge_keys, routing_matrix.edge_ids
+    n_keys, every = max(len(keys), 1), np.arange(1, flowset.count + 1)
+    flow = np.repeat(every, np.diff(routing_matrix.flow_ptr))
+    listed = (ids >= 0) & (ids < len(keys))
+    found = [
+        Violation(f, RULE_KNOWN_EDGE, e)
+        for f, e in sorted(set(zip(flow[~listed].tolist(), ids[~listed].tolist())))
+    ]
 
-    for flow in flowset.flows:
-        entries = routing_matrix.indicator.get(flow.id, {})
-        for edge, value in entries.items():
-            if value not in (0, 1):
-                violations.append(
-                    Violation(flow.id, RULE_BINARY_INDICATOR, edge, f"value {value}")
-                )
-            if edge not in known_edges:
-                violations.append(Violation(flow.id, RULE_KNOWN_EDGE, edge))
+    # the distinct edges of each flow are the nonzero entries of its indicator
+    entry, times = np.unique(flow[listed] * n_keys + ids[listed], return_counts=True)
+    flow, ids = np.divmod(entry, n_keys)
+    links = topology.edge_index()
+    unknown = np.flatnonzero(~np.array([key in links for key in keys], dtype=bool)[ids])
+    found += [Violation(int(flow[i]), RULE_KNOWN_EDGE, keys[ids[i]]) for i in unknown]
+    found += [
+        Violation(int(flow[i]), RULE_BINARY_INDICATOR, keys[ids[i]], f"value {times[i]}")
+        for i in np.flatnonzero(times > 1)
+    ]
 
-        edges = [e for e, v in entries.items() if v]
-        in_deg: dict[int, int] = {}
-        out_deg: dict[int, int] = {}
-        for i, j in edges:
-            out_deg[i] = out_deg.get(i, 0) + 1
-            in_deg[j] = in_deg.get(j, 0) + 1
+    # out- and in-degree of every (flow, switch) the flow's edges touch, plus
+    # its source and destination even when no edge touches them
+    src, dst = np.array(flowset.pairs(), dtype=np.int64).reshape(-1, 2).T
+    ends = np.array(keys, dtype=np.int64).reshape(-1, 2)[ids]
+    nodes, pos = np.unique(np.r_[ends[:, 0], ends[:, 1], src, dst], return_inverse=True)
+    touched, at = np.unique(np.r_[flow, flow, every, every] * len(nodes) + pos, return_inverse=True)
+    out_deg = np.bincount(at[: len(flow)], minlength=len(touched))
+    in_deg = np.bincount(at[len(flow) : 2 * len(flow)], minlength=len(touched))
+    t_flow, node = touched // len(nodes), nodes[touched % len(nodes)]
+    is_src, is_dst = node == src[t_flow - 1], node == dst[t_flow - 1]
 
-        if in_deg.get(flow.src, 0) != 0:
-            violations.append(
-                Violation(flow.id, RULE_NO_RETURN_TO_SOURCE, flow.src,
-                          f"{in_deg.get(flow.src, 0)} edges enter the source")
-            )
-        if out_deg.get(flow.dst, 0) != 0:
-            violations.append(
-                Violation(flow.id, RULE_NO_EXIT_FROM_DESTINATION, flow.dst,
-                          f"{out_deg.get(flow.dst, 0)} edges leave the destination")
-            )
-        if out_deg.get(flow.src, 0) != 1:
-            violations.append(
-                Violation(flow.id, RULE_SOURCE_OUT_DEGREE, flow.src,
-                          f"out-degree {out_deg.get(flow.src, 0)}")
-            )
-        if in_deg.get(flow.dst, 0) != 1:
-            violations.append(
-                Violation(flow.id, RULE_DESTINATION_IN_DEGREE, flow.dst,
-                          f"in-degree {in_deg.get(flow.dst, 0)}")
-            )
-        for node in set(in_deg) | set(out_deg):
-            if node in (flow.src, flow.dst):
-                continue
-            if in_deg.get(node, 0) != out_deg.get(node, 0):
-                violations.append(
-                    Violation(flow.id, RULE_FLOW_CONSERVATION, node,
-                              f"in {in_deg.get(node, 0)} != out {out_deg.get(node, 0)}")
-                )
-        for node, deg in in_deg.items():
-            if deg > 1:
-                violations.append(
-                    Violation(flow.id, RULE_LOOP_FREE, node, f"in-degree {deg}")
-                )
-    return violations
+    def report(rule, mask, detail, *values):
+        columns = [a[mask].tolist() for a in (t_flow, node, *values)]
+        found.extend(Violation(f, rule, n, detail.format(*v)) for f, n, *v in zip(*columns))
+
+    report(RULE_NO_RETURN_TO_SOURCE, is_src & (in_deg > 0), "{} edges enter the source", in_deg)
+    report(RULE_NO_EXIT_FROM_DESTINATION, is_dst & (out_deg > 0),
+           "{} edges leave the destination", out_deg)
+    report(RULE_SOURCE_OUT_DEGREE, is_src & (out_deg != 1), "out-degree {}", out_deg)
+    report(RULE_DESTINATION_IN_DEGREE, is_dst & (in_deg != 1), "in-degree {}", in_deg)
+    report(RULE_FLOW_CONSERVATION, ~is_src & ~is_dst & (in_deg != out_deg),
+           "in {} != out {}", in_deg, out_deg)
+    report(RULE_LOOP_FREE, in_deg > 1, "in-degree {}", in_deg)
+    return sorted(found, key=lambda v: v.flow_id)
 
 
 def congestion_ok(routing_matrix: RoutingMatrix, mu_target: float = HOT_SPOT_THRESHOLD) -> bool:
@@ -223,15 +233,14 @@ def congestion_ok(routing_matrix: RoutingMatrix, mu_target: float = HOT_SPOT_THR
 def flow_edge_csr(
     routing_matrix: RoutingMatrix, flowset: FlowSet, topology: Topology
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (row ptr, edge ids) of each flow's crossed edges, in flow order."""
-    edge_ids = topology.edge_index()
-    ptr = np.zeros(flowset.count + 1, dtype=np.int64)
-    flat: list[int] = []
-    for i, flow in enumerate(flowset.flows):
-        for edge in routing_matrix.flow_edges(flow.id):
-            flat.append(edge_ids[edge])
-        ptr[i + 1] = len(flat)
-    return ptr, np.array(flat, dtype=np.int64)
+    """CSR (row ptr, edge ids) of each flow's crossed edges, in flow order.
+
+    Raises ValueError when the matrix holds another number of flows or was
+    built for a topology with other edges.
+    """
+    _check_rows(routing_matrix, flowset)
+    topology.check_edge_keys(routing_matrix.edge_keys, "routing")
+    return routing_matrix.flow_ptr, routing_matrix.edge_ids
 
 
 def format_assignment(
@@ -246,16 +255,33 @@ def format_assignment(
 
 
 def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Parse format_assignment output back to flow id -> (label, hops)."""
+    """Parse format_assignment output back to flow id -> (label, hops).
+
+    Raises AssignmentFormatError naming the line of a malformed entry, an
+    empty path, a hop that is not an integer, or a repeated flow id.
+    """
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         head, _, tail = line.partition(":")
         parts = head.split()
         if len(parts) != 4 or parts[0] != "flow" or parts[2] != "via":
-            raise ValueError(f"unrecognized assignment line {line!r}")
-        hops = tuple(int(h) for h in tail.split("->"))
-        out[int(parts[1])] = (int(parts[3]), hops)
+            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no)
+        try:
+            flow_id, label = int(parts[1]), int(parts[3])
+        except ValueError:
+            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no) from None
+        if not tail.strip():
+            raise AssignmentFormatError(f"flow {flow_id} has an empty path", line_no)
+        try:
+            hops = tuple(int(h) for h in tail.split("->"))
+        except ValueError:
+            raise AssignmentFormatError(
+                f"flow {flow_id}: a hop of {tail.strip()!r} is not an integer", line_no
+            ) from None
+        if flow_id in out:
+            raise AssignmentFormatError(f"flow {flow_id} is listed twice", line_no)
+        out[flow_id] = (label, hops)
     return out

@@ -73,17 +73,6 @@ class Topology:
     def pod_count(self) -> int:
         return max(self.pod_of.values()) + 1 if self.pod_of else 0
 
-    def capacity(self, src: int, dst: int) -> float:
-        """Capacity of the directed edge src -> dst; 0.0 if absent."""
-        return self._capacity_map().get((src, dst), 0.0)
-
-    def _capacity_map(self) -> dict[tuple[int, int], float]:
-        cached = getattr(self, "_cap_map", None)
-        if cached is None:
-            cached = {(s, d): c for s, d, c in self.links}
-            object.__setattr__(self, "_cap_map", cached)
-        return cached
-
     def out_neighbors(self, node: int) -> list[int]:
         return self._adjacency().get(node, [])
 
@@ -105,6 +94,13 @@ class Topology:
             }
             object.__setattr__(self, "_edge_idx", cached)
         return cached
+
+    def check_edge_keys(self, edge_keys: tuple[tuple[int, int], ...], owner: str) -> None:
+        """Raise ValueError unless edge_keys are this topology's edges in edge_index() order."""
+        keys = tuple(self.edge_index())
+        if keys != edge_keys:
+            src, dst = min(set(keys) ^ set(edge_keys))
+            raise ValueError(f"{owner} was built for another topology: edge {src} -> {dst} differs")
 
     def sorted_links(self) -> list[tuple[int, int, float]]:
         return sorted(self.links)

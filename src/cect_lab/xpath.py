@@ -95,10 +95,7 @@ class XPathTable:
         the arrays feed the load-accumulation kernels. Raises ValueError
         when topology's edges are not the ones the table was built from.
         """
-        keys = tuple(topology.edge_index())
-        if keys != self.edge_keys:
-            src, dst = min(set(keys) ^ set(self.edge_keys))
-            raise ValueError(f"table was built for another topology: edge {src} -> {dst} differs")
+        topology.check_edge_keys(self.edge_keys, "table")
         return self.edge_ptr, self.edge_ids
 
 

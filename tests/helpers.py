@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from cect_lab.routing import RoutingMatrix
 from cect_lab.topology import Topology
 from cect_lab.traffic import Flow, FlowSet
 
@@ -66,6 +67,26 @@ def make_flows(pairs_demands: list[tuple[int, int, float]]) -> FlowSet:
             Flow(id=i + 1, src=s, dst=d, demand=dem)
             for i, (s, d, dem) in enumerate(pairs_demands)
         )
+    )
+
+
+def edge_list_matrix(
+    topology: Topology, flow_edges: list[list[tuple[int, int]]]
+) -> RoutingMatrix:
+    """RoutingMatrix whose row i lists flow i+1's edges exactly as given.
+
+    Built by hand, not through the routing layer, so that tests can feed the
+    validator breaches no path could produce. An edge the topology lacks
+    joins the matrix's edge_keys; loads are left empty and mu is 0.
+    """
+    listed = {e for edges in flow_edges for e in edges}
+    index = {e: i for i, e in enumerate(sorted(set(topology.edge_index()) | listed))}
+    return RoutingMatrix(
+        flow_ptr=np.cumsum([0] + [len(edges) for edges in flow_edges], dtype=np.int64),
+        edge_ids=np.array([index[e] for edges in flow_edges for e in edges], dtype=np.int64),
+        edge_keys=tuple(index),
+        load_units={},
+        mu=0.0,
     )
 
 

@@ -28,7 +28,6 @@ from cect_lab.ga import (
 from cect_lab.routing import (
     ALL_RULES,
     RoutingAssignment,
-    RoutingMatrix,
     assemble,
     validate,
 )
@@ -37,7 +36,7 @@ from cect_lab.traffic import compress_flows, generate_flows
 from cect_lab.fluidsim import simulate
 from cect_lab.xpath import precompute_xpaths
 
-from helpers import grid_maxmin_oracle, make_flows, random_topology
+from helpers import edge_list_matrix, grid_maxmin_oracle, make_flows, random_topology
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO_ROOT / "configs" / "acceptance_sweep.ini"
@@ -238,9 +237,7 @@ def test_criterion_7_constraint_suite():
         flows = make_flows([(1, 2, 1.0)])
 
         def rules_of(edges, value=1):
-            matrix = RoutingMatrix(
-                indicator={1: {e: value for e in edges}}, link_load={}, mu=0.0
-            )
+            matrix = edge_list_matrix(topo, [[e for e in edges for _ in range(value)]])
             return {v.rule for v in validate(matrix, flows, topo)}
 
         breaches = {
@@ -345,7 +342,7 @@ def test_criterion_9_simulator_sanity():
 
             edge_ids = topo.edge_index()
             flow_paths = [
-                [edge_ids[e] for e in matrix.flow_edges(f.id)]
+                [edge_ids[e] for e in table.paths[choice[f.id]].edges()]
                 for f in flowset.flows
             ]
             oracle = grid_maxmin_oracle(

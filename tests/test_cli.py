@@ -194,6 +194,21 @@ methods = ecmp
     assert {c for _, _, c in load_topology(out / "topology.txt").links} == {77.0}
 
 
+def test_worker_cache_keeps_one_config(tmp_path):
+    body = """
+[topology]
+kind = fat_tree
+k = 4
+[sweep]
+n_flows = 2
+methods = ecmp
+"""
+    for name in ("a.ini", "b.ini", "c.ini"):
+        (tmp_path / name).write_text(body, encoding="utf-8")
+        experiment.run_experiment(tmp_path / name, tmp_path / f"out_{name}")
+    assert list(experiment._WORKER_STATE) == [(str(tmp_path / "c.ini"), body.encode())]
+
+
 def test_report_rejects_missing_or_empty(tmp_path):
     with pytest.raises(FileNotFoundError):
         experiment.report(tmp_path)

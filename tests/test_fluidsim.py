@@ -7,8 +7,8 @@ from cect_lab.fluidsim import (
     simulate,
 )
 from cect_lab.routing import RoutingAssignment, assemble, matrix_from_paths
-from cect_lab.topology import Topology, make_sample_topology
-from cect_lab.traffic import FlowSet
+from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
+from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import precompute_xpaths
 
 from helpers import grid_maxmin_oracle, make_flows, random_topology
@@ -113,7 +113,7 @@ def test_maxmin_matches_grid_oracle():
         result = simulate(matrix, flowset, topo, "maxmin")
 
         flow_paths = [
-            [edge_ids[e] for e in matrix.flow_edges(f.id)] for f in flowset.flows
+            [edge_ids[e] for e in table.paths[choice[f.id]].edges()] for f in flowset.flows
         ]
         demands = [f.demand for f in flowset.flows]
         caps = [c for _, _, c in topo.sorted_links()]
@@ -141,24 +141,26 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
         flowset = make_flows(flows)
         matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
         result = simulate(matrix, flowset, topo, "maxmin")
+        path_of = {f.id: table.paths[choice[f.id]].edges() for f in flowset.flows}
+        capacity = {(s, d): c for s, d, c in topo.links}
         loads: dict = {}
         for f in flowset.flows:
-            for e in matrix.flow_edges(f.id):
+            for e in path_of[f.id]:
                 loads[e] = loads.get(e, 0.0) + result.per_flow_rate[f.id]
         for f in flowset.flows:
             rate = result.per_flow_rate[f.id]
             if rate >= f.demand - 1e-6:
                 continue
             bottlenecks = [
-                e for e in matrix.flow_edges(f.id)
-                if loads[e] >= topo.capacity(*e) - 1e-6
+                e for e in path_of[f.id]
+                if loads[e] >= capacity[e] - 1e-6
             ]
             assert bottlenecks
             assert any(
                 all(
                     result.per_flow_rate[g.id] <= rate + 1e-6
                     for g in flowset.flows
-                    if e in matrix.flow_edges(g.id)
+                    if e in path_of[g.id]
                 )
                 for e in bottlenecks
             )
@@ -206,10 +208,9 @@ def test_compare_empty_flowset():
 
 
 def test_compare_prefers_better_routing():
-    topo = _line_topology(10.0)
     flows = make_flows([(1, 2, 10.0), (1, 2, 10.0)])
-    shared = _matrix_for(topo, flows, [(1, 2), (1, 2)])
     topo2 = Topology(nodes=(1, 2, 3), links=((1, 2, 10.0), (1, 3, 10.0), (3, 2, 10.0)))
+    shared = _matrix_for(topo2, flows, [(1, 2), (1, 2)])
     split = matrix_from_paths({1: (1, 2), 2: (1, 3, 2)}, flows, topo2)
     report = compare(split, shared, flows, topo2)
     assert report.throughput_ratio == pytest.approx(20.0 / 10.0)
@@ -244,3 +245,51 @@ def test_simulate_rejects_unknown_model():
     matrix = _matrix_for(topo, flows, [(1, 2)])
     with pytest.raises(ValueError):
         simulate(matrix, flows, topo, "tcp")
+
+
+def test_simulate_rejects_matrix_of_another_topology():
+    flows = make_flows([(1, 2, 10.0)])
+    matrix = _matrix_for(_line_topology(10.0), flows, [(1, 2)])
+    topo2 = Topology(nodes=(1, 2, 3), links=((1, 2, 10.0), (1, 3, 10.0), (3, 2, 10.0)))
+    with pytest.raises(ValueError, match="another topology"):
+        simulate(matrix, flows, topo2)
+    with pytest.raises(ValueError, match="another topology"):
+        run_volume_schedule(matrix, flows, topo2, volumes={1: 5.0})
+    with pytest.raises(ValueError, match="1 flows"):
+        simulate(matrix, make_flows([(1, 2, 1.0), (1, 2, 1.0)]), _line_topology(10.0))
+
+
+@pytest.mark.parametrize("model", ["maxmin", "bottleneck"])
+def test_volume_schedule_matches_simulating_each_step(model):
+    # reference: simulate the still-active flows, renumbered, at every step
+    topo = make_fat_tree(4)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, 60, {"medium": 0.5, "big": 0.5}, plr=0.8, seed=11)
+    labels = {f.id: table.by_pair[(f.src, f.dst)] for f in flows.flows}
+    choice = {fid: options[fid % len(options)] for fid, options in labels.items()}
+    matrix = assemble(RoutingAssignment(choice), flows, table, topo)
+    rng = np.random.default_rng(12)
+    volumes = {f.id: f.demand * float(rng.uniform(0.5, 6.0)) for f in flows.flows}
+
+    remaining = dict(volumes)
+    expected = []
+    while any(v > 0 for v in remaining.values()):
+        active = [f for f in flows.flows if remaining[f.id] > 0]
+        subset = make_flows([(f.src, f.dst, f.demand) for f in active])
+        sub = assemble(
+            RoutingAssignment({i + 1: choice[f.id] for i, f in enumerate(active)}),
+            subset, table, topo,
+        )
+        rates = simulate(sub, subset, topo, model).per_flow_rate
+        moved = 0.0
+        for i, f in enumerate(active):
+            shipped = min(rates[i + 1], remaining[f.id])
+            left = remaining[f.id] - shipped
+            remaining[f.id] = 0.0 if left < 1e-12 else left
+            moved += shipped
+        expected.append((moved, len(active)))
+
+    steps = run_volume_schedule(matrix, flows, topo, volumes, 1.0, model)
+    assert [s.active_flows for s in steps] == [n for _, n in expected]
+    assert [s.transferred for s in steps] == pytest.approx([m for m, _ in expected], rel=1e-12)
+    assert [s.step for s in steps] == list(range(len(expected)))

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cect_lab import kernels
 from cect_lab.ga import _Instance
 from cect_lab.routing import RoutingAssignment, assemble
-from cect_lab.topology import make_fat_tree
+from cect_lab.topology import make_fat_tree, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
 
@@ -43,8 +45,10 @@ def test_loads_match_manual_accumulation(instance):
 
 
 def test_backends_agree_on_loads_and_fitness(instance, topology):
-    # the vectorised kernels against an independent oracle: the routing
-    # layer's per-flow dict accumulation of the same assignments
+    # the vectorised kernels and the routing layer (which shares their CSR
+    # gather) against an independent oracle: per-edge sums over each
+    # label's edges, read from the path table's hop tuples, and the exact
+    # maximum of load / capacity as a fraction
     rng = np.random.default_rng(1)
     genes = instance.random_genes(16, rng)
     loads = kernels.population_loads(
@@ -55,15 +59,22 @@ def test_backends_agree_on_loads_and_fitness(instance, topology):
     fit, mu = kernels.fitness_mu(loads, instance.caps, penalty)
     edge_index = topology.edge_index()
     for m in range(16):
+        expected = np.zeros(instance.n_edges, dtype=np.int64)
+        for flow, label in zip(instance.flowset.flows, genes[m]):
+            for edge in instance.table.paths[int(label)].edges():
+                expected[edge_index[edge]] += to_units(flow.demand)
+        expected_mu = float(max(Fraction(int(l), int(c)) for l, c in zip(expected, instance.caps)))
+        assert np.array_equal(loads[m], expected)
+        assert mu[m] == expected_mu
+
         choice = {flow.id: int(g) for flow, g in zip(instance.flowset.flows, genes[m])}
         matrix = assemble(RoutingAssignment(choice), instance.flowset, instance.table, topology)
-        assembled = np.zeros(instance.n_edges, dtype=np.int64)
-        for edge, units in matrix.load_units.items():
-            assembled[edge_index[edge]] = units
-        assert np.array_equal(loads[m], assembled)
-        assert mu[m] == matrix.mu
+        assert matrix.load_units == {
+            edge: int(expected[i]) for edge, i in edge_index.items() if expected[i]
+        }
+        assert matrix.mu == expected_mu
 
-        residual = instance.caps - assembled
+        residual = instance.caps - expected
         overload = np.clip(-residual, 0, None)
         assert fit[m] == pytest.approx((residual.sum() - penalty * overload.sum()) / 1000.0)
 

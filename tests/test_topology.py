@@ -80,13 +80,14 @@ def test_fat_tree_agg_core_wiring():
 
 def test_fat_tree_tier_capacities():
     topo = make_fat_tree(4, edge_capacity=10.0, agg_capacity=20.0, core_capacity=30.0)
+    capacity = {(s, d): cap for s, d, cap in topo.links}
     e, a, c = topo.edge_ids[0], topo.agg_ids[0], topo.core_ids[0]
-    assert topo.capacity(e, topo.out_neighbors(e)[0]) == 10.0
-    assert topo.capacity(a, e) == 20.0  # same pod, downlink uses agg tier rate
+    assert capacity[e, topo.out_neighbors(e)[0]] == 10.0
+    assert capacity[a, e] == 20.0  # same pod, downlink uses agg tier rate
     agg_up = [n for n in topo.out_neighbors(a) if n in topo.core_ids][0]
-    assert topo.capacity(a, agg_up) == 20.0
+    assert capacity[a, agg_up] == 20.0
     agg_down = [n for n in topo.out_neighbors(c) if n in topo.agg_ids][0]
-    assert topo.capacity(c, agg_down) == 30.0
+    assert capacity[c, agg_down] == 30.0
 
 
 @pytest.mark.parametrize("k", [0, -2, 3, 5])
@@ -172,7 +173,7 @@ def test_load_ignores_comments_and_blanks(tmp_path):
     path.write_text("# header\n\nnode 1\nnode 2\nedge 1 2 5 # uplink\n")
     topo = load_topology(path)
     assert topo.node_count == 2
-    assert topo.capacity(1, 2) == 5.0
+    assert topo.links == ((1, 2, 5.0),)
 
 
 def test_topology_invariants_enforced():
