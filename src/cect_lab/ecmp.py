@@ -15,20 +15,25 @@ from .errors import UnreachableFlowError
 from .routing import RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable, feasible_labels, precompute_xpaths
+from .xpath import XPathTable, feasible_labels
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a64(*values: int) -> int:
-    """FNV-1a over each value as 8 little-endian two's-complement bytes."""
-    digest = _FNV_OFFSET
-    for value in values:
-        for byte in int(value).to_bytes(8, "little", signed=True):
-            digest ^= byte
-            digest = (digest * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return digest
+def fnv1a64(*values) -> int | np.ndarray:
+    """FNV-1a over each value as 8 little-endian two's-complement bytes.
+
+    Values are ints or int64 arrays of one shape; arrays are hashed
+    elementwise into a uint64 array, while plain ints give an int.
+    """
+    words = [np.atleast_1d(np.asarray(v, dtype=np.int64)).view(np.uint64) for v in values]
+    digest = np.full(np.broadcast_shapes(*(w.shape for w in words)), _FNV_OFFSET, np.uint64)
+    for word in words:
+        for shift in range(0, 64, 8):
+            digest ^= (word >> np.uint64(shift)) & np.uint64(0xFF)
+            digest *= np.uint64(_FNV_PRIME)
+    return digest if any(np.ndim(v) for v in values) else int(digest[0])
 
 
 def bfs_distance(topology: Topology, src: int) -> dict[int, int]:
@@ -47,16 +52,14 @@ def bfs_distance(topology: Topology, src: int) -> dict[int, int]:
 def route_ecmp(
     flowset: FlowSet,
     topology: Topology,
-    xpath_table: XPathTable | None = None,
+    xpath_table: XPathTable,
     max_paths: int | None = None,
 ) -> RoutingAssignment:
     """Assign every flow to a hash-selected minimum-hop path.
 
     Candidates for a flow are all its shortest paths in the table, in label
     order (labels sort by hop count then hop sequence); max_paths, when set,
-    keeps only the first max_paths candidates before hashing. Without a
-    table, one is enumerated on the fly with the hop bound needed to cover
-    the flows' shortest paths.
+    keeps only the first max_paths candidates before hashing.
     """
     distances: dict[int, dict[int, int]] = {}
 
@@ -65,16 +68,6 @@ def route_ecmp(
             distances[src] = bfs_distance(topology, src)
         return distances[src].get(dst)
 
-    if xpath_table is None:
-        needed = 1
-        for flow in flowset.flows:
-            d = dist(flow.src, flow.dst)
-            if d is None:
-                raise UnreachableFlowError(flow.id, flow.src, flow.dst)
-            needed = max(needed, d)
-        xpath_table = precompute_xpaths(topology, x=needed)
-
-    choice: dict[int, int] = {}
     candidates_of: dict[tuple[int, int], tuple[int, ...]] = {}
     for flow in flowset.flows:
         pair = (flow.src, flow.dst)
@@ -91,6 +84,10 @@ def route_ecmp(
             hop_counts = xpath_table.hop_counts[np.asarray(labels) - 1]
             shortest = labels[: int(np.count_nonzero(hop_counts == hop_counts[0]))]
             candidates_of[pair] = shortest if max_paths is None else shortest[: max(1, max_paths)]
-        candidates = candidates_of[pair]
-        choice[flow.id] = candidates[fnv1a64(flow.src, flow.dst, flow.id) % len(candidates)]
-    return RoutingAssignment(choice=choice)
+    candidates = [candidates_of[pair] for pair in flowset.pairs()]
+    keys = np.array([(f.src, f.dst, f.id) for f in flowset.flows], dtype=np.int64).reshape(-1, 3)
+    sizes = np.fromiter(map(len, candidates), dtype=np.uint64, count=len(candidates))
+    picks = (fnv1a64(*keys.T) % sizes).tolist()
+    return RoutingAssignment(
+        choice={f.id: c[p] for f, c, p in zip(flowset.flows, candidates, picks)}
+    )

@@ -8,13 +8,15 @@ cross-multiplication), so tie-breaking never depends on float rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NoFeasiblePathError, SearchBudgetExceededError
 from .routing import RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable, feasible_labels
+from .xpath import XPathTable, feasible_csr
 
 
 def _ratio_gt(load_a: int, cap_a: int, load_b: int, cap_b: int) -> bool:
@@ -32,30 +34,28 @@ def solve_exact(
 
     Ties are broken by total hop count, then by the lexicographically
     smallest label vector, which makes the result deterministic. Raises
+    NoFeasiblePathError when some flow has no candidate path, even if the
+    space would also exceed the budget, and otherwise
     SearchBudgetExceededError when the assignment space is larger than
-    budget and NoFeasiblePathError when some flow has no candidate path.
+    budget.
     """
     n_flows = flowset.count
     if n_flows == 0:
         return RoutingAssignment(choice={}), 0.0
 
-    options: list[tuple[int, ...]] = []
-    space = 1
-    for flow in flowset.flows:
-        labels = feasible_labels(xpath_table, flow.src, flow.dst)
-        if not labels:
-            raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
-        options.append(labels)
-        space *= len(labels)
-        if space > budget:
-            raise SearchBudgetExceededError(budget)
+    feas_ptr, feas_labels = feasible_csr(xpath_table, flowset)
+    if math.prod(np.diff(feas_ptr).tolist()) > budget:
+        raise SearchBudgetExceededError(budget)
 
     cap_units = topology.capacity_units()
     demands = flowset.demand_units()
     ptr, edge_ids = xpath_table.label_edge_csr(topology)
-    used = {label for labels in options for label in labels}
-    label_edges = {label: edge_ids[ptr[label - 1] : ptr[label]] for label in used}
-    hop_cost = {label: int(xpath_table.hop_counts[label - 1]) for label in used}
+    # slice each label's edges once: the search visits them many times
+    label_edges = {
+        label: edge_ids[ptr[label - 1] : ptr[label]] for label in np.unique(feas_labels).tolist()
+    }
+    bounds = feas_ptr.tolist()
+    options = [feas_labels[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
 
     loads = np.zeros(len(cap_units), dtype=np.int64)
     chosen = [0] * n_flows
@@ -87,7 +87,7 @@ def solve_exact(
                 if _ratio_gt(int(loads[e]), int(cap_units[e]), new_load, new_cap):
                     new_load, new_cap = int(loads[e]), int(cap_units[e])
             chosen[level] = label
-            search(level + 1, new_load, new_cap, hops + hop_cost[label])
+            search(level + 1, new_load, new_cap, hops + len(edges))
             loads[edges] -= demand
 
     search(0, 0, 1, 0)

@@ -1,8 +1,9 @@
 """Genetic routing optimizer over path-label chromosomes.
 
-Each chromosome assigns one precomputed path label per flow. Generations are
-bred with fitness-proportionate (roulette) selection, uniform crossover, and
-multipoint mutation; the best chromosome is carried over unchanged. The
+Each chromosome is an int64 array holding one precomputed path label per
+flow; a population is a 2-D array with one chromosome per row. Generations
+are bred with fitness-proportionate (roulette) selection, uniform crossover,
+and multipoint mutation; the best chromosome is carried over unchanged. The
 mutation rate switches to its high setting whenever the best fitness has
 stalled, to climb out of local optima.
 
@@ -19,27 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import NoFeasiblePathError
-from .routing import HOT_SPOT_THRESHOLD, RoutingAssignment, check_labels
+from .routing import HOT_SPOT_THRESHOLD, RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable, feasible_labels
+from .xpath import XPathTable, feasible_csr
 
 
 def default_population_size(n_flows: int, n_switches: int) -> int:
     """Population sized to the square root of flows times log2 of switches."""
     return max(2, math.ceil(math.sqrt(n_flows * math.log2(max(2, n_switches)))))
-
-
-@dataclass
-class Chromosome:
-    """One candidate routing: an array of 1-based path labels, one per flow."""
-
-    genes: np.ndarray
-    cached_fitness: float | None = None
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(genes=self.genes.copy(), cached_fitness=self.cached_fitness)
 
 
 @dataclass
@@ -57,7 +46,6 @@ class GaConfig:
     mut_max: float = 0.2
     stall_window: int = 10
     mu_target: float = HOT_SPOT_THRESHOLD
-    crossover_mix: float = 0.5
     seed: int | None = None
     penalty_weight: float | None = None
     greedy_seed: bool = True
@@ -73,8 +61,6 @@ class GaConfig:
             raise ValueError("mu_target must be positive")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
-        if not 0 < self.crossover_mix < 1:
-            raise ValueError("crossover_mix must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -99,19 +85,6 @@ class RunStats:
     population_size: int = 0
 
 
-def _feasible_csr(flowset: FlowSet, table: XPathTable) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (row ptr, labels) of every flow's feasible labels, in flow order."""
-    ptr = np.zeros(flowset.count + 1, dtype=np.int64)
-    flat: list[int] = []
-    for i, flow in enumerate(flowset.flows):
-        labels = feasible_labels(table, flow.src, flow.dst)
-        if not labels:
-            raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
-        flat.extend(labels)
-        ptr[i + 1] = len(flat)
-    return ptr, np.array(flat, dtype=np.int64)
-
-
 class _Instance:
     """Array views of one (flows, table, topology) problem instance."""
 
@@ -124,8 +97,7 @@ class _Instance:
         self.caps = topology.capacity_units()
         self.n_edges = len(self.caps)
 
-        self.feas_ptr, self.feas_labels = _feasible_csr(flowset, table)
-        self.feas_counts = np.diff(self.feas_ptr)
+        self.feas_ptr, self.feas_labels = feasible_csr(table, flowset)
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
@@ -136,54 +108,28 @@ class _Instance:
         return kernels.fitness_mu(loads, self.caps, penalty)
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
-        draws = rng.random((n_members, self.n_flows))
-        offsets = (draws * self.feas_counts).astype(np.int64)
-        return self.feas_labels[self.feas_ptr[:-1] + offsets]
-
-
-def _resolve_penalty(config: GaConfig | None, topology: Topology) -> int:
-    if config is not None and config.penalty_weight is not None:
-        return int(round(config.penalty_weight))
-    return topology.node_count
-
-
-def fitness(
-    chromosome: Chromosome,
-    flowset: FlowSet,
-    xpath_table: XPathTable,
-    topology: Topology,
-    penalty_weight: float | None = None,
-) -> float:
-    """Residual-capacity fitness of one chromosome (higher is better)."""
-    inst = _Instance(flowset, xpath_table, topology)
-    check_labels(np.asarray(chromosome.genes, dtype=np.int64), flowset, xpath_table)
-    penalty = (
-        int(round(penalty_weight)) if penalty_weight is not None else topology.node_count
-    )
-    fit, _ = inst.evaluate(chromosome.genes.reshape(1, -1), penalty)
-    chromosome.cached_fitness = float(fit[0])
-    return float(fit[0])
+        # in place, so at most two population-sized arrays are alive at once
+        offsets = rng.random((n_members, self.n_flows))
+        offsets *= np.diff(self.feas_ptr)
+        offsets = offsets.astype(np.int64)
+        offsets += self.feas_ptr[:-1]
+        return self.feas_labels[offsets]
 
 
 def roulette_select(
-    members: list[Chromosome],
-    fitnesses: np.ndarray | list[float],
-    count: int,
-    rng: np.random.Generator,
-) -> list[Chromosome]:
-    """Sample count chromosomes (with replacement) proportionally to fitness.
+    fitnesses: np.ndarray | list[float], count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of count members sampled (with replacement) proportionally to fitness.
 
     Implemented with the cumulative-probability wheel: a uniform draw picks
-    the first chromosome whose cumulative share exceeds it. Fitness values
-    at or below zero are handled by shifting the whole set to be positive;
+    the first member whose cumulative share exceeds it. Fitness values at or
+    below zero are handled by shifting the whole set to be positive;
     strictly positive inputs are used as-is so published selection
     probabilities are reproduced exactly.
     """
     if count % 2 != 0:
         raise ValueError("selection count must be even")
     fit = np.asarray(fitnesses, dtype=np.float64)
-    if len(members) != len(fit):
-        raise ValueError("one fitness per chromosome required")
     if not np.all(np.isfinite(fit)):
         raise ValueError("fitness values must be finite")
 
@@ -193,76 +139,48 @@ def roulette_select(
     total = fit.sum()
     probabilities = fit / total if total > 0 else np.full(len(fit), 1.0 / len(fit))
     wheel = np.cumsum(probabilities)
-    draws = rng.random(count)
-    picks = np.searchsorted(wheel, draws, side="right")
-    picks = np.minimum(picks, len(members) - 1)
-    return [members[i].copy() for i in picks]
-
-
-def _crossover_genes(
-    genes1: np.ndarray, genes2: np.ndarray, rng: np.random.Generator, mix: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
-    take_first = rng.random(genes1.shape[0]) < mix
-    child1 = np.where(take_first, genes1, genes2)
-    child2 = np.where(take_first, genes2, genes1)
-    return child1, child2
+    picks = np.searchsorted(wheel, rng.random(count), side="right")
+    return np.minimum(picks, len(fit) - 1)
 
 
 def uniform_crossover(
-    parent1: Chromosome,
-    parent2: Chromosome,
-    rng: np.random.Generator,
-    mix: float = 0.5,
-) -> tuple[Chromosome, Chromosome]:
+    genes1: np.ndarray, genes2: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Swap genes between two parents independently per position.
 
     At each position the first child inherits from the first parent with
-    probability mix, otherwise the genes are exchanged; the two children
+    probability 0.5, otherwise the genes are exchanged; the two children
     always hold exactly the parents' genes as a multiset per position.
     """
-    if parent1.genes.shape != parent2.genes.shape:
+    if genes1.shape != genes2.shape:
         raise ValueError("parents must have equal gene length")
-    child1, child2 = _crossover_genes(parent1.genes, parent2.genes, rng, mix)
-    return Chromosome(genes=child1), Chromosome(genes=child2)
-
-
-def _mutate_genes(
-    genes: np.ndarray,
-    rate: float,
-    feas_ptr: np.ndarray,
-    feas_labels: np.ndarray,
-    feas_counts: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    mask = rng.random(genes.shape[0]) < rate
-    hit = np.flatnonzero(mask)
-    if hit.size == 0:
-        return genes.copy()
-    draws = rng.random(hit.size)
-    offsets = (draws * feas_counts[hit]).astype(np.int64)
-    out = genes.copy()
-    out[hit] = feas_labels[feas_ptr[hit] + offsets]
-    return out
+    take_first = rng.random(genes1.shape[0]) < 0.5
+    return np.where(take_first, genes1, genes2), np.where(take_first, genes2, genes1)
 
 
 def multipoint_mutate(
-    chromosome: Chromosome,
+    genes: np.ndarray,
     mutation_rate: float,
-    xpath_table: XPathTable,
-    flowset: FlowSet,
+    feas_ptr: np.ndarray,
+    feas_labels: np.ndarray,
     rng: np.random.Generator,
-) -> Chromosome:
+) -> np.ndarray:
     """Redraw each gene with probability mutation_rate from its feasible set.
 
-    A redraw picks uniformly among the flow's candidate labels and may land
-    on the incumbent label, so the realized change rate is at most the
-    mutation rate. The result is always feasible.
+    feas_ptr/feas_labels is the CSR of every flow's feasible labels (see
+    xpath.feasible_csr). A redraw picks uniformly among the flow's candidate
+    labels and may land on the incumbent label, so the realized change rate
+    is at most the mutation rate. The result is a new, always feasible array.
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
-    ptr, labels = _feasible_csr(flowset, xpath_table)
-    genes = _mutate_genes(chromosome.genes, mutation_rate, ptr[:-1], labels, np.diff(ptr), rng)
-    return Chromosome(genes=genes)
+    out = genes.copy()
+    hit = np.flatnonzero(rng.random(genes.shape[0]) < mutation_rate)
+    if hit.size:
+        starts = feas_ptr[hit]
+        offsets = (rng.random(hit.size) * (feas_ptr[hit + 1] - starts)).astype(np.int64)
+        out[hit] = feas_labels[starts + offsets]
+    return out
 
 
 def run_cect(
@@ -282,12 +200,16 @@ def run_cect(
     """
     config = config or GaConfig()
     inst = _Instance(flowset, xpath_table, topology)
-    penalty = _resolve_penalty(config, topology)
+    if config.penalty_weight is None:
+        penalty = topology.node_count
+    else:
+        penalty = int(round(config.penalty_weight))
     n_pop = config.population_size or default_population_size(
         flowset.count, topology.node_count
     )
     rng = np.random.default_rng(config.seed)
     stats = RunStats(population_size=n_pop)
+    feasible = (inst.feas_ptr, inst.feas_labels)
 
     if flowset.count == 0:
         stats.feasible = True
@@ -343,34 +265,16 @@ def run_cect(
         if best_mu <= config.mu_target or generation >= config.max_iterations:
             break
 
-        members = [Chromosome(genes=genes[i]) for i in range(n_pop)]
         needed = n_pop - 1
-        sel_count = needed + (needed % 2)
-        parents = (
-            roulette_select(members, fit, sel_count, rng)[:needed] if needed else []
-        )
-
+        picks = roulette_select(fit, needed + (needed % 2), rng)[:needed]
         next_genes = np.empty_like(genes)
         next_genes[0] = genes[gen_best]
-        out = 1
-        i = 0
-        while i + 1 < needed:
-            child1, child2 = _crossover_genes(
-                parents[i].genes, parents[i + 1].genes, rng, config.crossover_mix
-            )
-            next_genes[out] = _mutate_genes(
-                child1, rate, inst.feas_ptr[:-1], inst.feas_labels, inst.feas_counts, rng
-            )
-            next_genes[out + 1] = _mutate_genes(
-                child2, rate, inst.feas_ptr[:-1], inst.feas_labels, inst.feas_counts, rng
-            )
-            out += 2
-            i += 2
-        if i < needed:  # odd leftover: mutation only
-            next_genes[out] = _mutate_genes(
-                parents[i].genes, rate, inst.feas_ptr[:-1], inst.feas_labels,
-                inst.feas_counts, rng,
-            )
+        for i in range(0, needed - 1, 2):
+            child1, child2 = uniform_crossover(genes[picks[i]], genes[picks[i + 1]], rng)
+            next_genes[i + 1] = multipoint_mutate(child1, rate, *feasible, rng)
+            next_genes[i + 2] = multipoint_mutate(child2, rate, *feasible, rng)
+        if needed % 2:  # odd leftover: mutation only
+            next_genes[needed] = multipoint_mutate(genes[picks[-1]], rate, *feasible, rng)
         genes = next_genes
         generation += 1
 

@@ -64,7 +64,7 @@ def maxmin_rates(flow_ptr, flow_edges, demands, capacities):
     counts = np.bincount(flow_edges, minlength=n_edges).astype(np.int64)
     scale = max(capacities.max() if n_edges else 0.0, demands.max() if n_flows else 0.0)
     eps = 1e-9 * (scale if scale > 0 else 1.0)
-    crossing = [flow_edges[flow_ptr[f] : flow_ptr[f + 1]] for f in range(n_flows)]
+    flow_of = np.repeat(np.arange(n_flows), np.diff(flow_ptr))
 
     while not frozen.all():
         active = counts > 0
@@ -79,9 +79,9 @@ def maxmin_rates(flow_ptr, flow_edges, demands, capacities):
         residual[active] -= delta * counts[active]
 
         saturated = active & (residual <= eps)
-        for f in np.flatnonzero(~frozen):
-            if rates[f] >= demands[f] - eps or saturated[crossing[f]].any():
-                frozen[f] = True
-                rates[f] = min(rates[f], demands[f])
-                np.subtract.at(counts, crossing[f], 1)
+        blocked = np.bincount(flow_of[saturated[flow_edges]], minlength=n_flows) > 0
+        freeze = ~frozen & ((rates >= demands - eps) | blocked)
+        frozen |= freeze
+        rates[freeze] = np.minimum(rates[freeze], demands[freeze])
+        counts -= np.bincount(flow_edges[freeze[flow_of]], minlength=n_edges)
     return rates

@@ -12,13 +12,16 @@ objects are only created when a caller reads one through `paths`.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoFeasiblePathError
 from .kernels import csr_rows
 from .topology import Topology
+from .traffic import FlowSet
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,22 @@ def precompute_xpaths(
 def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:
     """Labels of every retained path from src to dst, shortest first."""
     return table.by_pair.get((src, dst), ())
+
+
+def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (row ptr, labels) of every flow's feasible labels, in flow order.
+
+    Row i holds feasible_labels for flow i, shortest first. Raises
+    NoFeasiblePathError naming the first flow that has no path in the table.
+    """
+    rows = [feasible_labels(table, *pair) for pair in flowset.pairs()]
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if not counts.all():
+        flow = flowset.flows[int(np.argmin(counts))]
+        raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
+    flat = itertools.chain.from_iterable(rows)
+    labels = np.fromiter(flat, dtype=np.int64, count=int(counts.sum()))
+    return np.concatenate(([0], np.cumsum(counts))), labels
 
 
 def format_table(table: XPathTable) -> str:

@@ -18,7 +18,6 @@ from cect_lab.bench import bench_scaling
 from cect_lab.errors import SearchBudgetExceededError
 from cect_lab.exact import solve_exact
 from cect_lab.ga import (
-    Chromosome,
     GaConfig,
     multipoint_mutate,
     roulette_select,
@@ -34,7 +33,7 @@ from cect_lab.routing import (
 from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import compress_flows, generate_flows
 from cect_lab.fluidsim import simulate
-from cect_lab.xpath import precompute_xpaths
+from cect_lab.xpath import feasible_csr, precompute_xpaths
 
 from helpers import edge_list_matrix, grid_maxmin_oracle, make_flows, random_topology
 
@@ -79,9 +78,8 @@ def test_criterion_2_roulette_calibration():
         fitnesses = [6.82, 1.11, 8.48, 2.57, 3.08]
         expected = [0.309, 0.050, 0.384, 0.117, 0.140]
         rng = np.random.default_rng(20)
-        members = [Chromosome(genes=np.array([i], dtype=np.int64)) for i in range(5)]
-        picks = roulette_select(members, fitnesses, 1_000_000, rng)
-        counts = np.bincount([int(c.genes[0]) for c in picks], minlength=5)
+        picks = roulette_select(fitnesses, 1_000_000, rng)
+        counts = np.bincount(picks, minlength=5)
         shares = counts / counts.sum()
         for got, want in zip(shares, expected):
             assert abs(got - want) <= 0.005, (got, want)
@@ -255,21 +253,20 @@ def test_criterion_7_constraint_suite():
 
         # crossover multiset law
         table = precompute_xpaths(topo, x=3)
-        p1 = Chromosome(genes=np.array([1, 7, 9], dtype=np.int64))
-        p2 = Chromosome(genes=np.array([1, 3, 4], dtype=np.int64))
+        p1 = np.array([1, 7, 9], dtype=np.int64)
+        p2 = np.array([1, 3, 4], dtype=np.int64)
         for _ in range(300):
             c1, c2 = uniform_crossover(p1, p2, rng)
             for i in range(3):
-                assert {int(c1.genes[i]), int(c2.genes[i])} == {
-                    int(p1.genes[i]), int(p2.genes[i])
-                }
+                assert {int(c1[i]), int(c2[i])} == {int(p1[i]), int(p2[i])}
 
         # mutation redraw count obeys the binomial law at 3 sigma
         n, rate, seed = 10_000, 0.2, 777
         flowset = make_flows([(3, 1, 1.0)] * n)
         tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3)
-        base = Chromosome(genes=np.full(n, 3, dtype=np.int64))
-        multipoint_mutate(base, rate, tab_a, flowset, np.random.default_rng(seed))
+        base = np.full(n, 3, dtype=np.int64)
+        feas_ptr, feas_labels = feasible_csr(tab_a, flowset)
+        multipoint_mutate(base, rate, feas_ptr, feas_labels, np.random.default_rng(seed))
         redraws = int((np.random.default_rng(seed).random(n) < rate).sum())
         sigma = math.sqrt(n * rate * (1 - rate))
         assert abs(redraws - n * rate) <= 3 * sigma

@@ -291,6 +291,31 @@ def test_cli_full_workflow(tmp_path):
     assert len(per_flow) == 40
 
 
+def _readme_commands() -> list[list[str]]:
+    """The cect-lab commands of the README quick start, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line.split()[1:] for line in joined.splitlines() if line.startswith("cect-lab ")]
+
+
+def test_readme_exact_quick_start_runs(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    exact = [c for c in commands if c[0] == "solve" and "exact" in c]
+    assert len(exact) == 1
+    flows_file = exact[0][exact[0].index("--flows") + 1]
+    needed = [commands[0]] + [
+        c for c in commands if c[0] == "gen-traffic" and flows_file in c
+    ] + exact
+    assert needed[0][0] == "gen-topo" and len(needed) == 3
+    monkeypatch.chdir(tmp_path)
+    for argv in needed:
+        assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "method=exact flows=6 mu=0.5000" in out
+    assert (tmp_path / "exact" / "assignment.txt").exists()
+
+
 def test_cli_paths_golden(tmp_path, capsys):
     topo = tmp_path / "topo.txt"
     main(["gen-topo", "--kind", "fig2a", "--capacity", "10", "--out", str(topo)])

@@ -124,6 +124,14 @@ def test_no_feasible_path_names_flow(fig2a):
         solve_exact(flows, table, topo)
 
 
+def test_missing_path_reported_before_budget(fig2a):
+    # twelve two-path flows exceed the budget before the flow without a path
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 1.0)] * 12 + [(1, 3, 1.0)])
+    with pytest.raises(NoFeasiblePathError, match="flow 13"):
+        solve_exact(flows, table, topo, budget=1000)
+
+
 def test_deterministic_tie_breaking(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)])

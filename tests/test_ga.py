@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from cect_lab import ga
 from cect_lab.errors import InfeasibleLabelError, NoFeasiblePathError
 from cect_lab.exact import solve_exact
 from cect_lab.ga import (
-    Chromosome,
     GaConfig,
+    _Instance,
     default_population_size,
-    fitness,
     multipoint_mutate,
     roulette_select,
     run_cect,
     uniform_crossover,
 )
-from cect_lab.routing import assemble, validate
+from cect_lab.routing import RoutingAssignment, assemble, validate
 from cect_lab.topology import make_sample_topology
-from cect_lab.xpath import feasible_labels, precompute_xpaths
+from cect_lab.traffic import FlowSet
+from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
 from helpers import make_flows, random_topology
 
@@ -31,8 +32,21 @@ def fig2a():
     return topo, precompute_xpaths(topo, x=3)
 
 
-def _chrom(*labels) -> Chromosome:
-    return Chromosome(genes=np.array(labels, dtype=np.int64))
+def _genes(*labels) -> np.ndarray:
+    return np.array(labels, dtype=np.int64)
+
+
+def _fitness(flows, table, topo, *labels, penalty=None) -> float:
+    """Fitness of one chromosome as run_cect evaluates it (penalty defaults
+    to the switch count)."""
+    fit, _ = _Instance(flows, table, topo).evaluate(
+        _genes(*labels).reshape(1, -1), topo.node_count if penalty is None else penalty
+    )
+    return float(fit[0])
+
+
+def _mutate(genes, rate, table, flows, rng) -> np.ndarray:
+    return multipoint_mutate(genes, rate, *feasible_csr(table, flows), rng)
 
 
 # ---------------------------------------------------------------- fitness
@@ -40,33 +54,28 @@ def _chrom(*labels) -> Chromosome:
 
 def test_fitness_empty_network_is_total_capacity(fig2a):
     topo, table = fig2a
-    flows = make_flows([])
-    from cect_lab.traffic import FlowSet
-
-    value = fitness(Chromosome(genes=np.array([], dtype=np.int64)),
-                    FlowSet(flows=()), table, topo)
-    assert value == pytest.approx(40.0)
+    assert _fitness(FlowSet(flows=()), table, topo) == pytest.approx(40.0)
 
 
 def test_fitness_residual_accumulation(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 2.0)])
-    assert fitness(_chrom(5), flows, table, topo) == pytest.approx(36.0)
+    assert _fitness(flows, table, topo, 5) == pytest.approx(36.0)
 
 
 def test_fitness_overload_penalty(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 12.0)])
     # residual sum 40-12=28, overload 2 on the direct edge, penalty weight 3
-    assert fitness(_chrom(3), flows, table, topo) == pytest.approx(22.0)
-    assert fitness(_chrom(3), flows, table, topo, penalty_weight=10) == pytest.approx(8.0)
+    assert _fitness(flows, table, topo, 3) == pytest.approx(22.0)
+    assert _fitness(flows, table, topo, 3, penalty=10) == pytest.approx(8.0)
 
 
-def test_fitness_rejects_infeasible_gene(fig2a):
+def test_infeasible_gene_is_rejected_by_assemble(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)])
     with pytest.raises(InfeasibleLabelError):
-        fitness(_chrom(4), flows, table, topo)
+        assemble(RoutingAssignment({1: 4}), flows, table, topo)
 
 
 # ---------------------------------------------------------------- roulette
@@ -74,9 +83,8 @@ def test_fitness_rejects_infeasible_gene(fig2a):
 
 def test_roulette_reproduces_published_shares():
     rng = np.random.default_rng(0)
-    members = [_chrom(i) for i in range(5)]
-    picks = roulette_select(members, PUBLISHED_FITNESSES, 200_000, rng)
-    counts = np.bincount([int(c.genes[0]) for c in picks], minlength=5)
+    picks = roulette_select(PUBLISHED_FITNESSES, 200_000, rng)
+    counts = np.bincount(picks, minlength=5)
     shares = counts / counts.sum()
     for got, want in zip(shares, PUBLISHED_SHARES):
         assert abs(got - want) <= 0.005
@@ -84,18 +92,16 @@ def test_roulette_reproduces_published_shares():
 
 def test_roulette_degenerate_wheel():
     rng = np.random.default_rng(1)
-    members = [_chrom(0), _chrom(1), _chrom(2)]
-    picks = roulette_select(members, [5.0, 0.0, 0.0], 2000, rng)
-    winner = sum(1 for c in picks if int(c.genes[0]) == 0)
+    picks = roulette_select([5.0, 0.0, 0.0], 2000, rng)
+    winner = int(np.count_nonzero(picks == 0))
     assert winner >= 1995  # zero-fitness entries keep only a vanishing share
 
 
 def test_roulette_uniform_fitness_is_uniform():
     rng = np.random.default_rng(2)
-    members = [_chrom(i) for i in range(4)]
     n = 100_000
-    picks = roulette_select(members, [3.3] * 4, n, rng)
-    counts = np.bincount([int(c.genes[0]) for c in picks], minlength=4)
+    picks = roulette_select([3.3] * 4, n, rng)
+    counts = np.bincount(picks, minlength=4)
     sigma = math.sqrt(n * 0.25 * 0.75)
     for got in counts:
         assert abs(got - n / 4) <= 3 * sigma
@@ -103,26 +109,25 @@ def test_roulette_uniform_fitness_is_uniform():
 
 def test_roulette_handles_negative_fitness():
     rng = np.random.default_rng(3)
-    members = [_chrom(i) for i in range(3)]
-    picks = roulette_select(members, [-5.0, -1.0, 2.0], 10_000, rng)
-    counts = np.bincount([int(c.genes[0]) for c in picks], minlength=3)
+    picks = roulette_select([-5.0, -1.0, 2.0], 10_000, rng)
+    counts = np.bincount(picks, minlength=3)
     assert counts[2] > counts[1] > counts[0]
     assert counts[0] >= 0  # worst entry may still be drawn: nothing is discarded
 
 
 def test_roulette_requires_even_count_and_finite_fitness():
     rng = np.random.default_rng(4)
-    members = [_chrom(0), _chrom(1)]
     with pytest.raises(ValueError):
-        roulette_select(members, [1.0, 2.0], 3, rng)
+        roulette_select([1.0, 2.0], 3, rng)
     with pytest.raises(ValueError):
-        roulette_select(members, [1.0, math.inf], 2, rng)
+        roulette_select([1.0, math.inf], 2, rng)
 
 
 def test_roulette_returns_requested_size():
     rng = np.random.default_rng(5)
-    members = [_chrom(i) for i in range(3)]
-    assert len(roulette_select(members, [1.0, 2.0, 3.0], 8, rng)) == 8
+    picks = roulette_select([1.0, 2.0, 3.0], 8, rng)
+    assert len(picks) == 8
+    assert picks.min() >= 0 and picks.max() <= 2
 
 
 # ---------------------------------------------------------------- crossover
@@ -130,39 +135,35 @@ def test_roulette_returns_requested_size():
 
 def test_crossover_identical_parents_identity():
     rng = np.random.default_rng(0)
-    p = _chrom(1, 2, 3, 4)
+    p = _genes(1, 2, 3, 4)
     c1, c2 = uniform_crossover(p, p, rng)
-    assert np.array_equal(c1.genes, p.genes)
-    assert np.array_equal(c2.genes, p.genes)
+    assert np.array_equal(c1, p)
+    assert np.array_equal(c2, p)
 
 
 def test_crossover_multiset_preserved_per_position():
     rng = np.random.default_rng(1)
-    p1 = _chrom(*range(1, 101))
-    p2 = _chrom(*range(101, 201))
+    p1 = _genes(*range(1, 101))
+    p2 = _genes(*range(101, 201))
     c1, c2 = uniform_crossover(p1, p2, rng)
     for i in range(100):
-        assert {int(c1.genes[i]), int(c2.genes[i])} == {
-            int(p1.genes[i]), int(p2.genes[i])
-        }
+        assert {int(c1[i]), int(c2[i])} == {int(p1[i]), int(p2[i])}
 
 
 def test_crossover_mask_replay():
     seed = 99
-    p1, p2 = _chrom(1, 1, 1, 1), _chrom(2, 2, 2, 2)
+    p1, p2 = _genes(1, 1, 1, 1), _genes(2, 2, 2, 2)
     c1, c2 = uniform_crossover(p1, p2, np.random.default_rng(seed))
     mask = np.random.default_rng(seed).random(4) < 0.5
-    expect1 = np.where(mask, p1.genes, p2.genes)
-    expect2 = np.where(mask, p2.genes, p1.genes)
-    assert np.array_equal(c1.genes, expect1)
-    assert np.array_equal(c2.genes, expect2)
-    assert not np.array_equal(c1.genes, c2.genes)
+    assert np.array_equal(c1, np.where(mask, p1, p2))
+    assert np.array_equal(c2, np.where(mask, p2, p1))
+    assert not np.array_equal(c1, c2)
 
 
 def test_crossover_length_mismatch():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        uniform_crossover(_chrom(1, 2), _chrom(1, 2, 3), rng)
+        uniform_crossover(_genes(1, 2), _genes(1, 2, 3), rng)
 
 
 # ---------------------------------------------------------------- mutation
@@ -171,17 +172,18 @@ def test_crossover_length_mismatch():
 def test_mutate_rate_zero_identity(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0)])
-    before = _chrom(3, 4, 1)
-    after = multipoint_mutate(before, 0.0, table, flows, np.random.default_rng(0))
-    assert np.array_equal(after.genes, before.genes)
+    before = _genes(3, 4, 1)
+    after = _mutate(before, 0.0, table, flows, np.random.default_rng(0))
+    assert np.array_equal(after, before)
+    assert after is not before
 
 
 def test_mutate_single_candidate_unchanged(fig2a):
     topo, table = fig2a
     flows = make_flows([(1, 2, 1.0)])  # only one path exists for 1 -> 2? no: 1->2 direct only
     assert feasible_labels(table, 1, 2) == (1,)
-    after = multipoint_mutate(_chrom(1), 1.0, table, flows, np.random.default_rng(1))
-    assert after.genes.tolist() == [1]
+    after = _mutate(_genes(1), 1.0, table, flows, np.random.default_rng(1))
+    assert after.tolist() == [1]
 
 
 def test_mutate_redraw_count_binomial(fig2a):
@@ -189,18 +191,16 @@ def test_mutate_redraw_count_binomial(fig2a):
     flows = make_flows([(3, 1, 1.0)] * 10_000)
     genes = np.full(10_000, 3, dtype=np.int64)
     seed, rate = 7, 0.2
-    mutated = multipoint_mutate(
-        Chromosome(genes=genes), rate, table, flows, np.random.default_rng(seed)
-    )
+    mutated = _mutate(genes, rate, table, flows, np.random.default_rng(seed))
     # replay the decision stream: the first block of uniforms selects the
     # redrawn positions, so the redraw count is directly observable
     mask = np.random.default_rng(seed).random(10_000) < rate
     redraws = int(mask.sum())
     sigma = math.sqrt(10_000 * rate * (1 - rate))
     assert abs(redraws - 10_000 * rate) <= 3 * sigma
-    changed = mutated.genes != genes
+    changed = mutated != genes
     assert np.all(changed <= mask)  # changes only where a redraw happened
-    assert mutated.genes[~mask].tolist() == genes[~mask].tolist()
+    assert mutated[~mask].tolist() == genes[~mask].tolist()
     # redraws land uniformly on the two candidates, so roughly half change
     assert abs(changed.sum() - redraws / 2) <= 3 * math.sqrt(redraws * 0.25)
 
@@ -208,19 +208,19 @@ def test_mutate_redraw_count_binomial(fig2a):
 def test_mutate_output_feasible(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-    chrom = _chrom(3, 4, 1, 2)
+    genes = _genes(3, 4, 1, 2)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        chrom = multipoint_mutate(chrom, 0.8, table, flows, rng)
+        genes = _mutate(genes, 0.8, table, flows, rng)
         for i, flow in enumerate(flows.flows):
-            assert int(chrom.genes[i]) in feasible_labels(table, flow.src, flow.dst)
+            assert int(genes[i]) in feasible_labels(table, flow.src, flow.dst)
 
 
 def test_mutate_validates_rate(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)])
     with pytest.raises(ValueError):
-        multipoint_mutate(_chrom(3), 1.5, table, flows, np.random.default_rng(0))
+        _mutate(_genes(3), 1.5, table, flows, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- evolution
@@ -229,18 +229,46 @@ def test_mutate_validates_rate(fig2a):
 def test_fixed_point_under_identity_operators(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0)])
-    pop = [_chrom(3, 4) for _ in range(4)]
+    pop = np.tile(_genes(3, 4), (4, 1))
     rng = np.random.default_rng(0)
-    fits = [fitness(c, flows, table, topo) for c in pop]
-    parents = roulette_select(pop, fits, 4, rng)
+    fits, _ = _Instance(flows, table, topo).evaluate(pop, topo.node_count)
+    picks = roulette_select(fits, 4, rng)
     children = []
-    for a, b in zip(parents[::2], parents[1::2]):
-        c1, c2 = uniform_crossover(a, b, rng)
+    for a, b in zip(picks[::2], picks[1::2]):
+        c1, c2 = uniform_crossover(pop[a], pop[b], rng)
         children += [
-            multipoint_mutate(c1, 0.0, table, flows, rng),
-            multipoint_mutate(c2, 0.0, table, flows, rng),
+            _mutate(c1, 0.0, table, flows, rng),
+            _mutate(c2, 0.0, table, flows, rng),
         ]
-    assert all(np.array_equal(c.genes, pop[0].genes) for c in children)
+    assert all(np.array_equal(c, pop[0]) for c in children)
+
+
+@pytest.mark.parametrize("population", [8, 7])
+def test_run_breeds_with_the_public_operators(fig2a, monkeypatch, population):
+    calls = {"roulette_select": 0, "uniform_crossover": 0, "multipoint_mutate": 0}
+
+    def counting(name):
+        original = getattr(ga, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ga, name, counting(name))
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0)])
+    config = GaConfig(seed=7, max_iterations=4, population_size=population, mu_target=0.01)
+    _, _, stats = run_cect(flows, table, topo, config)
+    bred = population - 1  # the elite is copied
+    assert stats.generations == 4
+    assert calls == {
+        "roulette_select": 4,
+        "uniform_crossover": 4 * (bred // 2),
+        "multipoint_mutate": 4 * bred,
+    }
 
 
 def test_run_single_flow(fig2a):

@@ -116,6 +116,38 @@ def test_maxmin_rates_certify_max_min_fairness(instance):
             assert bottleneck.any(), f"flow {f} has no bottleneck edge"
 
 
+def _maxmin_freeze_loop(flow_ptr, flow_edges, demands, capacities):
+    """Water filling that freezes flows one at a time, as a per-flow loop."""
+    n_flows, n_edges = len(demands), len(capacities)
+    rates, frozen = np.zeros(n_flows), np.zeros(n_flows, dtype=bool)
+    residual = capacities.astype(np.float64).copy()
+    counts = np.bincount(flow_edges, minlength=n_edges).astype(np.int64)
+    eps = 1e-9 * max(capacities.max(), demands.max())
+    crossing = [flow_edges[flow_ptr[f] : flow_ptr[f + 1]] for f in range(n_flows)]
+    while not frozen.all():
+        active = counts > 0
+        delta = (residual[active] / counts[active]).min() if active.any() else np.inf
+        delta = max(min(delta, (demands[~frozen] - rates[~frozen]).min()), 0.0)
+        rates[~frozen] += delta
+        residual[active] -= delta * counts[active]
+        saturated = active & (residual <= eps)
+        for f in np.flatnonzero(~frozen):
+            if rates[f] >= demands[f] - eps or saturated[crossing[f]].any():
+                frozen[f] = True
+                rates[f] = min(rates[f], demands[f])
+                np.subtract.at(counts, crossing[f], 1)
+    return rates
+
+
+def test_maxmin_rates_equal_the_per_flow_freeze_loop(instance):
+    rng = np.random.default_rng(5)
+    caps = instance.caps.astype(np.float64) / 1000.0
+    for _ in range(10):
+        ptr, edges, demands = _random_flow_csr(instance, rng)
+        rates = kernels.maxmin_rates(ptr, edges, demands, caps)
+        assert rates.tolist() == _maxmin_freeze_loop(ptr, edges, demands, caps).tolist()
+
+
 def test_fitness_formula_matches_reference(instance):
     rng = np.random.default_rng(4)
     genes = instance.random_genes(6, rng)

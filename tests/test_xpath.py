@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cect_lab.errors import NoFeasiblePathError
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
     XPath,
+    feasible_csr,
     feasible_labels,
     format_table,
     precompute_xpaths,
 )
 
-from helpers import brute_force_simple_paths, grow_xpaths, random_topology
+from helpers import brute_force_simple_paths, grow_xpaths, make_flows, random_topology
 
 # Published 3-hop labeling of the 3-node sample, label -> hops.
 GOLDEN_FIG2A = {
@@ -81,6 +83,23 @@ def test_feasible_labels_stable(fig2a_table):
     first = feasible_labels(fig2a_table, 3, 2)
     assert first == feasible_labels(fig2a_table, 3, 2)
     assert first == (4, 6)
+
+
+def test_feasible_csr_rows_are_feasible_labels(fig2a_table):
+    flows = make_flows([(3, 1, 1.0), (1, 2, 1.0), (3, 2, 1.0), (3, 1, 1.0)])
+    ptr, labels = feasible_csr(fig2a_table, flows)
+    assert ptr.tolist() == [0, 2, 3, 5, 7]
+    assert labels.tolist() == [3, 5, 1, 4, 6, 3, 5]
+    assert ptr.dtype == labels.dtype == np.int64
+    ptr, labels = feasible_csr(fig2a_table, make_flows([]))
+    assert ptr.tolist() == [0] and labels.size == 0
+
+
+def test_feasible_csr_names_first_flow_without_path(fig2a_table):
+    # 1 -> 3 and 2 -> 3 have no path: node 3 has no in-edges
+    flows = make_flows([(3, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+    with pytest.raises(NoFeasiblePathError, match=r"flow 2 \(1 -> 3\)"):
+        feasible_csr(fig2a_table, flows)
 
 
 @pytest.mark.parametrize("seed", range(8))
