@@ -101,9 +101,23 @@ class _Instance:
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
+        # Aggregate loads by label when the distinct feasible labels hold at
+        # most half the edge entries of a member's shortest genes: flows then
+        # share labels, and two bincounts over the whole population beat one
+        # gather and bincount per member.
+        used = np.zeros(table.path_count + 1, dtype=bool)
+        used[self.feas_labels] = True
+        labels = np.flatnonzero(used)
+        ptr = self.label_ptr
+        label_entries = (ptr[labels] - ptr[labels - 1]).sum()
+        gene_entries = (ptr[self.shortest] - ptr[self.shortest - 1]).sum()
+        self.groups = None
+        if 2 * label_entries < gene_entries:
+            self.groups = kernels.label_groups(ptr, self.label_edges, labels)
+
     def evaluate(self, genes: np.ndarray, penalty: int) -> tuple[np.ndarray, np.ndarray]:
         loads = kernels.population_loads(
-            genes, self.label_ptr, self.label_edges, self.demands, self.n_edges
+            genes, self.label_ptr, self.label_edges, self.demands, self.n_edges, self.groups
         )
         return kernels.fitness_mu(loads, self.caps, penalty)
 

@@ -22,13 +22,46 @@ def csr_rows(ptr: np.ndarray, data: np.ndarray, rows) -> tuple[np.ndarray, np.nd
     return out_ptr, data[flat]
 
 
-def population_loads(genes, label_ptr, label_edges, demands, n_edges):
+def label_groups(label_ptr, label_edges, labels):
+    """The aggregated form's groups for population_loads over the sorted labels.
+
+    Returns (slot_of, slot_ptr, slot_edges): slot_of maps every label to its
+    row among labels, and slot_ptr/slot_edges are those rows' CSR edge lists.
+    """
+    slot_of = np.zeros(len(label_ptr), dtype=np.int64)
+    slot_of[labels] = np.arange(len(labels))
+    return (slot_of, *csr_rows(label_ptr, label_edges, labels - 1))
+
+
+def population_loads(genes, label_ptr, label_edges, demands, n_edges, groups=None):
     """Per-edge integer loads for each member of a population.
 
     genes holds 1-based path labels, one row per member, one column per
     flow; label_ptr/label_edges are the CSR edge lists of every label.
+
+    Without groups, a gene loop gathers each member's gene edges and sums
+    them with one bincount per member. With groups (see label_groups, whose
+    labels must cover every gene), the aggregated form sums the demands of
+    the whole population into (member, label) slots with one bincount, then
+    spreads each slot over its label's edges with one weighted bincount. Both
+    sum integer milli-units below 2**53 in float64, so they agree bit for bit.
     """
-    loads = np.zeros((genes.shape[0], n_edges), dtype=np.int64)
+    n_members = genes.shape[0]
+    if groups is not None:
+        slot_of, slot_ptr, slot_edges = groups
+        n_slots = len(slot_ptr) - 1
+        keys = slot_of[genes]
+        keys += n_slots * np.arange(n_members)[:, None]
+        per_slot = np.bincount(
+            keys.ravel(), weights=np.tile(demands, n_members), minlength=n_members * n_slots
+        ).reshape(n_members, n_slots)
+        entry_slot = np.repeat(np.arange(n_slots), np.diff(slot_ptr))
+        keys = n_edges * np.arange(n_members)[:, None] + slot_edges
+        loads = np.bincount(
+            keys.ravel(), weights=per_slot[:, entry_slot].ravel(), minlength=n_members * n_edges
+        )
+        return loads.reshape(n_members, n_edges).astype(np.int64)
+    loads = np.zeros((n_members, n_edges), dtype=np.int64)
     for m, labels in enumerate(genes):
         ptr, edge_ids = csr_rows(label_ptr, label_edges, labels - 1)
         weights = np.repeat(demands, np.diff(ptr))

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cect_lab import kernels
 from cect_lab.ga import _Instance
@@ -9,6 +11,10 @@ from cect_lab.routing import RoutingAssignment, assemble
 from cect_lab.topology import make_fat_tree, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
+
+from helpers import make_flows, random_topology
+
+ACCEPTANCE_MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +169,56 @@ def test_fitness_formula_matches_reference(instance):
         expected = (residual.sum() - penalty * overload.sum()) / 1000.0
         assert fit[m] == pytest.approx(expected)
         assert mu[m] == pytest.approx((loads[m] / instance.caps).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 7),
+    n_pairs=st.integers(1, 4),
+    flows_per_pair=st.integers(1, 30),
+    members=st.integers(1, 12),
+)
+def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_pair, members):
+    # few pairs, many flows each: many flows share every label
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, edge_prob=0.5)
+    table = precompute_xpaths(topo, x=3)
+    pairs = [p for p in table.by_pair if table.by_pair[p]]
+    chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
+    flows = make_flows(
+        [(*pair, int(rng.integers(1, 4000)) / 8) for pair in chosen for _ in range(flows_per_pair)]
+    )
+    inst = _Instance(flows, table, topo)
+    genes = inst.random_genes(members, rng)
+    args = (genes, inst.label_ptr, inst.label_edges, inst.demands, inst.n_edges)
+    groups = kernels.label_groups(inst.label_ptr, inst.label_edges, np.unique(inst.feas_labels))
+    loop = kernels.population_loads(*args)
+    aggregated = kernels.population_loads(*args, groups)
+    assert loop.dtype == aggregated.dtype == np.int64
+    assert np.array_equal(loop, aggregated)
+    edge_index = topo.edge_index()
+    for m in range(members):
+        choice = {flow.id: int(g) for flow, g in zip(flows.flows, genes[m])}
+        matrix = assemble(RoutingAssignment(choice), flows, table, topo)
+        assert matrix.load_units == {
+            edge: int(loop[m, i]) for edge, i in edge_index.items() if loop[m, i]
+        }
+
+
+@pytest.mark.parametrize(
+    "k, n_flows, aggregated",
+    [(4, 500, True), (4, 1000, True), (4, 2000, True), (8, 20_000, False), (12, 20_000, False)],
+)
+def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
+    topo = make_fat_tree(k, 200.0, 200.0, 100.0)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, n_flows, ACCEPTANCE_MIX, plr=0.95, seed=1)
+    inst = _Instance(flows, table, topo)
+    hops = np.diff(inst.label_ptr)
+    label_entries = hops[np.unique(inst.feas_labels) - 1].sum()
+    gene_entries = hops[inst.shortest - 1].sum()
+    # the rule: aggregate when the distinct labels hold at most half the
+    # edge entries of one member's shortest genes
+    assert (2 * label_entries < gene_entries) == aggregated
+    assert (inst.groups is not None) == aggregated
