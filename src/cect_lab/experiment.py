@@ -189,6 +189,10 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         raise ConfigError(f"{path}: empty flow sweep")
     if cfg.n_seeds < 1:
         raise ConfigError(f"{path}: seeds must be >= 1")
+    try:
+        GaConfig(**cfg.ga)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [ga] {exc}") from exc
     return cfg
 
 

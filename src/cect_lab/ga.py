@@ -3,7 +3,8 @@
 Each chromosome is an int64 array holding one precomputed path label per
 flow; a population is a 2-D array with one chromosome per row. Generations
 are bred with fitness-proportionate (roulette) selection, uniform crossover,
-and multipoint mutation; the best chromosome is carried over unchanged. The
+and multipoint mutation, each applied to the whole population in one call;
+the best chromosome is carried over unchanged and never mutated. The
 mutation rate switches to its high setting whenever the best fitness has
 stalled, to climb out of local optima.
 
@@ -61,6 +62,9 @@ class GaConfig:
             raise ValueError("mu_target must be positive")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
+        # NaN fails both bounds; a negative weight would reward overload
+        if self.penalty_weight is not None and not 0 <= self.penalty_weight < math.inf:
+            raise ValueError("penalty_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,21 +107,23 @@ class _Instance:
 
         # Aggregate loads by label when the distinct feasible labels hold at
         # most half the edge entries of a member's shortest genes: flows then
-        # share labels, and two bincounts over the whole population beat one
-        # gather and bincount per member.
+        # share labels, and two bincounts over the population beat a loop.
         used = np.zeros(table.path_count + 1, dtype=bool)
         used[self.feas_labels] = True
         labels = np.flatnonzero(used)
-        ptr = self.label_ptr
-        label_entries = (ptr[labels] - ptr[labels - 1]).sum()
-        gene_entries = (ptr[self.shortest] - ptr[self.shortest - 1]).sum()
-        self.groups = None
-        if 2 * label_entries < gene_entries:
-            self.groups = kernels.label_groups(ptr, self.label_edges, labels)
+        hops = np.diff(self.label_ptr)
+        self.groups, self.gene_demands = None, self.demands
+        if 2 * hops[labels - 1].sum() < hops[self.shortest - 1].sum():
+            slot_of = np.zeros(len(self.label_ptr), dtype=np.int64)
+            slot_of[labels] = np.arange(len(labels))
+            self.groups = (slot_of, *kernels.csr_rows(self.label_ptr, self.label_edges, labels - 1))
 
     def evaluate(self, genes: np.ndarray, penalty: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.groups is not None and self.gene_demands.shape != genes.shape:
+            # the aggregated form weighs each gene; build the weights once
+            self.gene_demands = np.tile(self.demands.astype(np.float64), (len(genes), 1))
         loads = kernels.population_loads(
-            genes, self.label_ptr, self.label_edges, self.demands, self.n_edges, self.groups
+            genes, self.label_ptr, self.label_edges, self.gene_demands, self.n_edges, self.groups
         )
         return kernels.fitness_mu(loads, self.caps, penalty)
 
@@ -158,18 +164,26 @@ def roulette_select(
 
 
 def uniform_crossover(
-    genes1: np.ndarray, genes2: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap genes between two parents independently per position.
+    genes: np.ndarray, picks: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Children of the parent pairs (picks[i], picks[h + i]), h = len(picks) // 2.
 
-    At each position the first child inherits from the first parent with
-    probability 0.5, otherwise the genes are exchanged; the two children
-    always hold exactly the parents' genes as a multiset per position.
+    Rows i and h + i start as the pair's parents and swap genes at each
+    position with probability 0.5, so together they always hold the pair's
+    two genes; an odd last pick is copied as is. All masks come from one
+    packed-byte draw. Children are gathered into out (which must not overlap
+    genes) and swapped there in place, so the mask is the only temporary.
     """
-    if genes1.shape != genes2.shape:
-        raise ValueError("parents must have equal gene length")
-    take_first = rng.random(genes1.shape[0]) < 0.5
-    return np.where(take_first, genes1, genes2), np.where(take_first, genes2, genes1)
+    out = np.take(genes, picks, axis=0, out=out, mode="clip")
+    half, n_genes = len(picks) // 2, genes.shape[1]
+    first, second = out[:half], out[half : 2 * half]
+    packed = rng.integers(0, 256, size=(half, -(-n_genes // 8)), dtype=np.uint8)
+    swap = np.unpackbits(packed, axis=1, count=n_genes).view(bool)
+    # an xor swap with one masked step: second holds first ^ second meanwhile
+    second ^= first
+    np.bitwise_xor(first, second, out=first, where=swap)
+    second ^= first
+    return out
 
 
 def multipoint_mutate(
@@ -178,23 +192,22 @@ def multipoint_mutate(
     feas_ptr: np.ndarray,
     feas_labels: np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Redraw each gene with probability mutation_rate from its feasible set.
+) -> None:
+    """Redraw, in place, each gene of a population with probability mutation_rate.
 
-    feas_ptr/feas_labels is the CSR of every flow's feasible labels (see
-    xpath.feasible_csr). A redraw picks uniformly among the flow's candidate
-    labels and may land on the incumbent label, so the realized change rate
-    is at most the mutation rate. The result is a new, always feasible array.
+    One binomial draw counts the redraws, whose sites are then sampled without
+    replacement (the law of one coin per gene). A redraw picks uniformly from
+    the flow's row of the feasible CSR feas_ptr/feas_labels and may keep the
+    incumbent, so the realized change rate is at most the mutation rate.
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
-    out = genes.copy()
-    hit = np.flatnonzero(rng.random(genes.shape[0]) < mutation_rate)
-    if hit.size:
-        starts = feas_ptr[hit]
-        offsets = (rng.random(hit.size) * (feas_ptr[hit + 1] - starts)).astype(np.int64)
-        out[hit] = feas_labels[starts + offsets]
-    return out
+    count = rng.binomial(genes.size, mutation_rate)
+    sites = rng.choice(genes.size, size=count, replace=False, shuffle=False)
+    members, flows = np.divmod(sites, genes.shape[1])
+    starts = feas_ptr[flows]
+    offsets = (rng.random(count) * (feas_ptr[flows + 1] - starts)).astype(np.int64)
+    genes[members, flows] = feas_labels[starts + offsets]
 
 
 def run_cect(
@@ -223,7 +236,6 @@ def run_cect(
     )
     rng = np.random.default_rng(config.seed)
     stats = RunStats(population_size=n_pop)
-    feasible = (inst.feas_ptr, inst.feas_labels)
 
     if flowset.count == 0:
         stats.feasible = True
@@ -279,16 +291,13 @@ def run_cect(
         if best_mu <= config.mu_target or generation >= config.max_iterations:
             break
 
+        # the elite passes unchanged; every other row is a child, bred in place
         needed = n_pop - 1
         picks = roulette_select(fit, needed + (needed % 2), rng)[:needed]
         next_genes = np.empty_like(genes)
         next_genes[0] = genes[gen_best]
-        for i in range(0, needed - 1, 2):
-            child1, child2 = uniform_crossover(genes[picks[i]], genes[picks[i + 1]], rng)
-            next_genes[i + 1] = multipoint_mutate(child1, rate, *feasible, rng)
-            next_genes[i + 2] = multipoint_mutate(child2, rate, *feasible, rng)
-        if needed % 2:  # odd leftover: mutation only
-            next_genes[needed] = multipoint_mutate(genes[picks[-1]], rate, *feasible, rng)
+        uniform_crossover(genes, picks, rng, out=next_genes[1:])
+        multipoint_mutate(next_genes[1:], rate, inst.feas_ptr, inst.feas_labels, rng)
         genes = next_genes
         generation += 1
 

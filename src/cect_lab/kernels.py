@@ -2,7 +2,9 @@
 
 The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
-max-min water-filling loop. Both live here, one implementation each.
+max-min water-filling loop. Both live here. Population loads have a gene
+loop and a per-label aggregated form, which suit different instance shapes
+and return equal loads; every other kernel has one implementation.
 """
 
 from __future__ import annotations
@@ -22,44 +24,31 @@ def csr_rows(ptr: np.ndarray, data: np.ndarray, rows) -> tuple[np.ndarray, np.nd
     return out_ptr, data[flat]
 
 
-def label_groups(label_ptr, label_edges, labels):
-    """The aggregated form's groups for population_loads over the sorted labels.
-
-    Returns (slot_of, slot_ptr, slot_edges): slot_of maps every label to its
-    row among labels, and slot_ptr/slot_edges are those rows' CSR edge lists.
-    """
-    slot_of = np.zeros(len(label_ptr), dtype=np.int64)
-    slot_of[labels] = np.arange(len(labels))
-    return (slot_of, *csr_rows(label_ptr, label_edges, labels - 1))
-
-
 def population_loads(genes, label_ptr, label_edges, demands, n_edges, groups=None):
     """Per-edge integer loads for each member of a population.
 
     genes holds 1-based path labels, one row per member, one column per
     flow; label_ptr/label_edges are the CSR edge lists of every label.
-
-    Without groups, a gene loop gathers each member's gene edges and sums
-    them with one bincount per member. With groups (see label_groups, whose
-    labels must cover every gene), the aggregated form sums the demands of
-    the whole population into (member, label) slots with one bincount, then
-    spreads each slot over its label's edges with one weighted bincount. Both
-    sum integer milli-units below 2**53 in float64, so they agree bit for bit.
+    Without groups, a gene loop sums each member's gene edges with one
+    bincount per member. groups = (slot_of, slot_ptr, slot_edges) maps every
+    gene's label to a slot and gives the slots' CSR edge lists; the
+    aggregated form then sums the population's demands (per flow, or per
+    gene in genes' shape) into (member, slot) cells with one bincount and
+    spreads the cells over the slots' edges with one more. Both sum integer
+    milli-units below 2**53, so they agree exactly.
     """
     n_members = genes.shape[0]
     if groups is not None:
         slot_of, slot_ptr, slot_edges = groups
         n_slots = len(slot_ptr) - 1
-        keys = slot_of[genes]
-        keys += n_slots * np.arange(n_members)[:, None]
-        per_slot = np.bincount(
-            keys.ravel(), weights=np.tile(demands, n_members), minlength=n_members * n_slots
-        ).reshape(n_members, n_slots)
+        cells = slot_of[genes]
+        cells += n_slots * np.arange(n_members)[:, None]
+        weights = np.broadcast_to(demands, genes.shape).ravel()
+        per_cell = np.bincount(cells.ravel(), weights, n_members * n_slots)
         entry_slot = np.repeat(np.arange(n_slots), np.diff(slot_ptr))
-        keys = n_edges * np.arange(n_members)[:, None] + slot_edges
-        loads = np.bincount(
-            keys.ravel(), weights=per_slot[:, entry_slot].ravel(), minlength=n_members * n_edges
-        )
+        weights = per_cell.reshape(n_members, n_slots)[:, entry_slot]
+        cells = n_edges * np.arange(n_members)[:, None] + slot_edges
+        loads = np.bincount(cells.ravel(), weights.ravel(), n_members * n_edges)
         return loads.reshape(n_members, n_edges).astype(np.int64)
     loads = np.zeros((n_members, n_edges), dtype=np.int64)
     for m, labels in enumerate(genes):

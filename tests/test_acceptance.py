@@ -255,8 +255,9 @@ def test_criterion_7_constraint_suite():
         table = precompute_xpaths(topo, x=3)
         p1 = np.array([1, 7, 9], dtype=np.int64)
         p2 = np.array([1, 3, 4], dtype=np.int64)
+        parents = np.stack([p1, p2])
         for _ in range(300):
-            c1, c2 = uniform_crossover(p1, p2, rng)
+            c1, c2 = uniform_crossover(parents, np.array([0, 1]), rng)
             for i in range(3):
                 assert {int(c1[i]), int(c2[i])} == {int(p1[i]), int(p2[i])}
 
@@ -264,10 +265,11 @@ def test_criterion_7_constraint_suite():
         n, rate, seed = 10_000, 0.2, 777
         flowset = make_flows([(3, 1, 1.0)] * n)
         tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3)
-        base = np.full(n, 3, dtype=np.int64)
+        base = np.full((1, n), 3, dtype=np.int64)
         feas_ptr, feas_labels = feasible_csr(tab_a, flowset)
         multipoint_mutate(base, rate, feas_ptr, feas_labels, np.random.default_rng(seed))
-        redraws = int((np.random.default_rng(seed).random(n) < rate).sum())
+        redraws = int(np.random.default_rng(seed).binomial(n, rate))
+        assert int((base != 3).sum()) <= redraws
         sigma = math.sqrt(n * rate * (1 - rate))
         assert abs(redraws - n * rate) <= 3 * sigma
 

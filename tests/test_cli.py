@@ -76,6 +76,41 @@ def test_config_errors_name_the_file(tmp_path):
         experiment.load_config(tmp_path / "missing.ini")
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("mut_min = 0", "mut_min"),
+        ("mut_min = 0.5\nmut_max = 0.2", "mut_min"),
+        ("population_size = 1", "population_size"),
+        ("penalty_weight = nan", "penalty_weight"),
+        ("penalty_weight = inf", "penalty_weight"),
+        ("penalty_weight = -inf", "penalty_weight"),
+        ("penalty_weight = -1", "penalty_weight"),
+    ],
+)
+def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
+    # rejected once at load, naming the file, instead of failing every cell
+    path = tmp_path / "bad_ga.ini"
+    path.write_text(BASE_CONFIG.replace("[ga]\n", f"[ga]\n{setting}\n"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"bad_ga.ini.*{message}"):
+        experiment.load_config(path)
+
+
+def test_solve_rejects_bad_penalty(tmp_path, capsys):
+    topo = tmp_path / "topo.txt"
+    flows = tmp_path / "flows.txt"
+    assert main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)]) == 0
+    assert main(["gen-traffic", "--topo", str(topo), "--n", "6", "--mix", "small=1",
+                 "--plr", "0.5", "--seed", "1", "--out", str(flows)]) == 0
+    capsys.readouterr()
+    for penalty in ("nan", "inf", "-inf", "-1"):
+        assert main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "cect",
+                     "--itr", "2", f"--penalty={penalty}", "--out-dir", str(tmp_path)]) == 2
+        assert "penalty_weight" in capsys.readouterr().err
+    assert main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "cect",
+                 "--itr", "2", "--penalty", "0", "--out-dir", str(tmp_path)]) == 0
+
+
 def test_flow_range_parsing():
     assert experiment._parse_n_flows("200:600:200") == (200, 400, 600)
     assert experiment._parse_n_flows("5,10") == (5, 10)

@@ -46,7 +46,18 @@ def _fitness(flows, table, topo, *labels, penalty=None) -> float:
 
 
 def _mutate(genes, rate, table, flows, rng) -> np.ndarray:
-    return multipoint_mutate(genes, rate, *feasible_csr(table, flows), rng)
+    """A mutated copy of a population (a 1-D chromosome is one member)."""
+    population = np.atleast_2d(genes).copy()
+    multipoint_mutate(population, rate, *feasible_csr(table, flows), rng)
+    return population
+
+
+def _mask(seed, pairs, n_genes):
+    """Replay of uniform_crossover's swap masks for one seed."""
+    packed = np.random.default_rng(seed).integers(
+        0, 256, size=(pairs, -(-n_genes // 8)), dtype=np.uint8
+    )
+    return np.unpackbits(packed, axis=1, count=n_genes).astype(bool)
 
 
 # ---------------------------------------------------------------- fitness
@@ -135,35 +146,40 @@ def test_roulette_returns_requested_size():
 
 def test_crossover_identical_parents_identity():
     rng = np.random.default_rng(0)
-    p = _genes(1, 2, 3, 4)
-    c1, c2 = uniform_crossover(p, p, rng)
-    assert np.array_equal(c1, p)
-    assert np.array_equal(c2, p)
+    population = np.tile(_genes(1, 2, 3, 4), (5, 1))
+    children = uniform_crossover(population, np.array([0, 1, 2, 3, 4]), rng)
+    assert np.array_equal(children, population)
 
 
 def test_crossover_multiset_preserved_per_position():
     rng = np.random.default_rng(1)
-    p1 = _genes(*range(1, 101))
-    p2 = _genes(*range(101, 201))
-    c1, c2 = uniform_crossover(p1, p2, rng)
+    population = np.stack([_genes(*range(1, 101)), _genes(*range(101, 201))])
+    c1, c2 = uniform_crossover(population, np.array([0, 1]), rng)
+    p1, p2 = population
     for i in range(100):
         assert {int(c1[i]), int(c2[i])} == {int(p1[i]), int(p2[i])}
 
 
 def test_crossover_mask_replay():
+    # pairs are (picks[i], picks[h + i]); an odd last pick is copied as is
     seed = 99
-    p1, p2 = _genes(1, 1, 1, 1), _genes(2, 2, 2, 2)
-    c1, c2 = uniform_crossover(p1, p2, np.random.default_rng(seed))
-    mask = np.random.default_rng(seed).random(4) < 0.5
-    assert np.array_equal(c1, np.where(mask, p1, p2))
-    assert np.array_equal(c2, np.where(mask, p2, p1))
-    assert not np.array_equal(c1, c2)
+    population = np.stack([_genes(1, 1, 1, 1), _genes(2, 2, 2, 2), _genes(3, 3, 3, 3)])
+    picks = np.array([0, 2, 1, 2, 0])
+    children = uniform_crossover(population, picks, np.random.default_rng(seed))
+    mask = _mask(seed, 2, 4)
+    parents = population[picks]
+    for i in range(2):
+        assert np.array_equal(children[i], np.where(mask[i], parents[2 + i], parents[i]))
+        assert np.array_equal(children[2 + i], np.where(mask[i], parents[i], parents[2 + i]))
+    assert np.array_equal(children[4], population[0])
+    assert not np.array_equal(children[0], children[2])
 
 
 def test_crossover_length_mismatch():
     rng = np.random.default_rng(2)
+    population = np.stack([_genes(1, 2, 3), _genes(3, 2, 1)])
     with pytest.raises(ValueError):
-        uniform_crossover(_genes(1, 2), _genes(1, 2, 3), rng)
+        uniform_crossover(population, np.array([0, 1]), rng, out=np.empty((2, 2), np.int64))
 
 
 # ---------------------------------------------------------------- mutation
@@ -172,10 +188,9 @@ def test_crossover_length_mismatch():
 def test_mutate_rate_zero_identity(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0)])
-    before = _genes(3, 4, 1)
+    before = np.stack([_genes(3, 4, 1), _genes(4, 3, 1)])
     after = _mutate(before, 0.0, table, flows, np.random.default_rng(0))
     assert np.array_equal(after, before)
-    assert after is not before
 
 
 def test_mutate_single_candidate_unchanged(fig2a):
@@ -183,21 +198,24 @@ def test_mutate_single_candidate_unchanged(fig2a):
     flows = make_flows([(1, 2, 1.0)])  # only one path exists for 1 -> 2? no: 1->2 direct only
     assert feasible_labels(table, 1, 2) == (1,)
     after = _mutate(_genes(1), 1.0, table, flows, np.random.default_rng(1))
-    assert after.tolist() == [1]
+    assert after.tolist() == [[1]]
 
 
 def test_mutate_redraw_count_binomial(fig2a):
     topo, table = fig2a
-    flows = make_flows([(3, 1, 1.0)] * 10_000)
-    genes = np.full(10_000, 3, dtype=np.int64)
+    flows = make_flows([(3, 1, 1.0)] * 100)
+    genes = np.full((100, 100), 3, dtype=np.int64)
     seed, rate = 7, 0.2
     mutated = _mutate(genes, rate, table, flows, np.random.default_rng(seed))
-    # replay the decision stream: the first block of uniforms selects the
-    # redrawn positions, so the redraw count is directly observable
-    mask = np.random.default_rng(seed).random(10_000) < rate
-    redraws = int(mask.sum())
-    sigma = math.sqrt(10_000 * rate * (1 - rate))
-    assert abs(redraws - 10_000 * rate) <= 3 * sigma
+    # replay the decision stream: one binomial count, then that many sites
+    # without replacement, so the redrawn positions are directly observable
+    replay = np.random.default_rng(seed)
+    redraws = int(replay.binomial(genes.size, rate))
+    mask = np.zeros(genes.size, dtype=bool)
+    mask[replay.choice(genes.size, size=redraws, replace=False, shuffle=False)] = True
+    mask = mask.reshape(genes.shape)
+    sigma = math.sqrt(genes.size * rate * (1 - rate))
+    assert abs(redraws - genes.size * rate) <= 3 * sigma
     changed = mutated != genes
     assert np.all(changed <= mask)  # changes only where a redraw happened
     assert mutated[~mask].tolist() == genes[~mask].tolist()
@@ -208,12 +226,12 @@ def test_mutate_redraw_count_binomial(fig2a):
 def test_mutate_output_feasible(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-    genes = _genes(3, 4, 1, 2)
+    genes = np.tile(_genes(3, 4, 1, 2), (6, 1))
     rng = np.random.default_rng(3)
     for _ in range(50):
         genes = _mutate(genes, 0.8, table, flows, rng)
         for i, flow in enumerate(flows.flows):
-            assert int(genes[i]) in feasible_labels(table, flow.src, flow.dst)
+            assert set(genes[:, i].tolist()) <= set(feasible_labels(table, flow.src, flow.dst))
 
 
 def test_mutate_validates_rate(fig2a):
@@ -232,15 +250,34 @@ def test_fixed_point_under_identity_operators(fig2a):
     pop = np.tile(_genes(3, 4), (4, 1))
     rng = np.random.default_rng(0)
     fits, _ = _Instance(flows, table, topo).evaluate(pop, topo.node_count)
-    picks = roulette_select(fits, 4, rng)
-    children = []
-    for a, b in zip(picks[::2], picks[1::2]):
-        c1, c2 = uniform_crossover(pop[a], pop[b], rng)
-        children += [
-            _mutate(c1, 0.0, table, flows, rng),
-            _mutate(c2, 0.0, table, flows, rng),
-        ]
+    children = uniform_crossover(pop, roulette_select(fits, 4, rng), rng)
+    children = _mutate(children, 0.0, table, flows, rng)
     assert all(np.array_equal(c, pop[0]) for c in children)
+
+
+def test_breeding_allocates_no_population_sized_array(fig2a):
+    # children are gathered straight into the next generation and swapped in
+    # place; beyond the swap mask (one byte per gene of half the children),
+    # only small arrays may be allocated, at the rates the solver runs
+    import tracemalloc
+
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 500)
+    feasible = feasible_csr(table, flows)
+    rng = np.random.default_rng(8)
+    genes = _Instance(flows, table, topo).random_genes(93, rng)
+    next_genes = np.empty_like(genes)
+    picks = rng.integers(0, 93, size=92)
+    mask_bytes = 46 * genes.shape[1]
+    for rate in (0.002, 0.02):  # the acceptance sweep's mut_min and mut_max
+        tracemalloc.start()
+        try:
+            uniform_crossover(genes, picks, rng, out=next_genes[1:])
+            multipoint_mutate(next_genes[1:], rate, *feasible, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mask_bytes + genes.nbytes // 4, (rate, peak)
 
 
 @pytest.mark.parametrize("population", [8, 7])
@@ -250,9 +287,9 @@ def test_run_breeds_with_the_public_operators(fig2a, monkeypatch, population):
     def counting(name):
         original = getattr(ga, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         return wrapper
 
@@ -262,13 +299,25 @@ def test_run_breeds_with_the_public_operators(fig2a, monkeypatch, population):
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0)])
     config = GaConfig(seed=7, max_iterations=4, population_size=population, mu_target=0.01)
     _, _, stats = run_cect(flows, table, topo, config)
-    bred = population - 1  # the elite is copied
     assert stats.generations == 4
-    assert calls == {
-        "roulette_select": 4,
-        "uniform_crossover": 4 * (bred // 2),
-        "multipoint_mutate": 4 * bred,
-    }
+    # one call of each operator per generation breeds the whole population
+    assert calls == {"roulette_select": 4, "uniform_crossover": 4, "multipoint_mutate": 4}
+
+
+def test_run_keeps_the_elite_row_unmutated(fig2a):
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0), (2, 1, 3.0)])
+    seen = []
+
+    def watch(gen, genes, fit, mu):
+        seen.append((genes.copy(), fit.copy()))
+
+    config = GaConfig(seed=9, max_iterations=20, population_size=9, mu_target=0.01,
+                      mut_min=1.0, mut_max=1.0)
+    run_cect(flows, table, topo, config, on_generation=watch)
+    assert len(seen) == 21
+    for (genes, fit), (next_genes, _) in zip(seen, seen[1:]):
+        assert np.array_equal(next_genes[0], genes[np.argmax(fit)])
 
 
 def test_run_single_flow(fig2a):

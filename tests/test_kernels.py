@@ -192,11 +192,18 @@ def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_
     inst = _Instance(flows, table, topo)
     genes = inst.random_genes(members, rng)
     args = (genes, inst.label_ptr, inst.label_edges, inst.demands, inst.n_edges)
-    groups = kernels.label_groups(inst.label_ptr, inst.label_edges, np.unique(inst.feas_labels))
+    labels = np.unique(inst.feas_labels)
+    slot_of = np.zeros(len(inst.label_ptr), dtype=np.int64)
+    slot_of[labels] = np.arange(len(labels))
+    groups = (slot_of, *kernels.csr_rows(inst.label_ptr, inst.label_edges, labels - 1))
     loop = kernels.population_loads(*args)
     aggregated = kernels.population_loads(*args, groups)
+    per_gene = np.tile(inst.demands.astype(np.float64), (members, 1))
     assert loop.dtype == aggregated.dtype == np.int64
     assert np.array_equal(loop, aggregated)
+    assert np.array_equal(loop, kernels.population_loads(*args[:3], per_gene, inst.n_edges, groups))
+    fit, mu = inst.evaluate(genes, 7)
+    assert np.array_equal((fit, mu), kernels.fitness_mu(loop, inst.caps, 7))
     edge_index = topo.edge_index()
     for m in range(members):
         choice = {flow.id: int(g) for flow, g in zip(flows.flows, genes[m])}
