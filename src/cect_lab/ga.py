@@ -174,6 +174,7 @@ def uniform_crossover(
     packed-byte draw. Children are gathered into out (which must not overlap
     genes) and swapped there in place, so the mask is the only temporary.
     """
+    # mode "clip" writes into out directly; the default "raise" buffers a copy
     out = np.take(genes, picks, axis=0, out=out, mode="clip")
     half, n_genes = len(picks) // 2, genes.shape[1]
     first, second = out[:half], out[half : 2 * half]

@@ -2,9 +2,8 @@
 
 The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
-max-min water-filling loop. Both live here. Population loads have a gene
-loop and a per-label aggregated form, which suit different instance shapes
-and return equal loads; every other kernel has one implementation.
+max-min water-filling loop. Both live here: one implementation of each kernel,
+except population loads, whose gene loop and per-label aggregated form agree.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,8 +260,6 @@ def test_breeding_allocates_no_population_sized_array(fig2a):
     # children are gathered straight into the next generation and swapped in
     # place; beyond the swap mask (one byte per gene of half the children),
     # only small arrays may be allocated, at the rates the solver runs
-    import tracemalloc
-
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 500)
     feasible = feasible_csr(table, flows)
