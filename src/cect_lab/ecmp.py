@@ -59,8 +59,10 @@ def route_ecmp(
 
     Candidates for a flow are all its shortest paths in the table, in label
     order (labels sort by hop count then hop sequence); max_paths, when set,
-    keeps only the first max_paths candidates before hashing.
+    keeps only the first max_paths candidates before hashing and must be >= 1.
     """
+    if max_paths is not None and max_paths < 1:
+        raise ValueError(f"max_paths must be >= 1, got {max_paths}")
     distances: dict[int, dict[int, int]] = {}
 
     def dist(src: int, dst: int) -> int | None:
@@ -83,7 +85,7 @@ def route_ecmp(
             # labels run shortest first, so the minimum-hop paths are a prefix
             hop_counts = xpath_table.hop_counts[np.asarray(labels) - 1]
             shortest = labels[: int(np.count_nonzero(hop_counts == hop_counts[0]))]
-            candidates_of[pair] = shortest if max_paths is None else shortest[: max(1, max_paths)]
+            candidates_of[pair] = shortest if max_paths is None else shortest[:max_paths]
     candidates = [candidates_of[pair] for pair in flowset.pairs()]
     keys = np.array([(f.src, f.dst, f.id) for f in flowset.flows], dtype=np.int64).reshape(-1, 3)
     sizes = np.fromiter(map(len, candidates), dtype=np.uint64, count=len(candidates))

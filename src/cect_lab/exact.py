@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NoFeasiblePathError, SearchBudgetExceededError
+from .errors import SearchBudgetExceededError
 from .routing import RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet

@@ -23,18 +23,19 @@ import numpy as np
 from .ecmp import route_ecmp
 from .errors import CectLabError, ConfigError
 from .exact import solve_exact
-from .fluidsim import simulate
+from .fluidsim import MODELS, simulate
 from .ga import GaConfig, run_cect
 from .routing import assemble, format_assignment
 from .topology import Topology, make_fat_tree, make_sample_topology, load_topology, save_topology
 from .traffic import (
     FlowSet,
+    check_mix,
     default_compression_bounds,
     compress_flows,
     generate_flows,
     save_flows,
 )
-from .xpath import XPathTable, precompute_xpaths
+from .xpath import XPathTable, check_path_bounds, precompute_xpaths
 
 THREADS_ENV = "CECT_LAB_THREADS"
 
@@ -189,10 +190,20 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         raise ConfigError(f"{path}: empty flow sweep")
     if cfg.n_seeds < 1:
         raise ConfigError(f"{path}: seeds must be >= 1")
-    try:
-        GaConfig(**cfg.ga)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [ga] {exc}") from exc
+    checks = {
+        "traffic": lambda: check_mix(cfg.mix, cfg.plr),
+        "paths": lambda: check_path_bounds(cfg.x, cfg.cap_c),
+        "ga": lambda: GaConfig(**cfg.ga),
+    }
+    for section, check in checks.items():
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+    if cfg.sim_model not in MODELS:
+        raise ConfigError(f"{path}: [sim] model must be one of {MODELS}, got {cfg.sim_model!r}")
+    if cfg.ecmp_max_paths is not None and cfg.ecmp_max_paths < 1:
+        raise ConfigError(f"{path}: [ecmp] max_paths must be >= 1, got {cfg.ecmp_max_paths}")
     return cfg
 
 
@@ -397,6 +408,15 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
+def _ratio(numerator: float, denominator: float) -> float:
+    """numerator / denominator; 1.0 for equal values (0 / 0 too), inf over a zero."""
+    if numerator == denominator:
+        return 1.0
+    if denominator == 0:
+        return float("inf")
+    return numerator / denominator
+
+
 def report(results_dir, out_dir=None) -> dict[str, Path]:
     """Aggregate a results directory into plot-ready summary tables.
 
@@ -460,19 +480,8 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
                 ecmp_loss = [float(r["loss_pct"]) for r in grouped.get(("ecmp", n), [])]
                 if not cect_tp or not ecmp_tp:
                     continue
-                tp_ratio = (
-                    1.0
-                    if np.mean(cect_tp) == np.mean(ecmp_tp)
-                    else np.mean(cect_tp) / np.mean(ecmp_tp)
-                )
-                mean_cect_loss = np.mean(cect_loss)
-                mean_ecmp_loss = np.mean(ecmp_loss)
-                if mean_cect_loss == mean_ecmp_loss:
-                    loss_ratio = 1.0
-                elif mean_cect_loss == 0:
-                    loss_ratio = float("inf")
-                else:
-                    loss_ratio = mean_ecmp_loss / mean_cect_loss
+                tp_ratio = _ratio(np.mean(cect_tp), np.mean(ecmp_tp))
+                loss_ratio = _ratio(np.mean(ecmp_loss), np.mean(cect_loss))
                 writer.writerow([n, _fmt(tp_ratio), _fmt(loss_ratio)])
         written["ratio"] = path
     return written

@@ -40,26 +40,6 @@ class SimResult:
     loss_pct: float
     model: str = "maxmin"
 
-    def transferred(self, interval: float) -> float:
-        """Data volume delivered over an interval at these rates."""
-        return self.total_delivered * interval
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    result_a: SimResult
-    result_b: SimResult
-    throughput_ratio: float
-    loss_ratio: float
-
-
-def _ratio(numerator: float, denominator: float) -> float:
-    if numerator == denominator:
-        return 1.0
-    if denominator == 0:
-        return float("inf")
-    return numerator / denominator
-
 
 def _bottleneck_rates(
     ptr: np.ndarray, edges: np.ndarray, demands: np.ndarray, caps: np.ndarray
@@ -135,28 +115,6 @@ def simulate(
         total_delivered=delivered,
         loss_pct=0.0 if offered == 0 else 100.0 * (1.0 - delivered / offered),
         model=model,
-    )
-
-
-def compare(
-    matrix_a: RoutingMatrix,
-    matrix_b: RoutingMatrix,
-    flowset: FlowSet,
-    topology: Topology,
-    model: str = "maxmin",
-) -> ComparisonReport:
-    """Side-by-side simulation of two routings for the same workload.
-
-    throughput_ratio is a over b; loss_ratio is b over a, so both read
-    "higher favors a".
-    """
-    result_a = simulate(matrix_a, flowset, topology, model)
-    result_b = simulate(matrix_b, flowset, topology, model)
-    return ComparisonReport(
-        result_a=result_a,
-        result_b=result_b,
-        throughput_ratio=_ratio(result_a.total_delivered, result_b.total_delivered),
-        loss_ratio=_ratio(result_b.loss_pct, result_a.loss_pct),
     )
 
 

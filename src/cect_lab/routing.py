@@ -40,8 +40,8 @@ ALL_RULES = (
     RULE_BINARY_INDICATOR,
 )
 
-# Link utilization at or above this level marks a hot spot and triggers
-# rerouting in the surrounding control loop.
+# Link utilization at or above this level marks a hot spot. It is the GA's
+# default mu_target: a run stops once its best mu is at or below it.
 HOT_SPOT_THRESHOLD = 0.7
 
 
@@ -221,13 +221,6 @@ def validate(
            "in {} != out {}", in_deg, out_deg)
     report(RULE_LOOP_FREE, in_deg > 1, "in-degree {}", in_deg)
     return sorted(found, key=lambda v: v.flow_id)
-
-
-def congestion_ok(routing_matrix: RoutingMatrix, mu_target: float = HOT_SPOT_THRESHOLD) -> bool:
-    """True when the achieved max utilization stays within the target."""
-    if mu_target <= 0:
-        raise ValueError("mu_target must be positive")
-    return routing_matrix.mu <= mu_target
 
 
 def flow_edge_csr(

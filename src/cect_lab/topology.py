@@ -131,64 +131,18 @@ class Topology:
             object.__setattr__(self, "_edge_tier", tier)
         return tier
 
-    def is_strongly_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        start = self.nodes[0]
-        if len(self._reachable(start, forward=True)) != self.node_count:
-            return False
-        return len(self._reachable(start, forward=False)) == self.node_count
-
-    def _reachable(self, start: int, forward: bool) -> set[int]:
-        if forward:
-            adj = self._adjacency()
-        else:
-            adj = {}
-            for src, dst, _ in self.links:
-                adj.setdefault(dst, []).append(src)
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adj.get(node, []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-
-def structurally_equal(a: Topology, b: Topology) -> bool:
-    """True when two topologies have the same nodes, edges, and pod labels."""
-    return (
-        a.nodes == b.nodes
-        and a.sorted_links() == b.sorted_links()
-        and a.pod_of == b.pod_of
-    )
-
-
-@dataclass(frozen=True)
-class FatTree(Topology):
-    """Fat-tree fabric with per-tier switch id ranges recorded."""
-
-    k: int = 0
-    edge_ids: tuple[int, ...] = ()
-    agg_ids: tuple[int, ...] = ()
-    core_ids: tuple[int, ...] = ()
-
-    def edge_switches(self) -> list[int]:
-        return list(self.edge_ids)
-
 
 def make_fat_tree(
     k: int,
     edge_capacity: float = 100.0,
     agg_capacity: float = 100.0,
     core_capacity: float = 100.0,
-) -> FatTree:
+) -> Topology:
     """Build a k-ary fat-tree switch fabric.
 
     The fabric has (k/2)^2 core switches and k pods of k/2 aggregation plus
-    k/2 access switches each. Every access switch connects to all k/2
+    k/2 access switches each. Switch ids run access 1..k^2/2 (pod by pod),
+    then aggregation, then core. Every access switch connects to all k/2
     aggregation switches of its pod; aggregation switch j of each pod
     connects to core switches j*k/2 .. j*k/2 + k/2 - 1. Each physical link
     is emitted as two directed edges whose capacity is the transmit rate of
@@ -203,15 +157,15 @@ def make_fat_tree(
     half = k // 2
     n_edge = k * half
     n_agg = k * half
-    edge_ids = tuple(range(1, n_edge + 1))
-    agg_ids = tuple(range(n_edge + 1, n_edge + n_agg + 1))
-    core_ids = tuple(range(n_edge + n_agg + 1, n_edge + n_agg + half * half + 1))
+    access = tuple(range(1, n_edge + 1))
+    aggregation = tuple(range(n_edge + 1, n_edge + n_agg + 1))
+    core = tuple(range(n_edge + n_agg + 1, n_edge + n_agg + half * half + 1))
 
     links: list[tuple[int, int, float]] = []
     pod_of: dict[int, int] = {}
     for pod in range(k):
-        pod_edges = edge_ids[pod * half : (pod + 1) * half]
-        pod_aggs = agg_ids[pod * half : (pod + 1) * half]
+        pod_edges = access[pod * half : (pod + 1) * half]
+        pod_aggs = aggregation[pod * half : (pod + 1) * half]
         for sw in pod_edges + pod_aggs:
             pod_of[sw] = pod
         for e in pod_edges:
@@ -219,20 +173,12 @@ def make_fat_tree(
                 links.append((e, a, edge_capacity))
                 links.append((a, e, agg_capacity))
         for j, a in enumerate(pod_aggs):
-            for c in core_ids[j * half : (j + 1) * half]:
+            for c in core[j * half : (j + 1) * half]:
                 links.append((a, c, agg_capacity))
                 links.append((c, a, core_capacity))
 
-    nodes = tuple(sorted(edge_ids + agg_ids + core_ids))
-    return FatTree(
-        nodes=nodes,
-        links=tuple(links),
-        pod_of=pod_of,
-        k=k,
-        edge_ids=edge_ids,
-        agg_ids=agg_ids,
-        core_ids=core_ids,
-    )
+    nodes = tuple(sorted(access + aggregation + core))
+    return Topology(nodes=nodes, links=tuple(links), pod_of=pod_of)
 
 
 # 3-node and 4-node reference topologies used by the golden path tests.

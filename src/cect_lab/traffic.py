@@ -9,7 +9,7 @@ endpoint pair, shrinking the gene count the solver has to optimize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,19 @@ class CompressionMap:
 
     merged: dict[int, tuple[int, ...]]
     passthrough: dict[int, int]
-    lower_bound: float
-    upper_bound: float
-    original_demand: dict[int, float] = field(default_factory=dict)
+
+
+def check_mix(class_mix: dict[str, float], plr: float) -> None:
+    """Raise ValueError unless class_mix is a distribution over known classes and plr in [0, 1]."""
+    fractions = list(class_mix.values())
+    # NaN fails both comparisons
+    if not (min(fractions, default=-1.0) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ValueError("class mix fractions must be >= 0 and sum to 1")
+    unknown = set(class_mix) - set(CLASS_FRACTION)
+    if unknown:
+        raise ValueError(f"unknown flow classes in mix: {sorted(unknown)}")
+    if not 0.0 <= plr <= 1.0:
+        raise ValueError("plr must lie in [0, 1]")
 
 
 def generate_flows(
@@ -117,13 +127,7 @@ def generate_flows(
     Deterministic for a fixed seed.
     """
     class_mix = class_mix or {"micro": 0.25, "small": 0.25, "medium": 0.25, "big": 0.25}
-    if abs(sum(class_mix.values()) - 1.0) > 1e-9:
-        raise ValueError("class mix fractions must sum to 1")
-    unknown = set(class_mix) - set(CLASS_FRACTION)
-    if unknown:
-        raise ValueError(f"unknown flow classes in mix: {sorted(unknown)}")
-    if not 0.0 <= plr <= 1.0:
-        raise ValueError("plr must lie in [0, 1]")
+    check_mix(class_mix, plr)
     if not topology.pod_of and plr > 0:
         raise ValueError("pod-leave probability needs a pod-labeled topology")
 
@@ -215,42 +219,7 @@ def compress_flows(
                 )
             )
 
-    cmap = CompressionMap(
-        merged=merged,
-        passthrough=passthrough,
-        lower_bound=lower_bound,
-        upper_bound=upper_bound,
-        original_demand={f.id: f.demand for f in flowset.flows},
-    )
-    return FlowSet(flows=tuple(out_flows)), cmap
-
-
-def expand_metrics(
-    metrics: dict[int, float], cmap: CompressionMap
-) -> dict[int, float]:
-    """Distribute per-compressed-flow metrics back to the original flows.
-
-    A merged flow's value is split across members proportionally to their
-    demand share, with the last member absorbing rounding so member values
-    sum exactly to the merged value. Pass-through flows keep their value.
-    """
-    out: dict[int, float] = {}
-    for new_id, value in metrics.items():
-        if new_id in cmap.passthrough:
-            out[cmap.passthrough[new_id]] = value
-        elif new_id in cmap.merged:
-            members = cmap.merged[new_id]
-            demands = [cmap.original_demand[m] for m in members]
-            total = sum(demands)
-            assigned = 0.0
-            for m, d in zip(members[:-1], demands[:-1]):
-                share = value * d / total
-                out[m] = share
-                assigned += share
-            out[members[-1]] = value - assigned
-        else:
-            raise KeyError(f"metric for unknown compressed flow id {new_id}")
-    return out
+    return FlowSet(flows=tuple(out_flows)), CompressionMap(merged=merged, passthrough=passthrough)
 
 
 def save_flows(flowset: FlowSet, path) -> None:

@@ -6,14 +6,13 @@ labels. Labels are assigned breadth-first by path length, then by (source,
 destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
 
-The table is a set of numpy arrays built one hop length at a time; XPath
-objects are only created when a caller reads one through `paths`.
+The table is a set of numpy arrays built one hop length at a time; callers
+read it through hops_many, hop_counts and by_pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,35 +21,6 @@ from .errors import NoFeasiblePathError
 from .kernels import csr_rows
 from .topology import Topology
 from .traffic import FlowSet
-
-
-@dataclass(frozen=True)
-class XPath:
-    """A loop-free directed path, labeled uniquely within its table."""
-
-    label: int
-    hops: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.hops) < 2:
-            raise ValueError("a path needs at least one edge")
-        if len(set(self.hops)) != len(self.hops):
-            raise ValueError(f"path {self.hops} revisits a switch")
-
-    @property
-    def src(self) -> int:
-        return self.hops[0]
-
-    @property
-    def dst(self) -> int:
-        return self.hops[-1]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.hops) - 1
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.hops[:-1], self.hops[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +42,6 @@ class XPathTable:
     edge_ids: np.ndarray
     edge_keys: tuple[tuple[int, int], ...]
     by_pair: dict[tuple[int, int], tuple[int, ...]]
-
-    @property
-    def paths(self) -> Mapping[int, XPath]:
-        """Read-only label -> XPath view; each XPath is built when accessed."""
-        return _PathView(self)
 
     @property
     def path_count(self) -> int:
@@ -102,22 +67,6 @@ class XPathTable:
         return self.edge_ptr, self.edge_ids
 
 
-class _PathView(Mapping):
-    def __init__(self, table: XPathTable):
-        self._table = table
-
-    def __getitem__(self, label) -> XPath:
-        if not isinstance(label, (int, np.integer)) or not 1 <= label <= len(self):
-            raise KeyError(label)
-        return XPath(label=int(label), hops=self._table.hops_many([label])[0])
-
-    def __len__(self) -> int:
-        return self._table.path_count
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(1, len(self) + 1))
-
-
 def _extend(level: np.ndarray, adj_ptr: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Every one-edge loop-free extension of the paths in level.
 
@@ -131,6 +80,14 @@ def _extend(level: np.ndarray, adj_ptr: np.ndarray, adj: np.ndarray) -> np.ndarr
     return np.column_stack([level[parent[fresh]], nxt[fresh]])
 
 
+def check_path_bounds(x: int, cap_c: int | None) -> None:
+    """Raise ValueError unless the hop bound x and the per-pair cap cap_c are >= 1."""
+    if x < 1:
+        raise ValueError("hop bound x must be >= 1")
+    if cap_c is not None and cap_c < 1:
+        raise ValueError("per-pair cap cap_c must be >= 1")
+
+
 def precompute_xpaths(
     topology: Topology, x: int = 10, cap_c: int | None = None
 ) -> XPathTable:
@@ -140,10 +97,7 @@ def precompute_xpaths(
     paths (ties broken by hop sequence). Labels are dense 1..N over the
     retained paths, ordered by (length, src, dst, hop sequence).
     """
-    if x < 1:
-        raise ValueError("hop bound x must be >= 1")
-    if cap_c is not None and cap_c < 1:
-        raise ValueError("per-pair cap must be >= 1")
+    check_path_bounds(x, cap_c)
 
     # switches become dense positions in id order, so comparing positions
     # orders paths exactly as comparing switch ids does

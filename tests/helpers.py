@@ -12,6 +12,7 @@ import numpy as np
 from cect_lab.routing import RoutingMatrix
 from cect_lab.topology import Topology
 from cect_lab.traffic import Flow, FlowSet
+from cect_lab.xpath import XPathTable
 
 
 def random_topology(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.5,
@@ -58,6 +59,11 @@ def grow_xpaths(topology: Topology, x: int) -> set[tuple[int, ...]]:
         }
         result |= frontier
     return result
+
+
+def all_hops(table: XPathTable) -> list[tuple[int, ...]]:
+    """Hop sequence of every label, in label order (label l is entry l-1)."""
+    return table.hops_many(range(1, table.path_count + 1))
 
 
 def make_flows(pairs_demands: list[tuple[int, int, float]]) -> FlowSet:

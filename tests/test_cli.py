@@ -96,6 +96,34 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         experiment.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("plr = 0.7", "plr = 1.5", r"\[traffic\] plr must lie in \[0, 1\]"),
+        ("mix = micro=0.5,small=0.3,medium=0.15,big=0.05", "mix = micro=0.5,small=0.3",
+         r"\[traffic\] class mix fractions"),
+        ("mix = micro=0.5,small=0.3,medium=0.15,big=0.05", "mix = micro=0.5,huge=0.5",
+         r"\[traffic\] unknown flow classes"),
+        ("x = 4", "x = 0", r"\[paths\] hop bound x"),
+        ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap"),
+        ("model = maxmin", "model = maxmn", r"\[sim\] model must be one of"),
+        ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"\[ecmp\] max_paths must be >= 1"),
+    ],
+    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths"],
+)
+def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
+    # rejected at load, naming the file and section, before any cell runs
+    path = tmp_path / "bad_sweep.ini"
+    assert old in BASE_CONFIG
+    path.write_text(BASE_CONFIG.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"bad_sweep.ini: {message}"):
+        experiment.load_config(path)
+    out = tmp_path / "res"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "bad_sweep.ini" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_solve_rejects_bad_penalty(tmp_path, capsys):
     topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"

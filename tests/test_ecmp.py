@@ -25,8 +25,7 @@ def test_inter_pod_flows_take_four_hops():
     flows = generate_flows(topo, 100, {"small": 1.0}, plr=1.0, seed=0)
     assignment = route_ecmp(flows, topo, table)
     for flow in flows.flows:
-        path = table.paths[assignment.choice[flow.id]]
-        assert path.edge_count == 4
+        assert table.hop_counts[assignment.choice[flow.id] - 1] == 4
 
 
 def test_chosen_paths_are_bfs_shortest():
@@ -42,19 +41,19 @@ def test_chosen_paths_are_bfs_shortest():
         )
         assignment = route_ecmp(flows, topo, table)
         for flow in flows.flows:
-            hops = table.paths[assignment.choice[flow.id]].edge_count
+            hops = table.hop_counts[assignment.choice[flow.id] - 1]
             assert hops == bfs_distance(topo, flow.src)[flow.dst]
 
 
 def test_same_pair_different_ids_spread():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
-    src, dst = topo.edge_ids[0], topo.edge_ids[2]  # different pods
+    src, dst = topo.edge_switches()[0], topo.edge_switches()[2]  # different pods
     flows = make_flows([(src, dst, 1.0)] * 64)
     assignment = route_ecmp(flows, topo, table)
     chosen = {assignment.choice[f.id] for f in flows.flows}
     assert len(chosen) > 1  # hash spreads across the 4 equal-cost paths
-    hop_counts = {table.paths[l].edge_count for l in chosen}
+    hop_counts = {int(table.hop_counts[l - 1]) for l in chosen}
     assert hop_counts == {4}
 
 
@@ -107,10 +106,13 @@ def test_routes_pass_validation():
 def test_max_paths_cap():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
-    src, dst = topo.edge_ids[0], topo.edge_ids[2]
+    src, dst = topo.edge_switches()[0], topo.edge_switches()[2]
     flows = make_flows([(src, dst, 1.0)] * 64)
     assignment = route_ecmp(flows, topo, table, max_paths=1)
     assert len({assignment.choice[f.id] for f in flows.flows}) == 1
+    for bad in (0, -3):  # rejected, not clamped to 1
+        with pytest.raises(ValueError, match=f"max_paths must be >= 1, got {bad}"):
+            route_ecmp(flows, topo, table, max_paths=bad)
 
 
 def test_unreachable_flow_named():
@@ -124,8 +126,7 @@ def test_unreachable_flow_named():
 def test_short_table_reports_bound():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=2)
-    src = topo.edge_ids[0]
-    dst = topo.edge_ids[2]  # needs 4 hops
+    src, dst = topo.edge_switches()[0], topo.edge_switches()[2]  # needs 4 hops
     flows = make_flows([(src, dst, 1.0)])
     with pytest.raises(ValueError, match="hop bound"):
         route_ecmp(flows, topo, table)

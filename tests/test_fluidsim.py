@@ -1,11 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from cect_lab.fluidsim import (
-    compare,
-    run_volume_schedule,
-    simulate,
-)
+from cect_lab import experiment
+from cect_lab.fluidsim import SimResult, run_volume_schedule, simulate
 from cect_lab.routing import RoutingAssignment, assemble, matrix_from_paths
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
@@ -113,7 +112,8 @@ def test_maxmin_matches_grid_oracle():
         result = simulate(matrix, flowset, topo, "maxmin")
 
         flow_paths = [
-            [edge_ids[e] for e in table.paths[choice[f.id]].edges()] for f in flowset.flows
+            [edge_ids[e] for e in zip(h, h[1:])]
+            for h in table.hops_many([choice[f.id] for f in flowset.flows])
         ]
         demands = [f.demand for f in flowset.flows]
         caps = [c for _, _, c in topo.sorted_links()]
@@ -141,7 +141,10 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
         flowset = make_flows(flows)
         matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
         result = simulate(matrix, flowset, topo, "maxmin")
-        path_of = {f.id: table.paths[choice[f.id]].edges() for f in flowset.flows}
+        path_of = {
+            f.id: list(zip(h, h[1:]))
+            for f, h in zip(flowset.flows, table.hops_many([choice[f.id] for f in flowset.flows]))
+        }
         capacity = {(s, d): c for s, d, c in topo.links}
         loads: dict = {}
         for f in flowset.flows:
@@ -189,40 +192,43 @@ def test_bottleneck_repair_pass():
         assert util <= 1.0 + 1e-9
 
 
-def test_compare_identical_assignments():
+def _report_ratios(tmp_path, cect: SimResult, ecmp: SimResult) -> tuple[float, float]:
+    """experiment.report's (throughput, loss) ratios for two routings of one workload.
+
+    The results.csv is written by hand, one row per routing.
+    """
+    lines = [",".join(experiment.RESULT_COLUMNS)]
+    for method, r in (("cect", cect), ("ecmp", ecmp)):
+        lines.append(f"{method},1,0,{r.total_delivered!r},{r.loss_pct!r},{r.mu!r},0,0")
+    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(experiment.report(tmp_path)["ratio"], newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    return float(row["throughput_ratio"]), float(row["loss_ratio_ecmp_over_cect"])
+
+
+def test_compare_identical_assignments(tmp_path):
     topo = make_sample_topology("fig2a", 10.0)
     flows = make_flows([(3, 1, 4.0)])
-    matrix = _matrix_for(topo, flows, [(3, 1)])
-    report = compare(matrix, matrix, flows, topo)
-    assert report.throughput_ratio == 1.0
-    assert report.loss_ratio == 1.0
+    result = simulate(_matrix_for(topo, flows, [(3, 1)]), flows, topo)
+    assert _report_ratios(tmp_path, result, result) == (1.0, 1.0)
 
 
-def test_compare_empty_flowset():
+def test_compare_empty_flowset(tmp_path):
+    # nothing offered: throughput and loss are 0 for both, and 0 / 0 reads 1
     topo = make_sample_topology("fig2a", 10.0)
     flows = FlowSet(flows=())
-    matrix = _matrix_for(topo, flows, [])
-    report = compare(matrix, matrix, flows, topo)
-    assert report.throughput_ratio == 1.0
-    assert report.loss_ratio == 1.0
+    result = simulate(_matrix_for(topo, flows, []), flows, topo)
+    assert _report_ratios(tmp_path, result, result) == (1.0, 1.0)
 
 
-def test_compare_prefers_better_routing():
+def test_compare_prefers_better_routing(tmp_path):
+    # throughput is cect over ecmp and loss ecmp over cect, so both read
+    # "higher favors cect"; a lossless cect routing gives an infinite loss ratio
     flows = make_flows([(1, 2, 10.0), (1, 2, 10.0)])
     topo2 = Topology(nodes=(1, 2, 3), links=((1, 2, 10.0), (1, 3, 10.0), (3, 2, 10.0)))
-    shared = _matrix_for(topo2, flows, [(1, 2), (1, 2)])
-    split = matrix_from_paths({1: (1, 2), 2: (1, 3, 2)}, flows, topo2)
-    report = compare(split, shared, flows, topo2)
-    assert report.throughput_ratio == pytest.approx(20.0 / 10.0)
-    assert report.loss_ratio == float("inf")
-
-
-def test_transferred_scales_with_interval():
-    topo = _line_topology(10.0)
-    flows = make_flows([(1, 2, 4.0)])
-    matrix = _matrix_for(topo, flows, [(1, 2)])
-    result = simulate(matrix, flows, topo)
-    assert result.transferred(2.5) == pytest.approx(10.0)
+    shared = simulate(_matrix_for(topo2, flows, [(1, 2), (1, 2)]), flows, topo2)
+    split = simulate(matrix_from_paths({1: (1, 2), 2: (1, 3, 2)}, flows, topo2), flows, topo2)
+    assert _report_ratios(tmp_path, split, shared) == (2.0, float("inf"))
 
 
 def test_volume_schedule_retires_flows():

@@ -67,7 +67,8 @@ def test_backends_agree_on_loads_and_fitness(instance, topology):
     for m in range(16):
         expected = np.zeros(instance.n_edges, dtype=np.int64)
         for flow, label in zip(instance.flowset.flows, genes[m]):
-            for edge in instance.table.paths[int(label)].edges():
+            hops = instance.table.hops_many([label])[0]
+            for edge in zip(hops, hops[1:]):
                 expected[edge_index[edge]] += to_units(flow.demand)
         expected_mu = float(max(Fraction(int(l), int(c)) for l, c in zip(expected, instance.caps)))
         assert np.array_equal(loads[m], expected)

@@ -16,7 +16,6 @@ from cect_lab.routing import (
     RoutingMatrix,
     Violation,
     assemble,
-    congestion_ok,
     format_assignment,
     matrix_from_paths,
     parse_assignment_dump,
@@ -105,8 +104,8 @@ def test_mu_exact_against_per_edge_sum(fig2a):
         flowset = make_flows(flows)
         matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
         loads: dict = {}
-        for f in flowset.flows:
-            for edge in table.paths[choice[f.id]].edges():
+        for f, hops in zip(flowset.flows, table.hops_many([choice[f.id] for f in flowset.flows])):
+            for edge in zip(hops, hops[1:]):
                 loads[edge] = loads.get(edge, 0.0) + f.demand
         expected = max(
             (load / capacity[e] for e, load in loads.items()), default=0.0
@@ -269,20 +268,6 @@ def test_violations_name_flow_and_location(fig2a):
     found = validate(edge_list_matrix(topo, [[(3, 2)]]), flows, topo)
     assert all(v.flow_id == 1 for v in found)
     assert all(str(v) for v in found)
-
-
-def test_congestion_ok_thresholds(fig2a):
-    topo, table = fig2a
-    flows = make_flows([(3, 1, 2.0)])
-    matrix = assemble(RoutingAssignment({1: 5}), flows, table, topo)  # mu 0.2
-    assert congestion_ok(matrix, 0.7)
-    heavy = assemble(
-        RoutingAssignment({1: 3}), make_flows([(3, 1, 7.1)]), table, topo
-    )  # mu 0.71
-    assert not congestion_ok(heavy, 0.7)
-    assert congestion_ok(matrix)  # default threshold is the hot-spot level
-    with pytest.raises(ValueError):
-        congestion_ok(matrix, 0.0)
 
 
 def test_assignment_dump_round_trip(fig2a):

@@ -1,5 +1,6 @@
 import pytest
 
+from cect_lab.ecmp import bfs_distance
 from cect_lab.errors import TopologyFormatError
 from cect_lab.topology import (
     Topology,
@@ -7,8 +8,14 @@ from cect_lab.topology import (
     make_fat_tree,
     make_sample_topology,
     save_topology,
-    structurally_equal,
 )
+
+
+def _tiers(k):
+    """Access, aggregation and core switch ids of make_fat_tree(k)."""
+    n = k * k // 2
+    return range(1, n + 1), range(n + 1, 2 * n + 1), range(2 * n + 1, 2 * n + k * k // 4 + 1)
+
 
 SAMPLE_EDGE_SETS = {
     "fig2a": {(1, 2), (2, 1), (3, 1), (3, 2)},
@@ -33,15 +40,20 @@ def test_fat_tree_link_count(k):
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_fat_tree_strongly_connected(k):
-    assert make_fat_tree(k).is_strongly_connected()
+    topo = make_fat_tree(k)
+    for node in topo.nodes:
+        assert len(bfs_distance(topo, node)) == topo.node_count
 
 
 def test_fat_tree_k4_matches_published_size():
     topo = make_fat_tree(4)
     assert topo.node_count == 20
-    assert len(topo.core_ids) == 4
-    assert len(topo.agg_ids) == 8
-    assert len(topo.edge_ids) == 8
+    edge_ids, agg_ids, core_ids = _tiers(4)
+    assert topo.edge_switches() == list(edge_ids)
+    assert len(edge_ids) == 8
+    assert len(agg_ids) == 8
+    assert len(core_ids) == 4
+    assert set(topo.nodes) == {*edge_ids, *agg_ids, *core_ids}
 
 
 def test_fat_tree_k6_matches_published_size():
@@ -56,37 +68,40 @@ def test_fat_tree_k2_is_minimal():
 
 def test_fat_tree_pod_structure():
     topo = make_fat_tree(4)
-    assert set(topo.pod_of) == set(topo.edge_ids) | set(topo.agg_ids)
+    edge_ids, agg_ids, _ = _tiers(4)
+    assert set(topo.pod_of) == {*edge_ids, *agg_ids}
     assert topo.pod_count == 4
     for pod in range(4):
         members = [n for n, p in topo.pod_of.items() if p == pod]
         assert len(members) == 4  # k/2 access + k/2 aggregation
     # every access switch links to all aggregation switches of its pod
-    for e in topo.edge_ids:
-        pod_aggs = {a for a in topo.agg_ids if topo.pod_of[a] == topo.pod_of[e]}
+    for e in edge_ids:
+        pod_aggs = {a for a in agg_ids if topo.pod_of[a] == topo.pod_of[e]}
         assert set(topo.out_neighbors(e)) == pod_aggs
 
 
 def test_fat_tree_agg_core_wiring():
     topo = make_fat_tree(4)
     half = 2
+    _, agg_ids, core_ids = _tiers(4)
     for pod in range(4):
-        pod_aggs = sorted(a for a in topo.agg_ids if topo.pod_of[a] == pod)
+        pod_aggs = sorted(a for a in agg_ids if topo.pod_of[a] == pod)
         for j, agg in enumerate(pod_aggs):
-            cores = {n for n in topo.out_neighbors(agg) if n in topo.core_ids}
-            expected = set(topo.core_ids[j * half : (j + 1) * half])
+            cores = {n for n in topo.out_neighbors(agg) if n in core_ids}
+            expected = set(core_ids[j * half : (j + 1) * half])
             assert cores == expected
 
 
 def test_fat_tree_tier_capacities():
     topo = make_fat_tree(4, edge_capacity=10.0, agg_capacity=20.0, core_capacity=30.0)
     capacity = {(s, d): cap for s, d, cap in topo.links}
-    e, a, c = topo.edge_ids[0], topo.agg_ids[0], topo.core_ids[0]
+    edge_ids, agg_ids, core_ids = _tiers(4)
+    e, a, c = edge_ids[0], agg_ids[0], core_ids[0]
     assert capacity[e, topo.out_neighbors(e)[0]] == 10.0
     assert capacity[a, e] == 20.0  # same pod, downlink uses agg tier rate
-    agg_up = [n for n in topo.out_neighbors(a) if n in topo.core_ids][0]
+    agg_up = [n for n in topo.out_neighbors(a) if n in core_ids][0]
     assert capacity[a, agg_up] == 20.0
-    agg_down = [n for n in topo.out_neighbors(c) if n in topo.agg_ids][0]
+    agg_down = [n for n in topo.out_neighbors(c) if n in agg_ids][0]
     assert capacity[c, agg_down] == 30.0
 
 
@@ -134,10 +149,16 @@ def test_sample_topology_rejects_bad_input():
     lambda: make_fat_tree(4, 100.123456789, 0.1 + 0.2, 1 / 3),
 ])
 def test_save_load_round_trip(builder, tmp_path):
+    # the reload keeps every field and digit, and saving it again writes the same bytes
     topo = builder()
-    path = tmp_path / "topo.txt"
-    save_topology(topo, path)
-    assert structurally_equal(load_topology(path), topo)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_topology(topo, first)
+    loaded = load_topology(first)
+    assert (loaded.nodes, loaded.sorted_links(), loaded.pod_of) == (
+        topo.nodes, topo.sorted_links(), topo.pod_of
+    )
+    save_topology(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_load_rejects_zero_capacity(tmp_path):
@@ -188,11 +209,13 @@ def test_topology_invariants_enforced():
 
 
 def test_edge_switches_structural_recovery(tmp_path):
-    topo = make_fat_tree(4)
-    path = tmp_path / "ft.txt"
-    save_topology(topo, path)
-    loaded = load_topology(path)
-    assert loaded.edge_switches() == sorted(topo.edge_ids)
+    for k in (2, 4, 6):
+        expected = list(range(1, k * k // 2 + 1))
+        topo = make_fat_tree(k)
+        assert topo.edge_switches() == expected
+        path = tmp_path / f"ft{k}.txt"
+        save_topology(topo, path)
+        assert load_topology(path).edge_switches() == expected
 
 
 def test_edge_switches_podless_is_all_nodes():

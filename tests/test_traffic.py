@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from cect_lab.traffic import (
     FlowSet,
     compress_flows,
     default_compression_bounds,
-    expand_metrics,
     generate_flows,
     load_flows,
     save_flows,
@@ -59,7 +57,7 @@ def test_generation_deterministic():
 def test_sources_are_edge_switches():
     topo = make_fat_tree(4)
     flows = generate_flows(topo, 300, MIX, plr=0.5, seed=3)
-    edge = set(topo.edge_ids)
+    edge = set(range(1, 9))  # the access switches of a k=4 fat-tree
     assert all(f.src in edge and f.dst in edge for f in flows.flows)
 
 
@@ -153,6 +151,10 @@ def test_compress_conserves_pair_demand(demands, lower):
         merged_demand = out.flows[fid - 1].demand
         assert merged_demand <= 60.0 + 1e-12
         assert len(members) >= 1
+    # the map accounts for every compressed flow once and every original flow once
+    assert sorted([*cmap.merged, *cmap.passthrough]) == [f.id for f in out.flows]
+    originals = [*cmap.passthrough.values(), *(m for ms in cmap.merged.values() for m in ms)]
+    assert sorted(originals) == [f.id for f in flows.flows]
 
 
 def test_compress_idempotent_when_groups_large_enough():
@@ -175,39 +177,6 @@ def test_compress_reduces_small_heavy_workload():
     assert out.count <= flows.count // 2
     assert lower == pytest.approx(0.01)
     assert upper == pytest.approx(50.0)
-
-
-def test_expand_metrics_proportional_split():
-    flows = make_flows([(1, 2, 3.0), (1, 2, 3.0), (1, 2, 3.0)])
-    out, cmap = compress_flows(flows, lower_bound=10.0, upper_bound=100.0)
-    expanded = expand_metrics({1: 6.0}, cmap)
-    assert expanded == {1: pytest.approx(2.0), 2: pytest.approx(2.0), 3: pytest.approx(2.0)}
-
-
-def test_expand_metrics_passthrough_identity():
-    flows = make_flows([(1, 2, 50.0), (1, 2, 1.0), (1, 2, 2.0)])
-    out, cmap = compress_flows(flows, lower_bound=10.0, upper_bound=20.0)
-    expanded = expand_metrics({1: 41.5, 2: 2.5}, cmap)
-    assert expanded[1] == 41.5
-    assert expanded[2] + expanded[3] == pytest.approx(2.5)
-
-
-def test_expand_metrics_conserves_totals():
-    rng = np.random.default_rng(4)
-    triples = [(1, 2, float(d)) for d in rng.uniform(0.1, 9.0, size=25)]
-    flows = make_flows(triples)
-    out, cmap = compress_flows(flows, lower_bound=5.0, upper_bound=12.0)
-    metrics = {f.id: float(rng.uniform(0, f.demand)) for f in out.flows}
-    expanded = expand_metrics(metrics, cmap)
-    assert sum(expanded.values()) == pytest.approx(sum(metrics.values()))
-    assert set(expanded) == {f.id for f in flows.flows}
-
-
-def test_expand_metrics_unknown_id():
-    flows = make_flows([(1, 2, 1.0)])
-    _, cmap = compress_flows(flows, lower_bound=10.0, upper_bound=10.0)
-    with pytest.raises(KeyError):
-        expand_metrics({99: 1.0}, cmap)
 
 
 def test_flow_file_round_trip(tmp_path):

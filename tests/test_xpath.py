@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from cect_lab.errors import NoFeasiblePathError
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
-    XPath,
     feasible_csr,
     feasible_labels,
     format_table,
     precompute_xpaths,
 )
 
-from helpers import brute_force_simple_paths, grow_xpaths, make_flows, random_topology
+from helpers import all_hops, brute_force_simple_paths, grow_xpaths, make_flows, random_topology
 
 # Published 3-hop labeling of the 3-node sample, label -> hops.
 GOLDEN_FIG2A = {
@@ -41,7 +40,7 @@ def fig2a_table():
 
 def test_fig2a_golden_labels(fig2a_table):
     assert fig2a_table.path_count == 6
-    assert {lab: p.hops for lab, p in fig2a_table.paths.items()} == GOLDEN_FIG2A
+    assert dict(enumerate(all_hops(fig2a_table), 1)) == GOLDEN_FIG2A
 
 
 def test_fig2a_golden_dump(fig2a_table):
@@ -57,7 +56,7 @@ def test_fig2a_golden_dump(fig2a_table):
 
 def test_fig2b_superset_of_published_table():
     table = precompute_xpaths(make_sample_topology("fig2b"), x=3)
-    have = {p.hops for p in table.paths.values()}
+    have = set(all_hops(table))
     for hops in GOLDEN_FIG2B_SUBSET:
         assert hops in have
     assert (1, 3) in have
@@ -68,9 +67,7 @@ def test_fig2b_superset_of_published_table():
 def test_one_hop_paths_are_the_edge_set():
     topo = make_sample_topology("fig2a")
     table = precompute_xpaths(topo, x=1)
-    assert {p.hops for p in table.paths.values()} == {
-        (s, d) for s, d, _ in topo.links
-    }
+    assert set(all_hops(table)) == {(s, d) for s, d, _ in topo.links}
 
 
 def test_feasible_labels_fig2a(fig2a_table):
@@ -108,7 +105,7 @@ def test_enumeration_matches_brute_force(seed):
     topo = random_topology(rng, n_nodes=int(rng.integers(3, 8)), edge_prob=0.4)
     x = int(rng.integers(1, 5))
     table = precompute_xpaths(topo, x=x)
-    assert {p.hops for p in table.paths.values()} == brute_force_simple_paths(topo, x)
+    assert set(all_hops(table)) == brute_force_simple_paths(topo, x)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -117,7 +114,7 @@ def test_growth_construction_agrees(seed):
     topo = random_topology(rng, n_nodes=6, edge_prob=0.45)
     x = int(rng.integers(1, 5))
     table = precompute_xpaths(topo, x=x)
-    assert {p.hops for p in table.paths.values()} == grow_xpaths(topo, x)
+    assert set(all_hops(table)) == grow_xpaths(topo, x)
 
 
 def test_monotone_in_hop_bound():
@@ -125,7 +122,7 @@ def test_monotone_in_hop_bound():
     topo = random_topology(rng, n_nodes=6, edge_prob=0.4)
     previous: set = set()
     for x in range(1, 6):
-        current = {p.hops for p in precompute_xpaths(topo, x=x).paths.values()}
+        current = set(all_hops(precompute_xpaths(topo, x=x)))
         assert previous <= current
         previous = current
 
@@ -134,30 +131,27 @@ def test_deterministic_label_assignment():
     topo = make_fat_tree(4)
     t1 = precompute_xpaths(topo, x=4, cap_c=50)
     t2 = precompute_xpaths(topo, x=4, cap_c=50)
-    assert {l: p.hops for l, p in t1.paths.items()} == {
-        l: p.hops for l, p in t2.paths.items()
-    }
+    assert all_hops(t1) == all_hops(t2)
 
 
 def test_labels_dense_and_indexed(fig2a_table):
-    assert sorted(fig2a_table.paths) == list(range(1, 7))
+    assert fig2a_table.path_count == 6
+    labels = sorted(l for pair_labels in fig2a_table.by_pair.values() for l in pair_labels)
+    assert labels == list(range(1, 7))
     for pair, labels in fig2a_table.by_pair.items():
-        for lab in labels:
-            path = fig2a_table.paths[lab]
-            assert (path.src, path.dst) == pair
+        for hops in fig2a_table.hops_many(labels):
+            assert (hops[0], hops[-1]) == pair
 
 
 def test_per_pair_cap_keeps_shortest_first():
     topo = make_sample_topology("fig2a")
     capped = precompute_xpaths(topo, x=3, cap_c=1)
-    assert {p.hops for p in capped.paths.values()} == {
-        (1, 2), (2, 1), (3, 1), (3, 2)
-    }
+    assert set(all_hops(capped)) == {(1, 2), (2, 1), (3, 1), (3, 2)}
     full = precompute_xpaths(topo, x=3)
     for pair, labels in capped.by_pair.items():
         assert len(labels) == 1
-        kept = capped.paths[labels[0]].hops
-        shortest = full.paths[full.by_pair[pair][0]].hops
+        kept = capped.hops_many(labels)[0]
+        shortest = full.hops_many(full.by_pair[pair][:1])[0]
         assert kept == shortest
 
 
@@ -165,7 +159,7 @@ def test_pair_lists_sorted_by_hops_then_label():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4)
     for labels in table.by_pair.values():
-        hops = [table.paths[l].edge_count for l in labels]
+        hops = [int(table.hop_counts[l - 1]) for l in labels]
         assert hops == sorted(hops)
         assert list(labels) == sorted(labels)
 
@@ -185,10 +179,13 @@ def test_rejects_bad_parameters():
 
 
 def test_xpath_invariants():
-    with pytest.raises(ValueError):
-        XPath(label=1, hops=(1,))
-    with pytest.raises(ValueError):
-        XPath(label=1, hops=(1, 2, 1))
+    # every path has at least one edge, visits no switch twice, and its
+    # hop count is its edge count
+    table = precompute_xpaths(make_fat_tree(4), x=4)
+    for label, hops in enumerate(all_hops(table), 1):
+        assert len(hops) >= 2
+        assert len(set(hops)) == len(hops)
+        assert table.hop_counts[label - 1] == len(hops) - 1
 
 
 def test_every_path_forms_a_valid_single_flow_route():
@@ -201,10 +198,8 @@ def test_every_path_forms_a_valid_single_flow_route():
     for _ in range(5):
         topo = random_topology(rng, 6, edge_prob=0.5)
         table = precompute_xpaths(topo, x=4)
-        for label, path in table.paths.items():
-            flowset = FlowSet(
-                flows=(Flow(id=1, src=path.src, dst=path.dst, demand=1.0),)
-            )
+        for label, hops in enumerate(all_hops(table), 1):
+            flowset = FlowSet(flows=(Flow(id=1, src=hops[0], dst=hops[-1], demand=1.0),))
             matrix = assemble(RoutingAssignment({1: label}), flowset, table, topo)
             assert validate(matrix, flowset, topo) == []
 
@@ -227,8 +222,7 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c):
     every = brute_force_simple_paths(topo, x)
 
     # labels are dense and ordered by (length, src, dst, hop sequence)
-    assert list(table.paths) == list(range(1, table.path_count + 1))
-    hops = [table.paths[label].hops for label in table.paths]
+    hops = all_hops(table)
     assert hops == sorted(set(hops), key=_table_order)
 
     # each pair keeps its cap_c shortest paths, in label order
@@ -250,8 +244,7 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c):
         assert row == [ids[e] for e in zip(path[:-1], path[1:])]
         assert table.hop_counts[label - 1] == len(path) - 1
 
-    # paths[l].hops round-trips through the batch lookup and the text dump
-    assert table.hops_many(list(table.paths)) == hops
+    # the batch lookup round-trips through the text dump
     dumped = [
         tuple(int(h) for h in line.split(":")[1].split("->"))
         for line in format_table(table).splitlines()
@@ -286,16 +279,13 @@ def test_label_edge_csr_rejects_another_topology():
     with pytest.raises(ValueError, match="another topology"):
         table.label_edge_csr(make_fat_tree(6))
     ids = base.edge_index()
-    assert edges.tolist() == [
-        ids[e] for label in table.paths for e in table.paths[label].edges()
-    ]
+    assert edges.tolist() == [ids[e] for h in all_hops(table) for e in zip(h, h[1:])]
     assert ptr.tolist() == [0, *np.cumsum(table.hop_counts).tolist()]
 
 
-def test_paths_view_rejects_unknown_labels(fig2a_table):
-    assert len(fig2a_table.paths) == 6
-    for label in (0, 7, -1, "1"):
-        assert label not in fig2a_table.paths
-        assert fig2a_table.paths.get(label) is None
-    with pytest.raises(KeyError):
-        fig2a_table.hops_many([1, 7])
+def test_hops_many_rejects_unknown_labels(fig2a_table):
+    assert fig2a_table.hops_many([6, 1]) == [(3, 1, 2), (1, 2)]
+    assert fig2a_table.hops_many([]) == []
+    for labels in ([0], [7], [-1], [1, 7]):
+        with pytest.raises(KeyError, match=r"1\.\.6"):
+            fig2a_table.hops_many(labels)
