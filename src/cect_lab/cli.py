@@ -33,18 +33,11 @@ from .traffic import generate_flows, load_flows, save_flows
 from .xpath import format_table, precompute_xpaths
 
 
-def _write_rows(path: Path, fieldnames, rows, fmt: str) -> None:
-    if fmt == "json":
-        path = path.with_suffix(".json")
-        path.write_text(
-            json.dumps([dict(zip(fieldnames, r)) for r in rows], indent=2),
-            encoding="utf-8",
-        )
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            writer.writerows(rows)
+def _write_rows(path: Path, fieldnames, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
 
 
 def _cmd_gen_topo(args) -> int:
@@ -81,17 +74,18 @@ def _cmd_paths(args) -> int:
 
 
 def _ga_config(args) -> GaConfig:
-    return GaConfig(
-        population_size=args.population_size,
-        max_iterations=args.itr,
-        mut_min=args.mut_min,
-        mut_max=args.mut_max,
-        stall_window=args.stall_window,
-        mu_target=args.mu_target,
-        seed=args.seed,
-        penalty_weight=args.penalty,
-        greedy_seed=not args.no_greedy_seed,
-    )
+    # only the flags given on the command line; GaConfig holds the defaults
+    given = {
+        "population_size": args.population_size,
+        "max_iterations": args.itr,
+        "mut_min": args.mut_min,
+        "mut_max": args.mut_max,
+        "stall_window": args.stall_window,
+        "mu_target": args.mu_target,
+        "seed": args.seed,
+        "penalty_weight": args.penalty,
+    }
+    return GaConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cmd_solve(args) -> int:
@@ -120,19 +114,16 @@ def _cmd_solve(args) -> int:
         (s, d, f"{loads.get((s, d), 0.0):.10g}", f"{loads.get((s, d), 0.0) / c:.10g}")
         for s, d, c in topo.sorted_links()
     ]
-    _write_rows(out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"),
-                edge_rows, args.format)
+    _write_rows(out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"), edge_rows)
     if stats is not None:
-        with open(out_dir / "stats.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["generation", "best_mu", "best_fitness", "mean_fitness", "mut_rate"]
-            )
-            for row in stats.rows:
-                writer.writerow(
-                    [row.generation, f"{row.best_mu:.10g}", f"{row.best_fitness:.10g}",
-                     f"{row.mean_fitness:.10g}", f"{row.mut_rate:.10g}"]
-                )
+        stat_rows = [
+            (row.generation, f"{row.best_mu:.10g}", f"{row.best_fitness:.10g}",
+             f"{row.mean_fitness:.10g}", f"{row.mut_rate:.10g}")
+            for row in stats.rows
+        ]
+        _write_rows(out_dir / "stats.csv",
+                    ("generation", "best_mu", "best_fitness", "mean_fitness", "mut_rate"),
+                    stat_rows)
     print(
         f"method={args.method} flows={flows.count} mu={matrix.mu:.4f} "
         f"time={elapsed:.3f}s -> {out_dir}"
@@ -156,19 +147,16 @@ def _cmd_simulate(args) -> int:
          labels.get(f.id, ""))
         for f in flows.flows
     ]
-    _write_rows(out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"),
-                flow_rows, args.format)
+    _write_rows(out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"), flow_rows)
     edge_rows = [
         (s, d, f"{result.link_utilization[(s, d)] * c:.10g}",
          f"{result.link_utilization[(s, d)]:.10g}")
         for s, d, c in topo.sorted_links()
     ]
-    _write_rows(out_dir / "per_edge.csv", ("src", "dst", "load", "utilization"),
-                edge_rows, args.format)
+    _write_rows(out_dir / "per_edge.csv", ("src", "dst", "load", "utilization"), edge_rows)
     summary = [(f"{result.total_delivered:.10g}", f"{result.loss_pct:.10g}",
                 f"{result.mu:.10g}")]
-    _write_rows(out_dir / "summary.csv", ("throughput", "loss_pct", "mu"),
-                summary, args.format)
+    _write_rows(out_dir / "summary.csv", ("throughput", "loss_pct", "mu"), summary)
     print(
         f"throughput={result.total_delivered:.4f} loss={result.loss_pct:.2f}% "
         f"mu={result.mu:.4f} -> {out_dir}"
@@ -215,16 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cect-lab",
         description="Congestion-aware traffic-engineering laboratory",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    # each flag shared by several subcommands is declared once, in a parent
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="random seed")
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=None, help="output directory")
+    # paths and solve build the same table by default, so their labels agree
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--x", type=int, default=10)
+    table.add_argument("--cap-c", type=int, default=50)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("gen-topo", help="write a topology file")
+    p = sub.add_parser("gen-topo", help="write a topology file")
     p.add_argument("--kind", choices=("fat-tree", "fig2a", "fig2b"), default="fat-tree")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--edge-capacity", type=float, default=100.0)
@@ -235,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_topo)
 
-    p = add_parser("gen-traffic", help="write a synthetic flow file")
+    p = sub.add_parser("gen-traffic", parents=[seed], help="write a synthetic flow file")
     p.add_argument("--topo", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mix", default=None,
@@ -245,48 +235,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_traffic)
 
-    p = add_parser("paths", help="enumerate bounded-hop paths")
+    p = sub.add_parser("paths", parents=[table], help="enumerate bounded-hop paths")
     p.add_argument("--topo", required=True)
-    p.add_argument("--x", type=int, default=10)
-    p.add_argument("--cap-c", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_paths)
 
-    p = add_parser("solve", help="route a flow set")
+    # the GA flags have no defaults here: GaConfig holds them
+    p = sub.add_parser("solve", parents=[seed, out_dir, table], help="route a flow set")
     p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--method", choices=("cect", "ecmp", "exact"), default="cect")
-    p.add_argument("--x", type=int, default=10)
-    p.add_argument("--cap-c", type=int, default=50)
-    p.add_argument("--population-size", type=int, default=None)
-    p.add_argument("--itr", type=int, default=100)
-    p.add_argument("--mut-min", type=float, default=0.02)
-    p.add_argument("--mut-max", type=float, default=0.2)
-    p.add_argument("--stall-window", type=int, default=10)
-    p.add_argument("--mu-target", type=float, default=0.7)
-    p.add_argument("--penalty", type=float, default=None)
-    p.add_argument("--no-greedy-seed", action="store_true")
+    p.add_argument("--population-size", type=int)
+    p.add_argument("--itr", type=int)
+    p.add_argument("--mut-min", type=float)
+    p.add_argument("--mut-max", type=float)
+    p.add_argument("--stall-window", type=int)
+    p.add_argument("--mu-target", type=float)
+    p.add_argument("--penalty", type=float)
     p.add_argument("--ecmp-max-paths", type=int, default=None)
     p.add_argument("--budget", type=int, default=1_000_000)
     p.set_defaults(func=_cmd_solve)
 
-    p = add_parser("simulate", help="evaluate a stored assignment")
+    p = sub.add_parser("simulate", parents=[out_dir], help="evaluate a stored assignment")
     p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--assignment", required=True)
     p.add_argument("--model", choices=("maxmin", "bottleneck"), default="maxmin")
     p.set_defaults(func=_cmd_simulate)
 
-    p = add_parser("run", help="run a config-driven sweep")
+    p = sub.add_parser("run", parents=[out_dir], help="run a config-driven sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 
-    p = add_parser("report", help="aggregate a results directory")
+    p = sub.add_parser("report", parents=[out_dir], help="aggregate a results directory")
     p.add_argument("--results", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = add_parser("bench", help="solver wall-time scaling benchmark")
+    p = sub.add_parser("bench", parents=[seed, out_dir],
+                       help="solver wall-time scaling benchmark")
     p.add_argument("what", choices=("scaling",))
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--x", type=int, default=4)

@@ -12,7 +12,6 @@ import configparser
 import csv
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,14 +29,13 @@ from .topology import Topology, make_fat_tree, make_sample_topology, load_topolo
 from .traffic import (
     FlowSet,
     check_mix,
+    check_plr,
     default_compression_bounds,
     compress_flows,
     generate_flows,
     save_flows,
 )
 from .xpath import XPathTable, check_path_bounds, precompute_xpaths
-
-THREADS_ENV = "CECT_LAB_THREADS"
 
 RESULT_COLUMNS = (
     "method",
@@ -72,8 +70,6 @@ class ExperimentConfig:
     )
     plr: float = 0.7
     compress: bool = False
-    compress_lower: float | None = None
-    compress_upper: float | None = None
     n_flows_list: tuple[int, ...] = (200,)
     methods: tuple[str, ...] = ("cect", "ecmp")
     n_seeds: int = 1
@@ -103,6 +99,54 @@ def _parse_n_flows(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
+def _parse_methods(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _optional_int(text: str) -> int | None:
+    return None if text in ("", "none", "None") else int(text)
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# Every INI setting, by section and key: the ExperimentConfig field it sets
+# and the parser of its text. [ga] keys are GaConfig fields, kept in cfg.ga.
+_SETTINGS = {
+    "experiment": {"seed": ("master_seed", int)},
+    "topology": {
+        "kind": ("topo_kind", lambda text: text.replace("-", "_")),
+        "k": ("topo_k", int),
+        "edge_capacity": ("edge_capacity", float),
+        "agg_capacity": ("agg_capacity", float),
+        "core_capacity": ("core_capacity", float),
+        "capacity": ("sample_capacity", float),
+        "path": ("topo_file", str),
+    },
+    "paths": {"x": ("x", int), "cap_c": ("cap_c", _optional_int)},
+    "traffic": {
+        "mix": ("mix", parse_mix),
+        "plr": ("plr", float),
+        "compress": ("compress", _boolean),
+    },
+    "sweep": {
+        "n_flows": ("n_flows_list", _parse_n_flows),
+        "methods": ("methods", _parse_methods),
+        "seeds": ("n_seeds", int),
+    },
+    "ga": {
+        **{key: (key, int) for key in ("population_size", "max_iterations", "stall_window")},
+        **{key: (key, float) for key in ("mut_min", "mut_max", "mu_target", "penalty_weight")},
+    },
+    "sim": {"model": ("sim_model", str)},
+    "ecmp": {"max_paths": ("ecmp_max_paths", _optional_int)},
+}
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config, reporting the file and option on errors."""
     return _parse_config(_read_config(path), path)
@@ -116,70 +160,26 @@ def _read_config(path) -> bytes:
 
 
 def _parse_config(data: bytes, path) -> ExperimentConfig:
+    """Parse and check a config; an unknown section or key is an error."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cfg = ExperimentConfig()
     try:
         parser.read_string(data.decode("utf-8"), source=str(path))
-        if parser.has_section("experiment"):
-            cfg.master_seed = parser.getint("experiment", "seed", fallback=0)
-        if parser.has_section("topology"):
-            sec = parser["topology"]
-            cfg.topo_kind = sec.get("kind", cfg.topo_kind).replace("-", "_")
-            cfg.topo_k = parser.getint("topology", "k", fallback=cfg.topo_k)
-            cfg.edge_capacity = parser.getfloat(
-                "topology", "edge_capacity", fallback=cfg.edge_capacity
-            )
-            cfg.agg_capacity = parser.getfloat(
-                "topology", "agg_capacity", fallback=cfg.agg_capacity
-            )
-            cfg.core_capacity = parser.getfloat(
-                "topology", "core_capacity", fallback=cfg.core_capacity
-            )
-            cfg.sample_capacity = parser.getfloat(
-                "topology", "capacity", fallback=cfg.sample_capacity
-            )
-            cfg.topo_file = sec.get("path", cfg.topo_file)
-        if parser.has_section("paths"):
-            cfg.x = parser.getint("paths", "x", fallback=cfg.x)
-            raw = parser.get("paths", "cap_c", fallback=str(cfg.cap_c))
-            cfg.cap_c = None if raw in ("", "none", "None") else int(raw)
-        if parser.has_section("traffic"):
-            sec = parser["traffic"]
-            if "mix" in sec:
-                cfg.mix = parse_mix(sec["mix"])
-            cfg.plr = parser.getfloat("traffic", "plr", fallback=cfg.plr)
-            cfg.compress = parser.getboolean("traffic", "compress", fallback=cfg.compress)
-            if "compress_lower" in sec:
-                cfg.compress_lower = float(sec["compress_lower"])
-            if "compress_upper" in sec:
-                cfg.compress_upper = float(sec["compress_upper"])
-        if parser.has_section("sweep"):
-            sec = parser["sweep"]
-            if "n_flows" in sec:
-                cfg.n_flows_list = _parse_n_flows(sec["n_flows"])
-            if "methods" in sec:
-                cfg.methods = tuple(
-                    m.strip() for m in sec["methods"].split(",") if m.strip()
-                )
-            cfg.n_seeds = parser.getint("sweep", "seeds", fallback=cfg.n_seeds)
-        if parser.has_section("ga"):
-            sec = parser["ga"]
-            for key in (
-                "population_size", "max_iterations", "stall_window",
-            ):
-                if key in sec:
-                    cfg.ga[key] = int(sec[key])
-            for key in ("mut_min", "mut_max", "mu_target", "penalty_weight"):
-                if key in sec:
-                    cfg.ga[key] = float(sec[key])
-            if "greedy_seed" in sec:
-                cfg.ga["greedy_seed"] = parser.getboolean("ga", "greedy_seed")
-        if parser.has_section("sim"):
-            cfg.sim_model = parser.get("sim", "model", fallback=cfg.sim_model)
-        if parser.has_section("ecmp"):
-            raw = parser.get("ecmp", "max_paths", fallback="")
-            if raw:
-                cfg.ecmp_max_paths = int(raw)
+        for section in parser.sections():
+            if section not in _SETTINGS:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            for key, text in parser.items(section):
+                if key not in _SETTINGS[section]:
+                    raise ConfigError(f"{path}: [{section}] unknown key {key!r}")
+                name, convert = _SETTINGS[section][key]
+                try:
+                    value = convert(text)
+                except (ValueError, ConfigError) as exc:
+                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+                if section == "ga":
+                    cfg.ga[name] = value
+                else:
+                    setattr(cfg, name, value)
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -241,12 +241,7 @@ def _prepare_workload(
 ) -> FlowSet:
     flows = generate_flows(topology, n_flows, cfg.mix, cfg.plr, seed=traffic_seed)
     if cfg.compress:
-        lower, upper = default_compression_bounds(topology)
-        if cfg.compress_lower is not None:
-            lower = cfg.compress_lower
-        if cfg.compress_upper is not None:
-            upper = cfg.compress_upper
-        flows, _ = compress_flows(flows, lower, upper)
+        flows = compress_flows(flows, *default_compression_bounds(topology))
     return flows
 
 
@@ -286,6 +281,10 @@ def _worker_state(
         _WORKER_STATE.clear()
         cfg = _parse_config(data, config_path)
         topology = build_topology(cfg)
+        try:
+            check_plr(topology, cfg.plr)
+        except ValueError as exc:
+            raise ConfigError(f"{config_path}: [traffic] {exc}") from exc
         _WORKER_STATE[key] = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
     return _WORKER_STATE[key]
 
@@ -321,7 +320,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_experiment(config_path, out_dir, threads: int | None = None) -> Path:
+def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     """Execute every sweep cell and write results, dumps, and a manifest.
 
     Returns the output directory. Cell failures (a CectLabError or
@@ -330,12 +329,10 @@ def run_experiment(config_path, out_dir, threads: int | None = None) -> Path:
     """
     config_path = str(config_path)
     data = _read_config(config_path)
+    cfg, topology, table = _worker_state(config_path, data)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, topology, table = _worker_state(config_path, data)
 
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     cells = [
         (config_path, data, method, n, s)
         for n in cfg.n_flows_list

@@ -35,7 +35,6 @@ class SimResult:
     per_flow_rate: dict[int, float]
     link_utilization: dict[tuple[int, int], float]
     mu: float
-    total_offered: float
     total_delivered: float
     loss_pct: float
     model: str = "maxmin"
@@ -111,7 +110,6 @@ def simulate(
         per_flow_rate=dict(zip((f.id for f in flowset.flows), rates.tolist())),
         link_utilization=dict(zip(routing_matrix.edge_keys, (delivered_load / caps).tolist())),
         mu=routing_matrix.mu,
-        total_offered=offered,
         total_delivered=delivered,
         loss_pct=0.0 if offered == 0 else 100.0 * (1.0 - delivered / offered),
         model=model,
@@ -120,9 +118,7 @@ def simulate(
 
 @dataclass(frozen=True)
 class VolumeStep:
-    step: int
     transferred: float
-    active_flows: int
 
 
 def run_volume_schedule(
@@ -146,7 +142,7 @@ def run_volume_schedule(
     ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
     remaining = np.array([volumes.get(f.id, 0.0) for f in flowset.flows], dtype=np.float64)
     steps: list[VolumeStep] = []
-    for step in range(max_steps):
+    for _ in range(max_steps):
         active = np.flatnonzero(remaining > 0)
         if not active.size:
             break
@@ -155,5 +151,5 @@ def run_volume_schedule(
         left = remaining[active] - shipped
         remaining[active] = np.where(left < 1e-12, 0.0, left)
         # summed in flow order, as a running total would be
-        steps.append(VolumeStep(step, sum(shipped.tolist()), int(active.size)))
+        steps.append(VolumeStep(sum(shipped.tolist())))
     return steps

@@ -37,8 +37,8 @@ class GaConfig:
     """Solver knobs; defaults follow the published tuning.
 
     population_size None resolves to ceil(sqrt(n_flows * log2(n_switches))).
-    penalty_weight None resolves to the switch count. The greedy seed places
-    one all-shortest-paths chromosome in the initial population.
+    penalty_weight None resolves to the switch count. Row 0 of the initial
+    population is always the all-shortest-paths chromosome.
     """
 
     population_size: int | None = None
@@ -49,7 +49,6 @@ class GaConfig:
     mu_target: float = HOT_SPOT_THRESHOLD
     seed: int | None = None
     penalty_weight: float | None = None
-    greedy_seed: bool = True
 
     def __post_init__(self):
         if not 0 < self.mut_min <= self.mut_max <= 1:
@@ -244,8 +243,7 @@ def run_cect(
         return RoutingAssignment(choice={}), 0.0, stats
 
     genes = inst.random_genes(n_pop, rng)
-    if config.greedy_seed:
-        genes[0] = inst.shortest
+    genes[0] = inst.shortest
 
     best_genes = genes[0].copy()
     best_mu = math.inf

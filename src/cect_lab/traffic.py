@@ -9,7 +9,7 @@ endpoint pair, shrinking the gene count the solver has to optimize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,18 +86,6 @@ class FlowSet:
         return [(f.src, f.dst) for f in self.flows]
 
 
-@dataclass(frozen=True)
-class CompressionMap:
-    """Bookkeeping to map a compressed flow set back to the original flows.
-
-    merged maps a compressed flow id to the original ids it absorbed;
-    passthrough maps compressed ids of untouched flows to their original id.
-    """
-
-    merged: dict[int, tuple[int, ...]]
-    passthrough: dict[int, int]
-
-
 def check_mix(class_mix: dict[str, float], plr: float) -> None:
     """Raise ValueError unless class_mix is a distribution over known classes and plr in [0, 1]."""
     fractions = list(class_mix.values())
@@ -109,6 +97,12 @@ def check_mix(class_mix: dict[str, float], plr: float) -> None:
         raise ValueError(f"unknown flow classes in mix: {sorted(unknown)}")
     if not 0.0 <= plr <= 1.0:
         raise ValueError("plr must lie in [0, 1]")
+
+
+def check_plr(topology: Topology, plr: float) -> None:
+    """Raise ValueError when flows may leave their pod on a topology without pods."""
+    if plr > 0 and not topology.pod_of:
+        raise ValueError(f"plr {plr} needs a pod-labeled topology")
 
 
 def generate_flows(
@@ -128,8 +122,7 @@ def generate_flows(
     """
     class_mix = class_mix or {"micro": 0.25, "small": 0.25, "medium": 0.25, "big": 0.25}
     check_mix(class_mix, plr)
-    if not topology.pod_of and plr > 0:
-        raise ValueError("pod-leave probability needs a pod-labeled topology")
+    check_plr(topology, plr)
 
     edge_switches = topology.edge_switches()
     if len(edge_switches) < 2:
@@ -160,16 +153,15 @@ def generate_flows(
     return FlowSet(flows=tuple(flows))
 
 
-def compress_flows(
-    flowset: FlowSet, lower_bound: float, upper_bound: float
-) -> tuple[FlowSet, CompressionMap]:
+def compress_flows(flowset: FlowSet, lower_bound: float, upper_bound: float) -> FlowSet:
     """Merge sub-threshold flows that share a (src, dst) pair.
 
     Flows with demand < lower_bound are packed first-fit decreasing into
     merged flows whose demand never exceeds upper_bound; a group that would
     overflow is closed and a new one opened. Larger flows pass through
-    untouched. Total demand per pair is conserved exactly. lower_bound == 0
-    disables merging.
+    untouched and come first, renumbered in their input order, followed by
+    the merged flows pair by pair. Total demand per pair is conserved
+    exactly. lower_bound == 0 disables merging.
     """
     if lower_bound < 0 or (lower_bound > 0 and lower_bound > upper_bound):
         raise ValueError("bounds must satisfy 0 <= lower_bound <= upper_bound")
@@ -182,16 +174,7 @@ def compress_flows(
         else:
             passthrough_flows.append(flow)
 
-    merged: dict[int, tuple[int, ...]] = {}
-    passthrough: dict[int, int] = {}
-    out_flows: list[Flow] = []
-
-    for flow in passthrough_flows:
-        new_id = len(out_flows) + 1
-        passthrough[new_id] = flow.id
-        out_flows.append(
-            Flow(id=new_id, src=flow.src, dst=flow.dst, demand=flow.demand, cls=flow.cls)
-        )
+    out_flows = [replace(f, id=new_id) for new_id, f in enumerate(passthrough_flows, start=1)]
 
     for pair in sorted(small_by_pair):
         group = sorted(small_by_pair[pair], key=lambda f: (-f.demand, f.id))
@@ -207,11 +190,9 @@ def compress_flows(
                 bins.append([flow])
                 sums.append(flow.demand)
         for members in bins:
-            new_id = len(out_flows) + 1
-            merged[new_id] = tuple(sorted(f.id for f in members))
             out_flows.append(
                 Flow(
-                    id=new_id,
+                    id=len(out_flows) + 1,
                     src=pair[0],
                     dst=pair[1],
                     demand=sum(f.demand for f in members),
@@ -219,7 +200,7 @@ def compress_flows(
                 )
             )
 
-    return FlowSet(flows=tuple(out_flows)), CompressionMap(merged=merged, passthrough=passthrough)
+    return FlowSet(flows=tuple(out_flows))
 
 
 def save_flows(flowset: FlowSet, path) -> None:

@@ -1,13 +1,18 @@
-"""Guard: every function, class and method in src/ has a caller in the program.
+"""Guard: every function, class, method, dataclass field and CLI option in src/ has a reader.
 
-A name counts as used when src/ or perfbench/ mentions it outside its own
-definition, as a name, an attribute or a word inside a string (perfbench
-wraps library functions by their string names). Code that only the tests
-call does not belong in src/.
+A function, class or method counts as used when src/ or perfbench/ mentions
+it outside its own definition, as a name, an attribute or a word inside a
+string (perfbench wraps library functions by their string names). A
+dataclass field counts as used when src/ or perfbench/ reads it as an
+attribute. A subcommand's optional flag counts as used when its handler,
+or a cli helper that the handler passes args to, reads args.<dest>. Code
+that only the tests call, fields that only the tests read, and flags that
+nothing reads do not belong in src/.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from collections import Counter
@@ -51,9 +56,13 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _unreferenced() -> list[str]:
+def _trees() -> dict[Path, ast.Module]:
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+
+
+def _unreferenced() -> list[str]:
+    trees = _trees()
     uses = sum((_words(tree) for tree in trees.values()), Counter())
     unused = []
     for path, tree in trees.items():
@@ -68,3 +77,74 @@ def _unreferenced() -> list[str]:
 
 def test_src_has_no_code_only_tests_use():
     assert _unreferenced() == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields() -> list[str]:
+    trees = _trees()
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in reads:
+                        unread.append(f"{path.stem}.{node.name}.{item.target.id}")
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields() == []
+
+
+def _args_reads(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
+    """The args.<attr> names a cli function reads, itself or via helpers given args."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions and node.func.id not in seen
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            reads |= _args_reads(functions, node.func.id, seen)
+    return reads
+
+
+def _unread_options() -> list[str]:
+    from cect_lab.cli import build_parser
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    unread = []
+    for command, parser in subparsers.choices.items():
+        reads = _args_reads(functions, parser.get_default("func").__name__, set())
+        for action in parser._actions:
+            # positionals are exempt: a caller cannot leave one out by mistake
+            if action.option_strings and action.dest != "help" and action.dest not in reads:
+                unread.append(f"{command} {action.option_strings[-1]}")
+    return unread
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    assert _unread_options() == []

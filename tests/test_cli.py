@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from cect_lab import experiment
-from cect_lab.cli import main
+from cect_lab.cli import _ga_config, build_parser, main
 from cect_lab.errors import ConfigError
 from cect_lab.fluidsim import simulate
+from cect_lab.ga import GaConfig
 from cect_lab.routing import matrix_from_paths, parse_assignment_dump
 from cect_lab.topology import load_topology
 from cect_lab.traffic import load_flows
@@ -108,8 +109,13 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap"),
         ("model = maxmin", "model = maxmn", r"\[sim\] model must be one of"),
         ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"\[ecmp\] max_paths must be >= 1"),
+        # a typo, a key this program no longer reads and an unknown section
+        ("[ga]", "[ga]\nmax_iteration = 5", r"\[ga\] unknown key 'max_iteration'"),
+        ("plr = 0.7", "plr = 0.7\ncompress_lower = 1", r"\[traffic\] unknown key 'compress_lower'"),
+        ("[sim]", "[typo]\nfoo = 1\n[sim]", r"unknown section \[typo\]"),
     ],
-    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths"],
+    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths",
+         "typo-key", "deleted-key", "unknown-section"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -121,6 +127,21 @@ def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, mess
     out = tmp_path / "res"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
     assert "bad_sweep.ini" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_podless_topology_with_plr_fails_before_any_cell(tmp_path, capsys):
+    # the default plr is 0.7, and fig2b has no pods for a flow to leave
+    path = tmp_path / "podless.ini"
+    path.write_text(
+        "[topology]\nkind = fig2b\n[paths]\nx = 3\n[sweep]\nn_flows = 5\nmethods = ecmp\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match=r"podless.ini: \[traffic\] plr 0.7 needs a pod-labeled"):
+        experiment.run_experiment(path, tmp_path / "res")
+    out = tmp_path / "res2"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "podless.ini: [traffic] plr" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
@@ -412,23 +433,19 @@ def test_cli_solve_methods_agree_on_files(tmp_path):
         assert (out_dir / "assignment.txt").exists()
 
 
-def test_cli_json_format(tmp_path):
-    topo = tmp_path / "topo.txt"
-    flows = tmp_path / "flows.txt"
-    main(["gen-topo", "--kind", "fig2a", "--capacity", "10", "--out", str(topo)])
-    (flows).write_text("flow 1 3 1 2.0 custom\n", encoding="utf-8")
-    solve_dir = tmp_path / "s"
-    main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "exact",
-          "--x", "3", "--out-dir", str(solve_dir), "--format", "json"])
-    sim_dir = tmp_path / "j"
-    code = main([
-        "simulate", "--topo", str(topo), "--flows", str(flows),
-        "--assignment", str(solve_dir / "assignment.txt"),
-        "--out-dir", str(sim_dir), "--format", "json",
-    ])
-    assert code == 0
-    data = json.loads((sim_dir / "summary.json").read_text())
-    assert data[0]["mu"] == "0.2"
+def test_paths_and_solve_share_table_defaults():
+    # so that paths prints the labels that solve writes in assignment.txt
+    parser = build_parser()
+    paths = parser.parse_args(["paths", "--topo", "t"])
+    solve = parser.parse_args(["solve", "--topo", "t", "--flows", "f"])
+    assert (paths.x, paths.cap_c) == (solve.x, solve.cap_c) == (10, 50)
+
+
+def test_solve_without_ga_flags_uses_ga_config_defaults():
+    args = build_parser().parse_args(["solve", "--topo", "t", "--flows", "f"])
+    assert _ga_config(args) == GaConfig()
+    args = build_parser().parse_args(["solve", "--topo", "t", "--flows", "f", "--itr", "7"])
+    assert _ga_config(args) == GaConfig(max_iterations=7)
 
 
 def test_cli_error_paths(tmp_path):

@@ -81,14 +81,15 @@ def test_conservation_and_feasibility(model):
         flowset = make_flows(flows)
         matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
         result = simulate(matrix, flowset, topo, model)
-        assert result.total_delivered <= result.total_offered + 1e-9
+        offered = sum(f.demand for f in flowset.flows)
+        assert result.total_delivered <= offered + 1e-9
         for f in flowset.flows:
             assert -1e-9 <= result.per_flow_rate[f.id] <= f.demand + 1e-9
         for edge, util in result.link_utilization.items():
             assert util <= 1.0 + 1e-6
         if result.mu <= 1.0:
             assert result.loss_pct == pytest.approx(0.0, abs=1e-9)
-            assert result.total_delivered == pytest.approx(result.total_offered)
+            assert result.total_delivered == pytest.approx(offered)
 
 
 def test_maxmin_matches_grid_oracle():
@@ -239,10 +240,8 @@ def test_volume_schedule_retires_flows():
         matrix, flows, topo, volumes={1: 5.0, 2: 15.0}, interval=1.0
     )
     # both run at 5/s; flow 1 retires after step 0, flow 2 then gets 10/s
-    assert steps[0].transferred == pytest.approx(10.0)
-    assert steps[0].active_flows == 2
-    assert steps[1].active_flows == 1
-    assert sum(s.transferred for s in steps) == pytest.approx(20.0)
+    # and ships its last 10 in one step (without retirement: 10, 5, 5)
+    assert [s.transferred for s in steps] == pytest.approx([10.0, 10.0])
 
 
 def test_simulate_rejects_unknown_model():
@@ -293,9 +292,8 @@ def test_volume_schedule_matches_simulating_each_step(model):
             left = remaining[f.id] - shipped
             remaining[f.id] = 0.0 if left < 1e-12 else left
             moved += shipped
-        expected.append((moved, len(active)))
+        expected.append(moved)
 
     steps = run_volume_schedule(matrix, flows, topo, volumes, 1.0, model)
-    assert [s.active_flows for s in steps] == [n for _, n in expected]
-    assert [s.transferred for s in steps] == pytest.approx([m for m, _ in expected], rel=1e-12)
-    assert [s.step for s in steps] == list(range(len(expected)))
+    assert len(steps) == len(expected)
+    assert [s.transferred for s in steps] == pytest.approx(expected, rel=1e-12)

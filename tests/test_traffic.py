@@ -91,35 +91,32 @@ def test_rejects_bad_mix_and_plr():
 
 def test_compress_merges_below_lower_bound():
     flows = make_flows([(1, 2, 3.0), (1, 2, 3.0), (1, 2, 3.0)])
-    out, cmap = compress_flows(flows, lower_bound=10.0, upper_bound=100.0)
+    out = compress_flows(flows, lower_bound=10.0, upper_bound=100.0)
     assert out.count == 1
     assert out.flows[0].demand == pytest.approx(9.0)
-    assert cmap.merged[1] == (1, 2, 3)
+    assert (out.flows[0].src, out.flows[0].dst, out.flows[0].cls) == (1, 2, "custom")
 
 
 def test_compress_splits_at_upper_bound():
     # 6+6 exceeds the cap of 10, so no two items can share a group
     flows = make_flows([(1, 2, 6.0), (1, 2, 6.0), (1, 2, 6.0)])
-    out, cmap = compress_flows(flows, lower_bound=10.0, upper_bound=10.0)
+    out = compress_flows(flows, lower_bound=10.0, upper_bound=10.0)
     assert out.count == 3
     assert sorted(f.demand for f in out.flows) == [6.0, 6.0, 6.0]
-    assert all(len(m) == 1 for m in cmap.merged.values())
 
 
 def test_compress_zero_lower_bound_is_identity():
     flows = make_flows([(1, 2, 0.5), (2, 3, 7.0), (1, 2, 0.25)])
-    out, cmap = compress_flows(flows, lower_bound=0.0, upper_bound=100.0)
+    out = compress_flows(flows, lower_bound=0.0, upper_bound=100.0)
     assert out == flows
-    assert cmap.merged == {}
 
 
 def test_compress_passthrough_keeps_large_flows():
     flows = make_flows([(1, 2, 50.0), (1, 2, 1.0), (1, 2, 2.0)])
-    out, cmap = compress_flows(flows, lower_bound=10.0, upper_bound=20.0)
-    demands = sorted(f.demand for f in out.flows)
-    assert demands == [3.0, 50.0]
-    assert cmap.passthrough == {1: 1}
-    assert cmap.merged[2] == (2, 3)
+    out = compress_flows(flows, lower_bound=10.0, upper_bound=20.0)
+    # the large flow passes first, unchanged; the two small ones merge after it
+    assert out.flows[0] == flows.flows[0]
+    assert [(f.id, f.demand, f.cls) for f in out.flows[1:]] == [(2, 3.0, "custom")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,7 +134,7 @@ def test_compress_passthrough_keeps_large_flows():
 )
 def test_compress_conserves_pair_demand(demands, lower):
     flows = make_flows(demands)
-    out, cmap = compress_flows(flows, lower_bound=lower, upper_bound=60.0)
+    out = compress_flows(flows, lower_bound=lower, upper_bound=60.0)
     totals_in: dict = {}
     for f in flows.flows:
         totals_in[(f.src, f.dst)] = totals_in.get((f.src, f.dst), 0.0) + f.demand
@@ -147,23 +144,19 @@ def test_compress_conserves_pair_demand(demands, lower):
     assert set(totals_in) == set(totals_out)
     for pair in totals_in:
         assert totals_out[pair] == pytest.approx(totals_in[pair], rel=0, abs=1e-9)
-    for fid, members in cmap.merged.items():
-        merged_demand = out.flows[fid - 1].demand
-        assert merged_demand <= 60.0 + 1e-12
-        assert len(members) >= 1
-    # the map accounts for every compressed flow once and every original flow once
-    assert sorted([*cmap.merged, *cmap.passthrough]) == [f.id for f in out.flows]
-    originals = [*cmap.passthrough.values(), *(m for ms in cmap.merged.values() for m in ms)]
-    assert sorted(originals) == [f.id for f in flows.flows]
+    # the flows at or above lower pass first, unchanged and in order, then
+    # the merged ones, none above upper
+    large = [(f.src, f.dst, f.demand, f.cls) for f in flows.flows if f.demand >= lower]
+    assert [(f.src, f.dst, f.demand, f.cls) for f in out.flows[: len(large)]] == large
+    assert all(f.demand <= 60.0 + 1e-12 for f in out.flows[len(large):])
 
 
 def test_compress_idempotent_when_groups_large_enough():
     flows = make_flows([(1, 2, 4.0), (1, 2, 4.0), (1, 2, 4.0), (3, 4, 3.0), (3, 4, 3.0)])
-    once, _ = compress_flows(flows, lower_bound=5.0, upper_bound=100.0)
+    once = compress_flows(flows, lower_bound=5.0, upper_bound=100.0)
     assert all(f.demand >= 5.0 for f in once.flows)
-    twice, cmap = compress_flows(once, lower_bound=5.0, upper_bound=100.0)
+    twice = compress_flows(once, lower_bound=5.0, upper_bound=100.0)
     assert twice == once
-    assert cmap.merged == {}
 
 
 def test_compress_reduces_small_heavy_workload():
@@ -173,7 +166,7 @@ def test_compress_reduces_small_heavy_workload():
         plr=0.5, seed=9,
     )
     lower, upper = default_compression_bounds(topo)
-    out, _ = compress_flows(flows, 2.5, upper)
+    out = compress_flows(flows, 2.5, upper)
     assert out.count <= flows.count // 2
     assert lower == pytest.approx(0.01)
     assert upper == pytest.approx(50.0)
