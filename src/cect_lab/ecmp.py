@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import UnreachableFlowError
+from .errors import NoFeasiblePathError, UnreachableFlowError
 from .routing import RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
@@ -78,6 +78,8 @@ def route_ecmp(
             if not labels:
                 if dist(flow.src, flow.dst) is None:
                     raise UnreachableFlowError(flow.id, flow.src, flow.dst)
+                if dist(flow.src, flow.dst) <= xpath_table.x:  # an end is not an edge switch
+                    raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
                 raise ValueError(
                     f"flow {flow.id}: table hop bound {xpath_table.x} is below the "
                     f"shortest-path distance {dist(flow.src, flow.dst)}"

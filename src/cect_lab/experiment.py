@@ -200,6 +200,10 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
             check()
         except ValueError as exc:
             raise ConfigError(f"{path}: [{section}] {exc}") from exc
+    if cfg.topo_kind not in ("fat_tree", "fig2a", "fig2b", "file"):
+        raise ConfigError(f"{path}: [topology] unknown kind {cfg.topo_kind!r}")
+    if cfg.topo_kind == "file" and not cfg.topo_file:
+        raise ConfigError(f"{path}: [topology] kind 'file' needs a path option")
     if cfg.sim_model not in MODELS:
         raise ConfigError(f"{path}: [sim] model must be one of {MODELS}, got {cfg.sim_model!r}")
     if cfg.ecmp_max_paths is not None and cfg.ecmp_max_paths < 1:
@@ -208,17 +212,14 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
 
 
 def build_topology(cfg: ExperimentConfig) -> Topology:
+    """The topology of a config whose [topology] kind and path _parse_config checked."""
     if cfg.topo_kind == "fat_tree":
         return make_fat_tree(
             cfg.topo_k, cfg.edge_capacity, cfg.agg_capacity, cfg.core_capacity
         )
     if cfg.topo_kind in ("fig2a", "fig2b"):
         return make_sample_topology(cfg.topo_kind, cfg.sample_capacity)
-    if cfg.topo_kind == "file":
-        if not cfg.topo_file:
-            raise ConfigError("topology kind 'file' needs a path option")
-        return load_topology(cfg.topo_file)
-    raise ConfigError(f"unknown topology kind {cfg.topo_kind!r}")
+    return load_topology(cfg.topo_file)
 
 
 def cell_seeds(master_seed: int, n_flows: int, seed_index: int) -> tuple[int, int]:

@@ -8,6 +8,7 @@ endpoint pair, shrinking the gene count the solver has to optimize.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -132,18 +133,23 @@ def generate_flows(
     pods: dict[int, list[int]] = {}
     for sw in edge_switches:
         pods.setdefault(topology.pod_of.get(sw, 0), []).append(sw)
+    # each source's (pod-local, remote) destination pools
+    pools = {}
+    for pod, members in pods.items():
+        remote = [s for s in edge_switches if topology.pod_of.get(s, 0) != pod]
+        pools.update({src: ([s for s in members if s != src], remote) for src in members})
 
     rng = np.random.default_rng(seed)
     classes = sorted(class_mix)
-    probs = np.array([class_mix[c] for c in classes])
+    # the draw Generator.choice(p=...) makes: one random(), then a right-side search
+    cdf = np.cumsum([class_mix[c] for c in classes])
+    cdf = (cdf / cdf[-1]).tolist()
 
     flows = []
     for fid in range(1, n_flows + 1):
-        cls = classes[rng.choice(len(classes), p=probs)]
+        cls = classes[bisect.bisect_right(cdf, rng.random())]
         src = edge_switches[rng.integers(len(edge_switches))]
-        pod = topology.pod_of.get(src, 0)
-        local = [s for s in pods[pod] if s != src]
-        remote = [s for s in edge_switches if topology.pod_of.get(s, 0) != pod]
+        local, remote = pools[src]
         leave = bool(remote) and (rng.random() < plr or not local)
         pool = remote if leave else local
         dst = pool[rng.integers(len(pool))]

@@ -1,6 +1,7 @@
 """Offline enumeration of bounded-hop loop-free paths.
 
-Every simple directed path with 1..x edges is enumerated once per topology
+Every simple directed path with 1..x edges between two of the topology's
+edge switches (where flows start and end) is enumerated once per topology
 and given a small-integer label; the genetic solver's genes are these
 labels. Labels are assigned breadth-first by path length, then by (source,
 destination, hop sequence), which keeps label assignment stable across runs
@@ -91,11 +92,13 @@ def check_path_bounds(x: int, cap_c: int | None) -> None:
 def precompute_xpaths(
     topology: Topology, x: int = 10, cap_c: int | None = None
 ) -> XPathTable:
-    """Enumerate all simple paths with at most x edges and label them.
+    """Enumerate all simple paths with at most x edges between edge switches.
 
-    When cap_c is given, each (src, dst) pair keeps only its cap_c shortest
-    paths (ties broken by hop sequence). Labels are dense 1..N over the
-    retained paths, ordered by (length, src, dst, hop sequence).
+    Both ends lie in topology.edge_switches(), where flows start and end
+    (every switch of a pod-less topology); the hops between may be any
+    switch. When cap_c is given, each (src, dst) pair keeps only its cap_c
+    shortest paths (ties broken by hop sequence). Labels are dense 1..N over
+    the retained paths, ordered by (length, src, dst, hop sequence).
     """
     check_path_bounds(x, cap_c)
 
@@ -110,21 +113,24 @@ def precompute_xpaths(
     adj_ptr = np.searchsorted(tail, np.arange(n + 1))  # edge ids sort by tail
     adj = head.astype(np.int32)
     kept = np.zeros(n * n, dtype=np.int64)
+    is_end = np.isin(nodes, topology.edge_switches())
 
-    level = np.column_stack([tail, head]).astype(np.int32)
+    # grow paths from the edge switches only, and keep those that end at one
+    level = np.column_stack([tail, head])[is_end[tail]].astype(np.int32)
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (hops, edges, pairs)
     for length in range(1, x + 1):
         if length > 1:
             level = _extend(level, adj_ptr, adj)
-        # level is in hop order, so a stable sort by pair gives (src, dst, hops)
-        pair = level[:, 0].astype(np.int64) * n + level[:, -1]
+        done = level[is_end[level[:, -1]]]
+        # done is in hop order, so a stable sort by pair gives (src, dst, hops)
+        pair = done[:, 0].astype(np.int64) * n + done[:, -1]
         order = np.argsort(pair, kind="stable")
         if cap_c is not None:
             grouped = pair[order]
             rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
             order = order[rank + kept[grouped] < cap_c]
             kept += np.bincount(pair[order], minlength=n * n)
-        rows = level[order]
+        rows = done[order]
         levels.append((nodes[rows].ravel(), eid[rows[:, :-1], rows[:, 1:]].ravel(), pair[order]))
 
     hops, edge_ids, pairs = (np.concatenate(arrays) for arrays in zip(*levels))

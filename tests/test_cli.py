@@ -113,9 +113,11 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("[ga]", "[ga]\nmax_iteration = 5", r"\[ga\] unknown key 'max_iteration'"),
         ("plr = 0.7", "plr = 0.7\ncompress_lower = 1", r"\[traffic\] unknown key 'compress_lower'"),
         ("[sim]", "[typo]\nfoo = 1\n[sim]", r"unknown section \[typo\]"),
+        ("kind = fat_tree", "kind = torus", r"\[topology\] unknown kind 'torus'"),
+        ("kind = fat_tree", "kind = file", r"\[topology\] kind 'file' needs a path"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths",
-         "typo-key", "deleted-key", "unknown-section"],
+         "typo-key", "deleted-key", "unknown-section", "topology-kind", "topology-path"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -414,6 +416,26 @@ def test_cli_paths_golden(tmp_path, capsys):
         "label 5: 3 -> 2 -> 1",
         "label 6: 3 -> 1 -> 2",
     ]
+
+
+@pytest.mark.parametrize("method", ["cect", "ecmp", "exact"])
+def test_solve_rejects_flows_that_do_not_join_access_switches(tmp_path, capsys, method):
+    # the path table joins access switches only; 9 is an aggregation switch
+    topo = tmp_path / "topo.txt"
+    flows = tmp_path / "flows.txt"
+    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)])
+    flows.write_text("flow 1 1 5 1.0 custom\nflow 2 9 3 1.0 custom\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", method,
+                 "--x", "4", "--cap-c", "4", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "flow 2 (9 -> 3) has no feasible path" in capsys.readouterr().err
+    # a dump routing that flow still replays: simulate reads hops, not labels
+    dump = tmp_path / "assignment.txt"
+    dump.write_text("flow 1 via 7: 1 -> 9 -> 17 -> 13 -> 5\nflow 2 via 3: 9 -> 17 -> 11 -> 3\n",
+                    encoding="utf-8")
+    assert main(["simulate", "--topo", str(topo), "--flows", str(flows),
+                 "--assignment", str(dump), "--out-dir", str(tmp_path / "sim")]) == 0
 
 
 def test_cli_solve_methods_agree_on_files(tmp_path):

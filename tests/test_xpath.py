@@ -208,18 +208,31 @@ def _table_order(hops):
     return (len(hops), hops[0], hops[-1], hops)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_nodes=st.integers(2, 6),
     edge_prob=st.floats(0.2, 0.9),
     x=st.integers(1, 4),
     cap_c=st.one_of(st.none(), st.integers(1, 5)),
+    pods=st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 1), st.booleans())), max_size=6),
 )
-def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c):
+def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, pods):
     topo = random_topology(np.random.default_rng(seed), n_nodes, edge_prob)
+    # pods[i] is (pod, access) for switch i+1, or None to leave it unlabeled
+    # like a core switch; with any label only edge switches end paths. An
+    # access switch drops its links out of its pod, so that it is an edge
+    # switch with out-links and paths may run through switches that are not
+    placed = {node: p for node, p in zip(topo.nodes, pods) if p is not None}
+    pod_of = {node: pod for node, (pod, _) in placed.items()}
+    links = tuple(
+        (s, d, c) for s, d, c in topo.links
+        if not (s in placed and placed[s][1]) or pod_of.get(d) == pod_of[s]
+    )
+    topo = Topology(nodes=topo.nodes, links=links, pod_of=pod_of)
+    ends = set(topo.edge_switches())
     table = precompute_xpaths(topo, x=x, cap_c=cap_c)
-    every = brute_force_simple_paths(topo, x)
+    every = {p for p in brute_force_simple_paths(topo, x) if p[0] in ends and p[-1] in ends}
 
     # labels are dense and ordered by (length, src, dst, hop sequence)
     hops = all_hops(table)
@@ -253,9 +266,9 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c):
 
 
 @pytest.mark.parametrize("k, count, digest", [
-    (4, 1408, "40609fa60166ffd055f8f6fdd62d945df6bec8c8a5813b16dd30323ed1679edd"),
-    (6, 19224, "c9d8ca651a524e22b1a1393ff1ce8a68814a668fb3ee9dde7a881042fba3f3bd"),
-])
+    (4, 208, "fba5a012118fdd1bff3060f9335e47bb0168fb847b609829b1174a6df015e3db"),
+    (6, 2754, "b4f57fdb56781222d3af5b27201c075f8adcc8f144d1c7aa05a98b528ba3d318"),
+], ids=["k4", "k6"])
 def test_fat_tree_table_dump_is_pinned(k, count, digest):
     table = precompute_xpaths(make_fat_tree(k), 4, 50)
     assert table.path_count == count
@@ -289,3 +302,47 @@ def test_hops_many_rejects_unknown_labels(fig2a_table):
     for labels in ([0], [7], [-1], [1, 7]):
         with pytest.raises(KeyError, match=r"1\.\.6"):
             fig2a_table.hops_many(labels)
+
+
+def test_endpoint_table_routes_like_the_all_pairs_table():
+    # a pod-stripped copy of the fabric has every switch as an edge switch,
+    # so its table holds all pairs; flows only use access-switch pairs, and
+    # every solver draws by offset within a flow's feasible row, so both
+    # tables must give the same routes hop for hop
+    from cect_lab.ecmp import route_ecmp
+    from cect_lab.exact import solve_exact
+    from cect_lab.ga import GaConfig, run_cect
+    from cect_lab.traffic import generate_flows
+
+    topo = make_fat_tree(4, 200.0, 200.0, 100.0)
+    flat = Topology(nodes=topo.nodes, links=topo.links, pod_of={})
+    table, full = precompute_xpaths(topo, 4, 50), precompute_xpaths(flat, 4, 50)
+    assert table.path_count == 208
+    # the all-pairs table every fat-tree had before tables joined edge switches only
+    assert hashlib.sha256(format_table(full).encode()).hexdigest() == (
+        "40609fa60166ffd055f8f6fdd62d945df6bec8c8a5813b16dd30323ed1679edd"
+    )
+    ends = set(topo.edge_switches())
+    assert set(table.by_pair) == {p for p in full.by_pair if set(p) <= ends}
+    for pair, labels in table.by_pair.items():
+        assert table.hops_many(labels) == full.hops_many(full.by_pair[pair])
+
+    def hops(assignment, flows, tab):
+        return tab.hops_many([assignment.choice[f.id] for f in flows.flows])
+
+    flows = generate_flows(topo, 300, plr=0.7, seed=11)
+    config = GaConfig(max_iterations=30, seed=5)
+    ga_new, mu_new, stats_new = run_cect(flows, table, topo, config)
+    ga_all, mu_all, stats_all = run_cect(flows, full, flat, config)
+    assert hops(ga_new, flows, table) == hops(ga_all, flows, full)
+    assert mu_new == mu_all and stats_new.rows == stats_all.rows
+    assert hops(route_ecmp(flows, topo, table), flows, table) == hops(
+        route_ecmp(flows, flat, full), flows, full
+    )
+
+    few = generate_flows(topo, 6, {"big": 1.0}, plr=0.5, seed=3)
+    small, small_full = precompute_xpaths(topo, 4, 4), precompute_xpaths(flat, 4, 4)
+    exact_new, exact_mu_new = solve_exact(few, small, topo)
+    exact_all, exact_mu_all = solve_exact(few, small_full, flat)
+    assert hops(exact_new, few, small) == hops(exact_all, few, small_full)
+    assert exact_mu_new == exact_mu_all
