@@ -111,18 +111,24 @@ class _Instance:
         used[self.feas_labels] = True
         labels = np.flatnonzero(used)
         hops = np.diff(self.label_ptr)
-        self.groups, self.gene_demands = None, self.demands
+        self.groups, self.label_pad, self.gene_demands = None, None, self.demands
         if 2 * hops[labels - 1].sum() < hops[self.shortest - 1].sum():
             slot_of = np.zeros(len(self.label_ptr), dtype=np.int64)
             slot_of[labels] = np.arange(len(labels))
             self.groups = (slot_of, *kernels.csr_rows(self.label_ptr, self.label_edges, labels - 1))
+        else:
+            # the gene loop's fixed-width rows: label l's edges in row l, then
+            # filler id n_edges; row 0 is all filler, so genes index it directly
+            width = hops.max(initial=0)
+            self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
+            self.label_pad[1:][np.arange(width) < hops[:, None]] = self.label_edges
 
     def evaluate(self, genes: np.ndarray, penalty: int) -> tuple[np.ndarray, np.ndarray]:
         if self.groups is not None and self.gene_demands.shape != genes.shape:
             # the aggregated form weighs each gene; build the weights once
             self.gene_demands = np.tile(self.demands.astype(np.float64), (len(genes), 1))
         loads = kernels.population_loads(
-            genes, self.label_ptr, self.label_edges, self.gene_demands, self.n_edges, self.groups
+            genes, self.label_ptr, self.label_pad, self.gene_demands, self.n_edges, self.groups
         )
         return kernels.fitness_mu(loads, self.caps, penalty)
 

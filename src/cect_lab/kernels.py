@@ -4,6 +4,8 @@ The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
 max-min water-filling loop. Both live here: one implementation of each kernel,
 except population loads, whose gene loop and per-label aggregated form agree.
+The gene loop reads each label's edges as one fixed-width row of a padded
+matrix, so a member's edges are one gather rather than a CSR row gather.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ def csr_rows(ptr: np.ndarray, data: np.ndarray, rows) -> tuple[np.ndarray, np.nd
     return out_ptr, data[flat]
 
 
-def population_loads(genes, label_ptr, label_edges, demands, n_edges, groups=None):
+def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None):
     """Per-edge integer loads for each member of a population.
 
     genes holds 1-based path labels, one row per member, one column per
-    flow; label_ptr/label_edges are the CSR edge lists of every label.
-    Without groups, a gene loop sums each member's gene edges with one
-    bincount per member. groups = (slot_of, slot_ptr, slot_edges) maps every
+    flow; label_ptr is the labels' CSR row pointer, so a gene adds
+    diff(label_ptr)[gene - 1] edge loads (the kernel itself never reads it).
+    Without groups, label_pad holds label l's edge ids in row l, filled out
+    with the id n_edges, and row 0 is all filler; a gene loop gathers each
+    member's rows with one take and sums them with one bincount, whose filler
+    bin is dropped. groups = (slot_of, slot_ptr, slot_edges) maps every
     gene's label to a slot and gives the slots' CSR edge lists; the
     aggregated form then sums the population's demands (per flow, or per
     gene in genes' shape) into (member, slot) cells with one bincount and
@@ -49,11 +54,13 @@ def population_loads(genes, label_ptr, label_edges, demands, n_edges, groups=Non
         cells = n_edges * np.arange(n_members)[:, None] + slot_edges
         loads = np.bincount(cells.ravel(), weights.ravel(), n_members * n_edges)
         return loads.reshape(n_members, n_edges).astype(np.int64)
-    loads = np.zeros((n_members, n_edges), dtype=np.int64)
+    # np.take beats fancy indexing here; one bincount per member beats one
+    # over the whole population
+    weights = np.repeat(demands, label_pad.shape[1])
+    loads = np.empty((n_members, n_edges), dtype=np.int64)
     for m, labels in enumerate(genes):
-        ptr, edge_ids = csr_rows(label_ptr, label_edges, labels - 1)
-        weights = np.repeat(demands, np.diff(ptr))
-        loads[m] = np.bincount(edge_ids, weights=weights, minlength=n_edges).astype(np.int64)
+        edge_ids = np.take(label_pad, labels, axis=0).ravel()
+        loads[m] = np.bincount(edge_ids, weights, n_edges + 1)[:n_edges]
     return loads
 
 

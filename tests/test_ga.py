@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -17,8 +19,8 @@ from cect_lab.ga import (
     uniform_crossover,
 )
 from cect_lab.routing import RoutingAssignment, assemble, validate
-from cect_lab.topology import make_sample_topology
-from cect_lab.traffic import FlowSet
+from cect_lab.topology import make_fat_tree, make_sample_topology
+from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
 from helpers import make_flows, random_topology
@@ -400,6 +402,47 @@ def test_run_deterministic(fig2a):
     second = run_cect(flows, table, topo, GaConfig(seed=6, max_iterations=10, mu_target=0.01))
     assert first[0].choice == second[0].choice
     assert first[1] == second[1]
+
+
+def _fat_tree_case():
+    topo = make_fat_tree(4, 200.0, 200.0, 100.0)
+    mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
+    flows = generate_flows(topo, 200, mix, plr=0.95, seed=3)
+    return topo, precompute_xpaths(topo, x=4, cap_c=50), flows, GaConfig(
+        seed=5, max_iterations=8, mu_target=0.01
+    )
+
+
+def _fig2a_case():
+    topo = make_sample_topology("fig2a", 10.0)
+    flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0), (2, 1, 3.0), (1, 2, 4.0)])
+    return topo, precompute_xpaths(topo, x=3), flows, GaConfig(
+        seed=7, max_iterations=6, mu_target=0.01
+    )
+
+
+@pytest.mark.parametrize(
+    "case, labels_sha, best_mu, rows_sha",
+    [
+        (_fat_tree_case, "8649af175629b53f44ce2f2a565f9ba3dc4bd13aaed7b9b6c320ee48dbd89d10",
+         0.55, "5e541797f47e070953f642bb0312dcf9f33de112629a1996151b17989ac7c44a"),
+        (_fig2a_case, "1ca8d4b659bbd2582eb0607c3d2a2a47d091a6cad8d4994819f17635c4d13dc6",
+         1.1, "debf68177ab49cb4fa039efe5973108a620107d7f5cc07cb1cb5c1ae257027d5"),
+    ],
+    ids=["k4-200", "fig2a"],
+)
+def test_run_output_is_pinned(case, labels_sha, best_mu, rows_sha):
+    # gene-loop instances, run to the full budget: the labels, best mu and
+    # every GenerationStats row must not move when the load kernel changes
+    topo, table, flows, config = case()
+    assert _Instance(flows, table, topo).groups is None
+    assignment, mu, stats = run_cect(flows, table, topo, config)
+    assert stats.generations == config.max_iterations
+    labels = np.array([assignment.choice[f.id] for f in flows.flows], dtype=np.int64)
+    rows = [dataclasses.astuple(row) for row in stats.rows]
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == labels_sha
+    assert mu == stats.best_mu == best_mu
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
 
 
 def test_run_tracks_exact_optimum_on_small_instances():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cect_lab import kernels
 from cect_lab.ga import _Instance
 from cect_lab.routing import RoutingAssignment, assemble
-from cect_lab.topology import make_fat_tree, to_units
+from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
 
@@ -29,14 +29,27 @@ def instance(topology):
         topology, 300, {"micro": 0.4, "small": 0.3, "medium": 0.2, "big": 0.1},
         plr=0.6, seed=0,
     )
-    return _Instance(flows, table, topology)
+    inst = _Instance(flows, table, topology)
+    assert inst.groups is None  # the gene loop reads the padded rows
+    return inst
+
+
+def _label_pad(inst):
+    """The padded label rows built label by label: edges, then filler ids."""
+    hops = np.diff(inst.label_ptr)
+    pad = np.full((len(hops) + 1, hops.max()), inst.n_edges, dtype=np.int64)
+    for label in range(1, len(hops) + 1):
+        pad[label, : hops[label - 1]] = inst.label_edges[
+            inst.label_ptr[label - 1] : inst.label_ptr[label]
+        ]
+    return pad
 
 
 def test_loads_match_manual_accumulation(instance):
     rng = np.random.default_rng(3)
     genes = instance.random_genes(16, rng)
     loads = kernels.population_loads(
-        genes, instance.label_ptr, instance.label_edges,
+        genes, instance.label_ptr, instance.label_pad,
         instance.demands, instance.n_edges,
     )
     for m in range(16):
@@ -58,7 +71,7 @@ def test_backends_agree_on_loads_and_fitness(instance, topology):
     rng = np.random.default_rng(1)
     genes = instance.random_genes(16, rng)
     loads = kernels.population_loads(
-        genes, instance.label_ptr, instance.label_edges,
+        genes, instance.label_ptr, instance.label_pad,
         instance.demands, instance.n_edges,
     )
     penalty = 20
@@ -159,7 +172,7 @@ def test_fitness_formula_matches_reference(instance):
     rng = np.random.default_rng(4)
     genes = instance.random_genes(6, rng)
     loads = kernels.population_loads(
-        genes, instance.label_ptr, instance.label_edges,
+        genes, instance.label_ptr, instance.label_pad,
         instance.demands, instance.n_edges,
     )
     penalty = 20
@@ -172,37 +185,27 @@ def test_fitness_formula_matches_reference(instance):
         assert mu[m] == pytest.approx((loads[m] / instance.caps).max())
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_nodes=st.integers(2, 7),
-    n_pairs=st.integers(1, 4),
-    flows_per_pair=st.integers(1, 30),
-    members=st.integers(1, 12),
-)
-def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_pair, members):
-    # few pairs, many flows each: many flows share every label
-    rng = np.random.default_rng(seed)
-    topo = random_topology(rng, n_nodes, edge_prob=0.5)
-    table = precompute_xpaths(topo, x=3)
-    pairs = [p for p in table.by_pair if table.by_pair[p]]
-    chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
-    flows = make_flows(
-        [(*pair, int(rng.integers(1, 4000)) / 8) for pair in chosen for _ in range(flows_per_pair)]
-    )
+def _check_load_forms_agree(topo, table, flows, members, rng):
     inst = _Instance(flows, table, topo)
+    pad = _label_pad(inst)
+    if inst.groups is None:
+        assert np.array_equal(inst.label_pad, pad)
     genes = inst.random_genes(members, rng)
-    args = (genes, inst.label_ptr, inst.label_edges, inst.demands, inst.n_edges)
     labels = np.unique(inst.feas_labels)
     slot_of = np.zeros(len(inst.label_ptr), dtype=np.int64)
     slot_of[labels] = np.arange(len(labels))
     groups = (slot_of, *kernels.csr_rows(inst.label_ptr, inst.label_edges, labels - 1))
-    loop = kernels.population_loads(*args)
-    aggregated = kernels.population_loads(*args, groups)
+    loop = kernels.population_loads(genes, inst.label_ptr, pad, inst.demands, inst.n_edges)
+    aggregated = kernels.population_loads(
+        genes, inst.label_ptr, None, inst.demands, inst.n_edges, groups
+    )
     per_gene = np.tile(inst.demands.astype(np.float64), (members, 1))
     assert loop.dtype == aggregated.dtype == np.int64
     assert np.array_equal(loop, aggregated)
-    assert np.array_equal(loop, kernels.population_loads(*args[:3], per_gene, inst.n_edges, groups))
+    assert np.array_equal(
+        loop,
+        kernels.population_loads(genes, inst.label_ptr, None, per_gene, inst.n_edges, groups),
+    )
     fit, mu = inst.evaluate(genes, 7)
     assert np.array_equal((fit, mu), kernels.fitness_mu(loop, inst.caps, 7))
     edge_index = topo.edge_index()
@@ -212,6 +215,42 @@ def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_
         assert matrix.load_units == {
             edge: int(loop[m, i]) for edge, i in edge_index.items() if loop[m, i]
         }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 7),
+    n_pairs=st.integers(1, 4),
+    flows_per_pair=st.integers(1, 30),
+    members=st.integers(1, 12),
+)
+def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_pair, members):
+    # few pairs, many flows each: many flows share every label; x=3 rows
+    # hold 1 to 3 hops, so shorter rows end in filler
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, edge_prob=0.5)
+    table = precompute_xpaths(topo, x=3)
+    pairs = [p for p in table.by_pair if table.by_pair[p]]
+    chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
+    flows = make_flows(
+        [(*pair, int(rng.integers(1, 4000)) / 8) for pair in chosen for _ in range(flows_per_pair)]
+    )
+    _check_load_forms_agree(topo, table, flows, members, rng)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+def test_load_forms_agree_on_sample_topologies_at_x10(name):
+    # x=10 leaves every simple path in, so row widths vary the most
+    rng = np.random.default_rng(10)
+    topo = make_sample_topology(name, 10.0)
+    table = precompute_xpaths(topo, x=10)
+    assert len(set(np.diff(table.label_edge_csr(topo)[0]).tolist())) > 1
+    pairs = [p for p in table.by_pair if table.by_pair[p]]
+    flows = make_flows(
+        [(*pairs[i], int(rng.integers(1, 4000)) / 8) for i in rng.integers(len(pairs), size=40)]
+    )
+    _check_load_forms_agree(topo, table, flows, 9, rng)
 
 
 @pytest.mark.parametrize(
@@ -230,3 +269,4 @@ def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     # edge entries of one member's shortest genes
     assert (2 * label_entries < gene_entries) == aggregated
     assert (inst.groups is not None) == aggregated
+    assert (inst.label_pad is None) == aggregated
