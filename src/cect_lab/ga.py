@@ -92,8 +92,6 @@ class _Instance:
     """Array views of one (flows, table, topology) problem instance."""
 
     def __init__(self, flowset: FlowSet, table: XPathTable, topology: Topology):
-        self.flowset = flowset
-        self.table = table
         self.n_flows = flowset.count
         self.label_ptr, self.label_edges = table.label_edge_csr(topology)
         self.demands = flowset.demand_units()
@@ -104,18 +102,13 @@ class _Instance:
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
-        # Aggregate loads by label when the distinct feasible labels hold at
-        # most half the edge entries of a member's shortest genes: flows then
-        # share labels, and two bincounts over the population beat a loop.
-        used = np.zeros(table.path_count + 1, dtype=bool)
-        used[self.feas_labels] = True
-        labels = np.flatnonzero(used)
+        # Aggregate loads by label when the table's labels hold at most half
+        # the edge entries of a member's shortest genes (flows share labels);
+        # else, as at k=8 and k=12, loop to avoid population-by-table arrays.
         hops = np.diff(self.label_ptr)
         self.groups, self.label_pad, self.gene_demands = None, None, self.demands
-        if 2 * hops[labels - 1].sum() < hops[self.shortest - 1].sum():
-            slot_of = np.zeros(len(self.label_ptr), dtype=np.int64)
-            slot_of[labels] = np.arange(len(labels))
-            self.groups = (slot_of, *kernels.csr_rows(self.label_ptr, self.label_edges, labels - 1))
+        if 2 * len(self.label_edges) < hops[self.shortest - 1].sum():
+            self.groups = kernels.edge_major_labels(self.label_ptr, self.label_edges, self.n_edges)
         else:
             # the gene loop's fixed-width rows: label l's edges in row l, then
             # filler id n_edges; row 0 is all filler, so genes index it directly
@@ -177,18 +170,22 @@ def uniform_crossover(
     position with probability 0.5, so together they always hold the pair's
     two genes; an odd last pick is copied as is. All masks come from one
     packed-byte draw. Children are gathered into out (which must not overlap
-    genes) and swapped there in place, so the mask is the only temporary.
+    genes) and swapped there in place, 8 pairs at a time, so that beside the
+    mask the only temporary is one block's gene differences.
     """
     # mode "clip" writes into out directly; the default "raise" buffers a copy
     out = np.take(genes, picks, axis=0, out=out, mode="clip")
     half, n_genes = len(picks) // 2, genes.shape[1]
     first, second = out[:half], out[half : 2 * half]
     packed = rng.integers(0, 256, size=(half, -(-n_genes // 8)), dtype=np.uint8)
-    swap = np.unpackbits(packed, axis=1, count=n_genes).view(bool)
-    # an xor swap with one masked step: second holds first ^ second meanwhile
-    second ^= first
-    np.bitwise_xor(first, second, out=first, where=swap)
-    second ^= first
+    swap = np.unpackbits(packed, axis=1, count=n_genes)
+    # a branch-free swap, several times faster than a masked (where=) xor
+    for start in range(0, half, 8):
+        a, b = first[start : start + 8], second[start : start + 8]
+        diff = a ^ b
+        diff *= swap[start : start + 8]
+        a ^= diff
+        b ^= diff
     return out
 
 
@@ -205,15 +202,25 @@ def multipoint_mutate(
     replacement (the law of one coin per gene). A redraw picks uniformly from
     the flow's row of the feasible CSR feas_ptr/feas_labels and may keep the
     incumbent, so the realized change rate is at most the mutation rate.
+    Where numpy would sample with an index over the whole population (over
+    10,000 genes, a twentieth of them drawn), blocks of rows sample instead.
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
     count = rng.binomial(genes.size, mutation_rate)
-    sites = rng.choice(genes.size, size=count, replace=False, shuffle=False)
-    members, flows = np.divmod(sites, genes.shape[1])
-    starts = feas_ptr[flows]
-    offsets = (rng.random(count) * (feas_ptr[flows + 1] - starts)).astype(np.int64)
-    genes[members, flows] = feas_labels[starts + offsets]
+    blocks, counts = [genes], [count]
+    if genes.size > 10_000 and count > genes.size // 20:
+        rows = max(1, 10_000 // genes.shape[1])
+        blocks = [genes[start : start + rows] for start in range(0, len(genes), rows)]
+        counts = rng.multivariate_hypergeometric([block.size for block in blocks], count)
+    for block, count in zip(blocks, counts):
+        if not count:
+            continue  # sampling no sites would draw nothing from rng
+        sites = rng.choice(block.size, size=count, replace=False, shuffle=False)
+        members, flows = np.divmod(sites, block.shape[1])
+        starts = feas_ptr[flows]
+        offsets = (rng.random(count) * (feas_ptr[flows + 1] - starts)).astype(np.int64)
+        block[members, flows] = feas_labels[starts + offsets]
 
 
 def run_cect(

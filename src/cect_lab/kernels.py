@@ -4,8 +4,8 @@ The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
 max-min water-filling loop. Both live here: one implementation of each kernel,
 except population loads, whose gene loop and per-label aggregated form agree.
-The gene loop reads each label's edges as one fixed-width row of a padded
-matrix, so a member's edges are one gather rather than a CSR row gather.
+The gene loop gathers fixed-width padded label rows; the aggregated form adds
+(member, label) cells per edge with a reduceat, not BLAS, whose threads compete.
 """
 
 from __future__ import annotations
@@ -25,35 +25,42 @@ def csr_rows(ptr: np.ndarray, data: np.ndarray, rows) -> tuple[np.ndarray, np.nd
     return out_ptr, data[flat]
 
 
+def edge_major_labels(label_ptr, label_edges, n_edges) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, labels): edge e's run, from starts[e], is label 0, then each label crossing e.
+
+    No gene holds label 0, so its cell is empty: no run is empty, and an uncrossed edge sums to 0.
+    """
+    edges = np.concatenate((np.arange(n_edges), label_edges))
+    labels = np.repeat(np.arange(len(label_ptr)), np.r_[n_edges, np.diff(label_ptr)])
+    order = np.argsort(edges, kind="stable")
+    return np.searchsorted(edges[order], np.arange(n_edges)), labels[order]
+
+
 def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None):
     """Per-edge integer loads for each member of a population.
 
     genes holds 1-based path labels, one row per member, one column per
     flow; label_ptr is the labels' CSR row pointer, so a gene adds
-    diff(label_ptr)[gene - 1] edge loads (the kernel itself never reads it).
-    Without groups, label_pad holds label l's edge ids in row l, filled out
-    with the id n_edges, and row 0 is all filler; a gene loop gathers each
-    member's rows with one take and sums them with one bincount, whose filler
-    bin is dropped. groups = (slot_of, slot_ptr, slot_edges) maps every
-    gene's label to a slot and gives the slots' CSR edge lists; the
-    aggregated form then sums the population's demands (per flow, or per
-    gene in genes' shape) into (member, slot) cells with one bincount and
-    spreads the cells over the slots' edges with one more. Both sum integer
+    diff(label_ptr)[gene - 1] edge loads. Without groups, label_pad holds
+    label l's edge ids in row l, filled out with the id n_edges, and row 0
+    is all filler; a gene loop gathers each member's rows with one take and
+    sums them with one bincount, whose filler bin is dropped. groups =
+    edge_major_labels(label_ptr, ...) selects the aggregated form: one
+    bincount sums the population's demands (per flow, or per gene in genes'
+    shape) into (member, label) cells, and one gather and one
+    np.add.reduceat add up each edge's labels' cells. Both sum integer
     milli-units below 2**53, so they agree exactly.
     """
     n_members = genes.shape[0]
     if groups is not None:
-        slot_of, slot_ptr, slot_edges = groups
-        n_slots = len(slot_ptr) - 1
-        cells = slot_of[genes]
-        cells += n_slots * np.arange(n_members)[:, None]
-        weights = np.broadcast_to(demands, genes.shape).ravel()
-        per_cell = np.bincount(cells.ravel(), weights, n_members * n_slots)
-        entry_slot = np.repeat(np.arange(n_slots), np.diff(slot_ptr))
-        weights = per_cell.reshape(n_members, n_slots)[:, entry_slot]
-        cells = n_edges * np.arange(n_members)[:, None] + slot_edges
-        loads = np.bincount(cells.ravel(), weights.ravel(), n_members * n_edges)
-        return loads.reshape(n_members, n_edges).astype(np.int64)
+        starts, labels = groups
+        n_cells = len(label_ptr)  # label 0's cell stays empty
+        cells = n_cells * np.arange(n_members)[:, None] + genes
+        # bincount copies read-only (broadcast_to) weights; freed cells let the gather reuse memory
+        weights = demands.ravel() if demands.ndim == 2 else np.tile(demands, n_members)
+        per_cell = np.bincount(cells.ravel(), weights, n_members * n_cells).reshape(n_members, -1)
+        del cells
+        return np.add.reduceat(per_cell[:, labels], starts, axis=1).astype(np.int64)
     # np.take beats fancy indexing here; one bincount per member beats one
     # over the whole population
     weights = np.repeat(demands, label_pad.shape[1])

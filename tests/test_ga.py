@@ -226,6 +226,27 @@ def test_mutate_redraw_count_binomial(fig2a):
     assert abs(changed.sum() - redraws / 2) <= 3 * math.sqrt(redraws * 0.25)
 
 
+def test_mutate_samples_large_populations_in_row_blocks(fig2a):
+    # above 10,000 genes and a twentieth of them, the count is split over
+    # blocks of rows; every gene still has the same chance to be redrawn
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 1.0)] * 100)
+    genes = np.full((300, 100), 3, dtype=np.int64)
+    rng = np.random.default_rng(9)
+    changed = np.zeros(genes.shape)
+    for _ in range(20):
+        changed += _mutate(genes, 0.4, table, flows, rng) != genes
+    # each redraw keeps label 3 or moves to label 4 with equal odds, so a
+    # gene changes with probability 0.2, in every row and every column alike
+    share = changed / 20
+    assert abs(share.mean() - 0.2) <= 3 * math.sqrt(0.16 / (20 * genes.size))
+    for axis, trials in ((1, 20 * 100), (0, 20 * 300)):
+        sigma = math.sqrt(0.16 / trials)
+        per_line = share.mean(axis=axis)
+        assert np.abs(per_line - 0.2).max() <= 5 * sigma
+        assert per_line.std() <= 1.3 * sigma
+
+
 def test_mutate_output_feasible(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
@@ -262,6 +283,7 @@ def test_breeding_allocates_no_population_sized_array(fig2a):
     # children are gathered straight into the next generation and swapped in
     # place; beyond the swap mask (one byte per gene of half the children),
     # only small arrays may be allocated, at the rates the solver runs
+    # (cli solve's default mut_max of 0.2 samples its sites in row blocks)
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 500)
     feasible = feasible_csr(table, flows)
@@ -270,7 +292,7 @@ def test_breeding_allocates_no_population_sized_array(fig2a):
     next_genes = np.empty_like(genes)
     picks = rng.integers(0, 93, size=92)
     mask_bytes = 46 * genes.shape[1]
-    for rate in (0.002, 0.02):  # the acceptance sweep's mut_min and mut_max
+    for rate in (0.002, 0.02, 0.2):  # the sweep's mut_min and mut_max; cli solve's mut_max
         tracemalloc.start()
         try:
             uniform_crossover(genes, picks, rng, out=next_genes[1:])

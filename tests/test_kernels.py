@@ -23,13 +23,18 @@ def topology():
 
 
 @pytest.fixture(scope="module")
-def instance(topology):
+def problem(topology):
     table = precompute_xpaths(topology, x=4, cap_c=50)
     flows = generate_flows(
         topology, 300, {"micro": 0.4, "small": 0.3, "medium": 0.2, "big": 0.1},
         plr=0.6, seed=0,
     )
-    inst = _Instance(flows, table, topology)
+    return flows, table
+
+
+@pytest.fixture(scope="module")
+def instance(topology, problem):
+    inst = _Instance(*problem, topology)
     assert inst.groups is None  # the gene loop reads the padded rows
     return inst
 
@@ -63,7 +68,7 @@ def test_loads_match_manual_accumulation(instance):
         assert np.array_equal(loads[m], manual)
 
 
-def test_backends_agree_on_loads_and_fitness(instance, topology):
+def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
     # the vectorised kernels and the routing layer (which shares their CSR
     # gather) against an independent oracle: per-edge sums over each
     # label's edges, read from the path table's hop tuples, and the exact
@@ -77,18 +82,19 @@ def test_backends_agree_on_loads_and_fitness(instance, topology):
     penalty = 20
     fit, mu = kernels.fitness_mu(loads, instance.caps, penalty)
     edge_index = topology.edge_index()
+    flows, table = problem
     for m in range(16):
         expected = np.zeros(instance.n_edges, dtype=np.int64)
-        for flow, label in zip(instance.flowset.flows, genes[m]):
-            hops = instance.table.hops_many([label])[0]
+        for flow, label in zip(flows.flows, genes[m]):
+            hops = table.hops_many([label])[0]
             for edge in zip(hops, hops[1:]):
                 expected[edge_index[edge]] += to_units(flow.demand)
         expected_mu = float(max(Fraction(int(l), int(c)) for l, c in zip(expected, instance.caps)))
         assert np.array_equal(loads[m], expected)
         assert mu[m] == expected_mu
 
-        choice = {flow.id: int(g) for flow, g in zip(instance.flowset.flows, genes[m])}
-        matrix = assemble(RoutingAssignment(choice), instance.flowset, instance.table, topology)
+        choice = {flow.id: int(g) for flow, g in zip(flows.flows, genes[m])}
+        matrix = assemble(RoutingAssignment(choice), flows, table, topology)
         assert matrix.load_units == {
             edge: int(expected[i]) for edge, i in edge_index.items() if expected[i]
         }
@@ -191,10 +197,9 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     if inst.groups is None:
         assert np.array_equal(inst.label_pad, pad)
     genes = inst.random_genes(members, rng)
-    labels = np.unique(inst.feas_labels)
-    slot_of = np.zeros(len(inst.label_ptr), dtype=np.int64)
-    slot_of[labels] = np.arange(len(labels))
-    groups = (slot_of, *kernels.csr_rows(inst.label_ptr, inst.label_edges, labels - 1))
+    groups = kernels.edge_major_labels(inst.label_ptr, inst.label_edges, inst.n_edges)
+    if inst.groups is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(inst.groups, groups))
     loop = kernels.population_loads(genes, inst.label_ptr, pad, inst.demands, inst.n_edges)
     aggregated = kernels.population_loads(
         genes, inst.label_ptr, None, inst.demands, inst.n_edges, groups
@@ -215,6 +220,7 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
         assert matrix.load_units == {
             edge: int(loop[m, i]) for edge, i in edge_index.items() if loop[m, i]
         }
+    return loop
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,9 +259,31 @@ def test_load_forms_agree_on_sample_topologies_at_x10(name):
     _check_load_forms_agree(topo, table, flows, 9, rng)
 
 
+def test_edges_no_label_crosses_read_zero_in_both_forms():
+    # at x=2 a k=4 fat tree's paths stay inside a pod, so no label crosses
+    # an aggregation-core link, the last edge ids among them; flows between
+    # two access switches of one pod leave pod links no feasible label crosses
+    topo = make_fat_tree(4)
+    table = precompute_xpaths(topo, x=2)
+    ptr, edges = table.label_edge_csr(topo)
+    n_edges = len(topo.capacity_units())
+    no_label = np.setdiff1d(np.arange(n_edges), edges)
+    assert no_label.size and no_label[-1] == n_edges - 1
+    flows = make_flows([(1, 2, 12.5), (2, 1, 0.125)] * 30)
+    loads = _check_load_forms_agree(topo, table, flows, 6, np.random.default_rng(12))
+    feasible = _Instance(flows, table, topo).feas_labels
+    crossed = np.unique(kernels.csr_rows(ptr, edges, feasible - 1)[1])
+    assert np.setdiff1d(edges, crossed).size
+    assert not loads[:, np.setdiff1d(np.arange(n_edges), crossed)].any()
+    assert loads[:, crossed].all()
+
+
 @pytest.mark.parametrize(
     "k, n_flows, aggregated",
-    [(4, 500, True), (4, 1000, True), (4, 2000, True), (8, 20_000, False), (12, 20_000, False)],
+    [
+        (4, 200, False), (4, 400, False), (4, 500, True), (4, 1000, True), (4, 2000, True),
+        (8, 20_000, False), (12, 20_000, False),
+    ],
 )
 def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     topo = make_fat_tree(k, 200.0, 200.0, 100.0)
@@ -263,10 +291,10 @@ def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     flows = generate_flows(topo, n_flows, ACCEPTANCE_MIX, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
     hops = np.diff(inst.label_ptr)
-    label_entries = hops[np.unique(inst.feas_labels) - 1].sum()
     gene_entries = hops[inst.shortest - 1].sum()
-    # the rule: aggregate when the distinct labels hold at most half the
-    # edge entries of one member's shortest genes
-    assert (2 * label_entries < gene_entries) == aggregated
+    # the rule: aggregate when the table's labels hold at most half the edge
+    # entries of one member's shortest genes (gene entries per label entry at
+    # k=4: 0.97 at 200 flows, 1.94 at 400, 2.43 at 500; k=8: 1.16; k=12: 0.10)
+    assert (2 * hops.sum() < gene_entries) == aggregated
     assert (inst.groups is not None) == aggregated
     assert (inst.label_pad is None) == aggregated
