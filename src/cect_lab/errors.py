@@ -57,13 +57,5 @@ class SearchBudgetExceededError(CectLabError):
         super().__init__(f"assignment search space exceeds budget of {budget}")
 
 
-class UnreachableFlowError(CectLabError):
-    """A flow's destination is unreachable from its source."""
-
-    def __init__(self, flow_id: int, src: int, dst: int):
-        self.flow_id = flow_id
-        super().__init__(f"flow {flow_id}: no route from {src} to {dst}")
-
-
 class ConfigError(CectLabError):
     """An experiment config file is malformed."""

@@ -95,8 +95,12 @@ def _parse_n_flows(text: str) -> tuple[int, ...]:
         if len(pieces) != 3:
             raise ConfigError(f"flow sweep must be start:stop:step, got {text!r}")
         start, stop, step = pieces
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+        counts = tuple(range(start, stop + 1, step))
+    else:
+        counts = tuple(int(p) for p in text.split(","))
+    if min(counts, default=1) < 1:
+        raise ConfigError(f"flow counts must be >= 1, got {min(counts)}")
+    return counts
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:

@@ -37,7 +37,6 @@ class SimResult:
     mu: float
     total_delivered: float
     loss_pct: float
-    model: str = "maxmin"
 
 
 def _bottleneck_rates(
@@ -112,7 +111,6 @@ def simulate(
         mu=routing_matrix.mu,
         total_delivered=delivered,
         loss_pct=0.0 if offered == 0 else 100.0 * (1.0 - delivered / offered),
-        model=model,
     )
 
 

@@ -132,7 +132,7 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
     in_table = (labels >= 1) & (labels <= xpath_table.path_count)
     rows = np.where(in_table, labels, 1) - 1
     ends = np.column_stack([hops[hop_ptr[rows]], hops[hop_ptr[rows + 1] - 1]])
-    ok = in_table & (ends == np.array(flowset.pairs(), dtype=np.int64).reshape(-1, 2)).all(axis=1)
+    ok = in_table & (ends == flowset.ends()).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
         flow, (src, dst) = flowset.flows[i], ends[i].tolist()
@@ -199,7 +199,7 @@ def validate(
 
     # out- and in-degree of every (flow, switch) the flow's edges touch, plus
     # its source and destination even when no edge touches them
-    src, dst = np.array(flowset.pairs(), dtype=np.int64).reshape(-1, 2).T
+    src, dst = flowset.ends().T
     ends = np.array(keys, dtype=np.int64).reshape(-1, 2)[ids]
     nodes, pos = np.unique(np.r_[ends[:, 0], ends[:, 1], src, dst], return_inverse=True)
     touched, at = np.unique(np.r_[flow, flow, every, every] * len(nodes) + pos, return_inverse=True)

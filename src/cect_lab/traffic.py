@@ -9,6 +9,7 @@ endpoint pair, shrinking the gene count the solver has to optimize.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -83,8 +84,15 @@ class FlowSet:
         """int64 demands in milli-units, index i holds flow i+1."""
         return np.array([to_units(f.demand) for f in self.flows], dtype=np.int64)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(f.src, f.dst) for f in self.flows]
+    def ends(self) -> np.ndarray:
+        """Read-only int64 (count, 2) array of each flow's (src, dst), built once."""
+        cached = getattr(self, "_ends", None)
+        if cached is None:
+            flat = itertools.chain.from_iterable((f.src, f.dst) for f in self.flows)
+            cached = np.fromiter(flat, dtype=np.int64, count=2 * self.count).reshape(-1, 2)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_ends", cached)
+        return cached
 
 
 def check_mix(class_mix: dict[str, float], plr: float) -> None:

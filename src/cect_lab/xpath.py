@@ -8,12 +8,13 @@ destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
 
 The table is a set of numpy arrays built one hop length at a time; callers
-read it through hops_many, hop_counts and by_pair.
+read paths through hops_many, hop_counts and label_edge_csr, and each
+endpoint pair's labels through feasible_labels and feasible_csr, which
+slice one CSR over the pairs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +33,21 @@ class XPathTable:
     the switch ids along each path, hop_counts holds each path's edge
     count, and edge_ptr/edge_ids is the CSR of its edges as ids of
     edge_index() of the topology whose sorted edges are edge_keys.
+    pair_ptr/pair_labels is the CSR of each endpoint pair's labels,
+    shortest first: with nodes the sorted switch ids and n their count, row
+    i * n + j holds the paths from nodes[i] to nodes[j], and the last row,
+    n * n, is empty.
     """
 
-    x: int
-    cap_c: int | None
     hop_ptr: np.ndarray
     hops: np.ndarray
     hop_counts: np.ndarray
     edge_ptr: np.ndarray
     edge_ids: np.ndarray
     edge_keys: tuple[tuple[int, int], ...]
-    by_pair: dict[tuple[int, int], tuple[int, ...]]
+    nodes: np.ndarray
+    pair_ptr: np.ndarray
+    pair_labels: np.ndarray
 
     @property
     def path_count(self) -> int:
@@ -137,32 +142,37 @@ def precompute_xpaths(
     hop_counts = np.repeat(np.arange(1, x + 1), [len(p) for _, _, p in levels])
     edge_ptr = np.r_[0, np.cumsum(hop_counts)]
 
-    # by_pair: group labels by pair with one stable sort, keyed in first-label order
+    # labels run shortest first, so a stable sort by pair keeps that order in each row
     order = np.argsort(pairs, kind="stable")
-    grouped = pairs[order]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    labels, bounds = (order + 1).tolist(), np.r_[starts, len(order)].tolist()
-    src, dst = nodes[grouped[starts] // n].tolist(), nodes[grouped[starts] % n].tolist()
-    by_pair = {
-        (src[g], dst[g]): tuple(labels[bounds[g] : bounds[g + 1]])
-        for g in np.argsort(order[starts]).tolist()
-    }
     return XPathTable(
-        x=x,
-        cap_c=cap_c,
         hop_ptr=edge_ptr + np.arange(len(edge_ptr)),
         hops=hops,
         hop_counts=hop_counts,
         edge_ptr=edge_ptr,
         edge_ids=edge_ids,
         edge_keys=edge_keys,
-        by_pair=by_pair,
+        nodes=nodes,
+        pair_ptr=np.searchsorted(pairs[order], np.arange(n * n + 2)),
+        pair_labels=order + 1,
     )
+
+
+def _pair_rows(table: XPathTable, ends: np.ndarray) -> np.ndarray:
+    """The pair_ptr row of each int64 (..., 2) pair of endpoint ids.
+
+    A pair that names an id the table has no switch for gets the empty last
+    row, so it can neither wrap nor clamp onto a neighbouring pair's row.
+    """
+    n = len(table.nodes)
+    pos = np.searchsorted(table.nodes, ends)
+    known = (np.searchsorted(table.nodes, ends, side="right") > pos).all(axis=-1)
+    return np.where(known, pos[..., 0] * n + pos[..., 1], n * n)
 
 
 def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:
     """Labels of every retained path from src to dst, shortest first."""
-    return table.by_pair.get((src, dst), ())
+    row = _pair_rows(table, np.array([src, dst], dtype=np.int64))
+    return tuple(table.pair_labels[table.pair_ptr[row] : table.pair_ptr[row + 1]].tolist())
 
 
 def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.ndarray]:
@@ -171,14 +181,13 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     Row i holds feasible_labels for flow i, shortest first. Raises
     NoFeasiblePathError naming the first flow that has no path in the table.
     """
-    rows = [feasible_labels(table, *pair) for pair in flowset.pairs()]
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    rows = _pair_rows(table, flowset.ends())
+    ptr, labels = csr_rows(table.pair_ptr, table.pair_labels, rows)
+    counts = np.diff(ptr)
     if not counts.all():
         flow = flowset.flows[int(np.argmin(counts))]
         raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
-    flat = itertools.chain.from_iterable(rows)
-    labels = np.fromiter(flat, dtype=np.int64, count=int(counts.sum()))
-    return np.concatenate(([0], np.cumsum(counts))), labels
+    return ptr, labels
 
 
 def format_table(table: XPathTable) -> str:

@@ -1,11 +1,15 @@
 """Shared test utilities: random instances and independent oracles.
 
 The oracles here deliberately avoid the package's own algorithms: path
-enumeration walks raw adjacency recursively, and the max-min oracle probes
-feasibility on a rate grid instead of tracking bottleneck events.
+enumeration walks raw adjacency recursively, hop distances come from a
+breadth-first search, pair lookups from each label's hop sequence, and the
+max-min oracle probes feasibility on a rate grid instead of tracking
+bottleneck events.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -64,6 +68,30 @@ def grow_xpaths(topology: Topology, x: int) -> set[tuple[int, ...]]:
 def all_hops(table: XPathTable) -> list[tuple[int, ...]]:
     """Hop sequence of every label, in label order (label l is entry l-1)."""
     return table.hops_many(range(1, table.path_count + 1))
+
+
+def labels_by_pair(table: XPathTable) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each endpoint pair's labels in label order, keyed in first-label order.
+
+    Built from the ends of every label's hops, not from the table's pair index.
+    """
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for label, hops in enumerate(all_hops(table), 1):
+        pairs.setdefault((hops[0], hops[-1]), []).append(label)
+    return {pair: tuple(labels) for pair, labels in pairs.items()}
+
+
+def bfs_distance(topology: Topology, src: int) -> dict[int, int]:
+    """Hop distance from src to every reachable switch."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        for nxt in topology.out_neighbors(node):
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return dist
 
 
 def make_flows(pairs_demands: list[tuple[int, int, float]]) -> FlowSet:

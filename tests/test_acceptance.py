@@ -33,9 +33,16 @@ from cect_lab.routing import (
 from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import compress_flows, generate_flows
 from cect_lab.fluidsim import simulate
-from cect_lab.xpath import feasible_csr, precompute_xpaths
+from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
-from helpers import all_hops, edge_list_matrix, grid_maxmin_oracle, make_flows, random_topology
+from helpers import (
+    all_hops,
+    edge_list_matrix,
+    grid_maxmin_oracle,
+    labels_by_pair,
+    make_flows,
+    random_topology,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO_ROOT / "configs" / "acceptance_sweep.ini"
@@ -98,7 +105,7 @@ def test_criterion_3_oracle_optimality_gap():
                 rng, int(rng.integers(3, 7)), edge_prob=0.5, capacity=10.0
             )
             table = precompute_xpaths(topo, x=3)
-            pairs = [p for p in table.by_pair if table.by_pair[p]]
+            pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
             n_flows = int(rng.integers(1, 7))
@@ -212,7 +219,7 @@ def test_criterion_7_constraint_suite():
         while checked < 10_000:
             topo = random_topology(rng, int(rng.integers(3, 8)), edge_prob=0.5)
             table = precompute_xpaths(topo, x=3)
-            pairs = [p for p in table.by_pair if table.by_pair[p]]
+            pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
             for _ in range(200):
@@ -220,7 +227,7 @@ def test_criterion_7_constraint_suite():
                 flows, choice = [], {}
                 for fid in range(1, n_flows + 1):
                     pair = pairs[rng.integers(len(pairs))]
-                    labels = table.by_pair[pair]
+                    labels = feasible_labels(table, *pair)
                     flows.append((*pair, float(rng.integers(1, 9))))
                     choice[fid] = int(labels[rng.integers(len(labels))])
                 flowset = make_flows(flows)
@@ -329,14 +336,14 @@ def test_criterion_9_simulator_sanity():
         while checked < 25:
             topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
             table = precompute_xpaths(topo, x=3)
-            pairs = [p for p in table.by_pair if table.by_pair[p]]
+            pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
             n = int(rng.integers(2, 6))
             flows, choice = [], {}
             for fid in range(1, n + 1):
                 pair = pairs[rng.integers(len(pairs))]
-                labels = table.by_pair[pair]
+                labels = feasible_labels(table, *pair)
                 flows.append((*pair, float(rng.integers(2, 16))))
                 choice[fid] = int(labels[rng.integers(len(labels))])
             flowset = make_flows(flows)

@@ -4,10 +4,11 @@ A function, class or method counts as used when src/ or perfbench/ mentions
 it outside its own definition, as a name, an attribute or a word inside a
 string (perfbench wraps library functions by their string names). A
 dataclass field counts as used when src/ or perfbench/ reads it as an
-attribute. A subcommand's optional flag counts as used when its handler,
-or a cli helper that the handler passes args to, reads args.<dest>. Code
-that only the tests call, fields that only the tests read, and flags that
-nothing reads do not belong in src/.
+attribute of anything but the argparse namespace `args`, whose options
+share names with fields. A subcommand's optional flag counts as used when
+its handler, or a cli helper that the handler passes args to, reads
+args.<dest>. Code that only the tests call, fields that only the tests
+read, and flags that nothing reads do not belong in src/.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ def _unread_fields() -> list[str]:
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
     unread = []
     for path, tree in trees.items():

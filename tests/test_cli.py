@@ -115,9 +115,11 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("[sim]", "[typo]\nfoo = 1\n[sim]", r"unknown section \[typo\]"),
         ("kind = fat_tree", "kind = torus", r"\[topology\] unknown kind 'torus'"),
         ("kind = fat_tree", "kind = file", r"\[topology\] kind 'file' needs a path"),
+        ("n_flows = 60,120", "n_flows = -5,0", r"\[sweep\] n_flows: flow counts must be >= 1"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths",
-         "typo-key", "deleted-key", "unknown-section", "topology-kind", "topology-path"],
+         "typo-key", "deleted-key", "unknown-section", "topology-kind", "topology-path",
+         "n-flows"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs

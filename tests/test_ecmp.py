@@ -1,14 +1,21 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cect_lab.ecmp import bfs_distance, fnv1a64, route_ecmp
-from cect_lab.errors import UnreachableFlowError
+from cect_lab.ecmp import fnv1a64, route_ecmp
+from cect_lab.errors import NoFeasiblePathError
+from cect_lab.exact import solve_exact
+from cect_lab.ga import GaConfig, run_cect
 from cect_lab.routing import assemble, validate
 from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import generate_flows
-from cect_lab.xpath import precompute_xpaths
+from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
-from helpers import make_flows, random_topology
+from helpers import bfs_distance, labels_by_pair, make_flows, random_topology
 
 
 def test_single_shortest_path_always_chosen():
@@ -33,7 +40,7 @@ def test_chosen_paths_are_bfs_shortest():
     for _ in range(10):
         topo = random_topology(rng, 6, edge_prob=0.5)
         table = precompute_xpaths(topo, x=4)
-        pairs = [p for p in table.by_pair if table.by_pair[p]]
+        pairs = list(labels_by_pair(table))
         if not pairs:
             continue
         flows = make_flows(
@@ -115,18 +122,94 @@ def test_max_paths_cap():
             route_ecmp(flows, topo, table, max_paths=bad)
 
 
-def test_unreachable_flow_named():
-    topo = make_sample_topology("fig2a", 10.0)
-    table = precompute_xpaths(topo, x=3)
-    flows = make_flows([(3, 1, 1.0), (1, 3, 1.0)])
-    with pytest.raises(UnreachableFlowError, match="flow 2"):
-        route_ecmp(flows, topo, table)
+def test_route_ecmp_rejects_a_table_of_another_topology():
+    table = precompute_xpaths(make_fat_tree(4), x=4, cap_c=50)
+    flows = make_flows([(1, 3, 1.0)])
+    with pytest.raises(ValueError, match="table was built for another topology"):
+        route_ecmp(flows, make_fat_tree(6), table)
 
 
-def test_short_table_reports_bound():
-    topo = make_fat_tree(4)
-    table = precompute_xpaths(topo, x=2)
-    src, dst = topo.edge_switches()[0], topo.edge_switches()[2]  # needs 4 hops
-    flows = make_flows([(src, dst, 1.0)])
-    with pytest.raises(ValueError, match="hop bound"):
-        route_ecmp(flows, topo, table)
+SOLVERS = {
+    "ecmp": lambda flows, table, topo: route_ecmp(flows, topo, table),
+    "cect": lambda flows, table, topo: run_cect(flows, table, topo, GaConfig(seed=0)),
+    "exact": lambda flows, table, topo: solve_exact(flows, table, topo),
+}
+
+
+@pytest.mark.parametrize(
+    "topo, x, dst",
+    [
+        (make_sample_topology("fig2a"), 3, 3),  # no edge enters switch 3
+        (make_fat_tree(4), 2, 3),  # another pod: 4 hops, beyond the bound
+        (make_fat_tree(4), 4, 9),  # an aggregation switch, where no path ends
+        (make_fat_tree(4), 4, 21),  # above every id: an unchecked lookup reads 3 -> 1
+        (make_fat_tree(4), 4, 0),  # below every id: an unchecked lookup reads 2 -> 1
+    ],
+    ids=["unreachable", "hop-bound", "to-aggregation", "unknown-above", "unknown-below"],
+)
+def test_every_solver_names_the_flow_without_a_path(topo, x, dst):
+    table = precompute_xpaths(topo, x=x)
+    flows = make_flows([(1, 2, 1.0), (2, dst, 1.0)])
+    for solve in SOLVERS.values():
+        with pytest.raises(NoFeasiblePathError, match=rf"flow 2 \(2 -> {dst}\)"):
+            solve(flows, table, topo)
+
+
+MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
+
+
+@pytest.mark.parametrize(
+    "k, n_flows, seed, digest",
+    [
+        (4, 2000, 0, "d56fe6dec5fa13f1c5e47deefbb96dabb6c881e338349bdb5fa5a49f4db7ba2a"),
+        (8, 20000, 1, "030f17386fb34065e5951d016500999973d3dd4f67f3028c658e24a3ab7eb980"),
+    ],
+    ids=["k4-2000", "k8-20000"],
+)
+def test_route_ecmp_output_is_pinned(k, n_flows, seed, digest):
+    # the acceptance mix on the solver-benchmark tables: ECMP's labels must
+    # not move when its candidate lookup changes
+    topo = make_fat_tree(k)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, n_flows, MIX, plr=0.95, seed=seed)
+    assignment = route_ecmp(flows, topo, table)
+    labels = np.array([assignment.choice[f.id] for f in flows.flows], dtype=np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 6),
+    edge_prob=st.floats(0.2, 0.9),
+    x=st.integers(1, 3),
+    cap_c=st.one_of(st.none(), st.integers(1, 4)),
+    n_flows=st.integers(1, 3),
+)
+def test_solvers_share_the_feasible_csr(seed, n_nodes, edge_prob, x, cap_c, n_flows):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, edge_prob)
+    table = precompute_xpaths(topo, x=x, cap_c=cap_c)
+    reference = labels_by_pair(table)
+    for pair in itertools.product((0, *topo.nodes, n_nodes + 1), repeat=2):
+        assert feasible_labels(table, *pair) == reference.get(pair, ())
+    pairs = list(reference)
+    flows = make_flows(
+        [(*pairs[rng.integers(len(pairs))], float(rng.integers(1, 9))) for _ in range(n_flows)]
+    )
+    ptr, labels = feasible_csr(table, flows)
+    rows = [reference[(f.src, f.dst)] for f in flows.flows]
+    assert ptr.tolist() == np.cumsum([0, *map(len, rows)]).tolist()
+    assert labels.tolist() == [label for row in rows for label in row]
+
+    ecmp = route_ecmp(flows, topo, table)
+    cect, _, _ = run_cect(flows, table, topo, GaConfig(max_iterations=3, seed=seed))
+    exact, _ = solve_exact(flows, table, topo)
+    matrices = {}
+    for name, assignment in (("ecmp", ecmp), ("cect", cect), ("exact", exact)):
+        matrices[name] = assemble(assignment, flows, table, topo)
+        assert validate(matrices[name], flows, topo) == [], name
+    for flow in flows.flows:
+        hops = table.hop_counts[ecmp.choice[flow.id] - 1]
+        assert hops == bfs_distance(topo, flow.src)[flow.dst]
+    assert matrices["exact"].mu <= matrices["cect"].mu

@@ -10,7 +10,7 @@ from cect_lab.topology import make_sample_topology
 from cect_lab.traffic import FlowSet
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import make_flows, random_topology
+from helpers import labels_by_pair, make_flows, random_topology
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def test_exhaustive_against_full_enumeration():
     for _ in range(30):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5)
         table = precompute_xpaths(topo, x=3)
-        pairs = [p for p, labs in table.by_pair.items() if labs]
+        pairs = list(labels_by_pair(table))
         if not pairs:
             continue
         n_flows = int(rng.integers(1, 5))
@@ -87,7 +87,7 @@ def test_optimum_passes_validation():
     for _ in range(10):
         topo = random_topology(rng, 5, edge_prob=0.6)
         table = precompute_xpaths(topo, x=3)
-        pairs = sorted(table.by_pair)
+        pairs = sorted(labels_by_pair(table))
         if not pairs:
             continue
         flows = make_flows(

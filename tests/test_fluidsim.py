@@ -8,9 +8,9 @@ from cect_lab.fluidsim import SimResult, run_volume_schedule, simulate
 from cect_lab.routing import RoutingAssignment, assemble, matrix_from_paths
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
-from cect_lab.xpath import precompute_xpaths
+from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import grid_maxmin_oracle, make_flows, random_topology
+from helpers import grid_maxmin_oracle, labels_by_pair, make_flows, random_topology
 
 
 def _line_topology(capacity=10.0) -> Topology:
@@ -69,13 +69,13 @@ def test_conservation_and_feasibility(model):
     for _ in range(25):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=8.0)
         table = precompute_xpaths(topo, x=3)
-        pairs = [p for p in table.by_pair if table.by_pair[p]]
+        pairs = list(labels_by_pair(table))
         if not pairs:
             continue
         flows, choice = [], {}
         for fid in range(1, int(rng.integers(1, 7)) + 1):
             pair = pairs[rng.integers(len(pairs))]
-            labels = table.by_pair[pair]
+            labels = feasible_labels(table, *pair)
             flows.append((*pair, float(rng.uniform(0.5, 12.0))))
             choice[fid] = int(labels[rng.integers(len(labels))])
         flowset = make_flows(flows)
@@ -97,7 +97,7 @@ def test_maxmin_matches_grid_oracle():
     for _ in range(15):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
         table = precompute_xpaths(topo, x=3)
-        pairs = [p for p in table.by_pair if table.by_pair[p]]
+        pairs = list(labels_by_pair(table))
         if not pairs:
             continue
         edge_ids = topo.edge_index()
@@ -105,7 +105,7 @@ def test_maxmin_matches_grid_oracle():
         n = int(rng.integers(2, 6))
         for fid in range(1, n + 1):
             pair = pairs[rng.integers(len(pairs))]
-            labels = table.by_pair[pair]
+            labels = feasible_labels(table, *pair)
             flows.append((*pair, float(rng.integers(2, 15))))
             choice[fid] = int(labels[rng.integers(len(labels))])
         flowset = make_flows(flows)
@@ -131,14 +131,14 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
     for _ in range(15):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
         table = precompute_xpaths(topo, x=3)
-        pairs = [p for p in table.by_pair if table.by_pair[p]]
+        pairs = list(labels_by_pair(table))
         if not pairs:
             continue
         flows, choice = [], {}
         for fid in range(1, 5):
             pair = pairs[rng.integers(len(pairs))]
             flows.append((*pair, float(rng.integers(3, 20))))
-            choice[fid] = int(table.by_pair[pair][0])
+            choice[fid] = int(feasible_labels(table, *pair)[0])
         flowset = make_flows(flows)
         matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
         result = simulate(matrix, flowset, topo, "maxmin")
@@ -270,7 +270,7 @@ def test_volume_schedule_matches_simulating_each_step(model):
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, 60, {"medium": 0.5, "big": 0.5}, plr=0.8, seed=11)
-    labels = {f.id: table.by_pair[(f.src, f.dst)] for f in flows.flows}
+    labels = {f.id: feasible_labels(table, f.src, f.dst) for f in flows.flows}
     choice = {fid: options[fid % len(options)] for fid, options in labels.items()}
     matrix = assemble(RoutingAssignment(choice), flows, table, topo)
     rng = np.random.default_rng(12)

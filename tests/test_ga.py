@@ -23,7 +23,7 @@ from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
-from helpers import make_flows, random_topology
+from helpers import labels_by_pair, make_flows, random_topology
 
 PUBLISHED_FITNESSES = [6.82, 1.11, 8.48, 2.57, 3.08]
 PUBLISHED_SHARES = [0.309, 0.050, 0.384, 0.117, 0.140]
@@ -473,7 +473,7 @@ def test_run_tracks_exact_optimum_on_small_instances():
     for _ in range(20):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5, capacity=10.0)
         table = precompute_xpaths(topo, x=3)
-        pairs = [p for p in table.by_pair if table.by_pair[p]]
+        pairs = list(labels_by_pair(table))
         if not pairs:
             continue
         flows = make_flows(

@@ -12,7 +12,7 @@ from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
 
-from helpers import make_flows, random_topology
+from helpers import labels_by_pair, make_flows, random_topology
 
 ACCEPTANCE_MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
 
@@ -237,7 +237,7 @@ def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob=0.5)
     table = precompute_xpaths(topo, x=3)
-    pairs = [p for p in table.by_pair if table.by_pair[p]]
+    pairs = list(labels_by_pair(table))
     chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
     flows = make_flows(
         [(*pair, int(rng.integers(1, 4000)) / 8) for pair in chosen for _ in range(flows_per_pair)]
@@ -252,7 +252,7 @@ def test_load_forms_agree_on_sample_topologies_at_x10(name):
     topo = make_sample_topology(name, 10.0)
     table = precompute_xpaths(topo, x=10)
     assert len(set(np.diff(table.label_edge_csr(topo)[0]).tolist())) > 1
-    pairs = [p for p in table.by_pair if table.by_pair[p]]
+    pairs = list(labels_by_pair(table))
     flows = make_flows(
         [(*pairs[i], int(rng.integers(1, 4000)) / 8) for i in rng.integers(len(pairs), size=40)]
     )

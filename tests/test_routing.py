@@ -23,9 +23,9 @@ from cect_lab.routing import (
 )
 from cect_lab.topology import Topology, make_sample_topology
 from cect_lab.traffic import FlowSet
-from cect_lab.xpath import precompute_xpaths
+from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import edge_list_matrix, make_flows, random_topology
+from helpers import edge_list_matrix, labels_by_pair, make_flows, random_topology
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def test_mu_exact_against_per_edge_sum(fig2a):
         flows = []
         choice = {}
         fid = 0
-        for (src, dst), labels in table.by_pair.items():
+        for (src, dst), labels in labels_by_pair(table).items():
             for _ in range(int(rng.integers(0, 3))):
                 fid += 1
                 flows.append((src, dst, float(rng.integers(1, 20)) / 4))
@@ -118,13 +118,13 @@ def test_validate_accepts_all_table_paths():
     for _ in range(20):
         topo = random_topology(rng, int(rng.integers(3, 8)), edge_prob=0.5)
         table = precompute_xpaths(topo, x=3)
-        if not table.by_pair:
+        pairs = sorted(labels_by_pair(table))
+        if not pairs:
             continue
-        pairs = sorted(table.by_pair)
         flows, choice = [], {}
         for fid in range(1, int(rng.integers(1, 6)) + 1):
             src, dst = pairs[rng.integers(len(pairs))]
-            labels = table.by_pair[(src, dst)]
+            labels = feasible_labels(table, src, dst)
             flows.append((src, dst, 1.0))
             choice[fid] = int(labels[rng.integers(len(labels))])
         flowset = make_flows(flows)

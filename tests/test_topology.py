@@ -1,6 +1,5 @@
 import pytest
 
-from cect_lab.ecmp import bfs_distance
 from cect_lab.errors import TopologyFormatError
 from cect_lab.topology import (
     Topology,
@@ -9,6 +8,8 @@ from cect_lab.topology import (
     make_sample_topology,
     save_topology,
 )
+
+from helpers import bfs_distance
 
 
 def _tiers(k):

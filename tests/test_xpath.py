@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from cect_lab.xpath import (
     precompute_xpaths,
 )
 
-from helpers import all_hops, brute_force_simple_paths, grow_xpaths, make_flows, random_topology
+from helpers import (
+    all_hops,
+    brute_force_simple_paths,
+    grow_xpaths,
+    labels_by_pair,
+    make_flows,
+    random_topology,
+)
 
 # Published 3-hop labeling of the 3-node sample, label -> hops.
 GOLDEN_FIG2A = {
@@ -74,6 +82,8 @@ def test_feasible_labels_fig2a(fig2a_table):
     assert feasible_labels(fig2a_table, 3, 1) == (3, 5)
     assert feasible_labels(fig2a_table, 1, 3) == ()
     assert feasible_labels(fig2a_table, 2, 2) == ()
+    # ids that are not switches: the sorted lookup must not alias a neighbour
+    assert feasible_labels(fig2a_table, 0, 1) == feasible_labels(fig2a_table, 3, 4) == ()
 
 
 def test_feasible_labels_stable(fig2a_table):
@@ -136,9 +146,10 @@ def test_deterministic_label_assignment():
 
 def test_labels_dense_and_indexed(fig2a_table):
     assert fig2a_table.path_count == 6
-    labels = sorted(l for pair_labels in fig2a_table.by_pair.values() for l in pair_labels)
-    assert labels == list(range(1, 7))
-    for pair, labels in fig2a_table.by_pair.items():
+    pairs = itertools.product((1, 2, 3), repeat=2)
+    rows = {pair: feasible_labels(fig2a_table, *pair) for pair in pairs}
+    assert sorted(label for labels in rows.values() for label in labels) == list(range(1, 7))
+    for pair, labels in rows.items():
         for hops in fig2a_table.hops_many(labels):
             assert (hops[0], hops[-1]) == pair
 
@@ -148,17 +159,19 @@ def test_per_pair_cap_keeps_shortest_first():
     capped = precompute_xpaths(topo, x=3, cap_c=1)
     assert set(all_hops(capped)) == {(1, 2), (2, 1), (3, 1), (3, 2)}
     full = precompute_xpaths(topo, x=3)
-    for pair, labels in capped.by_pair.items():
+    for pair in labels_by_pair(capped):
+        labels = feasible_labels(capped, *pair)
         assert len(labels) == 1
         kept = capped.hops_many(labels)[0]
-        shortest = full.hops_many(full.by_pair[pair][:1])[0]
+        shortest = full.hops_many(feasible_labels(full, *pair)[:1])[0]
         assert kept == shortest
 
 
 def test_pair_lists_sorted_by_hops_then_label():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4)
-    for labels in table.by_pair.values():
+    for pair in labels_by_pair(table):
+        labels = feasible_labels(table, *pair)
         hops = [int(table.hop_counts[l - 1]) for l in labels]
         assert hops == sorted(hops)
         assert list(labels) == sorted(labels)
@@ -167,7 +180,7 @@ def test_pair_lists_sorted_by_hops_then_label():
 def test_cap_bounds_pair_sizes():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=3)
-    assert all(len(labels) <= 3 for labels in table.by_pair.values())
+    assert all(len(feasible_labels(table, *pair)) <= 3 for pair in labels_by_pair(table))
 
 
 def test_rejects_bad_parameters():
@@ -243,8 +256,10 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, p
     for path in sorted(every, key=_table_order):
         ranked.setdefault((path[0], path[-1]), []).append(path)
     expected = {pair: paths[:cap_c] for pair, paths in ranked.items()}
+    pairs = itertools.product(topo.nodes, repeat=2)
+    rows = {pair: feasible_labels(table, *pair) for pair in pairs}
     assert {
-        pair: [hops[label - 1] for label in labels] for pair, labels in table.by_pair.items()
+        pair: [hops[label - 1] for label in labels] for pair, labels in rows.items() if labels
     } == expected
     if cap_c is None:
         assert set(hops) == every
@@ -323,9 +338,10 @@ def test_endpoint_table_routes_like_the_all_pairs_table():
         "40609fa60166ffd055f8f6fdd62d945df6bec8c8a5813b16dd30323ed1679edd"
     )
     ends = set(topo.edge_switches())
-    assert set(table.by_pair) == {p for p in full.by_pair if set(p) <= ends}
-    for pair, labels in table.by_pair.items():
-        assert table.hops_many(labels) == full.hops_many(full.by_pair[pair])
+    assert set(labels_by_pair(table)) == {p for p in labels_by_pair(full) if set(p) <= ends}
+    for pair, labels in labels_by_pair(table).items():
+        assert feasible_labels(table, *pair) == labels
+        assert table.hops_many(labels) == full.hops_many(feasible_labels(full, *pair))
 
     def hops(assignment, flows, tab):
         return tab.hops_many([assignment.choice[f.id] for f in flows.flows])
