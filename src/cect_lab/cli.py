@@ -11,11 +11,10 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import experiment
-from .ecmp import route_ecmp
 from .errors import CectLabError
-from .exact import solve_exact
+from .exact import DEFAULT_BUDGET
 from .fluidsim import simulate
-from .ga import GaConfig, run_cect
+from .ga import GaConfig
 from .routing import (
     assemble,
     format_assignment,
@@ -96,13 +95,9 @@ def _cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    stats = None
-    if args.method == "cect":
-        assignment, mu, stats = run_cect(flows, table, topo, _ga_config(args))
-    elif args.method == "ecmp":
-        assignment = route_ecmp(flows, topo, table, args.ecmp_max_paths)
-    else:
-        assignment, mu = solve_exact(flows, table, topo, args.budget)
+    assignment, stats = experiment.solve(
+        args.method, flows, table, topo, _ga_config(args), args.ecmp_max_paths, args.budget
+    )
     elapsed = time.perf_counter() - start
 
     matrix = assemble(assignment, flows, table, topo)
@@ -136,15 +131,14 @@ def _cmd_simulate(args) -> int:
     flows = load_flows(args.flows)
     dump = parse_assignment_dump(Path(args.assignment).read_text(encoding="utf-8"))
     hops_by_flow = {fid: hops for fid, (_, hops) in dump.items()}
-    labels = {fid: label for fid, (label, _) in dump.items()}
     matrix = matrix_from_paths(hops_by_flow, flows, topo)
     result = simulate(matrix, flows, topo, args.model)
 
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # matrix_from_paths has checked that the dump routes every flow
     flow_rows = [
-        (f.id, f"{f.demand:.10g}", f"{result.per_flow_rate[f.id]:.10g}",
-         labels.get(f.id, ""))
+        (f.id, f"{f.demand:.10g}", f"{result.per_flow_rate[f.id]:.10g}", dump[f.id][0])
         for f in flows.flows
     ]
     _write_rows(out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"), flow_rows)
@@ -253,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-target", type=float)
     p.add_argument("--penalty", type=float)
     p.add_argument("--ecmp-max-paths", type=int, default=None)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", parents=[out_dir], help="evaluate a stored assignment")

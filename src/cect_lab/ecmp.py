@@ -61,4 +61,4 @@ def route_ecmp(
     src, dst = flowset.ends().T
     ids = np.arange(1, flowset.count + 1, dtype=np.int64)
     picks = (fnv1a64(src, dst, ids) % sizes.astype(np.uint64)).astype(np.int64)
-    return RoutingAssignment(choice=dict(zip(ids.tolist(), labels[starts + picks].tolist())))
+    return RoutingAssignment(labels[starts + picks])

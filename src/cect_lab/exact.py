@@ -18,6 +18,8 @@ from .topology import Topology
 from .traffic import FlowSet
 from .xpath import XPathTable, feasible_csr
 
+DEFAULT_BUDGET = 1_000_000
+
 
 def _ratio_gt(load_a: int, cap_a: int, load_b: int, cap_b: int) -> bool:
     """load_a/cap_a > load_b/cap_b without division."""
@@ -28,7 +30,7 @@ def solve_exact(
     flowset: FlowSet,
     xpath_table: XPathTable,
     topology: Topology,
-    budget: int = 1_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[RoutingAssignment, float]:
     """Return the assignment minimizing maximum link utilization.
 
@@ -40,9 +42,6 @@ def solve_exact(
     budget.
     """
     n_flows = flowset.count
-    if n_flows == 0:
-        return RoutingAssignment(choice={}), 0.0
-
     feas_ptr, feas_labels = feasible_csr(xpath_table, flowset)
     if math.prod(np.diff(feas_ptr).tolist()) > budget:
         raise SearchBudgetExceededError(budget)
@@ -92,5 +91,4 @@ def solve_exact(
 
     search(0, 0, 1, 0)
     assert best_labels is not None
-    choice = {flow.id: best_labels[i] for i, flow in enumerate(flowset.flows)}
-    return RoutingAssignment(choice=choice), best_load / best_cap
+    return RoutingAssignment(np.array(best_labels, dtype=np.int64)), best_load / best_cap

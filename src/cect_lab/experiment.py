@@ -21,10 +21,10 @@ import numpy as np
 
 from .ecmp import route_ecmp
 from .errors import CectLabError, ConfigError
-from .exact import solve_exact
+from .exact import DEFAULT_BUDGET, solve_exact
 from .fluidsim import MODELS, simulate
-from .ga import GaConfig, run_cect
-from .routing import assemble, format_assignment
+from .ga import GaConfig, RunStats, run_cect
+from .routing import RoutingAssignment, assemble, format_assignment
 from .topology import Topology, make_fat_tree, make_sample_topology, load_topology, save_topology
 from .traffic import (
     FlowSet,
@@ -192,6 +192,11 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
             raise ConfigError(f"{path}: unknown method {method!r}")
     if not cfg.n_flows_list:
         raise ConfigError(f"{path}: empty flow sweep")
+    for key, values in (("n_flows", cfg.n_flows_list), ("methods", cfg.methods)):
+        # a repeated value would run its cells twice and skew report's means
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ConfigError(f"{path}: [sweep] {key}: {repeated[0]!r} is listed twice")
     if cfg.n_seeds < 1:
         raise ConfigError(f"{path}: seeds must be >= 1")
     checks = {
@@ -250,26 +255,22 @@ def _prepare_workload(
     return flows
 
 
-def _solve_cell(
-    cfg: ExperimentConfig,
-    topology: Topology,
-    table: XPathTable,
-    flows: FlowSet,
-    method: str,
-    ga_seed: int,
-):
-    start = time.perf_counter()
+def solve(
+    method: str, flows: FlowSet, table: XPathTable, topology: Topology, ga_config: GaConfig,
+    max_paths: int | None = None, budget: int = DEFAULT_BUDGET,
+) -> tuple[RoutingAssignment, RunStats | None]:
+    """Route flows by "cect" (reads ga_config), "ecmp" (max_paths) or "exact" (budget).
+
+    Returns the assignment and cect's RunStats, or None; raises ValueError for
+    any other method."""
     if method == "cect":
-        ga_cfg = GaConfig(seed=ga_seed, **cfg.ga)
-        assignment, _, _ = run_cect(flows, table, topology, ga_cfg)
-    elif method == "ecmp":
-        assignment = route_ecmp(flows, topology, table, cfg.ecmp_max_paths)
-    elif method == "exact":
-        assignment, _ = solve_exact(flows, table, topology)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    elapsed = time.perf_counter() - start
-    return assignment, elapsed
+        assignment, _, stats = run_cect(flows, table, topology, ga_config)
+        return assignment, stats
+    if method == "ecmp":
+        return route_ecmp(flows, topology, table, max_paths), None
+    if method == "exact":
+        return solve_exact(flows, table, topology, budget)[0], None
+    raise ValueError(f"unknown method {method!r}")
 
 
 # Per-process cache so parallel workers build the topology and table once.
@@ -300,7 +301,10 @@ def _run_cell(args: tuple[str, bytes, str, int, int]) -> dict:
         cfg, topology, table = _worker_state(config_path, data)
         traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
         flows = _prepare_workload(cfg, topology, n_flows, traffic_seed)
-        assignment, elapsed = _solve_cell(cfg, topology, table, flows, method, ga_seed)
+        ga_config = GaConfig(seed=ga_seed, **cfg.ga)
+        start = time.perf_counter()
+        assignment, _ = solve(method, flows, table, topology, ga_config, cfg.ecmp_max_paths)
+        elapsed = time.perf_counter() - start
         matrix = assemble(assignment, flows, table, topology)
         result = simulate(matrix, flows, topology, cfg.sim_model)
     except (CectLabError, ValueError) as exc:  # recorded in the manifest; sweep continues

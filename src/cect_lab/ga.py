@@ -253,7 +253,7 @@ def run_cect(
     if flowset.count == 0:
         stats.feasible = True
         stats.best_mu = 0.0
-        return RoutingAssignment(choice={}), 0.0, stats
+        return RoutingAssignment(np.zeros(0, dtype=np.int64)), 0.0, stats
 
     genes = inst.random_genes(n_pop, rng)
     genes[0] = inst.shortest
@@ -317,5 +317,4 @@ def run_cect(
     stats.best_mu = best_mu
     stats.best_fitness = best_fit_at_best_mu
     stats.feasible = best_mu <= config.mu_target
-    choice = {flow.id: int(best_genes[i]) for i, flow in enumerate(flowset.flows)}
-    return RoutingAssignment(choice=choice), best_mu, stats
+    return RoutingAssignment(best_genes), best_mu, stats

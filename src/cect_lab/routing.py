@@ -1,10 +1,11 @@
 """Routing assignments as per-flow edge lists, with loads and validation.
 
-An assignment maps every flow to one path label. Assembling it yields a
-RoutingMatrix: each flow's edges in hop order as a CSR of edge ids (the form
-the path table and the kernels use), the per-link loads, and the achieved
-maximum link utilization. Loads are accumulated in integer milli-units so
-that comparing two routings never depends on float summation order.
+An assignment is a label vector, one path label per flow in flow order.
+Assembling it yields a RoutingMatrix: each flow's edges in hop order as a
+CSR of edge ids (the form the path table and the kernels use), the per-link
+loads, and the achieved maximum link utilization. Loads are accumulated in
+integer milli-units so that comparing two routings never depends on float
+summation order.
 """
 
 from __future__ import annotations
@@ -45,11 +46,15 @@ ALL_RULES = (
 HOT_SPOT_THRESHOLD = 0.7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingAssignment:
-    """Chosen path label per flow id."""
+    """Chosen path labels as an int64 array in flow order: labels[i] is flow i+1's."""
 
-    choice: dict[int, int]
+    labels: np.ndarray
+
+    @property
+    def choice(self) -> dict[int, int]:  # the labels keyed by flow id, built on each read
+        return dict(enumerate(self.labels.tolist(), start=1))
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,13 @@ def matrix_from_paths(
     return _matrix(flow_ptr, np.array(ids, dtype=np.int64), flowset, topology)
 
 
-def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) -> None:
-    """Raise InfeasibleLabelError at the first flow, in flow order, whose
-    int64 label is not in the table or names a path between other switches."""
+def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) -> np.ndarray:
+    """The first flowset.count labels of an int64 vector, which may route more
+    flows. Raises InfeasibleLabelError at the first flow, in flow order, that has
+    no label, whose label is not in the table, or whose path joins other switches."""
+    if len(labels) < flowset.count:
+        raise InfeasibleLabelError(len(labels) + 1, -1, "no label assigned")
+    labels = labels[: flowset.count]
     hop_ptr, hops = xpath_table.hop_ptr, xpath_table.hops
     in_table = (labels >= 1) & (labels <= xpath_table.path_count)
     rows = np.where(in_table, labels, 1) - 1
@@ -141,6 +150,7 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
             if in_table[i] else "label not in table"
         )
         raise InfeasibleLabelError(flow.id, int(labels[i]), detail)
+    return labels
 
 
 def assemble(
@@ -150,11 +160,7 @@ def assemble(
     topology: Topology,
 ) -> RoutingMatrix:
     """Resolve labels to their paths' edges and accumulate per-link loads."""
-    chosen = [assignment.choice.get(flow.id) for flow in flowset.flows]
-    if None in chosen:
-        raise InfeasibleLabelError(flowset.flows[chosen.index(None)].id, -1, "no label assigned")
-    labels = np.array(chosen, dtype=np.int64)
-    check_labels(labels, flowset, xpath_table)
+    labels = check_labels(assignment.labels, flowset, xpath_table)
     flow_ptr, edge_ids = csr_rows(*xpath_table.label_edge_csr(topology), labels - 1)
     return _matrix(flow_ptr, edge_ids, flowset, topology)
 
@@ -240,10 +246,10 @@ def format_assignment(
     assignment: RoutingAssignment, flowset: FlowSet, xpath_table: XPathTable
 ) -> str:
     """Text dump, one `flow <id> via <label>: s1 -> ... -> sk` line per flow."""
-    labels = [assignment.choice[flow.id] for flow in flowset.flows]
+    labels = check_labels(assignment.labels, flowset, xpath_table)
     return "".join(
         f"flow {flow.id} via {label}: {' -> '.join(map(str, hops))}\n"
-        for flow, label, hops in zip(flowset.flows, labels, xpath_table.hops_many(labels))
+        for flow, label, hops in zip(flowset.flows, labels.tolist(), xpath_table.hops_many(labels))
     )
 
 

@@ -8,6 +8,7 @@ Mb/s); an absent edge means capacity zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +25,26 @@ def to_units(bandwidth: float) -> int:
     return int(round(bandwidth * UNITS_PER_BW))
 
 
+def _check_link(src: int, dst: int, cap: float, seen: set, line_no: int | None = None) -> None:
+    """Add src -> dst to seen, or raise TopologyFormatError (naming line_no when
+    given) for a self-loop, a repeated edge or a capacity outside (0, inf)."""
+    if src == dst:
+        raise TopologyFormatError(f"self-loop edge {src} -> {dst}", line_no)
+    if (src, dst) in seen:
+        raise TopologyFormatError(f"duplicate edge {src} -> {dst}", line_no)
+    if not 0 < cap < math.inf:
+        message = f"capacity {cap} of edge {src} -> {dst} is not finite and > 0"
+        raise TopologyFormatError(message, line_no)
+    seen.add((src, dst))
+
+
 @dataclass(frozen=True)
 class Topology:
     """Immutable directed capacitated graph of switches.
 
     Attributes:
         nodes: switch ids, sorted ascending.
-        links: directed edges as (src, dst, capacity) with capacity > 0.
+        links: directed edges as (src, dst, capacity), with 0 < capacity < inf.
         pod_of: optional map switch id -> pod index for edge/aggregation
             switches of a fat-tree; core switches are absent from the map.
     """
@@ -43,17 +57,9 @@ class Topology:
         node_set = set(self.nodes)
         seen: set[tuple[int, int]] = set()
         for src, dst, cap in self.links:
-            if src == dst:
-                raise TopologyFormatError(f"self-loop edge {src} -> {dst}")
-            if (src, dst) in seen:
-                raise TopologyFormatError(f"duplicate edge {src} -> {dst}")
-            if cap <= 0:
-                raise TopologyFormatError(
-                    f"non-positive capacity {cap} on edge {src} -> {dst}"
-                )
+            _check_link(src, dst, cap, seen)
             if src not in node_set or dst not in node_set:
                 raise TopologyFormatError(f"edge {src} -> {dst} uses unknown switch")
-            seen.add((src, dst))
         n_pods = self.pod_count
         for node, pod in self.pod_of.items():
             if node not in node_set:
@@ -237,22 +243,9 @@ def load_topology(path) -> Topology:
                 if kind == "node" and len(parts) == 2:
                     nodes.append(int(parts[1]))
                 elif kind == "edge" and len(parts) == 4:
-                    src, dst = int(parts[1]), int(parts[2])
-                    cap = float(parts[3])
-                    if src == dst:
-                        raise TopologyFormatError(
-                            f"self-loop edge {src} -> {dst}", line_no
-                        )
-                    if (src, dst) in seen_edges:
-                        raise TopologyFormatError(
-                            f"duplicate edge {src} -> {dst}", line_no
-                        )
-                    if cap <= 0:
-                        raise TopologyFormatError(
-                            f"non-positive capacity on edge {src} -> {dst}", line_no
-                        )
-                    seen_edges.add((src, dst))
-                    links.append((src, dst, cap))
+                    link = (int(parts[1]), int(parts[2]), float(parts[3]))
+                    _check_link(*link, seen_edges, line_no)
+                    links.append(link)
                 elif kind == "pod" and len(parts) == 3:
                     pod_of[int(parts[1])] = int(parts[2])
                 else:

@@ -244,6 +244,8 @@ def load_flows(path) -> FlowSet:
                         cls=parts[5],
                     )
                 )
+                if flows[-1].id != len(flows):
+                    raise ValueError(f"flow id {flows[-1].id} breaks the dense order 1..N")
             except ValueError as exc:
                 raise FlowFormatError(f"line {line_no}: {exc}") from exc
     return FlowSet(flows=tuple(flows))

@@ -224,14 +224,14 @@ def test_criterion_7_constraint_suite():
                 continue
             for _ in range(200):
                 n_flows = int(rng.integers(1, 6))
-                flows, choice = [], {}
-                for fid in range(1, n_flows + 1):
+                flows, chosen = [], []
+                for _ in range(n_flows):
                     pair = pairs[rng.integers(len(pairs))]
                     labels = feasible_labels(table, *pair)
                     flows.append((*pair, float(rng.integers(1, 9))))
-                    choice[fid] = int(labels[rng.integers(len(labels))])
+                    chosen.append(int(labels[rng.integers(len(labels))]))
                 flowset = make_flows(flows)
-                matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+                matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
                 assert validate(matrix, flowset, topo) == []
                 checked += 1
                 if checked >= 10_000:
@@ -340,20 +340,20 @@ def test_criterion_9_simulator_sanity():
             if not pairs:
                 continue
             n = int(rng.integers(2, 6))
-            flows, choice = [], {}
-            for fid in range(1, n + 1):
+            flows, chosen = [], []
+            for _ in range(n):
                 pair = pairs[rng.integers(len(pairs))]
                 labels = feasible_labels(table, *pair)
                 flows.append((*pair, float(rng.integers(2, 16))))
-                choice[fid] = int(labels[rng.integers(len(labels))])
+                chosen.append(int(labels[rng.integers(len(labels))]))
             flowset = make_flows(flows)
-            matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+            matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
             result = simulate(matrix, flowset, topo, "maxmin")
 
             edge_ids = topo.edge_index()
             flow_paths = [
                 [edge_ids[e] for e in zip(h, h[1:])]
-                for h in table.hops_many([choice[f.id] for f in flowset.flows])
+                for h in table.hops_many(chosen)
             ]
             oracle = grid_maxmin_oracle(
                 flow_paths,

@@ -11,8 +11,9 @@ from cect_lab.errors import ConfigError
 from cect_lab.fluidsim import simulate
 from cect_lab.ga import GaConfig
 from cect_lab.routing import matrix_from_paths, parse_assignment_dump
-from cect_lab.topology import load_topology
-from cect_lab.traffic import load_flows
+from cect_lab.topology import load_topology, make_sample_topology
+from cect_lab.traffic import Flow, FlowSet, load_flows
+from cect_lab.xpath import precompute_xpaths
 
 BASE_CONFIG = """
 [experiment]
@@ -116,10 +117,14 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("kind = fat_tree", "kind = torus", r"\[topology\] unknown kind 'torus'"),
         ("kind = fat_tree", "kind = file", r"\[topology\] kind 'file' needs a path"),
         ("n_flows = 60,120", "n_flows = -5,0", r"\[sweep\] n_flows: flow counts must be >= 1"),
+        # a repeated value would run its cells twice and average duplicate rows
+        ("n_flows = 60,120", "n_flows = 60,120,60", r"\[sweep\] n_flows: 60 is listed twice"),
+        ("methods = cect,ecmp", "methods = ecmp,ecmp",
+         r"\[sweep\] methods: 'ecmp' is listed twice"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "unknown-section", "topology-kind", "topology-path",
-         "n-flows"],
+         "n-flows", "repeated-n-flows", "repeated-method"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -477,6 +482,17 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "x.txt")]) == 2
     assert main(["paths", "--topo", str(tmp_path / "missing.txt")]) == 2
     assert main(["report", "--results", str(tmp_path)]) == 2
+    topo, flows = tmp_path / "inf.txt", tmp_path / "flows.txt"
+    topo.write_text("node 1\nnode 2\nedge 1 2 inf\nedge 2 1 1\n", encoding="utf-8")
+    flows.write_text("flow 1 1 2 1.0 custom\n", encoding="utf-8")
+    assert main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "ecmp"]) == 2
+
+
+def test_solve_rejects_an_unknown_method():
+    topo = make_sample_topology("fig2a", 10.0)
+    flows = FlowSet(flows=(Flow(id=1, src=3, dst=1, demand=1.0),))
+    with pytest.raises(ValueError, match="unknown method 'ospf'"):
+        experiment.solve("ospf", flows, precompute_xpaths(topo, x=3), topo, GaConfig())
 
 
 def test_cli_bench_scaling_smoke(tmp_path):

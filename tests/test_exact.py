@@ -24,9 +24,9 @@ def test_two_flows_split_across_paths(fig2a):
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0)])
     assignment, mu = solve_exact(flows, table, topo)
     assert mu == pytest.approx(0.6)
-    assert set(assignment.choice.values()) == {3, 5}
+    assert sorted(assignment.labels.tolist()) == [3, 5]
     # riding the same path would double one link's load
-    same = assemble(RoutingAssignment({1: 3, 2: 3}), flows, table, topo)
+    same = assemble(RoutingAssignment(np.array([3, 3])), flows, table, topo)
     assert same.mu == pytest.approx(1.2)
 
 
@@ -34,14 +34,14 @@ def test_single_flow_takes_shortest_path(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 4.0)])
     assignment, mu = solve_exact(flows, table, topo)
-    assert assignment.choice == {1: 3}  # direct edge wins the hop tie-break
+    assert assignment.labels.tolist() == [3]  # direct edge wins the hop tie-break
     assert mu == pytest.approx(0.4)
 
 
 def test_zero_flows(fig2a):
     topo, table = fig2a
     assignment, mu = solve_exact(FlowSet(flows=()), table, topo)
-    assert assignment.choice == {}
+    assert assignment.labels.dtype == np.int64 and assignment.labels.size == 0
     assert mu == 0.0
 
 
@@ -72,7 +72,7 @@ def test_exhaustive_against_full_enumeration():
         assignment, mu = solve_exact(flows, table, topo)
         best = min(
             assemble(
-                RoutingAssignment(dict(zip((f.id for f in flows.flows), combo))),
+                RoutingAssignment(np.array(combo)),
                 flows, table, topo,
             ).mu
             for combo in itertools.product(*options)
@@ -135,5 +135,5 @@ def test_missing_path_reported_before_budget(fig2a):
 def test_deterministic_tie_breaking(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)])
-    runs = {solve_exact(flows, table, topo)[0].choice[1] for _ in range(5)}
+    runs = {int(solve_exact(flows, table, topo)[0].labels[0]) for _ in range(5)}
     assert runs == {3}

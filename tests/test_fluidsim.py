@@ -72,14 +72,14 @@ def test_conservation_and_feasibility(model):
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
-        flows, choice = [], {}
-        for fid in range(1, int(rng.integers(1, 7)) + 1):
+        flows, chosen = [], []
+        for _ in range(int(rng.integers(1, 7))):
             pair = pairs[rng.integers(len(pairs))]
             labels = feasible_labels(table, *pair)
             flows.append((*pair, float(rng.uniform(0.5, 12.0))))
-            choice[fid] = int(labels[rng.integers(len(labels))])
+            chosen.append(int(labels[rng.integers(len(labels))]))
         flowset = make_flows(flows)
-        matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+        matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
         result = simulate(matrix, flowset, topo, model)
         offered = sum(f.demand for f in flowset.flows)
         assert result.total_delivered <= offered + 1e-9
@@ -101,20 +101,20 @@ def test_maxmin_matches_grid_oracle():
         if not pairs:
             continue
         edge_ids = topo.edge_index()
-        flows, choice = [], {}
+        flows, chosen = [], []
         n = int(rng.integers(2, 6))
-        for fid in range(1, n + 1):
+        for _ in range(n):
             pair = pairs[rng.integers(len(pairs))]
             labels = feasible_labels(table, *pair)
             flows.append((*pair, float(rng.integers(2, 15))))
-            choice[fid] = int(labels[rng.integers(len(labels))])
+            chosen.append(int(labels[rng.integers(len(labels))]))
         flowset = make_flows(flows)
-        matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+        matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
         result = simulate(matrix, flowset, topo, "maxmin")
 
         flow_paths = [
             [edge_ids[e] for e in zip(h, h[1:])]
-            for h in table.hops_many([choice[f.id] for f in flowset.flows])
+            for h in table.hops_many(chosen)
         ]
         demands = [f.demand for f in flowset.flows]
         caps = [c for _, _, c in topo.sorted_links()]
@@ -134,17 +134,17 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
-        flows, choice = [], {}
-        for fid in range(1, 5):
+        flows, chosen = [], []
+        for _ in range(4):
             pair = pairs[rng.integers(len(pairs))]
             flows.append((*pair, float(rng.integers(3, 20))))
-            choice[fid] = int(feasible_labels(table, *pair)[0])
+            chosen.append(int(feasible_labels(table, *pair)[0]))
         flowset = make_flows(flows)
-        matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+        matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
         result = simulate(matrix, flowset, topo, "maxmin")
         path_of = {
             f.id: list(zip(h, h[1:]))
-            for f, h in zip(flowset.flows, table.hops_many([choice[f.id] for f in flowset.flows]))
+            for f, h in zip(flowset.flows, table.hops_many(chosen))
         }
         capacity = {(s, d): c for s, d, c in topo.links}
         loads: dict = {}
@@ -270,9 +270,9 @@ def test_volume_schedule_matches_simulating_each_step(model):
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, 60, {"medium": 0.5, "big": 0.5}, plr=0.8, seed=11)
-    labels = {f.id: feasible_labels(table, f.src, f.dst) for f in flows.flows}
-    choice = {fid: options[fid % len(options)] for fid, options in labels.items()}
-    matrix = assemble(RoutingAssignment(choice), flows, table, topo)
+    options = [feasible_labels(table, f.src, f.dst) for f in flows.flows]
+    chosen = np.array([labels[f.id % len(labels)] for f, labels in zip(flows.flows, options)])
+    matrix = assemble(RoutingAssignment(chosen), flows, table, topo)
     rng = np.random.default_rng(12)
     volumes = {f.id: f.demand * float(rng.uniform(0.5, 6.0)) for f in flows.flows}
 
@@ -282,8 +282,7 @@ def test_volume_schedule_matches_simulating_each_step(model):
         active = [f for f in flows.flows if remaining[f.id] > 0]
         subset = make_flows([(f.src, f.dst, f.demand) for f in active])
         sub = assemble(
-            RoutingAssignment({i + 1: choice[f.id] for i, f in enumerate(active)}),
-            subset, table, topo,
+            RoutingAssignment(chosen[[f.id - 1 for f in active]]), subset, table, topo
         )
         rates = simulate(sub, subset, topo, model).per_flow_rate
         moved = 0.0

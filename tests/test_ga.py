@@ -89,7 +89,7 @@ def test_infeasible_gene_is_rejected_by_assemble(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)])
     with pytest.raises(InfeasibleLabelError):
-        assemble(RoutingAssignment({1: 4}), flows, table, topo)
+        assemble(RoutingAssignment(np.array([4])), flows, table, topo)
 
 
 # ---------------------------------------------------------------- roulette
@@ -362,7 +362,7 @@ def test_run_terminates_within_budget_when_infeasible(fig2a):
     assert stats.generations == 12
     assert not stats.feasible
     assert mu > config.mu_target
-    assert len(assignment.choice) == 2
+    assert assignment.labels.shape == (2,)
 
 
 def test_run_population_invariants(fig2a):
@@ -422,7 +422,7 @@ def test_run_deterministic(fig2a):
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0)])
     first = run_cect(flows, table, topo, GaConfig(seed=6, max_iterations=10, mu_target=0.01))
     second = run_cect(flows, table, topo, GaConfig(seed=6, max_iterations=10, mu_target=0.01))
-    assert first[0].choice == second[0].choice
+    assert np.array_equal(first[0].labels, second[0].labels)
     assert first[1] == second[1]
 
 
@@ -460,9 +460,9 @@ def test_run_output_is_pinned(case, labels_sha, best_mu, rows_sha):
     assert _Instance(flows, table, topo).groups is None
     assignment, mu, stats = run_cect(flows, table, topo, config)
     assert stats.generations == config.max_iterations
-    labels = np.array([assignment.choice[f.id] for f in flows.flows], dtype=np.int64)
     rows = [dataclasses.astuple(row) for row in stats.rows]
-    assert hashlib.sha256(labels.tobytes()).hexdigest() == labels_sha
+    assert assignment.labels.dtype == np.int64
+    assert hashlib.sha256(assignment.labels.tobytes()).hexdigest() == labels_sha
     assert mu == stats.best_mu == best_mu
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
 

@@ -93,8 +93,7 @@ def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
         assert np.array_equal(loads[m], expected)
         assert mu[m] == expected_mu
 
-        choice = {flow.id: int(g) for flow, g in zip(flows.flows, genes[m])}
-        matrix = assemble(RoutingAssignment(choice), flows, table, topology)
+        matrix = assemble(RoutingAssignment(genes[m]), flows, table, topology)
         assert matrix.load_units == {
             edge: int(expected[i]) for edge, i in edge_index.items() if expected[i]
         }
@@ -215,8 +214,7 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     assert np.array_equal((fit, mu), kernels.fitness_mu(loop, inst.caps, 7))
     edge_index = topo.edge_index()
     for m in range(members):
-        choice = {flow.id: int(g) for flow, g in zip(flows.flows, genes[m])}
-        matrix = assemble(RoutingAssignment(choice), flows, table, topo)
+        matrix = assemble(RoutingAssignment(genes[m]), flows, table, topo)
         assert matrix.load_units == {
             edge: int(loop[m, i]) for edge, i in edge_index.items() if loop[m, i]
         }

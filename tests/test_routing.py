@@ -37,7 +37,7 @@ def fig2a():
 def test_assemble_single_flow_loads(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 2.0)])
-    matrix = assemble(RoutingAssignment({1: 5}), flows, table, topo)
+    matrix = assemble(RoutingAssignment(np.array([5])), flows, table, topo)
     assert matrix.load_units == {(3, 2): 2000, (2, 1): 2000}
     assert matrix.mu == pytest.approx(0.2)
     assert matrix.flow_ptr.tolist() == [0, 2]
@@ -46,16 +46,17 @@ def test_assemble_single_flow_loads(fig2a):
 
 def test_assemble_empty_flowset(fig2a):
     topo, table = fig2a
-    matrix = assemble(RoutingAssignment({}), FlowSet(flows=()), table, topo)
+    empty = RoutingAssignment(np.zeros(0, dtype=np.int64))
+    matrix = assemble(empty, FlowSet(flows=()), table, topo)
     assert matrix.mu == 0.0
     assert matrix.load_units == {}
 
 
 def test_assemble_linearity(fig2a):
     topo, table = fig2a
-    one = assemble(RoutingAssignment({1: 5}), make_flows([(3, 1, 2.0)]), table, topo)
+    one = assemble(RoutingAssignment(np.array([5])), make_flows([(3, 1, 2.0)]), table, topo)
     two = assemble(
-        RoutingAssignment({1: 5, 2: 5}),
+        RoutingAssignment(np.array([5, 5])),
         make_flows([(3, 1, 2.0), (3, 1, 2.0)]),
         table,
         topo,
@@ -69,19 +70,19 @@ def test_assemble_rejects_mismatched_label(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 2.0)])
     with pytest.raises(InfeasibleLabelError, match="flow 1"):
-        assemble(RoutingAssignment({1: 4}), flows, table, topo)  # 3->2 path
+        assemble(RoutingAssignment(np.array([4])), flows, table, topo)  # 3->2 path
     with pytest.raises(InfeasibleLabelError, match="flow 1"):
-        assemble(RoutingAssignment({1: 99}), flows, table, topo)
+        assemble(RoutingAssignment(np.array([99])), flows, table, topo)
     with pytest.raises(InfeasibleLabelError, match="flow 1"):
-        assemble(RoutingAssignment({}), flows, table, topo)
+        assemble(RoutingAssignment(np.zeros(0, dtype=np.int64)), flows, table, topo)
 
 
 def test_assemble_permutation_invariant(fig2a):
     topo, table = fig2a
     flows_ab = make_flows([(3, 1, 2.0), (3, 2, 4.0)])
     flows_ba = make_flows([(3, 2, 4.0), (3, 1, 2.0)])
-    m_ab = assemble(RoutingAssignment({1: 3, 2: 4}), flows_ab, table, topo)
-    m_ba = assemble(RoutingAssignment({1: 4, 2: 3}), flows_ba, table, topo)
+    m_ab = assemble(RoutingAssignment(np.array([3, 4])), flows_ab, table, topo)
+    m_ba = assemble(RoutingAssignment(np.array([4, 3])), flows_ba, table, topo)
     assert m_ab.load_units == m_ba.load_units
     assert m_ab.mu == m_ba.mu
 
@@ -91,20 +92,17 @@ def test_mu_exact_against_per_edge_sum(fig2a):
     capacity = {(s, d): c for s, d, c in topo.links}
     rng = np.random.default_rng(0)
     for _ in range(50):
-        flows = []
-        choice = {}
-        fid = 0
+        flows, chosen = [], []
         for (src, dst), labels in labels_by_pair(table).items():
             for _ in range(int(rng.integers(0, 3))):
-                fid += 1
                 flows.append((src, dst, float(rng.integers(1, 20)) / 4))
-                choice[fid] = int(labels[rng.integers(len(labels))])
+                chosen.append(int(labels[rng.integers(len(labels))]))
         if not flows:
             continue
         flowset = make_flows(flows)
-        matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+        matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
         loads: dict = {}
-        for f, hops in zip(flowset.flows, table.hops_many([choice[f.id] for f in flowset.flows])):
+        for f, hops in zip(flowset.flows, table.hops_many(chosen)):
             for edge in zip(hops, hops[1:]):
                 loads[edge] = loads.get(edge, 0.0) + f.demand
         expected = max(
@@ -121,14 +119,14 @@ def test_validate_accepts_all_table_paths():
         pairs = sorted(labels_by_pair(table))
         if not pairs:
             continue
-        flows, choice = [], {}
-        for fid in range(1, int(rng.integers(1, 6)) + 1):
+        flows, chosen = [], []
+        for _ in range(int(rng.integers(1, 6))):
             src, dst = pairs[rng.integers(len(pairs))]
             labels = feasible_labels(table, src, dst)
             flows.append((src, dst, 1.0))
-            choice[fid] = int(labels[rng.integers(len(labels))])
+            chosen.append(int(labels[rng.integers(len(labels))]))
         flowset = make_flows(flows)
-        matrix = assemble(RoutingAssignment(choice), flowset, table, topo)
+        matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
         assert validate(matrix, flowset, topo) == []
 
 
@@ -273,7 +271,7 @@ def test_violations_name_flow_and_location(fig2a):
 def test_assignment_dump_round_trip(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 2.0), (1, 2, 1.0)])
-    assignment = RoutingAssignment({1: 5, 2: 1})
+    assignment = RoutingAssignment(np.array([5, 1]))
     text = format_assignment(assignment, flows, table)
     assert text.splitlines() == [
         "flow 1 via 5: 3 -> 2 -> 1",
@@ -281,6 +279,28 @@ def test_assignment_dump_round_trip(fig2a):
     ]
     parsed = parse_assignment_dump(text)
     assert parsed == {1: (5, (3, 2, 1)), 2: (1, (1, 2))}
+
+
+def test_label_vectors_route_their_first_flows(fig2a):
+    # a vector for a longer flow set routes its first flows; a short one
+    # names the first flow without a label
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 2.0), (1, 2, 1.0), (3, 2, 1.0)])
+    assignment = RoutingAssignment(np.array([5, 1, 4]))
+    first_two = make_flows([(3, 1, 2.0), (1, 2, 1.0)])
+    assert format_assignment(assignment, first_two, table) == format_assignment(
+        RoutingAssignment(np.array([5, 1])), first_two, table
+    )
+    prefix = assemble(assignment, first_two, table, topo)
+    assert prefix.flow_ptr.tolist() == [0, 2, 3]
+    assert prefix.load_units == {(3, 2): 2000, (2, 1): 2000, (1, 2): 1000}
+    for short in (assignment.labels[:2], assignment.labels[:0]):
+        message = f"flow {len(short) + 1}: .*no label assigned"
+        with pytest.raises(InfeasibleLabelError, match=message):
+            assemble(RoutingAssignment(short), flows, table, topo)
+        with pytest.raises(InfeasibleLabelError, match=message):
+            format_assignment(RoutingAssignment(short), flows, table)
+    assert assignment.choice == {1: 5, 2: 1, 3: 4}
 
 
 @pytest.mark.parametrize(

@@ -162,11 +162,15 @@ def test_save_load_round_trip(builder, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_load_rejects_zero_capacity(tmp_path):
+@pytest.mark.parametrize("capacity", ["0", "-1", "inf", "nan"])
+def test_load_rejects_zero_capacity(tmp_path, capacity):
     path = tmp_path / "bad.txt"
-    path.write_text("node 1\nnode 2\nedge 1 2 0\n")
-    with pytest.raises(TopologyFormatError, match="line 3"):
+    path.write_text(f"node 1\nnode 2\nedge 1 2 {capacity}\n")
+    message = f"line 3: capacity {float(capacity)} of edge 1 -> 2 is not finite and > 0"
+    with pytest.raises(TopologyFormatError, match=message):
         load_topology(path)
+    with pytest.raises(TopologyFormatError, match="is not finite and > 0"):
+        Topology(nodes=(1, 2), links=((1, 2, float(capacity)),))
 
 
 def test_load_rejects_self_loop(tmp_path):

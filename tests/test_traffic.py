@@ -219,6 +219,13 @@ def test_load_flows_names_line_of_unit_less_demand(tmp_path):
         load_flows(path)
 
 
+def test_load_flows_names_line_of_id_out_of_order(tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("flow 1 1 2 1.0 custom\n\nflow 3 2 1 1.0 custom\n", encoding="utf-8")
+    with pytest.raises(FlowFormatError, match="line 3: flow id 3 breaks the dense order 1..N"):
+        load_flows(path)
+
+
 def test_class_fractions_match_published_values():
     assert CLASS_FRACTION == {
         "micro": 0.005, "small": 0.02, "medium": 0.2, "big": 0.5

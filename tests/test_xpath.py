@@ -213,7 +213,7 @@ def test_every_path_forms_a_valid_single_flow_route():
         table = precompute_xpaths(topo, x=4)
         for label, hops in enumerate(all_hops(table), 1):
             flowset = FlowSet(flows=(Flow(id=1, src=hops[0], dst=hops[-1], demand=1.0),))
-            matrix = assemble(RoutingAssignment({1: label}), flowset, table, topo)
+            matrix = assemble(RoutingAssignment(np.array([label])), flowset, table, topo)
             assert validate(matrix, flowset, topo) == []
 
 
@@ -344,7 +344,7 @@ def test_endpoint_table_routes_like_the_all_pairs_table():
         assert table.hops_many(labels) == full.hops_many(feasible_labels(full, *pair))
 
     def hops(assignment, flows, tab):
-        return tab.hops_many([assignment.choice[f.id] for f in flows.flows])
+        return tab.hops_many(assignment.labels)
 
     flows = generate_flows(topo, 300, plr=0.7, seed=11)
     config = GaConfig(max_iterations=30, seed=5)
