@@ -106,7 +106,7 @@ class _Instance:
         # the edge entries of a member's shortest genes (flows share labels);
         # else, as at k=8 and k=12, loop to avoid population-by-table arrays.
         hops = np.diff(self.label_ptr)
-        self.groups, self.label_pad, self.gene_demands = None, None, self.demands
+        self.groups, self.label_pad, self.gene_demands = None, None, self.demands.astype(np.float64)
         if 2 * len(self.label_edges) < hops[self.shortest - 1].sum():
             self.groups = kernels.edge_major_labels(self.label_ptr, self.label_edges, self.n_edges)
         else:

@@ -62,7 +62,7 @@ def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None)
         del cells
         return np.add.reduceat(per_cell[:, labels], starts, axis=1).astype(np.int64)
     # np.take beats fancy indexing here; one bincount per member beats one
-    # over the whole population
+    # over the whole population; float64 demands spare each bincount a cast
     weights = np.repeat(demands, label_pad.shape[1])
     loads = np.empty((n_members, n_edges), dtype=np.int64)
     for m, labels in enumerate(genes):

@@ -10,6 +10,8 @@ summation order.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from .errors import AssignmentFormatError, InfeasibleLabelError
 from .kernels import csr_rows
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable
+from .xpath import XPathTable, format_paths
 
 # Structural rules a flow's edge list must satisfy to form a simple
 # source-to-destination path (the validator names the rule it saw broken).
@@ -110,24 +112,42 @@ def matrix_from_paths(
     flowset: FlowSet,
     topology: Topology,
 ) -> RoutingMatrix:
-    """Build edge lists and loads from explicit hop sequences, one per flow id."""
+    """Build edge lists and loads from explicit hop sequences, one per flow id 1..N.
+
+    Raises InfeasibleLabelError at the first flow whose path is missing or
+    empty, joins other switches, or crosses an unknown edge, in that order."""
     edge_index = topology.edge_index()
-    flow_ptr = np.zeros(flowset.count + 1, dtype=np.int64)
-    ids: list[int] = []
-    for flow in flowset.flows:
-        hops = hops_by_flow.get(flow.id)
-        if not hops:
-            detail = "no path assigned" if hops is None else "empty path"
+    paths = list(map(hops_by_flow.get, range(1, flowset.count + 1), itertools.repeat(())))
+    counts = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    try:
+        hops = np.fromiter(itertools.chain.from_iterable(paths), np.int64, int(counts.sum()))
+    except OverflowError:  # a hop beyond int64 is no switch: check every flow one by one
+        hops, counts = np.empty(0, dtype=np.int64), np.zeros_like(counts)
+    # switch positions, len(nodes) for any other hop; edge keys ascend as their ids
+    nodes, width = np.array(sorted(topology.nodes), dtype=np.int64), len(topology.nodes) + 1
+    at = np.searchsorted(nodes, hops)
+    at[np.r_[nodes, 0][at] != hops] = len(nodes)
+    ends = np.searchsorted(nodes, np.array(list(edge_index), dtype=np.int64).reshape(-1, 2))
+    keys = np.r_[ends[:, 0] * width + ends[:, 1], -1]  # then a key no pair has
+    pair = at[:-1] * width + at[1:]
+    edge_ids = np.searchsorted(keys[:-1], pair)
+    row = np.repeat(np.arange(len(paths)), counts)
+    inside = row[:-1] == row[1:]  # the pair's hops belong to one path
+    padded, stop = np.r_[hops, 0], np.cumsum(counts)
+    bad = (counts == 0) | (np.c_[padded[stop - counts], padded[stop - 1]] != flowset.ends()).any(1)
+    bad[row[:-1][inside & (keys[edge_ids] != pair)]] = True
+    for flow in flowset.flows[int(np.argmax(bad)) :] if bad.any() else ():
+        path = hops_by_flow.get(flow.id)  # from the first flow the arrays flag, one by one
+        if not path:
+            detail = "no path assigned" if path is None else "empty path"
             raise InfeasibleLabelError(flow.id, -1, detail)
-        if (hops[0], hops[-1]) != (flow.src, flow.dst):
-            detail = f"path {hops[0]}->{hops[-1]} does not match flow {flow.src}->{flow.dst}"
+        if (path[0], path[-1]) != (flow.src, flow.dst):
+            detail = f"path {path[0]}->{path[-1]} does not match flow {flow.src}->{flow.dst}"
             raise InfeasibleLabelError(flow.id, -1, detail)
-        for edge in zip(hops[:-1], hops[1:]):
+        for edge in zip(path[:-1], path[1:]):
             if edge not in edge_index:
                 raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {edge}")
-            ids.append(edge_index[edge])
-        flow_ptr[flow.id] = len(ids)
-    return _matrix(flow_ptr, np.array(ids, dtype=np.int64), flowset, topology)
+    return _matrix(np.r_[0, np.cumsum(counts - 1)], edge_ids[inside], flowset, topology)
 
 
 def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) -> np.ndarray:
@@ -247,19 +267,36 @@ def format_assignment(
 ) -> str:
     """Text dump, one `flow <id> via <label>: s1 -> ... -> sk` line per flow."""
     labels = check_labels(assignment.labels, flowset, xpath_table)
-    return "".join(
-        f"flow {flow.id} via {label}: {' -> '.join(map(str, hops))}\n"
-        for flow, label, hops in zip(flowset.flows, labels.tolist(), xpath_table.hops_many(labels))
-    )
+    return format_paths(xpath_table, labels, "flow %d via %d: ", 1 + np.arange(len(labels)), labels)
+
+
+# A line exactly as format_assignment writes it, its numbers short enough for
+# int64. A text is checked by deleting these lines: unlike one match of a
+# repeated group, that keeps the regex engine's memory flat.
+_PLAIN_LINE = re.compile("flow [0-9]{1,18} via [0-9]{1,18}: [0-9]{1,18}(?: -> [0-9]{1,18})*\n")
 
 
 def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Parse format_assignment output back to flow id -> (label, hops).
 
     Raises AssignmentFormatError naming the line of a malformed entry, an
-    empty path, a hop that is not an integer, or a repeated flow id.
+    empty path, a hop that is not an integer, or a repeated flow id. A text
+    made only of lines as format_assignment writes them is read in bulk;
+    any other text line by line, each number as int() reads it.
     """
-    out: dict[int, tuple[int, tuple[int, ...]]] = {}
+    body = text if text.endswith("\n") else text + "\n"
+    if not _PLAIN_LINE.sub("", body):
+        # -1 ends each line: no plain line holds a minus sign
+        spaced = body.translate(str.maketrans("flowvia:->", " " * 10)).replace("\n", " -1 ")
+        numbers = np.fromstring(spaced, np.int64, sep=" ")
+        ends = np.flatnonzero(numbers < 0)
+        starts = np.r_[0, ends + 1][:-1]
+        flat = numbers.tolist()
+        hops = [tuple(flat[a + 2 : b]) for a, b in zip(starts.tolist(), ends.tolist())]
+        out = dict(zip(numbers[starts].tolist(), zip(numbers[starts + 1].tolist(), hops)))
+        if len(out) == len(hops):
+            return out
+    out = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:

@@ -26,14 +26,14 @@ def to_units(bandwidth: float) -> int:
 
 
 def _check_link(src: int, dst: int, cap: float, seen: set, line_no: int | None = None) -> None:
-    """Add src -> dst to seen, or raise TopologyFormatError (naming line_no when
-    given) for a self-loop, a repeated edge or a capacity outside (0, inf)."""
+    """Add src -> dst to seen, or raise TopologyFormatError (naming line_no when given) for a
+    self-loop, a repeated edge or a capacity that to_units rounds to 0 or cannot round."""
     if src == dst:
         raise TopologyFormatError(f"self-loop edge {src} -> {dst}", line_no)
     if (src, dst) in seen:
         raise TopologyFormatError(f"duplicate edge {src} -> {dst}", line_no)
-    if not 0 < cap < math.inf:
-        message = f"capacity {cap} of edge {src} -> {dst} is not finite and > 0"
+    if not 0.5 < cap * UNITS_PER_BW < math.inf:
+        message = f"capacity {cap} of edge {src} -> {dst} is not finite and > 0 in load units"
         raise TopologyFormatError(message, line_no)
     seen.add((src, dst))
 

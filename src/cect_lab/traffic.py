@@ -81,18 +81,20 @@ class FlowSet:
         return len(self.flows)
 
     def demand_units(self) -> np.ndarray:
-        """int64 demands in milli-units, index i holds flow i+1."""
-        return np.array([to_units(f.demand) for f in self.flows], dtype=np.int64)
+        """Read-only int64 demands in milli-units, index i holds flow i+1, built once."""
+        return self._built_once("_demand_units", (to_units(f.demand) for f in self.flows), -1)
 
     def ends(self) -> np.ndarray:
         """Read-only int64 (count, 2) array of each flow's (src, dst), built once."""
-        cached = getattr(self, "_ends", None)
-        if cached is None:
-            flat = itertools.chain.from_iterable((f.src, f.dst) for f in self.flows)
-            cached = np.fromiter(flat, dtype=np.int64, count=2 * self.count).reshape(-1, 2)
-            cached.flags.writeable = False
-            object.__setattr__(self, "_ends", cached)
-        return cached
+        pairs = itertools.chain.from_iterable((f.src, f.dst) for f in self.flows)
+        return self._built_once("_ends", pairs, (-1, 2))
+
+    def _built_once(self, name: str, values, shape) -> np.ndarray:
+        if name not in self.__dict__:
+            array = np.fromiter(values, dtype=np.int64).reshape(shape)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        return self.__dict__[name]
 
 
 def check_mix(class_mix: dict[str, float], plr: float) -> None:

@@ -8,7 +8,7 @@ destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
 
 The table is a set of numpy arrays built one hop length at a time; callers
-read paths through hops_many, hop_counts and label_edge_csr, and each
+read paths through hop_ptr/hops, hop_counts and label_edge_csr, and each
 endpoint pair's labels through feasible_labels and feasible_csr, which
 slice one CSR over the pairs.
 """
@@ -52,15 +52,6 @@ class XPathTable:
     @property
     def path_count(self) -> int:
         return len(self.hop_counts)
-
-    def hops_many(self, labels) -> list[tuple[int, ...]]:
-        """Hop sequences of many labels, gathered in one pass."""
-        rows = np.asarray(labels, dtype=np.int64) - 1
-        if rows.size and (rows.min() < 0 or rows.max() >= self.path_count):
-            raise KeyError(f"labels must lie in 1..{self.path_count}")
-        ptr, flat = csr_rows(self.hop_ptr, self.hops, rows)
-        hops, bounds = flat.tolist(), ptr.tolist()
-        return [tuple(hops[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def label_edge_csr(self, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
         """CSR view (row ptr, edge ids) of every path's edge list.
@@ -190,9 +181,19 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     return ptr, labels
 
 
+def format_paths(table: XPathTable, labels: np.ndarray, head: str, *fields: np.ndarray) -> str:
+    """One `<head>s1 -> ... -> sk` line per label, head a %-format of one value per field.
+
+    The text is one %-format of a template joined from one line per hop count.
+    """
+    ptr, hops = csr_rows(table.hop_ptr, table.hops, labels - 1)
+    counts = np.diff(ptr)
+    lines = [head + " -> ".join(["%d"] * c) + "\n" for c in range(counts.max(initial=0) + 1)]
+    values = np.insert(hops, np.repeat(ptr[:-1], len(fields)), np.column_stack(fields).ravel())
+    return "".join(map(lines.__getitem__, counts.tolist())) % tuple(values.tolist())
+
+
 def format_table(table: XPathTable) -> str:
     """Text dump, one `label <n>: s1 -> s2 -> ...` line per path."""
-    hops = table.hops_many(np.arange(1, table.path_count + 1))
-    return "".join(
-        f"label {label}: {' -> '.join(map(str, h))}\n" for label, h in enumerate(hops, 1)
-    )
+    labels = np.arange(1, table.path_count + 1)
+    return format_paths(table, labels, "label %d: ", labels)

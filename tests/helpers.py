@@ -67,7 +67,13 @@ def grow_xpaths(topology: Topology, x: int) -> set[tuple[int, ...]]:
 
 def all_hops(table: XPathTable) -> list[tuple[int, ...]]:
     """Hop sequence of every label, in label order (label l is entry l-1)."""
-    return table.hops_many(range(1, table.path_count + 1))
+    return hops_of(table, range(1, table.path_count + 1))
+
+
+def hops_of(table: XPathTable, labels) -> list[tuple[int, ...]]:
+    """Hop sequences of the given labels, in order, sliced from the table's hop CSR."""
+    ptr, hops = table.hop_ptr.tolist(), table.hops.tolist()
+    return [tuple(hops[ptr[label - 1] : ptr[label]]) for label in labels]
 
 
 def labels_by_pair(table: XPathTable) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -39,6 +39,7 @@ from helpers import (
     all_hops,
     edge_list_matrix,
     grid_maxmin_oracle,
+    hops_of,
     labels_by_pair,
     make_flows,
     random_topology,
@@ -353,7 +354,7 @@ def test_criterion_9_simulator_sanity():
             edge_ids = topo.edge_index()
             flow_paths = [
                 [edge_ids[e] for e in zip(h, h[1:])]
-                for h in table.hops_many(chosen)
+                for h in hops_of(table, chosen)
             ]
             oracle = grid_maxmin_oracle(
                 flow_paths,

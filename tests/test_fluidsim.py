@@ -10,7 +10,7 @@ from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import grid_maxmin_oracle, labels_by_pair, make_flows, random_topology
+from helpers import grid_maxmin_oracle, hops_of, labels_by_pair, make_flows, random_topology
 
 
 def _line_topology(capacity=10.0) -> Topology:
@@ -114,7 +114,7 @@ def test_maxmin_matches_grid_oracle():
 
         flow_paths = [
             [edge_ids[e] for e in zip(h, h[1:])]
-            for h in table.hops_many(chosen)
+            for h in hops_of(table, chosen)
         ]
         demands = [f.demand for f in flowset.flows]
         caps = [c for _, _, c in topo.sorted_links()]
@@ -144,7 +144,7 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
         result = simulate(matrix, flowset, topo, "maxmin")
         path_of = {
             f.id: list(zip(h, h[1:]))
-            for f, h in zip(flowset.flows, table.hops_many(chosen))
+            for f, h in zip(flowset.flows, hops_of(table, chosen))
         }
         capacity = {(s, d): c for s, d, c in topo.links}
         loads: dict = {}

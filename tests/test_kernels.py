@@ -12,7 +12,7 @@ from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
 
-from helpers import labels_by_pair, make_flows, random_topology
+from helpers import hops_of, labels_by_pair, make_flows, random_topology
 
 ACCEPTANCE_MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
 
@@ -86,7 +86,7 @@ def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
     for m in range(16):
         expected = np.zeros(instance.n_edges, dtype=np.int64)
         for flow, label in zip(flows.flows, genes[m]):
-            hops = table.hops_many([label])[0]
+            hops = hops_of(table, [label])[0]
             for edge in zip(hops, hops[1:]):
                 expected[edge_index[edge]] += to_units(flow.demand)
         expected_mu = float(max(Fraction(int(l), int(c)) for l, c in zip(expected, instance.caps)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cect_lab.errors import AssignmentFormatError, CectLabError, InfeasibleLabelError
 from cect_lab.fluidsim import simulate
@@ -25,7 +27,7 @@ from cect_lab.topology import Topology, make_sample_topology
 from cect_lab.traffic import FlowSet
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import edge_list_matrix, labels_by_pair, make_flows, random_topology
+from helpers import edge_list_matrix, hops_of, labels_by_pair, make_flows, random_topology
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +104,7 @@ def test_mu_exact_against_per_edge_sum(fig2a):
         flowset = make_flows(flows)
         matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
         loads: dict = {}
-        for f, hops in zip(flowset.flows, table.hops_many(chosen)):
+        for f, hops in zip(flowset.flows, hops_of(table, chosen)):
             for edge in zip(hops, hops[1:]):
                 loads[edge] = loads.get(edge, 0.0) + f.demand
         expected = max(
@@ -317,3 +319,183 @@ def test_parse_assignment_dump_names_the_bad_line(text, line_no, what):
         parse_assignment_dump(text)
     assert isinstance(info.value, CectLabError)
     assert info.value.line_no == line_no
+
+
+def _parse_line_by_line(text):
+    """Flow id -> (label, hops) the way every dump line was once read: one at a
+    time, stripped, split on whitespace, ':' and '->', each number by int()."""
+    out = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        head, _, tail = line.partition(":")
+        parts = head.split()
+        if len(parts) != 4 or parts[0] != "flow" or parts[2] != "via":
+            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no)
+        try:
+            flow_id, label = int(parts[1]), int(parts[3])
+        except ValueError:
+            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no)
+        if not tail.strip():
+            raise AssignmentFormatError(f"flow {flow_id} has an empty path", line_no)
+        try:
+            hops = tuple(int(h) for h in tail.split("->"))
+        except ValueError:
+            raise AssignmentFormatError(
+                f"flow {flow_id}: a hop of {tail.strip()!r} is not an integer", line_no
+            )
+        if flow_id in out:
+            raise AssignmentFormatError(f"flow {flow_id} is listed twice", line_no)
+        out[flow_id] = (label, hops)
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return list(parse(text).items())
+    except AssignmentFormatError as exc:
+        return (str(exc), exc.line_no)
+
+
+def test_parser_reads_loose_lines_as_int_does():
+    text = (
+        "  flow 1 via 5: 3 -> 2 -> 1  \r\n"
+        "\n"
+        "flow\t2\tvia\t1:1->2\n"
+        "   \t\n"
+        "flow +3 via 007: 3->  2\r\n"
+        "flow 1_0 via 1_1: ١ -> 2_0 -> 0\n"
+        "flow 4 via 4: 99999999999999999999 -> 2\n"
+        "flow 5 via 5: 3 -> 2"
+    )
+    parsed = parse_assignment_dump(text)
+    assert list(parsed.items()) == [
+        (1, (5, (3, 2, 1))),
+        (2, (1, (1, 2))),
+        (3, (7, (3, 2))),
+        (10, (11, (1, 20, 0))),
+        (4, (4, (99999999999999999999, 2))),
+        (5, (5, (3, 2))),
+    ]
+    assert parsed == _parse_line_by_line(text)
+    assert parse_assignment_dump("") == {} == parse_assignment_dump("\n\n")
+
+
+def test_parser_names_a_bad_line_after_a_thousand_good_ones():
+    good = "".join(f"flow {i} via 1: 1 -> 2\n" for i in range(1, 1001))
+    for bad, what in (
+        ("flow 1001 via 1: 1 -> x\n", "flow 1001: a hop of '1 -> x' is not an integer"),
+        ("flow 7 via 1: 1 -> 2\n", "flow 7 is listed twice"),
+        ("flow 1001 via 1: \n", "flow 1001 has an empty path"),
+    ):
+        for text, line_no in ((good + bad, 1001), (good + "\n" + bad + good, 1002)):
+            with pytest.raises(AssignmentFormatError, match=f"line {line_no}: {what}") as info:
+                parse_assignment_dump(text)
+            assert info.value.line_no == line_no
+    # a repeated id before a malformed line is the error, and the other way round
+    with pytest.raises(AssignmentFormatError, match="line 1000: flow 3 is listed twice"):
+        parse_assignment_dump(good[: good.index("flow 1000 ")] + "flow 3 via 1: 1 -> +2\nx\n")
+    with pytest.raises(AssignmentFormatError, match="line 1: unrecognized"):
+        parse_assignment_dump("x\n" + good + good)
+
+
+_NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["007", "+5", "1_0", "١٢", "-3", "x", "", "9" * 18, "9" * 19,
+                     str(2**63), str(2**70)]),
+)
+_SPACES = st.sampled_from([" ", " ", " ", "\t", "  ", ""])
+
+
+@st.composite
+def _dump_lines(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "   ", "\t", "junk", "flow 1 via 2", "flow 1 via 2:"]))
+    ws = draw(_SPACES)
+    hops = draw(st.lists(_NUMBERS, min_size=1, max_size=5))
+    arrow = draw(st.sampled_from([" -> ", " -> ", "->", " ->\t", " - > "]))
+    fid = draw(st.one_of(st.integers(1, 8).map(str), _NUMBERS))
+    return f"flow{ws or ' '}{fid} via {draw(_NUMBERS)}:{ws}{arrow.join(hops)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_dump_lines(), max_size=12),
+    ends=st.sampled_from(["\n", "\r\n"]),
+    last=st.booleans(),
+)
+def test_parser_agrees_with_the_line_by_line_reading(lines, ends, last):
+    text = ends.join(lines) + (ends if last else "")
+    assert _outcome(parse_assignment_dump, text) == _outcome(_parse_line_by_line, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 6),
+    edge_prob=st.floats(0.2, 0.9),
+    x=st.integers(1, 3),
+    n_flows=st.integers(0, 12),
+)
+def test_dump_round_trip_reloads_bit_for_bit(seed, n_nodes, edge_prob, x, n_flows):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, edge_prob)
+    table = precompute_xpaths(topo, x=x)
+    pairs = list(labels_by_pair(table).items())
+    flows, chosen = [], []
+    for _ in range(n_flows):
+        (src, dst), labels = pairs[rng.integers(len(pairs))]
+        flows.append((src, dst, float(rng.integers(1, 2000)) / 100))
+        chosen.append(labels[rng.integers(len(labels))])
+    flowset, assignment = make_flows(flows), RoutingAssignment(np.array(chosen, dtype=np.int64))
+    parsed = parse_assignment_dump(format_assignment(assignment, flowset, table))
+    assert list(parsed) == list(range(1, n_flows + 1))
+    assert np.array_equal([label for label, _ in parsed.values()], assignment.labels)
+    replayed = matrix_from_paths({f: hops for f, (_, hops) in parsed.items()}, flowset, topo)
+    matrix = assemble(assignment, flowset, table, topo)
+    assert np.array_equal(replayed.flow_ptr, matrix.flow_ptr)
+    assert np.array_equal(replayed.edge_ids, matrix.edge_ids)
+    assert replayed.load_units == matrix.load_units
+    assert replayed.mu == matrix.mu
+    assert validate(replayed, flowset, topo) == []
+
+
+def test_matrix_from_paths_names_the_lowest_bad_flow(fig2a):
+    topo, _ = fig2a
+    flows = make_flows([(3, 1, 1.0)] * 5)
+    paths = {1: (3, 1), 2: (3, 2, 1), 3: (3, 2, 9, 1), 4: (), 5: (3, 2)}
+    with pytest.raises(InfeasibleLabelError, match=r"flow 3: .*unknown edge \(2, 9\)"):
+        matrix_from_paths(paths, flows, topo)
+    # within a flow, the ends are checked before the edges
+    with pytest.raises(InfeasibleLabelError, match=r"flow 3: .*path 3->9 does not match"):
+        matrix_from_paths({**paths, 3: (3, 9, 8, 9)}, flows, topo)
+    with pytest.raises(InfeasibleLabelError, match="flow 2: .*no path assigned"):
+        matrix_from_paths({1: (3, 1), 4: ()}, flows, topo)
+    # ids outside 1..N are ignored
+    extra = {0: (), 6: (1, 9), **{f: (3, 1) for f in range(1, 6)}}
+    assert matrix_from_paths(extra, flows, topo).load_units == {(3, 1): 5000}
+    # a topology without switches knows no edge
+    with pytest.raises(InfeasibleLabelError, match=r"flow 1: .*unknown edge \(3, 1\)"):
+        matrix_from_paths(extra, flows, Topology(nodes=(), links=()))
+
+
+@pytest.mark.parametrize(
+    "path, what",
+    [
+        ((3, 2**70, 1), r"unknown edge \(3, 1180591620717411303424\)"),
+        ((3, 1, -(2**70)), "path 3->-1180591620717411303424 does not match"),
+        ((3, -1, 1), r"unknown edge \(3, -1\)"),
+        ((3, 0, 1), r"unknown edge \(3, 0\)"),
+        # 0 sorts where switch 1 stands, and (3, 1) and (1, 2) are edges
+        ((3, 0, 2, 1), r"unknown edge \(3, 0\)"),
+    ],
+)
+def test_matrix_from_paths_rejects_hops_that_are_no_switch(fig2a, path, what):
+    topo, _ = fig2a
+    flows = make_flows([(3, 1, 1.0), (3, 1, 1.0)])
+    with pytest.raises(InfeasibleLabelError, match=f"flow 2: .*{what}"):
+        matrix_from_paths({1: (3, 1), 2: path}, flows, topo)
+    # an earlier bad flow is still the one named
+    with pytest.raises(InfeasibleLabelError, match="flow 1: .*does not match"):
+        matrix_from_paths({1: (3, 2), 2: path}, flows, topo)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cect_lab.errors import TopologyFormatError
@@ -162,7 +164,7 @@ def test_save_load_round_trip(builder, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize("capacity", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("capacity", ["0", "-1", "inf", "nan", "0.0001"])
 def test_load_rejects_zero_capacity(tmp_path, capacity):
     path = tmp_path / "bad.txt"
     path.write_text(f"node 1\nnode 2\nedge 1 2 {capacity}\n")
@@ -171,6 +173,17 @@ def test_load_rejects_zero_capacity(tmp_path, capacity):
         load_topology(path)
     with pytest.raises(TopologyFormatError, match="is not finite and > 0"):
         Topology(nodes=(1, 2), links=((1, 2, float(capacity)),))
+
+
+def test_capacity_must_keep_a_load_unit():
+    # capacities are compared in milli-units, so one that rounds to 0 units
+    # would make every utilization on its edge infinite, and one too large
+    # to round could not be compared at all
+    for capacity in (0.0004, 0.0005, 1e306):
+        with pytest.raises(TopologyFormatError, match=re.escape(f"capacity {capacity} of edge")):
+            Topology(nodes=(1, 2), links=((1, 2, capacity),))
+    tiny = Topology(nodes=(1, 2), links=((1, 2, 0.0006),))
+    assert tiny.capacity_units().tolist() == [1]
 
 
 def test_load_rejects_self_loop(tmp_path):

@@ -11,6 +11,7 @@ from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
     feasible_csr,
     feasible_labels,
+    format_paths,
     format_table,
     precompute_xpaths,
 )
@@ -19,6 +20,7 @@ from helpers import (
     all_hops,
     brute_force_simple_paths,
     grow_xpaths,
+    hops_of,
     labels_by_pair,
     make_flows,
     random_topology,
@@ -150,7 +152,7 @@ def test_labels_dense_and_indexed(fig2a_table):
     rows = {pair: feasible_labels(fig2a_table, *pair) for pair in pairs}
     assert sorted(label for labels in rows.values() for label in labels) == list(range(1, 7))
     for pair, labels in rows.items():
-        for hops in fig2a_table.hops_many(labels):
+        for hops in hops_of(fig2a_table, labels):
             assert (hops[0], hops[-1]) == pair
 
 
@@ -162,8 +164,8 @@ def test_per_pair_cap_keeps_shortest_first():
     for pair in labels_by_pair(capped):
         labels = feasible_labels(capped, *pair)
         assert len(labels) == 1
-        kept = capped.hops_many(labels)[0]
-        shortest = full.hops_many(feasible_labels(full, *pair)[:1])[0]
+        kept = hops_of(capped, labels)[0]
+        shortest = hops_of(full, feasible_labels(full, *pair)[:1])[0]
         assert kept == shortest
 
 
@@ -311,12 +313,11 @@ def test_label_edge_csr_rejects_another_topology():
     assert ptr.tolist() == [0, *np.cumsum(table.hop_counts).tolist()]
 
 
-def test_hops_many_rejects_unknown_labels(fig2a_table):
-    assert fig2a_table.hops_many([6, 1]) == [(3, 1, 2), (1, 2)]
-    assert fig2a_table.hops_many([]) == []
-    for labels in ([0], [7], [-1], [1, 7]):
-        with pytest.raises(KeyError, match=r"1\.\.6"):
-            fig2a_table.hops_many(labels)
+def test_format_paths_writes_labels_in_the_given_order(fig2a_table):
+    text = format_paths(fig2a_table, np.array([6, 1, 6]), "row %d label %d: ",
+                        np.array([1, 2, 3]), np.array([6, 1, 6]))
+    assert text == "row 1 label 6: 3 -> 1 -> 2\nrow 2 label 1: 1 -> 2\nrow 3 label 6: 3 -> 1 -> 2\n"
+    assert format_paths(fig2a_table, np.array([], dtype=np.int64), "%d: ", np.array([])) == ""
 
 
 def test_endpoint_table_routes_like_the_all_pairs_table():
@@ -341,10 +342,10 @@ def test_endpoint_table_routes_like_the_all_pairs_table():
     assert set(labels_by_pair(table)) == {p for p in labels_by_pair(full) if set(p) <= ends}
     for pair, labels in labels_by_pair(table).items():
         assert feasible_labels(table, *pair) == labels
-        assert table.hops_many(labels) == full.hops_many(feasible_labels(full, *pair))
+        assert hops_of(table, labels) == hops_of(full, feasible_labels(full, *pair))
 
     def hops(assignment, flows, tab):
-        return tab.hops_many(assignment.labels)
+        return hops_of(tab, assignment.labels)
 
     flows = generate_flows(topo, 300, plr=0.7, seed=11)
     config = GaConfig(max_iterations=30, seed=5)
