@@ -107,7 +107,7 @@ def _cmd_solve(args) -> int:
     loads = {edge: units / UNITS_PER_BW for edge, units in matrix.load_units.items()}
     edge_rows = [
         (s, d, f"{loads.get((s, d), 0.0):.10g}", f"{loads.get((s, d), 0.0) / c:.10g}")
-        for s, d, c in topo.sorted_links()
+        for s, d, c in topo.links
     ]
     _write_rows(out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"), edge_rows)
     if stats is not None:
@@ -145,7 +145,7 @@ def _cmd_simulate(args) -> int:
     edge_rows = [
         (s, d, f"{result.link_utilization[(s, d)] * c:.10g}",
          f"{result.link_utilization[(s, d)]:.10g}")
-        for s, d, c in topo.sorted_links()
+        for s, d, c in topo.links
     ]
     _write_rows(out_dir / "per_edge.csv", ("src", "dst", "load", "utilization"), edge_rows)
     summary = [(f"{result.total_delivered:.10g}", f"{result.loss_pct:.10g}",

@@ -46,7 +46,7 @@ def solve_exact(
     if math.prod(np.diff(feas_ptr).tolist()) > budget:
         raise SearchBudgetExceededError(budget)
 
-    cap_units = topology.capacity_units()
+    cap_units = topology.cap_units
     demands = flowset.demand_units()
     ptr, edge_ids = xpath_table.label_edge_csr(topology)
     # slice each label's edges once: the search visits them many times

@@ -83,7 +83,7 @@ def _arrays(
     """The routing's CSR (row ptr, edge ids), the demands and the capacities."""
     ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
     demands = np.array([f.demand for f in flowset.flows], dtype=np.float64)
-    caps = np.array([c for _, _, c in topology.sorted_links()], dtype=np.float64)
+    caps = np.array([c for _, _, c in topology.links], dtype=np.float64)
     return ptr, edges, demands, caps
 
 

@@ -95,7 +95,7 @@ class _Instance:
         self.n_flows = flowset.count
         self.label_ptr, self.label_edges = table.label_edge_csr(topology)
         self.demands = flowset.demand_units()
-        self.caps = topology.capacity_units()
+        self.caps = topology.cap_units
         self.n_edges = len(self.caps)
 
         self.feas_ptr, self.feas_labels = feasible_csr(table, flowset)

@@ -78,11 +78,10 @@ class RoutingMatrix:
     """Per-flow edge lists with accumulated loads.
 
     Row i of the CSR flow_ptr/edge_ids lists the edges flow i+1 crosses, in
-    hop order, as indices into edge_keys: the sorted edges of the topology
-    the matrix was built for, numbered as its edge_index(). An edge listed k
-    times in a row stands for an indicator value of k, which the validator
-    rejects. load_units maps every loaded edge to its load in milli-units;
-    mu is the maximum over edges of load / capacity.
+    hop order, as indices into edge_keys, those of the topology the matrix
+    was built for. An edge listed k times in a row stands for an indicator
+    value of k, which the validator rejects. load_units maps every loaded
+    edge to its load in milli-units; mu is the maximum of load / capacity.
     """
 
     flow_ptr: np.ndarray
@@ -96,12 +95,12 @@ def _matrix(
     flow_ptr: np.ndarray, edge_ids: np.ndarray, flowset: FlowSet, topology: Topology
 ) -> RoutingMatrix:
     """The RoutingMatrix of a per-flow edge-id CSR, with its loads and mu."""
-    edge_keys = tuple(topology.edge_index())
+    edge_keys = topology.edge_keys
     weights = np.repeat(flowset.demand_units(), np.diff(flow_ptr))
     units = np.bincount(edge_ids, weights=weights, minlength=len(edge_keys)).astype(np.int64)
     # int64 -> float64 is exact below 2**53 and the division is correctly
     # rounded, so the largest quotient is the exact maximum, rounded once
-    mu = float((units / topology.capacity_units()).max(initial=0.0))
+    mu = float((units / topology.cap_units).max(initial=0.0))
     loaded = np.flatnonzero(units)
     load_units = dict(zip([edge_keys[i] for i in loaded], units[loaded].tolist()))
     return RoutingMatrix(flow_ptr, edge_ids, edge_keys, load_units, mu)
@@ -114,40 +113,34 @@ def matrix_from_paths(
 ) -> RoutingMatrix:
     """Build edge lists and loads from explicit hop sequences, one per flow id 1..N.
 
-    Raises InfeasibleLabelError at the first flow whose path is missing or
-    empty, joins other switches, or crosses an unknown edge, in that order."""
-    edge_index = topology.edge_index()
+    A hop stands for the switch it equals (3.0 for 3, not 3.7 or "3"). Raises
+    InfeasibleLabelError at the first flow whose path is missing or empty, joins
+    other switches, or crosses an unknown edge, in that order."""
     paths = list(map(hops_by_flow.get, range(1, flowset.count + 1), itertools.repeat(())))
     counts = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    try:
-        hops = np.fromiter(itertools.chain.from_iterable(paths), np.int64, int(counts.sum()))
-    except OverflowError:  # a hop beyond int64 is no switch: check every flow one by one
-        hops, counts = np.empty(0, dtype=np.int64), np.zeros_like(counts)
-    # switch positions, len(nodes) for any other hop; edge keys ascend as their ids
-    nodes, width = np.array(sorted(topology.nodes), dtype=np.int64), len(topology.nodes) + 1
-    at = np.searchsorted(nodes, hops)
-    at[np.r_[nodes, 0][at] != hops] = len(nodes)
-    ends = np.searchsorted(nodes, np.array(list(edge_index), dtype=np.int64).reshape(-1, 2))
-    keys = np.r_[ends[:, 0] * width + ends[:, 1], -1]  # then a key no pair has
-    pair = at[:-1] * width + at[1:]
-    edge_ids = np.searchsorted(keys[:-1], pair)
+    at = topology.positions(itertools.chain.from_iterable(paths))
+    pair_ids = topology.edge_id[at[:-1], at[1:]]
     row = np.repeat(np.arange(len(paths)), counts)
     inside = row[:-1] == row[1:]  # the pair's hops belong to one path
-    padded, stop = np.r_[hops, 0], np.cumsum(counts)
-    bad = (counts == 0) | (np.c_[padded[stop - counts], padded[stop - 1]] != flowset.ends()).any(1)
-    bad[row[:-1][inside & (keys[edge_ids] != pair)]] = True
-    for flow in flowset.flows[int(np.argmax(bad)) :] if bad.any() else ():
-        path = hops_by_flow.get(flow.id)  # from the first flow the arrays flag, one by one
+    # each hop's switch id, 0 for a hop that is no switch and after the last
+    # hop: a path of two or more hops puts such a hop into an unknown edge
+    ids = np.append(np.array(topology.nodes + (0,), dtype=np.int64)[at], 0)
+    first = np.cumsum(counts) - counts
+    ends = np.c_[ids[first], ids[first + counts - 1]]
+    bad = (counts < 2) | (ends != flowset.ends()).any(axis=1)
+    bad[row[:-1][inside & (pair_ids < 0)]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        flow, path = flowset.flows[i], hops_by_flow.get(i + 1)
         if not path:
             detail = "no path assigned" if path is None else "empty path"
             raise InfeasibleLabelError(flow.id, -1, detail)
         if (path[0], path[-1]) != (flow.src, flow.dst):
             detail = f"path {path[0]}->{path[-1]} does not match flow {flow.src}->{flow.dst}"
             raise InfeasibleLabelError(flow.id, -1, detail)
-        for edge in zip(path[:-1], path[1:]):
-            if edge not in edge_index:
-                raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {edge}")
-    return _matrix(np.r_[0, np.cumsum(counts - 1)], edge_ids[inside], flowset, topology)
+        j = int(np.argmax(pair_ids[first[i] : first[i] + counts[i] - 1] < 0))
+        raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {tuple(path[j : j + 2])}")
+    return _matrix(np.r_[0, np.cumsum(counts - 1)], pair_ids[inside], flowset, topology)
 
 
 def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) -> np.ndarray:
@@ -215,8 +208,8 @@ def validate(
     # the distinct edges of each flow are the nonzero entries of its indicator
     entry, times = np.unique(flow[listed] * n_keys + ids[listed], return_counts=True)
     flow, ids = np.divmod(entry, n_keys)
-    links = topology.edge_index()
-    unknown = np.flatnonzero(~np.array([key in links for key in keys], dtype=bool)[ids])
+    tail, head = topology.positions(itertools.chain.from_iterable(keys)).reshape(-1, 2).T
+    unknown = np.flatnonzero(topology.edge_id[tail, head][ids] < 0)
     found += [Violation(int(flow[i]), RULE_KNOWN_EDGE, keys[ids[i]]) for i in unknown]
     found += [
         Violation(int(flow[i]), RULE_BINARY_INDICATOR, keys[ids[i]], f"value {times[i]}")

@@ -8,7 +8,7 @@ Mb/s); an absent edge means capacity zero.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +25,25 @@ def to_units(bandwidth: float) -> int:
     return int(round(bandwidth * UNITS_PER_BW))
 
 
+def has_units(bandwidth: float) -> bool:
+    """Whether to_units(bandwidth) is at least 1 and fits int64 (False for NaN)."""
+    return 0.5 < bandwidth * UNITS_PER_BW < 2**63
+
+
+def _check_switch(node: int, line_no: int | None = None) -> None:
+    """Raise TopologyFormatError (naming line_no when given) for an id beyond int64."""
+    if not -(2**63) <= node < 2**63:
+        raise TopologyFormatError(f"switch id {node} does not fit in int64", line_no)
+
+
 def _check_link(src: int, dst: int, cap: float, seen: set, line_no: int | None = None) -> None:
     """Add src -> dst to seen, or raise TopologyFormatError (naming line_no when given) for a
-    self-loop, a repeated edge or a capacity that to_units rounds to 0 or cannot round."""
+    self-loop, a repeated edge or a capacity that to_units rounds to 0 or beyond int64."""
     if src == dst:
         raise TopologyFormatError(f"self-loop edge {src} -> {dst}", line_no)
     if (src, dst) in seen:
         raise TopologyFormatError(f"duplicate edge {src} -> {dst}", line_no)
-    if not 0.5 < cap * UNITS_PER_BW < math.inf:
+    if not has_units(cap):
         message = f"capacity {cap} of edge {src} -> {dst} is not finite and > 0 in load units"
         raise TopologyFormatError(message, line_no)
     seen.add((src, dst))
@@ -40,32 +51,57 @@ def _check_link(src: int, dst: int, cap: float, seen: set, line_no: int | None =
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable directed capacitated graph of switches.
+    """Immutable directed capacitated graph of switches; the owner of edge ids.
+
+    Construction sorts nodes and links, so that links[i] is edge i in every
+    layer, and builds the read-only edge arrays below once.
 
     Attributes:
-        nodes: switch ids, sorted ascending.
-        links: directed edges as (src, dst, capacity), with 0 < capacity < inf.
+        nodes: switch ids within int64, sorted ascending.
+        links: directed edges as (src, dst, capacity), sorted, each capacity
+            at least 1 load unit and below 2**63 load units.
         pod_of: optional map switch id -> pod index for edge/aggregation
             switches of a fat-tree; core switches are absent from the map.
+        edge_keys: (src, dst) of every edge; cap_units: int64 capacities in
+            milli-units; both in edge order.
+        edge_id: int64 (n + 1, n + 1) matrix over positions: [p, q] is the id
+            of edge nodes[p] -> nodes[q], or -1; position n is any non-switch.
     """
 
     nodes: tuple[int, ...]
     links: tuple[tuple[int, int, float], ...]
     pod_of: dict[int, int] = field(default_factory=dict)
+    edge_keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    cap_units: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_id: np.ndarray = field(init=False, repr=False, compare=False)
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        node_set = set(self.nodes)
+        nodes, links = tuple(sorted(self.nodes)), tuple(sorted(self.links))
+        for node in nodes:
+            _check_switch(node)
+        position = dict(zip(nodes, range(len(nodes))))
         seen: set[tuple[int, int]] = set()
         for src, dst, cap in self.links:
             _check_link(src, dst, cap, seen)
-            if src not in node_set or dst not in node_set:
+            if src not in position or dst not in position:
                 raise TopologyFormatError(f"edge {src} -> {dst} uses unknown switch")
         n_pods = self.pod_count
         for node, pod in self.pod_of.items():
-            if node not in node_set:
+            if node not in position:
                 raise TopologyFormatError(f"pod entry for unknown switch {node}")
             if not 0 <= pod < n_pods:
                 raise TopologyFormatError(f"pod index {pod} out of range for {node}")
+
+        ends = np.array([position[v] for src, dst, _ in links for v in (src, dst)], np.int64)
+        edge_id = np.full((len(nodes) + 1, len(nodes) + 1), -1, dtype=np.int64)
+        edge_id[tuple(ends.reshape(-1, 2).T)] = np.arange(len(links))
+        cap_units = np.array([to_units(cap) for *_, cap in links], dtype=np.int64)
+        edge_id.flags.writeable = cap_units.flags.writeable = False
+        built = dict(nodes=nodes, links=links, edge_keys=tuple((s, d) for s, d, _ in links),
+                     cap_units=cap_units, edge_id=edge_id, _position=position)
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
     @property
     def node_count(self) -> int:
@@ -79,63 +115,29 @@ class Topology:
     def pod_count(self) -> int:
         return max(self.pod_of.values()) + 1 if self.pod_of else 0
 
-    def out_neighbors(self, node: int) -> list[int]:
-        return self._adjacency().get(node, [])
-
-    def _adjacency(self) -> dict[int, list[int]]:
-        cached = getattr(self, "_adj", None)
-        if cached is None:
-            cached = {}
-            for src, dst, _ in sorted(self.links):
-                cached.setdefault(src, []).append(dst)
-            object.__setattr__(self, "_adj", cached)
-        return cached
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Dense edge ids in sorted (src, dst) order, for array kernels."""
-        cached = getattr(self, "_edge_idx", None)
-        if cached is None:
-            cached = {
-                (s, d): i for i, (s, d, _) in enumerate(sorted(self.links))
-            }
-            object.__setattr__(self, "_edge_idx", cached)
-        return cached
+    def positions(self, ids) -> np.ndarray:
+        """Each id's int64 index in nodes, node_count for a non-switch; ids match as dict keys."""
+        absent = itertools.repeat(len(self.nodes))
+        return np.fromiter(map(self._position.get, ids, absent), dtype=np.int64)
 
     def check_edge_keys(self, edge_keys: tuple[tuple[int, int], ...], owner: str) -> None:
-        """Raise ValueError unless edge_keys are this topology's edges in edge_index() order."""
-        keys = tuple(self.edge_index())
-        if keys != edge_keys:
-            src, dst = min(set(keys) ^ set(edge_keys))
+        """Raise ValueError unless edge_keys are this topology's edge_keys."""
+        if self.edge_keys != edge_keys:
+            src, dst = min(set(self.edge_keys) ^ set(edge_keys))
             raise ValueError(f"{owner} was built for another topology: edge {src} -> {dst} differs")
-
-    def sorted_links(self) -> list[tuple[int, int, float]]:
-        return sorted(self.links)
-
-    def capacity_units(self) -> np.ndarray:
-        """int64 capacities in milli-units, aligned with edge_index() order."""
-        return np.array(
-            [to_units(c) for _, _, c in self.sorted_links()], dtype=np.int64
-        )
 
     def edge_switches(self) -> list[int]:
         """Switches where flows may originate or terminate.
 
-        Pod-less topologies expose every switch. In pod-labeled fabrics the
-        access tier is recovered structurally: an access switch only links to
-        pod-labeled switches of its own pod, while aggregation switches also
-        link to (unlabeled) core switches.
+        Pod-less topologies expose every switch. In a pod-labeled fabric, a
+        pod-labeled switch is an access switch unless one of its links leaves
+        its pod, as an aggregation switch's links to the core do.
         """
         if not self.pod_of:
             return list(self.nodes)
-        tier = getattr(self, "_edge_tier", None)
-        if tier is None:
-            tier = sorted(
-                n
-                for n, pod in self.pod_of.items()
-                if all(self.pod_of.get(m) == pod for m in self.out_neighbors(n))
-            )
-            object.__setattr__(self, "_edge_tier", tier)
-        return tier
+        pod = self.pod_of.get
+        leaving = {src for src, dst, _ in self.links if pod(dst) != pod(src)}
+        return sorted(node for node in self.pod_of if node not in leaving)
 
 
 def make_fat_tree(
@@ -160,31 +162,23 @@ def make_fat_tree(
     if min(edge_capacity, agg_capacity, core_capacity) <= 0:
         raise ValueError("capacities must be positive")
 
-    half = k // 2
-    n_edge = k * half
-    n_agg = k * half
-    access = tuple(range(1, n_edge + 1))
-    aggregation = tuple(range(n_edge + 1, n_edge + n_agg + 1))
-    core = tuple(range(n_edge + n_agg + 1, n_edge + n_agg + half * half + 1))
+    half, n = k // 2, k * k // 2  # n access and n aggregation switches
+    access, aggregation = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
+    core = tuple(range(2 * n + 1, 2 * n + half * half + 1))
 
     links: list[tuple[int, int, float]] = []
     pod_of: dict[int, int] = {}
     for pod in range(k):
         pod_edges = access[pod * half : (pod + 1) * half]
         pod_aggs = aggregation[pod * half : (pod + 1) * half]
-        for sw in pod_edges + pod_aggs:
-            pod_of[sw] = pod
-        for e in pod_edges:
-            for a in pod_aggs:
-                links.append((e, a, edge_capacity))
-                links.append((a, e, agg_capacity))
+        pod_of.update(dict.fromkeys(pod_edges + pod_aggs, pod))
+        for e, a in itertools.product(pod_edges, pod_aggs):
+            links += [(e, a, edge_capacity), (a, e, agg_capacity)]
         for j, a in enumerate(pod_aggs):
             for c in core[j * half : (j + 1) * half]:
-                links.append((a, c, agg_capacity))
-                links.append((c, a, core_capacity))
+                links += [(a, c, agg_capacity), (c, a, core_capacity)]
 
-    nodes = tuple(sorted(access + aggregation + core))
-    return Topology(nodes=nodes, links=tuple(links), pod_of=pod_of)
+    return Topology(nodes=access + aggregation + core, links=tuple(links), pod_of=pod_of)
 
 
 # 3-node and 4-node reference topologies used by the golden path tests.
@@ -201,10 +195,8 @@ def make_sample_topology(which: str, capacity: float = 10.0) -> Topology:
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     edges = _SAMPLE_EDGES[which]
-    nodes = tuple(sorted({n for e in edges for n in e}))
-    return Topology(
-        nodes=nodes, links=tuple((s, d, capacity) for s, d in edges)
-    )
+    nodes = tuple({n for e in edges for n in e})
+    return Topology(nodes=nodes, links=tuple((s, d, capacity) for s, d in edges))
 
 
 def save_topology(topology: Topology, path) -> None:
@@ -213,7 +205,7 @@ def save_topology(topology: Topology, path) -> None:
         fh.write("# topology: one record per line\n")
         for node in topology.nodes:
             fh.write(f"node {node}\n")
-        for src, dst, cap in topology.sorted_links():
+        for src, dst, cap in topology.links:
             fh.write(f"edge {src} {dst} {float(cap)!r}\n")
         for node in sorted(topology.pod_of):
             fh.write(f"pod {node} {topology.pod_of[node]}\n")
@@ -242,6 +234,7 @@ def load_topology(path) -> Topology:
             try:
                 if kind == "node" and len(parts) == 2:
                     nodes.append(int(parts[1]))
+                    _check_switch(nodes[-1], line_no)
                 elif kind == "edge" and len(parts) == 4:
                     link = (int(parts[1]), int(parts[2]), float(parts[3]))
                     _check_link(*link, seen_edges, line_no)
@@ -253,6 +246,4 @@ def load_topology(path) -> Topology:
             except ValueError as exc:
                 raise TopologyFormatError(str(exc), line_no) from exc
 
-    return Topology(
-        nodes=tuple(sorted(set(nodes))), links=tuple(links), pod_of=pod_of
-    )
+    return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)

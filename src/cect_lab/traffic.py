@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FlowFormatError
-from .topology import Topology, to_units
+from .topology import Topology, has_units, to_units
 
 # Demand as a fraction of the minimum link capacity, per size class.
 CLASS_FRACTION = {
@@ -57,7 +56,7 @@ class Flow:
             raise ValueError(f"flow {self.id}: src equals dst ({self.src})")
         if self.demand <= 0:
             raise ValueError(f"flow {self.id}: demand must be positive")
-        if not math.isfinite(self.demand) or to_units(self.demand) == 0:
+        if not has_units(self.demand):
             raise ValueError(
                 f"flow {self.id}: demand {self.demand!r} is not finite or rounds to 0 load units"
             )

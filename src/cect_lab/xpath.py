@@ -31,8 +31,8 @@ class XPathTable:
 
     Label l is row l-1 of every per-label array: hop_ptr/hops is the CSR of
     the switch ids along each path, hop_counts holds each path's edge
-    count, and edge_ptr/edge_ids is the CSR of its edges as ids of
-    edge_index() of the topology whose sorted edges are edge_keys.
+    count, and edge_ptr/edge_ids is the CSR of its edges as ids into
+    edge_keys, the edge_keys of the topology the table was built from.
     pair_ptr/pair_labels is the CSR of each endpoint pair's labels,
     shortest first: with nodes the sorted switch ids and n their count, row
     i * n + j holds the paths from nodes[i] to nodes[j], and the last row,
@@ -56,7 +56,7 @@ class XPathTable:
     def label_edge_csr(self, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
         """CSR view (row ptr, edge ids) of every path's edge list.
 
-        Row i holds the edges of label i+1, using topology.edge_index() ids;
+        Row i holds the edges of label i+1, as ids into topology.edge_keys;
         the arrays feed the load-accumulation kernels. Raises ValueError
         when topology's edges are not the ones the table was built from.
         """
@@ -98,15 +98,12 @@ def precompute_xpaths(
     """
     check_path_bounds(x, cap_c)
 
-    # switches become dense positions in id order, so comparing positions
-    # orders paths exactly as comparing switch ids does
-    nodes = np.array(sorted(topology.nodes), dtype=np.int64)
+    # switches are their positions in topology.nodes, which ascend as their
+    # ids, so comparing positions orders paths exactly as comparing ids does
+    nodes, eid = np.array(topology.nodes, dtype=np.int64), topology.edge_id
     n = len(nodes)
-    edge_keys = tuple(topology.edge_index())
-    tail, head = np.searchsorted(nodes, np.array(edge_keys, dtype=np.int64).reshape(-1, 2)).T
-    eid = np.full((n, n), -1, dtype=np.int64)  # edge id of each position pair
-    eid[tail, head] = np.arange(len(edge_keys))
-    adj_ptr = np.searchsorted(tail, np.arange(n + 1))  # edge ids sort by tail
+    tail, head = np.nonzero(eid[:n, :n] >= 0)  # in edge id order, so sorted by tail
+    adj_ptr = np.searchsorted(tail, np.arange(n + 1))
     adj = head.astype(np.int32)
     kept = np.zeros(n * n, dtype=np.int64)
     is_end = np.isin(nodes, topology.edge_switches())
@@ -141,7 +138,7 @@ def precompute_xpaths(
         hop_counts=hop_counts,
         edge_ptr=edge_ptr,
         edge_ids=edge_ids,
-        edge_keys=edge_keys,
+        edge_keys=topology.edge_keys,
         nodes=nodes,
         pair_ptr=np.searchsorted(pairs[order], np.arange(n * n + 2)),
         pair_labels=order + 1,

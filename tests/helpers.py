@@ -32,6 +32,16 @@ def random_topology(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0
     return Topology(nodes=tuple(range(1, n_nodes + 1)), links=tuple(links))
 
 
+def edge_index(topology: Topology) -> dict[tuple[int, int], int]:
+    """Each edge's id, keyed by its (src, dst): its index in topology.edge_keys."""
+    return {key: i for i, key in enumerate(topology.edge_keys)}
+
+
+def out_neighbors(topology: Topology, node: int) -> list[int]:
+    """The heads of node's out-edges, ascending."""
+    return sorted(dst for src, dst, _ in topology.links if src == node)
+
+
 def brute_force_simple_paths(topology: Topology, x: int) -> set[tuple[int, ...]]:
     """All simple directed paths with 1..x edges, by naive recursion."""
     edges = {(s, d) for s, d, _ in topology.links}
@@ -58,7 +68,7 @@ def grow_xpaths(topology: Topology, x: int) -> set[tuple[int, ...]]:
         frontier = {
             hops + (nxt,)
             for hops in frontier
-            for nxt in topology.out_neighbors(hops[-1])
+            for nxt in out_neighbors(topology, hops[-1])
             if nxt not in hops
         }
         result |= frontier
@@ -93,7 +103,7 @@ def bfs_distance(topology: Topology, src: int) -> dict[int, int]:
     queue = deque([src])
     while queue:
         node = queue.popleft()
-        for nxt in topology.out_neighbors(node):
+        for nxt in out_neighbors(topology, node):
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
@@ -120,7 +130,7 @@ def edge_list_matrix(
     joins the matrix's edge_keys; loads are left empty and mu is 0.
     """
     listed = {e for edges in flow_edges for e in edges}
-    index = {e: i for i, e in enumerate(sorted(set(topology.edge_index()) | listed))}
+    index = {e: i for i, e in enumerate(sorted(set(topology.edge_keys) | listed))}
     return RoutingMatrix(
         flow_ptr=np.cumsum([0] + [len(edges) for edges in flow_edges], dtype=np.int64),
         edge_ids=np.array([index[e] for edges in flow_edges for e in edges], dtype=np.int64),

@@ -37,6 +37,7 @@ from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
 from helpers import (
     all_hops,
+    edge_index,
     edge_list_matrix,
     grid_maxmin_oracle,
     hops_of,
@@ -351,7 +352,7 @@ def test_criterion_9_simulator_sanity():
             matrix = assemble(RoutingAssignment(np.array(chosen)), flowset, table, topo)
             result = simulate(matrix, flowset, topo, "maxmin")
 
-            edge_ids = topo.edge_index()
+            edge_ids = edge_index(topo)
             flow_paths = [
                 [edge_ids[e] for e in zip(h, h[1:])]
                 for h in hops_of(table, chosen)
@@ -359,7 +360,7 @@ def test_criterion_9_simulator_sanity():
             oracle = grid_maxmin_oracle(
                 flow_paths,
                 [f.demand for f in flowset.flows],
-                [c for _, _, c in topo.sorted_links()],
+                [c for _, _, c in topo.links],
                 step=0.005,
             )
             for i, f in enumerate(flowset.flows):

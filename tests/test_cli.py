@@ -7,11 +7,12 @@ import pytest
 
 from cect_lab import experiment
 from cect_lab.cli import _ga_config, build_parser, main
+from cect_lab.ecmp import route_ecmp
 from cect_lab.errors import ConfigError
 from cect_lab.fluidsim import simulate
 from cect_lab.ga import GaConfig
 from cect_lab.routing import matrix_from_paths, parse_assignment_dump
-from cect_lab.topology import load_topology, make_sample_topology
+from cect_lab.topology import load_topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import Flow, FlowSet, load_flows
 from cect_lab.xpath import precompute_xpaths
 
@@ -505,3 +506,67 @@ def test_cli_bench_scaling_smoke(tmp_path):
     # one fitted slope, repeated on every row
     assert len({row[3] for row in rows[1:]}) == 1
     assert math.isfinite(float(rows[1][3]))
+
+
+@pytest.mark.parametrize("command, file, text", [
+    # a hop that is not an integer fails the dump's parse
+    ("simulate", "assignment", "flow 1 via 1: 1 -> 3.7 -> 3\n"),
+    # a demand too large to count in int64 load units
+    ("simulate", "flows", "flow 1 1 3 1e306 custom\n"),
+    # a switch id beyond int64
+    ("paths", "topo", "node 1\nnode 99999999999999999999999\nedge 1 99999999999999999999999 1\n"),
+], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64"])
+def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
+    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(paths["topo"])])
+    paths["flows"].write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
+    paths["assignment"].write_text("flow 1 via 1: 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
+    argv = {
+        "paths": ["paths", "--topo", str(paths["topo"]), "--out", str(tmp_path / "paths.txt")],
+        "simulate": ["simulate", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
+                     "--assignment", str(paths["assignment"]), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 0  # the command runs on the good files
+    paths[file].write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line " in err and "Traceback" not in err
+
+
+def test_solve_ga_flags_reach_ga_config():
+    args = build_parser().parse_args([
+        "solve", "--topo", "t", "--flows", "f", "--population-size", "12", "--mut-min", "0.01",
+        "--mut-max", "0.3", "--stall-window", "4", "--mu-target", "0.5",
+    ])
+    assert _ga_config(args) == GaConfig(
+        population_size=12, mut_min=0.01, mut_max=0.3, stall_window=4, mu_target=0.5
+    )
+
+
+def test_gen_topo_tier_capacities_reach_the_fat_tree(tmp_path):
+    out = tmp_path / "topo.txt"
+    assert main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--edge-capacity", "10",
+                 "--agg-capacity", "20", "--core-capacity", "30", "--out", str(out)]) == 0
+    assert load_topology(out) == make_fat_tree(4, 10.0, 20.0, 30.0)
+
+
+def test_solve_ecmp_max_paths_and_exact_budget(tmp_path, capsys):
+    topo_file, flows_file = tmp_path / "topo.txt", tmp_path / "flows.txt"
+    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo_file)])
+    main(["gen-traffic", "--topo", str(topo_file), "--n", "40", "--plr", "1.0", "--seed", "4",
+          "--out", str(flows_file)])
+    base = ["solve", "--topo", str(topo_file), "--flows", str(flows_file), "--x", "4"]
+    out = tmp_path / "ecmp"
+    assert main([*base, "--method", "ecmp", "--ecmp-max-paths", "1", "--out-dir", str(out)]) == 0
+    dump = parse_assignment_dump((out / "assignment.txt").read_text(encoding="utf-8"))
+    topo, flows = load_topology(topo_file), load_flows(flows_file)
+    table = precompute_xpaths(topo, 4, 50)
+    first = route_ecmp(flows, topo, table, max_paths=1).labels.tolist()
+    assert [label for label, _ in dump.values()] == first
+    assert first != route_ecmp(flows, topo, table).labels.tolist()
+
+    flows_file.write_text("flow 1 1 5 1.0 custom\nflow 2 3 7 1.0 custom\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*base, "--method", "exact", "--budget", "1", "--out-dir", str(out)]) == 2
+    assert "assignment search space exceeds budget of 1" in capsys.readouterr().err

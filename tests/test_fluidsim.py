@@ -10,7 +10,9 @@ from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import grid_maxmin_oracle, hops_of, labels_by_pair, make_flows, random_topology
+from helpers import (
+    edge_index, grid_maxmin_oracle, hops_of, labels_by_pair, make_flows, random_topology
+)
 
 
 def _line_topology(capacity=10.0) -> Topology:
@@ -100,7 +102,7 @@ def test_maxmin_matches_grid_oracle():
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
-        edge_ids = topo.edge_index()
+        edge_ids = edge_index(topo)
         flows, chosen = [], []
         n = int(rng.integers(2, 6))
         for _ in range(n):
@@ -117,7 +119,7 @@ def test_maxmin_matches_grid_oracle():
             for h in hops_of(table, chosen)
         ]
         demands = [f.demand for f in flowset.flows]
-        caps = [c for _, _, c in topo.sorted_links()]
+        caps = [c for _, _, c in topo.links]
         oracle = grid_maxmin_oracle(flow_paths, demands, caps, step=0.01)
         for i, f in enumerate(flowset.flows):
             scale = max(1.0, f.demand)

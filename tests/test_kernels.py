@@ -12,7 +12,7 @@ from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import precompute_xpaths
 
-from helpers import hops_of, labels_by_pair, make_flows, random_topology
+from helpers import edge_index, hops_of, labels_by_pair, make_flows, random_topology
 
 ACCEPTANCE_MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
 
@@ -81,21 +81,21 @@ def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
     )
     penalty = 20
     fit, mu = kernels.fitness_mu(loads, instance.caps, penalty)
-    edge_index = topology.edge_index()
+    ids = edge_index(topology)
     flows, table = problem
     for m in range(16):
         expected = np.zeros(instance.n_edges, dtype=np.int64)
         for flow, label in zip(flows.flows, genes[m]):
             hops = hops_of(table, [label])[0]
             for edge in zip(hops, hops[1:]):
-                expected[edge_index[edge]] += to_units(flow.demand)
+                expected[ids[edge]] += to_units(flow.demand)
         expected_mu = float(max(Fraction(int(l), int(c)) for l, c in zip(expected, instance.caps)))
         assert np.array_equal(loads[m], expected)
         assert mu[m] == expected_mu
 
         matrix = assemble(RoutingAssignment(genes[m]), flows, table, topology)
         assert matrix.load_units == {
-            edge: int(expected[i]) for edge, i in edge_index.items() if expected[i]
+            edge: int(expected[i]) for edge, i in ids.items() if expected[i]
         }
         assert matrix.mu == expected_mu
 
@@ -212,11 +212,10 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     )
     fit, mu = inst.evaluate(genes, 7)
     assert np.array_equal((fit, mu), kernels.fitness_mu(loop, inst.caps, 7))
-    edge_index = topo.edge_index()
     for m in range(members):
         matrix = assemble(RoutingAssignment(genes[m]), flows, table, topo)
         assert matrix.load_units == {
-            edge: int(loop[m, i]) for edge, i in edge_index.items() if loop[m, i]
+            edge: int(loop[m, i]) for edge, i in edge_index(topo).items() if loop[m, i]
         }
     return loop
 
@@ -264,7 +263,7 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=2)
     ptr, edges = table.label_edge_csr(topo)
-    n_edges = len(topo.capacity_units())
+    n_edges = len(topo.cap_units)
     no_label = np.setdiff1d(np.arange(n_edges), edges)
     assert no_label.size and no_label[-1] == n_edges - 1
     flows = make_flows([(1, 2, 12.5), (2, 1, 0.125)] * 30)

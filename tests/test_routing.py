@@ -27,7 +27,15 @@ from cect_lab.topology import Topology, make_sample_topology
 from cect_lab.traffic import FlowSet
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import edge_list_matrix, hops_of, labels_by_pair, make_flows, random_topology
+from helpers import (
+    brute_force_simple_paths,
+    edge_index,
+    edge_list_matrix,
+    hops_of,
+    labels_by_pair,
+    make_flows,
+    random_topology,
+)
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +226,7 @@ def test_validate_flags_unknown_edge_id(fig2a):
 def test_validate_flags_edge_missing_from_topology(fig2a):
     topo, _ = fig2a
     flows = make_flows([(3, 1, 1.0)])
-    assert (1, 3) not in topo.edge_index()
+    assert (1, 3) not in topo.edge_keys
     found = validate(edge_list_matrix(topo, [[(3, 2), (2, 1), (1, 3)]]), flows, topo)
     assert Violation(1, RULE_KNOWN_EDGE, (1, 3)) in found
 
@@ -461,6 +469,62 @@ def test_dump_round_trip_reloads_bit_for_bit(seed, n_nodes, edge_prob, x, n_flow
     assert validate(replayed, flowset, topo) == []
 
 
+def _paths_one_by_one(hops_by_flow, flowset, topology):
+    """matrix_from_paths' answer read flow by flow and hop by hop: the CSR or the error."""
+    ids, flow_ptr, edge_ids = edge_index(topology), [0], []
+    try:
+        for flow in flowset.flows:
+            path = hops_by_flow.get(flow.id)
+            if not path:
+                detail = "no path assigned" if path is None else "empty path"
+                raise InfeasibleLabelError(flow.id, -1, detail)
+            if (path[0], path[-1]) != (flow.src, flow.dst):
+                detail = f"path {path[0]}->{path[-1]} does not match flow {flow.src}->{flow.dst}"
+                raise InfeasibleLabelError(flow.id, -1, detail)
+            for edge in zip(path[:-1], path[1:]):
+                if edge not in ids:
+                    raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {edge}")
+                edge_ids.append(ids[edge])
+            flow_ptr.append(len(edge_ids))
+    except InfeasibleLabelError as exc:
+        return str(exc)
+    return flow_ptr, edge_ids
+
+
+# hops that are no switch of a random topology over 1..n (n <= 5), or only equal one
+_ODD_HOPS = st.sampled_from([0, -1, 9, 2**63, -(2**63) - 1, 2**70, 2.0, 2.5, "2", True])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 5), data=st.data())
+def test_matrix_from_paths_agrees_with_the_flow_by_flow_reading(seed, n_nodes, data):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, 0.6)
+    paths = sorted(brute_force_simple_paths(topo, 3))
+    switches = st.integers(1, n_nodes) | _ODD_HOPS
+    hops_by_flow, pairs = {}, []
+    for fid in range(1, data.draw(st.integers(0, 5)) + 1):
+        path = data.draw(st.sampled_from(paths))
+        pairs.append((path[0], path[-1], 1.0))
+        kind = data.draw(st.integers(0, 9))
+        if kind == 1:  # any hops at all, or none
+            path = tuple(data.draw(st.lists(switches, max_size=4)))
+        elif kind == 2:  # one hop replaced
+            at = data.draw(st.integers(0, len(path) - 1))
+            path = path[:at] + (data.draw(switches),) + path[at + 1 :]
+        if kind != 3:  # else the flow has no path
+            hops_by_flow[fid] = path
+    if data.draw(st.booleans()):  # an id outside 1..N is ignored
+        hops_by_flow[len(pairs) + 1] = (2**70,)
+    flows = make_flows(pairs)
+    try:
+        matrix = matrix_from_paths(hops_by_flow, flows, topo)
+        got = (matrix.flow_ptr.tolist(), matrix.edge_ids.tolist())
+    except InfeasibleLabelError as exc:
+        got = str(exc)
+    assert got == _paths_one_by_one(hops_by_flow, flows, topo)
+
+
 def test_matrix_from_paths_names_the_lowest_bad_flow(fig2a):
     topo, _ = fig2a
     flows = make_flows([(3, 1, 1.0)] * 5)
@@ -489,13 +553,22 @@ def test_matrix_from_paths_names_the_lowest_bad_flow(fig2a):
         ((3, 0, 1), r"unknown edge \(3, 0\)"),
         # 0 sorts where switch 1 stands, and (3, 1) and (1, 2) are edges
         ((3, 0, 2, 1), r"unknown edge \(3, 0\)"),
+        # a hop is the switch it equals: 3.0 is switch 3, while 3.7 and "3" are none
+        ((3.7, 1), r"path 3.7->1 does not match flow 3->1"),
+        (("3", 1), r"path 3->1 does not match flow 3->1"),
+        ((3, 2, 1.5), r"path 3->1.5 does not match"),
+        ((3, "2", 1), r"unknown edge \(3, '2'\)"),
+        ((3.0, 1), None),
     ],
 )
 def test_matrix_from_paths_rejects_hops_that_are_no_switch(fig2a, path, what):
     topo, _ = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 1, 1.0)])
-    with pytest.raises(InfeasibleLabelError, match=f"flow 2: .*{what}"):
-        matrix_from_paths({1: (3, 1), 2: path}, flows, topo)
+    if what is None:
+        assert matrix_from_paths({1: (3, 1), 2: path}, flows, topo).load_units == {(3, 1): 2000}
+    else:
+        with pytest.raises(InfeasibleLabelError, match=f"flow 2: .*{what}"):
+            matrix_from_paths({1: (3, 1), 2: path}, flows, topo)
     # an earlier bad flow is still the one named
     with pytest.raises(InfeasibleLabelError, match="flow 1: .*does not match"):
         matrix_from_paths({1: (3, 2), 2: path}, flows, topo)

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from cect_lab.errors import TopologyFormatError
@@ -11,7 +12,7 @@ from cect_lab.topology import (
     save_topology,
 )
 
-from helpers import bfs_distance
+from helpers import bfs_distance, out_neighbors
 
 
 def _tiers(k):
@@ -80,7 +81,7 @@ def test_fat_tree_pod_structure():
     # every access switch links to all aggregation switches of its pod
     for e in edge_ids:
         pod_aggs = {a for a in agg_ids if topo.pod_of[a] == topo.pod_of[e]}
-        assert set(topo.out_neighbors(e)) == pod_aggs
+        assert set(out_neighbors(topo, e)) == pod_aggs
 
 
 def test_fat_tree_agg_core_wiring():
@@ -90,7 +91,7 @@ def test_fat_tree_agg_core_wiring():
     for pod in range(4):
         pod_aggs = sorted(a for a in agg_ids if topo.pod_of[a] == pod)
         for j, agg in enumerate(pod_aggs):
-            cores = {n for n in topo.out_neighbors(agg) if n in core_ids}
+            cores = {n for n in out_neighbors(topo, agg) if n in core_ids}
             expected = set(core_ids[j * half : (j + 1) * half])
             assert cores == expected
 
@@ -100,11 +101,11 @@ def test_fat_tree_tier_capacities():
     capacity = {(s, d): cap for s, d, cap in topo.links}
     edge_ids, agg_ids, core_ids = _tiers(4)
     e, a, c = edge_ids[0], agg_ids[0], core_ids[0]
-    assert capacity[e, topo.out_neighbors(e)[0]] == 10.0
+    assert capacity[e, out_neighbors(topo, e)[0]] == 10.0
     assert capacity[a, e] == 20.0  # same pod, downlink uses agg tier rate
-    agg_up = [n for n in topo.out_neighbors(a) if n in core_ids][0]
+    agg_up = [n for n in out_neighbors(topo, a) if n in core_ids][0]
     assert capacity[a, agg_up] == 20.0
-    agg_down = [n for n in topo.out_neighbors(c) if n in agg_ids][0]
+    agg_down = [n for n in out_neighbors(topo, c) if n in agg_ids][0]
     assert capacity[c, agg_down] == 30.0
 
 
@@ -150,6 +151,7 @@ def test_sample_topology_rejects_bad_input():
     lambda: make_sample_topology("fig2b", 3.0),
     lambda: make_fat_tree(4, 10.0, 20.0, 30.0),
     lambda: make_fat_tree(4, 100.123456789, 0.1 + 0.2, 1 / 3),
+    lambda: make_fat_tree(4, 200, 200, 100),
 ])
 def test_save_load_round_trip(builder, tmp_path):
     # the reload keeps every field and digit, and saving it again writes the same bytes
@@ -157,9 +159,9 @@ def test_save_load_round_trip(builder, tmp_path):
     first, second = tmp_path / "first.txt", tmp_path / "second.txt"
     save_topology(topo, first)
     loaded = load_topology(first)
-    assert (loaded.nodes, loaded.sorted_links(), loaded.pod_of) == (
-        topo.nodes, topo.sorted_links(), topo.pod_of
-    )
+    assert loaded == topo
+    assert loaded.edge_keys == topo.edge_keys
+    assert loaded.cap_units.tolist() == topo.cap_units.tolist()
     save_topology(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 
@@ -183,7 +185,43 @@ def test_capacity_must_keep_a_load_unit():
         with pytest.raises(TopologyFormatError, match=re.escape(f"capacity {capacity} of edge")):
             Topology(nodes=(1, 2), links=((1, 2, capacity),))
     tiny = Topology(nodes=(1, 2), links=((1, 2, 0.0006),))
-    assert tiny.capacity_units().tolist() == [1]
+    assert tiny.cap_units.tolist() == [1]
+    # the largest capacity whose units fit int64, and the first that does not
+    assert Topology(nodes=(1, 2), links=((1, 2, 9.2e15),)).cap_units.tolist() == [9.2e18]
+    with pytest.raises(TopologyFormatError, match=re.escape(f"capacity {9.3e15} of edge")):
+        Topology(nodes=(1, 2), links=((1, 2, 9.3e15),))
+
+
+def test_construction_sorts_and_numbers_the_edges():
+    topo = Topology(
+        nodes=(30, 10, 20), links=((30, 10, 3.0), (10, 20, 1.0), (20, 30, 2.0), (10, 30, 4.0))
+    )
+    assert topo.nodes == (10, 20, 30)
+    assert topo.links == ((10, 20, 1.0), (10, 30, 4.0), (20, 30, 2.0), (30, 10, 3.0))
+    assert topo.edge_keys == ((10, 20), (10, 30), (20, 30), (30, 10))
+    assert topo.cap_units.tolist() == [1000, 4000, 2000, 3000]
+    # positions index nodes; 3 stands for every id that is no switch
+    assert topo.positions([20, 10, 30, 40, 20.0, "20", 20.5]).tolist() == [1, 0, 2, 3, 1, 3, 3]
+    expected = np.full((4, 4), -1)
+    expected[[0, 0, 1, 2], [1, 2, 2, 0]] = [0, 1, 2, 3]
+    assert topo.edge_id.tolist() == expected.tolist()
+    for array in (topo.cap_units, topo.edge_id):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    # the order links are given in does not matter
+    assert topo == Topology(nodes=(10, 20, 30), links=topo.links[::-1])
+
+
+@pytest.mark.parametrize("node", [2**63, -(2**63) - 1, 99999999999999999999999])
+def test_switch_ids_must_fit_int64(tmp_path, node):
+    with pytest.raises(TopologyFormatError, match=f"switch id {node} does not fit in int64"):
+        Topology(nodes=(1, node), links=())
+    path = tmp_path / "big.txt"
+    path.write_text(f"node 1\nedge 1 {node} 1.0\nnode {node}\n")
+    with pytest.raises(TopologyFormatError, match=f"line 3: switch id {node} does not fit"):
+        load_topology(path)
+    edge = Topology(nodes=(2**63 - 1, -(2**63)), links=((2**63 - 1, -(2**63), 1.0),))
+    assert edge.edge_keys == ((2**63 - 1, -(2**63)),)
 
 
 def test_load_rejects_self_loop(tmp_path):
@@ -234,6 +272,10 @@ def test_edge_switches_structural_recovery(tmp_path):
         path = tmp_path / f"ft{k}.txt"
         save_topology(topo, path)
         assert load_topology(path).edge_switches() == expected
+    # a switch is an access switch unless one of its own links leaves its pod:
+    # 1 -> 2 stays in pod 0 while 2 -> 3 leaves it; 3 -> 1 enters pod 0
+    links = ((1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0))
+    assert Topology(nodes=(1, 2, 3), links=links, pod_of={1: 0, 2: 0}).edge_switches() == [1]
 
 
 def test_edge_switches_podless_is_all_nodes():

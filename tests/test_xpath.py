@@ -19,6 +19,7 @@ from cect_lab.xpath import (
 from helpers import (
     all_hops,
     brute_force_simple_paths,
+    edge_index,
     grow_xpaths,
     hops_of,
     labels_by_pair,
@@ -266,9 +267,9 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, p
     if cap_c is None:
         assert set(hops) == every
 
-    # each CSR row holds the edge_index() ids of its path's hops
+    # each CSR row holds the edge ids of its path's hops
     ptr, edges = table.label_edge_csr(topo)
-    ids = topo.edge_index()
+    ids = edge_index(topo)
     for label, path in enumerate(hops, 1):
         row = edges[ptr[label - 1] : ptr[label]].tolist()
         assert row == [ids[e] for e in zip(path[:-1], path[1:])]
@@ -302,13 +303,13 @@ def test_label_edge_csr_rejects_another_topology():
     wider = Topology(
         nodes=base.nodes, links=base.links + ((1, 2, 100.0),), pod_of=base.pod_of
     )
-    assert wider.edge_index() != base.edge_index()
+    assert wider.edge_keys != base.edge_keys
     with pytest.raises(ValueError, match="edge 1 -> 2 differs"):
         table.label_edge_csr(wider)
     # a second fat-tree reuses the switch ids with other wiring
     with pytest.raises(ValueError, match="another topology"):
         table.label_edge_csr(make_fat_tree(6))
-    ids = base.edge_index()
+    ids = edge_index(base)
     assert edges.tolist() == [ids[e] for h in all_hops(table) for e in zip(h, h[1:])]
     assert ptr.tolist() == [0, *np.cumsum(table.hop_counts).tolist()]
 
