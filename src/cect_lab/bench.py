@@ -7,7 +7,6 @@ claim.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -63,11 +62,3 @@ def fit_loglog_slope(sizes, times) -> float:
     logy = np.log(np.asarray(times, dtype=np.float64))
     slope, _ = np.polyfit(logx, logy, 1)
     return float(slope)
-
-
-def write_scaling_csv(points: list[ScalingPoint], slope: float, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_flows", "population", "wall_time", "loglog_slope"])
-        for p in points:
-            writer.writerow([p.n_flows, p.population, f"{p.wall_time:.6g}", f"{slope:.4g}"])

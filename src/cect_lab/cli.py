@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -30,13 +29,6 @@ from .topology import (
 )
 from .traffic import generate_flows, load_flows, save_flows
 from .xpath import format_table, precompute_xpaths
-
-
-def _write_rows(path: Path, fieldnames, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
 
 
 def _cmd_gen_topo(args) -> int:
@@ -106,19 +98,20 @@ def _cmd_solve(args) -> int:
     )
     loads = {edge: units / UNITS_PER_BW for edge, units in matrix.load_units.items()}
     edge_rows = [
-        (s, d, f"{loads.get((s, d), 0.0):.10g}", f"{loads.get((s, d), 0.0) / c:.10g}")
-        for s, d, c in topo.links
+        (s, d, loads.get((s, d), 0.0), loads.get((s, d), 0.0) / c) for s, d, c in topo.links
     ]
-    _write_rows(out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"), edge_rows)
+    experiment.write_rows(
+        out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"), edge_rows
+    )
     if stats is not None:
         stat_rows = [
-            (row.generation, f"{row.best_mu:.10g}", f"{row.best_fitness:.10g}",
-             f"{row.mean_fitness:.10g}", f"{row.mut_rate:.10g}")
+            (row.generation, row.best_mu, row.best_fitness, row.mean_fitness, row.mut_rate)
             for row in stats.rows
         ]
-        _write_rows(out_dir / "stats.csv",
-                    ("generation", "best_mu", "best_fitness", "mean_fitness", "mut_rate"),
-                    stat_rows)
+        experiment.write_rows(
+            out_dir / "stats.csv",
+            ("generation", "best_mu", "best_fitness", "mean_fitness", "mut_rate"), stat_rows,
+        )
     print(
         f"method={args.method} flows={flows.count} mu={matrix.mu:.4f} "
         f"time={elapsed:.3f}s -> {out_dir}"
@@ -138,19 +131,20 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # matrix_from_paths has checked that the dump routes every flow
     flow_rows = [
-        (f.id, f"{f.demand:.10g}", f"{result.per_flow_rate[f.id]:.10g}", dump[f.id][0])
-        for f in flows.flows
+        (f.id, f.demand, result.per_flow_rate[f.id], dump[f.id][0]) for f in flows.flows
     ]
-    _write_rows(out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"), flow_rows)
+    experiment.write_rows(
+        out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"), flow_rows
+    )
     edge_rows = [
-        (s, d, f"{result.link_utilization[(s, d)] * c:.10g}",
-         f"{result.link_utilization[(s, d)]:.10g}")
+        (s, d, result.link_utilization[(s, d)] * c, result.link_utilization[(s, d)])
         for s, d, c in topo.links
     ]
-    _write_rows(out_dir / "per_edge.csv", ("src", "dst", "load", "utilization"), edge_rows)
-    summary = [(f"{result.total_delivered:.10g}", f"{result.loss_pct:.10g}",
-                f"{result.mu:.10g}")]
-    _write_rows(out_dir / "summary.csv", ("throughput", "loss_pct", "mu"), summary)
+    experiment.write_rows(
+        out_dir / "per_edge.csv", ("src", "dst", "load", "utilization"), edge_rows
+    )
+    summary = [(result.total_delivered, result.loss_pct, result.mu)]
+    experiment.write_rows(out_dir / "summary.csv", ("throughput", "loss_pct", "mu"), summary)
     print(
         f"throughput={result.total_delivered:.4f} loss={result.loss_pct:.2f}% "
         f"mu={result.mu:.4f} -> {out_dir}"
@@ -185,7 +179,10 @@ def _cmd_bench(args) -> int:
         k=args.k, flow_counts=counts, x=args.x,
         iterations=args.itr, seed=args.seed or 0,
     )
-    bench_mod.write_scaling_csv(points, slope, out_dir / "bench_scaling.csv")
+    experiment.write_rows(
+        out_dir / "bench_scaling.csv", ("n_flows", "population", "wall_time", "loglog_slope"),
+        [(p.n_flows, p.population, f"{p.wall_time:.6g}", f"{slope:.4g}") for p in points],
+    )
     for p in points:
         print(f"n_flows={p.n_flows:6d} pop={p.population:4d} time={p.wall_time:.3f}s")
     print(f"log-log slope: {slope:.3f}")

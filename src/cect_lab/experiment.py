@@ -1,9 +1,12 @@
 """Config-driven experiment sweeps with fully reproducible seeding.
 
 One INI-style config file describes a sweep over flow counts, methods, and
-seeds. Every cell derives its random streams from (master seed, flow count,
-seed index), so results are identical whether cells run sequentially or in
-parallel, and a manifest records everything needed to reproduce a run.
+seeds. The sweep runs workload by workload: each (flow count, seed index)
+draws its flows once and routes them with every method. Every cell (one
+method on one workload) derives its random streams from (master seed, flow
+count, seed index), so results are identical whether workloads run
+sequentially or in parallel, and a manifest records everything needed to
+reproduce a run.
 """
 
 from __future__ import annotations
@@ -246,15 +249,6 @@ def cell_seeds(master_seed: int, n_flows: int, seed_index: int) -> tuple[int, in
     return int(traffic.generate_state(1)[0]), int(solver.generate_state(1)[0])
 
 
-def _prepare_workload(
-    cfg: ExperimentConfig, topology: Topology, n_flows: int, traffic_seed: int
-) -> FlowSet:
-    flows = generate_flows(topology, n_flows, cfg.mix, cfg.plr, seed=traffic_seed)
-    if cfg.compress:
-        flows = compress_flows(flows, *default_compression_bounds(topology))
-    return flows
-
-
 def solve(
     method: str, flows: FlowSet, table: XPathTable, topology: Topology, ga_config: GaConfig,
     max_paths: int | None = None, budget: int = DEFAULT_BUDGET,
@@ -273,116 +267,105 @@ def solve(
     raise ValueError(f"unknown method {method!r}")
 
 
-# Per-process cache so parallel workers build the topology and table once.
-# It holds a single config, keyed by its path and bytes, so a process keeps
-# at most one path table alive and re-reads a rewritten config.
-_WORKER_STATE: dict[tuple[str, bytes], tuple[ExperimentConfig, Topology, XPathTable]] = {}
+def _run_workload(
+    n_flows: int, seed_index: int, state: tuple[ExperimentConfig, Topology, XPathTable]
+) -> tuple[FlowSet | None, list[tuple[tuple, str] | str]]:
+    """Draw one (flow count, seed) workload once and route it with every method.
 
-
-def _worker_state(
-    config_path: str, data: bytes
-) -> tuple[ExperimentConfig, Topology, XPathTable]:
-    key = (config_path, data)
-    if key not in _WORKER_STATE:
-        _WORKER_STATE.clear()
-        cfg = _parse_config(data, config_path)
-        topology = build_topology(cfg)
-        try:
-            check_plr(topology, cfg.plr)
-        except ValueError as exc:
-            raise ConfigError(f"{config_path}: [traffic] {exc}") from exc
-        _WORKER_STATE[key] = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
-    return _WORKER_STATE[key]
-
-
-def _run_cell(args: tuple[str, bytes, str, int, int]) -> dict:
-    config_path, data, method, n_flows, seed_index = args
+    Returns the flows (None when the draw failed) and, per method in config
+    order, its results.csv row and dump, or its error text. A CectLabError or
+    ValueError fails only its method; one from the draw fails every method.
+    """
+    cfg, topology, table = state
+    traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
     try:
-        cfg, topology, table = _worker_state(config_path, data)
-        traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
-        flows = _prepare_workload(cfg, topology, n_flows, traffic_seed)
-        ga_config = GaConfig(seed=ga_seed, **cfg.ga)
-        start = time.perf_counter()
-        assignment, _ = solve(method, flows, table, topology, ga_config, cfg.ecmp_max_paths)
-        elapsed = time.perf_counter() - start
-        matrix = assemble(assignment, flows, table, topology)
-        result = simulate(matrix, flows, topology, cfg.sim_model)
-    except (CectLabError, ValueError) as exc:  # recorded in the manifest; sweep continues
-        return {"_error": f"{type(exc).__name__}: {exc}", "_cell": args[2:]}
-    return {
-        "method": method,
-        "n_flows": n_flows,
-        "seed": seed_index,
-        "throughput": result.total_delivered,
-        "loss_pct": result.loss_pct,
-        "mu": matrix.mu,
-        "wall_time_total": elapsed,
-        "wall_time_per_flow": elapsed / max(1, flows.count),
-        "_dump": format_assignment(assignment, flows, table),
-        "_flows": flows,
-    }
+        flows = generate_flows(topology, n_flows, cfg.mix, cfg.plr, seed=traffic_seed)
+        if cfg.compress:
+            flows = compress_flows(flows, *default_compression_bounds(topology))
+    except (CectLabError, ValueError) as exc:
+        return None, [f"{type(exc).__name__}: {exc}"] * len(cfg.methods)
+    ga_config = GaConfig(seed=ga_seed, **cfg.ga)
+    outcomes: list[tuple[tuple, str] | str] = []
+    for method in cfg.methods:
+        try:
+            start = time.perf_counter()
+            assignment, _ = solve(method, flows, table, topology, ga_config, cfg.ecmp_max_paths)
+            elapsed = time.perf_counter() - start
+            matrix = assemble(assignment, flows, table, topology)
+            result = simulate(matrix, flows, topology, cfg.sim_model)
+        except (CectLabError, ValueError) as exc:  # recorded in the manifest; sweep continues
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            continue
+        row = (method, n_flows, seed_index, result.total_delivered, result.loss_pct, matrix.mu,
+               elapsed, elapsed / max(1, flows.count))
+        outcomes.append((row, format_assignment(assignment, flows, table)))
+    return flows, outcomes
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+# The sweep's (config, topology, table) in a pool worker, set once by the
+# pool's initializer.
+_POOL_STATE = None
+
+
+def _init_worker(state: tuple[ExperimentConfig, Topology, XPathTable]) -> None:
+    global _POOL_STATE
+    _POOL_STATE = state
+
+
+def _run_in_worker(workload: tuple[int, int]):
+    return _run_workload(*workload, _POOL_STATE)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: the header, then each row with its floats to 10 digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
-    """Execute every sweep cell and write results, dumps, and a manifest.
+    """Run the sweep workload by workload and write results, dumps, and a manifest.
 
     Returns the output directory. Cell failures (a CectLabError or
     ValueError) are recorded in the manifest and do not stop the sweep; the
     CLI maps them to a nonzero exit code. Any other exception propagates.
     """
-    config_path = str(config_path)
     data = _read_config(config_path)
-    cfg, topology, table = _worker_state(config_path, data)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = _parse_config(data, config_path)
+    topology = build_topology(cfg)
+    try:
+        check_plr(topology, cfg.plr)
+    except ValueError as exc:
+        raise ConfigError(f"{config_path}: [traffic] {exc}") from exc
+    state = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
 
-    cells = [
-        (config_path, data, method, n, s)
-        for n in cfg.n_flows_list
-        for s in range(cfg.n_seeds)
-        for method in cfg.methods
-    ]
-
-    rows: list[dict] = []
-    failures: list[dict] = []
+    workloads = [(n, s) for n in cfg.n_flows_list for s in range(cfg.n_seeds)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+        with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(state,)) as pool:
+            results = list(pool.map(_run_in_worker, workloads))
     else:
-        outcomes = [_run_cell(cell) for cell in cells]
+        results = [_run_workload(n, s, state) for n, s in workloads]
 
-    (out / "assignments").mkdir(exist_ok=True)
+    out = Path(out_dir)
+    (out / "assignments").mkdir(parents=True, exist_ok=True)
     (out / "flows").mkdir(exist_ok=True)
     save_topology(topology, out / "topology.txt")
-    flows_written: set[tuple[int, int]] = set()
-    for outcome in outcomes:
-        if "_error" in outcome:
-            method, n, s = outcome["_cell"]
-            failures.append(
-                {"method": method, "n_flows": n, "seed": s, "error": outcome["_error"]}
-            )
-            continue
-        key = (outcome["n_flows"], outcome["seed"])
-        if key not in flows_written:
-            save_flows(outcome["_flows"], out / "flows" / f"flows_{key[0]}_{key[1]}.txt")
-            flows_written.add(key)
-        name = f"{outcome['method']}_{outcome['n_flows']}_{outcome['seed']}.txt"
-        (out / "assignments" / name).write_text(outcome.pop("_dump"), encoding="utf-8")
-        outcome.pop("_flows")
-        rows.append(outcome)
-
-    rows.sort(key=lambda r: (r["n_flows"], r["seed"], cfg.methods.index(r["method"])))
-    with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in RESULT_COLUMNS])
+    rows, cells, failures = [], [], []
+    for (n, s), (flows, outcomes) in zip(workloads, results):
+        traffic_seed, solver_seed = cell_seeds(cfg.master_seed, n, s)
+        if not all(isinstance(outcome, str) for outcome in outcomes):
+            save_flows(flows, out / "flows" / f"flows_{n}_{s}.txt")
+        for method, outcome in zip(cfg.methods, outcomes):
+            cell = {"method": method, "n_flows": n, "seed": s}
+            cells.append({**cell, "traffic_seed": traffic_seed, "solver_seed": solver_seed})
+            if isinstance(outcome, str):
+                failures.append({**cell, "error": outcome})
+                continue
+            row, dump = outcome
+            rows.append(row)
+            (out / "assignments" / f"{method}_{n}_{s}.txt").write_text(dump, encoding="utf-8")
+    write_rows(out / "results.csv", RESULT_COLUMNS, rows)
 
     manifest = {
         "config_sha256": hashlib.sha256(data).hexdigest(),
@@ -391,16 +374,7 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
         "n_flows": list(cfg.n_flows_list),
         "seeds": cfg.n_seeds,
         "sim_model": cfg.sim_model,
-        "cells": [
-            {
-                "method": method,
-                "n_flows": n,
-                "seed": s,
-                "traffic_seed": cell_seeds(cfg.master_seed, n, s)[0],
-                "solver_seed": cell_seeds(cfg.master_seed, n, s)[1],
-            }
-            for (_, _, method, n, s) in cells
-        ],
+        "cells": cells,
         "failures": failures,
     }
     (out / "manifest.json").write_text(
@@ -454,40 +428,29 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
         "mu": "mu_vs_flows.csv",
         "wall_time_total": "time_vs_flows.csv",
     }
+    header = ["n_flows"] + [f"{m}_{stat}" for m in methods for stat in ("mean", "std")]
     for metric, filename in metric_files.items():
-        path = out / filename
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = ["n_flows"]
+        table = []
+        for n in flow_counts:
+            row = [n]
             for m in methods:
-                header += [f"{m}_mean", f"{m}_std"]
-            writer.writerow(header)
-            for n in flow_counts:
-                row = [n]
-                for m in methods:
-                    values = [float(r[metric]) for r in grouped.get((m, n), [])]
-                    if values:
-                        mean, std = _mean_std(values)
-                        row += [_fmt(mean), _fmt(std)]
-                    else:
-                        row += ["", ""]
-                writer.writerow(row)
-        written[metric] = path
+                values = [float(r[metric]) for r in grouped.get((m, n), [])]
+                row += _mean_std(values) if values else ("", "")
+            table.append(row)
+        written[metric] = out / filename
+        write_rows(written[metric], header, table)
 
     if {"cect", "ecmp"} <= set(methods):
-        path = out / "ratio_cect_vs_ecmp.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_flows", "throughput_ratio", "loss_ratio_ecmp_over_cect"])
-            for n in flow_counts:
-                cect_tp = [float(r["throughput"]) for r in grouped.get(("cect", n), [])]
-                ecmp_tp = [float(r["throughput"]) for r in grouped.get(("ecmp", n), [])]
-                cect_loss = [float(r["loss_pct"]) for r in grouped.get(("cect", n), [])]
-                ecmp_loss = [float(r["loss_pct"]) for r in grouped.get(("ecmp", n), [])]
-                if not cect_tp or not ecmp_tp:
-                    continue
-                tp_ratio = _ratio(np.mean(cect_tp), np.mean(ecmp_tp))
-                loss_ratio = _ratio(np.mean(ecmp_loss), np.mean(cect_loss))
-                writer.writerow([n, _fmt(tp_ratio), _fmt(loss_ratio)])
-        written["ratio"] = path
+        table = []
+        for n in flow_counts:
+            cect_tp = [float(r["throughput"]) for r in grouped.get(("cect", n), [])]
+            ecmp_tp = [float(r["throughput"]) for r in grouped.get(("ecmp", n), [])]
+            cect_loss = [float(r["loss_pct"]) for r in grouped.get(("cect", n), [])]
+            ecmp_loss = [float(r["loss_pct"]) for r in grouped.get(("ecmp", n), [])]
+            if cect_tp and ecmp_tp:
+                table.append([n, _ratio(np.mean(cect_tp), np.mean(ecmp_tp)),
+                              _ratio(np.mean(ecmp_loss), np.mean(cect_loss))])
+        written["ratio"] = out / "ratio_cect_vs_ecmp.csv"
+        write_rows(written["ratio"],
+                   ["n_flows", "throughput_ratio", "loss_ratio_ecmp_over_cect"], table)
     return written

@@ -54,6 +54,9 @@ class Flow:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"flow {self.id}: src equals dst ({self.src})")
+        for end in (self.src, self.dst):
+            if not -(2**63) <= end < 2**63:
+                raise ValueError(f"flow {self.id}: switch id {end} does not fit in int64")
         if self.demand <= 0:
             raise ValueError(f"flow {self.id}: demand must be positive")
         if not has_units(self.demand):

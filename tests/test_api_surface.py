@@ -8,7 +8,9 @@ attribute of anything but the argparse namespace `args`, whose options
 share names with fields. A subcommand's optional flag counts as used when
 its handler, or a cli helper that the handler passes args to, reads
 args.<dest>. Code that only the tests call, fields that only the tests
-read, and flags that nothing reads do not belong in src/.
+read, and flags that nothing reads do not belong in src/. The count of
+settable values (CLI arguments, INI keys, environment reads) is pinned, so
+a change that adds a setting has to say so here.
 """
 
 from __future__ import annotations
@@ -130,16 +132,20 @@ def _args_reads(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]
     return reads
 
 
-def _unread_options() -> list[str]:
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     from cect_lab.cli import build_parser
 
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     (subparsers,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
+    return subparsers.choices
+
+
+def _unread_options() -> list[str]:
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     unread = []
-    for command, parser in subparsers.choices.items():
+    for command, parser in _subcommands().items():
         reads = _args_reads(functions, parser.get_default("func").__name__, set())
         for action in parser._actions:
             # positionals are exempt: a caller cannot leave one out by mistake
@@ -150,3 +156,27 @@ def _unread_options() -> list[str]:
 
 def test_every_cli_option_is_read_by_its_handler():
     assert _unread_options() == []
+
+
+def _settable_values() -> int:
+    """Every subcommand's arguments (help aside), plus INI keys, plus environment reads in src/."""
+    from cect_lab.experiment import _SETTINGS
+
+    arguments = sum(
+        not isinstance(action, argparse._HelpAction)
+        for parser in _subcommands().values() for action in parser._actions
+    )
+    keys = sum(len(section) for section in _SETTINGS.values())
+    env_reads = sum(
+        (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+        for path, tree in _trees().items() if path.parent == PACKAGE
+        for node in ast.walk(tree)
+    )
+    return arguments + keys + env_reads
+
+
+def test_settable_value_count_is_pinned():
+    # 49 flags and the bench positional, 25 INI keys, no environment variable.
+    # A change that adds or removes a setting updates this number.
+    assert _settable_values() == 75

@@ -206,6 +206,14 @@ def test_sweep_parallel_matches_serial(config_file, tmp_path):
     serial = experiment.run_experiment(config_file, tmp_path / "s", threads=1)
     parallel = experiment.run_experiment(config_file, tmp_path / "p", threads=2)
     assert _strip_timing(serial / "results.csv") == _strip_timing(parallel / "results.csv")
+    # every other artifact (manifest, topology, flows, dumps) byte for byte
+    artifacts = [
+        {p.relative_to(out).as_posix(): p.read_bytes()
+         for p in out.rglob("*") if p.is_file() and p.name != "results.csv"}
+        for out in (serial, parallel)
+    ]
+    assert len(artifacts[0]) == 2 + 4 + 8  # 4 workloads, 8 cells
+    assert artifacts[0] == artifacts[1]
 
 
 def test_rows_rederivable_from_dumps(config_file, tmp_path):
@@ -252,16 +260,80 @@ max_iterations = 5
     out = experiment.run_experiment(config, tmp_path / "res")
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["failures"]) == 2
+    # a workload's flows are written only when some method routed them
+    assert list((out / "flows").iterdir()) == []
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "r2")]) == 1
 
 
-def test_programming_errors_propagate_from_cells(config_file, tmp_path, monkeypatch):
+def test_failed_flow_draw_fails_every_method_once(tmp_path):
+    config = tmp_path / "tiny.ini"
+    config.write_text(
+        """
+[topology]
+kind = fig2a
+capacity = 0.1
+[traffic]
+mix = micro=1.0
+plr = 0.0
+[sweep]
+n_flows = 4
+methods = cect,ecmp
+""",
+        encoding="utf-8",
+    )
+    # a micro flow's demand on 0.1-capacity links rounds to 0 load units
+    out = experiment.run_experiment(config, tmp_path / "res")
+    manifest = json.loads((out / "manifest.json").read_text())
+    error = "ValueError: flow 1: demand 0.0005 is not finite or rounds to 0 load units"
+    assert manifest["failures"] == [
+        {"method": method, "n_flows": 4, "seed": 0, "error": error} for method in ("cect", "ecmp")
+    ]
+    assert len(manifest["cells"]) == 2
+    assert list((out / "flows").iterdir()) == []
+    assert list((out / "assignments").iterdir()) == []
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "r2")]) == 1
+
+
+def test_one_failed_method_keeps_the_workload_artifacts(tmp_path):
+    config = tmp_path / "budget.ini"
+    config.write_text(
+        """
+[topology]
+kind = fat_tree
+k = 4
+[traffic]
+plr = 1.0
+[sweep]
+n_flows = 2,12
+methods = ecmp,exact
+""",
+        encoding="utf-8",
+    )
+    # 12 inter-pod flows exceed the exact solver's default search budget
+    out = experiment.run_experiment(config, tmp_path / "res")
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [(f["method"], f["n_flows"], f["seed"]) for f in failures] == [("exact", 12, 0)]
+    assert failures[0]["error"].startswith("SearchBudgetExceededError: ")
+    assert sorted(p.name for p in (out / "flows").iterdir()) == ["flows_12_0.txt", "flows_2_0.txt"]
+    assert sorted(p.name for p in (out / "assignments").iterdir()) == [
+        "ecmp_12_0.txt", "ecmp_2_0.txt", "exact_2_0.txt"
+    ]
+    with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["n_flows"]) for r in rows] == [
+        ("ecmp", "2"), ("exact", "2"), ("ecmp", "12")
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_programming_errors_propagate_from_cells(config_file, tmp_path, monkeypatch, threads):
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the simulator")
 
+    # pool workers are forked from this process, so they see the patch too
     monkeypatch.setattr(experiment, "simulate", broken)
     with pytest.raises(RuntimeError, match="bug in the simulator"):
-        experiment.run_experiment(config_file, tmp_path / "res", threads=1)
+        experiment.run_experiment(config_file, tmp_path / "res", threads=threads)
 
 
 def test_rewritten_config_is_reread(tmp_path):
@@ -286,21 +358,6 @@ methods = ecmp
     assert manifest["n_flows"] == [3]
     assert load_flows(out / "flows" / "flows_3_0.txt").count == 3
     assert {c for _, _, c in load_topology(out / "topology.txt").links} == {77.0}
-
-
-def test_worker_cache_keeps_one_config(tmp_path):
-    body = """
-[topology]
-kind = fat_tree
-k = 4
-[sweep]
-n_flows = 2
-methods = ecmp
-"""
-    for name in ("a.ini", "b.ini", "c.ini"):
-        (tmp_path / name).write_text(body, encoding="utf-8")
-        experiment.run_experiment(tmp_path / name, tmp_path / f"out_{name}")
-    assert list(experiment._WORKER_STATE) == [(str(tmp_path / "c.ini"), body.encode())]
 
 
 def test_report_rejects_missing_or_empty(tmp_path):
@@ -515,7 +572,9 @@ def test_cli_bench_scaling_smoke(tmp_path):
     ("simulate", "flows", "flow 1 1 3 1e306 custom\n"),
     # a switch id beyond int64
     ("paths", "topo", "node 1\nnode 99999999999999999999999\nedge 1 99999999999999999999999 1\n"),
-], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64"])
+    # a flow endpoint beyond int64
+    ("simulate", "flows", "flow 1 1 99999999999999999999999 1.0 custom\n"),
+], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
     main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(paths["topo"])])
