@@ -8,9 +8,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import experiment
-from .errors import CectLabError
+from .errors import AssignmentFormatError, CectLabError
 from .exact import DEFAULT_BUDGET
 from .fluidsim import simulate
 from .ga import GaConfig
@@ -19,6 +18,7 @@ from .routing import (
     format_assignment,
     matrix_from_paths,
     parse_assignment_dump,
+    validate,
 )
 from .topology import (
     UNITS_PER_BW,
@@ -122,9 +122,16 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     topo = load_topology(args.topo)
     flows = load_flows(args.flows)
-    dump = parse_assignment_dump(Path(args.assignment).read_text(encoding="utf-8"))
+    try:
+        dump = parse_assignment_dump(Path(args.assignment).read_text(encoding="utf-8"))
+    except AssignmentFormatError as exc:
+        raise CectLabError(f"{args.assignment}: {exc}") from exc
     hops_by_flow = {fid: hops for fid, (_, hops) in dump.items()}
     matrix = matrix_from_paths(hops_by_flow, flows, topo)
+    # matrix_from_paths checks ends and edges only; a path that loops is caught here
+    violations = validate(matrix, flows, topo)
+    if violations:
+        raise CectLabError(f"{args.assignment}: {violations[0]}")
     result = simulate(matrix, flows, topo, args.model)
 
     out_dir = Path(args.out_dir or ".")
@@ -168,24 +175,6 @@ def _cmd_report(args) -> int:
     written = experiment.report(args.results, args.out_dir)
     for name, path in written.items():
         print(f"{name}: {path}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    counts = tuple(int(v) for v in args.flow_counts.split(","))
-    points, slope = bench_mod.bench_scaling(
-        k=args.k, flow_counts=counts, x=args.x,
-        iterations=args.itr, seed=args.seed or 0,
-    )
-    experiment.write_rows(
-        out_dir / "bench_scaling.csv", ("n_flows", "population", "wall_time", "loglog_slope"),
-        [(p.n_flows, p.population, f"{p.wall_time:.6g}", f"{slope:.4g}") for p in points],
-    )
-    for p in points:
-        print(f"n_flows={p.n_flows:6d} pop={p.population:4d} time={p.wall_time:.3f}s")
-    print(f"log-log slope: {slope:.3f}")
     return 0
 
 
@@ -263,15 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("bench", parents=[seed, out_dir],
-                       help="solver wall-time scaling benchmark")
-    p.add_argument("what", choices=("scaling",))
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--x", type=int, default=4)
-    p.add_argument("--itr", type=int, default=20)
-    p.add_argument("--flow-counts", default="250,500,1000,2000")
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -280,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CectLabError, FileNotFoundError, ValueError) as exc:
+    except (CectLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

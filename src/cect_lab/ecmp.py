@@ -49,7 +49,7 @@ def route_ecmp(
     """
     if max_paths is not None and max_paths < 1:
         raise ValueError(f"max_paths must be >= 1, got {max_paths}")
-    topology.check_edge_keys(xpath_table.edge_keys, "table")
+    topology.check_edge_keys(xpath_table.topology.edge_keys, "table")
     ptr, labels = feasible_csr(xpath_table, flowset)
     starts = ptr[:-1]
     # rows run shortest first, so each row's minimum-hop paths are a prefix

@@ -400,8 +400,10 @@ def _ratio(numerator: float, denominator: float) -> float:
 def report(results_dir, out_dir=None) -> dict[str, Path]:
     """Aggregate a results directory into plot-ready summary tables.
 
-    Writes per-metric tables (mean and stddev per method and flow count) and
-    a cect/ecmp ratio table when both methods are present.
+    Writes per-metric tables (mean and stddev per method and flow count), the
+    least-squares slope of log(mean wall time) in log(flow count) for each
+    method with two or more flow counts and positive means, and a cect/ecmp
+    ratio table when both methods are present.
     """
     results_dir = Path(results_dir)
     out = Path(out_dir) if out_dir else results_dir
@@ -439,6 +441,16 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
             table.append(row)
         written[metric] = out / filename
         write_rows(written[metric], header, table)
+
+    # the growth exponent of wall time in the flow count, fitted on the means
+    slopes = []
+    for m in methods:
+        counts = [n for n in flow_counts if (m, n) in grouped]
+        times = [np.mean([float(r["wall_time_total"]) for r in grouped[(m, n)]]) for n in counts]
+        if len(counts) >= 2 and min(times) > 0:
+            slopes.append((m, float(np.polyfit(np.log(counts), np.log(times), 1)[0])))
+    written["time_slope"] = out / "time_slope.csv"
+    write_rows(written["time_slope"], ("method", "loglog_slope"), slopes)
 
     if {"cect", "ecmp"} <= set(methods):
         table = []

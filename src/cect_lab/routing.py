@@ -178,10 +178,11 @@ def assemble(
     return _matrix(flow_ptr, edge_ids, flowset, topology)
 
 
-def _check_rows(routing_matrix: RoutingMatrix, flowset: FlowSet) -> None:
+def _check_rows(routing_matrix: RoutingMatrix, flowset: FlowSet, topology: Topology) -> None:
     rows = len(routing_matrix.flow_ptr) - 1
     if rows != flowset.count:
         raise ValueError(f"routing has {rows} flows but the flow set has {flowset.count}")
+    topology.check_edge_keys(routing_matrix.edge_keys, "routing")
 
 
 def validate(
@@ -192,10 +193,11 @@ def validate(
     Returns one Violation per broken rule, grouped by flow; an empty list
     means every flow's edges form a loop-free path from its source to its
     destination. Degrees count each distinct edge of a flow once. An edge
-    id outside edge_keys, or a key the topology lacks, breaks known-edge.
-    Raises ValueError for a matrix that holds another number of flows.
+    id outside edge_keys breaks known-edge. Raises ValueError for a matrix
+    that holds another number of flows or was built for a topology with
+    other edges.
     """
-    _check_rows(routing_matrix, flowset)
+    _check_rows(routing_matrix, flowset, topology)
     keys, ids = routing_matrix.edge_keys, routing_matrix.edge_ids
     n_keys, every = max(len(keys), 1), np.arange(1, flowset.count + 1)
     flow = np.repeat(every, np.diff(routing_matrix.flow_ptr))
@@ -208,9 +210,6 @@ def validate(
     # the distinct edges of each flow are the nonzero entries of its indicator
     entry, times = np.unique(flow[listed] * n_keys + ids[listed], return_counts=True)
     flow, ids = np.divmod(entry, n_keys)
-    tail, head = topology.positions(itertools.chain.from_iterable(keys)).reshape(-1, 2).T
-    unknown = np.flatnonzero(topology.edge_id[tail, head][ids] < 0)
-    found += [Violation(int(flow[i]), RULE_KNOWN_EDGE, keys[ids[i]]) for i in unknown]
     found += [
         Violation(int(flow[i]), RULE_BINARY_INDICATOR, keys[ids[i]], f"value {times[i]}")
         for i in np.flatnonzero(times > 1)
@@ -250,8 +249,7 @@ def flow_edge_csr(
     Raises ValueError when the matrix holds another number of flows or was
     built for a topology with other edges.
     """
-    _check_rows(routing_matrix, flowset)
-    topology.check_edge_keys(routing_matrix.edge_keys, "routing")
+    _check_rows(routing_matrix, flowset, topology)
     return routing_matrix.flow_ptr, routing_matrix.edge_ids
 
 

@@ -212,7 +212,7 @@ def save_topology(topology: Topology, path) -> None:
 
 
 def load_topology(path) -> Topology:
-    """Parse a topology file.
+    """Parse a topology file; a TopologyFormatError names the file, and the line if any.
 
     Format (one record per line, '#' starts a comment):
         node <id>
@@ -224,26 +224,29 @@ def load_topology(path) -> Topology:
     pod_of: dict[int, int] = {}
     seen_edges: set[tuple[int, int]] = set()
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0]
-            try:
-                if kind == "node" and len(parts) == 2:
-                    nodes.append(int(parts[1]))
-                    _check_switch(nodes[-1], line_no)
-                elif kind == "edge" and len(parts) == 4:
-                    link = (int(parts[1]), int(parts[2]), float(parts[3]))
-                    _check_link(*link, seen_edges, line_no)
-                    links.append(link)
-                elif kind == "pod" and len(parts) == 3:
-                    pod_of[int(parts[1])] = int(parts[2])
-                else:
-                    raise TopologyFormatError(f"unrecognized record {line!r}", line_no)
-            except ValueError as exc:
-                raise TopologyFormatError(str(exc), line_no) from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                kind = parts[0]
+                try:
+                    if kind == "node" and len(parts) == 2:
+                        nodes.append(int(parts[1]))
+                        _check_switch(nodes[-1], line_no)
+                    elif kind == "edge" and len(parts) == 4:
+                        link = (int(parts[1]), int(parts[2]), float(parts[3]))
+                        _check_link(*link, seen_edges, line_no)
+                        links.append(link)
+                    elif kind == "pod" and len(parts) == 3:
+                        pod_of[int(parts[1])] = int(parts[2])
+                    else:
+                        raise TopologyFormatError(f"unrecognized record {line!r}", line_no)
+                except ValueError as exc:
+                    raise TopologyFormatError(str(exc), line_no) from exc
 
-    return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)
+        return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)
+    except TopologyFormatError as exc:
+        raise TopologyFormatError(f"{path}: {exc}") from exc

@@ -229,6 +229,7 @@ def save_flows(flowset: FlowSet, path) -> None:
 
 
 def load_flows(path) -> FlowSet:
+    """Parse a flow file; a FlowFormatError names the file and the line."""
     flows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -237,7 +238,7 @@ def load_flows(path) -> FlowSet:
                 continue
             parts = line.split()
             if len(parts) != 6 or parts[0] != "flow":
-                raise FlowFormatError(f"line {line_no}: unrecognized record {line!r}")
+                raise FlowFormatError(f"{path}: line {line_no}: unrecognized record {line!r}")
             try:
                 flows.append(
                     Flow(
@@ -251,5 +252,5 @@ def load_flows(path) -> FlowSet:
                 if flows[-1].id != len(flows):
                     raise ValueError(f"flow id {flows[-1].id} breaks the dense order 1..N")
             except ValueError as exc:
-                raise FlowFormatError(f"line {line_no}: {exc}") from exc
+                raise FlowFormatError(f"{path}: line {line_no}: {exc}") from exc
     return FlowSet(flows=tuple(flows))

@@ -31,12 +31,12 @@ class XPathTable:
 
     Label l is row l-1 of every per-label array: hop_ptr/hops is the CSR of
     the switch ids along each path, hop_counts holds each path's edge
-    count, and edge_ptr/edge_ids is the CSR of its edges as ids into
-    edge_keys, the edge_keys of the topology the table was built from.
+    count, and edge_ptr/edge_ids is the CSR of its edges as ids into the
+    edge_keys of topology, the one the table was built from.
     pair_ptr/pair_labels is the CSR of each endpoint pair's labels,
-    shortest first: with nodes the sorted switch ids and n their count, row
-    i * n + j holds the paths from nodes[i] to nodes[j], and the last row,
-    n * n, is empty.
+    shortest first: with n switches, row i * n + j holds the paths from
+    topology.nodes[i] to topology.nodes[j], and the last row, n * n, is
+    empty.
     """
 
     hop_ptr: np.ndarray
@@ -44,8 +44,7 @@ class XPathTable:
     hop_counts: np.ndarray
     edge_ptr: np.ndarray
     edge_ids: np.ndarray
-    edge_keys: tuple[tuple[int, int], ...]
-    nodes: np.ndarray
+    topology: Topology
     pair_ptr: np.ndarray
     pair_labels: np.ndarray
 
@@ -60,7 +59,7 @@ class XPathTable:
         the arrays feed the load-accumulation kernels. Raises ValueError
         when topology's edges are not the ones the table was built from.
         """
-        topology.check_edge_keys(self.edge_keys, "table")
+        topology.check_edge_keys(self.topology.edge_keys, "table")
         return self.edge_ptr, self.edge_ids
 
 
@@ -138,8 +137,7 @@ def precompute_xpaths(
         hop_counts=hop_counts,
         edge_ptr=edge_ptr,
         edge_ids=edge_ids,
-        edge_keys=topology.edge_keys,
-        nodes=nodes,
+        topology=topology,
         pair_ptr=np.searchsorted(pairs[order], np.arange(n * n + 2)),
         pair_labels=order + 1,
     )
@@ -151,10 +149,9 @@ def _pair_rows(table: XPathTable, ends: np.ndarray) -> np.ndarray:
     A pair that names an id the table has no switch for gets the empty last
     row, so it can neither wrap nor clamp onto a neighbouring pair's row.
     """
-    n = len(table.nodes)
-    pos = np.searchsorted(table.nodes, ends)
-    known = (np.searchsorted(table.nodes, ends, side="right") > pos).all(axis=-1)
-    return np.where(known, pos[..., 0] * n + pos[..., 1], n * n)
+    n = table.topology.node_count
+    pos = table.topology.positions(ends.ravel().tolist()).reshape(ends.shape)
+    return np.where((pos < n).all(axis=-1), pos[..., 0] * n + pos[..., 1], n * n)
 
 
 def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:

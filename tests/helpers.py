@@ -127,7 +127,8 @@ def edge_list_matrix(
 
     Built by hand, not through the routing layer, so that tests can feed the
     validator breaches no path could produce. An edge the topology lacks
-    joins the matrix's edge_keys; loads are left empty and mu is 0.
+    joins the matrix's edge_keys, so that validate rejects the matrix as
+    built for another topology; loads are left empty and mu is 0.
     """
     listed = {e for edges in flow_edges for e in edges}
     index = {e: i for i, e in enumerate(sorted(set(topology.edge_keys) | listed))}

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cect_lab import experiment
-from cect_lab.bench import bench_scaling
 from cect_lab.errors import SearchBudgetExceededError
 from cect_lab.exact import solve_exact
 from cect_lab.ga import (
@@ -48,6 +47,7 @@ from helpers import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO_ROOT / "configs" / "acceptance_sweep.ini"
+SCALING_CONFIG = REPO_ROOT / "configs" / "scaling.ini"
 
 
 @contextmanager
@@ -204,12 +204,17 @@ def test_criterion_5_runtime_envelope():
             assert elapsed / 2000 <= 0.010, f"k={k}: {elapsed / 2000 * 1e3:.2f} ms/flow"
 
 
-def test_criterion_6_complexity_scaling():
+def test_criterion_6_complexity_scaling(tmp_path):
     with criterion(6, "wall-time scaling in the flow count"):
-        points, slope = bench_scaling(
-            k=4, flow_counts=(250, 500, 1000, 2000), x=4, iterations=20, seed=66
-        )
-        assert all(p.wall_time > 0 for p in points)
+        out = experiment.run_experiment(SCALING_CONFIG, tmp_path)
+        written = experiment.report(out)
+        with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+            times = [float(row["wall_time_total"]) for row in csv.DictReader(fh)]
+        assert len(times) == 4 and all(t > 0 for t in times)
+        with open(written["time_slope"], newline="", encoding="utf-8") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["method"] == "cect"
+        slope = float(row["loglog_slope"])
         assert slope <= 2.0, f"log-log slope {slope:.2f}"
 
 

@@ -177,6 +177,6 @@ def _settable_values() -> int:
 
 
 def test_settable_value_count_is_pinned():
-    # 49 flags and the bench positional, 25 INI keys, no environment variable.
+    # 43 flags, 25 INI keys, no environment variable.
     # A change that adds or removes a setting updates this number.
-    assert _settable_values() == 75
+    assert _settable_values() == 68

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -370,6 +369,20 @@ def test_report_rejects_missing_or_empty(tmp_path):
         experiment.report(tmp_path)
 
 
+def test_report_fits_the_loglog_slope_of_wall_time(tmp_path):
+    # cect's mean times grow as 0.002 * n**1.5; ecmp has one flow count, so no slope
+    lines = [",".join(experiment.RESULT_COLUMNS)]
+    for n in (100, 200, 400, 800):
+        for seed, scale in enumerate((0.5, 1.5)):
+            lines.append(f"cect,{n},{seed},1,0,0.5,{scale * 0.002 * n**1.5!r},0")
+    lines.append("ecmp,100,0,1,0,0.5,0.01,0")
+    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(experiment.report(tmp_path)["time_slope"], newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == ["cect"]
+    assert float(rows[0]["loglog_slope"]) == pytest.approx(1.5)
+
+
 def test_report_single_seed_zero_std(config_file, tmp_path):
     config = tmp_path / "one.ini"
     config.write_text(BASE_CONFIG.replace("seeds = 2", "seeds = 1"), encoding="utf-8")
@@ -553,18 +566,6 @@ def test_solve_rejects_an_unknown_method():
         experiment.solve("ospf", flows, precompute_xpaths(topo, x=3), topo, GaConfig())
 
 
-def test_cli_bench_scaling_smoke(tmp_path):
-    assert main(["bench", "scaling", "--flow-counts", "20,40", "--itr", "2",
-                 "--out-dir", str(tmp_path)]) == 0
-    with open(tmp_path / "bench_scaling.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n_flows", "population", "wall_time", "loglog_slope"]
-    assert [row[0] for row in rows[1:]] == ["20", "40"]
-    # one fitted slope, repeated on every row
-    assert len({row[3] for row in rows[1:]}) == 1
-    assert math.isfinite(float(rows[1][3]))
-
-
 @pytest.mark.parametrize("command, file, text", [
     # a hop that is not an integer fails the dump's parse
     ("simulate", "assignment", "flow 1 via 1: 1 -> 3.7 -> 3\n"),
@@ -574,7 +575,9 @@ def test_cli_bench_scaling_smoke(tmp_path):
     ("paths", "topo", "node 1\nnode 99999999999999999999999\nedge 1 99999999999999999999999 1\n"),
     # a flow endpoint beyond int64
     ("simulate", "flows", "flow 1 1 99999999999999999999999 1.0 custom\n"),
-], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64"])
+    # a path that is a directory, not a file (None)
+    ("solve", "topo", None),
+], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64", "directory"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
     main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(paths["topo"])])
@@ -584,13 +587,37 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
         "paths": ["paths", "--topo", str(paths["topo"]), "--out", str(tmp_path / "paths.txt")],
         "simulate": ["simulate", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
                      "--assignment", str(paths["assignment"]), "--out-dir", str(tmp_path / "out")],
+        "solve": ["solve", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
+                  "--method", "ecmp", "--x", "4", "--out-dir", str(tmp_path / "out")],
     }[command]
     assert main(argv) == 0  # the command runs on the good files
-    paths[file].write_text(text, encoding="utf-8")
+    if text is None:
+        paths[file].unlink()
+        paths[file].mkdir()
+    else:
+        paths[file].write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "line " in err and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # the message names the bad file among the command's inputs, and its line
+    assert str(paths[file]) in err
+    assert text is None or "line " in err
+
+
+def test_cli_simulate_rejects_a_looping_path(tmp_path, capsys):
+    topo, flows, dump = (tmp_path / name for name in ("topo.txt", "flows.txt", "dump.txt"))
+    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)])
+    flows.write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
+    # ends and edges are the fabric's, but 1 -> 9 is crossed twice
+    dump.write_text("flow 1 via 1: 1 -> 9 -> 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["simulate", "--topo", str(topo), "--flows", str(flows),
+                 "--assignment", str(dump), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dump}: flow 1: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solve_ga_flags_reach_ga_config():
