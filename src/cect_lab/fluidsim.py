@@ -133,12 +133,18 @@ def run_volume_schedule(
     Each step allocates rates among the still-active flows, transfers
     rate x interval (clipped to the remaining volume), and retires finished
     flows so their capacity is freed for the rest. The routing's CSR is
-    read once; each step gathers the active rows of it.
+    read once; each step gathers the active rows of it. Raises ValueError
+    naming the flow of a NaN, negative or unknown volume, or volume left after max_steps.
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
     ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
+    if unknown := volumes.keys() - range(1, flowset.count + 1):
+        raise ValueError(f"volume given for unknown flow {min(unknown, key=repr)!r}")
     remaining = np.array([volumes.get(f.id, 0.0) for f in flowset.flows], dtype=np.float64)
+    if not (remaining >= 0).all():  # NaN fails too
+        i = int(np.argmin(remaining >= 0))
+        raise ValueError(f"flow {i + 1}: volume {remaining[i]} is not a number >= 0")
     steps: list[VolumeStep] = []
     for _ in range(max_steps):
         active = np.flatnonzero(remaining > 0)
@@ -150,4 +156,7 @@ def run_volume_schedule(
         remaining[active] = np.where(left < 1e-12, 0.0, left)
         # summed in flow order, as a running total would be
         steps.append(VolumeStep(sum(shipped.tolist())))
+    if remaining.any():
+        i = int(np.argmax(remaining))
+        raise ValueError(f"after {max_steps} steps flow {i + 1} still has {remaining[i]} to ship")
     return steps

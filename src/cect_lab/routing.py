@@ -195,12 +195,34 @@ def validate(
     destination. Degrees count each distinct edge of a flow once. An edge
     id outside edge_keys breaks known-edge. Raises ValueError for a matrix
     that holds another number of flows or was built for a topology with
-    other edges.
+    other edges. A row that is a simple path passes in one array check.
     """
     _check_rows(routing_matrix, flowset, topology)
-    keys, ids = routing_matrix.edge_keys, routing_matrix.edge_ids
-    n_keys, every = max(len(keys), 1), np.arange(1, flowset.count + 1)
-    flow = np.repeat(every, np.diff(routing_matrix.flow_ptr))
+    ptr, keys, (src, dst) = routing_matrix.flow_ptr, routing_matrix.edge_keys, flowset.ends().T
+    counts = np.diff(ptr)
+    # a simple path has under node_count edges and at most len(keys): pad only those rows
+    short = np.flatnonzero((counts > 0) & (counts < min(topology.node_count, len(keys) + 1)))
+    s_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, short)
+    row, last = np.repeat(np.arange(len(short)), counts[short]), s_ptr[1:] - 1
+    # each edge's tail and head as int32 positions in nodes, an unknown id clipped to
+    # a known edge; a row fails on an unknown edge, on other ends or on a broken chain
+    ends, known = np.array(keys, dtype=np.int64).reshape(-1, 2), (ids >= 0) & (ids < len(keys))
+    nodes = np.array(topology.nodes, dtype=np.int64)
+    tail, head = (a.take(ids, mode="clip") for a in np.searchsorted(nodes, ends.T).astype(np.int32))
+    bad = (nodes[tail[s_ptr[:-1]]] != src[short]) | (nodes[head[last]] != dst[short])
+    bad[row[~known | np.r_[False, (head[:-1] != tail[1:]) & (row[:-1] == row[1:])]]] = True
+    # its switches, its tails and then its last head, sorted behind distinct
+    # negative filler: a repeated switch sits next to itself
+    pad = np.tile(-1 - np.arange(counts[short].max(initial=0) + 1, dtype=np.int32), (len(short), 1))
+    pad[row, np.arange(len(ids)) - s_ptr[row]] = tail
+    pad[np.arange(len(short)), counts[short]] = head[last]
+    pad.sort(axis=1)
+    bad[np.flatnonzero(pad[:, 1:] == pad[:, :-1]) // (pad.shape[1] - 1)] = True
+    every = np.setdiff1d(np.arange(1, flowset.count + 1), short[~bad] + 1, assume_unique=True)
+    if not len(every):
+        return []
+    flow_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, every - 1)
+    n_keys, flow = max(len(keys), 1), np.repeat(every, np.diff(flow_ptr))
     listed = (ids >= 0) & (ids < len(keys))
     found = [
         Violation(f, RULE_KNOWN_EDGE, e)
@@ -217,9 +239,8 @@ def validate(
 
     # out- and in-degree of every (flow, switch) the flow's edges touch, plus
     # its source and destination even when no edge touches them
-    src, dst = flowset.ends().T
-    ends = np.array(keys, dtype=np.int64).reshape(-1, 2)[ids]
-    nodes, pos = np.unique(np.r_[ends[:, 0], ends[:, 1], src, dst], return_inverse=True)
+    at = np.r_[ends[ids].T.ravel(), src[every - 1], dst[every - 1]]
+    nodes, pos = np.unique(at, return_inverse=True)
     touched, at = np.unique(np.r_[flow, flow, every, every] * len(nodes) + pos, return_inverse=True)
     out_deg = np.bincount(at[: len(flow)], minlength=len(touched))
     in_deg = np.bincount(at[len(flow) : 2 * len(flow)], minlength=len(touched))

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's own algorithms: path
 enumeration walks raw adjacency recursively, hop distances come from a
 breadth-first search, pair lookups from each label's hop sequence, and the
 max-min oracle probes feasibility on a rate grid instead of tracking
-bottleneck events.
+bottleneck events. reference_validate is the exception: it keeps the
+package's rule-by-rule validator, which its fast path must agree with.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ from collections import deque
 
 import numpy as np
 
-from cect_lab.routing import RoutingMatrix
+from cect_lab.routing import (
+    RULE_BINARY_INDICATOR,
+    RULE_DESTINATION_IN_DEGREE,
+    RULE_FLOW_CONSERVATION,
+    RULE_KNOWN_EDGE,
+    RULE_LOOP_FREE,
+    RULE_NO_EXIT_FROM_DESTINATION,
+    RULE_NO_RETURN_TO_SOURCE,
+    RULE_SOURCE_OUT_DEGREE,
+    RoutingMatrix,
+    Violation,
+    _check_rows,
+)
 from cect_lab.topology import Topology
 from cect_lab.traffic import Flow, FlowSet
 from cect_lab.xpath import XPathTable
@@ -139,6 +152,56 @@ def edge_list_matrix(
         load_units={},
         mu=0.0,
     )
+
+
+def reference_validate(
+    routing_matrix: RoutingMatrix, flowset: FlowSet, topology: Topology
+) -> list[Violation]:
+    """The validator as it was before its simple-path fast path, kept as the
+    oracle the fast path must agree with: every row takes the rule-by-rule
+    check, and the list it returns is the one validate must return."""
+    _check_rows(routing_matrix, flowset, topology)
+    keys, ids = routing_matrix.edge_keys, routing_matrix.edge_ids
+    n_keys, every = max(len(keys), 1), np.arange(1, flowset.count + 1)
+    flow = np.repeat(every, np.diff(routing_matrix.flow_ptr))
+    listed = (ids >= 0) & (ids < len(keys))
+    found = [
+        Violation(f, RULE_KNOWN_EDGE, e)
+        for f, e in sorted(set(zip(flow[~listed].tolist(), ids[~listed].tolist())))
+    ]
+
+    # the distinct edges of each flow are the nonzero entries of its indicator
+    entry, times = np.unique(flow[listed] * n_keys + ids[listed], return_counts=True)
+    flow, ids = np.divmod(entry, n_keys)
+    found += [
+        Violation(int(flow[i]), RULE_BINARY_INDICATOR, keys[ids[i]], f"value {times[i]}")
+        for i in np.flatnonzero(times > 1)
+    ]
+
+    # out- and in-degree of every (flow, switch) the flow's edges touch, plus
+    # its source and destination even when no edge touches them
+    src, dst = flowset.ends().T
+    ends = np.array(keys, dtype=np.int64).reshape(-1, 2)[ids]
+    nodes, pos = np.unique(np.r_[ends[:, 0], ends[:, 1], src, dst], return_inverse=True)
+    touched, at = np.unique(np.r_[flow, flow, every, every] * len(nodes) + pos, return_inverse=True)
+    out_deg = np.bincount(at[: len(flow)], minlength=len(touched))
+    in_deg = np.bincount(at[len(flow) : 2 * len(flow)], minlength=len(touched))
+    t_flow, node = touched // len(nodes), nodes[touched % len(nodes)]
+    is_src, is_dst = node == src[t_flow - 1], node == dst[t_flow - 1]
+
+    def report(rule, mask, detail, *values):
+        columns = [a[mask].tolist() for a in (t_flow, node, *values)]
+        found.extend(Violation(f, rule, n, detail.format(*v)) for f, n, *v in zip(*columns))
+
+    report(RULE_NO_RETURN_TO_SOURCE, is_src & (in_deg > 0), "{} edges enter the source", in_deg)
+    report(RULE_NO_EXIT_FROM_DESTINATION, is_dst & (out_deg > 0),
+           "{} edges leave the destination", out_deg)
+    report(RULE_SOURCE_OUT_DEGREE, is_src & (out_deg != 1), "out-degree {}", out_deg)
+    report(RULE_DESTINATION_IN_DEGREE, is_dst & (in_deg != 1), "in-degree {}", in_deg)
+    report(RULE_FLOW_CONSERVATION, ~is_src & ~is_dst & (in_deg != out_deg),
+           "in {} != out {}", in_deg, out_deg)
+    report(RULE_LOOP_FREE, in_deg > 1, "in-degree {}", in_deg)
+    return sorted(found, key=lambda v: v.flow_id)
 
 
 def grid_maxmin_oracle(

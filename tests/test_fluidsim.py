@@ -246,6 +246,36 @@ def test_volume_schedule_retires_flows():
     assert [s.transferred for s in steps] == pytest.approx([10.0, 10.0])
 
 
+def _k4_pair():
+    """A k=4 fat tree and a flow each way between two edge switches, on table paths."""
+    topo = make_fat_tree(4)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    src, dst = topo.edge_switches()[:2]
+    flows = make_flows([(src, dst, 5.0), (dst, src, 5.0)])
+    chosen = np.array([feasible_labels(table, f.src, f.dst)[0] for f in flows.flows])
+    return topo, flows, assemble(RoutingAssignment(chosen), flows, table, topo)
+
+
+def test_volume_schedule_raises_when_max_steps_leave_volume():
+    # 10,000 steps at rate 5 ship 50,000 of 1e9: no partial schedule comes back
+    topo, flows, matrix = _k4_pair()
+    with pytest.raises(ValueError, match=r"after 10000 steps flow 1 still has 999950000\.0 "):
+        run_volume_schedule(matrix, flows, topo, volumes={1: 1e9, 2: 10.0})
+
+
+@pytest.mark.parametrize("volume", [float("nan"), -1.0])
+def test_volume_schedule_rejects_a_volume_that_is_nan_or_negative(volume):
+    topo, flows, matrix = _k4_pair()
+    with pytest.raises(ValueError, match=f"flow 2: volume {volume} "):
+        run_volume_schedule(matrix, flows, topo, volumes={1: 5.0, 2: volume})
+
+
+def test_volume_schedule_rejects_a_volume_for_no_flow():
+    topo, flows, matrix = _k4_pair()
+    with pytest.raises(ValueError, match="unknown flow 3"):
+        run_volume_schedule(matrix, flows, topo, volumes={1: 5.0, 3: 1.0})
+
+
 def test_simulate_rejects_unknown_model():
     topo = _line_topology()
     flows = make_flows([(1, 2, 1.0)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,9 @@ from cect_lab.routing import (
     parse_assignment_dump,
     validate,
 )
-from cect_lab.topology import Topology, make_sample_topology
-from cect_lab.traffic import FlowSet
+from cect_lab.ecmp import route_ecmp
+from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
+from cect_lab.traffic import Flow, FlowSet, generate_flows
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
 from helpers import (
@@ -35,6 +38,7 @@ from helpers import (
     labels_by_pair,
     make_flows,
     random_topology,
+    reference_validate,
 )
 
 
@@ -238,6 +242,127 @@ def test_validate_rejects_matrix_of_other_flows(fig2a):
     matrix = edge_list_matrix(topo, [[(3, 1)]])
     with pytest.raises(ValueError, match="1 flows"):
         validate(matrix, make_flows([(3, 1, 1.0), (3, 1, 1.0)]), topo)
+
+
+# each row edit a validator must handle; "keep" and "reverse" leave a simple
+# path, the latter listed out of hop order; "loop" chains from the source to
+# the destination but visits every switch twice
+_ROW_EDITS = ("keep", "reverse", "drop", "duplicate", "swap", "append", "insert-unknown",
+              "replace-unknown", "empty", "append-many", "loop")
+
+
+def _edit_row(edges: list[int], edit: str, rng: np.random.Generator, n_keys: int,
+              back: list[int]) -> list[int]:
+    """edges after one edit, back being a table path from their last head to their
+    first tail, if any; table rows are never empty, so every index exists."""
+    i, at = int(rng.integers(len(edges))), int(rng.integers(len(edges) + 1))
+    unknown = [-1, n_keys][rng.integers(2)]
+    if edit == "reverse":
+        return edges[::-1]
+    if edit == "drop":
+        return edges[:i] + edges[i + 1 :]
+    if edit == "duplicate":
+        return edges[:at] + [edges[i]] + edges[at:]
+    if edit == "swap" and len(edges) > 1:
+        i, j = sorted(rng.choice(len(edges), 2, replace=False).tolist())
+        return edges[:i] + [edges[j]] + edges[i + 1 : j] + [edges[i]] + edges[j + 1 :]
+    if edit == "append":
+        return edges + [int(rng.integers(n_keys))]
+    if edit == "insert-unknown":
+        return edges[:at] + [unknown] + edges[at:]
+    if edit == "replace-unknown":
+        return edges[:i] + [unknown] + edges[i + 1 :]
+    if edit == "empty":
+        return []
+    if edit == "append-many":
+        return edges + rng.integers(n_keys, size=int(rng.integers(5, 16))).tolist()
+    if edit == "loop" and back:
+        return edges + back + edges
+    return edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 7),
+    edge_prob=st.floats(0.2, 0.9),
+    x=st.integers(1, 4),
+    edits=st.lists(st.sampled_from(_ROW_EDITS), max_size=10),
+)
+def test_validate_agrees_with_the_reference_validator(seed, n_nodes, edge_prob, x, edits):
+    # table paths, each then edited: the fast path must return the same
+    # violations as the rule-by-rule reference, in the same order
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, edge_prob)
+    table = precompute_xpaths(topo, x=x)
+    by_pair = labels_by_pair(table)
+    pairs = list(by_pair.items())
+    label_ptr, label_edges = table.label_edge_csr(topo)
+
+    def edges_of(label):
+        return label_edges[label_ptr[label - 1] : label_ptr[label]].tolist()
+
+    flows, chosen, backs = [], [], []
+    for _ in edits:
+        (src, dst), labels = pairs[rng.integers(len(pairs))]
+        back = by_pair.get((dst, src))
+        flows.append((src, dst, 1.0))
+        chosen.append(labels[rng.integers(len(labels))])
+        backs.append(edges_of(back[rng.integers(len(back))]) if back else [])
+    flowset = make_flows(flows)
+    matrix = assemble(RoutingAssignment(np.array(chosen, dtype=np.int64)), flowset, table, topo)
+    ptr = matrix.flow_ptr.tolist()
+    rows = [
+        _edit_row(matrix.edge_ids[ptr[i] : ptr[i + 1]].tolist(), edit, rng,
+                  len(topo.edge_keys), backs[i])
+        for i, edit in enumerate(edits)
+    ]
+    edited = RoutingMatrix(
+        flow_ptr=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+        edge_ids=np.array([e for r in rows for e in r], dtype=np.int64),
+        edge_keys=topo.edge_keys,
+        load_units={},
+        mu=0.0,
+    )
+    assert validate(edited, flowset, topo) == reference_validate(edited, flowset, topo)
+
+
+def test_validate_accepts_a_simple_path_listed_out_of_hop_order():
+    # the fast path wants each head to be the next tail, so this row takes the
+    # general path, which must still find nothing wrong with it
+    topo = make_sample_topology("fig2b", 10.0)
+    flows = make_flows([(4, 2, 1.0), (4, 2, 1.0)])
+    matrix = edge_list_matrix(topo, [[(4, 1), (1, 3), (3, 2)], [(3, 2), (4, 1), (1, 3)]])
+    assert validate(matrix, flows, topo) == [] == reference_validate(matrix, flows, topo)
+
+
+def test_validate_does_not_pad_to_a_pathological_row():
+    # one row of 100,000 edges among 20,000 table paths: padding every row to
+    # it would take about 16 GB, so it must take the general path unpadded
+    topo = make_fat_tree(8, 200.0, 200.0, 100.0)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, 20000, {"micro": 0.9775, "small": 0.0175, "big": 0.005},
+                           plr=0.95, seed=5)
+    matrix = assemble(route_ecmp(flows, topo, table), flows, table, topo)
+    first = flows.flows[0]
+    flowset = FlowSet(flows=flows.flows + (Flow(20001, first.src, first.dst, 1.0),))
+    long_row = np.random.default_rng(6).integers(len(topo.edge_keys), size=100_000)
+    routing = RoutingMatrix(
+        flow_ptr=np.r_[matrix.flow_ptr, matrix.flow_ptr[-1] + len(long_row)],
+        edge_ids=np.r_[matrix.edge_ids, long_row],
+        edge_keys=matrix.edge_keys,
+        load_units={},
+        mu=0.0,
+    )
+    tracemalloc.start()
+    try:
+        found = validate(routing, flowset, topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert found and {v.flow_id for v in found} == {20001}
+    assert found == reference_validate(routing, flowset, topo)
 
 
 def test_replayed_revisiting_path_agrees_across_layers():
