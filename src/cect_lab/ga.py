@@ -1,6 +1,6 @@
 """Genetic routing optimizer over path-label chromosomes.
 
-Each chromosome is an int64 array holding one precomputed path label per
+Each chromosome is an int32 array holding one precomputed path label per
 flow; a population is a 2-D array with one chromosome per row. Generations
 are bred with fitness-proportionate (roulette) selection, uniform crossover,
 and multipoint mutation, each applied to the whole population in one call;
@@ -25,6 +25,9 @@ from .routing import HOT_SPOT_THRESHOLD, RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
 from .xpath import XPathTable, feasible_csr
+
+# genes per block of the initial draw: its uniforms and offsets stay in cache
+_BLOCK_GENES = 1 << 16
 
 
 def default_population_size(n_flows: int, n_switches: int) -> int:
@@ -98,7 +101,10 @@ class _Instance:
         self.caps = topology.cap_units
         self.n_edges = len(self.caps)
 
-        self.feas_ptr, self.feas_labels = feasible_csr(table, flowset)
+        self.feas_ptr, feas_labels = feasible_csr(table, flowset)
+        if table.path_count > np.iinfo(np.int32).max:
+            raise ValueError("path labels do not fit int32 genes")
+        self.feas_labels = feas_labels.astype(np.int32)
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
@@ -126,12 +132,17 @@ class _Instance:
         return kernels.fitness_mu(loads, self.caps, penalty)
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
-        # in place, so at most two population-sized arrays are alive at once
-        offsets = rng.random((n_members, self.n_flows))
-        offsets *= np.diff(self.feas_ptr)
-        offsets = offsets.astype(np.int64)
-        offsets += self.feas_ptr[:-1]
-        return self.feas_labels[offsets]
+        """n_members int32 chromosomes of genes uniform over each flow's feasible labels,
+        drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
+        genes = np.empty((n_members, self.n_flows), dtype=np.int32)
+        counts, starts = np.diff(self.feas_ptr), self.feas_ptr[:-1]
+        rows = max(1, _BLOCK_GENES // max(1, self.n_flows))
+        for start in range(0, n_members, rows):
+            block = genes[start : start + rows]
+            offsets = (rng.random(block.shape) * counts).astype(np.int64)
+            offsets += starts
+            np.take(self.feas_labels, offsets, out=block)
+        return genes
 
 
 def roulette_select(
@@ -169,21 +180,28 @@ def uniform_crossover(
     Rows i and h + i start as the pair's parents and swap genes at each
     position with probability 0.5, so together they always hold the pair's
     two genes; an odd last pick is copied as is. All masks come from one
-    packed-byte draw. Children are gathered into out (which must not overlap
-    genes) and swapped there in place, 8 pairs at a time, so that beside the
-    mask the only temporary is one block's gene differences.
+    packed-byte draw. Each block of 8 pairs is gathered into out (which must
+    not overlap genes) and swapped there while it is in cache, so that beside
+    the packed masks the only temporaries are one block's masks and gene
+    differences.
     """
-    # mode "clip" writes into out directly; the default "raise" buffers a copy
-    out = np.take(genes, picks, axis=0, out=out, mode="clip")
     half, n_genes = len(picks) // 2, genes.shape[1]
-    first, second = out[:half], out[half : 2 * half]
+    if out is None:
+        out = np.empty((len(picks), n_genes), genes.dtype)
+    elif out.shape != (len(picks), n_genes):
+        raise ValueError(f"out has shape {out.shape}, not {(len(picks), n_genes)}")
     packed = rng.integers(0, 256, size=(half, -(-n_genes // 8)), dtype=np.uint8)
-    swap = np.unpackbits(packed, axis=1, count=n_genes)
-    # a branch-free swap, several times faster than a masked (where=) xor
+    if len(picks) % 2:
+        out[-1] = genes[picks[-1]]
+    # mode "clip" writes into out directly; the default "raise" buffers a copy
     for start in range(0, half, 8):
-        a, b = first[start : start + 8], second[start : start + 8]
+        stop = min(start + 8, half)
+        a, b = out[start:stop], out[half + start : half + stop]
+        genes.take(picks[start:stop], axis=0, out=a, mode="clip")
+        genes.take(picks[half + start : half + stop], axis=0, out=b, mode="clip")
+        # a branch-free swap, several times faster than a masked (where=) xor
         diff = a ^ b
-        diff *= swap[start : start + 8]
+        diff *= np.unpackbits(packed[start:stop], axis=1, count=n_genes)
         a ^= diff
         b ^= diff
     return out
@@ -257,6 +275,7 @@ def run_cect(
 
     genes = inst.random_genes(n_pop, rng)
     genes[0] = inst.shortest
+    spare = np.empty_like(genes)
 
     best_genes = genes[0].copy()
     best_mu = math.inf
@@ -306,15 +325,14 @@ def run_cect(
         # the elite passes unchanged; every other row is a child, bred in place
         needed = n_pop - 1
         picks = roulette_select(fit, needed + (needed % 2), rng)[:needed]
-        next_genes = np.empty_like(genes)
-        next_genes[0] = genes[gen_best]
-        uniform_crossover(genes, picks, rng, out=next_genes[1:])
-        multipoint_mutate(next_genes[1:], rate, inst.feas_ptr, inst.feas_labels, rng)
-        genes = next_genes
+        spare[0] = genes[gen_best]
+        uniform_crossover(genes, picks, rng, out=spare[1:])
+        multipoint_mutate(spare[1:], rate, inst.feas_ptr, inst.feas_labels, rng)
+        genes, spare = spare, genes
         generation += 1
 
     stats.generations = generation
     stats.best_mu = best_mu
     stats.best_fitness = best_fit_at_best_mu
     stats.feasible = best_mu <= config.mu_target
-    return RoutingAssignment(best_genes), best_mu, stats
+    return RoutingAssignment(best_genes.astype(np.int64)), best_mu, stats

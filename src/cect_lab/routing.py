@@ -202,7 +202,10 @@ def validate(
     counts = np.diff(ptr)
     # a simple path has under node_count edges and at most len(keys): pad only those rows
     short = np.flatnonzero((counts > 0) & (counts < min(topology.node_count, len(keys) + 1)))
-    s_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, short)
+    if len(short) == len(counts):  # every row: the matrix's own CSR, not a copy
+        s_ptr, ids = ptr - ptr[0], routing_matrix.edge_ids[ptr[0] : ptr[-1]]
+    else:
+        s_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, short)
     row, last = np.repeat(np.arange(len(short)), counts[short]), s_ptr[1:] - 1
     # each edge's tail and head as int32 positions in nodes, an unknown id clipped to
     # a known edge; a row fails on an unknown edge, on other ends or on a broken chain

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the package's own algorithms: path
 enumeration walks raw adjacency recursively, hop distances come from a
 breadth-first search, pair lookups from each label's hop sequence, and the
 max-min oracle probes feasibility on a rate grid instead of tracking
-bottleneck events. reference_validate is the exception: it keeps the
-package's rule-by-rule validator, which its fast path must agree with.
+bottleneck events. reference_validate and reference_uniform_crossover are
+the exceptions: they keep the package's rule-by-rule validator and its
+one-shot crossover, which the fast path and the blocked crossover must
+agree with.
 """
 
 from __future__ import annotations
@@ -202,6 +204,25 @@ def reference_validate(
            "in {} != out {}", in_deg, out_deg)
     report(RULE_LOOP_FREE, in_deg > 1, "in-degree {}", in_deg)
     return sorted(found, key=lambda v: v.flow_id)
+
+
+def reference_uniform_crossover(
+    genes: np.ndarray, picks: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The crossover as it was before its blocks were fused: every pick is
+    gathered first, every mask unpacked, and then the pairs are swapped."""
+    out = genes[picks]
+    half, n_genes = len(picks) // 2, genes.shape[1]
+    first, second = out[:half], out[half : 2 * half]
+    packed = rng.integers(0, 256, size=(half, -(-n_genes // 8)), dtype=np.uint8)
+    swap = np.unpackbits(packed, axis=1, count=n_genes)
+    for start in range(0, half, 8):
+        a, b = first[start : start + 8], second[start : start + 8]
+        diff = a ^ b
+        diff *= swap[start : start + 8]
+        a ^= diff
+        b ^= diff
+    return out
 
 
 def grid_maxmin_oracle(

@@ -21,9 +21,9 @@ from cect_lab.ga import (
 from cect_lab.routing import RoutingAssignment, assemble, validate
 from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
-from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
+from cect_lab.xpath import XPathTable, feasible_csr, feasible_labels, precompute_xpaths
 
-from helpers import labels_by_pair, make_flows, random_topology
+from helpers import labels_by_pair, make_flows, random_topology, reference_uniform_crossover
 
 PUBLISHED_FITNESSES = [6.82, 1.11, 8.48, 2.57, 3.08]
 PUBLISHED_SHARES = [0.309, 0.050, 0.384, 0.117, 0.140]
@@ -178,11 +178,29 @@ def test_crossover_mask_replay():
     assert not np.array_equal(children[0], children[2])
 
 
+@pytest.mark.parametrize("n_picks", [1, 2, 5, 16, 17, 33])
+def test_crossover_matches_the_one_shot_reference(n_picks):
+    # blocks of 8 pairs, gathered as they are swapped, give the children and
+    # leave the stream exactly as one gather and one mask unpack did
+    population = np.random.default_rng(n_picks).integers(1, 1 << 20, size=(9, 37))
+    picks = np.random.default_rng(n_picks + 100).integers(0, 9, size=n_picks)
+    for dtype in (np.int32, np.int64):
+        genes = population.astype(dtype)
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        children = uniform_crossover(genes, picks, rng)
+        expected = reference_uniform_crossover(genes, picks, reference_rng)
+        assert children.dtype == dtype
+        assert np.array_equal(children, expected)
+        assert rng.random() == reference_rng.random()
+
+
 def test_crossover_length_mismatch():
     rng = np.random.default_rng(2)
     population = np.stack([_genes(1, 2, 3), _genes(3, 2, 1)])
     with pytest.raises(ValueError):
         uniform_crossover(population, np.array([0, 1]), rng, out=np.empty((2, 2), np.int64))
+    with pytest.raises(ValueError):
+        uniform_crossover(population, np.array([0, 1, 1]), rng, out=np.empty((4, 3), np.int64))
 
 
 # ---------------------------------------------------------------- mutation
@@ -277,6 +295,41 @@ def test_fixed_point_under_identity_operators(fig2a):
     children = uniform_crossover(pop, roulette_select(fits, 4, rng), rng)
     children = _mutate(children, 0.0, table, flows, rng)
     assert all(np.array_equal(c, pop[0]) for c in children)
+
+
+def test_random_genes_draws_one_stream_in_blocks(fig2a):
+    # the population is drawn a block of rows at a time, yet it equals one
+    # draw of uniforms over the whole population, floored into each row
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 1750)
+    inst = _Instance(flows, table, topo)
+    rows = ga._BLOCK_GENES // flows.count
+    n = 2 * rows + 3
+    assert 1 < rows < n and n % rows
+    genes = inst.random_genes(n, np.random.default_rng(21))
+    uniforms = np.random.default_rng(21).random((n, flows.count))
+    ptr, labels = feasible_csr(table, flows)
+    counts = np.diff(ptr)
+    assert genes.dtype == np.int32
+    assert np.array_equal(genes, labels[ptr[:-1] + np.floor(uniforms * counts).astype(np.int64)])
+
+
+def test_instance_refuses_labels_beyond_int32(fig2a, monkeypatch):
+    topo, table = fig2a
+    monkeypatch.setattr(XPathTable, "path_count", property(lambda self: 2**31))
+    with pytest.raises(ValueError, match="int32"):
+        _Instance(make_flows([(3, 1, 1.0)]), table, topo)
+
+
+def test_run_breeds_int32_genes_and_returns_int64_labels(fig2a):
+    topo, table = fig2a
+    flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0)])
+    dtypes = set()
+    config = GaConfig(seed=8, max_iterations=3, population_size=5, mu_target=0.01)
+    assignment, _, _ = run_cect(flows, table, topo, config,
+                                on_generation=lambda g, genes, f, m: dtypes.add(genes.dtype))
+    assert dtypes == {np.dtype(np.int32)}
+    assert assignment.labels.dtype == np.int64
 
 
 def test_breeding_allocates_no_population_sized_array(fig2a):
@@ -426,12 +479,12 @@ def test_run_deterministic(fig2a):
     assert first[1] == second[1]
 
 
-def _fat_tree_case():
+def _fat_tree_case(n_flows=200, generations=8):
     topo = make_fat_tree(4, 200.0, 200.0, 100.0)
     mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
-    flows = generate_flows(topo, 200, mix, plr=0.95, seed=3)
+    flows = generate_flows(topo, n_flows, mix, plr=0.95, seed=3)
     return topo, precompute_xpaths(topo, x=4, cap_c=50), flows, GaConfig(
-        seed=5, max_iterations=8, mu_target=0.01
+        seed=5, max_iterations=generations, mu_target=0.01
     )
 
 
@@ -444,20 +497,26 @@ def _fig2a_case():
 
 
 @pytest.mark.parametrize(
-    "case, labels_sha, best_mu, rows_sha",
+    "case, aggregated, labels_sha, best_mu, rows_sha",
     [
-        (_fat_tree_case, "8649af175629b53f44ce2f2a565f9ba3dc4bd13aaed7b9b6c320ee48dbd89d10",
+        (_fat_tree_case, False,
+         "8649af175629b53f44ce2f2a565f9ba3dc4bd13aaed7b9b6c320ee48dbd89d10",
          0.55, "5e541797f47e070953f642bb0312dcf9f33de112629a1996151b17989ac7c44a"),
-        (_fig2a_case, "1ca8d4b659bbd2582eb0607c3d2a2a47d091a6cad8d4994819f17635c4d13dc6",
+        (_fig2a_case, False,
+         "1ca8d4b659bbd2582eb0607c3d2a2a47d091a6cad8d4994819f17635c4d13dc6",
          1.1, "debf68177ab49cb4fa039efe5973108a620107d7f5cc07cb1cb5c1ae257027d5"),
+        (lambda: _fat_tree_case(500, 30), True,
+         "a57df8cbd8e08213b4734afa96a4649e2991721c29706f25a5349f303166ecba",
+         0.59, "5158f1e43dafe556a09c726a505672da3e8b198d2e28e3ed91e649ef12b1cabc"),
     ],
-    ids=["k4-200", "fig2a"],
+    ids=["k4-200", "fig2a", "k4-500-aggregated"],
 )
-def test_run_output_is_pinned(case, labels_sha, best_mu, rows_sha):
-    # gene-loop instances, run to the full budget: the labels, best mu and
-    # every GenerationStats row must not move when the load kernel changes
+def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
+    # gene-loop and aggregated-form instances, run to the full budget: the
+    # labels, best mu and every GenerationStats row must not move when the
+    # load kernel or the breeding changes
     topo, table, flows, config = case()
-    assert _Instance(flows, table, topo).groups is None
+    assert (_Instance(flows, table, topo).groups is not None) == aggregated
     assignment, mu, stats = run_cect(flows, table, topo, config)
     assert stats.generations == config.max_iterations
     rows = [dataclasses.astuple(row) for row in stats.rows]
