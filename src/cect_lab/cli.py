@@ -20,24 +20,18 @@ from .routing import (
     parse_assignment_dump,
     validate,
 )
-from .topology import (
-    UNITS_PER_BW,
-    load_topology,
-    make_fat_tree,
-    make_sample_topology,
-    save_topology,
-)
-from .traffic import generate_flows, load_flows, save_flows
+from .topology import UNITS_PER_BW, load_topology, save_topology
+from .traffic import load_flows, save_flows
 from .xpath import format_table, precompute_xpaths
 
 
+def _config(args) -> experiment.ExperimentConfig:
+    """The --config file's settings, or every setting's default without one."""
+    return experiment.load_config(args.config) if args.config else experiment.ExperimentConfig()
+
+
 def _cmd_gen_topo(args) -> int:
-    if args.kind == "fat-tree":
-        topo = make_fat_tree(
-            args.k, args.edge_capacity, args.agg_capacity, args.core_capacity
-        )
-    else:
-        topo = make_sample_topology(args.kind, args.capacity)
+    topo = experiment.build_topology(_config(args))
     save_topology(topo, args.out)
     print(f"wrote {topo.node_count} switches / {topo.link_count} links to {args.out}")
     return 0
@@ -45,16 +39,16 @@ def _cmd_gen_topo(args) -> int:
 
 def _cmd_gen_traffic(args) -> int:
     topo = load_topology(args.topo)
-    mix = experiment.parse_mix(args.mix) if args.mix else None
-    flows = generate_flows(topo, args.n, mix, args.plr, seed=args.seed)
+    flows = experiment.draw_flows(_config(args), topo, args.n, args.seed)
     save_flows(flows, args.out)
     print(f"wrote {flows.count} flows to {args.out}")
     return 0
 
 
 def _cmd_paths(args) -> int:
+    cfg = _config(args)
     topo = load_topology(args.topo)
-    table = precompute_xpaths(topo, args.x, args.cap_c)
+    table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     text = format_table(table)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -64,31 +58,18 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _ga_config(args) -> GaConfig:
-    # only the flags given on the command line; GaConfig holds the defaults
-    given = {
-        "population_size": args.population_size,
-        "max_iterations": args.itr,
-        "mut_min": args.mut_min,
-        "mut_max": args.mut_max,
-        "stall_window": args.stall_window,
-        "mu_target": args.mu_target,
-        "seed": args.seed,
-        "penalty_weight": args.penalty,
-    }
-    return GaConfig(**{name: value for name, value in given.items() if value is not None})
-
-
 def _cmd_solve(args) -> int:
+    cfg = _config(args)
     topo = load_topology(args.topo)
     flows = load_flows(args.flows)
-    table = precompute_xpaths(topo, args.x, args.cap_c)
+    table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    ga_config = GaConfig(seed=args.seed, **cfg.ga)  # as a sweep cell builds it
     start = time.perf_counter()
     assignment, stats = experiment.solve(
-        args.method, flows, table, topo, _ga_config(args), args.ecmp_max_paths, args.budget
+        args.method, flows, table, topo, ga_config, cfg.ecmp_max_paths, args.budget
     )
     elapsed = time.perf_counter() - start
 
@@ -120,6 +101,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    cfg = _config(args)
     topo = load_topology(args.topo)
     flows = load_flows(args.flows)
     try:
@@ -132,7 +114,7 @@ def _cmd_simulate(args) -> int:
     violations = validate(matrix, flows, topo)
     if violations:
         raise CectLabError(f"{args.assignment}: {violations[0]}")
-    result = simulate(matrix, flows, topo, args.model)
+    result = simulate(matrix, flows, topo, cfg.sim_model)
 
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,59 +170,38 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=None, help="random seed")
     out_dir = argparse.ArgumentParser(add_help=False)
     out_dir.add_argument("--out-dir", default=None, help="output directory")
-    # paths and solve build the same table by default, so their labels agree
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--x", type=int, default=10)
-    table.add_argument("--cap-c", type=int, default=50)
+    # every topology, path, traffic, GA and sim setting comes from a sweep config
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
+                        help="sweep INI whose settings apply (default: every setting's default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-topo", help="write a topology file")
-    p.add_argument("--kind", choices=("fat-tree", "fig2a", "fig2b"), default="fat-tree")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--edge-capacity", type=float, default=100.0)
-    p.add_argument("--agg-capacity", type=float, default=100.0)
-    p.add_argument("--core-capacity", type=float, default=100.0)
-    p.add_argument("--capacity", type=float, default=10.0,
-                   help="uniform capacity for the sample topologies")
+    p = sub.add_parser("gen-topo", parents=[config], help="write a topology file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_topo)
 
-    p = sub.add_parser("gen-traffic", parents=[seed], help="write a synthetic flow file")
+    p = sub.add_parser("gen-traffic", parents=[seed, config], help="write a synthetic flow file")
     p.add_argument("--topo", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mix", default=None,
-                   help="class mix, e.g. micro=0.4,small=0.3,medium=0.2,big=0.1")
-    p.add_argument("--plr", type=float, default=0.5,
-                   help="probability a flow leaves its pod")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_traffic)
 
-    p = sub.add_parser("paths", parents=[table], help="enumerate bounded-hop paths")
+    p = sub.add_parser("paths", parents=[config], help="enumerate bounded-hop paths")
     p.add_argument("--topo", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_paths)
 
-    # the GA flags have no defaults here: GaConfig holds them
-    p = sub.add_parser("solve", parents=[seed, out_dir, table], help="route a flow set")
+    p = sub.add_parser("solve", parents=[seed, out_dir, config], help="route a flow set")
     p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--method", choices=("cect", "ecmp", "exact"), default="cect")
-    p.add_argument("--population-size", type=int)
-    p.add_argument("--itr", type=int)
-    p.add_argument("--mut-min", type=float)
-    p.add_argument("--mut-max", type=float)
-    p.add_argument("--stall-window", type=int)
-    p.add_argument("--mu-target", type=float)
-    p.add_argument("--penalty", type=float)
-    p.add_argument("--ecmp-max-paths", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("simulate", parents=[out_dir], help="evaluate a stored assignment")
+    p = sub.add_parser("simulate", parents=[out_dir, config], help="evaluate a stored assignment")
     p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--assignment", required=True)
-    p.add_argument("--model", choices=("maxmin", "bottleneck"), default="maxmin")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("run", parents=[out_dir], help="run a config-driven sweep")

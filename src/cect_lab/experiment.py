@@ -249,6 +249,16 @@ def cell_seeds(master_seed: int, n_flows: int, seed_index: int) -> tuple[int, in
     return int(traffic.generate_state(1)[0]), int(solver.generate_state(1)[0])
 
 
+def draw_flows(
+    cfg: ExperimentConfig, topology: Topology, n_flows: int, seed: int | None
+) -> FlowSet:
+    """n_flows flows of the config's mix and plr, compressed when cfg.compress is set."""
+    flows = generate_flows(topology, n_flows, cfg.mix, cfg.plr, seed=seed)
+    if cfg.compress:
+        flows = compress_flows(flows, *default_compression_bounds(topology))
+    return flows
+
+
 def solve(
     method: str, flows: FlowSet, table: XPathTable, topology: Topology, ga_config: GaConfig,
     max_paths: int | None = None, budget: int = DEFAULT_BUDGET,
@@ -279,9 +289,7 @@ def _run_workload(
     cfg, topology, table = state
     traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
     try:
-        flows = generate_flows(topology, n_flows, cfg.mix, cfg.plr, seed=traffic_seed)
-        if cfg.compress:
-            flows = compress_flows(flows, *default_compression_bounds(topology))
+        flows = draw_flows(cfg, topology, n_flows, traffic_seed)
     except (CectLabError, ValueError) as exc:
         return None, [f"{type(exc).__name__}: {exc}"] * len(cfg.methods)
     ga_config = GaConfig(seed=ga_seed, **cfg.ga)

@@ -60,7 +60,7 @@ class GaConfig:
             raise ValueError("population_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.mu_target <= 0:
+        if not 0 < self.mu_target:  # NaN fails too
             raise ValueError("mu_target must be positive")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")

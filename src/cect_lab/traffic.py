@@ -133,6 +133,8 @@ def generate_flows(
     are treated as one pod covering every switch and require plr == 0.
     Deterministic for a fixed seed.
     """
+    if n_flows < 0:
+        raise ValueError(f"flow count must be >= 0, got {n_flows}")
     class_mix = class_mix or {"micro": 0.25, "small": 0.25, "medium": 0.25, "big": 0.25}
     check_mix(class_mix, plr)
     check_plr(topology, plr)

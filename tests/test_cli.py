@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from cect_lab import experiment
-from cect_lab.cli import _ga_config, build_parser, main
+from cect_lab.cli import main
 from cect_lab.ecmp import route_ecmp
 from cect_lab.errors import ConfigError
 from cect_lab.fluidsim import simulate
@@ -88,6 +89,8 @@ def test_config_errors_name_the_file(tmp_path):
         ("penalty_weight = inf", "penalty_weight"),
         ("penalty_weight = -inf", "penalty_weight"),
         ("penalty_weight = -1", "penalty_weight"),
+        # NaN passes mu_target <= 0, and a NaN target never stops the GA
+        ("mu_target = nan", "mu_target"),
     ],
 )
 def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
@@ -154,19 +157,30 @@ def test_podless_topology_with_plr_fails_before_any_cell(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def _ini(tmp_path, text: str, name: str = "lab.ini") -> str:
+    """Write a config file for the CLI's --config and return its path."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def test_solve_rejects_bad_penalty(tmp_path, capsys):
     topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"
-    assert main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)]) == 0
-    assert main(["gen-traffic", "--topo", str(topo), "--n", "6", "--mix", "small=1",
-                 "--plr", "0.5", "--seed", "1", "--out", str(flows)]) == 0
+    traffic = _ini(tmp_path, "[traffic]\nmix = small=1\nplr = 0.5\n")
+    assert main(["gen-topo", "--out", str(topo)]) == 0
+    assert main(["gen-traffic", "--config", traffic, "--topo", str(topo), "--n", "6",
+                 "--seed", "1", "--out", str(flows)]) == 0
     capsys.readouterr()
-    for penalty in ("nan", "inf", "-inf", "-1"):
-        assert main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "cect",
-                     "--itr", "2", f"--penalty={penalty}", "--out-dir", str(tmp_path)]) == 2
-        assert "penalty_weight" in capsys.readouterr().err
-    assert main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "cect",
-                 "--itr", "2", "--penalty", "0", "--out-dir", str(tmp_path)]) == 0
+    for penalty in ("nan", "inf", "-inf", "-1", "0"):
+        config = _ini(tmp_path, f"[ga]\nmax_iterations = 2\npenalty_weight = {penalty}\n")
+        code = main(["solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
+                     "--method", "cect", "--out-dir", str(tmp_path)])
+        if penalty == "0":
+            assert code == 0
+        else:
+            assert code == 2
+            assert "penalty_weight" in capsys.readouterr().err
 
 
 def test_flow_range_parsing():
@@ -427,23 +441,29 @@ def test_cell_seeds_are_stable():
 def test_cli_full_workflow(tmp_path):
     topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"
-    assert main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)]) == 0
+    config = _ini(tmp_path, """
+[traffic]
+mix = micro=0.6,small=0.4
+plr = 0.5
+[ga]
+max_iterations = 5
+""")
+    assert main(["gen-topo", "--config", config, "--out", str(topo)]) == 0
     assert main([
-        "gen-traffic", "--topo", str(topo), "--n", "40",
-        "--mix", "micro=0.6,small=0.4", "--plr", "0.5", "--seed", "3",
+        "gen-traffic", "--config", config, "--topo", str(topo), "--n", "40", "--seed", "3",
         "--out", str(flows),
     ]) == 0
     solve_dir = tmp_path / "solved"
     assert main([
-        "solve", "--topo", str(topo), "--flows", str(flows), "--method", "cect",
-        "--x", "4", "--itr", "5", "--seed", "1", "--out-dir", str(solve_dir),
+        "solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
+        "--method", "cect", "--seed", "1", "--out-dir", str(solve_dir),
     ]) == 0
     assert (solve_dir / "assignment.txt").exists()
     assert (solve_dir / "stats.csv").exists()
     assert (solve_dir / "edge_loads.csv").exists()
     sim_dir = tmp_path / "sim"
     assert main([
-        "simulate", "--topo", str(topo), "--flows", str(flows),
+        "simulate", "--config", config, "--topo", str(topo), "--flows", str(flows),
         "--assignment", str(solve_dir / "assignment.txt"),
         "--out-dir", str(sim_dir),
     ]) == 0
@@ -455,15 +475,118 @@ def test_cli_full_workflow(tmp_path):
     assert len(per_flow) == 40
 
 
+def _read_csv(path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("variant", ["plain", "compressed"])
+def test_cli_chain_rebuilds_every_sweep_cell(tmp_path, variant):
+    # the sweep's own config plus the manifest's two seeds per cell are enough
+    # for gen-topo, gen-traffic, solve and simulate to rebuild each artifact
+    text = BASE_CONFIG
+    if variant == "compressed":
+        # at capacity 1 a micro flow (0.005) falls under the 0.01 merge threshold
+        text = text.replace("k = 4", "k = 4\nedge_capacity = 1\nagg_capacity = 1\n"
+                                     "core_capacity = 1")
+        text = text.replace("plr = 0.7", "plr = 0.7\ncompress = true")
+        text = text.replace("model = maxmin", "model = bottleneck")
+    config = _ini(tmp_path, text, "sweep.ini")
+    out = experiment.run_experiment(config, tmp_path / "res")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failures"] == []
+    rows = {(r["method"], r["n_flows"], r["seed"]): r for r in _read_csv(out / "results.csv")}
+    assert len(manifest["cells"]) == len(rows) == 8
+
+    topo = tmp_path / "topo.txt"
+    assert main(["gen-topo", "--config", config, "--out", str(topo)]) == 0
+    assert topo.read_bytes() == (out / "topology.txt").read_bytes()
+    merged = 0
+    for cell in manifest["cells"]:
+        method, n, s = cell["method"], cell["n_flows"], cell["seed"]
+        cell_dir = tmp_path / f"{method}_{n}_{s}"
+        flows = cell_dir / "flows.txt"
+        cell_dir.mkdir()
+        assert main(["gen-traffic", "--config", config, "--topo", str(topo), "--n", str(n),
+                     "--seed", str(cell["traffic_seed"]), "--out", str(flows)]) == 0
+        assert flows.read_bytes() == (out / "flows" / f"flows_{n}_{s}.txt").read_bytes()
+        merged += n - load_flows(flows).count
+        assert main(["solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
+                     "--method", method, "--seed", str(cell["solver_seed"]),
+                     "--out-dir", str(cell_dir)]) == 0
+        dump = cell_dir / "assignment.txt"
+        assert dump.read_bytes() == (out / "assignments" / f"{method}_{n}_{s}.txt").read_bytes()
+        assert main(["simulate", "--config", config, "--topo", str(topo), "--flows", str(flows),
+                     "--assignment", str(dump), "--out-dir", str(cell_dir)]) == 0
+        (summary,) = _read_csv(cell_dir / "summary.csv")
+        row = rows[(method, str(n), str(s))]
+        assert summary == {key: row[key] for key in ("throughput", "loss_pct", "mu")}
+    assert (merged > 0) == (variant == "compressed")
+
+
+def test_solve_config_sets_every_ga_key(tmp_path, monkeypatch):
+    # solve builds GaConfig(seed=--seed, **[ga]) exactly as a sweep cell does
+    topo, flows = tmp_path / "topo.txt", tmp_path / "flows.txt"
+    main(["gen-topo", "--out", str(topo)])
+    main(["gen-traffic", "--topo", str(topo), "--n", "20", "--seed", "1", "--out", str(flows)])
+    seen = []
+    original = experiment.solve
+
+    def recording_solve(method, flows, table, topology, ga_config, *rest):
+        seen.append(ga_config)
+        return original(method, flows, table, topology, ga_config, *rest)
+
+    monkeypatch.setattr(experiment, "solve", recording_solve)
+    base = ["solve", "--topo", str(topo), "--flows", str(flows), "--out-dir", str(tmp_path)]
+    assert main(base) == 0
+    config = _ini(tmp_path, """
+[experiment]
+seed = 99
+[ga]
+population_size = 12
+max_iterations = 7
+mut_min = 0.01
+mut_max = 0.3
+stall_window = 4
+mu_target = 0.5
+penalty_weight = 3
+""")
+    assert main([*base, "--config", config, "--seed", "5"]) == 0
+    # the master seed is the sweep's; solve's solver seed is --seed alone
+    assert seen == [GaConfig(), GaConfig(
+        population_size=12, max_iterations=7, mut_min=0.01, mut_max=0.3, stall_window=4,
+        mu_target=0.5, penalty_weight=3.0, seed=5,
+    )]
+    assert set(experiment.load_config(config).ga) == set(experiment._SETTINGS["ga"])
+
+
+def test_gen_traffic_rejects_a_negative_flow_count(tmp_path, capsys):
+    topo, flows = tmp_path / "topo.txt", tmp_path / "flows.txt"
+    main(["gen-topo", "--out", str(topo)])
+    capsys.readouterr()
+    assert main(["gen-traffic", "--topo", str(topo), "--n", "-5", "--out", str(flows)]) == 2
+    assert "flow count must be >= 0, got -5" in capsys.readouterr().err
+    assert not flows.exists()
+    # zero flows is a valid, empty workload
+    assert main(["gen-traffic", "--topo", str(topo), "--n", "0", "--out", str(flows)]) == 0
+    assert flows.read_text(encoding="utf-8") == ""
+
+
+def _readme_quick_start() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+
+
 def _readme_commands() -> list[list[str]]:
     """The cect-lab commands of the README quick start, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
-    joined = block.replace("\\\n", " ")
+    joined = _readme_quick_start().replace("\\\n", " ")
     return [line.split()[1:] for line in joined.splitlines() if line.startswith("cect-lab ")]
 
 
 def test_readme_exact_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the quick start writes its config with a here-document, then runs the commands
+    files = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", _readme_quick_start(), re.M | re.S)
+    assert [name for name, _ in files] == ["lab.ini"]
     commands = _readme_commands()
     exact = [c for c in commands if c[0] == "solve" and "exact" in c]
     assert len(exact) == 1
@@ -472,19 +595,23 @@ def test_readme_exact_quick_start_runs(tmp_path, monkeypatch, capsys):
         c for c in commands if c[0] == "gen-traffic" and flows_file in c
     ] + exact
     assert needed[0][0] == "gen-topo" and len(needed) == 3
+    assert all(c[c.index("--config") + 1] == "lab.ini" for c in commands)
     monkeypatch.chdir(tmp_path)
+    for name, body in files:
+        (tmp_path / name).write_text(body, encoding="utf-8")
     for argv in needed:
         assert main(argv) == 0, argv
     out = capsys.readouterr().out
-    assert "method=exact flows=6 mu=0.5000" in out
+    assert "method=exact flows=6 mu=0.0050" in out
     assert (tmp_path / "exact" / "assignment.txt").exists()
 
 
 def test_cli_paths_golden(tmp_path, capsys):
     topo = tmp_path / "topo.txt"
-    main(["gen-topo", "--kind", "fig2a", "--capacity", "10", "--out", str(topo)])
+    config = _ini(tmp_path, "[topology]\nkind = fig2a\ncapacity = 10\n[paths]\nx = 3\n")
+    main(["gen-topo", "--config", config, "--out", str(topo)])
     capsys.readouterr()
-    assert main(["paths", "--topo", str(topo), "--x", "3"]) == 0
+    assert main(["paths", "--config", config, "--topo", str(topo)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "label 1: 1 -> 2",
@@ -501,11 +628,12 @@ def test_solve_rejects_flows_that_do_not_join_access_switches(tmp_path, capsys, 
     # the path table joins access switches only; 9 is an aggregation switch
     topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"
-    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)])
+    main(["gen-topo", "--out", str(topo)])
     flows.write_text("flow 1 1 5 1.0 custom\nflow 2 9 3 1.0 custom\n", encoding="utf-8")
     capsys.readouterr()
-    code = main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", method,
-                 "--x", "4", "--cap-c", "4", "--out-dir", str(tmp_path / "out")])
+    code = main(["solve", "--config", _ini(tmp_path, "[paths]\nx = 4\ncap_c = 4\n"),
+                 "--topo", str(topo), "--flows", str(flows), "--method", method,
+                 "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "flow 2 (9 -> 3) has no feasible path" in capsys.readouterr().err
     # a dump routing that flow still replays: simulate reads hops, not labels
@@ -516,40 +644,31 @@ def test_solve_rejects_flows_that_do_not_join_access_switches(tmp_path, capsys, 
                  "--assignment", str(dump), "--out-dir", str(tmp_path / "sim")]) == 0
 
 
+# generate_flows's own default mix, which gen-traffic used before it read a config
+EVEN_MIX = "mix = micro=0.25,small=0.25,medium=0.25,big=0.25\n"
+
+
 def test_cli_solve_methods_agree_on_files(tmp_path):
     topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"
-    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)])
-    main(["gen-traffic", "--topo", str(topo), "--n", "6", "--plr", "1.0",
+    config = _ini(tmp_path, f"[paths]\nx = 4\ncap_c = 4\n[traffic]\n{EVEN_MIX}plr = 1.0\n")
+    main(["gen-topo", "--config", config, "--out", str(topo)])
+    main(["gen-traffic", "--config", config, "--topo", str(topo), "--n", "6",
           "--seed", "2", "--out", str(flows)])
     for method in ("ecmp", "exact"):
         out_dir = tmp_path / method
         code = main([
-            "solve", "--topo", str(topo), "--flows", str(flows),
-            "--method", method, "--x", "4", "--cap-c", "4",
-            "--out-dir", str(out_dir),
+            "solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
+            "--method", method, "--out-dir", str(out_dir),
         ])
         assert code == 0
         assert (out_dir / "assignment.txt").exists()
 
 
-def test_paths_and_solve_share_table_defaults():
-    # so that paths prints the labels that solve writes in assignment.txt
-    parser = build_parser()
-    paths = parser.parse_args(["paths", "--topo", "t"])
-    solve = parser.parse_args(["solve", "--topo", "t", "--flows", "f"])
-    assert (paths.x, paths.cap_c) == (solve.x, solve.cap_c) == (10, 50)
-
-
-def test_solve_without_ga_flags_uses_ga_config_defaults():
-    args = build_parser().parse_args(["solve", "--topo", "t", "--flows", "f"])
-    assert _ga_config(args) == GaConfig()
-    args = build_parser().parse_args(["solve", "--topo", "t", "--flows", "f", "--itr", "7"])
-    assert _ga_config(args) == GaConfig(max_iterations=7)
-
-
 def test_cli_error_paths(tmp_path):
-    assert main(["gen-topo", "--kind", "fat-tree", "--k", "3",
+    assert main(["gen-topo", "--config", _ini(tmp_path, "[topology]\nk = 3\n"),
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    assert main(["gen-topo", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "x.txt")]) == 2
     assert main(["paths", "--topo", str(tmp_path / "missing.txt")]) == 2
     assert main(["report", "--results", str(tmp_path)]) == 2
@@ -580,7 +699,7 @@ def test_solve_rejects_an_unknown_method():
 ], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64", "directory"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
-    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(paths["topo"])])
+    main(["gen-topo", "--out", str(paths["topo"])])
     paths["flows"].write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
     paths["assignment"].write_text("flow 1 via 1: 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
     argv = {
@@ -588,7 +707,7 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
         "simulate": ["simulate", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
                      "--assignment", str(paths["assignment"]), "--out-dir", str(tmp_path / "out")],
         "solve": ["solve", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
-                  "--method", "ecmp", "--x", "4", "--out-dir", str(tmp_path / "out")],
+                  "--method", "ecmp", "--out-dir", str(tmp_path / "out")],
     }[command]
     assert main(argv) == 0  # the command runs on the good files
     if text is None:
@@ -607,7 +726,7 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
 
 def test_cli_simulate_rejects_a_looping_path(tmp_path, capsys):
     topo, flows, dump = (tmp_path / name for name in ("topo.txt", "flows.txt", "dump.txt"))
-    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo)])
+    main(["gen-topo", "--out", str(topo)])
     flows.write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
     # ends and edges are the fabric's, but 1 -> 9 is crossed twice
     dump.write_text("flow 1 via 1: 1 -> 9 -> 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
@@ -620,31 +739,23 @@ def test_cli_simulate_rejects_a_looping_path(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_ga_flags_reach_ga_config():
-    args = build_parser().parse_args([
-        "solve", "--topo", "t", "--flows", "f", "--population-size", "12", "--mut-min", "0.01",
-        "--mut-max", "0.3", "--stall-window", "4", "--mu-target", "0.5",
-    ])
-    assert _ga_config(args) == GaConfig(
-        population_size=12, mut_min=0.01, mut_max=0.3, stall_window=4, mu_target=0.5
-    )
-
-
 def test_gen_topo_tier_capacities_reach_the_fat_tree(tmp_path):
     out = tmp_path / "topo.txt"
-    assert main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--edge-capacity", "10",
-                 "--agg-capacity", "20", "--core-capacity", "30", "--out", str(out)]) == 0
+    config = _ini(tmp_path, "[topology]\nkind = fat-tree\nk = 4\nedge_capacity = 10\n"
+                            "agg_capacity = 20\ncore_capacity = 30\n")
+    assert main(["gen-topo", "--config", config, "--out", str(out)]) == 0
     assert load_topology(out) == make_fat_tree(4, 10.0, 20.0, 30.0)
 
 
 def test_solve_ecmp_max_paths_and_exact_budget(tmp_path, capsys):
     topo_file, flows_file = tmp_path / "topo.txt", tmp_path / "flows.txt"
-    main(["gen-topo", "--kind", "fat-tree", "--k", "4", "--out", str(topo_file)])
-    main(["gen-traffic", "--topo", str(topo_file), "--n", "40", "--plr", "1.0", "--seed", "4",
-          "--out", str(flows_file)])
-    base = ["solve", "--topo", str(topo_file), "--flows", str(flows_file), "--x", "4"]
+    config = _ini(tmp_path, f"[traffic]\n{EVEN_MIX}plr = 1.0\n[ecmp]\nmax_paths = 1\n")
+    main(["gen-topo", "--config", config, "--out", str(topo_file)])
+    main(["gen-traffic", "--config", config, "--topo", str(topo_file), "--n", "40",
+          "--seed", "4", "--out", str(flows_file)])
+    base = ["solve", "--config", config, "--topo", str(topo_file), "--flows", str(flows_file)]
     out = tmp_path / "ecmp"
-    assert main([*base, "--method", "ecmp", "--ecmp-max-paths", "1", "--out-dir", str(out)]) == 0
+    assert main([*base, "--method", "ecmp", "--out-dir", str(out)]) == 0
     dump = parse_assignment_dump((out / "assignment.txt").read_text(encoding="utf-8"))
     topo, flows = load_topology(topo_file), load_flows(flows_file)
     table = precompute_xpaths(topo, 4, 50)
