@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from . import experiment
-from .errors import AssignmentFormatError, CectLabError
+from .errors import AssignmentFormatError, CectLabError, ConfigError
 from .exact import DEFAULT_BUDGET
 from .fluidsim import simulate
 from .ga import GaConfig
@@ -21,7 +21,7 @@ from .routing import (
     validate,
 )
 from .topology import UNITS_PER_BW, load_topology, save_topology
-from .traffic import load_flows, save_flows
+from .traffic import check_plr, load_flows, save_flows
 from .xpath import format_table, precompute_xpaths
 
 
@@ -39,7 +39,13 @@ def _cmd_gen_topo(args) -> int:
 
 def _cmd_gen_traffic(args) -> int:
     topo = load_topology(args.topo)
-    flows = experiment.draw_flows(_config(args), topo, args.n, args.seed)
+    cfg = _config(args)
+    try:
+        check_plr(topo, cfg.plr)
+    except ValueError as exc:  # name where the plr came from, as a sweep's ConfigError does
+        source = args.config or f"{cfg.plr} is the default; a --config file sets [traffic] plr"
+        raise ConfigError(f"[traffic] {exc}, and {args.topo} has no pods ({source})") from exc
+    flows = experiment.draw_flows(cfg, topo, args.n, args.seed)
     save_flows(flows, args.out)
     print(f"wrote {flows.count} flows to {args.out}")
     return 0
@@ -68,9 +74,7 @@ def _cmd_solve(args) -> int:
 
     ga_config = GaConfig(seed=args.seed, **cfg.ga)  # as a sweep cell builds it
     start = time.perf_counter()
-    assignment, stats = experiment.solve(
-        args.method, flows, table, topo, ga_config, cfg.ecmp_max_paths, args.budget
-    )
+    assignment, stats = experiment.solve(args.method, flows, table, topo, ga_config, args.budget)
     elapsed = time.perf_counter() - start
 
     matrix = assemble(assignment, flows, table, topo)
@@ -194,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[seed, out_dir, config], help="route a flow set")
     p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
-    p.add_argument("--method", choices=("cect", "ecmp", "exact"), default="cect")
+    p.add_argument("--method", choices=experiment.METHODS, default="cect")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_solve)
 

@@ -33,22 +33,14 @@ def fnv1a64(*values) -> int | np.ndarray:
     return digest if any(np.ndim(v) for v in values) else int(digest[0])
 
 
-def route_ecmp(
-    flowset: FlowSet,
-    topology: Topology,
-    xpath_table: XPathTable,
-    max_paths: int | None = None,
-) -> RoutingAssignment:
+def route_ecmp(flowset: FlowSet, topology: Topology, xpath_table: XPathTable) -> RoutingAssignment:
     """Assign every flow to a hash-selected minimum-hop path.
 
     Candidates for a flow are all its shortest paths in the table, in label
-    order (labels sort by hop count then hop sequence); max_paths, when set,
-    keeps only the first max_paths candidates before hashing and must be >= 1.
-    Raises NoFeasiblePathError naming the first flow with no path in the
-    table, and ValueError when the table was built for another topology.
+    order (labels sort by hop count then hop sequence). Raises
+    NoFeasiblePathError naming the first flow with no path in the table, and
+    ValueError when the table was built for another topology.
     """
-    if max_paths is not None and max_paths < 1:
-        raise ValueError(f"max_paths must be >= 1, got {max_paths}")
     topology.check_edge_keys(xpath_table.topology.edge_keys, "table")
     ptr, labels = feasible_csr(xpath_table, flowset)
     starts = ptr[:-1]
@@ -56,8 +48,6 @@ def route_ecmp(
     hops = xpath_table.hop_counts[labels - 1]
     shortest = hops == np.repeat(hops[starts], np.diff(ptr))
     sizes = np.add.reduceat(shortest, starts, dtype=np.int64)
-    if max_paths is not None:
-        sizes = np.minimum(sizes, max_paths)
     src, dst = flowset.ends().T
     ids = np.arange(1, flowset.count + 1, dtype=np.int64)
     picks = (fnv1a64(src, dst, ids) % sizes.astype(np.uint64)).astype(np.int64)

@@ -38,7 +38,7 @@ from .traffic import (
     generate_flows,
     save_flows,
 )
-from .xpath import XPathTable, check_path_bounds, precompute_xpaths
+from .xpath import XPathTable, check_path_bounds, feasible_csr, precompute_xpaths
 
 RESULT_COLUMNS = (
     "method",
@@ -52,6 +52,8 @@ RESULT_COLUMNS = (
 )
 # Columns excluded when comparing two runs for reproducibility.
 TIMING_COLUMNS = ("wall_time_total", "wall_time_per_flow")
+# Every routing method solve() knows; report compares cect with each other one.
+METHODS = ("cect", "ecmp", "shortest", "exact")
 
 
 @dataclass
@@ -78,7 +80,6 @@ class ExperimentConfig:
     n_seeds: int = 1
     ga: dict[str, object] = field(default_factory=dict)
     sim_model: str = "maxmin"
-    ecmp_max_paths: int | None = None
 
 
 def parse_mix(text: str) -> dict[str, float]:
@@ -150,7 +151,6 @@ _SETTINGS = {
         **{key: (key, float) for key in ("mut_min", "mut_max", "mu_target", "penalty_weight")},
     },
     "sim": {"model": ("sim_model", str)},
-    "ecmp": {"max_paths": ("ecmp_max_paths", _optional_int)},
 }
 
 
@@ -191,7 +191,7 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for method in cfg.methods:
-        if method not in ("cect", "ecmp", "exact"):
+        if method not in METHODS:
             raise ConfigError(f"{path}: unknown method {method!r}")
     if not cfg.n_flows_list:
         raise ConfigError(f"{path}: empty flow sweep")
@@ -218,8 +218,6 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [topology] kind 'file' needs a path option")
     if cfg.sim_model not in MODELS:
         raise ConfigError(f"{path}: [sim] model must be one of {MODELS}, got {cfg.sim_model!r}")
-    if cfg.ecmp_max_paths is not None and cfg.ecmp_max_paths < 1:
-        raise ConfigError(f"{path}: [ecmp] max_paths must be >= 1, got {cfg.ecmp_max_paths}")
     return cfg
 
 
@@ -261,17 +259,21 @@ def draw_flows(
 
 def solve(
     method: str, flows: FlowSet, table: XPathTable, topology: Topology, ga_config: GaConfig,
-    max_paths: int | None = None, budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[RoutingAssignment, RunStats | None]:
-    """Route flows by "cect" (reads ga_config), "ecmp" (max_paths) or "exact" (budget).
+    """Route flows by "cect" (reads ga_config), "ecmp", "shortest" or "exact" (budget).
 
-    Returns the assignment and cect's RunStats, or None; raises ValueError for
-    any other method."""
+    "shortest" pins each flow to its first feasible label: its pair's first
+    shortest path, the GA's row 0. Returns the assignment and cect's
+    RunStats, or None; raises ValueError for any other method."""
     if method == "cect":
         assignment, _, stats = run_cect(flows, table, topology, ga_config)
         return assignment, stats
     if method == "ecmp":
-        return route_ecmp(flows, topology, table, max_paths), None
+        return route_ecmp(flows, topology, table), None
+    if method == "shortest":
+        ptr, labels = feasible_csr(table, flows)
+        return RoutingAssignment(labels[ptr[:-1]]), None
     if method == "exact":
         return solve_exact(flows, table, topology, budget)[0], None
     raise ValueError(f"unknown method {method!r}")
@@ -297,7 +299,7 @@ def _run_workload(
     for method in cfg.methods:
         try:
             start = time.perf_counter()
-            assignment, _ = solve(method, flows, table, topology, ga_config, cfg.ecmp_max_paths)
+            assignment, _ = solve(method, flows, table, topology, ga_config)
             elapsed = time.perf_counter() - start
             matrix = assemble(assignment, flows, table, topology)
             result = simulate(matrix, flows, topology, cfg.sim_model)
@@ -388,6 +390,8 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
+    # the config's own bytes, so a later edit to its source cannot change the sweep
+    (out / "config.ini").write_bytes(data)
     return out
 
 
@@ -410,8 +414,8 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
 
     Writes per-metric tables (mean and stddev per method and flow count), the
     least-squares slope of log(mean wall time) in log(flow count) for each
-    method with two or more flow counts and positive means, and a cect/ecmp
-    ratio table when both methods are present.
+    method with two or more flow counts and positive means, and, when cect
+    ran, a ratio table of cect against each other method.
     """
     results_dir = Path(results_dir)
     out = Path(out_dir) if out_dir else results_dir
@@ -450,27 +454,28 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
         written[metric] = out / filename
         write_rows(written[metric], header, table)
 
+    def means(method, n, metric):
+        return np.mean([float(r[metric]) for r in grouped[(method, n)]])
+
     # the growth exponent of wall time in the flow count, fitted on the means
     slopes = []
     for m in methods:
         counts = [n for n in flow_counts if (m, n) in grouped]
-        times = [np.mean([float(r["wall_time_total"]) for r in grouped[(m, n)]]) for n in counts]
+        times = [means(m, n, "wall_time_total") for n in counts]
         if len(counts) >= 2 and min(times) > 0:
             slopes.append((m, float(np.polyfit(np.log(counts), np.log(times), 1)[0])))
     written["time_slope"] = out / "time_slope.csv"
     write_rows(written["time_slope"], ("method", "loglog_slope"), slopes)
 
-    if {"cect", "ecmp"} <= set(methods):
-        table = []
-        for n in flow_counts:
-            cect_tp = [float(r["throughput"]) for r in grouped.get(("cect", n), [])]
-            ecmp_tp = [float(r["throughput"]) for r in grouped.get(("ecmp", n), [])]
-            cect_loss = [float(r["loss_pct"]) for r in grouped.get(("cect", n), [])]
-            ecmp_loss = [float(r["loss_pct"]) for r in grouped.get(("ecmp", n), [])]
-            if cect_tp and ecmp_tp:
-                table.append([n, _ratio(np.mean(cect_tp), np.mean(ecmp_tp)),
-                              _ratio(np.mean(ecmp_loss), np.mean(cect_loss))])
-        written["ratio"] = out / "ratio_cect_vs_ecmp.csv"
-        write_rows(written["ratio"],
-                   ["n_flows", "throughput_ratio", "loss_ratio_ecmp_over_cect"], table)
+    for other in [m for m in methods if m != "cect"] if "cect" in methods else []:
+        table = [
+            [n, _ratio(means("cect", n, "throughput"), means(other, n, "throughput")),
+             _ratio(means(other, n, "loss_pct"), means("cect", n, "loss_pct"))]
+            for n in flow_counts if ("cect", n) in grouped and (other, n) in grouped
+        ]
+        # the ecmp table keeps its key "ratio", which callers already read
+        key = "ratio" if other == "ecmp" else f"ratio_{other}"
+        written[key] = out / f"ratio_cect_vs_{other}.csv"
+        write_rows(written[key],
+                   ["n_flows", "throughput_ratio", f"loss_ratio_{other}_over_cect"], table)
     return written

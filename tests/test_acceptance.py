@@ -29,8 +29,8 @@ from cect_lab.routing import (
     assemble,
     validate,
 )
-from cect_lab.topology import make_fat_tree, make_sample_topology
-from cect_lab.traffic import compress_flows, generate_flows
+from cect_lab.topology import load_topology, make_fat_tree, make_sample_topology
+from cect_lab.traffic import compress_flows, generate_flows, load_flows
 from cect_lab.fluidsim import simulate
 from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
@@ -183,6 +183,43 @@ def test_criterion_4_trend_against_ecmp(sweep_results):
         experiment.report(out)
         with open(out / "ratio_cect_vs_ecmp.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == len(flow_counts)
+
+
+def test_shortest_is_the_gas_row_0_and_cect_beats_it(sweep_results):
+    # PAPER.md's baseline read as "the shortest path as the cost function":
+    # every flow on its pair's first shortest path, on the sweep's own flows
+    out, rows = sweep_results
+    cfg = experiment.load_config(SWEEP_CONFIG)
+    topo = load_topology(out / "topology.txt")
+    table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
+    ratios = {}
+    for n in sorted({int(r["n_flows"]) for r in rows}):
+        tput, loss = [], []
+        for seed in range(cfg.n_seeds):
+            flows = load_flows(out / "flows" / f"flows_{n}_{seed}.txt")
+            assignment, _ = experiment.solve("shortest", flows, table, topo, GaConfig())
+            ptr, labels = feasible_csr(table, flows)
+            assert assignment.labels.tolist() == labels[ptr[:-1]].tolist()
+            row0 = []
+
+            def first_row(generation, genes, fitness, mu):
+                if generation == 0:
+                    row0.append(genes[0].tolist())
+
+            run_cect(flows, table, topo, GaConfig(max_iterations=1), on_generation=first_row)
+            assert row0 == [assignment.labels.tolist()]
+            result = simulate(assemble(assignment, flows, table, topo), flows, topo,
+                              cfg.sim_model)
+            tput.append(result.total_delivered)
+            loss.append(result.loss_pct)
+        cect = [r for r in rows if r["method"] == "cect" and int(r["n_flows"]) == n]
+        cect_tput = np.mean([float(r["throughput"]) for r in cect])
+        cect_loss = np.mean([float(r["loss_pct"]) for r in cect])
+        assert cect_tput >= np.mean(tput), n
+        assert cect_loss <= np.mean(loss), n
+        ratios[n] = cect_tput / np.mean(tput)
+    # the paper's "up to 3x" throughput holds against this baseline at the top point
+    assert ratios[max(ratios)] >= 3.0, ratios
 
 
 def test_criterion_5_runtime_envelope():

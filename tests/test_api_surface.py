@@ -174,9 +174,9 @@ def _settable_values() -> int:
 
 
 def test_settable_value_count_is_pinned():
-    # 27 flags, 25 INI keys, no environment variable.
+    # 27 flags, 24 INI keys, no environment variable.
     # A change that adds or removes a setting updates this number.
-    assert _settable_values() == 52
+    assert _settable_values() == 51
 
 
 def _options_copying_a_setting() -> list[str]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ from cect_lab.ga import GaConfig
 from cect_lab.routing import matrix_from_paths, parse_assignment_dump
 from cect_lab.topology import load_topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import Flow, FlowSet, load_flows
-from cect_lab.xpath import precompute_xpaths
+from cect_lab.xpath import feasible_labels, precompute_xpaths
 
 BASE_CONFIG = """
 [experiment]
@@ -112,7 +113,8 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("x = 4", "x = 0", r"\[paths\] hop bound x"),
         ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap"),
         ("model = maxmin", "model = maxmn", r"\[sim\] model must be one of"),
-        ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"\[ecmp\] max_paths must be >= 1"),
+        # a section this program no longer reads: single-path routing is --method shortest
+        ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"unknown section \[ecmp\]"),
         # a typo, a key this program no longer reads and an unknown section
         ("[ga]", "[ga]\nmax_iteration = 5", r"\[ga\] unknown key 'max_iteration'"),
         ("plr = 0.7", "plr = 0.7\ncompress_lower = 1", r"\[traffic\] unknown key 'compress_lower'"),
@@ -225,7 +227,7 @@ def test_sweep_parallel_matches_serial(config_file, tmp_path):
          for p in out.rglob("*") if p.is_file() and p.name != "results.csv"}
         for out in (serial, parallel)
     ]
-    assert len(artifacts[0]) == 2 + 4 + 8  # 4 workloads, 8 cells
+    assert len(artifacts[0]) == 3 + 4 + 8  # 4 workloads, 8 cells
     assert artifacts[0] == artifacts[1]
 
 
@@ -373,6 +375,27 @@ methods = ecmp
     assert {c for _, _, c in load_topology(out / "topology.txt").links} == {77.0}
 
 
+def test_results_keep_the_config_they_ran(tmp_path):
+    config = tmp_path / "sweep.ini"
+    config.write_text(BASE_CONFIG.replace("n_flows = 60,120", "n_flows = 5"), encoding="utf-8")
+    out = experiment.run_experiment(config, tmp_path / "res")
+    copy = (out / "config.ini").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(copy).hexdigest() == manifest["config_sha256"]
+    assert copy == config.read_bytes()
+    # a later edit to the source leaves the copy, and so the sweep it describes, as run
+    config.write_text(BASE_CONFIG, encoding="utf-8")
+    assert (out / "config.ini").read_bytes() == copy
+    assert experiment.load_config(out / "config.ini").n_flows_list == (5,)
+
+
+def test_every_checked_in_config_loads():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    assert configs
+    for path in configs:
+        experiment.load_config(path)
+
+
 def test_report_rejects_missing_or_empty(tmp_path):
     with pytest.raises(FileNotFoundError):
         experiment.report(tmp_path)
@@ -395,6 +418,24 @@ def test_report_fits_the_loglog_slope_of_wall_time(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["method"] for row in rows] == ["cect"]
     assert float(rows[0]["loglog_slope"]) == pytest.approx(1.5)
+
+
+def test_report_writes_one_ratio_table_per_baseline(tmp_path):
+    lines = [",".join(experiment.RESULT_COLUMNS)]
+    for method, throughput, loss in (("cect", 12, 4), ("ecmp", 8, 6), ("shortest", 3, 9)):
+        lines += [f"{method},100,{seed},{throughput},{loss},1,0,0" for seed in (0, 1)]
+    (tmp_path / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written = experiment.report(tmp_path)
+    assert _read_csv(written["ratio"]) == [
+        {"n_flows": "100", "throughput_ratio": "1.5", "loss_ratio_ecmp_over_cect": "1.5"}]
+    assert written["ratio_shortest"] == tmp_path / "ratio_cect_vs_shortest.csv"
+    assert _read_csv(written["ratio_shortest"]) == [
+        {"n_flows": "100", "throughput_ratio": "4", "loss_ratio_shortest_over_cect": "2.25"}]
+    # without cect there is nothing to compare against
+    (tmp_path / "results.csv").write_text("\n".join(lines[:1] + lines[3:]) + "\n",
+                                          encoding="utf-8")
+    assert not [key for key in experiment.report(tmp_path, tmp_path / "b")
+                if key.startswith("ratio")]
 
 
 def test_report_single_seed_zero_std(config_file, tmp_path):
@@ -685,19 +726,28 @@ def test_solve_rejects_an_unknown_method():
         experiment.solve("ospf", flows, precompute_xpaths(topo, x=3), topo, GaConfig())
 
 
-@pytest.mark.parametrize("command, file, text", [
+@pytest.mark.parametrize("command, file, text, names", [
     # a hop that is not an integer fails the dump's parse
-    ("simulate", "assignment", "flow 1 via 1: 1 -> 3.7 -> 3\n"),
+    ("simulate", "assignment", "flow 1 via 1: 1 -> 3.7 -> 3\n", "line "),
     # a demand too large to count in int64 load units
-    ("simulate", "flows", "flow 1 1 3 1e306 custom\n"),
+    ("simulate", "flows", "flow 1 1 3 1e306 custom\n", "line "),
     # a switch id beyond int64
-    ("paths", "topo", "node 1\nnode 99999999999999999999999\nedge 1 99999999999999999999999 1\n"),
+    ("paths", "topo", "node 1\nnode 99999999999999999999999\nedge 1 99999999999999999999999 1\n",
+     "line "),
     # a flow endpoint beyond int64
-    ("simulate", "flows", "flow 1 1 99999999999999999999999 1.0 custom\n"),
+    ("simulate", "flows", "flow 1 1 99999999999999999999999 1.0 custom\n", "line "),
     # a path that is a directory, not a file (None)
-    ("solve", "topo", None),
-], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64", "directory"])
-def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text):
+    ("solve", "topo", None, ""),
+    # fig2a has no pods, and without --config plr is the default 0.7: the
+    # message names the setting, its default and where to set it
+    ("gen-traffic", "topo", "node 1\nnode 2\nnode 3\nedge 1 2 10\nedge 2 1 10\nedge 3 1 10\n"
+     "edge 3 2 10\n",
+     r"\[traffic\] plr 0\.7 needs a pod-labeled topology.*"
+     r"\(0\.7 is the default; a --config file sets \[traffic\] plr\)"),
+], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64", "directory",
+        "default-plr-without-pods"])
+def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text,
+                                                      names):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
     main(["gen-topo", "--out", str(paths["topo"])])
     paths["flows"].write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
@@ -708,6 +758,8 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
                      "--assignment", str(paths["assignment"]), "--out-dir", str(tmp_path / "out")],
         "solve": ["solve", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
                   "--method", "ecmp", "--out-dir", str(tmp_path / "out")],
+        "gen-traffic": ["gen-traffic", "--topo", str(paths["topo"]), "--n", "3",
+                        "--out", str(tmp_path / "drawn.txt")],
     }[command]
     assert main(argv) == 0  # the command runs on the good files
     if text is None:
@@ -719,9 +771,9 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    # the message names the bad file among the command's inputs, and its line
+    # the message names the bad file among the command's inputs, and its line or setting
     assert str(paths[file]) in err
-    assert text is None or "line " in err
+    assert re.search(names, err)
 
 
 def test_cli_simulate_rejects_a_looping_path(tmp_path, capsys):
@@ -747,19 +799,19 @@ def test_gen_topo_tier_capacities_reach_the_fat_tree(tmp_path):
     assert load_topology(out) == make_fat_tree(4, 10.0, 20.0, 30.0)
 
 
-def test_solve_ecmp_max_paths_and_exact_budget(tmp_path, capsys):
+def test_solve_shortest_and_exact_budget(tmp_path, capsys):
     topo_file, flows_file = tmp_path / "topo.txt", tmp_path / "flows.txt"
-    config = _ini(tmp_path, f"[traffic]\n{EVEN_MIX}plr = 1.0\n[ecmp]\nmax_paths = 1\n")
+    config = _ini(tmp_path, f"[traffic]\n{EVEN_MIX}plr = 1.0\n")
     main(["gen-topo", "--config", config, "--out", str(topo_file)])
     main(["gen-traffic", "--config", config, "--topo", str(topo_file), "--n", "40",
           "--seed", "4", "--out", str(flows_file)])
     base = ["solve", "--config", config, "--topo", str(topo_file), "--flows", str(flows_file)]
-    out = tmp_path / "ecmp"
-    assert main([*base, "--method", "ecmp", "--out-dir", str(out)]) == 0
+    out = tmp_path / "shortest"
+    assert main([*base, "--method", "shortest", "--out-dir", str(out)]) == 0
     dump = parse_assignment_dump((out / "assignment.txt").read_text(encoding="utf-8"))
     topo, flows = load_topology(topo_file), load_flows(flows_file)
     table = precompute_xpaths(topo, 4, 50)
-    first = route_ecmp(flows, topo, table, max_paths=1).labels.tolist()
+    first = [feasible_labels(table, f.src, f.dst)[0] for f in flows.flows]
     assert [label for label, _ in dump.values()] == first
     assert first != route_ecmp(flows, topo, table).labels.tolist()
 

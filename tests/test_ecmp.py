@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cect_lab import experiment
 from cect_lab.ecmp import fnv1a64, route_ecmp
 from cect_lab.errors import NoFeasiblePathError
 from cect_lab.exact import solve_exact
@@ -110,16 +111,19 @@ def test_routes_pass_validation():
     assert validate(matrix, flows, topo) == []
 
 
-def test_max_paths_cap():
+def test_shortest_pins_every_flow_to_its_first_label():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     src, dst = topo.edge_switches()[0], topo.edge_switches()[2]
     flows = make_flows([(src, dst, 1.0)] * 64)
-    assignment = route_ecmp(flows, topo, table, max_paths=1)
-    assert len(set(assignment.labels.tolist())) == 1
-    for bad in (0, -3):  # rejected, not clamped to 1
-        with pytest.raises(ValueError, match=f"max_paths must be >= 1, got {bad}"):
-            route_ecmp(flows, topo, table, max_paths=bad)
+    assignment, stats = experiment.solve("shortest", flows, table, topo, GaConfig())
+    assert stats is None
+    assert assignment.labels.tolist() == [feasible_labels(table, src, dst)[0]] * 64
+    # hash ECMP spreads the same flows over all of the pair's shortest paths
+    assert len(set(route_ecmp(flows, topo, table).labels.tolist())) > 1
+    with pytest.raises(NoFeasiblePathError, match=r"flow 2 \(1 -> 9\)"):
+        experiment.solve("shortest", make_flows([(src, dst, 1.0), (1, 9, 1.0)]), table, topo,
+                         GaConfig())
 
 
 def test_route_ecmp_rejects_a_table_of_another_topology():

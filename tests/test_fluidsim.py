@@ -2,9 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cect_lab import experiment
-from cect_lab.fluidsim import SimResult, run_volume_schedule, simulate
+from cect_lab.fluidsim import MODELS, SimResult, run_volume_schedule, simulate
 from cect_lab.routing import RoutingAssignment, assemble, matrix_from_paths
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
@@ -92,6 +94,43 @@ def test_conservation_and_feasibility(model):
         if result.mu <= 1.0:
             assert result.loss_pct == pytest.approx(0.0, abs=1e-9)
             assert result.total_delivered == pytest.approx(offered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 5),
+       model=st.sampled_from(MODELS), data=st.data())
+def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
+    rng = np.random.default_rng(seed)
+    links = random_topology(rng, n_nodes, edge_prob=0.6).links
+    topo = Topology(nodes=tuple(range(1, n_nodes + 1)),
+                    links=tuple((s, d, float(rng.uniform(0.5, 20.0))) for s, d, _ in links))
+    table = precompute_xpaths(topo, x=3)
+    pairs = labels_by_pair(table)
+    flows, chosen = [], []
+    for _ in range(data.draw(st.integers(0, 8))):
+        pair = data.draw(st.sampled_from(sorted(pairs)))
+        flows.append((*pair, data.draw(st.floats(0.01, 30.0))))
+        chosen.append(data.draw(st.sampled_from(pairs[pair])))
+    flowset = make_flows(flows)
+    matrix = assemble(RoutingAssignment(np.array(chosen, dtype=np.int64)), flowset, table, topo)
+    result = simulate(matrix, flowset, topo, model)
+
+    paths = [list(zip(hops, hops[1:])) for hops in hops_of(table, chosen)]
+    delivered = dict.fromkeys(topo.edge_keys, 0.0)
+    for flow, path in zip(flowset.flows, paths):
+        rate = result.per_flow_rate[flow.id]
+        assert 0.0 <= rate <= flow.demand * (1 + 1e-9), (flow, rate)
+        for edge in path:
+            delivered[edge] += rate
+    capacities = {(s, d): c for s, d, c in topo.links}
+    for edge, capacity in capacities.items():
+        assert delivered[edge] <= capacity * (1 + 1e-9), (edge, delivered[edge])
+    assert result.mu == matrix.mu
+    if model == "maxmin":
+        # water filling wastes nothing: a flow held below its demand crosses a full edge
+        for flow, path in zip(flowset.flows, paths):
+            if result.per_flow_rate[flow.id] < flow.demand - 1e-6:
+                assert any(delivered[e] >= capacities[e] - 1e-6 for e in path), flow
 
 
 def test_maxmin_matches_grid_oracle():
