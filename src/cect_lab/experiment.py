@@ -50,8 +50,6 @@ RESULT_COLUMNS = (
     "wall_time_total",
     "wall_time_per_flow",
 )
-# Columns excluded when comparing two runs for reproducibility.
-TIMING_COLUMNS = ("wall_time_total", "wall_time_per_flow")
 # Every routing method solve() knows; report compares cect with each other one.
 METHODS = ("cect", "ecmp", "shortest", "exact")
 
@@ -195,6 +193,8 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
             raise ConfigError(f"{path}: unknown method {method!r}")
     if not cfg.n_flows_list:
         raise ConfigError(f"{path}: empty flow sweep")
+    if not cfg.methods:
+        raise ConfigError(f"{path}: [sweep] methods lists no method")
     for key, values in (("n_flows", cfg.n_flows_list), ("methods", cfg.methods)):
         # a repeated value would run its cells twice and skew report's means
         repeated = [value for i, value in enumerate(values) if value in values[:i]]
@@ -473,8 +473,7 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
              _ratio(means(other, n, "loss_pct"), means("cect", n, "loss_pct"))]
             for n in flow_counts if ("cect", n) in grouped and (other, n) in grouped
         ]
-        # the ecmp table keeps its key "ratio", which callers already read
-        key = "ratio" if other == "ecmp" else f"ratio_{other}"
+        key = f"ratio_{other}"
         written[key] = out / f"ratio_cect_vs_{other}.csv"
         write_rows(written[key],
                    ["n_flows", "throughput_ratio", f"loss_ratio_{other}_over_cect"], table)

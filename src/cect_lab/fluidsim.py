@@ -3,10 +3,10 @@
 Rates are allocated at the flow level without packet dynamics, on the
 routing's per-flow edge-id CSR. The default max-min model water-fills link
 capacities among path-constrained flows; the cheaper bottleneck model scales
-each flow by its worst oversubscribed link and then repairs any remaining
-overload in one pass. Either way, delivered rates never exceed demands and
-per-link delivered load never exceeds capacity. Volume schedules allocate
-among the still-active rows of the same CSR at every step.
+each flow by its worst oversubscribed link under offered loads, in one
+vectorized pass. Either way, delivered rates never exceed demands and
+per-link delivered load never exceeds capacity, up to rounding. Volume
+schedules allocate among the still-active rows of the same CSR at every step.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class SimResult:
 
     mu is the maximum utilization of the *offered* loads (it may exceed 1);
     link_utilization holds the post-allocation (delivered) utilizations,
-    which are capped at 1 by construction.
+    which are at most 1 up to rounding.
     """
 
     per_flow_rate: dict[int, float]
@@ -42,29 +42,18 @@ class SimResult:
 def _bottleneck_rates(
     ptr: np.ndarray, edges: np.ndarray, demands: np.ndarray, caps: np.ndarray
 ) -> np.ndarray:
-    """Scale each flow by its most oversubscribed link, then repair.
+    """Scale each flow by its most oversubscribed link, under offered loads.
 
-    The first pass uses offered loads; the single repair pass walks edges in
-    id order and rescales the flows crossing any still-overloaded edge, which
-    only lowers rates, so every edge ends at or below capacity.
+    rate_f = d_f * min over f's edges of min(1, c_e / offered_e). A scaled
+    edge load is at most the sum of d_f * c_e / offered_e over the flows
+    crossing it, which is c_e; a row with no edges keeps its demand.
     """
     flow_of = np.repeat(np.arange(len(demands)), np.diff(ptr))
     offered = np.bincount(edges, weights=demands[flow_of], minlength=len(caps))
-    with np.errstate(divide="ignore"):
-        edge_factor = np.minimum(1.0, caps / np.where(offered > 0, offered, 1.0))
+    edge_factor = np.minimum(1.0, caps / np.where(offered > 0, offered, 1.0))
     factor = np.ones(len(demands))
     np.minimum.at(factor, flow_of, edge_factor[edges])
-    rates = demands * factor
-
-    # the flows crossing each edge, in flow order, as one stable sort
-    order = np.argsort(edges, kind="stable")
-    bounds = np.r_[0, np.cumsum(np.bincount(edges, minlength=len(caps)))]
-    for e in np.flatnonzero(np.diff(bounds)):
-        crossing = flow_of[order[bounds[e] : bounds[e + 1]]]
-        load = sum(rates[crossing].tolist())
-        if load > caps[e]:
-            np.multiply.at(rates, crossing, caps[e] / load)
-    return rates
+    return demands * factor
 
 
 def _rates(

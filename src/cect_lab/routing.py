@@ -33,16 +33,6 @@ RULE_LOOP_FREE = "loop-free"
 RULE_BINARY_INDICATOR = "binary-indicator"
 RULE_KNOWN_EDGE = "known-edge"
 
-ALL_RULES = (
-    RULE_NO_RETURN_TO_SOURCE,
-    RULE_NO_EXIT_FROM_DESTINATION,
-    RULE_SOURCE_OUT_DEGREE,
-    RULE_DESTINATION_IN_DEGREE,
-    RULE_FLOW_CONSERVATION,
-    RULE_LOOP_FREE,
-    RULE_BINARY_INDICATOR,
-)
-
 # Link utilization at or above this level marks a hot spot. It is the GA's
 # default mu_target: a run stops once its best mu is at or below it.
 HOT_SPOT_THRESHOLD = 0.7

@@ -24,7 +24,13 @@ from cect_lab.ga import (
     uniform_crossover,
 )
 from cect_lab.routing import (
-    ALL_RULES,
+    RULE_BINARY_INDICATOR,
+    RULE_DESTINATION_IN_DEGREE,
+    RULE_FLOW_CONSERVATION,
+    RULE_LOOP_FREE,
+    RULE_NO_EXIT_FROM_DESTINATION,
+    RULE_NO_RETURN_TO_SOURCE,
+    RULE_SOURCE_OUT_DEGREE,
     RoutingAssignment,
     assemble,
     validate,
@@ -43,6 +49,18 @@ from helpers import (
     labels_by_pair,
     make_flows,
     random_topology,
+)
+
+# The structural rules of a simple source-to-destination path; the
+# validator's known-edge rule checks the edge ids, not the path's shape.
+ALL_RULES = (
+    RULE_NO_RETURN_TO_SOURCE,
+    RULE_NO_EXIT_FROM_DESTINATION,
+    RULE_SOURCE_OUT_DEGREE,
+    RULE_DESTINATION_IN_DEGREE,
+    RULE_FLOW_CONSERVATION,
+    RULE_LOOP_FREE,
+    RULE_BINARY_INDICATOR,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

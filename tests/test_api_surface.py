@@ -1,17 +1,18 @@
-"""Guard: every function, class, method, dataclass field and CLI option in src/ has a reader.
+"""Guard: every function, class, method, constant, dataclass field and CLI
+option in src/ has a reader.
 
-A function, class or method counts as used when src/ or perfbench/ mentions
-it outside its own definition, as a name, an attribute or a word inside a
-string (perfbench wraps library functions by their string names). A
-dataclass field counts as used when src/ or perfbench/ reads it as an
-attribute of anything but the argparse namespace `args`, whose options
-share names with fields. A subcommand's optional flag counts as used when
-its handler, or a cli helper that the handler passes args to, reads
-args.<dest>. Code that only the tests call, fields that only the tests
-read, and flags that nothing reads do not belong in src/. A flag may not
-copy a setting that a sweep config holds. The count of settable values
-(CLI arguments, INI keys, environment reads) is pinned, so a change that
-adds a setting has to say so here.
+A function, class, method or module-level constant counts as used when
+src/ or perfbench/ mentions it outside its own definition, as a name, an
+attribute or a word inside a string (perfbench wraps library functions by
+their string names). A dataclass field counts as used when src/ or
+perfbench/ reads it as an attribute of anything but the argparse namespace
+`args`, whose options share names with fields. A subcommand's optional flag
+counts as used when its handler, or a cli helper that the handler passes
+args to, reads args.<dest>. Code that only the tests call, constants and
+fields that only the tests read, and flags that nothing reads do not belong
+in src/. A flag may not copy a setting that a sweep config holds. The count
+of settable values (CLI arguments, INI keys, environment reads) is pinned,
+so a change that adds a setting has to say so here.
 """
 
 from __future__ import annotations
@@ -45,11 +46,16 @@ def _words(tree: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name, node) of module-level defs and non-dunder methods."""
+    """(qualified name, name, node) of module-level defs, constants and non-dunder methods."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
             yield node.name, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds) and not item.name.startswith("__"):

@@ -38,6 +38,8 @@ max_iterations = 8
 [sim]
 model = maxmin
 """
+# results.csv columns that differ between two runs of one config
+TIMING_COLUMNS = ("wall_time_total", "wall_time_per_flow")
 
 
 @pytest.fixture()
@@ -52,7 +54,7 @@ def _strip_timing(results_csv: Path) -> list[list[str]]:
         rows = list(csv.reader(fh))
     keep = [
         i for i, name in enumerate(rows[0])
-        if name not in experiment.TIMING_COLUMNS
+        if name not in TIMING_COLUMNS
     ]
     return [[row[i] for i in keep] for row in rows]
 
@@ -126,10 +128,14 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("n_flows = 60,120", "n_flows = 60,120,60", r"\[sweep\] n_flows: 60 is listed twice"),
         ("methods = cect,ecmp", "methods = ecmp,ecmp",
          r"\[sweep\] methods: 'ecmp' is listed twice"),
+        # a sweep that routes nothing would write a header-only results.csv
+        ("methods = cect,ecmp", "methods =", r"\[sweep\] methods lists no method"),
+        ("methods = cect,ecmp", "methods = ,", r"\[sweep\] methods lists no method"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "unknown-section", "topology-kind", "topology-path",
-         "n-flows", "repeated-n-flows", "repeated-method"],
+         "n-flows", "repeated-n-flows", "repeated-method", "no-method",
+         "comma-only-methods"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -203,7 +209,7 @@ def test_sweep_runs_and_reports(config_file, tmp_path):
     written = experiment.report(out)
     assert (out / "throughput_vs_flows.csv").exists()
     assert (out / "ratio_cect_vs_ecmp.csv").exists()
-    with open(written["ratio"], newline="", encoding="utf-8") as fh:
+    with open(written["ratio_ecmp"], newline="", encoding="utf-8") as fh:
         ratio_rows = list(csv.DictReader(fh))
     assert [int(r["n_flows"]) for r in ratio_rows] == [60, 120]
 
@@ -426,7 +432,7 @@ def test_report_writes_one_ratio_table_per_baseline(tmp_path):
         lines += [f"{method},100,{seed},{throughput},{loss},1,0,0" for seed in (0, 1)]
     (tmp_path / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     written = experiment.report(tmp_path)
-    assert _read_csv(written["ratio"]) == [
+    assert _read_csv(written["ratio_ecmp"]) == [
         {"n_flows": "100", "throughput_ratio": "1.5", "loss_ratio_ecmp_over_cect": "1.5"}]
     assert written["ratio_shortest"] == tmp_path / "ratio_cect_vs_shortest.csv"
     assert _read_csv(written["ratio_shortest"]) == [

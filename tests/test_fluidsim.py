@@ -126,6 +126,17 @@ def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
     for edge, capacity in capacities.items():
         assert delivered[edge] <= capacity * (1 + 1e-9), (edge, delivered[edge])
     assert result.mu == matrix.mu
+    if model == "bottleneck":
+        # each flow is scaled by its worst edge under offered loads; a flow
+        # with no edge would keep its demand
+        offered = dict.fromkeys(topo.edge_keys, 0.0)
+        for flow, path in zip(flowset.flows, paths):
+            for edge in path:
+                offered[edge] += flow.demand
+        for flow, path in zip(flowset.flows, paths):
+            factor = min([capacities[e] / offered[e] for e in path], default=1.0)
+            expected = flow.demand * min(1.0, factor)
+            assert result.per_flow_rate[flow.id] == pytest.approx(expected, rel=1e-12), flow
     if model == "maxmin":
         # water filling wastes nothing: a flow held below its demand crosses a full edge
         for flow, path in zip(flowset.flows, paths):
@@ -223,15 +234,16 @@ def test_maxmin_monotone_under_added_flow():
         assert after.per_flow_rate[fid] <= before.per_flow_rate[fid] + 1e-9
 
 
-def test_bottleneck_repair_pass():
-    # two overloads on one path: the naive scale leaves the second edge
-    # oversubscribed until the repair pass rescales
+def test_bottleneck_scales_each_flow_by_its_worst_edge():
+    # edge 1->2 carries 25 on capacity 10 (factor 0.4), edge 2->3 carries 20
+    # on capacity 5 (factor 0.25): the long flow takes its worse factor
     topo = Topology(nodes=(1, 2, 3), links=((1, 2, 10.0), (2, 3, 5.0)))
     flows = make_flows([(1, 3, 20.0), (1, 2, 5.0)])
     matrix = _matrix_for(topo, flows, [(1, 2, 3), (1, 2)])
     result = simulate(matrix, flows, topo, "bottleneck")
-    for edge, util in result.link_utilization.items():
-        assert util <= 1.0 + 1e-9
+    assert result.per_flow_rate == {1: 5.0, 2: 2.0}
+    # delivered loads 5 + 2 = 7 on 1->2 and 5 on 2->3
+    assert result.link_utilization == {(1, 2): 7.0 / 10.0, (2, 3): 5.0 / 5.0}
 
 
 def _report_ratios(tmp_path, cect: SimResult, ecmp: SimResult) -> tuple[float, float]:
@@ -243,7 +255,7 @@ def _report_ratios(tmp_path, cect: SimResult, ecmp: SimResult) -> tuple[float, f
     for method, r in (("cect", cect), ("ecmp", ecmp)):
         lines.append(f"{method},1,0,{r.total_delivered!r},{r.loss_pct!r},{r.mu!r},0,0")
     (tmp_path / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(experiment.report(tmp_path)["ratio"], newline="", encoding="utf-8") as fh:
+    with open(experiment.report(tmp_path)["ratio_ecmp"], newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
     return float(row["throughput_ratio"]), float(row["loss_ratio_ecmp_over_cect"])
 
