@@ -10,7 +10,6 @@ from pathlib import Path
 
 from . import experiment
 from .errors import AssignmentFormatError, CectLabError, ConfigError
-from .exact import DEFAULT_BUDGET
 from .fluidsim import simulate
 from .ga import GaConfig
 from .routing import (
@@ -74,7 +73,7 @@ def _cmd_solve(args) -> int:
 
     ga_config = GaConfig(seed=args.seed, **cfg.ga)  # as a sweep cell builds it
     start = time.perf_counter()
-    assignment, stats = experiment.solve(args.method, flows, table, topo, ga_config, args.budget)
+    assignment, stats = experiment.solve(args.method, flows, table, topo, ga_config)
     elapsed = time.perf_counter() - start
 
     matrix = assemble(assignment, flows, table, topo)
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--method", choices=experiment.METHODS, default="cect")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", parents=[out_dir, config], help="evaluate a stored assignment")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ecmp import route_ecmp
 from .errors import CectLabError, ConfigError
-from .exact import DEFAULT_BUDGET, solve_exact
+from .exact import solve_exact
 from .fluidsim import MODELS, simulate
 from .ga import GaConfig, RunStats, run_cect
 from .routing import RoutingAssignment, assemble, format_assignment
@@ -146,7 +146,7 @@ _SETTINGS = {
     },
     "ga": {
         **{key: (key, int) for key in ("population_size", "max_iterations", "stall_window")},
-        **{key: (key, float) for key in ("mut_min", "mut_max", "mu_target", "penalty_weight")},
+        **{key: (key, float) for key in ("mut_min", "mut_max", "mu_target")},
     },
     "sim": {"model": ("sim_model", str)},
 }
@@ -258,10 +258,9 @@ def draw_flows(
 
 
 def solve(
-    method: str, flows: FlowSet, table: XPathTable, topology: Topology, ga_config: GaConfig,
-    budget: int = DEFAULT_BUDGET,
+    method: str, flows: FlowSet, table: XPathTable, topology: Topology, ga_config: GaConfig
 ) -> tuple[RoutingAssignment, RunStats | None]:
-    """Route flows by "cect" (reads ga_config), "ecmp", "shortest" or "exact" (budget).
+    """Route flows by "cect" (reads ga_config), "ecmp", "shortest" or "exact".
 
     "shortest" pins each flow to its first feasible label: its pair's first
     shortest path, the GA's row 0. Returns the assignment and cect's
@@ -275,7 +274,7 @@ def solve(
         ptr, labels = feasible_csr(table, flows)
         return RoutingAssignment(labels[ptr[:-1]]), None
     if method == "exact":
-        return solve_exact(flows, table, topology, budget)[0], None
+        return solve_exact(flows, table, topology)[0], None
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -8,9 +8,10 @@ the best chromosome is carried over unchanged and never mutated. The
 mutation rate switches to its high setting whenever the best fitness has
 stalled, to climb out of local optima.
 
-Fitness is the summed residual capacity over all links, minus a penalty
-proportional to any overload, so that routings violating capacity always
-rank below routings that merely use it.
+Fitness is the summed residual capacity over all links, minus the switch
+count times the summed overload. The penalty only weighs overload against
+residual capacity: an overloaded routing can still outrank one that fits,
+when the routing that fits spends more capacity on longer paths.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class GaConfig:
     """Solver knobs; defaults follow the published tuning.
 
     population_size None resolves to ceil(sqrt(n_flows * log2(n_switches))).
-    penalty_weight None resolves to the switch count. Row 0 of the initial
-    population is always the all-shortest-paths chromosome.
+    Row 0 of the initial population is always the all-shortest-paths
+    chromosome.
     """
 
     population_size: int | None = None
@@ -51,7 +52,6 @@ class GaConfig:
     stall_window: int = 10
     mu_target: float = HOT_SPOT_THRESHOLD
     seed: int | None = None
-    penalty_weight: float | None = None
 
     def __post_init__(self):
         if not 0 < self.mut_min <= self.mut_max <= 1:
@@ -64,9 +64,6 @@ class GaConfig:
             raise ValueError("mu_target must be positive")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
-        # NaN fails both bounds; a negative weight would reward overload
-        if self.penalty_weight is not None and not 0 <= self.penalty_weight < math.inf:
-            raise ValueError("penalty_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,12 +80,9 @@ class RunStats:
     """Per-generation trace plus the run's outcome flags."""
 
     rows: list[GenerationStats] = field(default_factory=list)
-    best_mu: float = math.inf
-    best_fitness: float = -math.inf
     feasible: bool = False
     generations: int = 0
     evaluations: int = 0
-    population_size: int = 0
 
 
 class _Instance:
@@ -258,20 +252,11 @@ def run_cect(
     """
     config = config or GaConfig()
     inst = _Instance(flowset, xpath_table, topology)
-    if config.penalty_weight is None:
-        penalty = topology.node_count
-    else:
-        penalty = int(round(config.penalty_weight))
     n_pop = config.population_size or default_population_size(
         flowset.count, topology.node_count
     )
     rng = np.random.default_rng(config.seed)
-    stats = RunStats(population_size=n_pop)
-
-    if flowset.count == 0:
-        stats.feasible = True
-        stats.best_mu = 0.0
-        return RoutingAssignment(np.zeros(0, dtype=np.int64)), 0.0, stats
+    stats = RunStats()
 
     genes = inst.random_genes(n_pop, rng)
     genes[0] = inst.shortest
@@ -285,7 +270,7 @@ def run_cect(
     generation = 0
 
     while True:
-        fit, mu = inst.evaluate(genes, penalty)
+        fit, mu = inst.evaluate(genes, topology.node_count)
         stats.evaluations += n_pop
 
         gen_best = int(np.argmax(fit))
@@ -332,7 +317,5 @@ def run_cect(
         generation += 1
 
     stats.generations = generation
-    stats.best_mu = best_mu
-    stats.best_fitness = best_fit_at_best_mu
     stats.feasible = best_mu <= config.mu_target
     return RoutingAssignment(best_genes.astype(np.int64)), best_mu, stats

@@ -121,8 +121,8 @@ def check_plr(topology: Topology, plr: float) -> None:
 def generate_flows(
     topology: Topology,
     n_flows: int,
-    class_mix: dict[str, float] | None = None,
-    plr: float = 0.5,
+    class_mix: dict[str, float],
+    plr: float,
     seed: int | None = None,
 ) -> FlowSet:
     """Draw a synthetic workload of n_flows demands.
@@ -135,7 +135,6 @@ def generate_flows(
     """
     if n_flows < 0:
         raise ValueError(f"flow count must be >= 0, got {n_flows}")
-    class_mix = class_mix or {"micro": 0.25, "small": 0.25, "medium": 0.25, "big": 0.25}
     check_mix(class_mix, plr)
     check_plr(topology, plr)
 

@@ -84,9 +84,7 @@ def check_path_bounds(x: int, cap_c: int | None) -> None:
         raise ValueError("per-pair cap cap_c must be >= 1")
 
 
-def precompute_xpaths(
-    topology: Topology, x: int = 10, cap_c: int | None = None
-) -> XPathTable:
+def precompute_xpaths(topology: Topology, x: int, cap_c: int | None = None) -> XPathTable:
     """Enumerate all simple paths with at most x edges between edge switches.
 
     Both ends lie in topology.edge_switches(), where flows start and end

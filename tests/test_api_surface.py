@@ -10,9 +10,12 @@ perfbench/ reads it as an attribute of anything but the argparse namespace
 counts as used when its handler, or a cli helper that the handler passes
 args to, reads args.<dest>. Code that only the tests call, constants and
 fields that only the tests read, and flags that nothing reads do not belong
-in src/. A flag may not copy a setting that a sweep config holds. The count
-of settable values (CLI arguments, INI keys, environment reads) is pinned,
-so a change that adds a setting has to say so here.
+in src/. A read counts by attribute name alone, so a field that shares its
+name with another dataclass's field would pass on the other's readers: two
+src/ dataclasses may share a field name only where SHARED_FIELDS names the
+readers of each. A flag may not copy a setting that a sweep config holds.
+The count of settable values (CLI arguments, INI keys, environment reads) is
+pinned, so a change that adds a setting has to say so here.
 """
 
 from __future__ import annotations
@@ -93,6 +96,19 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _dataclass_fields(trees: dict[Path, ast.Module]):
+    """(qualified class name, field name) of every field of a src/ dataclass."""
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{path.stem}.{node.name}", item.target.id
+
+
 def _unread_fields() -> list[str]:
     trees = _trees()
     reads = {
@@ -102,22 +118,37 @@ def _unread_fields() -> list[str]:
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
-    unread = []
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
-        for node in tree.body:
-            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
-                continue
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    if item.target.id not in reads:
-                        unread.append(f"{path.stem}.{node.name}.{item.target.id}")
-    return unread
+    return [f"{owner}.{name}" for owner, name in _dataclass_fields(trees) if name not in reads]
 
 
 def test_every_dataclass_field_is_read():
     assert _unread_fields() == []
+
+
+# Field names that more than one src/ dataclass declares, each with the
+# readers of every declaration: the read guard above cannot tell them apart.
+SHARED_FIELDS = {
+    "mu": "RoutingMatrix.mu: cli solve, experiment._run_workload and fluidsim.simulate; "
+          "SimResult.mu: cli simulate and perfbench's simulation checks",
+    "edge_ids": "RoutingMatrix.edge_ids: routing.validate and routing.flow_edge_csr; "
+                "XPathTable.edge_ids: XPathTable.label_edge_csr",
+    "edge_keys": "RoutingMatrix.edge_keys: routing.validate and fluidsim.simulate; "
+                 "Topology.edge_keys: Topology.check_edge_keys, routing._matrix, ecmp and xpath",
+}
+
+
+def _shared_field_names() -> dict[str, list[str]]:
+    owners: dict[str, list[str]] = {}
+    for owner, name in _dataclass_fields(_trees()):
+        owners.setdefault(name, []).append(owner)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_no_two_dataclasses_share_an_unlisted_field_name():
+    shared = _shared_field_names()
+    assert {name: classes for name, classes in shared.items() if name not in SHARED_FIELDS} == {}
+    # a listed name that no longer repeats is stale: take it off the list
+    assert set(SHARED_FIELDS) <= set(shared)
 
 
 def _args_reads(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
@@ -180,9 +211,9 @@ def _settable_values() -> int:
 
 
 def test_settable_value_count_is_pinned():
-    # 27 flags, 24 INI keys, no environment variable.
+    # 26 flags, 23 INI keys, no environment variable.
     # A change that adds or removes a setting updates this number.
-    assert _settable_values() == 51
+    assert _settable_values() == 49
 
 
 def _options_copying_a_setting() -> list[str]:

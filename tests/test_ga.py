@@ -19,7 +19,7 @@ from cect_lab.ga import (
     uniform_crossover,
 )
 from cect_lab.routing import RoutingAssignment, assemble, validate
-from cect_lab.topology import make_fat_tree, make_sample_topology
+from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import XPathTable, feasible_csr, feasible_labels, precompute_xpaths
 
@@ -83,6 +83,24 @@ def test_fitness_overload_penalty(fig2a):
     # residual sum 40-12=28, overload 2 on the direct edge, penalty weight 3
     assert _fitness(flows, table, topo, 3) == pytest.approx(22.0)
     assert _fitness(flows, table, topo, 3, penalty=10) == pytest.approx(8.0)
+
+
+def test_overload_can_outrank_a_longer_path_that_fits():
+    # the penalty weighs overload against residual capacity, so a direct path
+    # that overloads 3 -> 2 outranks the two-hop detour that stays far below it
+    topo = Topology(nodes=(1, 2, 3), links=((3, 2, 10.0), (3, 1, 100.0), (1, 2, 100.0)))
+    table = precompute_xpaths(topo, x=2)
+    flows = make_flows([(3, 2, 10.5)])
+    direct, detour = feasible_labels(table, 3, 2)
+    fit, mu = _Instance(flows, table, topo).evaluate(
+        _genes(direct, detour).reshape(2, 1), topo.node_count
+    )
+    # direct: 210 - 10.5 residual, minus 3 * 0.5 overload; detour: 210 - 2 * 10.5
+    assert fit.tolist() == [198.0, 189.0]
+    assert mu.tolist() == [1.05, 0.105]
+    # the GA keeps the routing of least mu, not the fittest one
+    assignment, best_mu, _ = run_cect(flows, table, topo, GaConfig(seed=0))
+    assert assignment.labels.tolist() == [detour] and best_mu == 0.105
 
 
 def test_infeasible_gene_is_rejected_by_assemble(fig2a):
@@ -522,7 +540,7 @@ def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
     rows = [dataclasses.astuple(row) for row in stats.rows]
     assert assignment.labels.dtype == np.int64
     assert hashlib.sha256(assignment.labels.tobytes()).hexdigest() == labels_sha
-    assert mu == stats.best_mu == best_mu
+    assert mu == best_mu
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
 
 

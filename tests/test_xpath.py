@@ -348,7 +348,8 @@ def test_endpoint_table_routes_like_the_all_pairs_table():
     def hops(assignment, flows, tab):
         return hops_of(tab, assignment.labels)
 
-    flows = generate_flows(topo, 300, plr=0.7, seed=11)
+    even = {"micro": 0.25, "small": 0.25, "medium": 0.25, "big": 0.25}
+    flows = generate_flows(topo, 300, even, plr=0.7, seed=11)
     config = GaConfig(max_iterations=30, seed=5)
     ga_new, mu_new, stats_new = run_cect(flows, table, topo, config)
     ga_all, mu_all, stats_all = run_cect(flows, full, flat, config)
