@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from . import experiment
-from .errors import AssignmentFormatError, CectLabError, ConfigError
+from .errors import AssignmentFormatError, CectLabError
 from .fluidsim import simulate
 from .ga import GaConfig
 from .routing import (
@@ -19,8 +19,8 @@ from .routing import (
     parse_assignment_dump,
     validate,
 )
-from .topology import UNITS_PER_BW, load_topology, save_topology
-from .traffic import check_plr, load_flows, save_flows
+from .topology import UNITS_PER_BW, save_topology
+from .traffic import load_flows, save_flows
 from .xpath import format_table, precompute_xpaths
 
 
@@ -37,13 +37,9 @@ def _cmd_gen_topo(args) -> int:
 
 
 def _cmd_gen_traffic(args) -> int:
-    topo = load_topology(args.topo)
     cfg = _config(args)
-    try:
-        check_plr(topo, cfg.plr)
-    except ValueError as exc:  # name where the plr came from, as a sweep's ConfigError does
-        source = args.config or f"{cfg.plr} is the default; a --config file sets [traffic] plr"
-        raise ConfigError(f"[traffic] {exc}, and {args.topo} has no pods ({source})") from exc
+    topo = experiment.build_topology(cfg)
+    experiment.check_pods(cfg, topo, args.config)
     flows = experiment.draw_flows(cfg, topo, args.n, args.seed)
     save_flows(flows, args.out)
     print(f"wrote {flows.count} flows to {args.out}")
@@ -52,7 +48,7 @@ def _cmd_gen_traffic(args) -> int:
 
 def _cmd_paths(args) -> int:
     cfg = _config(args)
-    topo = load_topology(args.topo)
+    topo = experiment.build_topology(cfg)
     table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     text = format_table(table)
     if args.out:
@@ -65,7 +61,7 @@ def _cmd_paths(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _config(args)
-    topo = load_topology(args.topo)
+    topo = experiment.build_topology(cfg)
     flows = load_flows(args.flows)
     table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     out_dir = Path(args.out_dir or ".")
@@ -105,7 +101,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _config(args)
-    topo = load_topology(args.topo)
+    topo = experiment.build_topology(cfg)
     flows = load_flows(args.flows)
     try:
         dump = parse_assignment_dump(Path(args.assignment).read_text(encoding="utf-8"))
@@ -184,24 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_topo)
 
     p = sub.add_parser("gen-traffic", parents=[seed, config], help="write a synthetic flow file")
-    p.add_argument("--topo", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_traffic)
 
     p = sub.add_parser("paths", parents=[config], help="enumerate bounded-hop paths")
-    p.add_argument("--topo", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("solve", parents=[seed, out_dir, config], help="route a flow set")
-    p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--method", choices=experiment.METHODS, default="cect")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", parents=[out_dir, config], help="evaluate a stored assignment")
-    p.add_argument("--topo", required=True)
     p.add_argument("--flows", required=True)
     p.add_argument("--assignment", required=True)
     p.set_defaults(func=_cmd_simulate)

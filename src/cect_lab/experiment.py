@@ -232,6 +232,14 @@ def build_topology(cfg: ExperimentConfig) -> Topology:
     return load_topology(cfg.topo_file)
 
 
+def check_pods(cfg: ExperimentConfig, topology: Topology, config_path) -> None:
+    """Raise a ConfigError naming config_path when its plr needs pods the topology lacks."""
+    try:
+        check_plr(topology, cfg.plr)
+    except ValueError as exc:
+        raise ConfigError(f"{config_path}: [traffic] {exc}") from exc
+
+
 def cell_seeds(master_seed: int, n_flows: int, seed_index: int) -> tuple[int, int]:
     """Deterministic (traffic, solver) seeds for one sweep cell.
 
@@ -343,10 +351,7 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     data = _read_config(config_path)
     cfg = _parse_config(data, config_path)
     topology = build_topology(cfg)
-    try:
-        check_plr(topology, cfg.plr)
-    except ValueError as exc:
-        raise ConfigError(f"{config_path}: [traffic] {exc}") from exc
+    check_pods(cfg, topology, config_path)
     state = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
 
     workloads = [(n, s) for n in cfg.n_flows_list for s in range(cfg.n_seeds)]

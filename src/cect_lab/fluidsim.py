@@ -125,7 +125,7 @@ def run_volume_schedule(
     read once; each step gathers the active rows of it. Raises ValueError
     naming the flow of a NaN, negative or unknown volume, or volume left after max_steps.
     """
-    if interval <= 0:
+    if not interval > 0:  # NaN fails too
         raise ValueError("interval must be positive")
     ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
     if unknown := volumes.keys() - range(1, flowset.count + 1):

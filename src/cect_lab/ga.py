@@ -93,6 +93,7 @@ class _Instance:
         self.label_ptr, self.label_edges = table.label_edge_csr(topology)
         self.demands = flowset.demand_units()
         self.caps = topology.cap_units
+        self.penalty = topology.node_count  # the overload weight of the fitness
         self.n_edges = len(self.caps)
 
         self.feas_ptr, feas_labels = feasible_csr(table, flowset)
@@ -116,14 +117,14 @@ class _Instance:
             self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
             self.label_pad[1:][np.arange(width) < hops[:, None]] = self.label_edges
 
-    def evaluate(self, genes: np.ndarray, penalty: int) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.groups is not None and self.gene_demands.shape != genes.shape:
             # the aggregated form weighs each gene; build the weights once
             self.gene_demands = np.tile(self.demands.astype(np.float64), (len(genes), 1))
         loads = kernels.population_loads(
             genes, self.label_ptr, self.label_pad, self.gene_demands, self.n_edges, self.groups
         )
-        return kernels.fitness_mu(loads, self.caps, penalty)
+        return kernels.fitness_mu(loads, self.caps, self.penalty)
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
         """n_members int32 chromosomes of genes uniform over each flow's feasible labels,
@@ -270,7 +271,7 @@ def run_cect(
     generation = 0
 
     while True:
-        fit, mu = inst.evaluate(genes, topology.node_count)
+        fit, mu = inst.evaluate(genes)
         stats.evaluations += n_pop
 
         gen_best = int(np.argmax(fit))

@@ -84,12 +84,12 @@ def check_path_bounds(x: int, cap_c: int | None) -> None:
         raise ValueError("per-pair cap cap_c must be >= 1")
 
 
-def precompute_xpaths(topology: Topology, x: int, cap_c: int | None = None) -> XPathTable:
+def precompute_xpaths(topology: Topology, x: int, cap_c: int | None) -> XPathTable:
     """Enumerate all simple paths with at most x edges between edge switches.
 
     Both ends lie in topology.edge_switches(), where flows start and end
     (every switch of a pod-less topology); the hops between may be any
-    switch. When cap_c is given, each (src, dst) pair keeps only its cap_c
+    switch. When cap_c is not None, each (src, dst) pair keeps only its cap_c
     shortest paths (ties broken by hop sequence). Labels are dense 1..N over
     the retained paths, ordered by (length, src, dst, hop sequence).
     """

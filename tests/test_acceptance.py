@@ -81,7 +81,7 @@ def criterion(number: int, name: str):
 def test_criterion_1_golden_path_enumeration():
     with criterion(1, "golden path enumeration"):
         start = time.perf_counter()
-        table_a = precompute_xpaths(make_sample_topology("fig2a"), x=3)
+        table_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=None)
         assert dict(enumerate(all_hops(table_a), 1)) == {
             1: (1, 2),
             2: (2, 1),
@@ -90,7 +90,7 @@ def test_criterion_1_golden_path_enumeration():
             5: (3, 2, 1),
             6: (3, 1, 2),
         }
-        table_b = precompute_xpaths(make_sample_topology("fig2b"), x=3)
+        table_b = precompute_xpaths(make_sample_topology("fig2b"), x=3, cap_c=None)
         published = {
             (1, 2), (2, 1), (3, 2), (3, 4), (4, 1), (4, 3),
             (1, 3, 2), (1, 3, 4), (3, 4, 1), (4, 1, 3), (4, 1, 2), (4, 3, 2),
@@ -124,7 +124,7 @@ def test_criterion_3_oracle_optimality_gap():
             topo = random_topology(
                 rng, int(rng.integers(3, 7)), edge_prob=0.5, capacity=10.0
             )
-            table = precompute_xpaths(topo, x=3)
+            table = precompute_xpaths(topo, x=3, cap_c=None)
             pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
@@ -280,7 +280,7 @@ def test_criterion_7_constraint_suite():
         checked = 0
         while checked < 10_000:
             topo = random_topology(rng, int(rng.integers(3, 8)), edge_prob=0.5)
-            table = precompute_xpaths(topo, x=3)
+            table = precompute_xpaths(topo, x=3, cap_c=None)
             pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
@@ -321,7 +321,7 @@ def test_criterion_7_constraint_suite():
         assert set(breaches) == set(ALL_RULES)
 
         # crossover multiset law
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         p1 = np.array([1, 7, 9], dtype=np.int64)
         p2 = np.array([1, 3, 4], dtype=np.int64)
         parents = np.stack([p1, p2])
@@ -333,7 +333,7 @@ def test_criterion_7_constraint_suite():
         # mutation redraw count obeys the binomial law at 3 sigma
         n, rate, seed = 10_000, 0.2, 777
         flowset = make_flows([(3, 1, 1.0)] * n)
-        tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3)
+        tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=None)
         base = np.full((1, n), 3, dtype=np.int64)
         feas_ptr, feas_labels = feasible_csr(tab_a, flowset)
         multipoint_mutate(base, rate, feas_ptr, feas_labels, np.random.default_rng(seed))
@@ -397,7 +397,7 @@ def test_criterion_9_simulator_sanity():
         checked = 0
         while checked < 25:
             topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
-            table = precompute_xpaths(topo, x=3)
+            table = precompute_xpaths(topo, x=3, cap_c=None)
             pairs = list(labels_by_pair(table))
             if not pairs:
                 continue

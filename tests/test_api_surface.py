@@ -211,9 +211,9 @@ def _settable_values() -> int:
 
 
 def test_settable_value_count_is_pinned():
-    # 26 flags, 23 INI keys, no environment variable.
+    # 22 flags, 23 INI keys, no environment variable.
     # A change that adds or removes a setting updates this number.
-    assert _settable_values() == 49
+    assert _settable_values() == 45
 
 
 def _options_copying_a_setting() -> list[str]:

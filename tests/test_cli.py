@@ -15,7 +15,7 @@ from cect_lab.ga import GaConfig
 from cect_lab.routing import assemble, matrix_from_paths, parse_assignment_dump
 from cect_lab.topology import load_topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import Flow, FlowSet, load_flows
-from cect_lab.xpath import feasible_labels, precompute_xpaths
+from cect_lab.xpath import feasible_labels, format_table, precompute_xpaths
 
 BASE_CONFIG = """
 [experiment]
@@ -179,16 +179,14 @@ def test_every_method_routes_an_empty_flow_set(tmp_path):
         assert assemble(assignment, flows, table, topo).mu == 0.0
         if method == "cect":  # the first population already meets the target
             assert (stats.generations, stats.evaluations, len(stats.rows)) == (0, 2, 1)
-    topo_file, flows_file = tmp_path / "topo.txt", tmp_path / "flows.txt"
-    assert main(["gen-topo", "--out", str(topo_file)]) == 0
-    assert main(["gen-traffic", "--topo", str(topo_file), "--n", "0",
-                 "--out", str(flows_file)]) == 0
+    flows_file = tmp_path / "flows.txt"
+    assert main(["gen-traffic", "--n", "0", "--out", str(flows_file)]) == 0
     for method in experiment.METHODS:
         out = tmp_path / method
-        assert main(["solve", "--topo", str(topo_file), "--flows", str(flows_file),
-                     "--method", method, "--out-dir", str(out)]) == 0
+        assert main(["solve", "--flows", str(flows_file), "--method", method,
+                     "--out-dir", str(out)]) == 0
         assert (out / "assignment.txt").read_text(encoding="utf-8") == ""
-        assert main(["simulate", "--topo", str(topo_file), "--flows", str(flows_file),
+        assert main(["simulate", "--flows", str(flows_file),
                      "--assignment", str(out / "assignment.txt"), "--out-dir", str(out)]) == 0
         assert _read_csv(out / "summary.csv") == [{"throughput": "0", "loss_pct": "0", "mu": "0"}]
 
@@ -520,22 +518,23 @@ plr = 0.5
 [ga]
 max_iterations = 5
 """)
+    # the saved topology is the config's, for editing into a [topology] kind = file input
     assert main(["gen-topo", "--config", config, "--out", str(topo)]) == 0
+    assert load_topology(topo) == make_fat_tree(4)
     assert main([
-        "gen-traffic", "--config", config, "--topo", str(topo), "--n", "40", "--seed", "3",
+        "gen-traffic", "--config", config, "--n", "40", "--seed", "3",
         "--out", str(flows),
     ]) == 0
     solve_dir = tmp_path / "solved"
     assert main([
-        "solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
-        "--method", "cect", "--seed", "1", "--out-dir", str(solve_dir),
+        "solve", "--config", config, "--flows", str(flows), "--method", "cect", "--seed", "1", "--out-dir", str(solve_dir),
     ]) == 0
     assert (solve_dir / "assignment.txt").exists()
     assert (solve_dir / "stats.csv").exists()
     assert (solve_dir / "edge_loads.csv").exists()
     sim_dir = tmp_path / "sim"
     assert main([
-        "simulate", "--config", config, "--topo", str(topo), "--flows", str(flows),
+        "simulate", "--config", config, "--flows", str(flows),
         "--assignment", str(solve_dir / "assignment.txt"),
         "--out-dir", str(sim_dir),
     ]) == 0
@@ -579,16 +578,16 @@ def test_cli_chain_rebuilds_every_sweep_cell(tmp_path, variant):
         cell_dir = tmp_path / f"{method}_{n}_{s}"
         flows = cell_dir / "flows.txt"
         cell_dir.mkdir()
-        assert main(["gen-traffic", "--config", config, "--topo", str(topo), "--n", str(n),
+        assert main(["gen-traffic", "--config", config, "--n", str(n),
                      "--seed", str(cell["traffic_seed"]), "--out", str(flows)]) == 0
         assert flows.read_bytes() == (out / "flows" / f"flows_{n}_{s}.txt").read_bytes()
         merged += n - load_flows(flows).count
-        assert main(["solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
+        assert main(["solve", "--config", config, "--flows", str(flows),
                      "--method", method, "--seed", str(cell["solver_seed"]),
                      "--out-dir", str(cell_dir)]) == 0
         dump = cell_dir / "assignment.txt"
         assert dump.read_bytes() == (out / "assignments" / f"{method}_{n}_{s}.txt").read_bytes()
-        assert main(["simulate", "--config", config, "--topo", str(topo), "--flows", str(flows),
+        assert main(["simulate", "--config", config, "--flows", str(flows),
                      "--assignment", str(dump), "--out-dir", str(cell_dir)]) == 0
         (summary,) = _read_csv(cell_dir / "summary.csv")
         row = rows[(method, str(n), str(s))]
@@ -598,9 +597,8 @@ def test_cli_chain_rebuilds_every_sweep_cell(tmp_path, variant):
 
 def test_solve_config_sets_every_ga_key(tmp_path, monkeypatch):
     # solve builds GaConfig(seed=--seed, **[ga]) exactly as a sweep cell does
-    topo, flows = tmp_path / "topo.txt", tmp_path / "flows.txt"
-    main(["gen-topo", "--out", str(topo)])
-    main(["gen-traffic", "--topo", str(topo), "--n", "20", "--seed", "1", "--out", str(flows)])
+    flows = tmp_path / "flows.txt"
+    main(["gen-traffic", "--n", "20", "--seed", "1", "--out", str(flows)])
     seen = []
     original = experiment.solve
 
@@ -609,7 +607,7 @@ def test_solve_config_sets_every_ga_key(tmp_path, monkeypatch):
         return original(method, flows, table, topology, ga_config)
 
     monkeypatch.setattr(experiment, "solve", recording_solve)
-    base = ["solve", "--topo", str(topo), "--flows", str(flows), "--out-dir", str(tmp_path)]
+    base = ["solve", "--flows", str(flows), "--out-dir", str(tmp_path)]
     assert main(base) == 0
     config = _ini(tmp_path, """
 [experiment]
@@ -632,14 +630,12 @@ mu_target = 0.5
 
 
 def test_gen_traffic_rejects_a_negative_flow_count(tmp_path, capsys):
-    topo, flows = tmp_path / "topo.txt", tmp_path / "flows.txt"
-    main(["gen-topo", "--out", str(topo)])
-    capsys.readouterr()
-    assert main(["gen-traffic", "--topo", str(topo), "--n", "-5", "--out", str(flows)]) == 2
+    flows = tmp_path / "flows.txt"
+    assert main(["gen-traffic", "--n", "-5", "--out", str(flows)]) == 2
     assert "flow count must be >= 0, got -5" in capsys.readouterr().err
     assert not flows.exists()
     # zero flows is a valid, empty workload
-    assert main(["gen-traffic", "--topo", str(topo), "--n", "0", "--out", str(flows)]) == 0
+    assert main(["gen-traffic", "--n", "0", "--out", str(flows)]) == 0
     assert flows.read_text(encoding="utf-8") == ""
 
 
@@ -655,34 +651,64 @@ def _readme_commands() -> list[list[str]]:
 
 
 def test_readme_exact_quick_start_runs(tmp_path, monkeypatch, capsys):
-    # the quick start writes its config with a here-document, then runs the commands
+    # the quick start writes its config with a here-document, then runs every command
     files = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", _readme_quick_start(), re.M | re.S)
     assert [name for name, _ in files] == ["lab.ini"]
     commands = _readme_commands()
-    exact = [c for c in commands if c[0] == "solve" and "exact" in c]
-    assert len(exact) == 1
-    flows_file = exact[0][exact[0].index("--flows") + 1]
-    needed = [commands[0]] + [
-        c for c in commands if c[0] == "gen-traffic" and flows_file in c
-    ] + exact
-    assert needed[0][0] == "gen-topo" and len(needed) == 3
+    assert [c[0] for c in commands] == [
+        "gen-topo", "gen-traffic", "paths", "solve", "solve", "solve", "gen-traffic", "solve",
+        "simulate",
+    ]
     assert all(c[c.index("--config") + 1] == "lab.ini" for c in commands)
     monkeypatch.chdir(tmp_path)
     for name, body in files:
         (tmp_path / name).write_text(body, encoding="utf-8")
-    for argv in needed:
+    for argv in commands:
         assert main(argv) == 0, argv
     out = capsys.readouterr().out
     assert "method=exact flows=6 mu=0.0050" in out
-    assert (tmp_path / "exact" / "assignment.txt").exists()
+    for name in ("topo.txt", "flows.txt", "paths.txt", "few.txt"):
+        assert (tmp_path / name).exists()
+    for out_dir in ("solved", "ecmp", "shortest", "exact"):
+        assert (tmp_path / out_dir / "assignment.txt").exists()
+    assert (tmp_path / "sim" / "summary.csv").exists()
+
+
+def test_every_command_reads_the_topology_from_its_config(tmp_path, capsys):
+    # k = 6 in the config: the table, the flows, the routing and the simulation
+    # are the k=6 fabric's, and no flag can name another topology
+    config = _ini(tmp_path, "[topology]\nk = 6\n")
+    cfg = experiment.load_config(config)
+    topo = make_fat_tree(6)
+    table, flows, out = tmp_path / "paths.txt", tmp_path / "flows.txt", tmp_path / "out"
+    commands = [
+        ["paths", "--config", config, "--out", str(table)],
+        ["gen-traffic", "--config", config, "--n", "30", "--seed", "2", "--out", str(flows)],
+        ["solve", "--config", config, "--flows", str(flows), "--method", "ecmp",
+         "--out-dir", str(out)],
+        ["simulate", "--config", config, "--flows", str(flows),
+         "--assignment", str(out / "assignment.txt"), "--out-dir", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert table.read_text(encoding="utf-8") == format_table(precompute_xpaths(topo, 4, 50))
+    assert load_flows(flows) == experiment.draw_flows(cfg, topo, 30, 2)
+    ends = {end for f in load_flows(flows).flows for end in (f.src, f.dst)}
+    assert ends - set(make_fat_tree(4).edge_switches())  # k=4 access switches are 1..8
+    for name in ("edge_loads.csv", "per_edge.csv"):
+        rows = _read_csv(out / name)
+        assert [(int(r["src"]), int(r["dst"])) for r in rows] == [l[:2] for l in topo.links]
+    capsys.readouterr()
+    for argv in commands:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--topo", str(tmp_path / "topo.txt")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --topo" in capsys.readouterr().err
 
 
 def test_cli_paths_golden(tmp_path, capsys):
-    topo = tmp_path / "topo.txt"
     config = _ini(tmp_path, "[topology]\nkind = fig2a\ncapacity = 10\n[paths]\nx = 3\n")
-    main(["gen-topo", "--config", config, "--out", str(topo)])
-    capsys.readouterr()
-    assert main(["paths", "--config", config, "--topo", str(topo)]) == 0
+    assert main(["paths", "--config", config]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "label 1: 1 -> 2",
@@ -697,13 +723,10 @@ def test_cli_paths_golden(tmp_path, capsys):
 @pytest.mark.parametrize("method", ["cect", "ecmp", "exact"])
 def test_solve_rejects_flows_that_do_not_join_access_switches(tmp_path, capsys, method):
     # the path table joins access switches only; 9 is an aggregation switch
-    topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"
-    main(["gen-topo", "--out", str(topo)])
     flows.write_text("flow 1 1 5 1.0 custom\nflow 2 9 3 1.0 custom\n", encoding="utf-8")
-    capsys.readouterr()
     code = main(["solve", "--config", _ini(tmp_path, "[paths]\nx = 4\ncap_c = 4\n"),
-                 "--topo", str(topo), "--flows", str(flows), "--method", method,
+                 "--flows", str(flows), "--method", method,
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "flow 2 (9 -> 3) has no feasible path" in capsys.readouterr().err
@@ -711,7 +734,7 @@ def test_solve_rejects_flows_that_do_not_join_access_switches(tmp_path, capsys, 
     dump = tmp_path / "assignment.txt"
     dump.write_text("flow 1 via 7: 1 -> 9 -> 17 -> 13 -> 5\nflow 2 via 3: 9 -> 17 -> 11 -> 3\n",
                     encoding="utf-8")
-    assert main(["simulate", "--topo", str(topo), "--flows", str(flows),
+    assert main(["simulate", "--flows", str(flows),
                  "--assignment", str(dump), "--out-dir", str(tmp_path / "sim")]) == 0
 
 
@@ -719,16 +742,14 @@ EVEN_MIX = "mix = micro=0.25,small=0.25,medium=0.25,big=0.25\n"
 
 
 def test_cli_solve_methods_agree_on_files(tmp_path):
-    topo = tmp_path / "topo.txt"
     flows = tmp_path / "flows.txt"
     config = _ini(tmp_path, f"[paths]\nx = 4\ncap_c = 4\n[traffic]\n{EVEN_MIX}plr = 1.0\n")
-    main(["gen-topo", "--config", config, "--out", str(topo)])
-    main(["gen-traffic", "--config", config, "--topo", str(topo), "--n", "6",
+    main(["gen-traffic", "--config", config, "--n", "6",
           "--seed", "2", "--out", str(flows)])
     for method in ("ecmp", "exact"):
         out_dir = tmp_path / method
         code = main([
-            "solve", "--config", config, "--topo", str(topo), "--flows", str(flows),
+            "solve", "--config", config, "--flows", str(flows),
             "--method", method, "--out-dir", str(out_dir),
         ])
         assert code == 0
@@ -740,19 +761,22 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "x.txt")]) == 2
     assert main(["gen-topo", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "x.txt")]) == 2
-    assert main(["paths", "--topo", str(tmp_path / "missing.txt")]) == 2
+    missing = _ini(tmp_path, f"[topology]\nkind = file\npath = {tmp_path / 'missing.txt'}\n",
+                   "missing_topo.ini")
+    assert main(["paths", "--config", missing]) == 2
     assert main(["report", "--results", str(tmp_path)]) == 2
     topo, flows = tmp_path / "inf.txt", tmp_path / "flows.txt"
     topo.write_text("node 1\nnode 2\nedge 1 2 inf\nedge 2 1 1\n", encoding="utf-8")
     flows.write_text("flow 1 1 2 1.0 custom\n", encoding="utf-8")
-    assert main(["solve", "--topo", str(topo), "--flows", str(flows), "--method", "ecmp"]) == 2
+    config = _ini(tmp_path, f"[topology]\nkind = file\npath = {topo}\n", "inf.ini")
+    assert main(["solve", "--config", config, "--flows", str(flows), "--method", "ecmp"]) == 2
 
 
 def test_solve_rejects_an_unknown_method():
     topo = make_sample_topology("fig2a", 10.0)
     flows = FlowSet(flows=(Flow(id=1, src=3, dst=1, demand=1.0),))
     with pytest.raises(ValueError, match="unknown method 'ospf'"):
-        experiment.solve("ospf", flows, precompute_xpaths(topo, x=3), topo, GaConfig())
+        experiment.solve("ospf", flows, precompute_xpaths(topo, x=3, cap_c=None), topo, GaConfig())
 
 
 @pytest.mark.parametrize("command, file, text, names", [
@@ -767,29 +791,29 @@ def test_solve_rejects_an_unknown_method():
     ("simulate", "flows", "flow 1 1 99999999999999999999999 1.0 custom\n", "line "),
     # a path that is a directory, not a file (None)
     ("solve", "topo", None, ""),
-    # fig2a has no pods, and without --config plr is the default 0.7: the
-    # message names the setting, its default and where to set it
-    ("gen-traffic", "topo", "node 1\nnode 2\nnode 3\nedge 1 2 10\nedge 2 1 10\nedge 3 1 10\n"
-     "edge 3 2 10\n",
-     r"\[traffic\] plr 0\.7 needs a pod-labeled topology.*"
-     r"\(0\.7 is the default; a --config file sets \[traffic\] plr\)"),
+    # fig2a has no pods, and the config leaves plr at its default 0.7
+    ("gen-traffic", "config", "[topology]\nkind = fig2a\n",
+     r": \[traffic\] plr 0\.7 needs a pod-labeled topology"),
 ], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64", "directory",
         "default-plr-without-pods"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text,
                                                       names):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
+    # the topology is a saved file, which the config names
+    paths["config"] = tmp_path / "lab.ini"
+    paths["config"].write_text(f"[topology]\nkind = file\npath = {paths['topo']}\n",
+                               encoding="utf-8")
     main(["gen-topo", "--out", str(paths["topo"])])
     paths["flows"].write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
     paths["assignment"].write_text("flow 1 via 1: 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
-    argv = {
-        "paths": ["paths", "--topo", str(paths["topo"]), "--out", str(tmp_path / "paths.txt")],
-        "simulate": ["simulate", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
-                     "--assignment", str(paths["assignment"]), "--out-dir", str(tmp_path / "out")],
-        "solve": ["solve", "--topo", str(paths["topo"]), "--flows", str(paths["flows"]),
-                  "--method", "ecmp", "--out-dir", str(tmp_path / "out")],
-        "gen-traffic": ["gen-traffic", "--topo", str(paths["topo"]), "--n", "3",
-                        "--out", str(tmp_path / "drawn.txt")],
-    }[command]
+    argv = [command, "--config", str(paths["config"]), *{
+        "paths": ["--out", str(tmp_path / "paths.txt")],
+        "simulate": ["--flows", str(paths["flows"]), "--assignment", str(paths["assignment"]),
+                     "--out-dir", str(tmp_path / "out")],
+        "solve": ["--flows", str(paths["flows"]), "--method", "ecmp",
+                  "--out-dir", str(tmp_path / "out")],
+        "gen-traffic": ["--n", "3", "--out", str(tmp_path / "drawn.txt")],
+    }[command]]
     assert main(argv) == 0  # the command runs on the good files
     if text is None:
         paths[file].unlink()
@@ -806,14 +830,12 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
 
 
 def test_cli_simulate_rejects_a_looping_path(tmp_path, capsys):
-    topo, flows, dump = (tmp_path / name for name in ("topo.txt", "flows.txt", "dump.txt"))
-    main(["gen-topo", "--out", str(topo)])
+    flows, dump = tmp_path / "flows.txt", tmp_path / "dump.txt"
     flows.write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
     # ends and edges are the fabric's, but 1 -> 9 is crossed twice
     dump.write_text("flow 1 via 1: 1 -> 9 -> 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
     out = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["simulate", "--topo", str(topo), "--flows", str(flows),
+    assert main(["simulate", "--flows", str(flows),
                  "--assignment", str(dump), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dump}: flow 1: ") and "Traceback" not in err
@@ -829,16 +851,15 @@ def test_gen_topo_tier_capacities_reach_the_fat_tree(tmp_path):
 
 
 def test_solve_shortest_and_exact_budget(tmp_path, capsys):
-    topo_file, flows_file = tmp_path / "topo.txt", tmp_path / "flows.txt"
+    flows_file = tmp_path / "flows.txt"
     config = _ini(tmp_path, f"[traffic]\n{EVEN_MIX}plr = 1.0\n")
-    main(["gen-topo", "--config", config, "--out", str(topo_file)])
-    main(["gen-traffic", "--config", config, "--topo", str(topo_file), "--n", "40",
+    main(["gen-traffic", "--config", config, "--n", "40",
           "--seed", "4", "--out", str(flows_file)])
-    base = ["solve", "--config", config, "--topo", str(topo_file), "--flows", str(flows_file)]
+    base = ["solve", "--config", config, "--flows", str(flows_file)]
     out = tmp_path / "shortest"
     assert main([*base, "--method", "shortest", "--out-dir", str(out)]) == 0
     dump = parse_assignment_dump((out / "assignment.txt").read_text(encoding="utf-8"))
-    topo, flows = load_topology(topo_file), load_flows(flows_file)
+    topo, flows = make_fat_tree(4), load_flows(flows_file)
     table = precompute_xpaths(topo, 4, 50)
     first = [feasible_labels(table, f.src, f.dst)[0] for f in flows.flows]
     assert [label for label, _ in dump.values()] == first

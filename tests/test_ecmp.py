@@ -21,7 +21,7 @@ from helpers import bfs_distance, labels_by_pair, make_flows, random_topology
 
 def test_single_shortest_path_always_chosen():
     topo = make_sample_topology("fig2a", 10.0)
-    table = precompute_xpaths(topo, x=3)
+    table = precompute_xpaths(topo, x=3, cap_c=None)
     flows = make_flows([(1, 2, 1.0)] * 5)
     assignment = route_ecmp(flows, topo, table)
     assert assignment.labels.tolist() == [1] * 5
@@ -40,7 +40,7 @@ def test_chosen_paths_are_bfs_shortest():
     rng = np.random.default_rng(1)
     for _ in range(10):
         topo = random_topology(rng, 6, edge_prob=0.5)
-        table = precompute_xpaths(topo, x=4)
+        table = precompute_xpaths(topo, x=4, cap_c=None)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -152,7 +152,7 @@ SOLVERS = {
     ids=["unreachable", "hop-bound", "to-aggregation", "unknown-above", "unknown-below"],
 )
 def test_every_solver_names_the_flow_without_a_path(topo, x, dst):
-    table = precompute_xpaths(topo, x=x)
+    table = precompute_xpaths(topo, x=x, cap_c=None)
     flows = make_flows([(1, 2, 1.0), (2, dst, 1.0)])
     for solve in SOLVERS.values():
         with pytest.raises(NoFeasiblePathError, match=rf"flow 2 \(2 -> {dst}\)"):

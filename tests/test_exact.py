@@ -16,7 +16,7 @@ from helpers import labels_by_pair, make_flows, random_topology
 @pytest.fixture(scope="module")
 def fig2a():
     topo = make_sample_topology("fig2a", 10.0)
-    return topo, precompute_xpaths(topo, x=3)
+    return topo, precompute_xpaths(topo, x=3, cap_c=None)
 
 
 def test_two_flows_split_across_paths(fig2a):
@@ -50,7 +50,7 @@ def test_exhaustive_against_full_enumeration():
     checked = 0
     for _ in range(30):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -86,7 +86,7 @@ def test_optimum_passes_validation():
     rng = np.random.default_rng(2)
     for _ in range(10):
         topo = random_topology(rng, 5, edge_prob=0.6)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = sorted(labels_by_pair(table))
         if not pairs:
             continue
@@ -104,7 +104,7 @@ def test_smaller_table_never_improves_optimum(fig2a):
     _, mu_full = solve_exact(flows, table, topo)
     capped = precompute_xpaths(topo, x=3, cap_c=1)
     _, mu_capped = solve_exact(flows, capped, topo)
-    shorter = precompute_xpaths(topo, x=1)
+    shorter = precompute_xpaths(topo, x=1, cap_c=None)
     _, mu_short = solve_exact(flows, shorter, topo)
     assert mu_capped >= mu_full
     assert mu_short >= mu_full

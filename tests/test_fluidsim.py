@@ -72,7 +72,7 @@ def test_conservation_and_feasibility(model):
     rng = np.random.default_rng(0)
     for _ in range(25):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=8.0)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -104,7 +104,7 @@ def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
     links = random_topology(rng, n_nodes, edge_prob=0.6).links
     topo = Topology(nodes=tuple(range(1, n_nodes + 1)),
                     links=tuple((s, d, float(rng.uniform(0.5, 20.0))) for s, d, _ in links))
-    table = precompute_xpaths(topo, x=3)
+    table = precompute_xpaths(topo, x=3, cap_c=None)
     pairs = labels_by_pair(table)
     flows, chosen = [], []
     for _ in range(data.draw(st.integers(0, 8))):
@@ -148,7 +148,7 @@ def test_maxmin_matches_grid_oracle():
     rng = np.random.default_rng(5)
     for _ in range(15):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -182,7 +182,7 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
     rng = np.random.default_rng(6)
     for _ in range(15):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -319,6 +319,14 @@ def test_volume_schedule_rejects_a_volume_that_is_nan_or_negative(volume):
     topo, flows, matrix = _k4_pair()
     with pytest.raises(ValueError, match=f"flow 2: volume {volume} "):
         run_volume_schedule(matrix, flows, topo, volumes={1: 5.0, 2: volume})
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+def test_volume_schedule_rejects_an_interval_that_is_not_positive(interval):
+    # a NaN interval would pass "interval <= 0" and ship NaN each step
+    topo, flows, matrix = _k4_pair()
+    with pytest.raises(ValueError, match="interval must be positive"):
+        run_volume_schedule(matrix, flows, topo, volumes={1: 5.0}, interval=interval)
 
 
 def test_volume_schedule_rejects_a_volume_for_no_flow():

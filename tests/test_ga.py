@@ -32,7 +32,7 @@ PUBLISHED_SHARES = [0.309, 0.050, 0.384, 0.117, 0.140]
 @pytest.fixture(scope="module")
 def fig2a():
     topo = make_sample_topology("fig2a", 10.0)
-    return topo, precompute_xpaths(topo, x=3)
+    return topo, precompute_xpaths(topo, x=3, cap_c=None)
 
 
 def _genes(*labels) -> np.ndarray:
@@ -41,10 +41,11 @@ def _genes(*labels) -> np.ndarray:
 
 def _fitness(flows, table, topo, *labels, penalty=None) -> float:
     """Fitness of one chromosome as run_cect evaluates it (penalty defaults
-    to the switch count)."""
-    fit, _ = _Instance(flows, table, topo).evaluate(
-        _genes(*labels).reshape(1, -1), topo.node_count if penalty is None else penalty
-    )
+    to the switch count, which the instance holds)."""
+    inst = _Instance(flows, table, topo)
+    if penalty is not None:
+        inst.penalty = penalty
+    fit, _ = inst.evaluate(_genes(*labels).reshape(1, -1))
     return float(fit[0])
 
 
@@ -89,12 +90,10 @@ def test_overload_can_outrank_a_longer_path_that_fits():
     # the penalty weighs overload against residual capacity, so a direct path
     # that overloads 3 -> 2 outranks the two-hop detour that stays far below it
     topo = Topology(nodes=(1, 2, 3), links=((3, 2, 10.0), (3, 1, 100.0), (1, 2, 100.0)))
-    table = precompute_xpaths(topo, x=2)
+    table = precompute_xpaths(topo, x=2, cap_c=None)
     flows = make_flows([(3, 2, 10.5)])
     direct, detour = feasible_labels(table, 3, 2)
-    fit, mu = _Instance(flows, table, topo).evaluate(
-        _genes(direct, detour).reshape(2, 1), topo.node_count
-    )
+    fit, mu = _Instance(flows, table, topo).evaluate(_genes(direct, detour).reshape(2, 1))
     # direct: 210 - 10.5 residual, minus 3 * 0.5 overload; detour: 210 - 2 * 10.5
     assert fit.tolist() == [198.0, 189.0]
     assert mu.tolist() == [1.05, 0.105]
@@ -309,7 +308,7 @@ def test_fixed_point_under_identity_operators(fig2a):
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0)])
     pop = np.tile(_genes(3, 4), (4, 1))
     rng = np.random.default_rng(0)
-    fits, _ = _Instance(flows, table, topo).evaluate(pop, topo.node_count)
+    fits, _ = _Instance(flows, table, topo).evaluate(pop)
     children = uniform_crossover(pop, roulette_select(fits, 4, rng), rng)
     children = _mutate(children, 0.0, table, flows, rng)
     assert all(np.array_equal(c, pop[0]) for c in children)
@@ -509,7 +508,7 @@ def _fat_tree_case(n_flows=200, generations=8):
 def _fig2a_case():
     topo = make_sample_topology("fig2a", 10.0)
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0), (2, 1, 3.0), (1, 2, 4.0)])
-    return topo, precompute_xpaths(topo, x=3), flows, GaConfig(
+    return topo, precompute_xpaths(topo, x=3, cap_c=None), flows, GaConfig(
         seed=7, max_iterations=6, mu_target=0.01
     )
 
@@ -549,7 +548,7 @@ def test_run_tracks_exact_optimum_on_small_instances():
     hits, total = 0, 0
     for _ in range(20):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5, capacity=10.0)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue

@@ -210,8 +210,8 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
         loop,
         kernels.population_loads(genes, inst.label_ptr, None, per_gene, inst.n_edges, groups),
     )
-    fit, mu = inst.evaluate(genes, 7)
-    assert np.array_equal((fit, mu), kernels.fitness_mu(loop, inst.caps, 7))
+    fit, mu = inst.evaluate(genes)
+    assert np.array_equal((fit, mu), kernels.fitness_mu(loop, inst.caps, topo.node_count))
     for m in range(members):
         matrix = assemble(RoutingAssignment(genes[m]), flows, table, topo)
         assert matrix.load_units == {
@@ -233,7 +233,7 @@ def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_
     # hold 1 to 3 hops, so shorter rows end in filler
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob=0.5)
-    table = precompute_xpaths(topo, x=3)
+    table = precompute_xpaths(topo, x=3, cap_c=None)
     pairs = list(labels_by_pair(table))
     chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
     flows = make_flows(
@@ -247,7 +247,7 @@ def test_load_forms_agree_on_sample_topologies_at_x10(name):
     # x=10 leaves every simple path in, so row widths vary the most
     rng = np.random.default_rng(10)
     topo = make_sample_topology(name, 10.0)
-    table = precompute_xpaths(topo, x=10)
+    table = precompute_xpaths(topo, x=10, cap_c=None)
     assert len(set(np.diff(table.label_edge_csr(topo)[0]).tolist())) > 1
     pairs = list(labels_by_pair(table))
     flows = make_flows(
@@ -261,7 +261,7 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
     # an aggregation-core link, the last edge ids among them; flows between
     # two access switches of one pod leave pod links no feasible label crosses
     topo = make_fat_tree(4)
-    table = precompute_xpaths(topo, x=2)
+    table = precompute_xpaths(topo, x=2, cap_c=None)
     ptr, edges = table.label_edge_csr(topo)
     n_edges = len(topo.cap_units)
     no_label = np.setdiff1d(np.arange(n_edges), edges)

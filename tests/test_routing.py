@@ -45,7 +45,7 @@ from helpers import (
 @pytest.fixture(scope="module")
 def fig2a():
     topo = make_sample_topology("fig2a", 10.0)
-    return topo, precompute_xpaths(topo, x=3)
+    return topo, precompute_xpaths(topo, x=3, cap_c=None)
 
 
 def test_assemble_single_flow_loads(fig2a):
@@ -129,7 +129,7 @@ def test_validate_accepts_all_table_paths():
     rng = np.random.default_rng(3)
     for _ in range(20):
         topo = random_topology(rng, int(rng.integers(3, 8)), edge_prob=0.5)
-        table = precompute_xpaths(topo, x=3)
+        table = precompute_xpaths(topo, x=3, cap_c=None)
         pairs = sorted(labels_by_pair(table))
         if not pairs:
             continue
@@ -294,7 +294,7 @@ def test_validate_agrees_with_the_reference_validator(seed, n_nodes, edge_prob, 
     # violations as the rule-by-rule reference, in the same order
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob)
-    table = precompute_xpaths(topo, x=x)
+    table = precompute_xpaths(topo, x=x, cap_c=None)
     by_pair = labels_by_pair(table)
     pairs = list(by_pair.items())
     label_ptr, label_edges = table.label_edge_csr(topo)
@@ -576,7 +576,7 @@ def test_parser_agrees_with_the_line_by_line_reading(lines, ends, last):
 def test_dump_round_trip_reloads_bit_for_bit(seed, n_nodes, edge_prob, x, n_flows):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob)
-    table = precompute_xpaths(topo, x=x)
+    table = precompute_xpaths(topo, x=x, cap_c=None)
     pairs = list(labels_by_pair(table).items())
     flows, chosen = [], []
     for _ in range(n_flows):

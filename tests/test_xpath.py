@@ -46,7 +46,7 @@ GOLDEN_FIG2B_SUBSET = [
 
 @pytest.fixture(scope="module")
 def fig2a_table():
-    return precompute_xpaths(make_sample_topology("fig2a"), x=3)
+    return precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=None)
 
 
 def test_fig2a_golden_labels(fig2a_table):
@@ -66,7 +66,7 @@ def test_fig2a_golden_dump(fig2a_table):
 
 
 def test_fig2b_superset_of_published_table():
-    table = precompute_xpaths(make_sample_topology("fig2b"), x=3)
+    table = precompute_xpaths(make_sample_topology("fig2b"), x=3, cap_c=None)
     have = set(all_hops(table))
     for hops in GOLDEN_FIG2B_SUBSET:
         assert hops in have
@@ -77,7 +77,7 @@ def test_fig2b_superset_of_published_table():
 
 def test_one_hop_paths_are_the_edge_set():
     topo = make_sample_topology("fig2a")
-    table = precompute_xpaths(topo, x=1)
+    table = precompute_xpaths(topo, x=1, cap_c=None)
     assert set(all_hops(table)) == {(s, d) for s, d, _ in topo.links}
 
 
@@ -117,7 +117,7 @@ def test_enumeration_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes=int(rng.integers(3, 8)), edge_prob=0.4)
     x = int(rng.integers(1, 5))
-    table = precompute_xpaths(topo, x=x)
+    table = precompute_xpaths(topo, x=x, cap_c=None)
     assert set(all_hops(table)) == brute_force_simple_paths(topo, x)
 
 
@@ -126,7 +126,7 @@ def test_growth_construction_agrees(seed):
     rng = np.random.default_rng(100 + seed)
     topo = random_topology(rng, n_nodes=6, edge_prob=0.45)
     x = int(rng.integers(1, 5))
-    table = precompute_xpaths(topo, x=x)
+    table = precompute_xpaths(topo, x=x, cap_c=None)
     assert set(all_hops(table)) == grow_xpaths(topo, x)
 
 
@@ -135,7 +135,7 @@ def test_monotone_in_hop_bound():
     topo = random_topology(rng, n_nodes=6, edge_prob=0.4)
     previous: set = set()
     for x in range(1, 6):
-        current = set(all_hops(precompute_xpaths(topo, x=x)))
+        current = set(all_hops(precompute_xpaths(topo, x=x, cap_c=None)))
         assert previous <= current
         previous = current
 
@@ -161,7 +161,7 @@ def test_per_pair_cap_keeps_shortest_first():
     topo = make_sample_topology("fig2a")
     capped = precompute_xpaths(topo, x=3, cap_c=1)
     assert set(all_hops(capped)) == {(1, 2), (2, 1), (3, 1), (3, 2)}
-    full = precompute_xpaths(topo, x=3)
+    full = precompute_xpaths(topo, x=3, cap_c=None)
     for pair in labels_by_pair(capped):
         labels = feasible_labels(capped, *pair)
         assert len(labels) == 1
@@ -172,7 +172,7 @@ def test_per_pair_cap_keeps_shortest_first():
 
 def test_pair_lists_sorted_by_hops_then_label():
     topo = make_fat_tree(4)
-    table = precompute_xpaths(topo, x=4)
+    table = precompute_xpaths(topo, x=4, cap_c=None)
     for pair in labels_by_pair(table):
         labels = feasible_labels(table, *pair)
         hops = [int(table.hop_counts[l - 1]) for l in labels]
@@ -189,7 +189,7 @@ def test_cap_bounds_pair_sizes():
 def test_rejects_bad_parameters():
     topo = make_sample_topology("fig2a")
     with pytest.raises(ValueError):
-        precompute_xpaths(topo, x=0)
+        precompute_xpaths(topo, x=0, cap_c=None)
     with pytest.raises(ValueError):
         precompute_xpaths(topo, x=3, cap_c=0)
 
@@ -197,7 +197,7 @@ def test_rejects_bad_parameters():
 def test_xpath_invariants():
     # every path has at least one edge, visits no switch twice, and its
     # hop count is its edge count
-    table = precompute_xpaths(make_fat_tree(4), x=4)
+    table = precompute_xpaths(make_fat_tree(4), x=4, cap_c=None)
     for label, hops in enumerate(all_hops(table), 1):
         assert len(hops) >= 2
         assert len(set(hops)) == len(hops)
@@ -213,7 +213,7 @@ def test_every_path_forms_a_valid_single_flow_route():
     rng = np.random.default_rng(42)
     for _ in range(5):
         topo = random_topology(rng, 6, edge_prob=0.5)
-        table = precompute_xpaths(topo, x=4)
+        table = precompute_xpaths(topo, x=4, cap_c=None)
         for label, hops in enumerate(all_hops(table), 1):
             flowset = FlowSet(flows=(Flow(id=1, src=hops[0], dst=hops[-1], demand=1.0),))
             matrix = assemble(RoutingAssignment(np.array([label])), flowset, table, topo)
