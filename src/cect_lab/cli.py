@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from . import experiment
-from .errors import AssignmentFormatError, CectLabError
+from .errors import CectLabError
 from .fluidsim import simulate
 from .ga import GaConfig
 from .routing import (
@@ -30,7 +30,7 @@ def _config(args) -> experiment.ExperimentConfig:
 
 
 def _cmd_gen_topo(args) -> int:
-    topo = experiment.build_topology(_config(args))
+    topo = experiment.build_topology(_config(args), args.config)
     save_topology(topo, args.out)
     print(f"wrote {topo.node_count} switches / {topo.link_count} links to {args.out}")
     return 0
@@ -38,7 +38,7 @@ def _cmd_gen_topo(args) -> int:
 
 def _cmd_gen_traffic(args) -> int:
     cfg = _config(args)
-    topo = experiment.build_topology(cfg)
+    topo = experiment.build_topology(cfg, args.config)
     experiment.check_pods(cfg, topo, args.config)
     flows = experiment.draw_flows(cfg, topo, args.n, args.seed)
     save_flows(flows, args.out)
@@ -48,7 +48,7 @@ def _cmd_gen_traffic(args) -> int:
 
 def _cmd_paths(args) -> int:
     cfg = _config(args)
-    topo = experiment.build_topology(cfg)
+    topo = experiment.build_topology(cfg, args.config)
     table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     text = format_table(table)
     if args.out:
@@ -61,7 +61,7 @@ def _cmd_paths(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _config(args)
-    topo = experiment.build_topology(cfg)
+    topo = experiment.build_topology(cfg, args.config)
     flows = load_flows(args.flows)
     table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     out_dir = Path(args.out_dir or ".")
@@ -101,18 +101,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _config(args)
-    topo = experiment.build_topology(cfg)
+    topo = experiment.build_topology(cfg, args.config)
     flows = load_flows(args.flows)
-    try:
+    try:  # an error in the dump's parse, replay or validation names the dump
         dump = parse_assignment_dump(Path(args.assignment).read_text(encoding="utf-8"))
-    except AssignmentFormatError as exc:
+        matrix = matrix_from_paths({fid: hops for fid, (_, hops) in dump.items()}, flows, topo)
+        # matrix_from_paths checks ends and edges only; a path that loops is caught here
+        violations = validate(matrix, flows, topo)
+        if violations:
+            raise CectLabError(str(violations[0]))
+    except CectLabError as exc:
         raise CectLabError(f"{args.assignment}: {exc}") from exc
-    hops_by_flow = {fid: hops for fid, (_, hops) in dump.items()}
-    matrix = matrix_from_paths(hops_by_flow, flows, topo)
-    # matrix_from_paths checks ends and edges only; a path that loops is caught here
-    violations = validate(matrix, flows, topo)
-    if violations:
-        raise CectLabError(f"{args.assignment}: {violations[0]}")
     result = simulate(matrix, flows, topo, cfg.sim_model)
 
     out_dir = Path(args.out_dir or ".")

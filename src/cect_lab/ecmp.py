@@ -18,19 +18,18 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a64(*values) -> int | np.ndarray:
+def fnv1a64(*values: np.ndarray) -> np.ndarray:
     """FNV-1a over each value as 8 little-endian two's-complement bytes.
 
-    Values are ints or int64 arrays of one shape; arrays are hashed
-    elementwise into a uint64 array, while plain ints give an int.
+    Values are int64 arrays of one shape, hashed elementwise into a uint64 array.
     """
-    words = [np.atleast_1d(np.asarray(v, dtype=np.int64)).view(np.uint64) for v in values]
+    words = [np.asarray(v, dtype=np.int64).view(np.uint64) for v in values]
     digest = np.full(np.broadcast_shapes(*(w.shape for w in words)), _FNV_OFFSET, np.uint64)
     for word in words:
         for shift in range(0, 64, 8):
             digest ^= (word >> np.uint64(shift)) & np.uint64(0xFF)
             digest *= np.uint64(_FNV_PRIME)
-    return digest if any(np.ndim(v) for v in values) else int(digest[0])
+    return digest
 
 
 def route_ecmp(flowset: FlowSet, topology: Topology, xpath_table: XPathTable) -> RoutingAssignment:

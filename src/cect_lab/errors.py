@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each raise site builds its whole message."""
 
 
 class CectLabError(Exception):
@@ -8,12 +8,6 @@ class CectLabError(Exception):
 class TopologyFormatError(CectLabError):
     """A topology file failed to parse or violated a structural invariant."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-
 
 class FlowFormatError(CectLabError):
     """A flow file failed to parse."""
@@ -22,39 +16,17 @@ class FlowFormatError(CectLabError):
 class AssignmentFormatError(CectLabError):
     """An assignment dump failed to parse; the message names the line."""
 
-    def __init__(self, message: str, line_no: int):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
-
 
 class NoFeasiblePathError(CectLabError):
     """A flow has no candidate path in the path table."""
 
-    def __init__(self, flow_id: int, src: int, dst: int):
-        self.flow_id = flow_id
-        super().__init__(
-            f"flow {flow_id} ({src} -> {dst}) has no feasible path in the table"
-        )
-
 
 class InfeasibleLabelError(CectLabError):
-    """A chosen path label does not match the flow's endpoints."""
-
-    def __init__(self, flow_id: int, label: int, detail: str = ""):
-        self.flow_id = flow_id
-        self.label = label
-        msg = f"flow {flow_id}: path label {label} is not feasible"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    """A flow's path is missing or does not join its endpoints; the message names the flow."""
 
 
 class SearchBudgetExceededError(CectLabError):
     """The exhaustive solver's assignment space exceeds the given budget."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"assignment search space exceeds budget of {budget}")
 
 
 class ConfigError(CectLabError):

@@ -44,7 +44,7 @@ def solve_exact(
     n_flows = flowset.count
     feas_ptr, feas_labels = feasible_csr(xpath_table, flowset)
     if math.prod(np.diff(feas_ptr).tolist()) > budget:
-        raise SearchBudgetExceededError(budget)
+        raise SearchBudgetExceededError(f"assignment search space exceeds budget of {budget}")
 
     cap_units = topology.cap_units
     demands = flowset.demand_units()

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .ecmp import route_ecmp
-from .errors import CectLabError, ConfigError
+from .errors import CectLabError, ConfigError, TopologyFormatError
 from .exact import solve_exact
 from .fluidsim import MODELS, simulate
 from .ga import GaConfig, RunStats, run_cect
@@ -67,7 +67,7 @@ class ExperimentConfig:
     sample_capacity: float = 10.0
     topo_file: str | None = None
     x: int = 4
-    cap_c: int | None = 50
+    cap_c: int = 50
     mix: dict[str, float] = field(
         default_factory=lambda: {"micro": 0.5, "small": 0.3, "medium": 0.15, "big": 0.05}
     )
@@ -109,10 +109,6 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-def _optional_int(text: str) -> int | None:
-    return None if text in ("", "none", "None") else int(text)
-
-
 def _boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -133,7 +129,7 @@ _SETTINGS = {
         "capacity": ("sample_capacity", float),
         "path": ("topo_file", str),
     },
-    "paths": {"x": ("x", int), "cap_c": ("cap_c", _optional_int)},
+    "paths": {"x": ("x", int), "cap_c": ("cap_c", int)},
     "traffic": {
         "mix": ("mix", parse_mix),
         "plr": ("plr", float),
@@ -221,15 +217,17 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
     return cfg
 
 
-def build_topology(cfg: ExperimentConfig) -> Topology:
-    """The topology of a config whose [topology] kind and path _parse_config checked."""
-    if cfg.topo_kind == "fat_tree":
-        return make_fat_tree(
-            cfg.topo_k, cfg.edge_capacity, cfg.agg_capacity, cfg.core_capacity
-        )
-    if cfg.topo_kind in ("fig2a", "fig2b"):
-        return make_sample_topology(cfg.topo_kind, cfg.sample_capacity)
-    return load_topology(cfg.topo_file)
+def build_topology(cfg: ExperimentConfig, config_path) -> Topology:
+    """The topology of a config whose [topology] kind and path _parse_config checked;
+    a ConfigError names config_path and [topology] when its settings build none."""
+    try:
+        if cfg.topo_kind == "fat_tree":
+            return make_fat_tree(cfg.topo_k, cfg.edge_capacity, cfg.agg_capacity, cfg.core_capacity)
+        if cfg.topo_kind in ("fig2a", "fig2b"):
+            return make_sample_topology(cfg.topo_kind, cfg.sample_capacity)
+        return load_topology(cfg.topo_file)
+    except (ValueError, TopologyFormatError) as exc:
+        raise ConfigError(f"{config_path}: [topology] {exc}") from exc
 
 
 def check_pods(cfg: ExperimentConfig, topology: Topology, config_path) -> None:
@@ -350,7 +348,7 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     """
     data = _read_config(config_path)
     cfg = _parse_config(data, config_path)
-    topology = build_topology(cfg)
+    topology = build_topology(cfg, config_path)
     check_pods(cfg, topology, config_path)
     state = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
 

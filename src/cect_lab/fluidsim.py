@@ -21,6 +21,8 @@ from .topology import Topology
 from .traffic import FlowSet
 
 MODELS = ("maxmin", "bottleneck")
+# run_volume_schedule's step cap: volume still left after it is an error
+MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ def run_volume_schedule(
     volumes: dict[int, float],
     interval: float = 1.0,
     model: str = "maxmin",
-    max_steps: int = 10_000,
 ) -> list[VolumeStep]:
     """Step fixed intervals until every flow has shipped its volume.
 
@@ -123,7 +124,7 @@ def run_volume_schedule(
     rate x interval (clipped to the remaining volume), and retires finished
     flows so their capacity is freed for the rest. The routing's CSR is
     read once; each step gathers the active rows of it. Raises ValueError
-    naming the flow of a NaN, negative or unknown volume, or volume left after max_steps.
+    naming the flow of a NaN, negative or unknown volume, or volume left after MAX_STEPS.
     """
     if not interval > 0:  # NaN fails too
         raise ValueError("interval must be positive")
@@ -135,7 +136,7 @@ def run_volume_schedule(
         i = int(np.argmin(remaining >= 0))
         raise ValueError(f"flow {i + 1}: volume {remaining[i]} is not a number >= 0")
     steps: list[VolumeStep] = []
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         active = np.flatnonzero(remaining > 0)
         if not active.size:
             break
@@ -147,5 +148,5 @@ def run_volume_schedule(
         steps.append(VolumeStep(sum(shipped.tolist())))
     if remaining.any():
         i = int(np.argmax(remaining))
-        raise ValueError(f"after {max_steps} steps flow {i + 1} still has {remaining[i]} to ship")
+        raise ValueError(f"after {MAX_STEPS} steps flow {i + 1} still has {remaining[i]} to ship")
     return steps

@@ -168,7 +168,7 @@ def roulette_select(
 
 
 def uniform_crossover(
-    genes: np.ndarray, picks: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
+    genes: np.ndarray, picks: np.ndarray, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
     """Children of the parent pairs (picks[i], picks[h + i]), h = len(picks) // 2.
 
@@ -181,9 +181,7 @@ def uniform_crossover(
     differences.
     """
     half, n_genes = len(picks) // 2, genes.shape[1]
-    if out is None:
-        out = np.empty((len(picks), n_genes), genes.dtype)
-    elif out.shape != (len(picks), n_genes):
+    if out.shape != (len(picks), n_genes):
         raise ValueError(f"out has shape {out.shape}, not {(len(picks), n_genes)}")
     packed = rng.integers(0, 256, size=(half, -(-n_genes // 8)), dtype=np.uint8)
     if len(picks) % 2:

@@ -44,10 +44,10 @@ def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None)
     diff(label_ptr)[gene - 1] edge loads. Without groups, label_pad holds
     label l's edge ids in row l, filled out with the id n_edges, and row 0
     is all filler; a gene loop gathers each member's rows with one take and
-    sums them with one bincount, whose filler bin is dropped. groups =
-    edge_major_labels(label_ptr, ...) selects the aggregated form: one
-    bincount sums the population's demands (per flow, or per gene in genes'
-    shape) into (member, label) cells, and one gather and one
+    sums them with one bincount, whose filler bin is dropped; demands are
+    per flow. groups = edge_major_labels(label_ptr, ...) selects the
+    aggregated form, whose demands are per gene, in genes' shape: one
+    bincount sums them into (member, label) cells, and one gather and one
     np.add.reduceat add up each edge's labels' cells. Both sum integer
     milli-units below 2**53, so they agree exactly.
     """
@@ -56,10 +56,9 @@ def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None)
         starts, labels = groups
         n_cells = len(label_ptr)  # label 0's cell stays empty
         cells = n_cells * np.arange(n_members)[:, None] + genes
-        # bincount copies read-only (broadcast_to) weights; freed cells let the gather reuse memory
-        weights = demands.ravel() if demands.ndim == 2 else np.tile(demands, n_members)
-        per_cell = np.bincount(cells.ravel(), weights, n_members * n_cells).reshape(n_members, -1)
-        del cells
+        per_cell = np.bincount(cells.ravel(), demands.ravel(), n_members * n_cells)
+        del cells  # freed cells let the gather reuse memory
+        per_cell = per_cell.reshape(n_members, -1)
         return np.add.reduceat(per_cell[:, labels], starts, axis=1).astype(np.int64)
     # np.take beats fancy indexing here; one bincount per member beats one
     # over the whole population; float64 demands spare each bincount a cast

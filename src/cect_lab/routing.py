@@ -124,12 +124,12 @@ def matrix_from_paths(
         flow, path = flowset.flows[i], hops_by_flow.get(i + 1)
         if not path:
             detail = "no path assigned" if path is None else "empty path"
-            raise InfeasibleLabelError(flow.id, -1, detail)
-        if (path[0], path[-1]) != (flow.src, flow.dst):
+        elif (path[0], path[-1]) != (flow.src, flow.dst):
             detail = f"path {path[0]}->{path[-1]} does not match flow {flow.src}->{flow.dst}"
-            raise InfeasibleLabelError(flow.id, -1, detail)
-        j = int(np.argmax(pair_ids[first[i] : first[i] + counts[i] - 1] < 0))
-        raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {tuple(path[j : j + 2])}")
+        else:
+            j = int(np.argmax(pair_ids[first[i] : first[i] + counts[i] - 1] < 0))
+            detail = f"path uses unknown edge {tuple(path[j : j + 2])}"
+        raise InfeasibleLabelError(f"flow {flow.id}: {detail}")
     return _matrix(np.r_[0, np.cumsum(counts - 1)], pair_ids[inside], flowset, topology)
 
 
@@ -138,7 +138,7 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
     flows. Raises InfeasibleLabelError at the first flow, in flow order, that has
     no label, whose label is not in the table, or whose path joins other switches."""
     if len(labels) < flowset.count:
-        raise InfeasibleLabelError(len(labels) + 1, -1, "no label assigned")
+        raise InfeasibleLabelError(f"flow {len(labels) + 1}: no label assigned")
     labels = labels[: flowset.count]
     hop_ptr, hops = xpath_table.hop_ptr, xpath_table.hops
     in_table = (labels >= 1) & (labels <= xpath_table.path_count)
@@ -152,7 +152,8 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
             f"path {src}->{dst} does not match flow {flow.src}->{flow.dst}"
             if in_table[i] else "label not in table"
         )
-        raise InfeasibleLabelError(flow.id, int(labels[i]), detail)
+        message = f"flow {flow.id}: path label {labels[i]} is not feasible ({detail})"
+        raise InfeasibleLabelError(message)
     return labels
 
 
@@ -309,20 +310,22 @@ def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
         head, _, tail = line.partition(":")
         parts = head.split()
         if len(parts) != 4 or parts[0] != "flow" or parts[2] != "via":
-            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no)
+            raise AssignmentFormatError(f"line {line_no}: unrecognized assignment line {line!r}")
         try:
             flow_id, label = int(parts[1]), int(parts[3])
         except ValueError:
-            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no) from None
+            raise AssignmentFormatError(
+                f"line {line_no}: unrecognized assignment line {line!r}"
+            ) from None
         if not tail.strip():
-            raise AssignmentFormatError(f"flow {flow_id} has an empty path", line_no)
+            raise AssignmentFormatError(f"line {line_no}: flow {flow_id} has an empty path")
         try:
             hops = tuple(int(h) for h in tail.split("->"))
         except ValueError:
             raise AssignmentFormatError(
-                f"flow {flow_id}: a hop of {tail.strip()!r} is not an integer", line_no
+                f"line {line_no}: flow {flow_id}: a hop of {tail.strip()!r} is not an integer"
             ) from None
         if flow_id in out:
-            raise AssignmentFormatError(f"flow {flow_id} is listed twice", line_no)
+            raise AssignmentFormatError(f"line {line_no}: flow {flow_id} is listed twice")
         out[flow_id] = (label, hops)
     return out

@@ -30,22 +30,22 @@ def has_units(bandwidth: float) -> bool:
     return 0.5 < bandwidth * UNITS_PER_BW < 2**63
 
 
-def _check_switch(node: int, line_no: int | None = None) -> None:
-    """Raise TopologyFormatError (naming line_no when given) for an id beyond int64."""
+def _check_switch(node: int) -> None:
+    """Raise TopologyFormatError for an id beyond int64."""
     if not -(2**63) <= node < 2**63:
-        raise TopologyFormatError(f"switch id {node} does not fit in int64", line_no)
+        raise TopologyFormatError(f"switch id {node} does not fit in int64")
 
 
-def _check_link(src: int, dst: int, cap: float, seen: set, line_no: int | None = None) -> None:
-    """Add src -> dst to seen, or raise TopologyFormatError (naming line_no when given) for a
-    self-loop, a repeated edge or a capacity that to_units rounds to 0 or beyond int64."""
+def _check_link(src: int, dst: int, cap: float, seen: set) -> None:
+    """Add src -> dst to seen, or raise TopologyFormatError for a self-loop, a
+    repeated edge or a capacity that to_units rounds to 0 or beyond int64."""
     if src == dst:
-        raise TopologyFormatError(f"self-loop edge {src} -> {dst}", line_no)
+        raise TopologyFormatError(f"self-loop edge {src} -> {dst}")
     if (src, dst) in seen:
-        raise TopologyFormatError(f"duplicate edge {src} -> {dst}", line_no)
+        raise TopologyFormatError(f"duplicate edge {src} -> {dst}")
     if not has_units(cap):
         message = f"capacity {cap} of edge {src} -> {dst} is not finite and > 0 in load units"
-        raise TopologyFormatError(message, line_no)
+        raise TopologyFormatError(message)
     seen.add((src, dst))
 
 
@@ -159,8 +159,6 @@ def make_fat_tree(
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"fat-tree arity must be a positive even integer, got {k}")
-    if min(edge_capacity, agg_capacity, core_capacity) <= 0:
-        raise ValueError("capacities must be positive")
 
     half, n = k // 2, k * k // 2  # n access and n aggregation switches
     access, aggregation = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
@@ -192,8 +190,6 @@ def make_sample_topology(which: str, capacity: float = 10.0) -> Topology:
     """Build one of the small reference topologies ("fig2a" or "fig2b")."""
     if which not in _SAMPLE_EDGES:
         raise ValueError(f"unknown sample topology {which!r}")
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
     edges = _SAMPLE_EDGES[which]
     nodes = tuple({n for e in edges for n in e})
     return Topology(nodes=nodes, links=tuple((s, d, capacity) for s, d in edges))
@@ -235,17 +231,17 @@ def load_topology(path) -> Topology:
                 try:
                     if kind == "node" and len(parts) == 2:
                         nodes.append(int(parts[1]))
-                        _check_switch(nodes[-1], line_no)
+                        _check_switch(nodes[-1])
                     elif kind == "edge" and len(parts) == 4:
                         link = (int(parts[1]), int(parts[2]), float(parts[3]))
-                        _check_link(*link, seen_edges, line_no)
+                        _check_link(*link, seen_edges)
                         links.append(link)
                     elif kind == "pod" and len(parts) == 3:
                         pod_of[int(parts[1])] = int(parts[2])
                     else:
-                        raise TopologyFormatError(f"unrecognized record {line!r}", line_no)
-                except ValueError as exc:
-                    raise TopologyFormatError(str(exc), line_no) from exc
+                        raise TopologyFormatError(f"unrecognized record {line!r}")
+                except (ValueError, TopologyFormatError) as exc:
+                    raise TopologyFormatError(f"line {line_no}: {exc}") from exc
 
         return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)
     except TopologyFormatError as exc:

@@ -169,7 +169,8 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     counts = np.diff(ptr)
     if not counts.all():
         flow = flowset.flows[int(np.argmin(counts))]
-        raise NoFeasiblePathError(flow.id, flow.src, flow.dst)
+        message = f"flow {flow.id} ({flow.src} -> {flow.dst}) has no feasible path in the table"
+        raise NoFeasiblePathError(message)
     return ptr, labels
 
 

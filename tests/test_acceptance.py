@@ -326,7 +326,7 @@ def test_criterion_7_constraint_suite():
         p2 = np.array([1, 3, 4], dtype=np.int64)
         parents = np.stack([p1, p2])
         for _ in range(300):
-            c1, c2 = uniform_crossover(parents, np.array([0, 1]), rng)
+            c1, c2 = uniform_crossover(parents, np.array([0, 1]), rng, np.empty_like(parents))
             for i in range(3):
                 assert {int(c1[i]), int(c2[i])} == {int(p1[i]), int(p2[i])}
 

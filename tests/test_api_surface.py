@@ -1,14 +1,15 @@
-"""Guard: every function, class, method, constant, dataclass field and CLI
-option in src/ has a reader.
+"""Guard: every function, class, method, constant, dataclass field, attribute
+set on self and CLI option in src/ has a reader.
 
 A function, class, method or module-level constant counts as used when
 src/ or perfbench/ mentions it outside its own definition, as a name, an
 attribute or a word inside a string (perfbench wraps library functions by
 their string names). A dataclass field counts as used when src/ or
 perfbench/ reads it as an attribute of anything but the argparse namespace
-`args`, whose options share names with fields. A subcommand's optional flag
-counts as used when its handler, or a cli helper that the handler passes
-args to, reads args.<dest>. Code that only the tests call, constants and
+`args`, whose options share names with fields; so does an attribute that a
+src/ class sets on self. A subcommand's optional flag counts as used when
+its handler, or a cli helper that the handler passes args to, reads
+args.<dest>. Code that only the tests call, constants and
 fields that only the tests read, and flags that nothing reads do not belong
 in src/. A read counts by attribute name alone, so a field that shares its
 name with another dataclass's field would pass on the other's readers: two
@@ -109,20 +110,48 @@ def _dataclass_fields(trees: dict[Path, ast.Module]):
                     yield f"{path.stem}.{node.name}", item.target.id
 
 
-def _unread_fields() -> list[str]:
-    trees = _trees()
-    reads = {
+def _attribute_reads(trees: dict[Path, ast.Module]) -> set[str]:
+    """Every attribute name read in src/ or perfbench/, args.<dest> aside."""
+    return {
         node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
+
+
+def _unread_fields() -> list[str]:
+    trees = _trees()
+    reads = _attribute_reads(trees)
     return [f"{owner}.{name}" for owner, name in _dataclass_fields(trees) if name not in reads]
 
 
 def test_every_dataclass_field_is_read():
     assert _unread_fields() == []
+
+
+def _unread_self_attributes() -> list[str]:
+    """(qualified class name).attr of each self.attr a src/ class assigns and nothing reads."""
+    trees = _trees()
+    reads = _attribute_reads(trees)
+    unread = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in reads):
+                    unread.add(f"{path.stem}.{cls.name}.{node.attr}")
+    return sorted(unread)
+
+
+def test_every_attribute_a_class_sets_is_read():
+    # an attribute only tests read (an exception's line number, say) makes
+    # every raise site pass it; the message names it instead
+    assert _unread_self_attributes() == []
 
 
 # Field names that more than one src/ dataclass declares, each with the

@@ -110,6 +110,8 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
          r"\[traffic\] unknown flow classes"),
         ("x = 4", "x = 0", r"\[paths\] hop bound x"),
         ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap"),
+        # every path of a pair is precompute_xpaths(cap_c=None), which no config sets
+        ("cap_c = 50", "cap_c = none", r"\[paths\] cap_c: invalid literal for int"),
         ("model = maxmin", "model = maxmn", r"\[sim\] model must be one of"),
         # a section this program no longer reads: single-path routing is --method shortest
         ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"unknown section \[ecmp\]"),
@@ -129,7 +131,7 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("methods = cect,ecmp", "methods =", r"\[sweep\] methods lists no method"),
         ("methods = cect,ecmp", "methods = ,", r"\[sweep\] methods lists no method"),
     ],
-    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "sim-model", "ecmp-max-paths",
+    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
          "comma-only-methods"],
@@ -782,6 +784,10 @@ def test_solve_rejects_an_unknown_method():
 @pytest.mark.parametrize("command, file, text, names", [
     # a hop that is not an integer fails the dump's parse
     ("simulate", "assignment", "flow 1 via 1: 1 -> 3.7 -> 3\n", "line "),
+    # a first hop that is not the flow's source fails the dump's replay; the
+    # whole message is this line, with no placeholder label
+    ("simulate", "assignment", "flow 1 via 1: 99 -> 9 -> 17 -> 11 -> 3\n",
+     r"^error: \S+assignment\.txt: flow 1: path 99->3 does not match flow 1->3\n$"),
     # a demand too large to count in int64 load units
     ("simulate", "flows", "flow 1 1 3 1e306 custom\n", "line "),
     # a switch id beyond int64
@@ -794,8 +800,16 @@ def test_solve_rejects_an_unknown_method():
     # fig2a has no pods, and the config leaves plr at its default 0.7
     ("gen-traffic", "config", "[topology]\nkind = fig2a\n",
      r": \[traffic\] plr 0\.7 needs a pod-labeled topology"),
-], ids=["hop-3.7", "demand-1e306", "switch-beyond-int64", "flow-end-beyond-int64", "directory",
-        "default-plr-without-pods"])
+    # [topology] settings that build no topology
+    ("gen-traffic", "config", "[topology]\nk = 5\n",
+     r": \[topology\] fat-tree arity must be a positive even integer, got 5\n"),
+    ("gen-traffic", "config", "[topology]\nedge_capacity = 0\n",
+     r": \[topology\] capacity 0\.0 of edge 1 -> 9 is not finite and > 0 in load units\n"),
+    ("gen-traffic", "config", "[topology]\nkind = fig2a\ncapacity = -1\n",
+     r": \[topology\] capacity -1\.0 of edge 1 -> 2 is not finite"),
+], ids=["hop-3.7", "replay-first-hop", "demand-1e306", "switch-beyond-int64",
+        "flow-end-beyond-int64", "directory", "default-plr-without-pods", "fat-tree-k-5",
+        "edge-capacity-0", "sample-capacity-minus-1"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text,
                                                       names):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}

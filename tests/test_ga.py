@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cect_lab import ga
 from cect_lab.errors import InfeasibleLabelError, NoFeasiblePathError
 from cect_lab.exact import solve_exact
+from cect_lab.experiment import solve
 from cect_lab.ga import (
     GaConfig,
     _Instance,
@@ -54,6 +57,11 @@ def _mutate(genes, rate, table, flows, rng) -> np.ndarray:
     population = np.atleast_2d(genes).copy()
     multipoint_mutate(population, rate, *feasible_csr(table, flows), rng)
     return population
+
+
+def _crossover(genes, picks, rng) -> np.ndarray:
+    """uniform_crossover's children, bred into a new array."""
+    return uniform_crossover(genes, picks, rng, np.empty((len(picks), genes.shape[1]), genes.dtype))
 
 
 def _mask(seed, pairs, n_genes):
@@ -167,14 +175,14 @@ def test_roulette_returns_requested_size():
 def test_crossover_identical_parents_identity():
     rng = np.random.default_rng(0)
     population = np.tile(_genes(1, 2, 3, 4), (5, 1))
-    children = uniform_crossover(population, np.array([0, 1, 2, 3, 4]), rng)
+    children = _crossover(population, np.array([0, 1, 2, 3, 4]), rng)
     assert np.array_equal(children, population)
 
 
 def test_crossover_multiset_preserved_per_position():
     rng = np.random.default_rng(1)
     population = np.stack([_genes(*range(1, 101)), _genes(*range(101, 201))])
-    c1, c2 = uniform_crossover(population, np.array([0, 1]), rng)
+    c1, c2 = _crossover(population, np.array([0, 1]), rng)
     p1, p2 = population
     for i in range(100):
         assert {int(c1[i]), int(c2[i])} == {int(p1[i]), int(p2[i])}
@@ -185,7 +193,7 @@ def test_crossover_mask_replay():
     seed = 99
     population = np.stack([_genes(1, 1, 1, 1), _genes(2, 2, 2, 2), _genes(3, 3, 3, 3)])
     picks = np.array([0, 2, 1, 2, 0])
-    children = uniform_crossover(population, picks, np.random.default_rng(seed))
+    children = _crossover(population, picks, np.random.default_rng(seed))
     mask = _mask(seed, 2, 4)
     parents = population[picks]
     for i in range(2):
@@ -204,7 +212,7 @@ def test_crossover_matches_the_one_shot_reference(n_picks):
     for dtype in (np.int32, np.int64):
         genes = population.astype(dtype)
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
-        children = uniform_crossover(genes, picks, rng)
+        children = _crossover(genes, picks, rng)
         expected = reference_uniform_crossover(genes, picks, reference_rng)
         assert children.dtype == dtype
         assert np.array_equal(children, expected)
@@ -309,7 +317,7 @@ def test_fixed_point_under_identity_operators(fig2a):
     pop = np.tile(_genes(3, 4), (4, 1))
     rng = np.random.default_rng(0)
     fits, _ = _Instance(flows, table, topo).evaluate(pop)
-    children = uniform_crossover(pop, roulette_select(fits, 4, rng), rng)
+    children = _crossover(pop, roulette_select(fits, 4, rng), rng)
     children = _mutate(children, 0.0, table, flows, rng)
     assert all(np.array_equal(c, pop[0]) for c in children)
 
@@ -568,6 +576,33 @@ def test_run_tracks_exact_optimum_on_small_instances():
             hits += 1
     assert total >= 10
     assert hits >= 0.9 * total
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 5), data=st.data())
+def test_run_returns_its_routings_mu_never_above_row_0s(seed, n_nodes, data):
+    # row 0 is the shortest routing and generation 0 evaluates it, so the
+    # best mu seen, which run_cect returns with its routing, is at most its mu
+    rng = np.random.default_rng(seed)
+    links = random_topology(rng, n_nodes, edge_prob=0.6).links
+    topo = Topology(nodes=tuple(range(1, n_nodes + 1)),
+                    links=tuple((s, d, float(rng.uniform(0.5, 20.0))) for s, d, _ in links))
+    table = precompute_xpaths(topo, x=3, cap_c=None)
+    pairs = sorted(labels_by_pair(table))
+    flows = make_flows([
+        (*data.draw(st.sampled_from(pairs)), data.draw(st.floats(0.01, 30.0)))
+        for _ in range(data.draw(st.integers(1, 8)))
+    ])
+    config = GaConfig(
+        population_size=data.draw(st.integers(2, 6)),
+        max_iterations=data.draw(st.integers(1, 5)),
+        mu_target=1e-9,  # no routing reaches it: every generation runs
+        seed=seed,
+    )
+    assignment, mu, _ = run_cect(flows, table, topo, config)
+    assert mu == assemble(assignment, flows, table, topo).mu
+    shortest, _ = solve("shortest", flows, table, topo, config)
+    assert mu <= assemble(shortest, flows, table, topo).mu
 
 
 def test_run_no_feasible_path_names_flow(fig2a):

@@ -453,7 +453,7 @@ def test_parse_assignment_dump_names_the_bad_line(text, line_no, what):
     with pytest.raises(AssignmentFormatError, match=f"line {line_no}: .*{what}") as info:
         parse_assignment_dump(text)
     assert isinstance(info.value, CectLabError)
-    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"line {line_no}: ")
 
 
 def _parse_line_by_line(text):
@@ -467,21 +467,21 @@ def _parse_line_by_line(text):
         head, _, tail = line.partition(":")
         parts = head.split()
         if len(parts) != 4 or parts[0] != "flow" or parts[2] != "via":
-            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no)
+            raise AssignmentFormatError(f"line {line_no}: unrecognized assignment line {line!r}")
         try:
             flow_id, label = int(parts[1]), int(parts[3])
         except ValueError:
-            raise AssignmentFormatError(f"unrecognized assignment line {line!r}", line_no)
+            raise AssignmentFormatError(f"line {line_no}: unrecognized assignment line {line!r}")
         if not tail.strip():
-            raise AssignmentFormatError(f"flow {flow_id} has an empty path", line_no)
+            raise AssignmentFormatError(f"line {line_no}: flow {flow_id} has an empty path")
         try:
             hops = tuple(int(h) for h in tail.split("->"))
         except ValueError:
             raise AssignmentFormatError(
-                f"flow {flow_id}: a hop of {tail.strip()!r} is not an integer", line_no
+                f"line {line_no}: flow {flow_id}: a hop of {tail.strip()!r} is not an integer"
             )
         if flow_id in out:
-            raise AssignmentFormatError(f"flow {flow_id} is listed twice", line_no)
+            raise AssignmentFormatError(f"line {line_no}: flow {flow_id} is listed twice")
         out[flow_id] = (label, hops)
     return out
 
@@ -490,7 +490,7 @@ def _outcome(parse, text):
     try:
         return list(parse(text).items())
     except AssignmentFormatError as exc:
-        return (str(exc), exc.line_no)
+        return str(exc)
 
 
 def test_parser_reads_loose_lines_as_int_does():
@@ -525,9 +525,8 @@ def test_parser_names_a_bad_line_after_a_thousand_good_ones():
         ("flow 1001 via 1: \n", "flow 1001 has an empty path"),
     ):
         for text, line_no in ((good + bad, 1001), (good + "\n" + bad + good, 1002)):
-            with pytest.raises(AssignmentFormatError, match=f"line {line_no}: {what}") as info:
+            with pytest.raises(AssignmentFormatError, match=f"^line {line_no}: {what}"):
                 parse_assignment_dump(text)
-            assert info.value.line_no == line_no
     # a repeated id before a malformed line is the error, and the other way round
     with pytest.raises(AssignmentFormatError, match="line 1000: flow 3 is listed twice"):
         parse_assignment_dump(good[: good.index("flow 1000 ")] + "flow 3 via 1: 1 -> +2\nx\n")
@@ -604,13 +603,13 @@ def _paths_one_by_one(hops_by_flow, flowset, topology):
             path = hops_by_flow.get(flow.id)
             if not path:
                 detail = "no path assigned" if path is None else "empty path"
-                raise InfeasibleLabelError(flow.id, -1, detail)
+                raise InfeasibleLabelError(f"flow {flow.id}: {detail}")
             if (path[0], path[-1]) != (flow.src, flow.dst):
                 detail = f"path {path[0]}->{path[-1]} does not match flow {flow.src}->{flow.dst}"
-                raise InfeasibleLabelError(flow.id, -1, detail)
+                raise InfeasibleLabelError(f"flow {flow.id}: {detail}")
             for edge in zip(path[:-1], path[1:]):
                 if edge not in ids:
-                    raise InfeasibleLabelError(flow.id, -1, f"path uses unknown edge {edge}")
+                    raise InfeasibleLabelError(f"flow {flow.id}: path uses unknown edge {edge}")
                 edge_ids.append(ids[edge])
             flow_ptr.append(len(edge_ids))
     except InfeasibleLabelError as exc:

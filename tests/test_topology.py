@@ -116,7 +116,7 @@ def test_fat_tree_rejects_bad_arity(k):
 
 
 def test_fat_tree_rejects_bad_capacity():
-    with pytest.raises(ValueError):
+    with pytest.raises(TopologyFormatError, match="capacity 0.0 of edge"):
         make_fat_tree(4, edge_capacity=0.0)
 
 
@@ -142,7 +142,7 @@ def test_sample_topology_uniform_capacity(capacity):
 def test_sample_topology_rejects_bad_input():
     with pytest.raises(ValueError):
         make_sample_topology("fig9z")
-    with pytest.raises(ValueError):
+    with pytest.raises(TopologyFormatError, match="capacity 0.0 of edge"):
         make_sample_topology("fig2a", 0.0)
 
 
