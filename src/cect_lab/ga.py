@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -103,28 +104,43 @@ class _Instance:
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
+        # the padded label rows that the gene loop and the mutation deltas
+        # read: label l's edges in row l, then filler id n_edges; row 0 is all
+        # filler, so genes index it directly
+        hops = np.diff(self.label_ptr)
+        width = hops.max(initial=0)
+        self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
+        self.label_pad[1:][np.arange(width) < hops[:, None]] = self.label_edges
         # Aggregate loads by label when the table's labels hold at most half
         # the edge entries of a member's shortest genes (flows share labels);
         # else, as at k=8 and k=12, loop to avoid population-by-table arrays.
-        hops = np.diff(self.label_ptr)
-        self.groups, self.label_pad, self.gene_demands = None, None, self.demands.astype(np.float64)
+        self.weights = self.demands.astype(np.float64)
+        self.groups = self.cells = self.gene_demands = None
         if 2 * len(self.label_edges) < hops[self.shortest - 1].sum():
             self.groups = kernels.edge_major_labels(self.label_ptr, self.label_edges, self.n_edges)
-        else:
-            # the gene loop's fixed-width rows: label l's edges in row l, then
-            # filler id n_edges; row 0 is all filler, so genes index it directly
-            width = hops.max(initial=0)
-            self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
-            self.label_pad[1:][np.arange(width) < hops[:, None]] = self.label_edges
 
-    def evaluate(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.groups is not None and self.gene_demands.shape != genes.shape:
-            # the aggregated form weighs each gene; build the weights once
-            self.gene_demands = np.tile(self.demands.astype(np.float64), (len(genes), 1))
-        loads = kernels.population_loads(
-            genes, self.label_ptr, self.label_pad, self.gene_demands, self.n_edges, self.groups
+    def loads(self, genes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-edge int64 loads of each row of genes, into out if given."""
+        rows, demands, cells = len(genes), self.weights, None
+        if self.groups is not None:
+            if self.cells is None or rows > len(self.cells):
+                # the aggregated form's per-gene buffers, grown to the population once
+                self.cells = np.empty(genes.shape, dtype=np.int64)
+                self.gene_demands = np.tile(self.weights, (rows, 1))
+            demands, cells = self.gene_demands[:rows], self.cells[:rows]
+        return kernels.population_loads(
+            genes, self.label_ptr, self.label_pad, demands, self.n_edges, self.groups, cells, out
         )
-        return kernels.fitness_mu(loads, self.caps, self.penalty)
+
+    def shift_loads(self, loads, block, members, flows, old, new) -> None:
+        """Move loads[block][members] by the redrawn genes (members, flows):
+        each flow's demand leaves old's edges and joins new's."""
+        n, rows, width = self.n_edges + 1, loads[block], self.label_pad.shape[1]
+        edges = self.label_pad.take(np.concatenate((new, old)), axis=0).reshape(2, -1)
+        edges += (n * members).repeat(width)
+        weights = self.weights[flows].repeat(width)
+        shift = np.bincount(edges.ravel(), np.concatenate((weights, -weights)), len(rows) * n)
+        np.add(rows, shift.reshape(-1, n)[:, :-1], out=rows, casting="unsafe")
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
         """n_members int32 chromosomes of genes uniform over each flow's feasible labels,
@@ -154,15 +170,13 @@ def roulette_select(
     if count % 2 != 0:
         raise ValueError("selection count must be even")
     fit = np.asarray(fitnesses, dtype=np.float64)
-    if not np.all(np.isfinite(fit)):
-        raise ValueError("fitness values must be finite")
-
     low = fit.min()
     if low <= 0:
         fit = fit - low + 1e-6 * max(1.0, float(np.abs(fit).max()))
-    total = fit.sum()
-    probabilities = fit / total if total > 0 else np.full(len(fit), 1.0 / len(fit))
-    wheel = np.cumsum(probabilities)
+    total = fit.sum()  # positive, unless a fitness is NaN or infinite
+    if not np.isfinite(total):
+        raise ValueError("fitness values must be finite")
+    wheel = np.cumsum(fit / total)
     picks = np.searchsorted(wheel, rng.random(count), side="right")
     return np.minimum(picks, len(fit) - 1)
 
@@ -206,6 +220,7 @@ def multipoint_mutate(
     feas_ptr: np.ndarray,
     feas_labels: np.ndarray,
     rng: np.random.Generator,
+    on_sites=None,
 ) -> None:
     """Redraw, in place, each gene of a population with probability mutation_rate.
 
@@ -215,23 +230,30 @@ def multipoint_mutate(
     incumbent, so the realized change rate is at most the mutation rate.
     Where numpy would sample with an index over the whole population (over
     10,000 genes, a twentieth of them drawn), blocks of rows sample instead.
+    on_sites, when given, is called with each block's sites as they are drawn,
+    before they change: (the block's slice of rows, rows within it, flows,
+    old labels, new labels).
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
     count = rng.binomial(genes.size, mutation_rate)
-    blocks, counts = [genes], [count]
+    rows, counts = max(1, len(genes)), [count]
     if genes.size > 10_000 and count > genes.size // 20:
         rows = max(1, 10_000 // genes.shape[1])
-        blocks = [genes[start : start + rows] for start in range(0, len(genes), rows)]
-        counts = rng.multivariate_hypergeometric([block.size for block in blocks], count)
-    for block, count in zip(blocks, counts):
+        sizes = [genes[first : first + rows].size for first in range(0, len(genes), rows)]
+        counts = rng.multivariate_hypergeometric(sizes, count)
+    for first, count in zip(range(0, len(genes), rows), counts):
         if not count:
             continue  # sampling no sites would draw nothing from rng
+        block = genes[first : first + rows]
         sites = rng.choice(block.size, size=count, replace=False, shuffle=False)
         members, flows = np.divmod(sites, block.shape[1])
         starts = feas_ptr[flows]
         offsets = (rng.random(count) * (feas_ptr[flows + 1] - starts)).astype(np.int64)
-        block[members, flows] = feas_labels[starts + offsets]
+        new = feas_labels[starts + offsets]
+        if on_sites is not None:
+            on_sites(slice(first, first + rows), members, flows, block[members, flows], new)
+        block[members, flows] = new
 
 
 def run_cect(
@@ -259,7 +281,9 @@ def run_cect(
 
     genes = inst.random_genes(n_pop, rng)
     genes[0] = inst.shortest
-    spare = np.empty_like(genes)
+    loads = inst.loads(genes)  # the only evaluation of a whole population
+    spare, spare_loads = np.empty_like(genes), np.empty_like(loads)
+    half = (n_pop - 1) // 2
 
     best_genes = genes[0].copy()
     best_mu = math.inf
@@ -269,14 +293,11 @@ def run_cect(
     generation = 0
 
     while True:
-        fit, mu = inst.evaluate(genes)
+        fit, mu = kernels.fitness_mu(loads, inst.caps, inst.penalty)
         stats.evaluations += n_pop
 
-        gen_best = int(np.argmax(fit))
-        mu_best = int(np.argmin(mu))
-        ties = np.flatnonzero(mu == mu[mu_best])
-        if ties.size > 1:
-            mu_best = int(ties[np.argmax(fit[ties])])
+        gen_best = int(fit.argmax())
+        mu_best = int(np.where(mu == mu.min(), fit, -math.inf).argmax())  # fittest of least mu
         if mu[mu_best] < best_mu or (
             mu[mu_best] == best_mu and fit[mu_best] > best_fit_at_best_mu
         ):
@@ -296,7 +317,7 @@ def run_cect(
                 generation=generation,
                 best_mu=float(mu[mu_best]),
                 best_fitness=float(fit[gen_best]),
-                mean_fitness=float(fit.mean()),
+                mean_fitness=float(fit.sum() / len(fit)),
                 mut_rate=rate,
             )
         )
@@ -306,13 +327,26 @@ def run_cect(
         if best_mu <= config.mu_target or generation >= config.max_iterations:
             break
 
-        # the elite passes unchanged; every other row is a child, bred in place
+        # the elite passes unchanged; every other row is a child, bred in place.
+        # Children i and half + i hold the genes of parents picks[i] and
+        # picks[half + i], so the two loads sum to the parents': only the first
+        # half is evaluated; the mutation's redrawn genes then shift their rows
         needed = n_pop - 1
         picks = roulette_select(fit, needed + (needed % 2), rng)[:needed]
-        spare[0] = genes[gen_best]
+        spare[0], spare_loads[0] = genes[gen_best], loads[gen_best]
         uniform_crossover(genes, picks, rng, out=spare[1:])
-        multipoint_mutate(spare[1:], rate, inst.feas_ptr, inst.feas_labels, rng)
+        first, second = spare_loads[1 : 1 + half], spare_loads[1 + half : 1 + 2 * half]
+        if half:
+            inst.loads(spare[1 : 1 + half], out=first)
+        loads.take(picks[:half], axis=0, out=second, mode="clip")
+        second += loads[picks[half : 2 * half]]
+        second -= first
+        if needed % 2:
+            spare_loads[-1] = loads[picks[-1]]  # an odd last child is a copied parent
+        multipoint_mutate(spare[1:], rate, inst.feas_ptr, inst.feas_labels, rng,
+                          partial(inst.shift_loads, spare_loads[1:]))
         genes, spare = spare, genes
+        loads, spare_loads = spare_loads, loads
         generation += 1
 
     stats.generations = generation

@@ -36,8 +36,9 @@ def edge_major_labels(label_ptr, label_edges, n_edges) -> tuple[np.ndarray, np.n
     return np.searchsorted(edges[order], np.arange(n_edges)), labels[order]
 
 
-def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None):
-    """Per-edge integer loads for each member of a population.
+def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None, cells=None,
+                     out=None):
+    """Per-edge integer loads for each member of a population, into out if given.
 
     genes holds 1-based path labels, one row per member, one column per
     flow; label_ptr is the labels' CSR row pointer, so a gene adds
@@ -48,24 +49,27 @@ def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None)
     per flow. groups = edge_major_labels(label_ptr, ...) selects the
     aggregated form, whose demands are per gene, in genes' shape: one
     bincount sums them into (member, label) cells, and one gather and one
-    np.add.reduceat add up each edge's labels' cells. Both sum integer
-    milli-units below 2**53, so they agree exactly.
+    np.add.reduceat add up each edge's labels' cells; cells, if given, is an
+    int64 buffer of genes' shape for the cell index, which a fresh array
+    would fault in on each call. Both sum integer milli-units below 2**53,
+    so they agree exactly.
     """
     n_members = genes.shape[0]
+    loads = np.empty((n_members, n_edges), dtype=np.int64) if out is None else out
     if groups is not None:
         starts, labels = groups
         n_cells = len(label_ptr)  # label 0's cell stays empty
-        cells = n_cells * np.arange(n_members)[:, None] + genes
+        cells = np.add(n_cells * np.arange(n_members)[:, None], genes, out=cells)
         per_cell = np.bincount(cells.ravel(), demands.ravel(), n_members * n_cells)
-        del cells  # freed cells let the gather reuse memory
+        del cells  # a fresh cells array, once freed, lets the gather reuse its memory
         per_cell = per_cell.reshape(n_members, -1)
-        return np.add.reduceat(per_cell[:, labels], starts, axis=1).astype(np.int64)
-    # np.take beats fancy indexing here; one bincount per member beats one
+        np.copyto(loads, np.add.reduceat(per_cell[:, labels], starts, axis=1), casting="unsafe")
+        return loads
+    # take beats fancy indexing here; one bincount per member beats one
     # over the whole population; float64 demands spare each bincount a cast
-    weights = np.repeat(demands, label_pad.shape[1])
-    loads = np.empty((n_members, n_edges), dtype=np.int64)
+    weights = demands.repeat(label_pad.shape[1])
     for m, labels in enumerate(genes):
-        edge_ids = np.take(label_pad, labels, axis=0).ravel()
+        edge_ids = label_pad.take(labels, axis=0).ravel()
         loads[m] = np.bincount(edge_ids, weights, n_edges + 1)[:n_edges]
     return loads
 
@@ -76,11 +80,11 @@ def fitness_mu(loads, cap_units, penalty):
     Fitness is the summed spare capacity over all edges minus penalty times
     the summed overload, reported in bandwidth units (not milli-units).
     """
-    residual = cap_units[None, :] - loads
-    overload = np.where(residual < 0, -residual, 0)
-    fitness = (residual.sum(axis=1) - penalty * overload.sum(axis=1)) / UNITS_PER_BW
-    mu = (loads / cap_units[None, :]).max(axis=1)
-    return fitness.astype(np.float64), mu
+    mu = (loads / cap_units).max(axis=1)
+    excess = loads - cap_units  # the one population-sized temporary at a time
+    overload = np.maximum(excess, 0, out=excess).sum(axis=1)
+    fitness = (cap_units.sum() - loads.sum(axis=1) - penalty * overload) / UNITS_PER_BW
+    return fitness, mu
 
 
 def maxmin_rates(flow_ptr, flow_edges, demands, capacities):

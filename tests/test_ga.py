@@ -1,14 +1,15 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cect_lab import ga
+from cect_lab import ga, kernels
 from cect_lab.errors import InfeasibleLabelError, NoFeasiblePathError
 from cect_lab.exact import solve_exact
 from cect_lab.experiment import solve
@@ -42,13 +43,18 @@ def _genes(*labels) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
+def _evaluate(inst, genes):
+    """(fitness, mu) of each row of genes, as run_cect scores its population."""
+    return kernels.fitness_mu(inst.loads(genes), inst.caps, inst.penalty)
+
+
 def _fitness(flows, table, topo, *labels, penalty=None) -> float:
     """Fitness of one chromosome as run_cect evaluates it (penalty defaults
     to the switch count, which the instance holds)."""
     inst = _Instance(flows, table, topo)
     if penalty is not None:
         inst.penalty = penalty
-    fit, _ = inst.evaluate(_genes(*labels).reshape(1, -1))
+    fit, _ = _evaluate(inst, _genes(*labels).reshape(1, -1))
     return float(fit[0])
 
 
@@ -101,7 +107,7 @@ def test_overload_can_outrank_a_longer_path_that_fits():
     table = precompute_xpaths(topo, x=2, cap_c=None)
     flows = make_flows([(3, 2, 10.5)])
     direct, detour = feasible_labels(table, 3, 2)
-    fit, mu = _Instance(flows, table, topo).evaluate(_genes(direct, detour).reshape(2, 1))
+    fit, mu = _evaluate(_Instance(flows, table, topo), _genes(direct, detour).reshape(2, 1))
     # direct: 210 - 10.5 residual, minus 3 * 0.5 overload; detour: 210 - 2 * 10.5
     assert fit.tolist() == [198.0, 189.0]
     assert mu.tolist() == [1.05, 0.105]
@@ -316,7 +322,7 @@ def test_fixed_point_under_identity_operators(fig2a):
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0)])
     pop = np.tile(_genes(3, 4), (4, 1))
     rng = np.random.default_rng(0)
-    fits, _ = _Instance(flows, table, topo).evaluate(pop)
+    fits, _ = _evaluate(_Instance(flows, table, topo), pop)
     children = _crossover(pop, roulette_select(fits, 4, rng), rng)
     children = _mutate(children, 0.0, table, flows, rng)
     assert all(np.array_equal(c, pop[0]) for c in children)
@@ -549,6 +555,76 @@ def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
     assert hashlib.sha256(assignment.labels.tobytes()).hexdigest() == labels_sha
     assert mu == best_mu
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
+
+
+@functools.lru_cache(maxsize=None)
+def _load_form_case(aggregated: bool, many: bool):
+    """(topology, table, flows) whose instance picks the aggregated form or the
+    gene loop, with 2,000 flows or a few dozen."""
+    if aggregated and not many:  # few labels, each shared by many flows
+        topo = make_sample_topology("fig2a", 10.0)
+        flows = make_flows([(3, 1, 1.0), (3, 2, 2.5), (2, 1, 0.5), (1, 2, 4.0)] * 8)
+        return topo, precompute_xpaths(topo, x=3, cap_c=None), flows
+    topo = make_fat_tree(6 if many and not aggregated else 4, 200.0, 200.0, 100.0)
+    mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
+    flows = generate_flows(topo, 2000 if many else 30, mix, plr=0.95, seed=1)
+    return topo, precompute_xpaths(topo, x=4, cap_c=50), flows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    aggregated=st.booleans(),
+    many=st.booleans(),
+    population=st.integers(2, 9),
+    rate=st.sampled_from([0.02, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(aggregated=False, many=True, population=9, rate=0.3, seed=1)
+@example(aggregated=True, many=True, population=8, rate=0.3, seed=2)
+@example(aggregated=True, many=False, population=2, rate=0.3, seed=3)
+@example(aggregated=False, many=False, population=2, rate=0.3, seed=4)
+def test_carried_loads_equal_a_fresh_evaluation(aggregated, many, population, rate, seed):
+    # only generation 0 is evaluated whole: later loads are the elite's, the
+    # first half of the children's, the second half's derived from their
+    # parents', an odd last row's copied from its parent, each shifted by the
+    # mutation. Population 2 has no pair, odd sizes no copied row, and with
+    # 2,000 flows from population 7 on, rate 0.3 samples sites in row blocks
+    topo, table, flows = _load_form_case(aggregated, many)
+    inst = _Instance(flows, table, topo)
+    assert (inst.groups is not None) == aggregated
+
+    def check(generation, genes, fit, mu):
+        fresh = kernels.population_loads(
+            genes, inst.label_ptr, inst.label_pad, inst.weights, inst.n_edges
+        )
+        expected_fit, expected_mu = kernels.fitness_mu(fresh, inst.caps, inst.penalty)
+        assert np.array_equal(fit, expected_fit), generation
+        assert np.array_equal(mu, expected_mu), generation
+
+    config = GaConfig(population_size=population, max_iterations=5, mut_min=rate,
+                      mut_max=rate, mu_target=1e-9, seed=seed)
+    _, _, stats = run_cect(flows, table, topo, config, on_generation=check)
+    assert stats.generations == 5
+
+
+@pytest.mark.parametrize("aggregated", [False, True])
+@pytest.mark.parametrize("population", [2, 7, 8])
+def test_each_bred_generation_evaluates_half_of_its_children(monkeypatch, aggregated, population):
+    # generation 0 evaluates every member; each bred generation only the
+    # first child of each pair, so a change back to whole evaluations shows
+    rows = []
+    original = kernels.population_loads
+
+    def counting(genes, *args, **kwargs):
+        rows.append(len(genes))
+        return original(genes, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "population_loads", counting)
+    topo, table, flows = _load_form_case(aggregated, False)
+    config = GaConfig(population_size=population, max_iterations=6, mu_target=1e-9, seed=3)
+    _, _, stats = run_cect(flows, table, topo, config)
+    assert stats.generations == 6
+    assert sum(rows) == population + stats.generations * ((population - 1) // 2)
 
 
 def test_run_tracks_exact_optimum_on_small_instances():
