@@ -44,7 +44,7 @@ def route_ecmp(flowset: FlowSet, topology: Topology, xpath_table: XPathTable) ->
     ptr, labels = feasible_csr(xpath_table, flowset)
     starts = ptr[:-1]
     # rows run shortest first, so each row's minimum-hop paths are a prefix
-    hops = xpath_table.hop_counts[labels - 1]
+    hops = np.diff(xpath_table.edge_ptr)[labels - 1]
     shortest = hops == np.repeat(hops[starts], np.diff(ptr))
     sizes = np.add.reduceat(shortest, starts, dtype=np.int64)
     src, dst = flowset.ends().T

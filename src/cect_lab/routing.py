@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import AssignmentFormatError, InfeasibleLabelError
 from .kernels import csr_rows
 from .topology import Topology
-from .traffic import FlowSet
+from .traffic import Flow, FlowSet
 from .xpath import XPathTable, format_paths
 
 # Structural rules a flow's edge list must satisfy to form a simple
@@ -140,10 +141,12 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
     if len(labels) < flowset.count:
         raise InfeasibleLabelError(f"flow {len(labels) + 1}: no label assigned")
     labels = labels[: flowset.count]
-    hop_ptr, hops = xpath_table.hop_ptr, xpath_table.hops
+    ptr, ids, topology = xpath_table.edge_ptr, xpath_table.edge_ids, xpath_table.topology
     in_table = (labels >= 1) & (labels <= xpath_table.path_count)
     rows = np.where(in_table, labels, 1) - 1
-    ends = np.column_stack([hops[hop_ptr[rows]], hops[hop_ptr[rows + 1] - 1]])
+    # a path runs from its first edge's tail to its last edge's head
+    tails, heads = np.array(topology.nodes, dtype=np.int64)[topology.edge_ends.T]
+    ends = np.column_stack([tails[ids[ptr[rows]]], heads[ids[ptr[rows + 1] - 1]]])
     ok = in_table & (ends == flowset.ends()).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -186,7 +189,8 @@ def validate(
     destination. Degrees count each distinct edge of a flow once. An edge
     id outside edge_keys breaks known-edge. Raises ValueError for a matrix
     that holds another number of flows or was built for a topology with
-    other edges. A row that is a simple path passes in one array check.
+    other edges. A row that is a simple path passes in one array check;
+    only the rows that fail it are walked edge by edge to name their rules.
     """
     _check_rows(routing_matrix, flowset, topology)
     ptr, keys, (src, dst) = routing_matrix.flow_ptr, routing_matrix.edge_keys, flowset.ends().T
@@ -198,11 +202,10 @@ def validate(
     else:
         s_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, short)
     row, last = np.repeat(np.arange(len(short)), counts[short]), s_ptr[1:] - 1
-    # each edge's tail and head as int32 positions in nodes, an unknown id clipped to
-    # a known edge; a row fails on an unknown edge, on other ends or on a broken chain
-    ends, known = np.array(keys, dtype=np.int64).reshape(-1, 2), (ids >= 0) & (ids < len(keys))
-    nodes = np.array(topology.nodes, dtype=np.int64)
-    tail, head = (a.take(ids, mode="clip") for a in np.searchsorted(nodes, ends.T).astype(np.int32))
+    # each edge's tail and head as positions in nodes, an unknown id clipped to a
+    # known edge; a row fails on an unknown edge, on other ends or on a broken chain
+    known, nodes = (ids >= 0) & (ids < len(keys)), np.array(topology.nodes, dtype=np.int64)
+    tail, head = (a.take(ids, mode="clip") for a in topology.edge_ends.T)
     bad = (nodes[tail[s_ptr[:-1]]] != src[short]) | (nodes[head[last]] != dst[short])
     bad[row[~known | np.r_[False, (head[:-1] != tail[1:]) & (row[:-1] == row[1:])]]] = True
     # its switches, its tails and then its last head, sorted behind distinct
@@ -212,48 +215,32 @@ def validate(
     pad[np.arange(len(short)), counts[short]] = head[last]
     pad.sort(axis=1)
     bad[np.flatnonzero(pad[:, 1:] == pad[:, :-1]) // (pad.shape[1] - 1)] = True
-    every = np.setdiff1d(np.arange(1, flowset.count + 1), short[~bad] + 1, assume_unique=True)
-    if not len(every):
-        return []
-    flow_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, every - 1)
-    n_keys, flow = max(len(keys), 1), np.repeat(every, np.diff(flow_ptr))
-    listed = (ids >= 0) & (ids < len(keys))
-    found = [
-        Violation(f, RULE_KNOWN_EDGE, e)
-        for f, e in sorted(set(zip(flow[~listed].tolist(), ids[~listed].tolist())))
-    ]
+    failing = np.setdiff1d(np.arange(len(counts)), short[~bad], assume_unique=True).tolist()
+    rows = [(flowset.flows[i], routing_matrix.edge_ids[ptr[i] : ptr[i + 1]]) for i in failing]
+    return [violation for flow, edges in rows for violation in _flow_violations(flow, edges, keys)]
 
-    # the distinct edges of each flow are the nonzero entries of its indicator
-    entry, times = np.unique(flow[listed] * n_keys + ids[listed], return_counts=True)
-    flow, ids = np.divmod(entry, n_keys)
-    found += [
-        Violation(int(flow[i]), RULE_BINARY_INDICATOR, keys[ids[i]], f"value {times[i]}")
-        for i in np.flatnonzero(times > 1)
-    ]
 
-    # out- and in-degree of every (flow, switch) the flow's edges touch, plus
-    # its source and destination even when no edge touches them
-    at = np.r_[ends[ids].T.ravel(), src[every - 1], dst[every - 1]]
-    nodes, pos = np.unique(at, return_inverse=True)
-    touched, at = np.unique(np.r_[flow, flow, every, every] * len(nodes) + pos, return_inverse=True)
-    out_deg = np.bincount(at[: len(flow)], minlength=len(touched))
-    in_deg = np.bincount(at[len(flow) : 2 * len(flow)], minlength=len(touched))
-    t_flow, node = touched // len(nodes), nodes[touched % len(nodes)]
-    is_src, is_dst = node == src[t_flow - 1], node == dst[t_flow - 1]
-
-    def report(rule, mask, detail, *values):
-        columns = [a[mask].tolist() for a in (t_flow, node, *values)]
-        found.extend(Violation(f, rule, n, detail.format(*v)) for f, n, *v in zip(*columns))
-
-    report(RULE_NO_RETURN_TO_SOURCE, is_src & (in_deg > 0), "{} edges enter the source", in_deg)
-    report(RULE_NO_EXIT_FROM_DESTINATION, is_dst & (out_deg > 0),
-           "{} edges leave the destination", out_deg)
-    report(RULE_SOURCE_OUT_DEGREE, is_src & (out_deg != 1), "out-degree {}", out_deg)
-    report(RULE_DESTINATION_IN_DEGREE, is_dst & (in_deg != 1), "in-degree {}", in_deg)
-    report(RULE_FLOW_CONSERVATION, ~is_src & ~is_dst & (in_deg != out_deg),
-           "in {} != out {}", in_deg, out_deg)
-    report(RULE_LOOP_FREE, in_deg > 1, "in-degree {}", in_deg)
-    return sorted(found, key=lambda v: v.flow_id)
+def _flow_violations(flow: Flow, edge_ids: np.ndarray, keys) -> list[Violation]:
+    """Every rule one flow's edge ids break, rule by rule, each rule's edges or
+    switches ascending; degrees count each distinct known edge once."""
+    flow_id, src, dst, edges = flow.id, flow.src, flow.dst, edge_ids.tolist()
+    times = Counter(e for e in edges if 0 <= e < len(keys))
+    found = [Violation(flow_id, RULE_KNOWN_EDGE, e) for e in sorted(set(edges) - set(times))]
+    found += [Violation(flow_id, RULE_BINARY_INDICATOR, keys[e], f"value {n}")
+              for e, n in sorted(times.items()) if n > 1]
+    # o[v] and i[v]: switch v's out- and in-degree over the distinct known edges
+    o, i = Counter(keys[e][0] for e in times), Counter(keys[e][1] for e in times)
+    found += [Violation(flow_id, rule, at, detail) for rule, at, broken, detail in (
+        (RULE_NO_RETURN_TO_SOURCE, src, i[src] > 0, f"{i[src]} edges enter the source"),
+        (RULE_NO_EXIT_FROM_DESTINATION, dst, o[dst] > 0, f"{o[dst]} edges leave the destination"),
+        (RULE_SOURCE_OUT_DEGREE, src, o[src] != 1, f"out-degree {o[src]}"),
+        (RULE_DESTINATION_IN_DEGREE, dst, i[dst] != 1, f"in-degree {i[dst]}"),
+    ) if broken]
+    inner = sorted((o.keys() | i.keys()) - {src, dst})
+    found += [Violation(flow_id, RULE_FLOW_CONSERVATION, v, f"in {i[v]} != out {o[v]}")
+              for v in inner if i[v] != o[v]]
+    return found + [Violation(flow_id, RULE_LOOP_FREE, v, f"in-degree {i[v]}")
+                    for v in sorted(i) if i[v] > 1]
 
 
 def flow_edge_csr(

@@ -63,7 +63,8 @@ class Topology:
         pod_of: optional map switch id -> pod index for edge/aggregation
             switches of a fat-tree; core switches are absent from the map.
         edge_keys: (src, dst) of every edge; cap_units: int64 capacities in
-            milli-units; both in edge order.
+            milli-units; edge_ends: int64 (links, 2) positions in nodes of
+            every edge's tail and head; all three in edge order.
         edge_id: int64 (n + 1, n + 1) matrix over positions: [p, q] is the id
             of edge nodes[p] -> nodes[q], or -1; position n is any non-switch.
     """
@@ -73,6 +74,7 @@ class Topology:
     pod_of: dict[int, int] = field(default_factory=dict)
     edge_keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     cap_units: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_ends: np.ndarray = field(init=False, repr=False, compare=False)
     edge_id: np.ndarray = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
@@ -93,13 +95,15 @@ class Topology:
             if not 0 <= pod < n_pods:
                 raise TopologyFormatError(f"pod index {pod} out of range for {node}")
 
-        ends = np.array([position[v] for src, dst, _ in links for v in (src, dst)], np.int64)
+        ends = [(position[src], position[dst]) for src, dst, _ in links]
+        edge_ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
         edge_id = np.full((len(nodes) + 1, len(nodes) + 1), -1, dtype=np.int64)
-        edge_id[tuple(ends.reshape(-1, 2).T)] = np.arange(len(links))
+        edge_id[tuple(edge_ends.T)] = np.arange(len(links))
         cap_units = np.array([to_units(cap) for *_, cap in links], dtype=np.int64)
-        edge_id.flags.writeable = cap_units.flags.writeable = False
+        edge_ends.flags.writeable = edge_id.flags.writeable = cap_units.flags.writeable = False
         built = dict(nodes=nodes, links=links, edge_keys=tuple((s, d) for s, d, _ in links),
-                     cap_units=cap_units, edge_id=edge_id, _position=position)
+                     cap_units=cap_units, edge_ends=edge_ends, edge_id=edge_id,
+                     _position=position)
         for name, value in built.items():
             object.__setattr__(self, name, value)
 
@@ -121,10 +125,17 @@ class Topology:
         return np.fromiter(map(self._position.get, ids, absent), dtype=np.int64)
 
     def check_edge_keys(self, edge_keys: tuple[tuple[int, int], ...], owner: str) -> None:
-        """Raise ValueError unless edge_keys are this topology's edge_keys."""
+        """Raise ValueError unless edge_keys are this topology's edge_keys, naming the
+        least edge one side lacks, else the first id they differ at, else their sizes."""
         if self.edge_keys != edge_keys:
-            src, dst = min(set(self.edge_keys) ^ set(edge_keys))
-            raise ValueError(f"{owner} was built for another topology: edge {src} -> {dst} differs")
+            ours, differ = self.edge_keys, set(self.edge_keys) ^ set(edge_keys)
+            at = next((i for i, (a, b) in enumerate(zip(ours, edge_keys)) if a != b), None)
+            detail = (
+                "edge {} -> {} differs".format(*min(differ)) if differ
+                else f"it has {len(edge_keys)} edges, not {len(ours)}" if at is None
+                else "edge id {} is {} -> {}, not {} -> {}".format(at, *edge_keys[at], *ours[at])
+            )
+            raise ValueError(f"{owner} was built for another topology: {detail}")
 
     def edge_switches(self) -> list[int]:
         """Switches where flows may originate or terminate.

@@ -7,10 +7,11 @@ labels. Labels are assigned breadth-first by path length, then by (source,
 destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
 
-The table is a set of numpy arrays built one hop length at a time; callers
-read paths through hop_ptr/hops, hop_counts and label_edge_csr, and each
-endpoint pair's labels through feasible_labels and feasible_csr, which
-slice one CSR over the pairs.
+The table is a set of numpy arrays built one hop length at a time. A path is
+one row of edge ids, read through edge_ptr or label_edge_csr; its switches
+are its edges' ends in Topology.edge_ends. Each endpoint pair's labels are
+read through feasible_labels and feasible_csr, which slice one CSR over the
+pairs.
 """
 
 from __future__ import annotations
@@ -29,19 +30,16 @@ from .traffic import FlowSet
 class XPathTable:
     """All retained x-paths of a topology, indexed by label and by endpoint pair.
 
-    Label l is row l-1 of every per-label array: hop_ptr/hops is the CSR of
-    the switch ids along each path, hop_counts holds each path's edge
-    count, and edge_ptr/edge_ids is the CSR of its edges as ids into the
-    edge_keys of topology, the one the table was built from.
+    Label l is row l-1 of edge_ptr/edge_ids, the CSR of each path's edges in
+    hop order as ids into the edge_keys of topology, the one the table was
+    built from; a row's length is its path's hop count, and its switches are
+    its edges' tails and then its last edge's head (topology.edge_ends).
     pair_ptr/pair_labels is the CSR of each endpoint pair's labels,
     shortest first: with n switches, row i * n + j holds the paths from
     topology.nodes[i] to topology.nodes[j], and the last row, n * n, is
     empty.
     """
 
-    hop_ptr: np.ndarray
-    hops: np.ndarray
-    hop_counts: np.ndarray
     edge_ptr: np.ndarray
     edge_ids: np.ndarray
     topology: Topology
@@ -50,7 +48,7 @@ class XPathTable:
 
     @property
     def path_count(self) -> int:
-        return len(self.hop_counts)
+        return len(self.edge_ptr) - 1
 
     def label_edge_csr(self, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
         """CSR view (row ptr, edge ids) of every path's edge list.
@@ -61,19 +59,6 @@ class XPathTable:
         """
         topology.check_edge_keys(self.topology.edge_keys, "table")
         return self.edge_ptr, self.edge_ids
-
-
-def _extend(level: np.ndarray, adj_ptr: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Every one-edge loop-free extension of the paths in level.
-
-    Rows of level are node-position paths in lexicographic order; the result
-    is too, because each row's extensions follow its sorted out-neighbours.
-    """
-    ptr, nxt = csr_rows(adj_ptr, adj, level[:, -1])
-    parent = np.repeat(np.arange(len(level), dtype=np.int32), np.diff(ptr))
-    # without self-loops the last switch never recurs, so skip that column
-    fresh = np.logical_and.reduce([column[parent] != nxt for column in level.T[:-1]])
-    return np.column_stack([level[parent[fresh]], nxt[fresh]])
 
 
 def check_path_bounds(x: int, cap_c: int | None) -> None:
@@ -95,46 +80,44 @@ def precompute_xpaths(topology: Topology, x: int, cap_c: int | None) -> XPathTab
     """
     check_path_bounds(x, cap_c)
 
-    # switches are their positions in topology.nodes, which ascend as their
-    # ids, so comparing positions orders paths exactly as comparing ids does
-    nodes, eid = np.array(topology.nodes, dtype=np.int64), topology.edge_id
-    n = len(nodes)
-    tail, head = np.nonzero(eid[:n, :n] >= 0)  # in edge id order, so sorted by tail
-    adj_ptr = np.searchsorted(tail, np.arange(n + 1))
-    adj = head.astype(np.int32)
+    # switch positions in topology.nodes ascend as their ids, and edge ids as
+    # (tail, head), so comparing edge-id rows orders paths as comparing their
+    # switch ids does; a row's extensions follow its last switch's out-edges,
+    # whose ids ascend, so each level's rows stay in lexicographic order
+    (tail, head), n = topology.edge_ends.T, topology.node_count
+    adj_ptr, edges = np.searchsorted(tail, np.arange(n + 1)), np.arange(len(tail), dtype=np.int32)
     kept = np.zeros(n * n, dtype=np.int64)
-    is_end = np.isin(nodes, topology.edge_switches())
+    is_end = np.isin(topology.nodes, topology.edge_switches())
 
     # grow paths from the edge switches only, and keep those that end at one
-    level = np.column_stack([tail, head])[is_end[tail]].astype(np.int32)
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (hops, edges, pairs)
+    level = np.flatnonzero(is_end[tail]).astype(np.int32)[:, None]
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (edge ids, pairs)
     for length in range(1, x + 1):
         if length > 1:
-            level = _extend(level, adj_ptr, adj)
-        done = level[is_end[level[:, -1]]]
+            ptr, nxt = csr_rows(adj_ptr, edges, head[level[:, -1]])
+            parent = np.repeat(np.arange(len(level), dtype=np.int32), np.diff(ptr))
+            # a path's switches are its edges' tails and its last head, which is
+            # the new edge's tail: without self-loops, only the tails can recur
+            fresh = np.logical_and.reduce([tail[c][parent] != head[nxt] for c in level.T])
+            level = np.column_stack([level[parent[fresh]], nxt[fresh]])
+        done = level[is_end[head[level[:, -1]]]]
         # done is in hop order, so a stable sort by pair gives (src, dst, hops)
-        pair = done[:, 0].astype(np.int64) * n + done[:, -1]
+        pair = tail[done[:, 0]] * n + head[done[:, -1]]
         order = np.argsort(pair, kind="stable")
         if cap_c is not None:
             grouped = pair[order]
             rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
             order = order[rank + kept[grouped] < cap_c]
             kept += np.bincount(pair[order], minlength=n * n)
-        rows = done[order]
-        levels.append((nodes[rows].ravel(), eid[rows[:, :-1], rows[:, 1:]].ravel(), pair[order]))
+        levels.append((done[order].ravel(), pair[order]))
 
-    hops, edge_ids, pairs = (np.concatenate(arrays) for arrays in zip(*levels))
-    hop_counts = np.repeat(np.arange(1, x + 1), [len(p) for _, _, p in levels])
-    edge_ptr = np.r_[0, np.cumsum(hop_counts)]
+    edge_ids, pairs = (np.concatenate(arrays) for arrays in zip(*levels))
 
     # labels run shortest first, so a stable sort by pair keeps that order in each row
     order = np.argsort(pairs, kind="stable")
     return XPathTable(
-        hop_ptr=edge_ptr + np.arange(len(edge_ptr)),
-        hops=hops,
-        hop_counts=hop_counts,
-        edge_ptr=edge_ptr,
-        edge_ids=edge_ids,
+        edge_ptr=np.r_[0, np.cumsum(np.repeat(np.arange(1, x + 1), [len(p) for _, p in levels]))],
+        edge_ids=edge_ids.astype(np.int64),
         topology=topology,
         pair_ptr=np.searchsorted(pairs[order], np.arange(n * n + 2)),
         pair_labels=order + 1,
@@ -179,10 +162,13 @@ def format_paths(table: XPathTable, labels: np.ndarray, head: str, *fields: np.n
 
     The text is one %-format of a template joined from one line per hop count.
     """
-    ptr, hops = csr_rows(table.hop_ptr, table.hops, labels - 1)
+    ptr, ids = csr_rows(table.edge_ptr, table.edge_ids, labels - 1)
+    tails, heads = np.array(table.topology.nodes, dtype=np.int64)[table.topology.edge_ends.T]
     counts = np.diff(ptr)
-    lines = [head + " -> ".join(["%d"] * c) + "\n" for c in range(counts.max(initial=0) + 1)]
-    values = np.insert(hops, np.repeat(ptr[:-1], len(fields)), np.column_stack(fields).ravel())
+    lines = [head + " -> ".join(["%d"] * (c + 1)) + "\n" for c in range(counts.max(initial=0) + 1)]
+    # a path's switches are its first edge's tail and then every edge's head
+    starts = np.column_stack([*fields, tails[ids[ptr[:-1]]]]).ravel()
+    values = np.insert(heads[ids], np.repeat(ptr[:-1], len(fields) + 1), starts)
     return "".join(map(lines.__getitem__, counts.tolist())) % tuple(values.tolist())
 
 

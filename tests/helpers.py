@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's own algorithms: path
 enumeration walks raw adjacency recursively, hop distances come from a
-breadth-first search, pair lookups from each label's hop sequence, and the
+breadth-first search, each label's hop sequence from its edges' keys (not
+Topology.edge_ends), pair lookups from each label's hop sequence, and the
 max-min oracle probes feasibility on a rate grid instead of tracking
 bottleneck events. reference_validate and reference_uniform_crossover are
 the exceptions: they keep the package's rule-by-rule validator and its
@@ -96,9 +97,11 @@ def all_hops(table: XPathTable) -> list[tuple[int, ...]]:
 
 
 def hops_of(table: XPathTable, labels) -> list[tuple[int, ...]]:
-    """Hop sequences of the given labels, in order, sliced from the table's hop CSR."""
-    ptr, hops = table.hop_ptr.tolist(), table.hops.tolist()
-    return [tuple(hops[ptr[label - 1] : ptr[label]]) for label in labels]
+    """Hop sequences of the given labels, in order: each label's edges' sources
+    and then its last edge's destination, read from topology.edge_keys."""
+    ptr, ids, keys = table.edge_ptr.tolist(), table.edge_ids.tolist(), table.topology.edge_keys
+    rows = [[keys[e] for e in ids[ptr[label - 1] : ptr[label]]] for label in labels]
+    return [(*(src for src, _ in edges), edges[-1][1]) for edges in rows]
 
 
 def labels_by_pair(table: XPathTable) -> dict[tuple[int, int], tuple[int, ...]]:

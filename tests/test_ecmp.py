@@ -32,8 +32,7 @@ def test_inter_pod_flows_take_four_hops():
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, 100, {"small": 1.0}, plr=1.0, seed=0)
     assignment = route_ecmp(flows, topo, table)
-    for flow in flows.flows:
-        assert table.hop_counts[assignment.labels[flow.id - 1] - 1] == 4
+    assert set(np.diff(table.edge_ptr)[assignment.labels - 1].tolist()) == {4}
 
 
 def test_chosen_paths_are_bfs_shortest():
@@ -48,8 +47,8 @@ def test_chosen_paths_are_bfs_shortest():
             [(*pairs[rng.integers(len(pairs))], 1.0) for _ in range(6)]
         )
         assignment = route_ecmp(flows, topo, table)
-        for flow in flows.flows:
-            hops = table.hop_counts[assignment.labels[flow.id - 1] - 1]
+        hop_counts = np.diff(table.edge_ptr)[assignment.labels - 1]
+        for flow, hops in zip(flows.flows, hop_counts):
             assert hops == bfs_distance(topo, flow.src)[flow.dst]
 
 
@@ -61,7 +60,7 @@ def test_same_pair_different_ids_spread():
     assignment = route_ecmp(flows, topo, table)
     chosen = set(assignment.labels.tolist())
     assert len(chosen) > 1  # hash spreads across the 4 equal-cost paths
-    hop_counts = {int(table.hop_counts[l - 1]) for l in chosen}
+    hop_counts = {int(table.edge_ptr[l] - table.edge_ptr[l - 1]) for l in chosen}
     assert hop_counts == {4}
 
 
@@ -215,7 +214,6 @@ def test_solvers_share_the_feasible_csr(seed, n_nodes, edge_prob, x, cap_c, n_fl
     for name, assignment in (("ecmp", ecmp), ("cect", cect), ("exact", exact)):
         matrices[name] = assemble(assignment, flows, table, topo)
         assert validate(matrices[name], flows, topo) == [], name
-    for flow in flows.flows:
-        hops = table.hop_counts[ecmp.labels[flow.id - 1] - 1]
+    for flow, hops in zip(flows.flows, np.diff(table.edge_ptr)[ecmp.labels - 1]):
         assert hops == bfs_distance(topo, flow.src)[flow.dst]
     assert matrices["exact"].mu <= matrices["cect"].mu

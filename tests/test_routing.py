@@ -235,6 +235,15 @@ def test_validate_flags_edge_missing_from_topology(fig2a):
     # a matrix over another topology's edges fails as flow_edge_csr fails it
     with pytest.raises(ValueError, match="built for another topology: edge 1 -> 3 differs"):
         validate(edge_list_matrix(topo, [[(3, 2), (2, 1), (1, 3)]]), flows, topo)
+    # the same edges numbered in another order, or with one listed twice
+    keys = topo.edge_keys
+    for edge_keys, message in (
+        (tuple(reversed(keys)), "edge id 0 is 3 -> 2, not 1 -> 2"),
+        (keys + keys[:1], "it has 5 edges, not 4"),
+    ):
+        matrix = RoutingMatrix(np.array([0, 1]), np.array([0]), edge_keys, {}, 0.0)
+        with pytest.raises(ValueError, match=f"built for another topology: {message}$"):
+            validate(matrix, flows, topo)
 
 
 def test_validate_rejects_matrix_of_other_flows(fig2a):

@@ -205,7 +205,10 @@ def test_construction_sorts_and_numbers_the_edges():
     expected = np.full((4, 4), -1)
     expected[[0, 0, 1, 2], [1, 2, 2, 0]] = [0, 1, 2, 3]
     assert topo.edge_id.tolist() == expected.tolist()
-    for array in (topo.cap_units, topo.edge_id):
+    # each edge's tail and head as positions in nodes, in edge order
+    assert topo.edge_ends.tolist() == [[0, 1], [0, 2], [1, 2], [2, 0]]
+    assert Topology(nodes=(1, 2), links=()).edge_ends.shape == (0, 2)
+    for array in (topo.cap_units, topo.edge_ends, topo.edge_id):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
     # the order links are given in does not matter

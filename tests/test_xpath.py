@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cect_lab.errors import NoFeasiblePathError
+from cect_lab.routing import RoutingAssignment, format_assignment
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
     feasible_csr,
@@ -175,7 +176,7 @@ def test_pair_lists_sorted_by_hops_then_label():
     table = precompute_xpaths(topo, x=4, cap_c=None)
     for pair in labels_by_pair(table):
         labels = feasible_labels(table, *pair)
-        hops = [int(table.hop_counts[l - 1]) for l in labels]
+        hops = [int(table.edge_ptr[l] - table.edge_ptr[l - 1]) for l in labels]
         assert hops == sorted(hops)
         assert list(labels) == sorted(labels)
 
@@ -201,7 +202,7 @@ def test_xpath_invariants():
     for label, hops in enumerate(all_hops(table), 1):
         assert len(hops) >= 2
         assert len(set(hops)) == len(hops)
-        assert table.hop_counts[label - 1] == len(hops) - 1
+        assert table.edge_ptr[label] - table.edge_ptr[label - 1] == len(hops) - 1
 
 
 def test_every_path_forms_a_valid_single_flow_route():
@@ -273,14 +274,20 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, p
     for label, path in enumerate(hops, 1):
         row = edges[ptr[label - 1] : ptr[label]].tolist()
         assert row == [ids[e] for e in zip(path[:-1], path[1:])]
-        assert table.hop_counts[label - 1] == len(path) - 1
+        assert table.edge_ptr[label] - table.edge_ptr[label - 1] == len(path) - 1
 
-    # the batch lookup round-trips through the text dump
-    dumped = [
-        tuple(int(h) for h in line.split(":")[1].split("->"))
-        for line in format_table(table).splitlines()
-    ]
-    assert dumped == hops
+    # both dumps write each label's hops as hops_of reads them from the edge
+    # keys: the table in label order, and an assignment of one flow per label
+    # in a random order
+    def dump(head, labels):
+        return "".join(head.format(i, label) + " -> ".join(map(str, h)) + "\n"
+                       for i, label, h in zip(itertools.count(1), labels, hops_of(table, labels)))
+
+    assert format_table(table) == dump("label {1}: ", range(1, table.path_count + 1))
+    shuffled = np.random.default_rng(seed).permutation(table.path_count) + 1
+    flows = make_flows([(hops[label - 1][0], hops[label - 1][-1], 1.0) for label in shuffled])
+    text = format_assignment(RoutingAssignment(shuffled), flows, table)
+    assert text == dump("flow {0} via {1}: ", shuffled)
 
 
 @pytest.mark.parametrize("k, count, digest", [
@@ -311,7 +318,7 @@ def test_label_edge_csr_rejects_another_topology():
         table.label_edge_csr(make_fat_tree(6))
     ids = edge_index(base)
     assert edges.tolist() == [ids[e] for h in all_hops(table) for e in zip(h, h[1:])]
-    assert ptr.tolist() == [0, *np.cumsum(table.hop_counts).tolist()]
+    assert ptr.tolist() == [0, *np.cumsum(np.diff(table.edge_ptr)).tolist()]
 
 
 def test_format_paths_writes_labels_in_the_given_order(fig2a_table):
