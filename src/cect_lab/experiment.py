@@ -290,8 +290,8 @@ def _run_workload(
     """Draw one (flow count, seed) workload once and route it with every method.
 
     Returns the flows (None when the draw failed) and, per method in config
-    order, its results.csv row and dump, or its error text. A CectLabError or
-    ValueError fails only its method; one from the draw fails every method.
+    order, its results.csv row and dump, or its error text. A CectLabError fails
+    only its method; one or a ValueError from the draw fails every method.
     """
     cfg, topology, table = state
     traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
@@ -308,7 +308,7 @@ def _run_workload(
             elapsed = time.perf_counter() - start
             matrix = assemble(assignment, flows, table, topology)
             result = simulate(matrix, flows, topology, cfg.sim_model)
-        except (CectLabError, ValueError) as exc:  # recorded in the manifest; sweep continues
+        except CectLabError as exc:  # recorded in the manifest; sweep continues
             outcomes.append(f"{type(exc).__name__}: {exc}")
             continue
         row = (method, n_flows, seed_index, result.total_delivered, result.loss_pct, matrix.mu,
@@ -342,10 +342,13 @@ def write_rows(path, header, rows) -> None:
 def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     """Run the sweep workload by workload and write results, dumps, and a manifest.
 
-    Returns the output directory. Cell failures (a CectLabError or
-    ValueError) are recorded in the manifest and do not stop the sweep; the
-    CLI maps them to a nonzero exit code. Any other exception propagates.
+    Returns the output directory, which must be new or empty. Cell failures
+    (a CectLabError) are recorded in the manifest and do not stop the sweep;
+    the CLI maps them to a nonzero exit code. Any other exception propagates.
     """
+    out = Path(out_dir)
+    if out.exists() and any(out.iterdir()):
+        raise CectLabError(f"{out}: output directory is not empty")
     data = _read_config(config_path)
     cfg = _parse_config(data, config_path)
     topology = build_topology(cfg, config_path)
@@ -359,7 +362,6 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     else:
         results = [_run_workload(n, s, state) for n, s in workloads]
 
-    out = Path(out_dir)
     (out / "assignments").mkdir(parents=True, exist_ok=True)
     (out / "flows").mkdir(exist_ok=True)
     save_topology(topology, out / "topology.txt")
@@ -397,11 +399,6 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     return out
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.array(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def _ratio(numerator: float, denominator: float) -> float:
     """numerator / denominator; 1.0 for equal values (0 / 0 too), inf over a zero."""
     if numerator == denominator:
@@ -426,38 +423,46 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
     if not results_file.exists():
         raise FileNotFoundError(f"no results.csv under {results_dir}")
 
-    with open(results_file, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{results_file} has no result rows")
-
-    methods = sorted({r["method"] for r in rows})
-    flow_counts = sorted({int(r["n_flows"]) for r in rows})
-    grouped: dict[tuple[str, int], list[dict]] = {}
-    for r in rows:
-        grouped.setdefault((r["method"], int(r["n_flows"])), []).append(r)
-
-    written: dict[str, Path] = {}
     metric_files = {
         "throughput": "throughput_vs_flows.csv",
         "loss_pct": "loss_vs_flows.csv",
         "mu": "mu_vs_flows.csv",
         "wall_time_total": "time_vs_flows.csv",
     }
+    with open(results_file, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row reads "", which float() rejects
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{results_file}: no {missing[0]!r} column")
+        try:
+            rows = [{**r, "n_flows": int(r["n_flows"]), **{m: float(r[m]) for m in metric_files}}
+                    for r in reader]
+        except ValueError as exc:
+            raise ValueError(f"{results_file}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{results_file} has no result rows")
+
+    methods = sorted({r["method"] for r in rows})
+    flow_counts = sorted({r["n_flows"] for r in rows})
+    grouped: dict[tuple[str, int], list[dict]] = {}
+    for r in rows:
+        grouped.setdefault((r["method"], r["n_flows"]), []).append(r)
+
+    written: dict[str, Path] = {}
     header = ["n_flows"] + [f"{m}_{stat}" for m in methods for stat in ("mean", "std")]
     for metric, filename in metric_files.items():
         table = []
         for n in flow_counts:
             row = [n]
             for m in methods:
-                values = [float(r[metric]) for r in grouped.get((m, n), [])]
-                row += _mean_std(values) if values else ("", "")
+                values = [r[metric] for r in grouped.get((m, n), [])]
+                row += (float(np.mean(values)), float(np.std(values))) if values else ("", "")
             table.append(row)
         written[metric] = out / filename
         write_rows(written[metric], header, table)
 
     def means(method, n, metric):
-        return np.mean([float(r[metric]) for r in grouped[(method, n)]])
+        return np.mean([r[metric] for r in grouped[(method, n)]])
 
     # the growth exponent of wall time in the flow count, fitted on the means
     slopes = []

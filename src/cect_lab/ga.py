@@ -104,9 +104,8 @@ class _Instance:
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
-        # the padded label rows that the gene loop and the mutation deltas
-        # read: label l's edges in row l, then filler id n_edges; row 0 is all
-        # filler, so genes index it directly
+        # the padded label rows every load sum reads: label l's edges in row l,
+        # then filler id n_edges; row 0 is all filler, so genes index it directly
         hops = np.diff(self.label_ptr)
         width = hops.max(initial=0)
         self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
@@ -115,32 +114,32 @@ class _Instance:
         # the edge entries of a member's shortest genes (flows share labels);
         # else, as at k=8 and k=12, loop to avoid population-by-table arrays.
         self.weights = self.demands.astype(np.float64)
-        self.groups = self.cells = self.gene_demands = None
-        if 2 * len(self.label_edges) < hops[self.shortest - 1].sum():
-            self.groups = kernels.edge_major_labels(self.label_ptr, self.label_edges, self.n_edges)
+        self.aggregated = 2 * len(self.label_edges) < hops[self.shortest - 1].sum()
+        self.pad_index = self.cells = self.gene_demands = None
 
     def loads(self, genes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-edge int64 loads of each row of genes, into out if given."""
         rows, demands, cells = len(genes), self.weights, None
-        if self.groups is not None:
+        if self.aggregated:
             if self.cells is None or rows > len(self.cells):
-                # the aggregated form's per-gene buffers, grown to the population once
+                # the aggregated form's buffers, grown to the population once
                 self.cells = np.empty(genes.shape, dtype=np.int64)
                 self.gene_demands = np.tile(self.weights, (rows, 1))
+                offsets = (self.n_edges + 1) * np.arange(rows)
+                self.pad_index = (self.label_pad.T + offsets[:, None, None]).ravel()
             demands, cells = self.gene_demands[:rows], self.cells[:rows]
-        return kernels.population_loads(
-            genes, self.label_ptr, self.label_pad, demands, self.n_edges, self.groups, cells, out
-        )
+        return kernels.population_loads(genes, self.label_ptr, self.label_pad, demands,
+                                        self.n_edges, self.pad_index, cells, out)
 
     def shift_loads(self, loads, block, members, flows, old, new) -> None:
         """Move loads[block][members] by the redrawn genes (members, flows):
         each flow's demand leaves old's edges and joins new's."""
-        n, rows, width = self.n_edges + 1, loads[block], self.label_pad.shape[1]
+        n, rows, width = self.n_edges, loads[block], self.label_pad.shape[1]
         edges = self.label_pad.take(np.concatenate((new, old)), axis=0).reshape(2, -1)
-        edges += (n * members).repeat(width)
-        weights = self.weights[flows].repeat(width)
-        shift = np.bincount(edges.ravel(), np.concatenate((weights, -weights)), len(rows) * n)
-        np.add(rows, shift.reshape(-1, n)[:, :-1], out=rows, casting="unsafe")
+        edges += ((n + 1) * members).repeat(width)
+        weights = np.concatenate((self.weights[flows], -self.weights[flows])).repeat(width)
+        shift = kernels.label_row_sums(edges.ravel(), weights, n, len(rows))
+        np.add(rows, shift, out=rows, casting="unsafe")
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
         """n_members int32 chromosomes of genes uniform over each flow's feasible labels,

@@ -2,10 +2,9 @@
 
 The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
-max-min water-filling loop. Both live here: one implementation of each kernel,
-except population loads, whose gene loop and per-label aggregated form agree.
-The gene loop gathers fixed-width padded label rows; the aggregated form adds
-(member, label) cells per edge with a reduceat, not BLAS, whose threads compete.
+max-min water-filling loop. Both live here, one implementation of each kernel.
+Every load sum is one bincount over padded label rows (label_row_sums), not
+BLAS, whose threads compete.
 """
 
 from __future__ import annotations
@@ -25,52 +24,44 @@ def csr_rows(ptr: np.ndarray, data: np.ndarray, rows) -> tuple[np.ndarray, np.nd
     return out_ptr, data[flat]
 
 
-def edge_major_labels(label_ptr, label_edges, n_edges) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, labels): edge e's run, from starts[e], is label 0, then each label crossing e.
-
-    No gene holds label 0, so its cell is empty: no run is empty, and an uncrossed edge sums to 0.
-    """
-    edges = np.concatenate((np.arange(n_edges), label_edges))
-    labels = np.repeat(np.arange(len(label_ptr)), np.r_[n_edges, np.diff(label_ptr)])
-    order = np.argsort(edges, kind="stable")
-    return np.searchsorted(edges[order], np.arange(n_edges)), labels[order]
+def label_row_sums(edge_ids, weights, n_edges, rows=1):
+    """Per-edge sums of weights at padded label-row ids, member r's offset by r * (n_edges + 1):
+    a row per member, its filler bin (id n_edges) dropped; one member's row comes back 1-D."""
+    sums = np.bincount(edge_ids, weights, rows * (n_edges + 1))
+    return sums[:n_edges] if rows == 1 else sums.reshape(rows, -1)[:, :n_edges]
 
 
-def population_loads(genes, label_ptr, label_pad, demands, n_edges, groups=None, cells=None,
+def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=None, cells=None,
                      out=None):
     """Per-edge integer loads for each member of a population, into out if given.
 
-    genes holds 1-based path labels, one row per member, one column per
-    flow; label_ptr is the labels' CSR row pointer, so a gene adds
-    diff(label_ptr)[gene - 1] edge loads. Without groups, label_pad holds
-    label l's edge ids in row l, filled out with the id n_edges, and row 0
-    is all filler; a gene loop gathers each member's rows with one take and
-    sums them with one bincount, whose filler bin is dropped; demands are
-    per flow. groups = edge_major_labels(label_ptr, ...) selects the
-    aggregated form, whose demands are per gene, in genes' shape: one
-    bincount sums them into (member, label) cells, and one gather and one
-    np.add.reduceat add up each edge's labels' cells; cells, if given, is an
-    int64 buffer of genes' shape for the cell index, which a fresh array
-    would fault in on each call. Both sum integer milli-units below 2**53,
-    so they agree exactly.
+    genes holds 1-based path labels, one row per member, one column per flow;
+    label_ptr is the labels' CSR row pointer, and label_pad holds label l's
+    edge ids in row l, filled out with the id n_edges (row 0 is all filler).
+    Without pad_index, a gene loop sums each member's rows; demands are per
+    flow. pad_index, label_pad.T offset by member as label_row_sums reads it,
+    selects the aggregated form: demands are per gene, one bincount sums them
+    into (member, label) cells and one more sums every label's row, weighted
+    by its cell; cells, if given, is an int64 buffer of genes' shape for the
+    cell index, which a fresh array would fault in on each call. Both sum
+    integer milli-units below 2**53, so they agree exactly.
     """
-    n_members = genes.shape[0]
+    n_members, width = genes.shape[0], label_pad.shape[1]
     loads = np.empty((n_members, n_edges), dtype=np.int64) if out is None else out
-    if groups is not None:
-        starts, labels = groups
+    if pad_index is not None:
         n_cells = len(label_ptr)  # label 0's cell stays empty
         cells = np.add(n_cells * np.arange(n_members)[:, None], genes, out=cells)
         per_cell = np.bincount(cells.ravel(), demands.ravel(), n_members * n_cells)
-        del cells  # a fresh cells array, once freed, lets the gather reuse its memory
-        per_cell = per_cell.reshape(n_members, -1)
-        np.copyto(loads, np.add.reduceat(per_cell[:, labels], starts, axis=1), casting="unsafe")
+        # label_pad.T's layout lets each member's cells repeat as whole blocks
+        weights = per_cell.reshape(n_members, 1, -1).repeat(width, axis=1).ravel()
+        sums = label_row_sums(pad_index[: len(weights)], weights, n_edges, n_members)
+        np.copyto(loads, sums, casting="unsafe")
         return loads
     # take beats fancy indexing here; one bincount per member beats one
     # over the whole population; float64 demands spare each bincount a cast
-    weights = demands.repeat(label_pad.shape[1])
+    weights = demands.repeat(width)
     for m, labels in enumerate(genes):
-        edge_ids = label_pad.take(labels, axis=0).ravel()
-        loads[m] = np.bincount(edge_ids, weights, n_edges + 1)[:n_edges]
+        loads[m] = label_row_sums(label_pad.take(labels, axis=0).ravel(), weights, n_edges)
     return loads
 
 

@@ -9,7 +9,7 @@ import pytest
 from cect_lab import experiment
 from cect_lab.cli import main
 from cect_lab.ecmp import route_ecmp
-from cect_lab.errors import ConfigError
+from cect_lab.errors import CectLabError, ConfigError
 from cect_lab.fluidsim import simulate
 from cect_lab.ga import GaConfig
 from cect_lab.routing import assemble, matrix_from_paths, parse_assignment_dump
@@ -373,13 +373,40 @@ methods = ecmp,exact
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_programming_errors_propagate_from_cells(config_file, tmp_path, monkeypatch, threads):
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug in the simulator")
+    # every input error that reaches a cell's solve, assemble or simulate is
+    # a CectLabError, so any other exception, a ValueError too, is a bug
+    for error in (RuntimeError("bug in the simulator"),
+                  ValueError("operands could not be broadcast together")):
+        def broken(*args, error=error, **kwargs):
+            raise error
 
-    # pool workers are forked from this process, so they see the patch too
-    monkeypatch.setattr(experiment, "simulate", broken)
-    with pytest.raises(RuntimeError, match="bug in the simulator"):
-        experiment.run_experiment(config_file, tmp_path / "res", threads=threads)
+        # pool workers are forked from this process, so they see the patch too
+        monkeypatch.setattr(experiment, "simulate", broken)
+        out = tmp_path / type(error).__name__
+        with pytest.raises(type(error), match=str(error)):
+            experiment.run_experiment(config_file, out, threads=threads)
+        assert not out.exists()
+
+
+def test_run_refuses_a_used_output_directory(config_file, tmp_path, capsys):
+    out = tmp_path / "res"
+    config_file.write_text(BASE_CONFIG.replace("methods = cect,ecmp", "methods = ecmp"),
+                           encoding="utf-8")
+    experiment.run_experiment(config_file, out)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "flows" / "flows_120_0.txt" in before
+    # a second sweep with fewer flow counts would leave the first's files
+    # beside a results.csv and a manifest that do not list them
+    config_file.write_text(BASE_CONFIG.replace("n_flows = 60,120", "n_flows = 60"),
+                           encoding="utf-8")
+    with pytest.raises(CectLabError, match=f"^{re.escape(str(out))}: output directory is not"):
+        experiment.run_experiment(config_file, out)
+    assert main(["run", "--config", str(config_file), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: output directory is not empty\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # an existing empty directory is a new one
+    (tmp_path / "empty").mkdir()
+    experiment.run_experiment(config_file, tmp_path / "empty")
 
 
 def test_rewritten_config_is_reread(tmp_path):
@@ -807,9 +834,17 @@ def test_solve_rejects_an_unknown_method():
      r": \[topology\] capacity 0\.0 of edge 1 -> 9 is not finite and > 0 in load units\n"),
     ("gen-traffic", "config", "[topology]\nkind = fig2a\ncapacity = -1\n",
      r": \[topology\] capacity -1\.0 of edge 1 -> 2 is not finite"),
+    # a results.csv without the result columns, one with a non-numeric cell,
+    # and one with a row cut short
+    ("report", "results", "a,b\n1,2\n", r"results\.csv: no 'method' column\n$"),
+    ("report", "results", f"{','.join(experiment.RESULT_COLUMNS)}\necmp,3,0,x,0,1,1,1\n",
+     r"results\.csv: could not convert string to float: 'x'\n$"),
+    ("report", "results", f"{','.join(experiment.RESULT_COLUMNS)}\necmp,3,0,2.5\n",
+     r"results\.csv: could not convert string to float: ''\n$"),
 ], ids=["hop-3.7", "replay-first-hop", "demand-1e306", "switch-beyond-int64",
         "flow-end-beyond-int64", "directory", "default-plr-without-pods", "fat-tree-k-5",
-        "edge-capacity-0", "sample-capacity-minus-1"])
+        "edge-capacity-0", "sample-capacity-minus-1", "results-without-columns",
+        "results-non-numeric", "results-short-row"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text,
                                                       names):
     paths = {name: tmp_path / f"{name}.txt" for name in ("topo", "flows", "assignment")}
@@ -820,13 +855,20 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
     main(["gen-topo", "--out", str(paths["topo"])])
     paths["flows"].write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
     paths["assignment"].write_text("flow 1 via 1: 1 -> 9 -> 17 -> 11 -> 3\n", encoding="utf-8")
-    argv = [command, "--config", str(paths["config"]), *{
-        "paths": ["--out", str(tmp_path / "paths.txt")],
-        "simulate": ["--flows", str(paths["flows"]), "--assignment", str(paths["assignment"]),
-                     "--out-dir", str(tmp_path / "out")],
-        "solve": ["--flows", str(paths["flows"]), "--method", "ecmp",
+    paths["results"] = tmp_path / "sweep" / "results.csv"
+    paths["results"].parent.mkdir()
+    paths["results"].write_text(
+        f"{','.join(experiment.RESULT_COLUMNS)}\necmp,3,0,2.5,0,1,1,1\n", encoding="utf-8"
+    )
+    config = ["--config", str(paths["config"])]
+    argv = [command, *{
+        "paths": [*config, "--out", str(tmp_path / "paths.txt")],
+        "simulate": [*config, "--flows", str(paths["flows"]),
+                     "--assignment", str(paths["assignment"]), "--out-dir", str(tmp_path / "out")],
+        "solve": [*config, "--flows", str(paths["flows"]), "--method", "ecmp",
                   "--out-dir", str(tmp_path / "out")],
-        "gen-traffic": ["--n", "3", "--out", str(tmp_path / "drawn.txt")],
+        "gen-traffic": [*config, "--n", "3", "--out", str(tmp_path / "drawn.txt")],
+        "report": ["--results", str(paths["results"].parent)],
     }[command]]
     assert main(argv) == 0  # the command runs on the good files
     if text is None:

@@ -547,7 +547,7 @@ def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
     # labels, best mu and every GenerationStats row must not move when the
     # load kernel or the breeding changes
     topo, table, flows, config = case()
-    assert (_Instance(flows, table, topo).groups is not None) == aggregated
+    assert _Instance(flows, table, topo).aggregated == aggregated
     assignment, mu, stats = run_cect(flows, table, topo, config)
     assert stats.generations == config.max_iterations
     rows = [dataclasses.astuple(row) for row in stats.rows]
@@ -591,7 +591,7 @@ def test_carried_loads_equal_a_fresh_evaluation(aggregated, many, population, ra
     # 2,000 flows from population 7 on, rate 0.3 samples sites in row blocks
     topo, table, flows = _load_form_case(aggregated, many)
     inst = _Instance(flows, table, topo)
-    assert (inst.groups is not None) == aggregated
+    assert inst.aggregated == aggregated
 
     def check(generation, genes, fit, mu):
         fresh = kernels.population_loads(

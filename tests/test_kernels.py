@@ -35,7 +35,7 @@ def problem(topology):
 @pytest.fixture(scope="module")
 def instance(topology, problem):
     inst = _Instance(*problem, topology)
-    assert inst.groups is None  # the gene loop reads the padded rows
+    assert not inst.aggregated  # the gene loop reads the padded rows
     return inst
 
 
@@ -195,17 +195,21 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     pad = _label_pad(inst)
     assert np.array_equal(inst.label_pad, pad)
     genes = inst.random_genes(members, rng)
-    groups = kernels.edge_major_labels(inst.label_ptr, inst.label_edges, inst.n_edges)
-    if inst.groups is not None:
-        assert all(np.array_equal(a, b) for a, b in zip(inst.groups, groups))
+    # member m's block of the aggregated form's index: the padded rows'
+    # columns, one after another, each id offset by m * (n_edges + 1)
+    pad_index = np.concatenate(
+        [column + m * (inst.n_edges + 1) for m in range(members) for column in pad.T]
+    )
     loop = kernels.population_loads(genes, inst.label_ptr, pad, inst.demands, inst.n_edges)
     per_gene = np.tile(inst.demands.astype(np.float64), (members, 1))
     aggregated = kernels.population_loads(
-        genes, inst.label_ptr, None, per_gene, inst.n_edges, groups
+        genes, inst.label_ptr, pad, per_gene, inst.n_edges, pad_index
     )
     assert loop.dtype == aggregated.dtype == np.int64
     assert np.array_equal(loop, aggregated)
     assert np.array_equal(inst.loads(genes), loop)
+    if inst.aggregated:
+        assert np.array_equal(inst.pad_index, pad_index)
     for m in range(members):
         matrix = assemble(RoutingAssignment(genes[m]), flows, table, topo)
         assert matrix.load_units == {
@@ -269,6 +273,24 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
     assert loads[:, crossed].all()
 
 
+def test_aggregated_buffers_grow_with_the_population():
+    # the cell buffer and the offset index are grown together on the first
+    # call with more rows than before, and a later, smaller call reads their
+    # first rows: 3, then 7, then 5 members each equal the gene loop
+    topo = make_fat_tree(4, 200.0, 200.0, 100.0)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    inst = _Instance(generate_flows(topo, 500, ACCEPTANCE_MIX, plr=0.95, seed=1), table, topo)
+    assert inst.aggregated
+    rng = np.random.default_rng(7)
+    for rows in (3, 7, 5):
+        genes = inst.random_genes(rows, rng)
+        loop = kernels.population_loads(
+            genes, inst.label_ptr, inst.label_pad, inst.weights, inst.n_edges
+        )
+        assert np.array_equal(inst.loads(genes), loop), rows
+    assert len(inst.cells) == 7 and len(inst.pad_index) == 7 * inst.label_pad.size
+
+
 @pytest.mark.parametrize(
     "k, n_flows, aggregated",
     [
@@ -287,6 +309,6 @@ def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     # entries of one member's shortest genes (gene entries per label entry at
     # k=4: 0.97 at 200 flows, 1.94 at 400, 2.43 at 500; k=8: 1.16; k=12: 0.10)
     assert (2 * hops.sum() < gene_entries) == aggregated
-    assert (inst.groups is not None) == aggregated
-    # both forms build the padded rows: the mutation deltas read them
+    assert inst.aggregated == aggregated
+    # both forms read the padded rows, as the mutation deltas do
     assert np.array_equal(inst.label_pad, _label_pad(inst))
