@@ -140,6 +140,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     out = experiment.run_experiment(
         args.config, args.out_dir or "results", threads=args.threads
     )

@@ -9,6 +9,7 @@ cross-multiplication), so tie-breaking never depends on float rounding.
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 
 import numpy as np
 
@@ -19,11 +20,6 @@ from .traffic import FlowSet
 from .xpath import XPathTable, feasible_csr
 
 DEFAULT_BUDGET = 1_000_000
-
-
-def _ratio_gt(load_a: int, cap_a: int, load_b: int, cap_b: int) -> bool:
-    """load_a/cap_a > load_b/cap_b without division."""
-    return load_a * cap_b > load_b * cap_a
 
 
 def solve_exact(
@@ -41,54 +37,57 @@ def solve_exact(
     SearchBudgetExceededError when the assignment space is larger than
     budget.
     """
-    n_flows = flowset.count
     feas_ptr, feas_labels = feasible_csr(xpath_table, flowset)
     if math.prod(np.diff(feas_ptr).tolist()) > budget:
         raise SearchBudgetExceededError(f"assignment search space exceeds budget of {budget}")
 
-    cap_units = topology.cap_units
-    demands = flowset.demand_units()
+    caps = topology.cap_units.tolist()
+    demands = flowset.demand_units().tolist()
     ptr, edge_ids = xpath_table.label_edge_csr(topology)
-    # slice each label's edges once: the search visits them many times
-    label_edges = {
-        label: edge_ids[ptr[label - 1] : ptr[label]] for label in np.unique(feas_labels).tolist()
-    }
-    bounds = feas_ptr.tolist()
-    options = [feas_labels[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+    # each flow's candidates: a label and its path's (edge, capacity) pairs
+    options = [
+        [(label, [(e, caps[e]) for e in edge_ids[ptr[label - 1] : ptr[label]].tolist()])
+         for label in feas_labels[a:b].tolist()]
+        for a, b in pairwise(feas_ptr.tolist())
+    ]
+    loads = [0] * len(caps)
 
-    loads = np.zeros(len(cap_units), dtype=np.int64)
-    chosen = [0] * n_flows
+    def place(edges, demand, top, cap):
+        # add demand along edges; return the new (max load, its capacity)
+        for e, c in edges:
+            loads[e] += demand
+            if loads[e] * cap > top * c:
+                top, cap = loads[e], c
+        return top, cap
 
-    best_labels: list[int] | None = None
-    best_load, best_cap = 0, 1
-    best_hops = 0
+    # a flow with one candidate adds the same loads, label and hops to every
+    # leaf: place it here, leave its hops out of the key, branch on the others
+    chosen = [candidates[0][0] for candidates in options]
+    free = [flow for flow, candidates in enumerate(options) if len(candidates) > 1]
+    top, cap = 0, 1
+    for flow, candidates in enumerate(options):
+        if len(candidates) == 1:
+            top, cap = place(candidates[0][1], demands[flow], top, cap)
 
-    def search(level: int, max_load: int, max_cap: int, hops: int):
-        nonlocal best_labels, best_load, best_cap, best_hops
-        if best_labels is not None and _ratio_gt(max_load, max_cap, best_load, best_cap):
+    # incumbent (max load, its capacity, hops, labels); capacity 0 reads as
+    # infinite utilization, which the first leaf beats
+    best = (1, 0, 0, None)
+
+    def search(level: int, top: int, cap: int, hops: int):
+        nonlocal best
+        best_top, best_cap, best_hops, best_labels = best
+        if top * best_cap > best_top * cap:
             return
-        if level == n_flows:
-            better = best_labels is None or _ratio_gt(
-                best_load, best_cap, max_load, max_cap
-            )
-            if not better and not _ratio_gt(max_load, max_cap, best_load, best_cap):
-                better = (hops, chosen) < (best_hops, best_labels)
-            if better:
-                best_labels = list(chosen)
-                best_load, best_cap, best_hops = max_load, max_cap, hops
+        if level == len(free):
+            if (top * best_cap, hops, chosen) < (best_top * cap, best_hops, best_labels):
+                best = (top, cap, hops, list(chosen))
             return
-        demand = demands[level]
-        for label in options[level]:
-            edges = label_edges[label]
-            loads[edges] += demand
-            new_load, new_cap = max_load, max_cap
-            for e in edges:
-                if _ratio_gt(int(loads[e]), int(cap_units[e]), new_load, new_cap):
-                    new_load, new_cap = int(loads[e]), int(cap_units[e])
-            chosen[level] = label
-            search(level + 1, new_load, new_cap, hops + len(edges))
-            loads[edges] -= demand
+        flow = free[level]
+        for label, edges in options[flow]:
+            chosen[flow] = label
+            search(level + 1, *place(edges, demands[flow], top, cap), hops + len(edges))
+            for e, _ in edges:
+                loads[e] -= demands[flow]
 
-    search(0, 0, 1, 0)
-    assert best_labels is not None
-    return RoutingAssignment(np.array(best_labels, dtype=np.int64)), best_load / best_cap
+    search(0, top, cap, 0)
+    return RoutingAssignment(np.array(best[3], dtype=np.int64)), best[0] / best[1]

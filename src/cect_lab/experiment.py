@@ -186,9 +186,9 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
 
     for method in cfg.methods:
         if method not in METHODS:
-            raise ConfigError(f"{path}: unknown method {method!r}")
+            raise ConfigError(f"{path}: [sweep] methods: unknown method {method!r}")
     if not cfg.n_flows_list:
-        raise ConfigError(f"{path}: empty flow sweep")
+        raise ConfigError(f"{path}: [sweep] n_flows: empty flow sweep")
     if not cfg.methods:
         raise ConfigError(f"{path}: [sweep] methods lists no method")
     for key, values in (("n_flows", cfg.n_flows_list), ("methods", cfg.methods)):
@@ -197,7 +197,7 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         if repeated:
             raise ConfigError(f"{path}: [sweep] {key}: {repeated[0]!r} is listed twice")
     if cfg.n_seeds < 1:
-        raise ConfigError(f"{path}: seeds must be >= 1")
+        raise ConfigError(f"{path}: [sweep] seeds must be >= 1")
     checks = {
         "traffic": lambda: check_mix(cfg.mix, cfg.plr),
         "paths": lambda: check_path_bounds(cfg.x, cfg.cap_c),
@@ -417,8 +417,6 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
     ran, a ratio table of cect against each other method.
     """
     results_dir = Path(results_dir)
-    out = Path(out_dir) if out_dir else results_dir
-    out.mkdir(parents=True, exist_ok=True)
     results_file = results_dir / "results.csv"
     if not results_file.exists():
         raise FileNotFoundError(f"no results.csv under {results_dir}")
@@ -441,6 +439,8 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
             raise ValueError(f"{results_file}: {exc}") from exc
     if not rows:
         raise ValueError(f"{results_file} has no result rows")
+    out = Path(out_dir) if out_dir else results_dir
+    out.mkdir(parents=True, exist_ok=True)  # only once results.csv has passed its checks
 
     methods = sorted({r["method"] for r in rows})
     flow_counts = sorted({r["n_flows"] for r in rows})

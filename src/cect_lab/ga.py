@@ -285,8 +285,7 @@ def run_cect(
     half = (n_pop - 1) // 2
 
     best_genes = genes[0].copy()
-    best_mu = math.inf
-    best_fit_at_best_mu = -math.inf
+    best = (math.inf, math.inf)  # (mu, -fitness) of best_genes: least mu, then fittest
     best_fit_ever = -math.inf
     stall = 0
     generation = 0
@@ -297,12 +296,9 @@ def run_cect(
 
         gen_best = int(fit.argmax())
         mu_best = int(np.where(mu == mu.min(), fit, -math.inf).argmax())  # fittest of least mu
-        if mu[mu_best] < best_mu or (
-            mu[mu_best] == best_mu and fit[mu_best] > best_fit_at_best_mu
-        ):
-            best_mu = float(mu[mu_best])
-            best_fit_at_best_mu = float(fit[mu_best])
-            best_genes = genes[mu_best].copy()
+        key = (float(mu[mu_best]), -float(fit[mu_best]))
+        if key < best:
+            best, best_genes = key, genes[mu_best].copy()
 
         if fit[gen_best] > best_fit_ever:
             best_fit_ever = float(fit[gen_best])
@@ -323,7 +319,7 @@ def run_cect(
         if on_generation is not None:
             on_generation(generation, genes, fit, mu)
 
-        if best_mu <= config.mu_target or generation >= config.max_iterations:
+        if best[0] <= config.mu_target or generation >= config.max_iterations:
             break
 
         # the elite passes unchanged; every other row is a child, bred in place.
@@ -349,5 +345,5 @@ def run_cect(
         generation += 1
 
     stats.generations = generation
-    stats.feasible = best_mu <= config.mu_target
-    return RoutingAssignment(best_genes.astype(np.int64)), best_mu, stats
+    stats.feasible = best[0] <= config.mu_target
+    return RoutingAssignment(best_genes.astype(np.int64)), best[0], stats

@@ -130,11 +130,14 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         # a sweep that routes nothing would write a header-only results.csv
         ("methods = cect,ecmp", "methods =", r"\[sweep\] methods lists no method"),
         ("methods = cect,ecmp", "methods = ,", r"\[sweep\] methods lists no method"),
+        ("methods = cect,ecmp", "methods = cect,foo", r"\[sweep\] methods: unknown method 'foo'"),
+        ("n_flows = 60,120", "n_flows = 5:1:1", r"\[sweep\] n_flows: empty flow sweep"),
+        ("seeds = 2", "seeds = 0", r"\[sweep\] seeds must be >= 1"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
-         "comma-only-methods"],
+         "comma-only-methods", "unknown-method", "empty-n-flows", "no-seeds"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -454,7 +457,7 @@ def test_every_checked_in_config_loads():
         experiment.load_config(path)
 
 
-def test_report_rejects_missing_or_empty(tmp_path):
+def test_report_rejects_missing_or_empty(tmp_path, capsys):
     with pytest.raises(FileNotFoundError):
         experiment.report(tmp_path)
     (tmp_path / "results.csv").write_text(
@@ -462,6 +465,12 @@ def test_report_rejects_missing_or_empty(tmp_path):
     )
     with pytest.raises(ValueError):
         experiment.report(tmp_path)
+    # a failed report leaves no output directory behind
+    for results in (tmp_path / "missing", tmp_path):
+        out = tmp_path / "new"
+        assert main(["report", "--results", str(results), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_report_fits_the_loglog_slope_of_wall_time(tmp_path):
@@ -783,6 +792,15 @@ def test_cli_solve_methods_agree_on_files(tmp_path):
         ])
         assert code == 0
         assert (out_dir / "assignment.txt").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_rejects_fewer_than_one_thread(config_file, tmp_path, capsys, threads):
+    out = tmp_path / "res"
+    argv = ["run", "--config", str(config_file), "--threads", threads, "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_error_paths(tmp_path):

@@ -10,7 +10,7 @@ from cect_lab.topology import make_sample_topology
 from cect_lab.traffic import FlowSet
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import labels_by_pair, make_flows, random_topology
+from helpers import all_hops, labels_by_pair, make_flows, random_topology
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,7 @@ def test_exhaustive_against_full_enumeration():
     for _ in range(30):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5)
         table = precompute_xpaths(topo, x=3, cap_c=None)
+        hop_counts = {label: len(hops) - 1 for label, hops in enumerate(all_hops(table), 1)}
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -70,16 +71,27 @@ def test_exhaustive_against_full_enumeration():
         if combos > 1000:
             continue
         assignment, mu = solve_exact(flows, table, topo)
-        best = min(
-            assemble(
-                RoutingAssignment(np.array(combo)),
-                flows, table, topo,
-            ).mu
+        # the documented order: least mu, then fewest total hops, then the
+        # smallest label vector
+        best_mu, _, best_labels = min(
+            (assemble(RoutingAssignment(np.array(combo)), flows, table, topo).mu,
+             sum(hop_counts[label] for label in combo), list(combo))
             for combo in itertools.product(*options)
         )
-        assert mu == pytest.approx(best, abs=1e-12)
+        assert mu == pytest.approx(best_mu, abs=1e-12)
+        assert assignment.labels.tolist() == best_labels
         checked += 1
     assert checked >= 10
+
+
+def test_single_candidate_flows_do_not_deepen_the_search():
+    # with x = 1 each flow's only path is its direct edge: a space of 1
+    topo = make_sample_topology("fig2a", 10.0)
+    table = precompute_xpaths(topo, x=1, cap_c=None)
+    flows = make_flows([(3, 1, 0.01)] * 1000)
+    assignment, mu = solve_exact(flows, table, topo)
+    assert assignment.labels.tolist() == list(feasible_labels(table, 3, 1)) * 1000
+    assert mu == pytest.approx(1.0)
 
 
 def test_optimum_passes_validation():
