@@ -29,6 +29,13 @@ def _config(args) -> experiment.ExperimentConfig:
     return experiment.load_config(args.config) if args.config else experiment.ExperimentConfig()
 
 
+def _seed(args) -> int | None:
+    """--seed, which numpy's generators take only when it is not negative."""
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _cmd_gen_topo(args) -> int:
     topo = experiment.build_topology(_config(args), args.config)
     save_topology(topo, args.out)
@@ -39,8 +46,8 @@ def _cmd_gen_topo(args) -> int:
 def _cmd_gen_traffic(args) -> int:
     cfg = _config(args)
     topo = experiment.build_topology(cfg, args.config)
-    experiment.check_pods(cfg, topo, args.config)
-    flows = experiment.draw_flows(cfg, topo, args.n, args.seed)
+    experiment.check_traffic(cfg, topo, args.config)
+    flows = experiment.draw_flows(cfg, topo, args.n, _seed(args))
     save_flows(flows, args.out)
     print(f"wrote {flows.count} flows to {args.out}")
     return 0
@@ -61,13 +68,13 @@ def _cmd_paths(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _config(args)
+    ga_config = GaConfig(seed=_seed(args), **cfg.ga)  # as a sweep cell builds it
     topo = experiment.build_topology(cfg, args.config)
     flows = load_flows(args.flows)
     table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ga_config = GaConfig(seed=args.seed, **cfg.ga)  # as a sweep cell builds it
     start = time.perf_counter()
     assignment, stats = experiment.solve(args.method, flows, table, topo, ga_config)
     elapsed = time.perf_counter() - start

@@ -32,7 +32,7 @@ from .topology import Topology, make_fat_tree, make_sample_topology, load_topolo
 from .traffic import (
     FlowSet,
     check_mix,
-    check_plr,
+    check_topology,
     default_compression_bounds,
     compress_flows,
     generate_flows,
@@ -198,6 +198,8 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
             raise ConfigError(f"{path}: [sweep] {key}: {repeated[0]!r} is listed twice")
     if cfg.n_seeds < 1:
         raise ConfigError(f"{path}: [sweep] seeds must be >= 1")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"{path}: [experiment] seed must be >= 0, got {cfg.master_seed}")
     checks = {
         "traffic": lambda: check_mix(cfg.mix, cfg.plr),
         "paths": lambda: check_path_bounds(cfg.x, cfg.cap_c),
@@ -230,12 +232,14 @@ def build_topology(cfg: ExperimentConfig, config_path) -> Topology:
         raise ConfigError(f"{config_path}: [topology] {exc}") from exc
 
 
-def check_pods(cfg: ExperimentConfig, topology: Topology, config_path) -> None:
-    """Raise a ConfigError naming config_path when its plr needs pods the topology lacks."""
+def check_traffic(cfg: ExperimentConfig, topology: Topology, config_path) -> None:
+    """Raise a ConfigError naming config_path unless flows of its plr can be drawn on
+    topology; only a topology file can lack links, and the error then names it too."""
+    where = "[traffic]" if topology.links else f"[topology] {cfg.topo_file}:"
     try:
-        check_plr(topology, cfg.plr)
+        check_topology(topology, cfg.plr)
     except ValueError as exc:
-        raise ConfigError(f"{config_path}: [traffic] {exc}") from exc
+        raise ConfigError(f"{config_path}: {where} {exc}") from exc
 
 
 def cell_seeds(master_seed: int, n_flows: int, seed_index: int) -> tuple[int, int]:
@@ -352,7 +356,7 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     data = _read_config(config_path)
     cfg = _parse_config(data, config_path)
     topology = build_topology(cfg, config_path)
-    check_pods(cfg, topology, config_path)
+    check_traffic(cfg, topology, config_path)
     state = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
 
     workloads = [(n, s) for n in cfg.n_flows_list for s in range(cfg.n_seeds)]

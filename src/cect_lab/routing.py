@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AssignmentFormatError, InfeasibleLabelError
 from .kernels import csr_rows
-from .topology import Topology
+from .topology import Topology, read_records
 from .traffic import Flow, FlowSet
 from .xpath import XPathTable, format_paths
 
@@ -194,28 +194,22 @@ def validate(
     """
     _check_rows(routing_matrix, flowset, topology)
     ptr, keys, (src, dst) = routing_matrix.flow_ptr, routing_matrix.edge_keys, flowset.ends().T
-    counts = np.diff(ptr)
-    # a simple path has under node_count edges and at most len(keys): pad only those rows
-    short = np.flatnonzero((counts > 0) & (counts < min(topology.node_count, len(keys) + 1)))
-    if len(short) == len(counts):  # every row: the matrix's own CSR, not a copy
-        s_ptr, ids = ptr - ptr[0], routing_matrix.edge_ids[ptr[0] : ptr[-1]]
-    else:
-        s_ptr, ids = csr_rows(ptr, routing_matrix.edge_ids, short)
-    row, last = np.repeat(np.arange(len(short)), counts[short]), s_ptr[1:] - 1
-    # each edge's tail and head as positions in nodes, an unknown id clipped to a
-    # known edge; a row fails on an unknown edge, on other ends or on a broken chain
-    known, nodes = (ids >= 0) & (ids < len(keys)), np.array(topology.nodes, dtype=np.int64)
-    tail, head = (a.take(ids, mode="clip") for a in topology.edge_ends.T)
-    bad = (nodes[tail[s_ptr[:-1]]] != src[short]) | (nodes[head[last]] != dst[short])
-    bad[row[~known | np.r_[False, (head[:-1] != tail[1:]) & (row[:-1] == row[1:])]]] = True
-    # its switches, its tails and then its last head, sorted behind distinct
-    # negative filler: a repeated switch sits next to itself
-    pad = np.tile(-1 - np.arange(counts[short].max(initial=0) + 1, dtype=np.int32), (len(short), 1))
-    pad[row, np.arange(len(ids)) - s_ptr[row]] = tail
-    pad[np.arange(len(short)), counts[short]] = head[last]
-    pad.sort(axis=1)
-    bad[np.flatnonzero(pad[:, 1:] == pad[:, :-1]) // (pad.shape[1] - 1)] = True
-    failing = np.setdiff1d(np.arange(len(counts)), short[~bad], assume_unique=True).tolist()
+    counts, n = np.diff(ptr), topology.node_count
+    ids, row = routing_matrix.edge_ids[ptr[0] : ptr[-1]], np.repeat(np.arange(len(counts)), counts)
+    full = np.flatnonzero(counts)
+    first, last = ptr[full] - ptr[0], ptr[full + 1] - ptr[0] - 1
+    # a row fails when it is empty, holds an unknown id, has other ends or a broken chain;
+    # tails and heads are positions in nodes, an unknown id clipped to a known edge, if any
+    bad = (counts == 0) | (not keys)
+    if keys:
+        known, nodes = (ids >= 0) & (ids < len(keys)), np.array(topology.nodes, dtype=np.int64)
+        tail, head = (a.take(ids, mode="clip") for a in topology.edge_ends.T)
+        bad[full] = (nodes[tail[first]] != src[full]) | (nodes[head[last]] != dst[full])
+        bad[row[~known | np.r_[False, (head[:-1] != tail[1:]) & (row[:-1] == row[1:])]]] = True
+        # a row's tails and last head, keyed by row: a repeated switch sits next to itself
+        key = np.sort(np.r_[row, full] * n + np.r_[tail, head[last]])
+        bad[key[1:][key[1:] == key[:-1]] // n] = True
+    failing = np.flatnonzero(bad).tolist()
     rows = [(flowset.flows[i], routing_matrix.edge_ids[ptr[i] : ptr[i + 1]]) for i in failing]
     return [violation for flow, edges in rows for violation in _flow_violations(flow, edges, keys)]
 
@@ -290,29 +284,26 @@ def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
         if len(out) == len(hops):
             return out
     out = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+
+    def record(line: str) -> None:
         head, _, tail = line.partition(":")
         parts = head.split()
+        unrecognized = ValueError(f"unrecognized assignment line {line!r}")
         if len(parts) != 4 or parts[0] != "flow" or parts[2] != "via":
-            raise AssignmentFormatError(f"line {line_no}: unrecognized assignment line {line!r}")
+            raise unrecognized
         try:
             flow_id, label = int(parts[1]), int(parts[3])
         except ValueError:
-            raise AssignmentFormatError(
-                f"line {line_no}: unrecognized assignment line {line!r}"
-            ) from None
+            raise unrecognized
         if not tail.strip():
-            raise AssignmentFormatError(f"line {line_no}: flow {flow_id} has an empty path")
+            raise ValueError(f"flow {flow_id} has an empty path")
         try:
-            hops = tuple(int(h) for h in tail.split("->"))
+            hops = tuple(map(int, tail.split("->")))
         except ValueError:
-            raise AssignmentFormatError(
-                f"line {line_no}: flow {flow_id}: a hop of {tail.strip()!r} is not an integer"
-            ) from None
+            raise ValueError(f"flow {flow_id}: a hop of {tail.strip()!r} is not an integer")
         if flow_id in out:
-            raise AssignmentFormatError(f"line {line_no}: flow {flow_id} is listed twice")
+            raise ValueError(f"flow {flow_id} is listed twice")
         out[flow_id] = (label, hops)
+
+    read_records(text.splitlines(), record, AssignmentFormatError)
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TopologyFormatError
+from .errors import CectLabError, TopologyFormatError
 
 # Loads and capacities are quantized to integer milli-units (1 Kb/s when the
 # bandwidth unit is Mb/s) so that utilization comparisons are exact.
@@ -218,6 +218,17 @@ def save_topology(topology: Topology, path) -> None:
             fh.write(f"pod {node} {topology.pod_of[node]}\n")
 
 
+def read_records(lines, parse, error, where: str = "") -> None:
+    """Call parse on each stripped, non-blank line; a ValueError or CectLabError it
+    raises on a bad record is raised again as error, prefixed with where and line N."""
+    for line_no, line in enumerate(map(str.strip, lines), start=1):
+        if line:
+            try:
+                parse(line)
+            except (ValueError, CectLabError) as exc:
+                raise error(f"{where}line {line_no}: {exc}") from exc
+
+
 def load_topology(path) -> Topology:
     """Parse a topology file; a TopologyFormatError names the file, and the line if any.
 
@@ -231,29 +242,23 @@ def load_topology(path) -> Topology:
     pod_of: dict[int, int] = {}
     seen_edges: set[tuple[int, int]] = set()
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                kind = parts[0]
-                try:
-                    if kind == "node" and len(parts) == 2:
-                        nodes.append(int(parts[1]))
-                        _check_switch(nodes[-1])
-                    elif kind == "edge" and len(parts) == 4:
-                        link = (int(parts[1]), int(parts[2]), float(parts[3]))
-                        _check_link(*link, seen_edges)
-                        links.append(link)
-                    elif kind == "pod" and len(parts) == 3:
-                        pod_of[int(parts[1])] = int(parts[2])
-                    else:
-                        raise TopologyFormatError(f"unrecognized record {line!r}")
-                except (ValueError, TopologyFormatError) as exc:
-                    raise TopologyFormatError(f"line {line_no}: {exc}") from exc
+    def record(line: str) -> None:
+        kind, *fields = line.split()
+        if kind == "node" and len(fields) == 1:
+            nodes.append(int(fields[0]))
+            _check_switch(nodes[-1])
+        elif kind == "edge" and len(fields) == 3:
+            link = (int(fields[0]), int(fields[1]), float(fields[2]))
+            _check_link(*link, seen_edges)
+            links.append(link)
+        elif kind == "pod" and len(fields) == 2:
+            pod_of[int(fields[0])] = int(fields[1])
+        else:
+            raise ValueError(f"unrecognized record {line!r}")
 
+    with open(path, encoding="utf-8") as fh:
+        read_records((raw.split("#", 1)[0] for raw in fh), record, TopologyFormatError, f"{path}: ")
+    try:
         return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)
     except TopologyFormatError as exc:
         raise TopologyFormatError(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FlowFormatError
-from .topology import Topology, has_units, to_units
+from .topology import Topology, has_units, read_records, to_units
 
 # Demand as a fraction of the minimum link capacity, per size class.
 CLASS_FRACTION = {
@@ -37,8 +37,8 @@ def default_compression_bounds(topology: Topology) -> tuple[float, float]:
     The upper bound is half the smallest link capacity so a merged flow can
     always ride a single path without monopolizing it.
     """
-    min_cap = min(cap for _, _, cap in topology.links)
-    return DEFAULT_COMPRESS_LOWER, 0.5 * min_cap
+    check_topology(topology)
+    return DEFAULT_COMPRESS_LOWER, 0.5 * min(cap for _, _, cap in topology.links)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,11 @@ def check_mix(class_mix: dict[str, float], plr: float) -> None:
         raise ValueError("plr must lie in [0, 1]")
 
 
-def check_plr(topology: Topology, plr: float) -> None:
-    """Raise ValueError when flows may leave their pod on a topology without pods."""
+def check_topology(topology: Topology, plr: float = 0.0) -> None:
+    """Raise ValueError unless flows can be drawn on the topology: it needs links
+    to size their demands by, and pods when plr > 0 lets flows leave their pod."""
+    if not topology.links:
+        raise ValueError("the topology has no links to size flow demands by")
     if plr > 0 and not topology.pod_of:
         raise ValueError(f"plr {plr} needs a pod-labeled topology")
 
@@ -136,7 +139,7 @@ def generate_flows(
     if n_flows < 0:
         raise ValueError(f"flow count must be >= 0, got {n_flows}")
     check_mix(class_mix, plr)
-    check_plr(topology, plr)
+    check_topology(topology, plr)
 
     edge_switches = topology.edge_switches()
     if len(edge_switches) < 2:
@@ -232,26 +235,15 @@ def save_flows(flowset: FlowSet, path) -> None:
 def load_flows(path) -> FlowSet:
     """Parse a flow file; a FlowFormatError names the file and the line."""
     flows = []
+
+    def record(line: str) -> None:
+        parts = line.split()
+        if len(parts) != 6 or parts[0] != "flow":
+            raise ValueError(f"unrecognized record {line!r}")
+        flows.append(Flow(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), parts[5]))
+        if flows[-1].id != len(flows):
+            raise ValueError(f"flow id {flows[-1].id} breaks the dense order 1..N")
+
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6 or parts[0] != "flow":
-                raise FlowFormatError(f"{path}: line {line_no}: unrecognized record {line!r}")
-            try:
-                flows.append(
-                    Flow(
-                        id=int(parts[1]),
-                        src=int(parts[2]),
-                        dst=int(parts[3]),
-                        demand=float(parts[4]),
-                        cls=parts[5],
-                    )
-                )
-                if flows[-1].id != len(flows):
-                    raise ValueError(f"flow id {flows[-1].id} breaks the dense order 1..N")
-            except ValueError as exc:
-                raise FlowFormatError(f"{path}: line {line_no}: {exc}") from exc
+        read_records((raw.split("#", 1)[0] for raw in fh), record, FlowFormatError, f"{path}: ")
     return FlowSet(flows=tuple(flows))

@@ -133,11 +133,14 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("methods = cect,ecmp", "methods = cect,foo", r"\[sweep\] methods: unknown method 'foo'"),
         ("n_flows = 60,120", "n_flows = 5:1:1", r"\[sweep\] n_flows: empty flow sweep"),
         ("seeds = 2", "seeds = 0", r"\[sweep\] seeds must be >= 1"),
+        # numpy seeds no generator from a negative number
+        ("seed = 7", "seed = -1", r"\[experiment\] seed must be >= 0, got -1"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
-         "comma-only-methods", "unknown-method", "empty-n-flows", "no-seeds"],
+         "comma-only-methods", "unknown-method", "empty-n-flows", "no-seeds",
+         "negative-seed"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -164,6 +167,19 @@ def test_podless_topology_with_plr_fails_before_any_cell(tmp_path, capsys):
     out = tmp_path / "res2"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
     assert "podless.ini: [traffic] plr" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_linkless_topology_fails_before_any_cell(tmp_path, capsys):
+    topo = tmp_path / "linkless.txt"
+    topo.write_text("node 1\nnode 2\n", encoding="utf-8")
+    path = tmp_path / "linkless.ini"
+    path.write_text(f"[topology]\nkind = file\npath = {topo}\n[traffic]\nplr = 0\n"
+                    "[sweep]\nn_flows = 5\nmethods = ecmp\n", encoding="utf-8")
+    out = tmp_path / "res"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    message = f"linkless.ini: [topology] {topo}: the topology has no links to size flow demands by"
+    assert message in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
@@ -803,6 +819,17 @@ def test_run_rejects_fewer_than_one_thread(config_file, tmp_path, capsys, thread
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-traffic", "solve"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, command):
+    flows, out = tmp_path / "flows.txt", tmp_path / "out"
+    flows.write_text("flow 1 1 3 1.0 custom\n", encoding="utf-8")
+    argv = {"gen-traffic": ["--n", "3", "--out", str(flows)],
+            "solve": ["--flows", str(flows), "--out-dir", str(out)]}[command]
+    assert main([command, "--seed", "-5", *argv]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+    assert flows.read_text(encoding="utf-8") == "flow 1 1 3 1.0 custom\n" and not out.exists()
+
+
 def test_cli_error_paths(tmp_path):
     assert main(["gen-topo", "--config", _ini(tmp_path, "[topology]\nk = 3\n"),
                  "--out", str(tmp_path / "x.txt")]) == 2
@@ -840,6 +867,9 @@ def test_solve_rejects_an_unknown_method():
      "line "),
     # a flow endpoint beyond int64
     ("simulate", "flows", "flow 1 1 99999999999999999999999 1.0 custom\n", "line "),
+    # a saved topology without links leaves no capacity to size demands by
+    ("gen-traffic", "topo", "node 1\nnode 2\n",
+     r": \[topology\] \S+topo\.txt: the topology has no links to size flow demands by\n$"),
     # a path that is a directory, not a file (None)
     ("solve", "topo", None, ""),
     # fig2a has no pods, and the config leaves plr at its default 0.7
@@ -860,8 +890,8 @@ def test_solve_rejects_an_unknown_method():
     ("report", "results", f"{','.join(experiment.RESULT_COLUMNS)}\necmp,3,0,2.5\n",
      r"results\.csv: could not convert string to float: ''\n$"),
 ], ids=["hop-3.7", "replay-first-hop", "demand-1e306", "switch-beyond-int64",
-        "flow-end-beyond-int64", "directory", "default-plr-without-pods", "fat-tree-k-5",
-        "edge-capacity-0", "sample-capacity-minus-1", "results-without-columns",
+        "flow-end-beyond-int64", "linkless-topology", "directory", "default-plr-without-pods",
+        "fat-tree-k-5", "edge-capacity-0", "sample-capacity-minus-1", "results-without-columns",
         "results-non-numeric", "results-short-row"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text,
                                                       names):

@@ -345,6 +345,35 @@ def test_validate_accepts_a_simple_path_listed_out_of_hop_order():
     assert validate(matrix, flows, topo) == [] == reference_validate(matrix, flows, topo)
 
 
+def test_validate_mixes_good_empty_long_and_unknown_rows():
+    # one matrix whose rows take every way to fail before the loop check: a
+    # simple path, an empty row, a row of node_count edges that returns to its
+    # source, and a row holding an id beyond edge_keys
+    topo = make_sample_topology("fig2b", 10.0)
+    index = edge_index(topo)
+    flows = make_flows([(1, 2, 1.0)] * 4)
+    long_row = [index[e] for e in ((1, 3), (3, 4), (4, 1), (1, 2))]
+    rows = [[index[(1, 2)]], [], long_row, [index[(1, 2)], len(topo.edge_keys) + 3]]
+    assert len(long_row) == topo.node_count
+    matrix = RoutingMatrix(
+        flow_ptr=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+        edge_ids=np.array([e for r in rows for e in r], dtype=np.int64),
+        edge_keys=topo.edge_keys,
+        load_units={},
+        mu=0.0,
+    )
+    found = validate(matrix, flows, topo)
+    assert found == reference_validate(matrix, flows, topo)
+    assert sorted({v.flow_id for v in found}) == [2, 3, 4]
+    assert Violation(4, RULE_KNOWN_EDGE, len(topo.edge_keys) + 3) in found
+    # without links every id is unknown: there is no edge to look a switch up by
+    linkless, flows = Topology(nodes=(1, 2), links=()), make_flows([(1, 2, 1.0)] * 2)
+    matrix = RoutingMatrix(np.array([0, 0, 2]), np.array([0, -1]), (), {}, 0.0)
+    found = validate(matrix, flows, linkless)
+    assert found == reference_validate(matrix, flows, linkless)
+    assert [v.rule for v in found if v.flow_id == 2][:2] == [RULE_KNOWN_EDGE, RULE_KNOWN_EDGE]
+
+
 def test_validate_does_not_pad_to_a_pathological_row():
     # one row of 100,000 edges among 20,000 table paths: padding every row to
     # it would take about 16 GB, so it must take the general path unpadded
@@ -463,6 +492,14 @@ def test_parse_assignment_dump_names_the_bad_line(text, line_no, what):
         parse_assignment_dump(text)
     assert isinstance(info.value, CectLabError)
     assert str(info.value).startswith(f"line {line_no}: ")
+
+
+def test_parse_assignment_dump_reads_hash_as_no_comment():
+    # '#' starts a comment in topology and flow files, not in a dump
+    for text, line_no in (("flow 1 via 5: 3 -> 2 -> 1 # note\n", 1),
+                          ("flow 1 via 5: 3 -> 2 -> 1\n\n# note\n", 3)):
+        with pytest.raises(AssignmentFormatError, match=f"^line {line_no}: "):
+            parse_assignment_dump(text)
 
 
 def _parse_line_by_line(text):

@@ -256,6 +256,18 @@ def test_load_ignores_comments_and_blanks(tmp_path):
     assert topo.links == ((1, 2, 5.0),)
 
 
+def test_load_names_path_and_line_after_comments_and_blanks(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# header\n\nnode 1 # first\n   \nnode 2\nedge 1 2 x\n")
+    with pytest.raises(TopologyFormatError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: line 6: could not convert string to float: 'x'"
+    path.write_text("node 1\n# pod 1 0\nlink 1 2 # the rest\n")
+    with pytest.raises(TopologyFormatError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: line 3: unrecognized record 'link 1 2'"
+
+
 def test_topology_invariants_enforced():
     with pytest.raises(TopologyFormatError):
         Topology(nodes=(1, 2), links=((1, 1, 5.0),))

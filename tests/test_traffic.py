@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cect_lab.errors import FlowFormatError
-from cect_lab.topology import make_fat_tree, make_sample_topology
+from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import (
     CLASS_FRACTION,
     Flow,
@@ -224,6 +224,25 @@ def test_load_flows_names_line_of_id_out_of_order(tmp_path):
     path.write_text("flow 1 1 2 1.0 custom\n\nflow 3 2 1 1.0 custom\n", encoding="utf-8")
     with pytest.raises(FlowFormatError, match="line 3: flow id 3 breaks the dense order 1..N"):
         load_flows(path)
+
+
+def test_load_flows_skips_comments_and_blanks_and_names_path_and_line(tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("# header\n\nflow 1 1 2 1.0 custom # first\n  \nflow 2 2 1 2.0 small\n",
+                    encoding="utf-8")
+    assert load_flows(path) == FlowSet(flows=(Flow(1, 1, 2, 1.0), Flow(2, 2, 1, 2.0, "small")))
+    path.write_text("# header\n\nflow 1 1 2 1.0 custom\nflow 2 2 1\n", encoding="utf-8")
+    with pytest.raises(FlowFormatError) as info:
+        load_flows(path)
+    assert str(info.value) == f"{path}: line 4: unrecognized record 'flow 2 2 1'"
+
+
+def test_a_linkless_topology_sizes_no_flow_demands():
+    topo = Topology(nodes=(1, 2), links=())
+    for size in (lambda: generate_flows(topo, 3, MIX, plr=0.0, seed=1),
+                 lambda: default_compression_bounds(topo)):
+        with pytest.raises(ValueError, match="^the topology has no links to size flow demands by$"):
+            size()
 
 
 def test_class_fractions_match_published_values():
