@@ -97,7 +97,7 @@ def simulate(
     offered = float(demands.sum())
     delivered = float(rates.sum())
     return SimResult(
-        per_flow_rate=dict(zip((f.id for f in flowset.flows), rates.tolist())),
+        per_flow_rate=dict(enumerate(rates.tolist(), start=1)),  # FlowSet ids are 1..N
         link_utilization=dict(zip(routing_matrix.edge_keys, (delivered_load / caps).tolist())),
         mu=routing_matrix.mu,
         total_delivered=delivered,

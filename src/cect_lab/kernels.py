@@ -2,9 +2,10 @@
 
 The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
-max-min water-filling loop. Both live here, one implementation of each kernel.
-Every load sum is one bincount over padded label rows (label_row_sums), not
-BLAS, whose threads compete.
+max-min water-filling loop, whose first pass reads every flow's edge row and
+each later pass only the rows of the flows still rising. Both live here, one
+implementation of each kernel. Every load sum is one bincount over padded
+label rows (label_row_sums), not BLAS, whose threads compete.
 """
 
 from __future__ import annotations
@@ -83,34 +84,33 @@ def maxmin_rates(flow_ptr, flow_edges, demands, capacities):
 
     All unfrozen flows rise at a common rate; a flow freezes when it reaches
     its demand or an edge it crosses saturates. Event-driven: each loop
-    iteration advances straight to the next freezing event.
+    iteration advances straight to the next freezing event. The first pass
+    reads every flow's edge row, each later pass only the rising flows' rows:
+    ids, and row (each entry's position in ids) beside edges (its edge id).
     """
-    n_flows = demands.shape[0]
-    n_edges = capacities.shape[0]
+    n_flows, n_edges = demands.shape[0], capacities.shape[0]
     rates = np.zeros(n_flows)
-    frozen = np.zeros(n_flows, dtype=bool)
     residual = capacities.astype(np.float64).copy()
     counts = np.bincount(flow_edges, minlength=n_edges).astype(np.int64)
     scale = max(capacities.max() if n_edges else 0.0, demands.max() if n_flows else 0.0)
     eps = 1e-9 * (scale if scale > 0 else 1.0)
-    flow_of = np.repeat(np.arange(n_flows), np.diff(flow_ptr))
+    ids = np.arange(n_flows)
+    row, edges = np.repeat(ids, np.diff(flow_ptr)), flow_edges
 
-    while not frozen.all():
+    while ids.size:
         active = counts > 0
-        delta = np.inf
-        if active.any():
-            delta = (residual[active] / counts[active]).min()
-        head = demands[~frozen] - rates[~frozen]
-        delta = min(delta, head.min())
-        delta = max(delta, 0.0)
-
-        rates[~frozen] += delta
+        delta = (residual[active] / counts[active]).min() if active.any() else np.inf
+        delta = max(min(delta, (demands[ids] - rates[ids]).min()), 0.0)
+        rates[ids] += delta
         residual[active] -= delta * counts[active]
 
         saturated = active & (residual <= eps)
-        blocked = np.bincount(flow_of[saturated[flow_edges]], minlength=n_flows) > 0
-        freeze = ~frozen & ((rates >= demands - eps) | blocked)
-        frozen |= freeze
-        rates[freeze] = np.minimum(rates[freeze], demands[freeze])
-        counts -= np.bincount(flow_edges[freeze[flow_of]], minlength=n_edges)
+        blocked = np.bincount(row[saturated[edges]], minlength=ids.size) > 0
+        freeze = (rates[ids] >= demands[ids] - eps) | blocked
+        done = ids[freeze]
+        rates[done] = np.minimum(rates[done], demands[done])
+        gone = freeze[row]
+        counts -= np.bincount(edges[gone], minlength=n_edges)
+        # drop the frozen flows' entries; renumber the rest by position in ids
+        ids, row, edges = ids[~freeze], (np.cumsum(~freeze) - 1)[row[~gone]], edges[~gone]
     return rates

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cect_lab import experiment
+from cect_lab.ecmp import route_ecmp
 from cect_lab.fluidsim import MODELS, SimResult, run_volume_schedule, simulate
 from cect_lab.routing import RoutingAssignment, assemble, matrix_from_paths
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
@@ -333,6 +335,41 @@ def test_volume_schedule_rejects_a_volume_for_no_flow():
     topo, flows, matrix = _k4_pair()
     with pytest.raises(ValueError, match="unknown flow 3"):
         run_volume_schedule(matrix, flows, topo, volumes={1: 5.0, 3: 1.0})
+
+
+@pytest.fixture(scope="module")
+def ecmp_k8():
+    """The k=8, 20,000-flow ECMP routing that test_route_ecmp_output_is_pinned pins."""
+    topo = make_fat_tree(8)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, 20000, {"micro": 0.9775, "small": 0.0175, "big": 0.005},
+                           plr=0.95, seed=1)
+    return topo, flows, assemble(route_ecmp(flows, topo, table), flows, table, topo)
+
+
+@pytest.mark.parametrize(
+    "model, rates_digest, schedule_digest",
+    [
+        ("maxmin", "e5c96b7b95dd4d0251e0b767e46f79872c2c78ceea9c848583356931ffc2e957",
+         "b9f44ef785f16026c175de3c1c1a4f9a6b5c2c6c90185ca0542086de89825fa1"),
+        ("bottleneck", "ae62b7b5ac7d02723965cbfdb45d97dbaa7bd0b5af6b82679e77d4d469246899",
+         "ca0a05d3952c282427a4e72e54d9828ce19397cfc95be83a54a56eee0d066150"),
+    ],
+)
+def test_simulator_output_is_pinned(ecmp_k8, model, rates_digest, schedule_digest):
+    # every rate and every step's transfer, bit for bit, at a scale where the
+    # water filling runs dozens of passes (mu 2.745); the schedule takes all
+    # 20,000 flows, since a 2,000-flow prefix stays below capacity
+    topo, flows, matrix = ecmp_k8
+    result = simulate(matrix, flows, topo, model)
+    assert list(result.per_flow_rate) == list(range(1, flows.count + 1))
+    rates = np.array(list(result.per_flow_rate.values()))
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == rates_digest
+    factors = np.random.default_rng(7).uniform(2.0, 30.0, flows.count)
+    volumes = {f.id: f.demand * float(x) for f, x in zip(flows.flows, factors)}
+    steps = run_volume_schedule(matrix, flows, topo, volumes, model=model)
+    transferred = np.array([step.transferred for step in steps])
+    assert hashlib.sha256(transferred.tobytes()).hexdigest() == schedule_digest
 
 
 def test_simulate_rejects_unknown_model():

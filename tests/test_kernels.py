@@ -147,7 +147,8 @@ def _maxmin_freeze_loop(flow_ptr, flow_edges, demands, capacities):
     rates, frozen = np.zeros(n_flows), np.zeros(n_flows, dtype=bool)
     residual = capacities.astype(np.float64).copy()
     counts = np.bincount(flow_edges, minlength=n_edges).astype(np.int64)
-    eps = 1e-9 * max(capacities.max(), demands.max())
+    scale = max(capacities.max() if n_edges else 0.0, demands.max() if n_flows else 0.0)
+    eps = 1e-9 * (scale if scale > 0 else 1.0)
     crossing = [flow_edges[flow_ptr[f] : flow_ptr[f + 1]] for f in range(n_flows)]
     while not frozen.all():
         active = counts > 0
@@ -171,6 +172,23 @@ def test_maxmin_rates_equal_the_per_flow_freeze_loop(instance):
         ptr, edges, demands = _random_flow_csr(instance, rng)
         rates = kernels.maxmin_rates(ptr, edges, demands, caps)
         assert rates.tolist() == _maxmin_freeze_loop(ptr, edges, demands, caps).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_edges=st.integers(1, 12))
+def test_maxmin_rates_equal_the_freeze_loop_on_random_csrs(data, n_edges):
+    # rows may be empty or repeat an id, edges may have no capacity, and
+    # demands come from a small set, so that ties freeze many flows at once;
+    # tenths are inexact in binary, so a rate can round past its demand
+    rows = data.draw(st.lists(st.lists(st.integers(0, n_edges - 1), max_size=5), max_size=30))
+    demands = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 0.9, 2.0]),
+                                 min_size=len(rows), max_size=len(rows)))
+    caps = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0, 2.5]),
+                              min_size=n_edges, max_size=n_edges))
+    ptr = np.cumsum([0, *map(len, rows)])
+    edges = np.array([e for row in rows for e in row], dtype=np.int64)
+    args = ptr, edges, np.array(demands, dtype=np.float64), np.array(caps)
+    assert kernels.maxmin_rates(*args).tolist() == _maxmin_freeze_loop(*args).tolist()
 
 
 def test_fitness_formula_matches_reference(instance):
