@@ -73,7 +73,7 @@ def _arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The routing's CSR (row ptr, edge ids), the demands and the capacities."""
     ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
-    demands = np.array([f.demand for f in flowset.flows], dtype=np.float64)
+    demands = flowset.demands()
     caps = np.array([c for _, _, c in topology.links], dtype=np.float64)
     return ptr, edges, demands, caps
 

@@ -1,7 +1,8 @@
 """Genetic routing optimizer over path-label chromosomes.
 
-Each chromosome is an int32 array holding one precomputed path label per
-flow; a population is a 2-D array with one chromosome per row. Generations
+Each chromosome holds one precomputed path label per flow, in the narrowest
+unsigned dtype that fits the table's labels (uint8 up to 255, uint16 up to
+65,535); a population is a 2-D array with one chromosome per row. Generations
 are bred with fitness-proportionate (roulette) selection, uniform crossover,
 and multipoint mutation, each applied to the whole population in one call;
 the best chromosome is carried over unchanged and never mutated. The
@@ -100,7 +101,7 @@ class _Instance:
         self.feas_ptr, feas_labels = feasible_csr(table, flowset)
         if table.path_count > np.iinfo(np.int32).max:
             raise ValueError("path labels do not fit int32 genes")
-        self.feas_labels = feas_labels.astype(np.int32)
+        self.feas_labels = feas_labels.astype(np.min_scalar_type(table.path_count))
         # feasible lists are shortest-first, so column 0 is the greedy pick
         self.shortest = self.feas_labels[self.feas_ptr[:-1]]
 
@@ -142,9 +143,9 @@ class _Instance:
         np.add(rows, shift, out=rows, casting="unsafe")
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
-        """n_members int32 chromosomes of genes uniform over each flow's feasible labels,
-        drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
-        genes = np.empty((n_members, self.n_flows), dtype=np.int32)
+        """n_members chromosomes of genes (feas_labels' dtype) uniform over each flow's feasible
+        labels, drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
+        genes = np.empty((n_members, self.n_flows), dtype=self.feas_labels.dtype)
         counts, starts = np.diff(self.feas_ptr), self.feas_ptr[:-1]
         rows = max(1, _BLOCK_GENES // max(1, self.n_flows))
         for start in range(0, n_members, rows):

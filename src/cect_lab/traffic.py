@@ -91,9 +91,13 @@ class FlowSet:
         pairs = itertools.chain.from_iterable((f.src, f.dst) for f in self.flows)
         return self._built_once("_ends", pairs, (-1, 2))
 
-    def _built_once(self, name: str, values, shape) -> np.ndarray:
+    def demands(self) -> np.ndarray:
+        """Read-only float64 demands, index i holds flow i+1, built once."""
+        return self._built_once("_demands", (f.demand for f in self.flows), -1, np.float64)
+
+    def _built_once(self, name: str, values, shape, dtype=np.int64) -> np.ndarray:
         if name not in self.__dict__:
-            array = np.fromiter(values, dtype=np.int64).reshape(shape)
+            array = np.fromiter(values, dtype=dtype).reshape(shape)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         return self.__dict__[name]

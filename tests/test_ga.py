@@ -213,10 +213,11 @@ def test_crossover_mask_replay():
 def test_crossover_matches_the_one_shot_reference(n_picks):
     # blocks of 8 pairs, gathered as they are swapped, give the children and
     # leave the stream exactly as one gather and one mask unpack did
+    # in every gene dtype the solver breeds, values reduced to the dtype's range
     population = np.random.default_rng(n_picks).integers(1, 1 << 20, size=(9, 37))
     picks = np.random.default_rng(n_picks + 100).integers(0, 9, size=n_picks)
-    for dtype in (np.int32, np.int64):
-        genes = population.astype(dtype)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.int32, np.int64):
+        genes = (population % min(1 << 20, np.iinfo(dtype).max + 1)).astype(dtype)
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         children = _crossover(genes, picks, rng)
         expected = reference_uniform_crossover(genes, picks, reference_rng)
@@ -341,7 +342,7 @@ def test_random_genes_draws_one_stream_in_blocks(fig2a):
     uniforms = np.random.default_rng(21).random((n, flows.count))
     ptr, labels = feasible_csr(table, flows)
     counts = np.diff(ptr)
-    assert genes.dtype == np.int32
+    assert genes.dtype == np.min_scalar_type(table.path_count)
     assert np.array_equal(genes, labels[ptr[:-1] + np.floor(uniforms * counts).astype(np.int64)])
 
 
@@ -352,22 +353,23 @@ def test_instance_refuses_labels_beyond_int32(fig2a, monkeypatch):
         _Instance(make_flows([(3, 1, 1.0)]), table, topo)
 
 
-def test_run_breeds_int32_genes_and_returns_int64_labels(fig2a):
+def test_run_breeds_genes_in_the_label_dtype_and_returns_int64_labels(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0)])
     dtypes = set()
     config = GaConfig(seed=8, max_iterations=3, population_size=5, mu_target=0.01)
     assignment, _, _ = run_cect(flows, table, topo, config,
                                 on_generation=lambda g, genes, f, m: dtypes.add(genes.dtype))
-    assert dtypes == {np.dtype(np.int32)}
+    assert dtypes == {np.min_scalar_type(table.path_count)}
     assert assignment.labels.dtype == np.int64
 
 
 def test_breeding_allocates_no_population_sized_array(fig2a):
     # children are gathered straight into the next generation and swapped in
     # place; beyond the swap mask (one byte per gene of half the children),
-    # only small arrays may be allocated, at the rates the solver runs
-    # (cli solve's default mut_max of 0.2 samples its sites in row blocks)
+    # only small arrays (under one byte per gene in all) may be allocated, at
+    # the rates the solver runs (cli solve's default mut_max of 0.2 samples
+    # its sites in row blocks)
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 500)
     feasible = feasible_csr(table, flows)
@@ -384,7 +386,7 @@ def test_breeding_allocates_no_population_sized_array(fig2a):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < mask_bytes + genes.nbytes // 4, (rate, peak)
+        assert peak < mask_bytes + genes.size, (rate, peak)
 
 
 @pytest.mark.parametrize("population", [8, 7])
@@ -557,6 +559,30 @@ def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
 
 
+@pytest.mark.parametrize(
+    "case", [_fat_tree_case, _fig2a_case, lambda: _fat_tree_case(500, 30)],
+    ids=["k4-200", "fig2a", "k4-500-aggregated"],
+)
+def test_run_output_is_the_same_in_every_gene_dtype(case, monkeypatch):
+    # a table of more labels only widens the genes: uint8 holds 255 labels,
+    # uint16 65,535, uint32 the rest; the draws and the loads stay the same
+    topo, table, flows, config = case()
+    expected = run_cect(flows, table, topo, config)
+    for count, dtype in ((255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+                         (65_536, np.uint32)):
+        monkeypatch.setattr(XPathTable, "path_count", property(lambda self: count))
+        assert _Instance(flows, table, topo).feas_labels.dtype == dtype
+        dtypes = set()
+        assignment, mu, stats = run_cect(
+            flows, table, topo, config, on_generation=lambda g, genes, f, m: dtypes.add(genes.dtype)
+        )
+        assert dtypes == {np.dtype(dtype)}
+        assert np.array_equal(assignment.labels, expected[0].labels)
+        assert assignment.labels.dtype == np.int64
+        assert mu == expected[1]
+        assert stats.rows == expected[2].rows
+
+
 @functools.lru_cache(maxsize=None)
 def _load_form_case(aggregated: bool, many: bool):
     """(topology, table, flows) whose instance picks the aggregated form or the
@@ -569,6 +595,25 @@ def _load_form_case(aggregated: bool, many: bool):
     mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
     flows = generate_flows(topo, 2000 if many else 30, mix, plr=0.95, seed=1)
     return topo, precompute_xpaths(topo, x=4, cap_c=50), flows
+
+
+def test_run_peak_memory_is_pinned():
+    # the two population buffers are the solve's largest allocation: at k=6
+    # (2,754 labels) their genes are uint16. The bound is 1.1 times the peak
+    # measured with uint16 genes (2,482,707 bytes); int32 genes peak at
+    # 3,383,707 bytes, past it
+    topo, table, flows = _load_form_case(False, True)
+    assert _Instance(flows, table, topo).feas_labels.dtype == np.uint16
+    config = GaConfig(seed=1, max_iterations=5, mu_target=1e-9)
+    run_cect(flows, table, topo, config)  # builds the flow set's cached arrays
+    tracemalloc.start()
+    try:
+        _, _, stats = run_cect(flows, table, topo, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.generations == 5
+    assert peak < 2_730_000, peak
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,13 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cect_lab.errors import FlowFormatError
-from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
+from cect_lab.topology import Topology, make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import (
     CLASS_FRACTION,
     Flow,
@@ -199,6 +200,21 @@ def test_flow_file_round_trip_keeps_every_digit(tmp_path):
     path = tmp_path / "flows.txt"
     save_flows(flows, path)
     assert load_flows(path) == flows
+
+
+def test_flowset_arrays_are_built_once_and_read_only():
+    flows = generate_flows(make_fat_tree(4), 300, MIX, plr=0.5, seed=4)
+    arrays = {
+        "demands": [f.demand for f in flows.flows],
+        "demand_units": [to_units(f.demand) for f in flows.flows],
+        "ends": [[f.src, f.dst] for f in flows.flows],
+    }
+    for name, expected in arrays.items():
+        array = getattr(flows, name)()
+        assert array.tolist() == expected, name
+        assert getattr(flows, name)() is array, name
+        assert not array.flags.writeable, name
+    assert flows.demands().dtype == np.float64
 
 
 def test_flow_invariants():
