@@ -84,9 +84,12 @@ def parse_mix(text: str) -> dict[str, float]:
     mix = {}
     for part in text.split(","):
         name, _, value = part.strip().partition("=")
+        name = name.strip()
         if not value:
             raise ConfigError(f"bad class mix entry {part!r}")
-        mix[name.strip()] = float(value)
+        if name in mix:
+            raise ConfigError(f"{name!r} is listed twice")
+        mix[name] = float(value)
     return mix
 
 
@@ -97,6 +100,8 @@ def _parse_n_flows(text: str) -> tuple[int, ...]:
         if len(pieces) != 3:
             raise ConfigError(f"flow sweep must be start:stop:step, got {text!r}")
         start, stop, step = pieces
+        if step < 1:
+            raise ConfigError(f"step must be >= 1, got {step}")
         counts = tuple(range(start, stop + 1, step))
     else:
         counts = tuple(int(p) for p in text.split(","))

@@ -182,51 +182,37 @@ def generate_flows(
 def compress_flows(flowset: FlowSet, lower_bound: float, upper_bound: float) -> FlowSet:
     """Merge sub-threshold flows that share a (src, dst) pair.
 
-    Flows with demand < lower_bound are packed first-fit decreasing into
-    merged flows whose demand never exceeds upper_bound; a group that would
-    overflow is closed and a new one opened. Larger flows pass through
-    untouched and come first, renumbered in their input order, followed by
-    the merged flows pair by pair. Total demand per pair is conserved
-    exactly. lower_bound == 0 disables merging.
+    Flows with demand < lower_bound are sorted once by (src, dst, -demand, id)
+    and packed first fit, pair by pair, into merged flows whose demand never
+    exceeds upper_bound. Larger flows pass through untouched and come first,
+    renumbered in their input order, followed by the merged flows pair by
+    pair. Total demand per pair is conserved exactly. lower_bound == 0
+    disables merging, whatever upper_bound is.
     """
-    if lower_bound < 0 or (lower_bound > 0 and lower_bound > upper_bound):
+    # NaN fails both comparisons
+    if not (lower_bound == 0 or 0 < lower_bound <= upper_bound):
         raise ValueError("bounds must satisfy 0 <= lower_bound <= upper_bound")
 
-    small_by_pair: dict[tuple[int, int], list[Flow]] = {}
-    passthrough_flows: list[Flow] = []
-    for flow in flowset.flows:
-        if flow.demand < lower_bound:
-            small_by_pair.setdefault((flow.src, flow.dst), []).append(flow)
-        else:
-            passthrough_flows.append(flow)
-
-    out_flows = [replace(f, id=new_id) for new_id, f in enumerate(passthrough_flows, start=1)]
-
-    for pair in sorted(small_by_pair):
-        group = sorted(small_by_pair[pair], key=lambda f: (-f.demand, f.id))
-        bins: list[list[Flow]] = []
-        sums: list[float] = []
+    large = (f for f in flowset.flows if f.demand >= lower_bound)
+    out = [replace(f, id=new_id) for new_id, f in enumerate(large, start=1)]
+    small = sorted(
+        (f for f in flowset.flows if f.demand < lower_bound),
+        key=lambda f: (f.src, f.dst, -f.demand, f.id),
+    )
+    for (src, dst), group in itertools.groupby(small, key=lambda f: (f.src, f.dst)):
+        bins: list[list] = []  # [running total, members] per merged flow
         for flow in group:
-            for i, total in enumerate(sums):
-                if total + flow.demand <= upper_bound:
-                    bins[i].append(flow)
-                    sums[i] += flow.demand
-                    break
+            fit = next((b for b in bins if b[0] + flow.demand <= upper_bound), None)
+            if fit is None:
+                bins.append([flow.demand, [flow]])
             else:
-                bins.append([flow])
-                sums.append(flow.demand)
-        for members in bins:
-            out_flows.append(
-                Flow(
-                    id=len(out_flows) + 1,
-                    src=pair[0],
-                    dst=pair[1],
-                    demand=sum(f.demand for f in members),
-                    cls="custom" if len(members) > 1 else members[0].cls,
-                )
-            )
+                fit[0] += flow.demand
+                fit[1].append(flow)
+        for _, members in bins:
+            cls = "custom" if len(members) > 1 else members[0].cls
+            out.append(Flow(len(out) + 1, src, dst, sum(f.demand for f in members), cls))
 
-    return FlowSet(flows=tuple(out_flows))
+    return FlowSet(flows=tuple(out))
 
 
 def save_flows(flowset: FlowSet, path) -> None:

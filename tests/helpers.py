@@ -5,15 +5,17 @@ enumeration walks raw adjacency recursively, hop distances come from a
 breadth-first search, each label's hop sequence from its edges' keys (not
 Topology.edge_ends), pair lookups from each label's hop sequence, and the
 max-min oracle probes feasibility on a rate grid instead of tracking
-bottleneck events. reference_validate and reference_uniform_crossover are
-the exceptions: they keep the package's rule-by-rule validator and its
-one-shot crossover, which the fast path and the blocked crossover must
-agree with.
+bottleneck events. reference_validate, reference_uniform_crossover and
+reference_compress_flows are the exceptions: they keep the package's
+rule-by-rule validator, its one-shot crossover and its bucket-per-pair
+compression, which the fast path, the blocked crossover and the one-sort
+compression must agree with.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -226,6 +228,49 @@ def reference_uniform_crossover(
         a ^= diff
         b ^= diff
     return out
+
+
+def reference_compress_flows(flowset: FlowSet, lower_bound: float, upper_bound: float) -> FlowSet:
+    """compress_flows as it was before its one sort: a dict of lists per pair,
+    each pair's list sorted, packed first fit with a parallel list of sums."""
+    if lower_bound < 0 or (lower_bound > 0 and lower_bound > upper_bound):
+        raise ValueError("bounds must satisfy 0 <= lower_bound <= upper_bound")
+
+    small_by_pair: dict[tuple[int, int], list[Flow]] = {}
+    passthrough_flows: list[Flow] = []
+    for flow in flowset.flows:
+        if flow.demand < lower_bound:
+            small_by_pair.setdefault((flow.src, flow.dst), []).append(flow)
+        else:
+            passthrough_flows.append(flow)
+
+    out_flows = [replace(f, id=new_id) for new_id, f in enumerate(passthrough_flows, start=1)]
+
+    for pair in sorted(small_by_pair):
+        group = sorted(small_by_pair[pair], key=lambda f: (-f.demand, f.id))
+        bins: list[list[Flow]] = []
+        sums: list[float] = []
+        for flow in group:
+            for i, total in enumerate(sums):
+                if total + flow.demand <= upper_bound:
+                    bins[i].append(flow)
+                    sums[i] += flow.demand
+                    break
+            else:
+                bins.append([flow])
+                sums.append(flow.demand)
+        for members in bins:
+            out_flows.append(
+                Flow(
+                    id=len(out_flows) + 1,
+                    src=pair[0],
+                    dst=pair[1],
+                    demand=sum(f.demand for f in members),
+                    cls="custom" if len(members) > 1 else members[0].cls,
+                )
+            )
+
+    return FlowSet(flows=tuple(out_flows))
 
 
 def grid_maxmin_oracle(

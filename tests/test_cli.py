@@ -132,6 +132,13 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("methods = cect,ecmp", "methods = ,", r"\[sweep\] methods lists no method"),
         ("methods = cect,ecmp", "methods = cect,foo", r"\[sweep\] methods: unknown method 'foo'"),
         ("n_flows = 60,120", "n_flows = 5:1:1", r"\[sweep\] n_flows: empty flow sweep"),
+        # a descending range would drop its stop, and range() names no config
+        ("n_flows = 60,120", "n_flows = 10:1:-1",
+         r"\[sweep\] n_flows: step must be >= 1, got -1"),
+        ("n_flows = 60,120", "n_flows = 1:10:0", r"\[sweep\] n_flows: step must be >= 1, got 0"),
+        # the second share would replace the first, hiding a sum above 1
+        ("mix = micro=0.5,small=0.3,medium=0.15,big=0.05", "mix = micro=0.5,small=0.5,micro=0.5",
+         r"\[traffic\] mix: 'micro' is listed twice"),
         ("seeds = 2", "seeds = 0", r"\[sweep\] seeds must be >= 1"),
         # numpy seeds no generator from a negative number
         ("seed = 7", "seed = -1", r"\[experiment\] seed must be >= 0, got -1"),
@@ -139,8 +146,8 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
-         "comma-only-methods", "unknown-method", "empty-n-flows", "no-seeds",
-         "negative-seed"],
+         "comma-only-methods", "unknown-method", "empty-n-flows", "descending-n-flows",
+         "zero-step-n-flows", "repeated-mix-class", "no-seeds", "negative-seed"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -467,10 +474,14 @@ def test_results_keep_the_config_they_ran(tmp_path):
 
 
 def test_every_checked_in_config_loads():
+    # each shipped config builds its topology and can draw its flows on it,
+    # so no sweep of one fails only once its first cell runs
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
-    assert configs
+    assert {path.name for path in configs} >= {
+        "acceptance_sweep.ini", "paper_claims.ini", "scaling.ini"}
     for path in configs:
-        experiment.load_config(path)
+        cfg = experiment.load_config(path)
+        experiment.check_traffic(cfg, experiment.build_topology(cfg, path), path)
 
 
 def test_report_rejects_missing_or_empty(tmp_path, capsys):

@@ -10,6 +10,7 @@ from cect_lab.errors import FlowFormatError
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import (
     CLASS_FRACTION,
+    FLOW_CLASSES,
     Flow,
     FlowSet,
     compress_flows,
@@ -19,7 +20,7 @@ from cect_lab.traffic import (
     save_flows,
 )
 
-from helpers import make_flows
+from helpers import make_flows, reference_compress_flows
 
 MIX = {"micro": 0.4, "small": 0.3, "medium": 0.2, "big": 0.1}
 
@@ -124,6 +125,21 @@ def test_compress_zero_lower_bound_is_identity():
     flows = make_flows([(1, 2, 0.5), (2, 3, 7.0), (1, 2, 0.25)])
     out = compress_flows(flows, lower_bound=0.0, upper_bound=100.0)
     assert out == flows
+    # whatever the upper bound, NaN included
+    for upper in (math.nan, -1.0, 0.0, math.inf):
+        assert compress_flows(flows, lower_bound=0.0, upper_bound=upper) == flows
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan), (-0.5, 1.0), (2.0, 1.0)],
+    ids=["nan-lower", "nan-upper", "nan-both", "negative-lower", "lower-above-upper"],
+)
+def test_compress_rejects_nan_and_disordered_bounds(lower, upper):
+    # a NaN bound fails every comparison, so it would merge nothing silently
+    flows = make_flows([(1, 2, 0.25), (1, 2, 0.25)])
+    with pytest.raises(ValueError, match="0 <= lower_bound <= upper_bound"):
+        compress_flows(flows, lower, upper)
 
 
 def test_compress_passthrough_keeps_large_flows():
@@ -164,6 +180,32 @@ def test_compress_conserves_pair_demand(demands, lower):
     large = [(f.src, f.dst, f.demand, f.cls) for f in flows.flows if f.demand >= lower]
     assert [(f.src, f.dst, f.demand, f.cls) for f in out.flows[: len(large)]] == large
     assert all(f.demand <= 60.0 + 1e-12 for f in out.flows[len(large):])
+
+
+# few values, so demands tie and land on the bounds; 0 disables merging
+_COMPRESS_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 4)]),
+            st.sampled_from(_COMPRESS_VALUES[1:]) | st.floats(0.01, 8.0),
+            st.sampled_from(FLOW_CLASSES),
+        ),
+        max_size=60,
+    ),
+    bounds=st.lists(st.sampled_from(_COMPRESS_VALUES) | st.floats(0.0, 8.0), min_size=2,
+                    max_size=2).map(sorted),
+)
+def test_compress_matches_the_bucket_per_pair_reference(specs, bounds):
+    # the one sort packs every pair's bins as the dict of sorted lists did:
+    # same ids, ends, classes and bit-identical demands
+    flows = FlowSet(flows=tuple(
+        Flow(i, src, dst, demand, cls) for i, ((src, dst), demand, cls) in enumerate(specs, 1)
+    ))
+    assert compress_flows(flows, *bounds) == reference_compress_flows(flows, *bounds)
 
 
 def test_compress_idempotent_when_groups_large_enough():
