@@ -90,15 +90,15 @@ def _cmd_solve(args) -> int:
     experiment.write_rows(
         out_dir / "edge_loads.csv", ("src", "dst", "load", "utilization"), edge_rows
     )
-    if stats is not None:
-        stat_rows = [
-            (row.generation, row.best_mu, row.best_fitness, row.mean_fitness, row.mut_rate)
-            for row in stats.rows
-        ]
-        experiment.write_rows(
-            out_dir / "stats.csv",
-            ("generation", "best_mu", "best_fitness", "mean_fitness", "mut_rate"), stat_rows,
-        )
+    # header only for a method without a GA trace, so no earlier run's trace stays
+    stat_rows = [
+        (row.generation, row.best_mu, row.best_fitness, row.mean_fitness, row.mut_rate)
+        for row in (stats.rows if stats is not None else ())
+    ]
+    experiment.write_rows(
+        out_dir / "stats.csv",
+        ("generation", "best_mu", "best_fitness", "mean_fitness", "mut_rate"), stat_rows,
+    )
     print(
         f"method={args.method} flows={flows.count} mu={matrix.mu:.4f} "
         f"time={elapsed:.3f}s -> {out_dir}"

@@ -37,7 +37,7 @@ def route_ecmp(flowset: FlowSet, topology: Topology, xpath_table: XPathTable) ->
 
     Candidates for a flow are all its shortest paths in the table, in label
     order (labels sort by hop count then hop sequence). Raises
-    NoFeasiblePathError naming the first flow with no path in the table, and
+    CectLabError naming the first flow with no path in the table, and
     ValueError when the table was built for another topology.
     """
     topology.check_edge_keys(xpath_table.topology.edge_keys, "table")

@@ -32,7 +32,7 @@ def solve_exact(
 
     Ties are broken by total hop count, then by the lexicographically
     smallest label vector, which makes the result deterministic. Raises
-    NoFeasiblePathError when some flow has no candidate path, even if the
+    CectLabError when some flow has no candidate path, even if the
     space would also exceed the budget, and otherwise
     SearchBudgetExceededError when the assignment space is larger than
     budget.

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .ecmp import route_ecmp
-from .errors import CectLabError, ConfigError, TopologyFormatError
+from .errors import CectLabError
 from .exact import solve_exact
 from .fluidsim import MODELS, simulate
 from .ga import GaConfig, RunStats, run_cect
@@ -86,9 +86,9 @@ def parse_mix(text: str) -> dict[str, float]:
         name, _, value = part.strip().partition("=")
         name = name.strip()
         if not value:
-            raise ConfigError(f"bad class mix entry {part!r}")
+            raise CectLabError(f"bad class mix entry {part!r}")
         if name in mix:
-            raise ConfigError(f"{name!r} is listed twice")
+            raise CectLabError(f"{name!r} is listed twice")
         mix[name] = float(value)
     return mix
 
@@ -98,15 +98,15 @@ def _parse_n_flows(text: str) -> tuple[int, ...]:
     if ":" in text:
         pieces = [int(p) for p in text.split(":")]
         if len(pieces) != 3:
-            raise ConfigError(f"flow sweep must be start:stop:step, got {text!r}")
+            raise CectLabError(f"flow sweep must be start:stop:step, got {text!r}")
         start, stop, step = pieces
         if step < 1:
-            raise ConfigError(f"step must be >= 1, got {step}")
+            raise CectLabError(f"step must be >= 1, got {step}")
         counts = tuple(range(start, stop + 1, step))
     else:
         counts = tuple(int(p) for p in text.split(","))
     if min(counts, default=1) < 1:
-        raise ConfigError(f"flow counts must be >= 1, got {min(counts)}")
+        raise CectLabError(f"flow counts must be >= 1, got {min(counts)}")
     return counts
 
 
@@ -162,7 +162,7 @@ def _read_config(path) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config file") from exc
+        raise CectLabError(f"{path}: cannot read config file") from exc
 
 
 def _parse_config(data: bytes, path) -> ExperimentConfig:
@@ -173,38 +173,38 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         parser.read_string(data.decode("utf-8"), source=str(path))
         for section in parser.sections():
             if section not in _SETTINGS:
-                raise ConfigError(f"{path}: unknown section [{section}]")
+                raise CectLabError(f"{path}: unknown section [{section}]")
             for key, text in parser.items(section):
                 if key not in _SETTINGS[section]:
-                    raise ConfigError(f"{path}: [{section}] unknown key {key!r}")
+                    raise CectLabError(f"{path}: [{section}] unknown key {key!r}")
                 name, convert = _SETTINGS[section][key]
                 try:
                     value = convert(text)
-                except (ValueError, ConfigError) as exc:
-                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+                except (ValueError, CectLabError) as exc:
+                    raise CectLabError(f"{path}: [{section}] {key}: {exc}") from exc
                 if section == "ga":
                     cfg.ga[name] = value
                 else:
                     setattr(cfg, name, value)
     except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise CectLabError(f"{path}: {exc}") from exc
 
     for method in cfg.methods:
         if method not in METHODS:
-            raise ConfigError(f"{path}: [sweep] methods: unknown method {method!r}")
+            raise CectLabError(f"{path}: [sweep] methods: unknown method {method!r}")
     if not cfg.n_flows_list:
-        raise ConfigError(f"{path}: [sweep] n_flows: empty flow sweep")
+        raise CectLabError(f"{path}: [sweep] n_flows: empty flow sweep")
     if not cfg.methods:
-        raise ConfigError(f"{path}: [sweep] methods lists no method")
+        raise CectLabError(f"{path}: [sweep] methods lists no method")
     for key, values in (("n_flows", cfg.n_flows_list), ("methods", cfg.methods)):
         # a repeated value would run its cells twice and skew report's means
         repeated = [value for i, value in enumerate(values) if value in values[:i]]
         if repeated:
-            raise ConfigError(f"{path}: [sweep] {key}: {repeated[0]!r} is listed twice")
+            raise CectLabError(f"{path}: [sweep] {key}: {repeated[0]!r} is listed twice")
     if cfg.n_seeds < 1:
-        raise ConfigError(f"{path}: [sweep] seeds must be >= 1")
+        raise CectLabError(f"{path}: [sweep] seeds must be >= 1")
     if cfg.master_seed < 0:
-        raise ConfigError(f"{path}: [experiment] seed must be >= 0, got {cfg.master_seed}")
+        raise CectLabError(f"{path}: [experiment] seed must be >= 0, got {cfg.master_seed}")
     checks = {
         "traffic": lambda: check_mix(cfg.mix, cfg.plr),
         "paths": lambda: check_path_bounds(cfg.x, cfg.cap_c),
@@ -214,37 +214,37 @@ def _parse_config(data: bytes, path) -> ExperimentConfig:
         try:
             check()
         except ValueError as exc:
-            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+            raise CectLabError(f"{path}: [{section}] {exc}") from exc
     if cfg.topo_kind not in ("fat_tree", "fig2a", "fig2b", "file"):
-        raise ConfigError(f"{path}: [topology] unknown kind {cfg.topo_kind!r}")
+        raise CectLabError(f"{path}: [topology] unknown kind {cfg.topo_kind!r}")
     if cfg.topo_kind == "file" and not cfg.topo_file:
-        raise ConfigError(f"{path}: [topology] kind 'file' needs a path option")
+        raise CectLabError(f"{path}: [topology] kind 'file' needs a path option")
     if cfg.sim_model not in MODELS:
-        raise ConfigError(f"{path}: [sim] model must be one of {MODELS}, got {cfg.sim_model!r}")
+        raise CectLabError(f"{path}: [sim] model must be one of {MODELS}, got {cfg.sim_model!r}")
     return cfg
 
 
 def build_topology(cfg: ExperimentConfig, config_path) -> Topology:
     """The topology of a config whose [topology] kind and path _parse_config checked;
-    a ConfigError names config_path and [topology] when its settings build none."""
+    a CectLabError names config_path and [topology] when its settings build none."""
     try:
         if cfg.topo_kind == "fat_tree":
             return make_fat_tree(cfg.topo_k, cfg.edge_capacity, cfg.agg_capacity, cfg.core_capacity)
         if cfg.topo_kind in ("fig2a", "fig2b"):
             return make_sample_topology(cfg.topo_kind, cfg.sample_capacity)
         return load_topology(cfg.topo_file)
-    except (ValueError, TopologyFormatError) as exc:
-        raise ConfigError(f"{config_path}: [topology] {exc}") from exc
+    except (ValueError, CectLabError) as exc:
+        raise CectLabError(f"{config_path}: [topology] {exc}") from exc
 
 
 def check_traffic(cfg: ExperimentConfig, topology: Topology, config_path) -> None:
-    """Raise a ConfigError naming config_path unless flows of its plr can be drawn on
+    """Raise a CectLabError naming config_path unless flows of its plr can be drawn on
     topology; only a topology file can lack links, and the error then names it too."""
     where = "[traffic]" if topology.links else f"[topology] {cfg.topo_file}:"
     try:
         check_topology(topology, cfg.plr)
     except ValueError as exc:
-        raise ConfigError(f"{config_path}: {where} {exc}") from exc
+        raise CectLabError(f"{config_path}: {where} {exc}") from exc
 
 
 def cell_seeds(master_seed: int, n_flows: int, seed_index: int) -> tuple[int, int]:
@@ -365,8 +365,9 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     state = (cfg, topology, precompute_xpaths(topology, cfg.x, cfg.cap_c))
 
     workloads = [(n, s) for n in cfg.n_flows_list for s in range(cfg.n_seeds)]
-    if threads > 1:
-        with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(state,)) as pool:
+    workers = min(threads, len(workloads))  # a pool starts every worker it is given
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
             results = list(pool.map(_run_in_worker, workloads))
     else:
         results = [_run_workload(n, s, state) for n, s in workloads]

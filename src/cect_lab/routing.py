@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssignmentFormatError, InfeasibleLabelError
+from .errors import CectLabError
 from .kernels import csr_rows
 from .topology import Topology, read_records
 from .traffic import Flow, FlowSet
@@ -105,7 +105,7 @@ def matrix_from_paths(
     """Build edge lists and loads from explicit hop sequences, one per flow id 1..N.
 
     A hop stands for the switch it equals (3.0 for 3, not 3.7 or "3"). Raises
-    InfeasibleLabelError at the first flow whose path is missing or empty, joins
+    CectLabError at the first flow whose path is missing or empty, joins
     other switches, or crosses an unknown edge, in that order."""
     paths = list(map(hops_by_flow.get, range(1, flowset.count + 1), itertools.repeat(())))
     counts = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
@@ -130,16 +130,16 @@ def matrix_from_paths(
         else:
             j = int(np.argmax(pair_ids[first[i] : first[i] + counts[i] - 1] < 0))
             detail = f"path uses unknown edge {tuple(path[j : j + 2])}"
-        raise InfeasibleLabelError(f"flow {flow.id}: {detail}")
+        raise CectLabError(f"flow {flow.id}: {detail}")
     return _matrix(np.r_[0, np.cumsum(counts - 1)], pair_ids[inside], flowset, topology)
 
 
 def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) -> np.ndarray:
     """The first flowset.count labels of an int64 vector, which may route more
-    flows. Raises InfeasibleLabelError at the first flow, in flow order, that has
+    flows. Raises CectLabError at the first flow, in flow order, that has
     no label, whose label is not in the table, or whose path joins other switches."""
     if len(labels) < flowset.count:
-        raise InfeasibleLabelError(f"flow {len(labels) + 1}: no label assigned")
+        raise CectLabError(f"flow {len(labels) + 1}: no label assigned")
     labels = labels[: flowset.count]
     ptr, ids, topology = xpath_table.edge_ptr, xpath_table.edge_ids, xpath_table.topology
     in_table = (labels >= 1) & (labels <= xpath_table.path_count)
@@ -156,7 +156,7 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
             if in_table[i] else "label not in table"
         )
         message = f"flow {flow.id}: path label {labels[i]} is not feasible ({detail})"
-        raise InfeasibleLabelError(message)
+        raise CectLabError(message)
     return labels
 
 
@@ -266,7 +266,7 @@ _PLAIN_LINE = re.compile("flow [0-9]{1,18} via [0-9]{1,18}: [0-9]{1,18}(?: -> [0
 def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Parse format_assignment output back to flow id -> (label, hops).
 
-    Raises AssignmentFormatError naming the line of a malformed entry, an
+    Raises CectLabError naming the line of a malformed entry, an
     empty path, a hop that is not an integer, or a repeated flow id. A text
     made only of lines as format_assignment writes them is read in bulk;
     any other text line by line, each number as int() reads it.
@@ -305,5 +305,5 @@ def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
             raise ValueError(f"flow {flow_id} is listed twice")
         out[flow_id] = (label, hops)
 
-    read_records(text.splitlines(), record, AssignmentFormatError)
+    read_records(text.splitlines(), record)
     return out

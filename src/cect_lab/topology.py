@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CectLabError, TopologyFormatError
+from .errors import CectLabError
 
 # Loads and capacities are quantized to integer milli-units (1 Kb/s when the
 # bandwidth unit is Mb/s) so that utilization comparisons are exact.
@@ -31,21 +31,21 @@ def has_units(bandwidth: float) -> bool:
 
 
 def _check_switch(node: int) -> None:
-    """Raise TopologyFormatError for an id beyond int64."""
+    """Raise CectLabError for an id beyond int64."""
     if not -(2**63) <= node < 2**63:
-        raise TopologyFormatError(f"switch id {node} does not fit in int64")
+        raise CectLabError(f"switch id {node} does not fit in int64")
 
 
 def _check_link(src: int, dst: int, cap: float, seen: set) -> None:
-    """Add src -> dst to seen, or raise TopologyFormatError for a self-loop, a
+    """Add src -> dst to seen, or raise CectLabError for a self-loop, a
     repeated edge or a capacity that to_units rounds to 0 or beyond int64."""
     if src == dst:
-        raise TopologyFormatError(f"self-loop edge {src} -> {dst}")
+        raise CectLabError(f"self-loop edge {src} -> {dst}")
     if (src, dst) in seen:
-        raise TopologyFormatError(f"duplicate edge {src} -> {dst}")
+        raise CectLabError(f"duplicate edge {src} -> {dst}")
     if not has_units(cap):
         message = f"capacity {cap} of edge {src} -> {dst} is not finite and > 0 in load units"
-        raise TopologyFormatError(message)
+        raise CectLabError(message)
     seen.add((src, dst))
 
 
@@ -87,13 +87,13 @@ class Topology:
         for src, dst, cap in self.links:
             _check_link(src, dst, cap, seen)
             if src not in position or dst not in position:
-                raise TopologyFormatError(f"edge {src} -> {dst} uses unknown switch")
+                raise CectLabError(f"edge {src} -> {dst} uses unknown switch")
         n_pods = self.pod_count
         for node, pod in self.pod_of.items():
             if node not in position:
-                raise TopologyFormatError(f"pod entry for unknown switch {node}")
+                raise CectLabError(f"pod entry for unknown switch {node}")
             if not 0 <= pod < n_pods:
-                raise TopologyFormatError(f"pod index {pod} out of range for {node}")
+                raise CectLabError(f"pod index {pod} out of range for {node}")
 
         ends = [(position[src], position[dst]) for src, dst, _ in links]
         edge_ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
@@ -218,19 +218,19 @@ def save_topology(topology: Topology, path) -> None:
             fh.write(f"pod {node} {topology.pod_of[node]}\n")
 
 
-def read_records(lines, parse, error, where: str = "") -> None:
+def read_records(lines, parse, where: str = "") -> None:
     """Call parse on each stripped, non-blank line; a ValueError or CectLabError it
-    raises on a bad record is raised again as error, prefixed with where and line N."""
+    raises on a bad record is raised again as a CectLabError prefixed with where and line N."""
     for line_no, line in enumerate(map(str.strip, lines), start=1):
         if line:
             try:
                 parse(line)
             except (ValueError, CectLabError) as exc:
-                raise error(f"{where}line {line_no}: {exc}") from exc
+                raise CectLabError(f"{where}line {line_no}: {exc}") from exc
 
 
 def load_topology(path) -> Topology:
-    """Parse a topology file; a TopologyFormatError names the file, and the line if any.
+    """Parse a topology file; a CectLabError names the file, and the line if any.
 
     Format (one record per line, '#' starts a comment):
         node <id>
@@ -252,13 +252,16 @@ def load_topology(path) -> Topology:
             _check_link(*link, seen_edges)
             links.append(link)
         elif kind == "pod" and len(fields) == 2:
-            pod_of[int(fields[0])] = int(fields[1])
+            node = int(fields[0])
+            if node in pod_of:
+                raise ValueError(f"pod entry for switch {node} is listed twice")
+            pod_of[node] = int(fields[1])
         else:
             raise ValueError(f"unrecognized record {line!r}")
 
     with open(path, encoding="utf-8") as fh:
-        read_records((raw.split("#", 1)[0] for raw in fh), record, TopologyFormatError, f"{path}: ")
+        read_records((raw.split("#", 1)[0] for raw in fh), record, f"{path}: ")
     try:
         return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)
-    except TopologyFormatError as exc:
-        raise TopologyFormatError(f"{path}: {exc}") from exc
+    except CectLabError as exc:
+        raise CectLabError(f"{path}: {exc}") from exc

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FlowFormatError
 from .topology import Topology, has_units, read_records, to_units
 
 # Demand as a fraction of the minimum link capacity, per size class.
@@ -223,7 +222,7 @@ def save_flows(flowset: FlowSet, path) -> None:
 
 
 def load_flows(path) -> FlowSet:
-    """Parse a flow file; a FlowFormatError names the file and the line."""
+    """Parse a flow file; a CectLabError names the file and the line."""
     flows = []
 
     def record(line: str) -> None:
@@ -235,5 +234,5 @@ def load_flows(path) -> FlowSet:
             raise ValueError(f"flow id {flows[-1].id} breaks the dense order 1..N")
 
     with open(path, encoding="utf-8") as fh:
-        read_records((raw.split("#", 1)[0] for raw in fh), record, FlowFormatError, f"{path}: ")
+        read_records((raw.split("#", 1)[0] for raw in fh), record, f"{path}: ")
     return FlowSet(flows=tuple(flows))

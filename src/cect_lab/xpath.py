@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasiblePathError
+from .errors import CectLabError
 from .kernels import csr_rows
 from .topology import Topology
 from .traffic import FlowSet
@@ -145,7 +145,7 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     """CSR (row ptr, labels) of every flow's feasible labels, in flow order.
 
     Row i holds feasible_labels for flow i, shortest first. Raises
-    NoFeasiblePathError naming the first flow that has no path in the table.
+    CectLabError naming the first flow that has no path in the table.
     """
     rows = _pair_rows(table, flowset.ends())
     ptr, labels = csr_rows(table.pair_ptr, table.pair_labels, rows)
@@ -153,7 +153,7 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     if not counts.all():
         flow = flowset.flows[int(np.argmin(counts))]
         message = f"flow {flow.id} ({flow.src} -> {flow.dst}) has no feasible path in the table"
-        raise NoFeasiblePathError(message)
+        raise CectLabError(message)
     return ptr, labels
 
 

@@ -15,6 +15,8 @@ in src/. A read counts by attribute name alone, so a field that shares its
 name with another dataclass's field would pass on the other's readers: two
 src/ dataclasses may share a field name only where SHARED_FIELDS names the
 readers of each. A flag may not copy a setting that a sweep config holds.
+A CectLabError subclass needs an except clause in src/ or perfbench/ that
+names it: one that no caller tells apart is CectLabError under another name.
 The count of settable values (CLI arguments, INI keys, environment reads) is
 pinned, so a change that adds a setting has to say so here.
 """
@@ -27,6 +29,8 @@ import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
+
+from cect_lab import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cect_lab"
@@ -152,6 +156,27 @@ def test_every_attribute_a_class_sets_is_read():
     # an attribute only tests read (an exception's line number, say) makes
     # every raise site pass it; the message names it instead
     assert _unread_self_attributes() == []
+
+
+def _caught_names(trees: dict[Path, ast.Module]) -> set[str]:
+    """Every exception name that an except clause in src/ or perfbench/ names."""
+    caught = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(getattr(t, "attr", getattr(t, "id", None)) for t in types)
+    return caught
+
+
+def test_every_error_subclass_has_its_own_catcher():
+    caught = _caught_names(_trees())
+    subclasses = [
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.CectLabError)
+        and value is not errors.CectLabError
+    ]
+    assert subclasses and [name for name in subclasses if name not in caught] == []
 
 
 # Field names that more than one src/ dataclass declares, each with the

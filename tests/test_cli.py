@@ -9,7 +9,7 @@ import pytest
 from cect_lab import experiment
 from cect_lab.cli import main
 from cect_lab.ecmp import route_ecmp
-from cect_lab.errors import CectLabError, ConfigError
+from cect_lab.errors import CectLabError
 from cect_lab.fluidsim import simulate
 from cect_lab.ga import GaConfig
 from cect_lab.routing import assemble, matrix_from_paths, parse_assignment_dump
@@ -72,13 +72,16 @@ def test_config_parse_defaults_and_overrides(config_file):
 def test_config_errors_name_the_file(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[sweep]\nmethods = cect,teleport\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="teleport"):
+    message = f"{path}: [sweep] methods: unknown method 'teleport'"
+    with pytest.raises(CectLabError, match=f"^{re.escape(message)}$"):
         experiment.load_config(path)
     path2 = tmp_path / "bad2.ini"
     path2.write_text("[sweep]\nn_flows = 10:20\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="start:stop:step"):
+    message = f"{path2}: [sweep] n_flows: flow sweep must be start:stop:step, got '10:20'"
+    with pytest.raises(CectLabError, match=f"^{re.escape(message)}$"):
         experiment.load_config(path2)
-    with pytest.raises(ConfigError, match="cannot read"):
+    message = f"{tmp_path / 'missing.ini'}: cannot read config file"
+    with pytest.raises(CectLabError, match=f"^{re.escape(message)}$"):
         experiment.load_config(tmp_path / "missing.ini")
 
 
@@ -96,7 +99,10 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
     # rejected once at load, naming the file, instead of failing every cell
     path = tmp_path / "bad_ga.ini"
     path.write_text(BASE_CONFIG.replace("[ga]\n", f"[ga]\n{setting}\n"), encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"bad_ga.ini.*{message}"):
+    rule = {"mut_min": "need 0 < mut_min <= mut_max <= 1",
+            "population_size": "population_size must be >= 2",
+            "mu_target": "mu_target must be positive"}[message]
+    with pytest.raises(CectLabError, match=f"^{re.escape(f'{path}: [ga] {rule}')}$"):
         experiment.load_config(path)
 
 
@@ -105,14 +111,16 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
     [
         ("plr = 0.7", "plr = 1.5", r"\[traffic\] plr must lie in \[0, 1\]"),
         ("mix = micro=0.5,small=0.3,medium=0.15,big=0.05", "mix = micro=0.5,small=0.3",
-         r"\[traffic\] class mix fractions"),
+         r"\[traffic\] class mix fractions must be >= 0 and sum to 1"),
         ("mix = micro=0.5,small=0.3,medium=0.15,big=0.05", "mix = micro=0.5,huge=0.5",
-         r"\[traffic\] unknown flow classes"),
-        ("x = 4", "x = 0", r"\[paths\] hop bound x"),
-        ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap"),
+         r"\[traffic\] unknown flow classes in mix: \['huge'\]"),
+        ("x = 4", "x = 0", r"\[paths\] hop bound x must be >= 1"),
+        ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap cap_c must be >= 1"),
         # every path of a pair is precompute_xpaths(cap_c=None), which no config sets
-        ("cap_c = 50", "cap_c = none", r"\[paths\] cap_c: invalid literal for int"),
-        ("model = maxmin", "model = maxmn", r"\[sim\] model must be one of"),
+        ("cap_c = 50", "cap_c = none",
+         r"\[paths\] cap_c: invalid literal for int\(\) with base 10: 'none'"),
+        ("model = maxmin", "model = maxmn",
+         r"\[sim\] model must be one of \('maxmin', 'bottleneck'\), got 'maxmn'"),
         # a section this program no longer reads: single-path routing is --method shortest
         ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"unknown section \[ecmp\]"),
         # a typo, keys this program no longer reads and an unknown section
@@ -121,8 +129,9 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("[ga]", "[ga]\npenalty_weight = 3", r"\[ga\] unknown key 'penalty_weight'"),
         ("[sim]", "[typo]\nfoo = 1\n[sim]", r"unknown section \[typo\]"),
         ("kind = fat_tree", "kind = torus", r"\[topology\] unknown kind 'torus'"),
-        ("kind = fat_tree", "kind = file", r"\[topology\] kind 'file' needs a path"),
-        ("n_flows = 60,120", "n_flows = -5,0", r"\[sweep\] n_flows: flow counts must be >= 1"),
+        ("kind = fat_tree", "kind = file", r"\[topology\] kind 'file' needs a path option"),
+        ("n_flows = 60,120", "n_flows = -5,0",
+         r"\[sweep\] n_flows: flow counts must be >= 1, got -5"),
         # a repeated value would run its cells twice and average duplicate rows
         ("n_flows = 60,120", "n_flows = 60,120,60", r"\[sweep\] n_flows: 60 is listed twice"),
         ("methods = cect,ecmp", "methods = ecmp,ecmp",
@@ -154,7 +163,7 @@ def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, mess
     path = tmp_path / "bad_sweep.ini"
     assert old in BASE_CONFIG
     path.write_text(BASE_CONFIG.replace(old, new), encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"bad_sweep.ini: {message}"):
+    with pytest.raises(CectLabError, match=f"^{re.escape(str(path))}: {message}$"):
         experiment.load_config(path)
     out = tmp_path / "res"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
@@ -169,7 +178,8 @@ def test_podless_topology_with_plr_fails_before_any_cell(tmp_path, capsys):
         "[topology]\nkind = fig2b\n[paths]\nx = 3\n[sweep]\nn_flows = 5\nmethods = ecmp\n",
         encoding="utf-8",
     )
-    with pytest.raises(ConfigError, match=r"podless.ini: \[traffic\] plr 0.7 needs a pod-labeled"):
+    message = f"{path}: [traffic] plr 0.7 needs a pod-labeled topology"
+    with pytest.raises(CectLabError, match=f"^{re.escape(message)}$"):
         experiment.run_experiment(path, tmp_path / "res")
     out = tmp_path / "res2"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
@@ -286,6 +296,38 @@ def test_sweep_parallel_matches_serial(config_file, tmp_path):
     ]
     assert len(artifacts[0]) == 3 + 4 + 8  # 4 workloads, 8 cells
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("n_flows, seeds, workers", [("60,120", 1, 2), ("60", 1, None)])
+def test_sweep_pool_has_no_more_workers_than_workloads(tmp_path, monkeypatch, n_flows, seeds,
+                                                       workers):
+    sizes = []
+
+    class InProcessPool:
+        """Records its size, runs the initializer and maps here: no process starts."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    config = tmp_path / "sweep.ini"
+    config.write_text(BASE_CONFIG.replace("n_flows = 60,120", f"n_flows = {n_flows}")
+                      .replace("seeds = 2", f"seeds = {seeds}"), encoding="utf-8")
+    serial = experiment.run_experiment(config, tmp_path / "s", threads=1)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment, "_POOL_STATE", None)
+    pooled = experiment.run_experiment(config, tmp_path / "p", threads=8)
+    assert sizes == ([workers] if workers else [])
+    assert _strip_timing(serial / "results.csv") == _strip_timing(pooled / "results.csv")
 
 
 def test_rows_rederivable_from_dumps(config_file, tmp_path):
@@ -819,6 +861,20 @@ def test_cli_solve_methods_agree_on_files(tmp_path):
         ])
         assert code == 0
         assert (out_dir / "assignment.txt").exists()
+
+
+def test_solve_leaves_no_other_methods_ga_trace(tmp_path):
+    flows = tmp_path / "flows.txt"
+    config = _ini(tmp_path, "[ga]\nmax_iterations = 3\n")
+    main(["gen-traffic", "--config", config, "--n", "20", "--seed", "2", "--out", str(flows)])
+    out_dir = tmp_path / "solved"
+    header = "generation,best_mu,best_fitness,mean_fitness,mut_rate"
+    for method in ("cect", "ecmp"):
+        assert main(["solve", "--config", config, "--flows", str(flows), "--method", method,
+                     "--seed", "1", "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "stats.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == header
+        assert (len(rows) > 1) == (method == "cect")  # the GA trace, then header only
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cect_lab.errors import NoFeasiblePathError, SearchBudgetExceededError
+from cect_lab.errors import CectLabError, SearchBudgetExceededError
 from cect_lab.exact import solve_exact
 from cect_lab.routing import RoutingAssignment, assemble, validate
 from cect_lab.topology import make_sample_topology
@@ -132,7 +132,8 @@ def test_budget_error(fig2a):
 def test_no_feasible_path_names_flow(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (1, 3, 1.0)])  # node 3 unreachable from 1
-    with pytest.raises(NoFeasiblePathError, match="flow 2"):
+    message = r"^flow 2 \(1 -> 3\) has no feasible path in the table$"
+    with pytest.raises(CectLabError, match=message):
         solve_exact(flows, table, topo)
 
 
@@ -140,7 +141,8 @@ def test_missing_path_reported_before_budget(fig2a):
     # twelve two-path flows exceed the budget before the flow without a path
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)] * 12 + [(1, 3, 1.0)])
-    with pytest.raises(NoFeasiblePathError, match="flow 13"):
+    message = r"^flow 13 \(1 -> 3\) has no feasible path in the table$"
+    with pytest.raises(CectLabError, match=message):
         solve_exact(flows, table, topo, budget=1000)
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cect_lab import ga, kernels
-from cect_lab.errors import InfeasibleLabelError, NoFeasiblePathError
+from cect_lab.errors import CectLabError
 from cect_lab.exact import solve_exact
 from cect_lab.experiment import solve
 from cect_lab.ga import (
@@ -119,7 +119,8 @@ def test_overload_can_outrank_a_longer_path_that_fits():
 def test_infeasible_gene_is_rejected_by_assemble(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0)])
-    with pytest.raises(InfeasibleLabelError):
+    message = r"^flow 1: path label 4 is not feasible \(path 3->2 does not match flow 3->1\)$"
+    with pytest.raises(CectLabError, match=message):
         assemble(RoutingAssignment(np.array([4])), flows, table, topo)
 
 
@@ -729,7 +730,8 @@ def test_run_returns_its_routings_mu_never_above_row_0s(seed, n_nodes, data):
 def test_run_no_feasible_path_names_flow(fig2a):
     topo, table = fig2a
     flows = make_flows([(1, 3, 1.0)])
-    with pytest.raises(NoFeasiblePathError, match="flow 1"):
+    message = r"^flow 1 \(1 -> 3\) has no feasible path in the table$"
+    with pytest.raises(CectLabError, match=message):
         run_cect(flows, table, topo, GaConfig(seed=0))
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from cect_lab.errors import TopologyFormatError
+from cect_lab.errors import CectLabError
 from cect_lab.topology import (
     Topology,
     load_topology,
@@ -115,8 +115,14 @@ def test_fat_tree_rejects_bad_arity(k):
         make_fat_tree(k)
 
 
+def capacity_error(capacity, edge="1 -> 2", where=""):
+    """The whole message for a capacity that keeps no load unit, as a match pattern."""
+    message = f"{where}capacity {capacity} of edge {edge} is not finite and > 0 in load units"
+    return f"^{re.escape(message)}$"
+
+
 def test_fat_tree_rejects_bad_capacity():
-    with pytest.raises(TopologyFormatError, match="capacity 0.0 of edge"):
+    with pytest.raises(CectLabError, match=capacity_error(0.0, edge="1 -> 9")):
         make_fat_tree(4, edge_capacity=0.0)
 
 
@@ -142,7 +148,7 @@ def test_sample_topology_uniform_capacity(capacity):
 def test_sample_topology_rejects_bad_input():
     with pytest.raises(ValueError):
         make_sample_topology("fig9z")
-    with pytest.raises(TopologyFormatError, match="capacity 0.0 of edge"):
+    with pytest.raises(CectLabError, match=capacity_error(0.0)):
         make_sample_topology("fig2a", 0.0)
 
 
@@ -170,10 +176,10 @@ def test_save_load_round_trip(builder, tmp_path):
 def test_load_rejects_zero_capacity(tmp_path, capacity):
     path = tmp_path / "bad.txt"
     path.write_text(f"node 1\nnode 2\nedge 1 2 {capacity}\n")
-    message = f"line 3: capacity {float(capacity)} of edge 1 -> 2 is not finite and > 0"
-    with pytest.raises(TopologyFormatError, match=message):
+    message = capacity_error(float(capacity), where=f"{path}: line 3: ")
+    with pytest.raises(CectLabError, match=message):
         load_topology(path)
-    with pytest.raises(TopologyFormatError, match="is not finite and > 0"):
+    with pytest.raises(CectLabError, match=capacity_error(float(capacity))):
         Topology(nodes=(1, 2), links=((1, 2, float(capacity)),))
 
 
@@ -182,13 +188,13 @@ def test_capacity_must_keep_a_load_unit():
     # would make every utilization on its edge infinite, and one too large
     # to round could not be compared at all
     for capacity in (0.0004, 0.0005, 1e306):
-        with pytest.raises(TopologyFormatError, match=re.escape(f"capacity {capacity} of edge")):
+        with pytest.raises(CectLabError, match=capacity_error(capacity)):
             Topology(nodes=(1, 2), links=((1, 2, capacity),))
     tiny = Topology(nodes=(1, 2), links=((1, 2, 0.0006),))
     assert tiny.cap_units.tolist() == [1]
     # the largest capacity whose units fit int64, and the first that does not
     assert Topology(nodes=(1, 2), links=((1, 2, 9.2e15),)).cap_units.tolist() == [9.2e18]
-    with pytest.raises(TopologyFormatError, match=re.escape(f"capacity {9.3e15} of edge")):
+    with pytest.raises(CectLabError, match=capacity_error(9.3e15)):
         Topology(nodes=(1, 2), links=((1, 2, 9.3e15),))
 
 
@@ -217,11 +223,12 @@ def test_construction_sorts_and_numbers_the_edges():
 
 @pytest.mark.parametrize("node", [2**63, -(2**63) - 1, 99999999999999999999999])
 def test_switch_ids_must_fit_int64(tmp_path, node):
-    with pytest.raises(TopologyFormatError, match=f"switch id {node} does not fit in int64"):
+    with pytest.raises(CectLabError, match=f"^switch id {node} does not fit in int64$"):
         Topology(nodes=(1, node), links=())
     path = tmp_path / "big.txt"
     path.write_text(f"node 1\nedge 1 {node} 1.0\nnode {node}\n")
-    with pytest.raises(TopologyFormatError, match=f"line 3: switch id {node} does not fit"):
+    message = f"^{re.escape(str(path))}: line 3: switch id {node} does not fit in int64$"
+    with pytest.raises(CectLabError, match=message):
         load_topology(path)
     edge = Topology(nodes=(2**63 - 1, -(2**63)), links=((2**63 - 1, -(2**63), 1.0),))
     assert edge.edge_keys == ((2**63 - 1, -(2**63)),)
@@ -230,21 +237,32 @@ def test_switch_ids_must_fit_int64(tmp_path, node):
 def test_load_rejects_self_loop(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("node 1\nedge 1 1 5\n")
-    with pytest.raises(TopologyFormatError, match="self-loop"):
+    message = f"^{re.escape(str(path))}: line 2: self-loop edge 1 -> 1$"
+    with pytest.raises(CectLabError, match=message):
         load_topology(path)
 
 
 def test_load_rejects_duplicate_edge(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("node 1\nnode 2\nedge 1 2 5\nedge 1 2 7\n")
-    with pytest.raises(TopologyFormatError, match="duplicate"):
+    message = f"^{re.escape(str(path))}: line 4: duplicate edge 1 -> 2$"
+    with pytest.raises(CectLabError, match=message):
         load_topology(path)
+
+
+def test_load_rejects_repeated_pod(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("node 1\npod 1 0\npod 1 1\n")
+    with pytest.raises(CectLabError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: line 3: pod entry for switch 1 is listed twice"
 
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("switch 1\n")
-    with pytest.raises(TopologyFormatError, match="line 1"):
+    message = f"^{re.escape(str(path))}: line 1: unrecognized record 'switch 1'$"
+    with pytest.raises(CectLabError, match=message):
         load_topology(path)
 
 
@@ -259,23 +277,23 @@ def test_load_ignores_comments_and_blanks(tmp_path):
 def test_load_names_path_and_line_after_comments_and_blanks(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# header\n\nnode 1 # first\n   \nnode 2\nedge 1 2 x\n")
-    with pytest.raises(TopologyFormatError) as info:
+    with pytest.raises(CectLabError) as info:
         load_topology(path)
     assert str(info.value) == f"{path}: line 6: could not convert string to float: 'x'"
     path.write_text("node 1\n# pod 1 0\nlink 1 2 # the rest\n")
-    with pytest.raises(TopologyFormatError) as info:
+    with pytest.raises(CectLabError) as info:
         load_topology(path)
     assert str(info.value) == f"{path}: line 3: unrecognized record 'link 1 2'"
 
 
 def test_topology_invariants_enforced():
-    with pytest.raises(TopologyFormatError):
+    with pytest.raises(CectLabError, match="^self-loop edge 1 -> 1$"):
         Topology(nodes=(1, 2), links=((1, 1, 5.0),))
-    with pytest.raises(TopologyFormatError):
+    with pytest.raises(CectLabError, match="^duplicate edge 1 -> 2$"):
         Topology(nodes=(1, 2), links=((1, 2, 5.0), (1, 2, 3.0)))
-    with pytest.raises(TopologyFormatError):
+    with pytest.raises(CectLabError, match=capacity_error(-1.0)):
         Topology(nodes=(1, 2), links=((1, 2, -1.0),))
-    with pytest.raises(TopologyFormatError):
+    with pytest.raises(CectLabError, match="^edge 1 -> 2 uses unknown switch$"):
         Topology(nodes=(1,), links=((1, 2, 5.0),))
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cect_lab.errors import FlowFormatError
+from cect_lab.errors import CectLabError
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import (
     CLASS_FRACTION,
@@ -273,14 +274,16 @@ def test_flow_invariants():
 def test_load_flows_names_line_of_unit_less_demand(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("flow 1 1 2 1.0 custom\nflow 2 2 1 0.0004 custom\n", encoding="utf-8")
-    with pytest.raises(FlowFormatError, match="line 2: flow 2"):
+    detail = "line 2: flow 2: demand 0.0004 is not finite or rounds to 0 load units"
+    with pytest.raises(CectLabError, match=f"^{re.escape(f'{path}: {detail}')}$"):
         load_flows(path)
 
 
 def test_load_flows_names_line_of_id_out_of_order(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("flow 1 1 2 1.0 custom\n\nflow 3 2 1 1.0 custom\n", encoding="utf-8")
-    with pytest.raises(FlowFormatError, match="line 3: flow id 3 breaks the dense order 1..N"):
+    detail = "line 3: flow id 3 breaks the dense order 1..N"
+    with pytest.raises(CectLabError, match=f"^{re.escape(f'{path}: {detail}')}$"):
         load_flows(path)
 
 
@@ -290,7 +293,7 @@ def test_load_flows_skips_comments_and_blanks_and_names_path_and_line(tmp_path):
                     encoding="utf-8")
     assert load_flows(path) == FlowSet(flows=(Flow(1, 1, 2, 1.0), Flow(2, 2, 1, 2.0, "small")))
     path.write_text("# header\n\nflow 1 1 2 1.0 custom\nflow 2 2 1\n", encoding="utf-8")
-    with pytest.raises(FlowFormatError) as info:
+    with pytest.raises(CectLabError) as info:
         load_flows(path)
     assert str(info.value) == f"{path}: line 4: unrecognized record 'flow 2 2 1'"
 

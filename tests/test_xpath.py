@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cect_lab.errors import NoFeasiblePathError
+from cect_lab.errors import CectLabError
 from cect_lab.routing import RoutingAssignment, format_assignment
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
@@ -109,7 +109,8 @@ def test_feasible_csr_rows_are_feasible_labels(fig2a_table):
 def test_feasible_csr_names_first_flow_without_path(fig2a_table):
     # 1 -> 3 and 2 -> 3 have no path: node 3 has no in-edges
     flows = make_flows([(3, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
-    with pytest.raises(NoFeasiblePathError, match=r"flow 2 \(1 -> 3\)"):
+    message = r"^flow 2 \(1 -> 3\) has no feasible path in the table$"
+    with pytest.raises(CectLabError, match=message):
         feasible_csr(fig2a_table, flows)
 
 
