@@ -238,12 +238,15 @@ def build_topology(cfg: ExperimentConfig, config_path) -> Topology:
 
 
 def check_traffic(cfg: ExperimentConfig, topology: Topology, config_path) -> None:
-    """Raise a CectLabError naming config_path unless flows of its plr can be drawn on
-    topology; only a topology file can lack links, and the error then names it too."""
-    where = "[traffic]" if topology.links else f"[topology] {cfg.topo_file}:"
+    """Raise a CectLabError naming config_path and a section unless cfg's flows can be drawn
+    on topology; only a topology file can lack links or edge switches, and it is named too."""
     try:
-        check_topology(topology, cfg.plr)
+        check_topology(topology, cfg.mix, cfg.plr)
+        if cfg.compress:
+            default_compression_bounds(topology)
     except ValueError as exc:
+        drawable = topology.links and len(topology.edge_switches()) > 1
+        where = "[traffic]" if drawable else f"[topology] {cfg.topo_file}:"
         raise CectLabError(f"{config_path}: {where} {exc}") from exc
 
 
@@ -295,19 +298,13 @@ def solve(
 
 def _run_workload(
     n_flows: int, seed_index: int, state: tuple[ExperimentConfig, Topology, XPathTable]
-) -> tuple[FlowSet | None, list[tuple[tuple, str] | str]]:
-    """Draw one (flow count, seed) workload once and route it with every method.
-
-    Returns the flows (None when the draw failed) and, per method in config
-    order, its results.csv row and dump, or its error text. A CectLabError fails
-    only its method; one or a ValueError from the draw fails every method.
-    """
+) -> tuple[FlowSet, list[tuple[tuple, str] | str]]:
+    """Draw one (flow count, seed) workload, which check_traffic's pass makes safe, and route
+    it with every method. Returns the flows and, per method in config order, its results.csv
+    row and dump, or the text of the CectLabError that failed only that method."""
     cfg, topology, table = state
     traffic_seed, ga_seed = cell_seeds(cfg.master_seed, n_flows, seed_index)
-    try:
-        flows = draw_flows(cfg, topology, n_flows, traffic_seed)
-    except (CectLabError, ValueError) as exc:
-        return None, [f"{type(exc).__name__}: {exc}"] * len(cfg.methods)
+    flows = draw_flows(cfg, topology, n_flows, traffic_seed)
     ga_config = GaConfig(seed=ga_seed, **cfg.ga)
     outcomes: list[tuple[tuple, str] | str] = []
     for method in cfg.methods:
@@ -378,8 +375,7 @@ def run_experiment(config_path, out_dir, threads: int = 1) -> Path:
     rows, cells, failures = [], [], []
     for (n, s), (flows, outcomes) in zip(workloads, results):
         traffic_seed, solver_seed = cell_seeds(cfg.master_seed, n, s)
-        if not all(isinstance(outcome, str) for outcome in outcomes):
-            save_flows(flows, out / "flows" / f"flows_{n}_{s}.txt")
+        save_flows(flows, out / "flows" / f"flows_{n}_{s}.txt")
         for method, outcome in zip(cfg.methods, outcomes):
             cell = {"method": method, "n_flows": n, "seed": s}
             cells.append({**cell, "traffic_seed": traffic_seed, "solver_seed": solver_seed})

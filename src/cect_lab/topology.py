@@ -60,7 +60,7 @@ class Topology:
         nodes: switch ids within int64, sorted ascending.
         links: directed edges as (src, dst, capacity), sorted, each capacity
             at least 1 load unit and below 2**63 load units.
-        pod_of: optional map switch id -> pod index for edge/aggregation
+        pod_of: optional map switch id -> pod index >= 0 for edge/aggregation
             switches of a fat-tree; core switches are absent from the map.
         edge_keys: (src, dst) of every edge; cap_units: int64 capacities in
             milli-units; edge_ends: int64 (links, 2) positions in nodes of
@@ -88,11 +88,10 @@ class Topology:
             _check_link(src, dst, cap, seen)
             if src not in position or dst not in position:
                 raise CectLabError(f"edge {src} -> {dst} uses unknown switch")
-        n_pods = self.pod_count
         for node, pod in self.pod_of.items():
             if node not in position:
                 raise CectLabError(f"pod entry for unknown switch {node}")
-            if not 0 <= pod < n_pods:
+            if pod < 0:
                 raise CectLabError(f"pod index {pod} out of range for {node}")
 
         ends = [(position[src], position[dst]) for src, dst, _ in links]
@@ -114,10 +113,6 @@ class Topology:
     @property
     def link_count(self) -> int:
         return len(self.links)
-
-    @property
-    def pod_count(self) -> int:
-        return max(self.pod_of.values()) + 1 if self.pod_of else 0
 
     def positions(self, ids) -> np.ndarray:
         """Each id's int64 index in nodes, node_count for a non-switch; ids match as dict keys."""

@@ -34,10 +34,13 @@ def default_compression_bounds(topology: Topology) -> tuple[float, float]:
     """Small-flow threshold plus an upper bound keeping merges routable.
 
     The upper bound is half the smallest link capacity so a merged flow can
-    always ride a single path without monopolizing it.
+    always ride a single path without monopolizing it; ValueError if it is below the threshold.
     """
-    check_topology(topology)
-    return DEFAULT_COMPRESS_LOWER, 0.5 * min(cap for _, _, cap in topology.links)
+    check_topology(topology, {}, 0.0)
+    lower, upper = DEFAULT_COMPRESS_LOWER, 0.5 * min(cap for _, _, cap in topology.links)
+    if upper < lower:
+        raise ValueError(f"compress: half the smallest capacity, {upper}, is below {lower}")
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -115,13 +118,20 @@ def check_mix(class_mix: dict[str, float], plr: float) -> None:
         raise ValueError("plr must lie in [0, 1]")
 
 
-def check_topology(topology: Topology, plr: float = 0.0) -> None:
-    """Raise ValueError unless flows can be drawn on the topology: it needs links
-    to size their demands by, and pods when plr > 0 lets flows leave their pod."""
+def check_topology(topology: Topology, class_mix: dict[str, float], plr: float) -> None:
+    """Raise ValueError unless flows can be drawn on the topology: it needs links to
+    size their demands by, 2 edge switches, pods when plr > 0 lets flows leave their
+    pod, and a load unit in the demand of each class that class_mix draws."""
     if not topology.links:
         raise ValueError("the topology has no links to size flow demands by")
+    if len(ends := topology.edge_switches()) < 2:
+        raise ValueError(f"flows need 2 edge switches, and the topology has {len(ends)}")
     if plr > 0 and not topology.pod_of:
         raise ValueError(f"plr {plr} needs a pod-labeled topology")
+    min_cap = min(cap for _, _, cap in topology.links)
+    for cls, share in class_mix.items():
+        if share > 0 and not has_units(demand := CLASS_FRACTION[cls] * min_cap):
+            raise ValueError(f"mix: {cls} demand {demand!r} rounds to 0 load units")
 
 
 def generate_flows(
@@ -142,11 +152,9 @@ def generate_flows(
     if n_flows < 0:
         raise ValueError(f"flow count must be >= 0, got {n_flows}")
     check_mix(class_mix, plr)
-    check_topology(topology, plr)
+    check_topology(topology, class_mix, plr)
 
     edge_switches = topology.edge_switches()
-    if len(edge_switches) < 2:
-        raise ValueError("need at least 2 edge switches to generate flows")
     min_cap = min(cap for _, _, cap in topology.links)
 
     pods: dict[int, list[int]] = {}

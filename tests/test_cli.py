@@ -83,6 +83,13 @@ def test_config_errors_name_the_file(tmp_path):
     message = f"{tmp_path / 'missing.ini'}: cannot read config file"
     with pytest.raises(CectLabError, match=f"^{re.escape(message)}$"):
         experiment.load_config(tmp_path / "missing.ini")
+    path3 = tmp_path / "headless.ini"
+    path3.write_text("seed = 7\n[sweep]\nn_flows = 4\n", encoding="utf-8")
+    with pytest.raises(CectLabError) as info:
+        experiment.load_config(path3)
+    assert str(info.value) == (
+        f"{path3}: File contains no section headers.\nfile: '{path3}', line: 1\n'seed = 7\\n'"
+    )
 
 
 @pytest.mark.parametrize(
@@ -93,6 +100,7 @@ def test_config_errors_name_the_file(tmp_path):
         ("population_size = 1", "population_size"),
         # NaN passes mu_target <= 0, and a NaN target never stops the GA
         ("mu_target = nan", "mu_target"),
+        ("stall_window = 0", "stall_window"),
     ],
 )
 def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
@@ -101,7 +109,8 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
     path.write_text(BASE_CONFIG.replace("[ga]\n", f"[ga]\n{setting}\n"), encoding="utf-8")
     rule = {"mut_min": "need 0 < mut_min <= mut_max <= 1",
             "population_size": "population_size must be >= 2",
-            "mu_target": "mu_target must be positive"}[message]
+            "mu_target": "mu_target must be positive",
+            "stall_window": "stall_window must be >= 1"}[message]
     with pytest.raises(CectLabError, match=f"^{re.escape(f'{path}: [ga] {rule}')}$"):
         experiment.load_config(path)
 
@@ -151,12 +160,17 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("seeds = 2", "seeds = 0", r"\[sweep\] seeds must be >= 1"),
         # numpy seeds no generator from a negative number
         ("seed = 7", "seed = -1", r"\[experiment\] seed must be >= 0, got -1"),
+        ("mix = micro=0.5,small=0.3,medium=0.15,big=0.05", "mix = micro",
+         r"\[traffic\] mix: bad class mix entry 'micro'"),
+        ("plr = 0.7", "plr = 0.7\ncompress = maybe",
+         r"\[traffic\] compress: not a boolean: 'maybe'"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
          "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
          "comma-only-methods", "unknown-method", "empty-n-flows", "descending-n-flows",
-         "zero-step-n-flows", "repeated-mix-class", "no-seeds", "negative-seed"],
+         "zero-step-n-flows", "repeated-mix-class", "no-seeds", "negative-seed", "mix-entry",
+         "compress-not-boolean"],
 )
 def test_invalid_sweep_settings_fail_the_config(tmp_path, capsys, old, new, message):
     # rejected at load, naming the file and section, before any cell runs
@@ -374,12 +388,12 @@ max_iterations = 5
     out = experiment.run_experiment(config, tmp_path / "res")
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["failures"]) == 2
-    # a workload's flows are written only when some method routed them
-    assert list((out / "flows").iterdir()) == []
+    # the flows are written whether or not some method routed them
+    assert [p.name for p in (out / "flows").iterdir()] == ["flows_25_0.txt"]
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "r2")]) == 1
 
 
-def test_failed_flow_draw_fails_every_method_once(tmp_path):
+def test_failed_flow_draw_fails_every_method_once(tmp_path, capsys):
     config = tmp_path / "tiny.ini"
     config.write_text(
         """
@@ -395,17 +409,19 @@ methods = cect,ecmp
 """,
         encoding="utf-8",
     )
-    # a micro flow's demand on 0.1-capacity links rounds to 0 load units
-    out = experiment.run_experiment(config, tmp_path / "res")
-    manifest = json.loads((out / "manifest.json").read_text())
-    error = "ValueError: flow 1: demand 0.0005 is not finite or rounds to 0 load units"
-    assert manifest["failures"] == [
-        {"method": method, "n_flows": 4, "seed": 0, "error": error} for method in ("cect", "ecmp")
-    ]
-    assert len(manifest["cells"]) == 2
-    assert list((out / "flows").iterdir()) == []
-    assert list((out / "assignments").iterdir()) == []
-    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "r2")]) == 1
+    # a micro flow's demand on 0.1-capacity links rounds to 0 load units, so
+    # the config fails once, before any cell, instead of failing every method
+    message = f"{config}: [traffic] mix: micro demand 0.0005 rounds to 0 load units"
+    with pytest.raises(CectLabError, match=f"^{re.escape(message)}$"):
+        experiment.run_experiment(config, tmp_path / "res")
+    assert not (tmp_path / "res").exists()
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "r2")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r2").exists()
+    drawn = tmp_path / "drawn.txt"
+    assert main(["gen-traffic", "--config", str(config), "--n", "4", "--out", str(drawn)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not drawn.exists()
 
 
 def test_one_failed_method_keeps_the_workload_artifacts(tmp_path):
@@ -442,17 +458,20 @@ methods = ecmp,exact
 @pytest.mark.parametrize("threads", [1, 2])
 def test_programming_errors_propagate_from_cells(config_file, tmp_path, monkeypatch, threads):
     # every input error that reaches a cell's solve, assemble or simulate is
-    # a CectLabError, so any other exception, a ValueError too, is a bug
-    for error in (RuntimeError("bug in the simulator"),
-                  ValueError("operands could not be broadcast together")):
+    # a CectLabError, and check_traffic refuses a config whose flows cannot be
+    # drawn, so any other exception, a ValueError too, is a bug
+    for name, error in (("simulate", RuntimeError("bug in the simulator")),
+                        ("simulate", ValueError("operands could not be broadcast together")),
+                        ("generate_flows", ValueError("operands could not be broadcast together"))):
         def broken(*args, error=error, **kwargs):
             raise error
 
-        # pool workers are forked from this process, so they see the patch too
-        monkeypatch.setattr(experiment, "simulate", broken)
-        out = tmp_path / type(error).__name__
-        with pytest.raises(type(error), match=str(error)):
-            experiment.run_experiment(config_file, out, threads=threads)
+        with monkeypatch.context() as patch:
+            # pool workers are forked from this process, so they see the patch too
+            patch.setattr(experiment, name, broken)
+            out = tmp_path / f"{name}-{type(error).__name__}"
+            with pytest.raises(type(error), match=str(error)):
+                experiment.run_experiment(config_file, out, threads=threads)
         assert not out.exists()
 
 
@@ -937,6 +956,14 @@ def test_solve_rejects_an_unknown_method():
     # a saved topology without links leaves no capacity to size demands by
     ("gen-traffic", "topo", "node 1\nnode 2\n",
      r": \[topology\] \S+topo\.txt: the topology has no links to size flow demands by\n$"),
+    # switch 2's link to the pod-less switch 3 leaves its pod, so only 1 is an access switch
+    ("gen-traffic", "topo", "node 1\nnode 2\nnode 3\nedge 1 2 1\nedge 2 1 1\nedge 2 3 1\n"
+     "edge 3 2 1\npod 1 0\npod 2 0\n", r"^error: \S+lab\.ini: \[topology\] \S+topo\.txt: "
+     r"flows need 2 edge switches, and the topology has 1\n$"),
+    # the default bounds would merge flows below 0.01 into flows of at most 0.0075
+    ("gen-traffic", "config", "[topology]\nkind = fig2a\ncapacity = 0.015\n[traffic]\nplr = 0\n"
+     "mix = medium=0.5,big=0.5\ncompress = true\n", r"^error: \S+lab\.ini: \[traffic\] "
+     r"compress: half the smallest capacity, 0\.0075, is below 0\.01\n$"),
     # a path that is a directory, not a file (None)
     ("solve", "topo", None, ""),
     # fig2a has no pods, and the config leaves plr at its default 0.7
@@ -957,7 +984,8 @@ def test_solve_rejects_an_unknown_method():
     ("report", "results", f"{','.join(experiment.RESULT_COLUMNS)}\necmp,3,0,2.5\n",
      r"results\.csv: could not convert string to float: ''\n$"),
 ], ids=["hop-3.7", "replay-first-hop", "demand-1e306", "switch-beyond-int64",
-        "flow-end-beyond-int64", "linkless-topology", "directory", "default-plr-without-pods",
+        "flow-end-beyond-int64", "linkless-topology", "one-access-switch",
+        "compress-on-thin-links", "directory", "default-plr-without-pods",
         "fat-tree-k-5", "edge-capacity-0", "sample-capacity-minus-1", "results-without-columns",
         "results-non-numeric", "results-short-row"])
 def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, file, text,

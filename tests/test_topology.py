@@ -74,7 +74,7 @@ def test_fat_tree_pod_structure():
     topo = make_fat_tree(4)
     edge_ids, agg_ids, _ = _tiers(4)
     assert set(topo.pod_of) == {*edge_ids, *agg_ids}
-    assert topo.pod_count == 4
+    assert len(set(topo.pod_of.values())) == 4
     for pod in range(4):
         members = [n for n, p in topo.pod_of.items() if p == pod]
         assert len(members) == 4  # k/2 access + k/2 aggregation
@@ -256,6 +256,20 @@ def test_load_rejects_repeated_pod(tmp_path):
     with pytest.raises(CectLabError) as info:
         load_topology(path)
     assert str(info.value) == f"{path}: line 3: pod entry for switch 1 is listed twice"
+
+
+@pytest.mark.parametrize("records, detail", [
+    ("node 1\nnode 2\nedge 2 9 1.0\n", "edge 2 -> 9 uses unknown switch"),
+    ("node 1\nnode 2\nedge 1 2 1.0\npod 7 0\n", "pod entry for unknown switch 7"),
+    ("node 1\nnode 2\nedge 1 2 1.0\npod 1 -1\n", "pod index -1 out of range for 1"),
+], ids=["undeclared-switch", "pod-of-unknown-switch", "negative-pod"])
+def test_load_names_the_file_of_an_inconsistent_topology(tmp_path, records, detail):
+    # every record parses alone; the Topology the records build breaks an invariant
+    path = tmp_path / "bad.txt"
+    path.write_text(records)
+    with pytest.raises(CectLabError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: {detail}"
 
 
 def test_load_rejects_garbage(tmp_path):

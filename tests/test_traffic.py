@@ -279,6 +279,14 @@ def test_load_flows_names_line_of_unit_less_demand(tmp_path):
         load_flows(path)
 
 
+def test_load_flows_names_line_of_unknown_class(tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("flow 1 1 2 1.0 huge\n", encoding="utf-8")
+    with pytest.raises(CectLabError) as info:
+        load_flows(path)
+    assert str(info.value) == f"{path}: line 1: flow 1: unknown class 'huge'"
+
+
 def test_load_flows_names_line_of_id_out_of_order(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("flow 1 1 2 1.0 custom\n\nflow 3 2 1 1.0 custom\n", encoding="utf-8")
@@ -304,6 +312,27 @@ def test_a_linkless_topology_sizes_no_flow_demands():
                  lambda: default_compression_bounds(topo)):
         with pytest.raises(ValueError, match="^the topology has no links to size flow demands by$"):
             size()
+
+
+def test_flows_are_drawn_only_where_every_rule_holds():
+    # switch 2's link to the pod-less switch 3 leaves its pod, so only 1 is an access switch
+    links = ((1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0))
+    one_end = Topology(nodes=(1, 2, 3), links=links, pod_of={1: 0, 2: 0})
+    thin = make_sample_topology("fig2a", 0.1)
+    for draw, message in (
+        (lambda: generate_flows(one_end, 3, MIX, plr=0.0, seed=1),
+         "flows need 2 edge switches, and the topology has 1"),
+        (lambda: generate_flows(thin, 3, {"micro": 0.5, "big": 0.5}, plr=0.0, seed=1),
+         "mix: micro demand 0.0005 rounds to 0 load units"),
+        (lambda: default_compression_bounds(make_sample_topology("fig2a", 0.015)),
+         "compress: half the smallest capacity, 0.0075, is below 0.01"),
+    ):
+        with pytest.raises(ValueError) as info:
+            draw()
+        assert str(info.value) == message
+    # a class the mix never draws needs no load unit
+    flows = generate_flows(thin, 3, {"micro": 0.0, "big": 1.0}, plr=0.0, seed=1)
+    assert {f.cls for f in flows.flows} == {"big"}
 
 
 def test_class_fractions_match_published_values():
