@@ -72,14 +72,14 @@ def _cmd_solve(args) -> int:
     topo = experiment.build_topology(cfg, args.config)
     flows = load_flows(args.flows)
     table = precompute_xpaths(topo, cfg.x, cfg.cap_c)
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     assignment, stats = experiment.solve(args.method, flows, table, topo, ga_config)
     elapsed = time.perf_counter() - start
 
     matrix = assemble(assignment, flows, table, topo)
+    out_dir = Path(args.out_dir or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now, so a failed solve leaves no directory
     (out_dir / "assignment.txt").write_text(
         format_assignment(assignment, flows, table), encoding="utf-8"
     )

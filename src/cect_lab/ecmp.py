@@ -47,7 +47,7 @@ def route_ecmp(flowset: FlowSet, topology: Topology, xpath_table: XPathTable) ->
     hops = np.diff(xpath_table.edge_ptr)[labels - 1]
     shortest = hops == np.repeat(hops[starts], np.diff(ptr))
     sizes = np.add.reduceat(shortest, starts, dtype=np.int64)
-    src, dst = flowset.ends().T
+    src, dst = flowset.ends.T
     ids = np.arange(1, flowset.count + 1, dtype=np.int64)
     picks = (fnv1a64(src, dst, ids) % sizes.astype(np.uint64)).astype(np.int64)
     return RoutingAssignment(labels[starts + picks])

@@ -42,7 +42,7 @@ def solve_exact(
         raise SearchBudgetExceededError(f"assignment search space exceeds budget of {budget}")
 
     caps = topology.cap_units.tolist()
-    demands = flowset.demand_units().tolist()
+    demands = flowset.demand_units.tolist()
     ptr, edge_ids = xpath_table.label_edge_csr(topology)
     # each flow's candidates: a label and its path's (edge, capacity) pairs
     options = [

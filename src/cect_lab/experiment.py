@@ -245,7 +245,7 @@ def check_traffic(cfg: ExperimentConfig, topology: Topology, config_path) -> Non
         if cfg.compress:
             default_compression_bounds(topology)
     except ValueError as exc:
-        drawable = topology.links and len(topology.edge_switches()) > 1
+        drawable = topology.links and len(topology.edge_switches) > 1
         where = "[traffic]" if drawable else f"[topology] {cfg.topo_file}:"
         raise CectLabError(f"{config_path}: {where} {exc}") from exc
 

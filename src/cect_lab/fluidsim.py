@@ -68,16 +68,6 @@ def _rates(
     return _bottleneck_rates(ptr, edges, demands, caps)
 
 
-def _arrays(
-    routing_matrix: RoutingMatrix, flowset: FlowSet, topology: Topology
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The routing's CSR (row ptr, edge ids), the demands and the capacities."""
-    ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
-    demands = flowset.demands()
-    caps = np.array([c for _, _, c in topology.links], dtype=np.float64)
-    return ptr, edges, demands, caps
-
-
 def simulate(
     routing_matrix: RoutingMatrix,
     flowset: FlowSet,
@@ -89,7 +79,8 @@ def simulate(
     Raises ValueError for an unknown model, or for a routing built for other
     flows or for a topology with other edges.
     """
-    ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
+    ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
+    demands, caps = flowset.demands, topology.capacities
     rates = _rates(model, ptr, edges, demands, caps)
     delivered_load = np.bincount(
         edges, weights=np.repeat(rates, np.diff(ptr)), minlength=len(caps)
@@ -128,7 +119,8 @@ def run_volume_schedule(
     """
     if not interval > 0:  # NaN fails too
         raise ValueError("interval must be positive")
-    ptr, edges, demands, caps = _arrays(routing_matrix, flowset, topology)
+    ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
+    demands, caps = flowset.demands, topology.capacities
     if unknown := volumes.keys() - range(1, flowset.count + 1):
         raise ValueError(f"volume given for unknown flow {min(unknown, key=repr)!r}")
     remaining = np.array([volumes.get(f.id, 0.0) for f in flowset.flows], dtype=np.float64)

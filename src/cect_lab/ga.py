@@ -93,7 +93,7 @@ class _Instance:
     def __init__(self, flowset: FlowSet, table: XPathTable, topology: Topology):
         self.n_flows = flowset.count
         self.label_ptr, self.label_edges = table.label_edge_csr(topology)
-        self.demands = flowset.demand_units()
+        self.demands = flowset.demand_units
         self.caps = topology.cap_units
         self.penalty = topology.node_count  # the overload weight of the fitness
         self.n_edges = len(self.caps)

@@ -87,7 +87,7 @@ def _matrix(
 ) -> RoutingMatrix:
     """The RoutingMatrix of a per-flow edge-id CSR, with its loads and mu."""
     edge_keys = topology.edge_keys
-    weights = np.repeat(flowset.demand_units(), np.diff(flow_ptr))
+    weights = np.repeat(flowset.demand_units, np.diff(flow_ptr))
     units = np.bincount(edge_ids, weights=weights, minlength=len(edge_keys)).astype(np.int64)
     # int64 -> float64 is exact below 2**53 and the division is correctly
     # rounded, so the largest quotient is the exact maximum, rounded once
@@ -115,10 +115,10 @@ def matrix_from_paths(
     inside = row[:-1] == row[1:]  # the pair's hops belong to one path
     # each hop's switch id, 0 for a hop that is no switch and after the last
     # hop: a path of two or more hops puts such a hop into an unknown edge
-    ids = np.append(np.array(topology.nodes + (0,), dtype=np.int64)[at], 0)
+    ids = np.append(np.append(topology.node_ids, 0)[at], 0)
     first = np.cumsum(counts) - counts
     ends = np.c_[ids[first], ids[first + counts - 1]]
-    bad = (counts < 2) | (ends != flowset.ends()).any(axis=1)
+    bad = (counts < 2) | (ends != flowset.ends).any(axis=1)
     bad[row[:-1][inside & (pair_ids < 0)]] = True
     if bad.any():
         i = int(np.argmax(bad))
@@ -145,9 +145,9 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
     in_table = (labels >= 1) & (labels <= xpath_table.path_count)
     rows = np.where(in_table, labels, 1) - 1
     # a path runs from its first edge's tail to its last edge's head
-    tails, heads = np.array(topology.nodes, dtype=np.int64)[topology.edge_ends.T]
+    tails, heads = topology.node_ids[topology.edge_ends.T]
     ends = np.column_stack([tails[ids[ptr[rows]]], heads[ids[ptr[rows + 1] - 1]]])
-    ok = in_table & (ends == flowset.ends()).all(axis=1)
+    ok = in_table & (ends == flowset.ends).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
         flow, (src, dst) = flowset.flows[i], ends[i].tolist()
@@ -193,7 +193,7 @@ def validate(
     only the rows that fail it are walked edge by edge to name their rules.
     """
     _check_rows(routing_matrix, flowset, topology)
-    ptr, keys, (src, dst) = routing_matrix.flow_ptr, routing_matrix.edge_keys, flowset.ends().T
+    ptr, keys, (src, dst) = routing_matrix.flow_ptr, routing_matrix.edge_keys, flowset.ends.T
     counts, n = np.diff(ptr), topology.node_count
     ids, row = routing_matrix.edge_ids[ptr[0] : ptr[-1]], np.repeat(np.arange(len(counts)), counts)
     full = np.flatnonzero(counts)
@@ -202,7 +202,7 @@ def validate(
     # tails and heads are positions in nodes, an unknown id clipped to a known edge, if any
     bad = (counts == 0) | (not keys)
     if keys:
-        known, nodes = (ids >= 0) & (ids < len(keys)), np.array(topology.nodes, dtype=np.int64)
+        known, nodes = (ids >= 0) & (ids < len(keys)), topology.node_ids
         tail, head = (a.take(ids, mode="clip") for a in topology.edge_ends.T)
         bad[full] = (nodes[tail[first]] != src[full]) | (nodes[head[last]] != dst[full])
         bad[row[~known | np.r_[False, (head[:-1] != tail[1:]) & (row[:-1] == row[1:])]]] = True

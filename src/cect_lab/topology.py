@@ -20,9 +20,9 @@ from .errors import CectLabError
 UNITS_PER_BW = 1000
 
 
-def to_units(bandwidth: float) -> int:
-    """Quantize a bandwidth value to integer milli-units."""
-    return int(round(bandwidth * UNITS_PER_BW))
+def to_units(bandwidth: np.ndarray) -> np.ndarray:
+    """Quantize bandwidth values to int64 milli-units, rounding half to even as round() does."""
+    return np.rint(bandwidth * UNITS_PER_BW).astype(np.int64)
 
 
 def has_units(bandwidth: float) -> bool:
@@ -54,7 +54,7 @@ class Topology:
     """Immutable directed capacitated graph of switches; the owner of edge ids.
 
     Construction sorts nodes and links, so that links[i] is edge i in every
-    layer, and builds the read-only edge arrays below once.
+    layer, and builds the read-only arrays below once.
 
     Attributes:
         nodes: switch ids within int64, sorted ascending.
@@ -62,20 +62,30 @@ class Topology:
             at least 1 load unit and below 2**63 load units.
         pod_of: optional map switch id -> pod index >= 0 for edge/aggregation
             switches of a fat-tree; core switches are absent from the map.
-        edge_keys: (src, dst) of every edge; cap_units: int64 capacities in
-            milli-units; edge_ends: int64 (links, 2) positions in nodes of
-            every edge's tail and head; all three in edge order.
+        node_ids: int64 nodes.
+        edge_keys: (src, dst) of every edge; capacities: float64 capacities;
+            cap_units: int64 capacities in milli-units; edge_ends: int64
+            (links, 2) positions in nodes of every edge's tail and head; all
+            four in edge order.
         edge_id: int64 (n + 1, n + 1) matrix over positions: [p, q] is the id
             of edge nodes[p] -> nodes[q], or -1; position n is any non-switch.
+        edge_switches: the switches where flows may originate or terminate,
+            ascending. A pod-less topology exposes every switch. In a
+            pod-labeled fabric, a pod-labeled switch is an access switch
+            unless one of its links leaves its pod, as an aggregation
+            switch's links to the core do.
     """
 
     nodes: tuple[int, ...]
     links: tuple[tuple[int, int, float], ...]
     pod_of: dict[int, int] = field(default_factory=dict)
+    node_ids: np.ndarray = field(init=False, repr=False, compare=False)
     edge_keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    capacities: np.ndarray = field(init=False, repr=False, compare=False)
     cap_units: np.ndarray = field(init=False, repr=False, compare=False)
     edge_ends: np.ndarray = field(init=False, repr=False, compare=False)
     edge_id: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_switches: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,6 +93,9 @@ class Topology:
         for node in nodes:
             _check_switch(node)
         position = dict(zip(nodes, range(len(nodes))))
+        if len(position) < len(nodes):
+            repeated = next(a for a, b in zip(nodes, nodes[1:]) if a == b)
+            raise CectLabError(f"switch {repeated} is listed twice")
         seen: set[tuple[int, int]] = set()
         for src, dst, cap in self.links:
             _check_link(src, dst, cap, seen)
@@ -98,11 +111,16 @@ class Topology:
         edge_ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
         edge_id = np.full((len(nodes) + 1, len(nodes) + 1), -1, dtype=np.int64)
         edge_id[tuple(edge_ends.T)] = np.arange(len(links))
-        cap_units = np.array([to_units(cap) for *_, cap in links], dtype=np.int64)
-        edge_ends.flags.writeable = edge_id.flags.writeable = cap_units.flags.writeable = False
+        capacities = np.array([cap for *_, cap in links], dtype=np.float64)
+        arrays = dict(node_ids=np.array(nodes, dtype=np.int64), capacities=capacities,
+                      cap_units=to_units(capacities), edge_ends=edge_ends, edge_id=edge_id)
+        for array in arrays.values():
+            array.flags.writeable = False
+        pod = self.pod_of.get
+        leaving = {src for src, dst, _ in links if pod(dst) != pod(src)}
+        edge_switches = tuple(sorted(set(self.pod_of) - leaving)) if self.pod_of else nodes
         built = dict(nodes=nodes, links=links, edge_keys=tuple((s, d) for s, d, _ in links),
-                     cap_units=cap_units, edge_ends=edge_ends, edge_id=edge_id,
-                     _position=position)
+                     edge_switches=edge_switches, _position=position, **arrays)
         for name, value in built.items():
             object.__setattr__(self, name, value)
 
@@ -131,19 +149,6 @@ class Topology:
                 else "edge id {} is {} -> {}, not {} -> {}".format(at, *edge_keys[at], *ours[at])
             )
             raise ValueError(f"{owner} was built for another topology: {detail}")
-
-    def edge_switches(self) -> list[int]:
-        """Switches where flows may originate or terminate.
-
-        Pod-less topologies expose every switch. In a pod-labeled fabric, a
-        pod-labeled switch is an access switch unless one of its links leaves
-        its pod, as an aggregation switch's links to the core do.
-        """
-        if not self.pod_of:
-            return list(self.nodes)
-        pod = self.pod_of.get
-        leaving = {src for src, dst, _ in self.links if pod(dst) != pod(src)}
-        return sorted(node for node in self.pod_of if node not in leaving)
 
 
 def make_fat_tree(

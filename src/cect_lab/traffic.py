@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def default_compression_bounds(topology: Topology) -> tuple[float, float]:
     always ride a single path without monopolizing it; ValueError if it is below the threshold.
     """
     check_topology(topology, {}, 0.0)
-    lower, upper = DEFAULT_COMPRESS_LOWER, 0.5 * min(cap for _, _, cap in topology.links)
+    lower, upper = DEFAULT_COMPRESS_LOWER, 0.5 * float(topology.capacities.min())
     if upper < lower:
         raise ValueError(f"compress: half the smallest capacity, {upper}, is below {lower}")
     return lower, upper
@@ -71,38 +72,35 @@ class Flow:
 
 @dataclass(frozen=True)
 class FlowSet:
-    """Ordered flows with ids dense 1..count."""
+    """Ordered flows with ids dense 1..count, and read-only arrays built once at construction.
+
+    Attributes:
+        flows: the flows, flow i+1 at index i.
+        ends: int64 (count, 2) array of each flow's (src, dst).
+        demands: float64 demands; demand_units: int64 demands in milli-units;
+            both indexed as flows.
+    """
 
     flows: tuple[Flow, ...]
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    demands: np.ndarray = field(init=False, repr=False, compare=False)
+    demand_units: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, flow in enumerate(self.flows, start=1):
-            if flow.id != i:
-                raise ValueError(f"flow ids must be dense 1..N, got {flow.id} at {i}")
+        count, column = len(self.flows), lambda name: map(attrgetter(name), self.flows)
+        # list equality compares each id with its position as flow.id != i does, in one C loop
+        if (ids := list(column("id"))) != list(range(1, count + 1)):
+            i = next(i for i, fid in enumerate(ids, start=1) if fid != i)
+            raise ValueError(f"flow ids must be dense 1..N, got {ids[i - 1]} at {i}")
+        demands = np.fromiter(column("demand"), np.float64, count)
+        ends = np.column_stack([np.fromiter(column(e), np.int64, count) for e in ("src", "dst")])
+        for name, array in dict(ends=ends, demands=demands, demand_units=to_units(demands)).items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def count(self) -> int:
         return len(self.flows)
-
-    def demand_units(self) -> np.ndarray:
-        """Read-only int64 demands in milli-units, index i holds flow i+1, built once."""
-        return self._built_once("_demand_units", (to_units(f.demand) for f in self.flows), -1)
-
-    def ends(self) -> np.ndarray:
-        """Read-only int64 (count, 2) array of each flow's (src, dst), built once."""
-        pairs = itertools.chain.from_iterable((f.src, f.dst) for f in self.flows)
-        return self._built_once("_ends", pairs, (-1, 2))
-
-    def demands(self) -> np.ndarray:
-        """Read-only float64 demands, index i holds flow i+1, built once."""
-        return self._built_once("_demands", (f.demand for f in self.flows), -1, np.float64)
-
-    def _built_once(self, name: str, values, shape, dtype=np.int64) -> np.ndarray:
-        if name not in self.__dict__:
-            array = np.fromiter(values, dtype=dtype).reshape(shape)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        return self.__dict__[name]
 
 
 def check_mix(class_mix: dict[str, float], plr: float) -> None:
@@ -124,11 +122,11 @@ def check_topology(topology: Topology, class_mix: dict[str, float], plr: float) 
     pod, and a load unit in the demand of each class that class_mix draws."""
     if not topology.links:
         raise ValueError("the topology has no links to size flow demands by")
-    if len(ends := topology.edge_switches()) < 2:
-        raise ValueError(f"flows need 2 edge switches, and the topology has {len(ends)}")
+    if (count := len(topology.edge_switches)) < 2:
+        raise ValueError(f"flows need 2 edge switches, and the topology has {count}")
     if plr > 0 and not topology.pod_of:
         raise ValueError(f"plr {plr} needs a pod-labeled topology")
-    min_cap = min(cap for _, _, cap in topology.links)
+    min_cap = float(topology.capacities.min())
     for cls, share in class_mix.items():
         if share > 0 and not has_units(demand := CLASS_FRACTION[cls] * min_cap):
             raise ValueError(f"mix: {cls} demand {demand!r} rounds to 0 load units")
@@ -154,8 +152,8 @@ def generate_flows(
     check_mix(class_mix, plr)
     check_topology(topology, class_mix, plr)
 
-    edge_switches = topology.edge_switches()
-    min_cap = min(cap for _, _, cap in topology.links)
+    edge_switches = topology.edge_switches
+    min_cap = float(topology.capacities.min())
 
     pods: dict[int, list[int]] = {}
     for sw in edge_switches:

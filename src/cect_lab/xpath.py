@@ -72,7 +72,7 @@ def check_path_bounds(x: int, cap_c: int | None) -> None:
 def precompute_xpaths(topology: Topology, x: int, cap_c: int | None) -> XPathTable:
     """Enumerate all simple paths with at most x edges between edge switches.
 
-    Both ends lie in topology.edge_switches(), where flows start and end
+    Both ends lie in topology.edge_switches, where flows start and end
     (every switch of a pod-less topology); the hops between may be any
     switch. When cap_c is not None, each (src, dst) pair keeps only its cap_c
     shortest paths (ties broken by hop sequence). Labels are dense 1..N over
@@ -87,7 +87,7 @@ def precompute_xpaths(topology: Topology, x: int, cap_c: int | None) -> XPathTab
     (tail, head), n = topology.edge_ends.T, topology.node_count
     adj_ptr, edges = np.searchsorted(tail, np.arange(n + 1)), np.arange(len(tail), dtype=np.int32)
     kept = np.zeros(n * n, dtype=np.int64)
-    is_end = np.isin(topology.nodes, topology.edge_switches())
+    is_end = np.isin(topology.node_ids, topology.edge_switches)
 
     # grow paths from the edge switches only, and keep those that end at one
     level = np.flatnonzero(is_end[tail]).astype(np.int32)[:, None]
@@ -147,7 +147,7 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     Row i holds feasible_labels for flow i, shortest first. Raises
     CectLabError naming the first flow that has no path in the table.
     """
-    rows = _pair_rows(table, flowset.ends())
+    rows = _pair_rows(table, flowset.ends)
     ptr, labels = csr_rows(table.pair_ptr, table.pair_labels, rows)
     counts = np.diff(ptr)
     if not counts.all():
@@ -163,7 +163,7 @@ def format_paths(table: XPathTable, labels: np.ndarray, head: str, *fields: np.n
     The text is one %-format of a template joined from one line per hop count.
     """
     ptr, ids = csr_rows(table.edge_ptr, table.edge_ids, labels - 1)
-    tails, heads = np.array(table.topology.nodes, dtype=np.int64)[table.topology.edge_ends.T]
+    tails, heads = table.topology.node_ids[table.topology.edge_ends.T]
     counts = np.diff(ptr)
     lines = [head + " -> ".join(["%d"] * (c + 1)) + "\n" for c in range(counts.max(initial=0) + 1)]
     # a path's switches are its first edge's tail and then every edge's head

@@ -5,11 +5,12 @@ enumeration walks raw adjacency recursively, hop distances come from a
 breadth-first search, each label's hop sequence from its edges' keys (not
 Topology.edge_ends), pair lookups from each label's hop sequence, and the
 max-min oracle probes feasibility on a rate grid instead of tracking
-bottleneck events. reference_validate, reference_uniform_crossover and
-reference_compress_flows are the exceptions: they keep the package's
-rule-by-rule validator, its one-shot crossover and its bucket-per-pair
-compression, which the fast path, the blocked crossover and the one-sort
-compression must agree with.
+bottleneck events. reference_validate, reference_uniform_crossover,
+reference_compress_flows and reference_edge_switches are the exceptions:
+they keep the package's rule-by-rule validator, its one-shot crossover, its
+bucket-per-pair compression and its edge-switch method, which the fast path,
+the blocked crossover, the one-sort compression and Topology.edge_switches
+must agree with.
 """
 
 from __future__ import annotations
@@ -48,6 +49,20 @@ def random_topology(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0
     if not links:  # keep the instance non-degenerate
         links.append((1, 2, capacity))
     return Topology(nodes=tuple(range(1, n_nodes + 1)), links=tuple(links))
+
+
+def reference_edge_switches(topology: Topology) -> list[int]:
+    """The edge-switch rule as Topology.edge_switches() computed it on each call.
+
+    Pod-less topologies expose every switch. In a pod-labeled fabric, a
+    pod-labeled switch is an access switch unless one of its links leaves
+    its pod, as an aggregation switch's links to the core do.
+    """
+    if not topology.pod_of:
+        return list(topology.nodes)
+    pod = topology.pod_of.get
+    leaving = {src for src, dst, _ in topology.links if pod(dst) != pod(src)}
+    return sorted(node for node in topology.pod_of if node not in leaving)
 
 
 def edge_index(topology: Topology) -> dict[tuple[int, int], int]:
@@ -187,7 +202,7 @@ def reference_validate(
 
     # out- and in-degree of every (flow, switch) the flow's edges touch, plus
     # its source and destination even when no edge touches them
-    src, dst = flowset.ends().T
+    src, dst = flowset.ends.T
     ends = np.array(keys, dtype=np.int64).reshape(-1, 2)[ids]
     nodes, pos = np.unique(np.r_[ends[:, 0], ends[:, 1], src, dst], return_inverse=True)
     touched, at = np.unique(np.r_[flow, flow, every, every] * len(nodes) + pos, return_inverse=True)

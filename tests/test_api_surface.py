@@ -18,7 +18,8 @@ readers of each. A flag may not copy a setting that a sweep config holds.
 A CectLabError subclass needs an except clause in src/ or perfbench/ that
 names it: one that no caller tells apart is CectLabError under another name.
 The count of settable values (CLI arguments, INI keys, environment reads) is
-pinned, so a change that adds a setting has to say so here.
+pinned, so a change that adds a setting has to say so here; so is the line
+count of src/, so that each change's growth or shrinkage shows in its diff.
 """
 
 from __future__ import annotations
@@ -268,6 +269,17 @@ def test_settable_value_count_is_pinned():
     # 22 flags, 23 INI keys, no environment variable.
     # A change that adds or removes a setting updates this number.
     assert _settable_values() == 45
+
+
+def _src_lines() -> int:
+    """`cat src/cect_lab/*.py | wc -l`: the newlines in every module of the package."""
+    return sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+
+
+def test_src_line_count_is_pinned():
+    # ROADMAP's design yardstick. A change that adds or removes lines in src/ updates this number.
+    pinned = 2497
+    assert _src_lines() == pinned, f"src/ is {_src_lines()} lines, and the pin says {pinned}"
 
 
 def _options_copying_a_setting() -> list[str]:

@@ -820,7 +820,7 @@ def test_every_command_reads_the_topology_from_its_config(tmp_path, capsys):
     assert table.read_text(encoding="utf-8") == format_table(precompute_xpaths(topo, 4, 50))
     assert load_flows(flows) == experiment.draw_flows(cfg, topo, 30, 2)
     ends = {end for f in load_flows(flows).flows for end in (f.src, f.dst)}
-    assert ends - set(make_fat_tree(4).edge_switches())  # k=4 access switches are 1..8
+    assert ends - set(make_fat_tree(4).edge_switches)  # k=4 access switches are 1..8
     for name in ("edge_loads.csv", "per_edge.csv"):
         rows = _read_csv(out / name)
         assert [(int(r["src"]), int(r["dst"])) for r in rows] == [l[:2] for l in topo.links]
@@ -862,6 +862,22 @@ def test_solve_rejects_flows_that_do_not_join_access_switches(tmp_path, capsys, 
                     encoding="utf-8")
     assert main(["simulate", "--flows", str(flows),
                  "--assignment", str(dump), "--out-dir", str(tmp_path / "sim")]) == 0
+
+
+@pytest.mark.parametrize("method, flows, message", [
+    # 12 inter-pod flows exceed the exact solver's default search budget
+    ("exact", "".join(f"flow {i} 1 {3 + i % 6} 1.0 custom\n" for i in range(1, 13)),
+     "error: assignment search space exceeds budget of "),
+    # the path table joins access switches only; 9 is an aggregation switch
+    ("ecmp", "flow 1 1 5 1.0 custom\nflow 2 9 3 1.0 custom\n",
+     "error: flow 2 (9 -> 3) has no feasible path in the table\n"),
+], ids=["exact-over-budget", "no-path"])
+def test_failed_solve_leaves_no_output_directory(tmp_path, capsys, method, flows, message):
+    path, out = tmp_path / "flows.txt", tmp_path / "out"
+    path.write_text(flows, encoding="utf-8")
+    assert main(["solve", "--flows", str(path), "--method", method, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 EVEN_MIX = "mix = micro=0.25,small=0.25,medium=0.25,big=0.25\n"

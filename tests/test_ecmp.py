@@ -55,7 +55,7 @@ def test_chosen_paths_are_bfs_shortest():
 def test_same_pair_different_ids_spread():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
-    src, dst = topo.edge_switches()[0], topo.edge_switches()[2]  # different pods
+    src, dst = topo.edge_switches[0], topo.edge_switches[2]  # different pods
     flows = make_flows([(src, dst, 1.0)] * 64)
     assignment = route_ecmp(flows, topo, table)
     chosen = set(assignment.labels.tolist())
@@ -115,7 +115,7 @@ def test_routes_pass_validation():
 def test_shortest_pins_every_flow_to_its_first_label():
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
-    src, dst = topo.edge_switches()[0], topo.edge_switches()[2]
+    src, dst = topo.edge_switches[0], topo.edge_switches[2]
     flows = make_flows([(src, dst, 1.0)] * 64)
     assignment, stats = experiment.solve("shortest", flows, table, topo, GaConfig())
     assert stats is None

@@ -303,7 +303,7 @@ def _k4_pair():
     """A k=4 fat tree and a flow each way between two edge switches, on table paths."""
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=4, cap_c=50)
-    src, dst = topo.edge_switches()[:2]
+    src, dst = topo.edge_switches[:2]
     flows = make_flows([(src, dst, 5.0), (dst, src, 5.0)])
     chosen = np.array([feasible_labels(table, f.src, f.dst)[0] for f in flows.flows])
     return topo, flows, assemble(RoutingAssignment(chosen), flows, table, topo)

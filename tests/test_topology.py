@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cect_lab.errors import CectLabError
 from cect_lab.topology import (
@@ -12,7 +14,7 @@ from cect_lab.topology import (
     save_topology,
 )
 
-from helpers import bfs_distance, out_neighbors
+from helpers import bfs_distance, out_neighbors, random_topology, reference_edge_switches
 
 
 def _tiers(k):
@@ -53,7 +55,7 @@ def test_fat_tree_k4_matches_published_size():
     topo = make_fat_tree(4)
     assert topo.node_count == 20
     edge_ids, agg_ids, core_ids = _tiers(4)
-    assert topo.edge_switches() == list(edge_ids)
+    assert topo.edge_switches == tuple(edge_ids)
     assert len(edge_ids) == 8
     assert len(agg_ids) == 8
     assert len(core_ids) == 4
@@ -309,22 +311,58 @@ def test_topology_invariants_enforced():
         Topology(nodes=(1, 2), links=((1, 2, -1.0),))
     with pytest.raises(CectLabError, match="^edge 1 -> 2 uses unknown switch$"):
         Topology(nodes=(1,), links=((1, 2, 5.0),))
+    # a repeated id would count a switch twice and list it twice as an edge switch
+    with pytest.raises(CectLabError, match="^switch 1 is listed twice$"):
+        Topology(nodes=(1, 1, 2, 3), links=((1, 2, 5.0),), pod_of={1: 0, 2: 0})
 
 
 def test_edge_switches_structural_recovery(tmp_path):
     for k in (2, 4, 6):
-        expected = list(range(1, k * k // 2 + 1))
+        expected = tuple(range(1, k * k // 2 + 1))
         topo = make_fat_tree(k)
-        assert topo.edge_switches() == expected
+        assert topo.edge_switches == expected
         path = tmp_path / f"ft{k}.txt"
         save_topology(topo, path)
-        assert load_topology(path).edge_switches() == expected
+        assert load_topology(path).edge_switches == expected
     # a switch is an access switch unless one of its own links leaves its pod:
     # 1 -> 2 stays in pod 0 while 2 -> 3 leaves it; 3 -> 1 enters pod 0
     links = ((1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0))
-    assert Topology(nodes=(1, 2, 3), links=links, pod_of={1: 0, 2: 0}).edge_switches() == [1]
+    assert Topology(nodes=(1, 2, 3), links=links, pod_of={1: 0, 2: 0}).edge_switches == (1,)
 
 
 def test_edge_switches_podless_is_all_nodes():
     topo = make_sample_topology("fig2b")
-    assert topo.edge_switches() == [1, 2, 3, 4]
+    assert topo.edge_switches == (1, 2, 3, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 8),
+    edge_prob=st.floats(0.1, 0.9),
+    capacities=st.lists(st.floats(0.0006, 1e6), min_size=1, max_size=4),
+    pods=st.none() | st.lists(st.none() | st.integers(0, 2), max_size=8),
+    fat_tree=st.none() | st.sampled_from([2, 4, 6]),
+)
+def test_derived_arrays_match_the_tuples(seed, n_nodes, edge_prob, capacities, pods, fat_tree,
+                                         tmp_path_factory):
+    # pods None keeps the topology pod-less; else pods[i] labels switch i+1, None leaving it out
+    rng = np.random.default_rng(seed)
+    topo = make_fat_tree(fat_tree) if fat_tree else random_topology(rng, n_nodes, edge_prob)
+    links = tuple((s, d, capacities[i % len(capacities)]) for i, (s, d, _) in enumerate(topo.links))
+    if pods is None:
+        pod_of = topo.pod_of
+    else:
+        pod_of = {node: pod for node, pod in zip(topo.nodes, pods) if pod is not None}
+    topo = Topology(nodes=topo.nodes, links=links, pod_of=pod_of)
+    path = tmp_path_factory.mktemp("topology") / "topology.txt"
+    save_topology(topo, path)
+    for built in (topo, load_topology(path)):
+        assert built.edge_switches == tuple(reference_edge_switches(built))
+        assert built.node_ids.dtype == np.int64 and built.node_ids.tolist() == list(built.nodes)
+        assert built.capacities.dtype == np.float64
+        assert built.capacities.tolist() == [cap for *_, cap in built.links]
+        assert built.cap_units.tolist() == [int(round(cap * 1000)) for *_, cap in built.links]
+        for array in (built.node_ids, built.capacities, built.cap_units, built.edge_ends,
+                      built.edge_id):
+            assert not array.flags.writeable

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cect_lab.errors import CectLabError
-from cect_lab.topology import Topology, make_fat_tree, make_sample_topology, to_units
+from cect_lab.topology import Topology, has_units, make_fat_tree, make_sample_topology
 from cect_lab.traffic import (
     CLASS_FRACTION,
     FLOW_CLASSES,
@@ -249,15 +249,39 @@ def test_flowset_arrays_are_built_once_and_read_only():
     flows = generate_flows(make_fat_tree(4), 300, MIX, plr=0.5, seed=4)
     arrays = {
         "demands": [f.demand for f in flows.flows],
-        "demand_units": [to_units(f.demand) for f in flows.flows],
+        "demand_units": [int(round(f.demand * 1000)) for f in flows.flows],
         "ends": [[f.src, f.dst] for f in flows.flows],
     }
     for name, expected in arrays.items():
-        array = getattr(flows, name)()
+        array = getattr(flows, name)
         assert array.tolist() == expected, name
-        assert getattr(flows, name)() is array, name
         assert not array.flags.writeable, name
-    assert flows.demands().dtype == np.float64
+    assert flows.demands.dtype == np.float64
+
+
+# the least and the greatest demand that has_units admits, the floats just
+# outside them, and demands whose milli-units lie on a tie (1.5 and 2.5)
+_DEMAND_LIMITS = [0.0005000000000000001, 0.0005, 9223372036854774.0, 9223372036854776.0,
+                  0.0015, 0.0025]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    demands=st.lists(
+        st.sampled_from(_DEMAND_LIMITS) | st.floats(0.0005, 9.3e15) | st.floats(0.0005, 1.0),
+        max_size=20,
+    ),
+)
+def test_demand_units_round_each_demand_exactly(demands):
+    admitted = [d for d in demands if has_units(d)]
+    flows = make_flows([(1, 2, d) for d in admitted])
+    assert flows.demand_units.dtype == np.int64
+    assert flows.demand_units.tolist() == [int(round(d * 1000)) for d in admitted]
+    assert flows.demands.tolist() == admitted
+    assert flows.ends.shape == (len(admitted), 2)
+    assert flows.ends.tolist() == [[1, 2]] * len(admitted)
+    for array in (flows.ends, flows.demands, flows.demand_units):
+        assert not array.flags.writeable
 
 
 def test_flow_invariants():

@@ -248,7 +248,7 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, p
         if not (s in placed and placed[s][1]) or pod_of.get(d) == pod_of[s]
     )
     topo = Topology(nodes=topo.nodes, links=links, pod_of=pod_of)
-    ends = set(topo.edge_switches())
+    ends = set(topo.edge_switches)
     table = precompute_xpaths(topo, x=x, cap_c=cap_c)
     every = {p for p in brute_force_simple_paths(topo, x) if p[0] in ends and p[-1] in ends}
 
@@ -347,7 +347,7 @@ def test_endpoint_table_routes_like_the_all_pairs_table():
     assert hashlib.sha256(format_table(full).encode()).hexdigest() == (
         "40609fa60166ffd055f8f6fdd62d945df6bec8c8a5813b16dd30323ed1679edd"
     )
-    ends = set(topo.edge_switches())
+    ends = set(topo.edge_switches)
     assert set(labels_by_pair(table)) == {p for p in labels_by_pair(full) if set(p) <= ends}
     for pair, labels in labels_by_pair(table).items():
         assert feasible_labels(table, *pair) == labels
