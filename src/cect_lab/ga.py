@@ -93,7 +93,7 @@ class _Instance:
     def __init__(self, flowset: FlowSet, table: XPathTable, topology: Topology):
         self.n_flows = flowset.count
         self.label_ptr, self.label_edges = table.label_edge_csr(topology)
-        self.demands = flowset.demand_units
+        self.demands = flowset.demand_units.astype(np.float64)  # the weights of every load sum
         self.caps = topology.cap_units
         self.penalty = topology.node_count  # the overload weight of the fitness
         self.n_edges = len(self.caps)
@@ -114,23 +114,17 @@ class _Instance:
         # Aggregate loads by label when the table's labels hold at most half
         # the edge entries of a member's shortest genes (flows share labels);
         # else, as at k=8 and k=12, loop to avoid population-by-table arrays.
-        self.weights = self.demands.astype(np.float64)
         self.aggregated = 2 * len(self.label_edges) < hops[self.shortest - 1].sum()
-        self.pad_index = self.cells = self.gene_demands = None
+        self.pad_index = np.empty(0, dtype=np.int64) if self.aggregated else None
 
     def loads(self, genes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-edge int64 loads of each row of genes, into out if given."""
-        rows, demands, cells = len(genes), self.weights, None
-        if self.aggregated:
-            if self.cells is None or rows > len(self.cells):
-                # the aggregated form's buffers, grown to the population once
-                self.cells = np.empty(genes.shape, dtype=np.int64)
-                self.gene_demands = np.tile(self.weights, (rows, 1))
-                offsets = (self.n_edges + 1) * np.arange(rows)
-                self.pad_index = (self.label_pad.T + offsets[:, None, None]).ravel()
-            demands, cells = self.gene_demands[:rows], self.cells[:rows]
-        return kernels.population_loads(genes, self.label_ptr, self.label_pad, demands,
-                                        self.n_edges, self.pad_index, cells, out)
+        if self.aggregated and len(genes) * self.label_pad.size > len(self.pad_index):
+            # the aggregated form's offset index, grown to the population once
+            offsets = (self.n_edges + 1) * np.arange(len(genes))
+            self.pad_index = (self.label_pad.T + offsets[:, None, None]).ravel()
+        return kernels.population_loads(genes, self.label_ptr, self.label_pad, self.demands,
+                                        self.n_edges, self.pad_index, out)
 
     def shift_loads(self, loads, block, members, flows, old, new) -> None:
         """Move loads[block][members] by the redrawn genes (members, flows):
@@ -138,7 +132,7 @@ class _Instance:
         n, rows, width = self.n_edges, loads[block], self.label_pad.shape[1]
         edges = self.label_pad.take(np.concatenate((new, old)), axis=0).reshape(2, -1)
         edges += ((n + 1) * members).repeat(width)
-        weights = np.concatenate((self.weights[flows], -self.weights[flows])).repeat(width)
+        weights = np.concatenate((self.demands[flows], -self.demands[flows])).repeat(width)
         shift = kernels.label_row_sums(edges.ravel(), weights, n, len(rows))
         np.add(rows, shift, out=rows, casting="unsafe")
 

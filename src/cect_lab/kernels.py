@@ -32,29 +32,26 @@ def label_row_sums(edge_ids, weights, n_edges, rows=1):
     return sums[:n_edges] if rows == 1 else sums.reshape(rows, -1)[:, :n_edges]
 
 
-def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=None, cells=None,
-                     out=None):
+def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=None, out=None):
     """Per-edge integer loads for each member of a population, into out if given.
 
-    genes holds 1-based path labels, one row per member, one column per flow;
-    label_ptr is the labels' CSR row pointer, and label_pad holds label l's
-    edge ids in row l, filled out with the id n_edges (row 0 is all filler).
-    Without pad_index, a gene loop sums each member's rows; demands are per
-    flow. pad_index, label_pad.T offset by member as label_row_sums reads it,
-    selects the aggregated form: demands are per gene, one bincount sums them
-    into (member, label) cells and one more sums every label's row, weighted
-    by its cell; cells, if given, is an int64 buffer of genes' shape for the
-    cell index, which a fresh array would fault in on each call. Both sum
-    integer milli-units below 2**53, so they agree exactly.
+    genes holds 1-based path labels, one row per member, one column per flow,
+    and demands one weight per flow; label_ptr is the labels' CSR row pointer,
+    and label_pad holds label l's edge ids in row l, filled out with the id
+    n_edges (row 0 is all filler). Without pad_index, a gene loop sums each
+    member's rows. pad_index, label_pad.T offset by member as label_row_sums
+    reads it, selects the aggregated form: one bincount per member sums its
+    demands into label cells, and one more sums every label's row, weighted
+    by its cell. Both sum integer milli-units below 2**53: they agree exactly.
     """
     n_members, width = genes.shape[0], label_pad.shape[1]
     loads = np.empty((n_members, n_edges), dtype=np.int64) if out is None else out
     if pad_index is not None:
-        n_cells = len(label_ptr)  # label 0's cell stays empty
-        cells = np.add(n_cells * np.arange(n_members)[:, None], genes, out=cells)
-        per_cell = np.bincount(cells.ravel(), demands.ravel(), n_members * n_cells)
+        per_cell = np.empty((n_members, len(label_ptr)))  # label 0's cell stays empty
+        for m, labels in enumerate(genes):
+            per_cell[m] = np.bincount(labels, demands, len(label_ptr))
         # label_pad.T's layout lets each member's cells repeat as whole blocks
-        weights = per_cell.reshape(n_members, 1, -1).repeat(width, axis=1).ravel()
+        weights = per_cell[:, None].repeat(width, axis=1).ravel()
         sums = label_row_sums(pad_index[: len(weights)], weights, n_edges, n_members)
         np.copyto(loads, sums, casting="unsafe")
         return loads

@@ -30,10 +30,17 @@ def has_units(bandwidth: float) -> bool:
     return 0.5 < bandwidth * UNITS_PER_BW < 2**63
 
 
+def id_problem(value) -> str:
+    """Why value is no id (an int or a numpy integer within int64, not a bool); "" if it is."""
+    if not (type(value) is int or isinstance(value, np.integer)):
+        return "is not an integer"
+    return "" if -(2**63) <= value < 2**63 else "does not fit in int64"
+
+
 def _check_switch(node: int) -> None:
-    """Raise CectLabError for an id beyond int64."""
-    if not -(2**63) <= node < 2**63:
-        raise CectLabError(f"switch id {node} does not fit in int64")
+    """Raise CectLabError for an id that is not an integer within int64."""
+    if problem := id_problem(node):
+        raise CectLabError(f"switch id {node!r} {problem}")
 
 
 def _check_link(src: int, dst: int, cap: float, seen: set) -> None:
@@ -57,7 +64,7 @@ class Topology:
     layer, and builds the read-only arrays below once.
 
     Attributes:
-        nodes: switch ids within int64, sorted ascending.
+        nodes: integer switch ids within int64, sorted ascending.
         links: directed edges as (src, dst, capacity), sorted, each capacity
             at least 1 load unit and below 2**63 load units.
         pod_of: optional map switch id -> pod index >= 0 for edge/aggregation
@@ -89,9 +96,10 @@ class Topology:
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes, links = tuple(sorted(self.nodes)), tuple(sorted(self.links))
-        for node in nodes:
+        # before sorting, which a str among ints would break
+        for node in (*self.nodes, *(end for link in self.links for end in link[:2]), *self.pod_of):
             _check_switch(node)
+        nodes, links = tuple(sorted(self.nodes)), tuple(sorted(self.links))
         position = dict(zip(nodes, range(len(nodes))))
         if len(position) < len(nodes):
             repeated = next(a for a, b in zip(nodes, nodes[1:]) if a == b)
@@ -104,8 +112,8 @@ class Topology:
         for node, pod in self.pod_of.items():
             if node not in position:
                 raise CectLabError(f"pod entry for unknown switch {node}")
-            if pod < 0:
-                raise CectLabError(f"pod index {pod} out of range for {node}")
+            if id_problem(pod) or pod < 0:
+                raise CectLabError(f"pod index {pod!r} out of range for {node}")
 
         ends = [(position[src], position[dst]) for src, dst, _ in links]
         edge_ends = np.array(ends, dtype=np.int64).reshape(-1, 2)

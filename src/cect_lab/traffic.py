@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .topology import Topology, has_units, read_records, to_units
+from .topology import Topology, has_units, id_problem, read_records, to_units
 
 # Demand as a fraction of the minimum link capacity, per size class.
 CLASS_FRACTION = {
@@ -55,11 +55,11 @@ class Flow:
     cls: str = "custom"
 
     def __post_init__(self):
+        for name, value in (("id", self.id), ("src", self.src), ("dst", self.dst)):
+            if problem := id_problem(value):
+                raise ValueError(f"flow {self.id!r}: {name} {value!r} {problem}")
         if self.src == self.dst:
             raise ValueError(f"flow {self.id}: src equals dst ({self.src})")
-        for end in (self.src, self.dst):
-            if not -(2**63) <= end < 2**63:
-                raise ValueError(f"flow {self.id}: switch id {end} does not fit in int64")
         if self.demand <= 0:
             raise ValueError(f"flow {self.id}: demand must be positive")
         if not has_units(self.demand):

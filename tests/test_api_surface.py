@@ -278,7 +278,7 @@ def _src_lines() -> int:
 
 def test_src_line_count_is_pinned():
     # ROADMAP's design yardstick. A change that adds or removes lines in src/ updates this number.
-    pinned = 2497
+    pinned = 2496
     assert _src_lines() == pinned, f"src/ is {_src_lines()} lines, and the pin says {pinned}"
 
 

@@ -617,6 +617,30 @@ def test_run_peak_memory_is_pinned():
     assert peak < 2_730_000, peak
 
 
+def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
+    # k=4 with 20,000 flows picks the aggregated form. Beside the two uint8
+    # gene buffers (295 x 20,000, 11.8 MB) its buffers are members x labels
+    # and members x width x labels (2 MB). The mutation's load shift at the 2%
+    # rate, about 22 MB, sets the peak of 36.4 MB; a per-gene demand tile and
+    # cell index (16 bytes a gene) took it to 130.8 MB
+    topo = make_fat_tree(4, 200.0, 200.0, 100.0)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
+    flows = generate_flows(topo, 20_000, mix, plr=0.95, seed=1)
+    inst = _Instance(flows, table, topo)
+    n_pop = default_population_size(flows.count, topo.node_count)
+    assert inst.aggregated and inst.feas_labels.dtype == np.uint8 and n_pop == 295
+    config = GaConfig(seed=1, max_iterations=2, mu_target=1e-9)
+    tracemalloc.start()
+    try:
+        _, _, stats = run_cect(flows, table, topo, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.generations == 2
+    assert peak < 3.5 * 2 * n_pop * flows.count, peak
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     aggregated=st.booleans(),
@@ -641,7 +665,7 @@ def test_carried_loads_equal_a_fresh_evaluation(aggregated, many, population, ra
 
     def check(generation, genes, fit, mu):
         fresh = kernels.population_loads(
-            genes, inst.label_ptr, inst.label_pad, inst.weights, inst.n_edges
+            genes, inst.label_ptr, inst.label_pad, inst.demands, inst.n_edges
         )
         expected_fit, expected_mu = kernels.fitness_mu(fresh, inst.caps, inst.penalty)
         assert np.array_equal(fit, expected_fit), generation

@@ -218,10 +218,10 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     pad_index = np.concatenate(
         [column + m * (inst.n_edges + 1) for m in range(members) for column in pad.T]
     )
+    # both forms read the same per-flow demands
     loop = kernels.population_loads(genes, inst.label_ptr, pad, inst.demands, inst.n_edges)
-    per_gene = np.tile(inst.demands.astype(np.float64), (members, 1))
     aggregated = kernels.population_loads(
-        genes, inst.label_ptr, pad, per_gene, inst.n_edges, pad_index
+        genes, inst.label_ptr, pad, inst.demands, inst.n_edges, pad_index
     )
     assert loop.dtype == aggregated.dtype == np.int64
     assert np.array_equal(loop, aggregated)
@@ -292,9 +292,9 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
 
 
 def test_aggregated_buffers_grow_with_the_population():
-    # the cell buffer and the offset index are grown together on the first
-    # call with more rows than before, and a later, smaller call reads their
-    # first rows: 3, then 7, then 5 members each equal the gene loop
+    # the offset index, the form's one population-sized buffer, is grown on
+    # the first call with more rows than before, and a later, smaller call
+    # reads its first rows: 3, then 7, then 5 members each equal the gene loop
     topo = make_fat_tree(4, 200.0, 200.0, 100.0)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     inst = _Instance(generate_flows(topo, 500, ACCEPTANCE_MIX, plr=0.95, seed=1), table, topo)
@@ -303,10 +303,10 @@ def test_aggregated_buffers_grow_with_the_population():
     for rows in (3, 7, 5):
         genes = inst.random_genes(rows, rng)
         loop = kernels.population_loads(
-            genes, inst.label_ptr, inst.label_pad, inst.weights, inst.n_edges
+            genes, inst.label_ptr, inst.label_pad, inst.demands, inst.n_edges
         )
         assert np.array_equal(inst.loads(genes), loop), rows
-    assert len(inst.cells) == 7 and len(inst.pad_index) == 7 * inst.label_pad.size
+    assert len(inst.pad_index) == 7 * inst.label_pad.size
 
 
 @pytest.mark.parametrize(

@@ -223,6 +223,39 @@ def test_construction_sorts_and_numbers_the_edges():
     assert topo == Topology(nodes=(10, 20, 30), links=topo.links[::-1])
 
 
+_NOT_INTEGERS = [1.5, 1.0, True, "1", np.float64(1.0), np.True_]
+
+
+@pytest.mark.parametrize("place", ["node", "link src", "link dst", "pod switch", "pod index"])
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+def test_topology_refuses_an_id_that_is_not_an_integer(place, value):
+    # 1.0 and True equal the switch 1, so they would pass the membership
+    # checks and be saved as records load_topology refuses
+    nodes, src, dst, pod_of = (1, 2), 1, 2, {1: 0}
+    if place == "node":
+        nodes = (value, 2)
+    elif place == "pod switch":
+        pod_of = {value: 0}
+    elif place == "pod index":
+        pod_of = {1: value}
+    else:
+        src, dst = (value, 2) if place == "link src" else (2, value)
+    expected = (f"pod index {value!r} out of range for 1" if place == "pod index"
+                else f"switch id {value!r} is not an integer")
+    with pytest.raises(CectLabError, match=f"^{re.escape(expected)}$"):
+        Topology(nodes=nodes, links=((src, dst, 10.0),), pod_of=pod_of)
+
+
+def test_topology_with_numpy_integer_ids_saves_and_reloads_equal(tmp_path):
+    one, two = np.int64(1), np.uint16(2)
+    topo = Topology(nodes=(one, two), links=((one, two, 10.0), (2, np.int32(1), 5.0)),
+                    pod_of={one: np.int8(0), two: 1})
+    assert topo.edge_keys == ((1, 2), (2, 1)) and topo.node_ids.tolist() == [1, 2]
+    path = tmp_path / "topology.txt"
+    save_topology(topo, path)
+    assert load_topology(path) == topo
+
+
 @pytest.mark.parametrize("node", [2**63, -(2**63) - 1, 99999999999999999999999])
 def test_switch_ids_must_fit_int64(tmp_path, node):
     with pytest.raises(CectLabError, match=f"^switch id {node} does not fit in int64$"):

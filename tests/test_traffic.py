@@ -295,6 +295,28 @@ def test_flow_invariants():
         FlowSet(flows=(Flow(id=2, src=1, dst=2, demand=1.0),))
 
 
+_NOT_INTEGERS = [1.5, 1.0, True, "1", np.float64(4.0), np.True_]
+
+
+@pytest.mark.parametrize("field", ["id", "src", "dst"])
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+def test_flow_refuses_an_id_that_is_not_an_integer(field, value):
+    # a float or a bool compares equal to an int, so it would pass every
+    # other check and be saved as a record load_flows refuses
+    ids = dict(id=1, src=1, dst=4) | {field: value}
+    with pytest.raises(ValueError, match=f": {field} {re.escape(repr(value))} is not an integer$"):
+        Flow(**ids, demand=0.5)
+
+
+def test_flows_with_numpy_integer_ids_save_and_reload_equal(tmp_path):
+    flows = FlowSet((Flow(np.int64(1), np.int32(1), np.uint8(4), 0.5),
+                     Flow(2, np.int16(4), 2, 1.25, "small")))
+    assert flows.ends.tolist() == [[1, 4], [4, 2]]
+    path = tmp_path / "flows.txt"
+    save_flows(flows, path)
+    assert load_flows(path) == flows
+
+
 def test_load_flows_names_line_of_unit_less_demand(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("flow 1 1 2 1.0 custom\nflow 2 2 1 0.0004 custom\n", encoding="utf-8")
