@@ -441,6 +441,9 @@ def report(results_dir, out_dir=None) -> dict[str, Path]:
         try:
             rows = [{**r, "n_flows": int(r["n_flows"]), **{m: float(r[m]) for m in metric_files}}
                     for r in reader]
+            bad = [(m, r[m]) for r in rows for m in metric_files if not np.isfinite(r[m])]
+            if bad:  # run writes none; nan or an infinity would pass into every table
+                raise ValueError("%s %r is not a finite number" % bad[0])
         except ValueError as exc:
             raise ValueError(f"{results_file}: {exc}") from exc
     if not rows:

@@ -257,19 +257,20 @@ def format_assignment(
     return format_paths(xpath_table, labels, "flow %d via %d: ", 1 + np.arange(len(labels)), labels)
 
 
-# A line exactly as format_assignment writes it, its numbers short enough for
-# int64. A text is checked by deleting these lines: unlike one match of a
-# repeated group, that keeps the regex engine's memory flat.
+# A line as format_assignment writes it, the one line a dump may hold.
+_LINE = re.compile("flow ([0-9]+) via ([0-9]+): (-?[0-9]+(?: -> -?[0-9]+)*)")
+# The subset of _LINE that bulk reading takes: no minus sign and numbers short
+# enough for int64. A text is checked by deleting these lines: unlike one match
+# of a repeated group, that keeps the regex engine's memory flat.
 _PLAIN_LINE = re.compile("flow [0-9]{1,18} via [0-9]{1,18}: [0-9]{1,18}(?: -> [0-9]{1,18})*\n")
 
 
 def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Parse format_assignment output back to flow id -> (label, hops).
 
-    Raises CectLabError naming the line of a malformed entry, an
-    empty path, a hop that is not an integer, or a repeated flow id. A text
-    made only of lines as format_assignment writes them is read in bulk;
-    any other text line by line, each number as int() reads it.
+    Lines end at a newline only; blank lines and the whitespace around a line are skipped. A line
+    that is not a _LINE, or repeats a flow id, raises CectLabError naming it. A text made only
+    of _PLAIN_LINE lines is read in bulk; any other text line by line.
     """
     body = text if text.endswith("\n") else text + "\n"
     if not _PLAIN_LINE.sub("", body):
@@ -286,24 +287,13 @@ def parse_assignment_dump(text: str) -> dict[int, tuple[int, tuple[int, ...]]]:
     out = {}
 
     def record(line: str) -> None:
-        head, _, tail = line.partition(":")
-        parts = head.split()
-        unrecognized = ValueError(f"unrecognized assignment line {line!r}")
-        if len(parts) != 4 or parts[0] != "flow" or parts[2] != "via":
-            raise unrecognized
-        try:
-            flow_id, label = int(parts[1]), int(parts[3])
-        except ValueError:
-            raise unrecognized
-        if not tail.strip():
-            raise ValueError(f"flow {flow_id} has an empty path")
-        try:
-            hops = tuple(map(int, tail.split("->")))
-        except ValueError:
-            raise ValueError(f"flow {flow_id}: a hop of {tail.strip()!r} is not an integer")
+        match = _LINE.fullmatch(line)
+        if not match:
+            raise ValueError(f"unrecognized assignment line {line!r}")
+        flow_id = int(match[1])
         if flow_id in out:
             raise ValueError(f"flow {flow_id} is listed twice")
-        out[flow_id] = (label, hops)
+        out[flow_id] = (int(match[2]), tuple(map(int, match[3].split(" -> "))))
 
-    read_records(text.splitlines(), record)
+    read_records(text.split("\n"), record)  # as bulk reading, not at a form feed
     return out

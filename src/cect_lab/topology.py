@@ -245,7 +245,7 @@ def load_topology(path) -> Topology:
         edge <src> <dst> <capacity>
         pod <id> <pod-index>
     """
-    nodes: list[int] = []
+    nodes: set[int] = set()
     links: list[tuple[int, int, float]] = []
     pod_of: dict[int, int] = {}
     seen_edges: set[tuple[int, int]] = set()
@@ -253,8 +253,11 @@ def load_topology(path) -> Topology:
     def record(line: str) -> None:
         kind, *fields = line.split()
         if kind == "node" and len(fields) == 1:
-            nodes.append(int(fields[0]))
-            _check_switch(nodes[-1])
+            node = int(fields[0])
+            _check_switch(node)
+            if node in nodes:
+                raise ValueError(f"switch {node} is listed twice")
+            nodes.add(node)
         elif kind == "edge" and len(fields) == 3:
             link = (int(fields[0]), int(fields[1]), float(fields[2]))
             _check_link(*link, seen_edges)
@@ -270,6 +273,6 @@ def load_topology(path) -> Topology:
     with open(path, encoding="utf-8") as fh:
         read_records((raw.split("#", 1)[0] for raw in fh), record, f"{path}: ")
     try:
-        return Topology(nodes=tuple(set(nodes)), links=tuple(links), pod_of=pod_of)
+        return Topology(nodes=tuple(nodes), links=tuple(links), pod_of=pod_of)
     except CectLabError as exc:
         raise CectLabError(f"{path}: {exc}") from exc

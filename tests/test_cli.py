@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -561,6 +564,22 @@ def test_report_rejects_missing_or_empty(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: ") == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["throughput", "loss_pct", "mu", "wall_time_total"])
+def test_report_refuses_a_metric_that_is_not_finite(tmp_path, capsys, column, value):
+    rows = [[method, "100", seed, "5", "1", "0.5", "0.2", "0.002"]
+            for method, seed in (("cect", "0"), ("cect", "1"), ("ecmp", "0"))]
+    rows[1][experiment.RESULT_COLUMNS.index(column)] = value
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join(map(",".join, [experiment.RESULT_COLUMNS, *rows])) + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["report", "--results", str(tmp_path), "--out-dir", str(out)]) == 2
+    message = f"error: {results}: {column} {value} is not a finite number\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_report_fits_the_loglog_slope_of_wall_time(tmp_path):
     # cect's mean times grow as 0.002 * n**1.5; ecmp has one flow count, so no slope
     lines = [",".join(experiment.RESULT_COLUMNS)]
@@ -1042,6 +1061,29 @@ def test_cli_input_errors_exit_2_without_a_traceback(tmp_path, capsys, command, 
     # the message names the bad file among the command's inputs, and its line or setting
     assert str(paths[file]) in err
     assert re.search(names, err)
+
+
+def test_cli_runs_as_a_process_and_exits_2_on_a_bad_dump_line(tmp_path):
+    # the module entry point, as a shell runs it: exit codes and stderr, not main()'s return
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    (tmp_path / "lab.ini").write_text("[topology]\nkind = fig2a\n", encoding="utf-8")
+    (tmp_path / "flows.txt").write_text("flow 1 3 1 1.0 custom\n", encoding="utf-8")
+    (tmp_path / "dump.txt").write_text("flow 1 via 1: 1->5\n", encoding="utf-8")
+
+    def cect_lab(*argv):
+        return subprocess.run([sys.executable, "-m", "cect_lab.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = cect_lab("paths", "--config", "lab.ini", "--out", "paths.txt")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "paths.txt").read_text(encoding="utf-8").startswith("label 1: ")
+    done = cect_lab("simulate", "--config", "lab.ini", "--flows", "flows.txt",
+                    "--assignment", "dump.txt", "--out-dir", "out")
+    assert done.returncode == 2
+    message = "error: dump.txt: line 1: unrecognized assignment line 'flow 1 via 1: 1->5'\n"
+    assert done.stderr == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_rejects_a_looping_path(tmp_path, capsys):

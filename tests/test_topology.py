@@ -293,6 +293,14 @@ def test_load_rejects_repeated_pod(tmp_path):
     assert str(info.value) == f"{path}: line 3: pod entry for switch 1 is listed twice"
 
 
+def test_load_rejects_repeated_node(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("node 1\nnode 2\n\nnode 1\nedge 1 2 5\n")
+    with pytest.raises(CectLabError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: line 4: switch 1 is listed twice"
+
+
 @pytest.mark.parametrize("records, detail", [
     ("node 1\nnode 2\nedge 2 9 1.0\n", "edge 2 -> 9 uses unknown switch"),
     ("node 1\nnode 2\nedge 1 2 1.0\npod 7 0\n", "pod entry for unknown switch 7"),
