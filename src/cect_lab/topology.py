@@ -9,6 +9,7 @@ Mb/s); an absent edge means capacity zero.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +227,14 @@ def save_topology(topology: Topology, path) -> None:
             fh.write(f"pod {node} {topology.pod_of[node]}\n")
 
 
+# The numbers of a topology or flow record as save_topology and save_flows write
+# them: an id is ASCII digits after an optional minus, and a capacity or demand
+# an ASCII decimal whose exponent alone may carry a sign.
+ID = "(-?[0-9]+)"
+DECIMAL = r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+_RECORD = re.compile(f"node {ID}|edge {ID} {ID} {DECIMAL}|pod {ID} {ID}")
+
+
 def read_records(lines, parse, where: str = "") -> None:
     """Call parse on each stripped, non-blank line; a ValueError or CectLabError it
     raises on a bad record is raised again as a CectLabError prefixed with where and line N."""
@@ -240,7 +249,8 @@ def read_records(lines, parse, where: str = "") -> None:
 def load_topology(path) -> Topology:
     """Parse a topology file; a CectLabError names the file, and the line if any.
 
-    Format (one record per line, '#' starts a comment):
+    Format (one record per line, fields one space apart, '#' starts a comment;
+    ids and capacities as ID and DECIMAL read them):
         node <id>
         edge <src> <dst> <capacity>
         pod <id> <pod-index>
@@ -251,24 +261,25 @@ def load_topology(path) -> Topology:
     seen_edges: set[tuple[int, int]] = set()
 
     def record(line: str) -> None:
-        kind, *fields = line.split()
-        if kind == "node" and len(fields) == 1:
-            node = int(fields[0])
+        match = _RECORD.fullmatch(line)
+        if not match:
+            raise ValueError(f"unrecognized record {line!r}")
+        node, src, dst, cap, pod_node, pod = match.groups()
+        if node is not None:
+            node = int(node)
             _check_switch(node)
             if node in nodes:
                 raise ValueError(f"switch {node} is listed twice")
             nodes.add(node)
-        elif kind == "edge" and len(fields) == 3:
-            link = (int(fields[0]), int(fields[1]), float(fields[2]))
+        elif src is not None:
+            link = (int(src), int(dst), float(cap))
             _check_link(*link, seen_edges)
             links.append(link)
-        elif kind == "pod" and len(fields) == 2:
-            node = int(fields[0])
+        else:
+            node = int(pod_node)
             if node in pod_of:
                 raise ValueError(f"pod entry for switch {node} is listed twice")
-            pod_of[node] = int(fields[1])
-        else:
-            raise ValueError(f"unrecognized record {line!r}")
+            pod_of[node] = int(pod)
 
     with open(path, encoding="utf-8") as fh:
         read_records((raw.split("#", 1)[0] for raw in fh), record, f"{path}: ")

@@ -8,14 +8,14 @@ endpoint pair, shrinking the gene count the solver has to optimize.
 
 from __future__ import annotations
 
-import bisect
 import itertools
+import re
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
 
-from .topology import Topology, has_units, id_problem, read_records, to_units
+from .topology import DECIMAL, ID, Topology, has_units, id_problem, read_records, to_units
 
 # Demand as a fraction of the minimum link capacity, per size class.
 CLASS_FRACTION = {
@@ -137,7 +137,7 @@ def generate_flows(
     n_flows: int,
     class_mix: dict[str, float],
     plr: float,
-    seed: int | None = None,
+    seed: int | np.random.PCG64 | None = None,
 ) -> FlowSet:
     """Draw a synthetic workload of n_flows demands.
 
@@ -145,43 +145,132 @@ def generate_flows(
     plr a flow leaves its originating pod (destination uniform over other
     pods' edge switches), otherwise it stays pod-local. Pod-less topologies
     are treated as one pod covering every switch and require plr == 0.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: an int, or a np.random.PCG64, which
+    default_rng takes as it is and the draw leaves where the loop below would.
+
+    The flows are those of a loop making, per flow, the Generator calls
+    rng.random() for the class, rng.integers(len(edge_switches)) for the
+    source, rng.random() < plr when the source has switches in other pods,
+    and rng.integers(len(pool)) for the destination. They are decoded from
+    one random_raw block of PCG64 words in that order: a double is the top
+    53 bits of one word, and integers() takes 32-bit halves, the buffered
+    high half of an earlier word first, then the low half of a fresh word,
+    whose high half it buffers.
     """
     if n_flows < 0:
         raise ValueError(f"flow count must be >= 0, got {n_flows}")
     check_mix(class_mix, plr)
     check_topology(topology, class_mix, plr)
+    bits = np.random.default_rng(seed).bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"the flow draw decodes PCG64 words, not {type(bits).__name__} ones")
 
-    edge_switches = topology.edge_switches
-    min_cap = float(topology.capacities.min())
+    edges = np.array(topology.edge_switches, np.int64)
+    pod = np.array([topology.pod_of.get(sw, 0) for sw in topology.edge_switches])
+    same = pod[:, None] == pod
+    # (source, leaves its pod, switch): each source's pod-local and remote destination pools
+    in_pool = np.stack([same & ~np.eye(len(edges), dtype=bool), ~same], axis=1)
+    sizes = in_pool.sum(axis=2, dtype=np.uint64)  # uint64, as the bounds of 64-bit products
+    pools = edges[np.argsort(~in_pool, axis=2, kind="stable")]  # each pool first, in edge order
 
-    pods: dict[int, list[int]] = {}
-    for sw in edge_switches:
-        pods.setdefault(topology.pod_of.get(sw, 0), []).append(sw)
-    # each source's (pod-local, remote) destination pools
-    pools = {}
-    for pod, members in pods.items():
-        remote = [s for s in edge_switches if topology.pod_of.get(s, 0) != pod]
-        pools.update({src: ([s for s in members if s != src], remote) for src in members})
+    saved = bits.state
+    pending = saved["has_uint32"]  # a buffered half joins the block as word 0's high half
+    raw = np.array([saved["uinteger"] << 32] * pending, np.uint64)
+    # A flow reads its doubles and at most one fresh word for its two halves, a rejection one
+    # half more. Where every pool holds 2 switches, flows start in kind 0 alone, so the table
+    # holds kind 0 until a walk leaves it, then all 3 kinds, then a longer block.
+    more, kinds = 3 * n_flows + 16, 1 + 2 * pending
+    while True:
+        raw = np.concatenate([raw, bits.random_raw(more)])
+        width = len(raw) + 1
+        picks, succ = _flow_table(raw, sizes, plr, kinds)
+        state, starts = pending * width + pending, np.empty(n_flows, np.int64)
+        walk, follow = memoryview(starts), memoryview(succ)
+        for i in range(n_flows):
+            walk[i] = state
+            state = follow[state]
+        if state < len(succ) - 1:
+            break
+        more, kinds = (len(raw) if kinds == 3 else 0), 3
 
-    rng = np.random.default_rng(seed)
+    # leave the generator as the loop does: past the words read, with their buffered half
+    word, kind = state % width, state // width
+    bits.state = saved
+    bits.advance(word - pending)
+    held = int(raw[word - kind] >> 32) if kind else 0
+    bits.state = {**bits.state, "has_uint32": int(kind > 0), "uinteger": held}
+
     classes = sorted(class_mix)
     # the draw Generator.choice(p=...) makes: one random(), then a right-side search
     cdf = np.cumsum([class_mix[c] for c in classes])
-    cdf = (cdf / cdf[-1]).tolist()
+    cls = np.searchsorted(cdf / cdf[-1], _double(raw, starts % width), side="right")
+    demand = [CLASS_FRACTION[c] * float(topology.capacities.min()) for c in classes]
+    pick = picks[starts]
+    columns = (cls, edges[pick // (2 * len(edges))], pools.ravel()[pick])
+    return FlowSet(flows=tuple(
+        Flow(fid, src, dst, demand[c], classes[c])
+        for fid, c, src, dst in zip(range(1, n_flows + 1), *(col.tolist() for col in columns))
+    ))
 
-    flows = []
-    for fid in range(1, n_flows + 1):
-        cls = classes[bisect.bisect_right(cdf, rng.random())]
-        src = edge_switches[rng.integers(len(edge_switches))]
-        local, remote = pools[src]
-        leave = bool(remote) and (rng.random() < plr or not local)
-        pool = remote if leave else local
-        dst = pool[rng.integers(len(pool))]
-        flows.append(
-            Flow(id=fid, src=src, dst=dst, demand=CLASS_FRACTION[cls] * min_cap, cls=cls)
-        )
-    return FlowSet(flows=tuple(flows))
+
+def _flow_table(raw, sizes, plr, kinds):
+    """Where the flow that the loop draws from each start state of the raw block goes.
+
+    State kind * W + p, with W = len(raw) + 1, has word p next to read and
+    the high half of word p - kind buffered (none when kind is 0); a flow
+    ends in kind 0, 1 or 2. Returns, for the states of the first `kinds`
+    kinds, the flow's index in the flattened (source, leaves, position)
+    pools, and its successor state, with one entry more: kinds * W, the
+    successor of every flow that reads past the block or ends in a later kind.
+    """
+    width, remote, alone = len(raw) + 1, sizes[:, 1] > 0, sizes[:, 0] == 0
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    picks, succs = [], []
+    for kind in range(kinds):
+        p = np.arange(width)
+        buf = 2 * (p - kind) + 1 if kind else np.full(width, -1)
+        # word p is the class's double
+        src, p, buf = _integers(halves, np.full(width, len(sizes), np.uint64), p + 1, buf)
+        leaves = remote[src]
+        pool = 2 * src + (leaves & ((_double(raw, p) < plr) | alone[src]))
+        dst, p, buf = _integers(halves, sizes.ravel()[pool], p + leaves, buf)
+        picks.append(pool * len(sizes) + dst)
+        succ = np.where(buf >= 0, p - buf // 2, 0) * width + p
+        succs.append(np.where(p < width, np.minimum(succ, kinds * width), kinds * width))
+    return np.concatenate(picks), np.append(np.concatenate(succs), kinds * width)
+
+
+def _double(raw, p):
+    """Generator.random() as PCG64 makes it from word p: its top 53 bits over 2**53."""
+    return (raw[np.minimum(p, len(raw) - 1)] >> 11) * 2.0**-53
+
+
+def _integers(halves, bounds, p, buf):
+    """Generator.integers(bounds) from each state (p, buf), as numpy draws it on PCG64.
+
+    halves holds each word's low then high 32 bits, and buf is the index in
+    it of the buffered half, or negative for none. A draw reads the buffered
+    half, else the low half of word p. Lemire's test (TOMACS 2019) rejects
+    it with probability below bound / 2**32, and the draw then reads the
+    low half of word p, or the half after the rejected one. A bound of 1
+    reads nothing. Returns the values and the states after.
+    """
+    draws = bounds > 1
+    j = np.where(buf >= 0, buf, 2 * p)
+    while True:
+        product = halves[np.minimum(j, len(halves) - 1)] * bounds
+        leftover = product & 0xFFFFFFFF
+        # numpy tests leftover < bound before it computes the threshold 2**32 % bound; a draw
+        # that has run past the block stops there, its state past it
+        maybe = np.flatnonzero((leftover < bounds) & (j < len(halves)))
+        rejected = maybe[leftover[maybe] < 2**32 % bounds[maybe]]
+        if not rejected.size:
+            break
+        j[rejected] = np.where(j[rejected] == buf[rejected], 2 * p[rejected], j[rejected] + 1)
+    fresh = draws & (j != buf)
+    # a low half read fresh buffers the high half after it; any other draw empties the buffer
+    buf = np.where(draws, np.where(fresh & (j % 2 == 0), j + 1, -1), buf)
+    return (product >> 32).view(np.int64), np.where(fresh, j // 2 + 1, p), buf
 
 
 def compress_flows(flowset: FlowSet, lower_bound: float, upper_bound: float) -> FlowSet:
@@ -227,15 +316,19 @@ def save_flows(flowset: FlowSet, path) -> None:
             fh.write(f"flow {f.id} {f.src} {f.dst} {float(f.demand)!r} {f.cls}\n")
 
 
+_RECORD = re.compile(rf"flow {ID} {ID} {ID} {DECIMAL} (\S+)")
+
+
 def load_flows(path) -> FlowSet:
-    """Parse a flow file; a CectLabError names the file and the line."""
+    """Parse a file of save_flows records, ids and demands as ID and DECIMAL read them;
+    a CectLabError names the file and the line."""
     flows = []
 
     def record(line: str) -> None:
-        parts = line.split()
-        if len(parts) != 6 or parts[0] != "flow":
+        if not (match := _RECORD.fullmatch(line)):
             raise ValueError(f"unrecognized record {line!r}")
-        flows.append(Flow(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), parts[5]))
+        fid, src, dst, demand, cls = match.groups()
+        flows.append(Flow(int(fid), int(src), int(dst), float(demand), cls))
         if flows[-1].id != len(flows):
             raise ValueError(f"flow id {flows[-1].id} breaks the dense order 1..N")
 

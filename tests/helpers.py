@@ -6,15 +6,18 @@ breadth-first search, each label's hop sequence from its edges' keys (not
 Topology.edge_ends), pair lookups from each label's hop sequence, and the
 max-min oracle probes feasibility on a rate grid instead of tracking
 bottleneck events. reference_validate, reference_uniform_crossover,
-reference_compress_flows and reference_edge_switches are the exceptions:
-they keep the package's rule-by-rule validator, its one-shot crossover, its
-bucket-per-pair compression and its edge-switch method, which the fast path,
-the blocked crossover, the one-sort compression and Topology.edge_switches
-must agree with.
+reference_compress_flows, reference_edge_switches and
+reference_generate_flows are the exceptions: they keep the package's
+rule-by-rule validator, its one-shot crossover, its bucket-per-pair
+compression, its edge-switch method and its per-flow draw, which the fast
+path, the blocked crossover, the one-sort compression,
+Topology.edge_switches and the raw-word decoding of generate_flows must
+agree with.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import replace
 
@@ -34,7 +37,7 @@ from cect_lab.routing import (
     _check_rows,
 )
 from cect_lab.topology import Topology
-from cect_lab.traffic import Flow, FlowSet
+from cect_lab.traffic import CLASS_FRACTION, Flow, FlowSet, check_mix, check_topology
 from cect_lab.xpath import XPathTable
 
 
@@ -49,6 +52,52 @@ def random_topology(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0
     if not links:  # keep the instance non-degenerate
         links.append((1, 2, capacity))
     return Topology(nodes=tuple(range(1, n_nodes + 1)), links=tuple(links))
+
+
+def reference_generate_flows(
+    topology: Topology,
+    n_flows: int,
+    class_mix: dict[str, float],
+    plr: float,
+    seed: int | np.random.PCG64 | None = None,
+) -> FlowSet:
+    """generate_flows as a per-flow loop of scalar Generator calls, which the
+    raw-word decoding must reproduce flow for flow."""
+    if n_flows < 0:
+        raise ValueError(f"flow count must be >= 0, got {n_flows}")
+    check_mix(class_mix, plr)
+    check_topology(topology, class_mix, plr)
+
+    edge_switches = topology.edge_switches
+    min_cap = float(topology.capacities.min())
+
+    pods: dict[int, list[int]] = {}
+    for sw in edge_switches:
+        pods.setdefault(topology.pod_of.get(sw, 0), []).append(sw)
+    # each source's (pod-local, remote) destination pools
+    pools = {}
+    for pod, members in pods.items():
+        remote = [s for s in edge_switches if topology.pod_of.get(s, 0) != pod]
+        pools.update({src: ([s for s in members if s != src], remote) for src in members})
+
+    rng = np.random.default_rng(seed)
+    classes = sorted(class_mix)
+    # the draw Generator.choice(p=...) makes: one random(), then a right-side search
+    cdf = np.cumsum([class_mix[c] for c in classes])
+    cdf = (cdf / cdf[-1]).tolist()
+
+    flows = []
+    for fid in range(1, n_flows + 1):
+        cls = classes[bisect.bisect_right(cdf, rng.random())]
+        src = edge_switches[rng.integers(len(edge_switches))]
+        local, remote = pools[src]
+        leave = bool(remote) and (rng.random() < plr or not local)
+        pool = remote if leave else local
+        dst = pool[rng.integers(len(pool))]
+        flows.append(
+            Flow(id=fid, src=src, dst=dst, demand=CLASS_FRACTION[cls] * min_cap, cls=cls)
+        )
+    return FlowSet(flows=tuple(flows))
 
 
 def reference_edge_switches(topology: Topology) -> list[int]:

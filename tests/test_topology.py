@@ -179,6 +179,8 @@ def test_load_rejects_zero_capacity(tmp_path, capacity):
     path = tmp_path / "bad.txt"
     path.write_text(f"node 1\nnode 2\nedge 1 2 {capacity}\n")
     message = capacity_error(float(capacity), where=f"{path}: line 3: ")
+    if capacity in ("-1", "inf", "nan"):  # no ASCII decimal: the record grammar refuses it
+        message = f"^{re.escape(f'{path}: line 3: unrecognized record')} 'edge 1 2 {capacity}'$"
     with pytest.raises(CectLabError, match=message):
         load_topology(path)
     with pytest.raises(CectLabError, match=capacity_error(float(capacity))):
@@ -315,6 +317,35 @@ def test_load_names_the_file_of_an_inconsistent_topology(tmp_path, records, deta
     assert str(info.value) == f"{path}: {detail}"
 
 
+@pytest.mark.parametrize("record", [
+    "node +1", "node 2_0", "node \u0663", "node 1.0", "edge 1 2 1_0.5", "edge 2 1 +10",
+    "edge 1 2 inf", "edge 1 2 nan", "edge 1 2 -5", "edge 1 2 1e+", "pod 1 +0", "pod 1 0_0",
+    "edge 1  2 5", "edge 1\t2 5",
+])
+def test_load_refuses_a_number_that_save_topology_never_writes(tmp_path, record):
+    # int() and float() read signs, underscores, non-ASCII digits, inf and nan, and
+    # str.split() splits at any run of whitespace
+    path = tmp_path / "bad.txt"
+    path.write_text(f"node 1\nnode 2\n{record}\n", encoding="utf-8")
+    with pytest.raises(CectLabError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: line 3: unrecognized record {record!r}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=6, unique=True),
+       capacities=st.lists(st.floats(0.0006, 9.2e15), min_size=1, max_size=5),
+       pods=st.lists(st.integers(0, 2**63 - 1), max_size=6))
+def test_every_topology_saved_reloads_equal(tmp_path_factory, ids, capacities, pods):
+    links = tuple((ids[i], ids[i + 1], cap) for i, cap in enumerate(capacities[: len(ids) - 1]))
+    topo = Topology(nodes=tuple(ids), links=links, pod_of=dict(zip(ids, pods)))
+    path = tmp_path_factory.mktemp("topology") / "topology.txt"
+    save_topology(topo, path)
+    loaded = load_topology(path)
+    assert loaded == topo
+    assert loaded.capacities.tolist() == topo.capacities.tolist()
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("switch 1\n")
@@ -336,7 +367,7 @@ def test_load_names_path_and_line_after_comments_and_blanks(tmp_path):
     path.write_text("# header\n\nnode 1 # first\n   \nnode 2\nedge 1 2 x\n")
     with pytest.raises(CectLabError) as info:
         load_topology(path)
-    assert str(info.value) == f"{path}: line 6: could not convert string to float: 'x'"
+    assert str(info.value) == f"{path}: line 6: unrecognized record 'edge 1 2 x'"
     path.write_text("node 1\n# pod 1 0\nlink 1 2 # the rest\n")
     with pytest.raises(CectLabError) as info:
         load_topology(path)

@@ -21,7 +21,12 @@ from cect_lab.traffic import (
     save_flows,
 )
 
-from helpers import make_flows, reference_compress_flows
+from helpers import (
+    make_flows,
+    random_topology,
+    reference_compress_flows,
+    reference_generate_flows,
+)
 
 MIX = {"micro": 0.4, "small": 0.3, "medium": 0.2, "big": 0.1}
 
@@ -69,6 +74,134 @@ def test_generation_stream_is_pinned():
             for f in generate_flows(topo, 400, mix, plr, seed=3).flows:
                 digest.update(f"{f.id} {f.src} {f.dst} {f.demand!r} {f.cls}\n".encode())
     assert digest.hexdigest() == "96e8594f9768fbaf29ed9bc21d74128aaf3d8c05140a9f24926adc950c3106c7"
+
+
+def _podded_topology(seed: int, pods: list[int]) -> Topology:
+    """random_topology's links among switches 1..len(pods) that stay in a pod, switch i in
+    pods[i - 1], plus links from an unlabeled hub to each: every labeled switch is an
+    access switch, and a pod of one switch leaves its switch no local destination."""
+    hub = len(pods) + 1
+    inside = random_topology(np.random.default_rng(seed), len(pods)).links
+    links = [(s, d, c) for s, d, c in inside if pods[s - 1] == pods[d - 1]]
+    links += [(hub, s, 10.0) for s in range(1, hub)]
+    return Topology(nodes=tuple(range(1, hub + 1)), links=tuple(links),
+                    pod_of={s: pod for s, pod in enumerate(pods, start=1)})
+
+
+_FAT_TREES = {k: make_fat_tree(k) for k in (4, 6, 8)}
+
+
+@st.composite
+def _draw_inputs(draw):
+    """A topology, a class mix and a plr it admits: fat trees k in {4, 6, 8}, the
+    pod-less samples at plr 0, and random topologies with random pods."""
+    kind = draw(st.sampled_from(["fat tree", "fig2a", "fig2b", "pods"]))
+    if kind == "fat tree":
+        topo = _FAT_TREES[draw(st.sampled_from(sorted(_FAT_TREES)))]
+    elif kind == "pods":
+        pods = draw(st.lists(st.integers(0, 3), min_size=2, max_size=10))
+        topo = _podded_topology(draw(st.integers(0, 2**32)), pods)
+    else:
+        topo = make_sample_topology(kind)
+    weights = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any))
+    mix = {cls: w / sum(weights) for cls, w in zip(sorted(CLASS_FRACTION), weights)}
+    plr = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) if topo.pod_of else 0.0
+    return topo, mix, plr
+
+
+def _position(bits: np.random.PCG64):
+    """Where a generator's stream stands: its LCG state, and its buffered half if any."""
+    state = bits.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=_draw_inputs(), n_flows=st.integers(0, 3000), seed=st.integers(0, 2**64 - 1))
+def test_the_draw_matches_the_per_flow_loop(inputs, n_flows, seed):
+    # the draw decodes numpy's PCG64 stream layout; this guards that reliance
+    topo, mix, plr = inputs
+    bits, reference_bits = np.random.PCG64(seed), np.random.PCG64(seed)
+    drawn = generate_flows(topo, n_flows, mix, plr, bits)
+    expected = reference_generate_flows(topo, n_flows, mix, plr, reference_bits)
+    assert drawn == expected
+    assert [f.cls for f in drawn.flows] == [f.cls for f in expected.flows]
+    assert np.array_equal(drawn.ends, expected.ends)
+    assert np.array_equal(drawn.demands, expected.demands)
+    assert _position(bits) == _position(reference_bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=_draw_inputs(), n_flows=st.integers(0, 600), data=st.data(),
+       seed=st.integers(0, 2**32))
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one(inputs, n_flows, data, seed):
+    topo, mix, plr = inputs
+    m = data.draw(st.integers(0, n_flows))
+    prefix = generate_flows(topo, n_flows, mix, plr, seed).flows[:m]
+    assert generate_flows(topo, m, mix, plr, seed) == FlowSet(flows=prefix)
+
+
+_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_GOLDEN = 0x9E3779B9  # a 32-bit half that the bounds 15 and 18 accept
+
+
+def _crafted(word: int, value: int, pending: int | None = None) -> np.random.PCG64:
+    """A PCG64 whose raw output number `word` (from 0) is value, with pending as its
+    buffered half if given. PCG64 steps its LCG, then outputs the XSL-RR of the new
+    state: rotr64(high ^ low, state >> 122). So a state with a fixed high word and
+    low = rotl64(value, rot) ^ high outputs value; stepping it back word + 1 times
+    with the inverse multiplier gives the state to start from."""
+    inc, high, mask = np.random.PCG64(7).state["state"]["inc"], 0x0123456789ABCDEF, 2**64 - 1
+    rot = high >> 58
+    low = (((value << rot) | (value >> (64 - rot))) & mask) ^ high
+    state = (high << 64) | low
+    for _ in range(word + 1):
+        state = (state - inc) * pow(_MULTIPLIER, -1, 2**128) % 2**128
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": int(pending is not None), "uinteger": pending or 0}
+    return bits
+
+
+@pytest.mark.parametrize("word, value, pending, buffered_after", [
+    # flow 1's source reads word 4's low half: 0 leaves 0 < 2**32 % 18 = 4
+    (4, _GOLDEN << 32, None, True),
+    # flow 1's destination reads word 4's buffered high half: 0 < 2**32 % 15 = 1
+    (4, _GOLDEN, None, True),
+    # flow 0's source takes the buffered half, so its destination reads word 2 fresh
+    (2, _GOLDEN << 32, _GOLDEN, False),
+], ids=["source", "destination-buffered", "destination-fresh"])
+def test_a_lemire_rejection_reads_the_next_half(word, value, pending, buffered_after):
+    # no practical seed reaches a rejection, so crafted words make one. On a
+    # k=6 fat tree at plr 1 every flow reads 3 words, and whether a half is
+    # buffered after the draw tells that the rejection read one half more.
+    topo = make_fat_tree(6)
+    assert _crafted(word, value).random_raw(word + 1)[word] == value
+    bits, reference_bits = _crafted(word, value, pending), _crafted(word, value, pending)
+    drawn = generate_flows(topo, 40, MIX, 1.0, bits)
+    assert drawn == reference_generate_flows(topo, 40, MIX, 1.0, reference_bits)
+    assert _position(bits) == _position(reference_bits)
+    assert bits.state["has_uint32"] == buffered_after
+
+
+class _ShortBlocks(np.random.PCG64):
+    """A PCG64 that hands out at most 7 raw words per call, so the draw runs past its block."""
+
+    def random_raw(self, size=None, output=True):
+        return super().random_raw(min(size, 7), output)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_a_draw_past_its_block_reads_more_words(k):
+    topo = make_fat_tree(k)
+    bits, reference_bits = _ShortBlocks(5), np.random.PCG64(5)
+    drawn = generate_flows(topo, 60, MIX, 0.3, bits)
+    assert drawn == reference_generate_flows(topo, 60, MIX, 0.3, reference_bits)
+    assert _position(bits) == _position(reference_bits)
+
+
+def test_the_draw_decodes_pcg64_alone():
+    with pytest.raises(TypeError, match="^the flow draw decodes PCG64 words, not MT19937 ones$"):
+        generate_flows(make_fat_tree(4), 3, MIX, 0.5, np.random.MT19937(1))
 
 
 def test_sources_are_edge_switches():
@@ -243,6 +376,38 @@ def test_flow_file_round_trip_keeps_every_digit(tmp_path):
     path = tmp_path / "flows.txt"
     save_flows(flows, path)
     assert load_flows(path) == flows
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(
+    st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1),
+              st.floats(0.0005000000000000001, 9.2e15), st.sampled_from(FLOW_CLASSES))
+    .filter(lambda spec: spec[0] != spec[1]),
+    max_size=8,
+))
+def test_every_flow_file_saved_reloads_equal(tmp_path_factory, specs):
+    flows = FlowSet(tuple(Flow(i, *spec) for i, spec in enumerate(specs, start=1)))
+    path = tmp_path_factory.mktemp("flows") / "flows.txt"
+    save_flows(flows, path)
+    loaded = load_flows(path)
+    assert loaded == flows
+    assert loaded.demands.tolist() == flows.demands.tolist()
+
+
+@pytest.mark.parametrize("record", [
+    "flow +1 1 2 1.0 custom", "flow 1 2_0 1 1.0 custom", "flow 1 1 \u0663 1.0 custom",
+    "flow 1 1 2 1_0.5 custom", "flow 1 1 2 +10 custom", "flow 1 1 2 inf custom",
+    "flow 1 1 2 nan custom", "flow 1 1 2 -1.0 custom", "flow 1.0 1 2 1.0 custom",
+    "flow 1 1 2 1.0e custom", "flow 1  1 2 1.0 custom", "flow 1 1\t2 1.0 custom",
+])
+def test_load_flows_refuses_a_number_that_save_flows_never_writes(tmp_path, record):
+    # int() and float() read signs, underscores, non-ASCII digits, inf and nan, and
+    # str.split() splits at any run of whitespace
+    path = tmp_path / "flows.txt"
+    path.write_text(f"{record}\n", encoding="utf-8")
+    with pytest.raises(CectLabError) as info:
+        load_flows(path)
+    assert str(info.value) == f"{path}: line 1: unrecognized record {record!r}"
 
 
 def test_flowset_arrays_are_built_once_and_read_only():
