@@ -125,7 +125,8 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # matrix_from_paths has checked that the dump routes every flow
     flow_rows = [
-        (f.id, f.demand, result.per_flow_rate[f.id], dump[f.id][0]) for f in flows.flows
+        (i, demand, result.per_flow_rate[i], dump[i][0])
+        for i, demand in enumerate(flows.demands.tolist(), start=1)
     ]
     experiment.write_rows(
         out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"), flow_rows

@@ -123,7 +123,7 @@ def run_volume_schedule(
     demands, caps = flowset.demands, topology.capacities
     if unknown := volumes.keys() - range(1, flowset.count + 1):
         raise ValueError(f"volume given for unknown flow {min(unknown, key=repr)!r}")
-    remaining = np.array([volumes.get(f.id, 0.0) for f in flowset.flows], dtype=np.float64)
+    remaining = np.array([volumes.get(i, 0.0) for i in range(1, flowset.count + 1)], np.float64)
     if not (remaining >= 0).all():  # NaN fails too
         i = int(np.argmin(remaining >= 0))
         raise ValueError(f"flow {i + 1}: volume {remaining[i]} is not a number >= 0")

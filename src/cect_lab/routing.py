@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CectLabError
 from .kernels import csr_rows
 from .topology import Topology, read_records
-from .traffic import Flow, FlowSet
+from .traffic import FlowSet
 from .xpath import XPathTable, format_paths
 
 # Structural rules a flow's edge list must satisfy to form a simple
@@ -122,15 +122,15 @@ def matrix_from_paths(
     bad[row[:-1][inside & (pair_ids < 0)]] = True
     if bad.any():
         i = int(np.argmax(bad))
-        flow, path = flowset.flows[i], hops_by_flow.get(i + 1)
+        (src, dst), path = flowset.ends[i].tolist(), hops_by_flow.get(i + 1)
         if not path:
             detail = "no path assigned" if path is None else "empty path"
-        elif (path[0], path[-1]) != (flow.src, flow.dst):
-            detail = f"path {path[0]}->{path[-1]} does not match flow {flow.src}->{flow.dst}"
+        elif (path[0], path[-1]) != (src, dst):
+            detail = f"path {path[0]}->{path[-1]} does not match flow {src}->{dst}"
         else:
             j = int(np.argmax(pair_ids[first[i] : first[i] + counts[i] - 1] < 0))
             detail = f"path uses unknown edge {tuple(path[j : j + 2])}"
-        raise CectLabError(f"flow {flow.id}: {detail}")
+        raise CectLabError(f"flow {i + 1}: {detail}")
     return _matrix(np.r_[0, np.cumsum(counts - 1)], pair_ids[inside], flowset, topology)
 
 
@@ -150,12 +150,12 @@ def check_labels(labels: np.ndarray, flowset: FlowSet, xpath_table: XPathTable) 
     ok = in_table & (ends == flowset.ends).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
-        flow, (src, dst) = flowset.flows[i], ends[i].tolist()
+        (src, dst), (path_src, path_dst) = flowset.ends[i].tolist(), ends[i].tolist()
         detail = (
-            f"path {src}->{dst} does not match flow {flow.src}->{flow.dst}"
+            f"path {path_src}->{path_dst} does not match flow {src}->{dst}"
             if in_table[i] else "label not in table"
         )
-        message = f"flow {flow.id}: path label {labels[i]} is not feasible ({detail})"
+        message = f"flow {i + 1}: path label {labels[i]} is not feasible ({detail})"
         raise CectLabError(message)
     return labels
 
@@ -209,15 +209,16 @@ def validate(
         # a row's tails and last head, keyed by row: a repeated switch sits next to itself
         key = np.sort(np.r_[row, full] * n + np.r_[tail, head[last]])
         bad[key[1:][key[1:] == key[:-1]] // n] = True
-    failing = np.flatnonzero(bad).tolist()
-    rows = [(flowset.flows[i], routing_matrix.edge_ids[ptr[i] : ptr[i + 1]]) for i in failing]
-    return [violation for flow, edges in rows for violation in _flow_violations(flow, edges, keys)]
+    failing = np.flatnonzero(bad)
+    rows = zip(failing.tolist(), flowset.ends[failing].tolist())
+    return [violation for i, ends in rows for violation in
+            _flow_violations(i + 1, ends, routing_matrix.edge_ids[ptr[i] : ptr[i + 1]], keys)]
 
 
-def _flow_violations(flow: Flow, edge_ids: np.ndarray, keys) -> list[Violation]:
-    """Every rule one flow's edge ids break, rule by rule, each rule's edges or
-    switches ascending; degrees count each distinct known edge once."""
-    flow_id, src, dst, edges = flow.id, flow.src, flow.dst, edge_ids.tolist()
+def _flow_violations(flow_id: int, ends: list[int], edge_ids, keys) -> list[Violation]:
+    """Every rule that flow flow_id, with its (src, dst) ends, breaks with its edge ids, rule by
+    rule, each rule's edges or switches ascending; degrees count each distinct known edge once."""
+    (src, dst), edges = ends, edge_ids.tolist()
     times = Counter(e for e in edges if 0 <= e < len(keys))
     found = [Violation(flow_id, RULE_KNOWN_EDGE, e) for e in sorted(set(edges) - set(times))]
     found += [Violation(flow_id, RULE_BINARY_INDICATOR, keys[e], f"value {n}")

@@ -26,9 +26,11 @@ def to_units(bandwidth: np.ndarray) -> np.ndarray:
     return np.rint(bandwidth * UNITS_PER_BW).astype(np.int64)
 
 
-def has_units(bandwidth: float) -> bool:
-    """Whether to_units(bandwidth) is at least 1 and fits int64 (False for NaN)."""
-    return 0.5 < bandwidth * UNITS_PER_BW < 2**63
+def has_units(bandwidth):
+    """Whether to_units(bandwidth) is at least 1 and fits int64 (False for NaN), a bool for
+    a float and a bool array for an array."""
+    units = bandwidth * UNITS_PER_BW
+    return (0.5 < units) & (units < 2**63)
 
 
 def id_problem(value) -> str:

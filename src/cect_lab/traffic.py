@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -58,49 +60,87 @@ class Flow:
         for name, value in (("id", self.id), ("src", self.src), ("dst", self.dst)):
             if problem := id_problem(value):
                 raise ValueError(f"flow {self.id!r}: {name} {value!r} {problem}")
-        if self.src == self.dst:
-            raise ValueError(f"flow {self.id}: src equals dst ({self.src})")
-        if self.demand <= 0:
-            raise ValueError(f"flow {self.id}: demand must be positive")
-        if not has_units(self.demand):
-            raise ValueError(
-                f"flow {self.id}: demand {self.demand!r} is not finite or rounds to 0 load units"
-            )
-        if self.cls not in FLOW_CLASSES:
-            raise ValueError(f"flow {self.id}: unknown class {self.cls!r}")
+        if problem := _flow_problem(self.src, self.dst, self.demand, self.cls):
+            raise ValueError(f"flow {self.id}: {problem}")
 
 
-@dataclass(frozen=True)
+def _flow_problem(src: int, dst: int, demand: float, cls: str) -> str:
+    """Why no flow joins src to dst with this demand and class; "" if one does."""
+    if src == dst:
+        return f"src equals dst ({src})"
+    if demand <= 0:
+        return "demand must be positive"
+    if not has_units(demand):
+        return f"demand {demand!r} is not finite or rounds to 0 load units"
+    return "" if cls in FLOW_CLASSES else f"unknown class {cls!r}"
+
+
 class FlowSet:
-    """Ordered flows with ids dense 1..count, and read-only arrays built once at construction.
+    """Ordered flows with ids dense 1..count, held as read-only columns.
 
     Attributes:
-        flows: the flows, flow i+1 at index i.
         ends: int64 (count, 2) array of each flow's (src, dst).
-        demands: float64 demands; demand_units: int64 demands in milli-units;
-            both indexed as flows.
+        demands: float64 demands; demand_units: int64 demands in milli-units.
+        classes: uint8 codes of the flows' classes, indices into FLOW_CLASSES.
+        flows: the flows as Flow records, flow i+1 at index i, built on first read.
+    Flow i+1 sits at row i of every column; two sets are equal when their columns are.
     """
 
-    flows: tuple[Flow, ...]
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    demands: np.ndarray = field(init=False, repr=False, compare=False)
-    demand_units: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        count, column = len(self.flows), lambda name: map(attrgetter(name), self.flows)
+    def __init__(self, flows: Iterable[Flow]):
+        """The set of Flow records whose ids run 1..N in order."""
+        flows = tuple(flows)
+        count, column = len(flows), lambda name: map(attrgetter(name), flows)
         # list equality compares each id with its position as flow.id != i does, in one C loop
         if (ids := list(column("id"))) != list(range(1, count + 1)):
             i = next(i for i, fid in enumerate(ids, start=1) if fid != i)
             raise ValueError(f"flow ids must be dense 1..N, got {ids[i - 1]} at {i}")
-        demands = np.fromiter(column("demand"), np.float64, count)
         ends = np.column_stack([np.fromiter(column(e), np.int64, count) for e in ("src", "dst")])
-        for name, array in dict(ends=ends, demands=demands, demand_units=to_units(demands)).items():
+        demands = np.fromiter(column("demand"), np.float64, count)
+        classes = np.fromiter(map(FLOW_CLASSES.index, column("cls")), np.uint8, count)
+        self._hold(ends, demands, classes)
+        vars(self)["flows"] = flows  # the records given are the ones .flows returns
+
+    @classmethod
+    def from_columns(cls, ends: np.ndarray, demands: np.ndarray, classes: np.ndarray) -> FlowSet:
+        """The set of flows 1..N whose columns are these int64 (N, 2) ends, float64 demands
+        and uint8 class codes, which it keeps read-only."""
+        flowset = cls.__new__(cls)
+        flowset._hold(ends, demands, classes)
+        return flowset
+
+    def _hold(self, ends, demands, classes) -> None:
+        """Check every flow in bulk, as Flow checks one, then keep the columns read-only."""
+        known = classes < len(FLOW_CLASSES)
+        ok = (ends[:, 0] != ends[:, 1]) & has_units(demands) & known
+        if not ok.all():
+            i = int(np.argmin(ok))
+            cls = FLOW_CLASSES[classes[i]] if known[i] else int(classes[i])
+            problem = _flow_problem(*ends[i].tolist(), float(demands[i]), cls)
+            raise ValueError(f"flow {i + 1}: {problem}")
+        columns = dict(ends=ends, demands=demands, classes=classes, demand_units=to_units(demands))
+        for name, array in columns.items():
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            setattr(self, name, array)
+
+    @cached_property
+    def flows(self) -> tuple[Flow, ...]:
+        return tuple(itertools.starmap(Flow, self._fields()))
+
+    def _fields(self):
+        """Each flow's (id, src, dst, demand, class) as Python ints, floats and strs."""
+        names = map(FLOW_CLASSES.__getitem__, self.classes.tolist())
+        ids, (src, dst) = range(1, self.count + 1), self.ends.T.tolist()
+        return zip(ids, src, dst, self.demands.tolist(), names)
 
     @property
     def count(self) -> int:
-        return len(self.flows)
+        return len(self.demands)
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowSet):
+            return NotImplemented
+        names = ("ends", "demands", "classes")
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
 
 
 def check_mix(class_mix: dict[str, float], plr: float) -> None:
@@ -204,13 +244,11 @@ def generate_flows(
     # the draw Generator.choice(p=...) makes: one random(), then a right-side search
     cdf = np.cumsum([class_mix[c] for c in classes])
     cls = np.searchsorted(cdf / cdf[-1], _double(raw, starts % width), side="right")
-    demand = [CLASS_FRACTION[c] * float(topology.capacities.min()) for c in classes]
+    demand = np.array([CLASS_FRACTION[c] for c in classes]) * float(topology.capacities.min())
+    codes = np.array([FLOW_CLASSES.index(c) for c in classes], np.uint8)
     pick = picks[starts]
-    columns = (cls, edges[pick // (2 * len(edges))], pools.ravel()[pick])
-    return FlowSet(flows=tuple(
-        Flow(fid, src, dst, demand[c], classes[c])
-        for fid, c, src, dst in zip(range(1, n_flows + 1), *(col.tolist() for col in columns))
-    ))
+    ends = np.column_stack([edges[pick // (2 * len(edges))], pools.ravel()[pick]])
+    return FlowSet.from_columns(ends, demand[cls], codes[cls])
 
 
 def _flow_table(raw, sizes, plr, kinds):
@@ -311,9 +349,9 @@ def compress_flows(flowset: FlowSet, lower_bound: float, upper_bound: float) -> 
 
 def save_flows(flowset: FlowSet, path) -> None:
     """Write flows as `flow <id> <src> <dst> <demand> <class>` lines."""
+    fields = tuple(itertools.chain.from_iterable(flowset._fields()))
     with open(path, "w", encoding="utf-8") as fh:
-        for f in flowset.flows:
-            fh.write(f"flow {f.id} {f.src} {f.dst} {float(f.demand)!r} {f.cls}\n")
+        fh.write("flow %d %d %d %r %s\n" * flowset.count % fields)
 
 
 _RECORD = re.compile(rf"flow {ID} {ID} {ID} {DECIMAL} (\S+)")

@@ -151,8 +151,9 @@ def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.nd
     ptr, labels = csr_rows(table.pair_ptr, table.pair_labels, rows)
     counts = np.diff(ptr)
     if not counts.all():
-        flow = flowset.flows[int(np.argmin(counts))]
-        message = f"flow {flow.id} ({flow.src} -> {flow.dst}) has no feasible path in the table"
+        i = int(np.argmin(counts))
+        src, dst = flowset.ends[i].tolist()
+        message = f"flow {i + 1} ({src} -> {dst}) has no feasible path in the table"
         raise CectLabError(message)
     return ptr, labels
 

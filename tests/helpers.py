@@ -100,6 +100,14 @@ def reference_generate_flows(
     return FlowSet(flows=tuple(flows))
 
 
+def reference_save_flows(flowset: FlowSet, path) -> None:
+    """save_flows as a per-record writer, which the one %-format over the columns
+    must reproduce byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in flowset.flows:
+            fh.write(f"flow {f.id} {f.src} {f.dst} {float(f.demand)!r} {f.cls}\n")
+
+
 def reference_edge_switches(topology: Topology) -> list[int]:
     """The edge-switch rule as Topology.edge_switches() computed it on each call.
 

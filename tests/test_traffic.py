@@ -1,13 +1,27 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cect_lab.ecmp import route_ecmp
 from cect_lab.errors import CectLabError
+from cect_lab.experiment import run_experiment
+from cect_lab.fluidsim import run_volume_schedule, simulate
+from cect_lab.ga import GaConfig, run_cect
+from cect_lab.routing import (
+    RoutingMatrix,
+    assemble,
+    check_labels,
+    format_assignment,
+    matrix_from_paths,
+    parse_assignment_dump,
+    validate,
+)
 from cect_lab.topology import Topology, has_units, make_fat_tree, make_sample_topology
 from cect_lab.traffic import (
     CLASS_FRACTION,
@@ -20,12 +34,14 @@ from cect_lab.traffic import (
     load_flows,
     save_flows,
 )
+from cect_lab.xpath import feasible_csr, precompute_xpaths
 
 from helpers import (
     make_flows,
     random_topology,
     reference_compress_flows,
     reference_generate_flows,
+    reference_save_flows,
 )
 
 MIX = {"micro": 0.4, "small": 0.3, "medium": 0.2, "big": 0.1}
@@ -138,6 +154,31 @@ def test_a_shorter_draw_is_a_prefix_of_a_longer_one(inputs, n_flows, data, seed)
     m = data.draw(st.integers(0, n_flows))
     prefix = generate_flows(topo, n_flows, mix, plr, seed).flows[:m]
     assert generate_flows(topo, m, mix, plr, seed) == FlowSet(flows=prefix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=_draw_inputs(), n_flows=st.integers(0, 600), seed=st.integers(0, 2**64 - 1))
+def test_the_records_built_on_first_read_are_the_loops_records(inputs, n_flows, seed):
+    topo, mix, plr = inputs
+    drawn = generate_flows(topo, n_flows, mix, plr, seed)
+    assert "flows" not in vars(drawn)
+    expected = reference_generate_flows(topo, n_flows, mix, plr, seed).flows
+    assert len(drawn.flows) == len(expected)
+    for got, want in zip(drawn.flows, expected):
+        assert {k: (type(v), v) for k, v in vars(got).items()} == {
+            k: (type(v), v) for k, v in vars(want).items()}
+    assert drawn.flows is drawn.flows
+    assert FlowSet(flows=drawn.flows) == drawn
+
+
+def test_flow_sets_that_differ_in_one_class_only_are_unequal():
+    flows = generate_flows(make_fat_tree(4), 50, MIX, plr=0.5, seed=2)
+    records = list(flows.flows)
+    records[17] = replace(records[17], cls="custom")
+    other = FlowSet(flows=records)
+    assert np.array_equal(other.ends, flows.ends) and np.array_equal(other.demands, flows.demands)
+    assert other != flows
+    assert FlowSet(flows=flows.flows) == flows
 
 
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
@@ -369,6 +410,69 @@ def test_flow_file_round_trip(tmp_path):
     path = tmp_path / "flows.txt"
     save_flows(flows, path)
     assert load_flows(path) == flows
+
+
+@st.composite
+def _flow_sets(draw):
+    """A generated flow set, or one built from records whose ids are ints or numpy integers."""
+    if draw(st.booleans()):
+        topo, mix, plr = draw(_draw_inputs())
+        return generate_flows(topo, draw(st.integers(0, 300)), mix, plr, draw(st.integers(0, 2**32)))
+    specs = draw(st.lists(
+        st.tuples(st.integers(-(2**31), 2**31 - 1), st.integers(-(2**31), 2**31 - 1),
+                  st.floats(0.0005000000000000001, 9.2e15), st.sampled_from(FLOW_CLASSES),
+                  st.sampled_from([int, np.int64, np.int32]))
+        .filter(lambda spec: spec[0] != spec[1]),
+        max_size=8,
+    ))
+    return FlowSet(Flow(as_id(i), as_id(src), as_id(dst), demand, cls)
+                   for i, (src, dst, demand, cls, as_id) in enumerate(specs, start=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(flows=_flow_sets())
+def test_save_flows_writes_the_bytes_of_the_per_record_writer(tmp_path_factory, flows):
+    folder = tmp_path_factory.mktemp("flows")
+    save_flows(flows, folder / "columns.txt")
+    reference_save_flows(flows, folder / "records.txt")
+    assert (folder / "columns.txt").read_bytes() == (folder / "records.txt").read_bytes()
+    assert load_flows(folder / "columns.txt") == flows
+
+
+def test_no_layer_builds_the_records_of_a_generated_set(tmp_path, monkeypatch):
+    # FlowSet.flows, read by anyone, lists its reader; every layer reads the columns
+    readers = []
+    monkeypatch.setattr(FlowSet, "flows", property(readers.append))
+    topo = _FAT_TREES[8]
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, 2000, MIX, plr=0.5, seed=5)
+    assignment, _, _ = run_cect(flows, table, topo, GaConfig(max_iterations=2, seed=1))
+    route_ecmp(flows, topo, table)
+    matrix = assemble(assignment, flows, table, topo)
+    dump = parse_assignment_dump(format_assignment(assignment, flows, table))
+    replayed = matrix_from_paths({fid: hops for fid, (_, hops) in dump.items()}, flows, topo)
+    assert validate(replayed, flows, topo) == []
+    for model in ("maxmin", "bottleneck"):
+        simulate(matrix, flows, topo, model)
+    run_volume_schedule(matrix, flows, topo, dict(enumerate(flows.demands.tolist(), start=1)))
+    save_flows(flows, tmp_path / "flows.txt")
+    # the errors name a flow from the columns too
+    for fail in (lambda: feasible_csr(precompute_xpaths(topo, x=1, cap_c=None), flows),
+                 lambda: check_labels(np.zeros(flows.count, np.int64), flows, table),
+                 lambda: matrix_from_paths({}, flows, topo)):
+        with pytest.raises(CectLabError, match="^flow 1"):
+            fail()
+    ptr = matrix.flow_ptr.copy()
+    ptr[1] = 0  # flow 1's row empty, flow 2's row holds both paths
+    broken = validate(RoutingMatrix(ptr, matrix.edge_ids, matrix.edge_keys, {}, 0.0), flows, topo)
+    assert {v.flow_id for v in broken} == {1, 2}
+    config = tmp_path / "cell.ini"
+    config.write_text("[topology]\nk = 4\n[traffic]\nmix = small=1\nplr = 0.5\n[sweep]\n"
+                      "n_flows = 40\nmethods = cect\nseeds = 1\n[ga]\nmax_iterations = 2\n",
+                      encoding="utf-8")
+    run_experiment(config, tmp_path / "res")
+    assert readers == []
+    assert "flows" not in vars(flows)
 
 
 def test_flow_file_round_trip_keeps_every_digit(tmp_path):
