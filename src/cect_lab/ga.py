@@ -1,8 +1,11 @@
-"""Genetic routing optimizer over path-label chromosomes.
+"""Genetic routing optimizer over path chromosomes.
 
-Each chromosome holds one precomputed path label per flow, in the narrowest
-unsigned dtype that fits the table's labels (uint8 up to 255, uint16 up to
-65,535); a population is a 2-D array with one chromosome per row. Generations
+Each chromosome holds one gene per flow: the offset of the flow's path label
+within its feasible row (feasible_csr's, shortest first), in the narrowest
+unsigned dtype that holds the longest row (uint8 unless a row holds more than
+256 labels); a population is a 2-D array with one chromosome per row. Loads
+decode a block of members at a time, by one narrow add, into rows of padded
+edge ids, and only the returned chromosome is decoded into labels. Generations
 are bred with fitness-proportionate (roulette) selection, uniform crossover,
 and multipoint mutation, each applied to the whole population in one call;
 the best chromosome is carried over unchanged and never mutated. The
@@ -27,9 +30,10 @@ from . import kernels
 from .routing import HOT_SPOT_THRESHOLD, RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable, feasible_csr
+from .xpath import XPathTable, feasible_rows
 
-# genes per block of the initial draw: its uniforms and offsets stay in cache
+# genes per block of the initial draw and of each decode: a block's uniforms
+# or decoded rows stay in cache
 _BLOCK_GENES = 1 << 16
 
 
@@ -88,65 +92,80 @@ class RunStats:
 
 
 class _Instance:
-    """Array views of one (flows, table, topology) problem instance."""
+    """Array views of one (flows, table, topology) problem instance: the padded
+    edge rows run in table.pair_labels order, so flow f's gene g reads row base[f] + g."""
 
     def __init__(self, flowset: FlowSet, table: XPathTable, topology: Topology):
         self.n_flows = flowset.count
-        self.label_ptr, self.label_edges = table.label_edge_csr(topology)
+        self.block = max(1, _BLOCK_GENES // max(1, self.n_flows))  # members per block
+        label_ptr, label_edges = table.label_edge_csr(topology)
         self.demands = flowset.demand_units.astype(np.float64)  # the weights of every load sum
         self.caps = topology.cap_units
         self.penalty = topology.node_count  # the overload weight of the fitness
         self.n_edges = len(self.caps)
+        self.pair_labels = table.pair_labels
 
-        self.feas_ptr, feas_labels = feasible_csr(table, flowset)
-        if table.path_count > np.iinfo(np.int32).max:
-            raise ValueError("path labels do not fit int32 genes")
-        self.feas_labels = feas_labels.astype(np.min_scalar_type(table.path_count))
-        # feasible lists are shortest-first, so column 0 is the greedy pick
-        self.shortest = self.feas_labels[self.feas_ptr[:-1]]
+        rows = feasible_rows(table, flowset)
+        starts = table.pair_ptr[rows]
+        counts = table.pair_ptr[rows + 1] - starts
+        self.feas_ptr = np.concatenate(([0], np.cumsum(counts)))
+        # each feasible entry's offset within its row, as multipoint_mutate redraws it
+        offsets = np.arange(self.feas_ptr[-1]) - np.repeat(self.feas_ptr[:-1], counts)
+        self.feas_offsets = offsets.astype(np.min_scalar_type(counts.max(initial=1) - 1))
+        self.base = (starts + 1).astype(np.min_scalar_type(table.path_count))
 
-        # the padded label rows every load sum reads: label l's edges in row l,
-        # then filler id n_edges; row 0 is all filler, so genes index it directly
+        # the padded rows every load sum reads: row p + 1 holds label
+        # pair_labels[p]'s edges, then filler id n_edges; row 0 is all filler
+        self.label_ptr, edges = kernels.csr_rows(label_ptr, label_edges, table.pair_labels - 1)
         hops = np.diff(self.label_ptr)
         width = hops.max(initial=0)
         self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
-        self.label_pad[1:][np.arange(width) < hops[:, None]] = self.label_edges
-        # Aggregate loads by label when the table's labels hold at most half
-        # the edge entries of a member's shortest genes (flows share labels);
-        # else, as at k=8 and k=12, loop to avoid population-by-table arrays.
-        self.aggregated = 2 * len(self.label_edges) < hops[self.shortest - 1].sum()
+        self.label_pad[1:][np.arange(width) < hops[:, None]] = edges
+        # Aggregate loads by row when the rows hold at most half the edge
+        # entries of a member's shortest genes (flows share labels); else, as
+        # at k=8 and k=12, loop to avoid population-by-table arrays.
+        self.aggregated = 2 * len(edges) < hops[self.base - 1].sum()
         self.pad_index = np.empty(0, dtype=np.int64) if self.aggregated else None
 
+    def labels(self, genes: np.ndarray) -> np.ndarray:
+        """The int64 path labels that genes (one chromosome or a population) pick."""
+        return self.pair_labels[genes + self.base - 1]
+
     def loads(self, genes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Per-edge int64 loads of each row of genes, into out if given."""
-        if self.aggregated and len(genes) * self.label_pad.size > len(self.pad_index):
-            # the aggregated form's offset index, grown to the population once
-            offsets = (self.n_edges + 1) * np.arange(len(genes))
+        """Per-edge int64 loads of each row of genes, into out if given; one
+        narrow add decodes each block of members into the rows it reads."""
+        out = np.empty((len(genes), self.n_edges), dtype=np.int64) if out is None else out
+        step = self.block
+        if self.aggregated and min(len(genes), step) * self.label_pad.size > len(self.pad_index):
+            # the aggregated form's offset index, grown to a block once
+            offsets = (self.n_edges + 1) * np.arange(min(len(genes), step))
             self.pad_index = (self.label_pad.T + offsets[:, None, None]).ravel()
-        return kernels.population_loads(genes, self.label_ptr, self.label_pad, self.demands,
-                                        self.n_edges, self.pad_index, out)
+        for first in range(0, len(genes), step):
+            kernels.population_loads(genes[first : first + step] + self.base, self.label_ptr,
+                                     self.label_pad, self.demands, self.n_edges, self.pad_index,
+                                     out[first : first + step])
+        return out
 
     def shift_loads(self, loads, block, members, flows, old, new) -> None:
         """Move loads[block][members] by the redrawn genes (members, flows):
         each flow's demand leaves old's edges and joins new's."""
         n, rows, width = self.n_edges, loads[block], self.label_pad.shape[1]
-        edges = self.label_pad.take(np.concatenate((new, old)), axis=0).reshape(2, -1)
+        base = self.base[flows]
+        edges = self.label_pad.take(np.concatenate((base + new, base + old)), axis=0).reshape(2, -1)
         edges += ((n + 1) * members).repeat(width)
         weights = np.concatenate((self.demands[flows], -self.demands[flows])).repeat(width)
         shift = kernels.label_row_sums(edges.ravel(), weights, n, len(rows))
         np.add(rows, shift, out=rows, casting="unsafe")
 
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
-        """n_members chromosomes of genes (feas_labels' dtype) uniform over each flow's feasible
-        labels, drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
-        genes = np.empty((n_members, self.n_flows), dtype=self.feas_labels.dtype)
-        counts, starts = np.diff(self.feas_ptr), self.feas_ptr[:-1]
-        rows = max(1, _BLOCK_GENES // max(1, self.n_flows))
-        for start in range(0, n_members, rows):
-            block = genes[start : start + rows]
-            offsets = (rng.random(block.shape) * counts).astype(np.int64)
-            offsets += starts
-            np.take(self.feas_labels, offsets, out=block)
+        """n_members chromosomes of genes uniform over each flow's feasible row,
+        drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
+        genes = np.empty((n_members, self.n_flows), dtype=self.feas_offsets.dtype)
+        counts = np.diff(self.feas_ptr)
+        for start in range(0, n_members, self.block):
+            block = genes[start : start + self.block]
+            # the cast floors: every u * count lies in [0, count)
+            np.copyto(block, rng.random(block.shape) * counts, casting="unsafe")
         return genes
 
 
@@ -220,13 +239,14 @@ def multipoint_mutate(
 
     One binomial draw counts the redraws, whose sites are then sampled without
     replacement (the law of one coin per gene). A redraw picks uniformly from
-    the flow's row of the feasible CSR feas_ptr/feas_labels and may keep the
+    the flow's row of the feasible CSR feas_ptr/feas_labels (run_cect passes
+    each entry's offset within its row as its label) and may keep the
     incumbent, so the realized change rate is at most the mutation rate.
     Where numpy would sample with an index over the whole population (over
     10,000 genes, a twentieth of them drawn), blocks of rows sample instead.
     on_sites, when given, is called with each block's sites as they are drawn,
     before they change: (the block's slice of rows, rows within it, flows,
-    old labels, new labels).
+    old genes, new genes).
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
@@ -263,7 +283,9 @@ def run_cect(
     mu_target, or after max_iterations generations; either way the best
     assignment ever seen is returned together with its utilization and the
     per-generation trace. on_generation, when given, is called with
-    (generation, genes, fitness, mu) after each evaluation.
+    (generation, genes, fitness, mu) after each evaluation. genes is the
+    population as bred, offsets and not labels, so a hook costs no decode:
+    gene g of flow f picks entry g of flow f's row of feasible_csr.
     """
     config = config or GaConfig()
     inst = _Instance(flowset, xpath_table, topology)
@@ -274,7 +296,7 @@ def run_cect(
     stats = RunStats()
 
     genes = inst.random_genes(n_pop, rng)
-    genes[0] = inst.shortest
+    genes[0] = 0  # each flow's shortest label
     loads = inst.loads(genes)  # the only evaluation of a whole population
     spare, spare_loads = np.empty_like(genes), np.empty_like(loads)
     half = (n_pop - 1) // 2
@@ -333,7 +355,7 @@ def run_cect(
         second -= first
         if needed % 2:
             spare_loads[-1] = loads[picks[-1]]  # an odd last child is a copied parent
-        multipoint_mutate(spare[1:], rate, inst.feas_ptr, inst.feas_labels, rng,
+        multipoint_mutate(spare[1:], rate, inst.feas_ptr, inst.feas_offsets, rng,
                           partial(inst.shift_loads, spare_loads[1:]))
         genes, spare = spare, genes
         loads, spare_loads = spare_loads, loads
@@ -341,4 +363,4 @@ def run_cect(
 
     stats.generations = generation
     stats.feasible = best[0] <= config.mu_target
-    return RoutingAssignment(best_genes.astype(np.int64)), best[0], stats
+    return RoutingAssignment(inst.labels(best_genes)), best[0], stats

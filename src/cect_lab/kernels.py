@@ -35,19 +35,20 @@ def label_row_sums(edge_ids, weights, n_edges, rows=1):
 def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=None, out=None):
     """Per-edge integer loads for each member of a population, into out if given.
 
-    genes holds 1-based path labels, one row per member, one column per flow,
-    and demands one weight per flow; label_ptr is the labels' CSR row pointer,
-    and label_pad holds label l's edge ids in row l, filled out with the id
-    n_edges (row 0 is all filler). Without pad_index, a gene loop sums each
-    member's rows. pad_index, label_pad.T offset by member as label_row_sums
-    reads it, selects the aggregated form: one bincount per member sums its
-    demands into label cells, and one more sums every label's row, weighted
-    by its cell. Both sum integer milli-units below 2**53: they agree exactly.
+    genes holds 1-based rows of label_pad, one row per member, one column per
+    flow, and demands one weight per flow; label_pad holds a path's edge ids
+    in each row, filled out with the id n_edges (row 0 is all filler), and
+    label_ptr is the rows' CSR row pointer. Without pad_index, a gene loop
+    sums each member's rows. pad_index, label_pad.T offset by member as
+    label_row_sums reads it, selects the aggregated form: one bincount per
+    member sums its demands into row cells, and one more sums every row,
+    weighted by its cell. Both sum integer milli-units below 2**53: they
+    agree exactly.
     """
     n_members, width = genes.shape[0], label_pad.shape[1]
     loads = np.empty((n_members, n_edges), dtype=np.int64) if out is None else out
     if pad_index is not None:
-        per_cell = np.empty((n_members, len(label_ptr)))  # label 0's cell stays empty
+        per_cell = np.empty((n_members, len(label_ptr)))  # row 0's cell stays empty
         for m, labels in enumerate(genes):
             per_cell[m] = np.bincount(labels, demands, len(label_ptr))
         # label_pad.T's layout lets each member's cells repeat as whole blocks

@@ -319,11 +319,14 @@ def compress_flows(flowset: FlowSet, lower_bound: float, upper_bound: float) -> 
     exceeds upper_bound. Larger flows pass through untouched and come first,
     renumbered in their input order, followed by the merged flows pair by
     pair. Total demand per pair is conserved exactly. lower_bound == 0
-    disables merging, whatever upper_bound is.
+    disables merging, whatever upper_bound is. With no flow below
+    lower_bound, flowset itself comes back.
     """
     # NaN fails both comparisons
     if not (lower_bound == 0 or 0 < lower_bound <= upper_bound):
         raise ValueError("bounds must satisfy 0 <= lower_bound <= upper_bound")
+    if not (flowset.demands < lower_bound).any():
+        return flowset  # every flow passes, so none is renumbered or rebuilt
 
     large = (f for f in flowset.flows if f.demand >= lower_bound)
     out = [replace(f, id=new_id) for new_id, f in enumerate(large, start=1)]

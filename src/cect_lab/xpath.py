@@ -2,16 +2,16 @@
 
 Every simple directed path with 1..x edges between two of the topology's
 edge switches (where flows start and end) is enumerated once per topology
-and given a small-integer label; the genetic solver's genes are these
-labels. Labels are assigned breadth-first by path length, then by (source,
+and given a small-integer label; a genetic solver's gene picks one of its
+flow's pair's labels. Labels are assigned breadth-first by path length, then by (source,
 destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
 
 The table is a set of numpy arrays built one hop length at a time. A path is
 one row of edge ids, read through edge_ptr or label_edge_csr; its switches
 are its edges' ends in Topology.edge_ends. Each endpoint pair's labels are
-read through feasible_labels and feasible_csr, which slice one CSR over the
-pairs.
+read through feasible_labels, feasible_rows and feasible_csr, which slice
+one CSR over the pairs.
 """
 
 from __future__ import annotations
@@ -141,21 +141,26 @@ def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:
     return tuple(table.pair_labels[table.pair_ptr[row] : table.pair_ptr[row + 1]].tolist())
 
 
-def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (row ptr, labels) of every flow's feasible labels, in flow order.
+def feasible_rows(table: XPathTable, flowset: FlowSet) -> np.ndarray:
+    """The pair_ptr row of every flow, in flow order: flow i's feasible labels
+    are row i's slice of pair_labels, shortest first.
 
-    Row i holds feasible_labels for flow i, shortest first. Raises
-    CectLabError naming the first flow that has no path in the table.
+    Raises CectLabError naming the first flow that has no path in the table.
     """
     rows = _pair_rows(table, flowset.ends)
-    ptr, labels = csr_rows(table.pair_ptr, table.pair_labels, rows)
-    counts = np.diff(ptr)
+    counts = table.pair_ptr[rows + 1] - table.pair_ptr[rows]
     if not counts.all():
         i = int(np.argmin(counts))
         src, dst = flowset.ends[i].tolist()
         message = f"flow {i + 1} ({src} -> {dst}) has no feasible path in the table"
         raise CectLabError(message)
-    return ptr, labels
+    return rows
+
+
+def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (row ptr, labels) of every flow's feasible labels, in flow order:
+    row i holds feasible_labels for flow i, shortest first; raises as feasible_rows."""
+    return csr_rows(table.pair_ptr, table.pair_labels, feasible_rows(table, flowset))
 
 
 def format_paths(table: XPathTable, labels: np.ndarray, head: str, *fields: np.ndarray) -> str:

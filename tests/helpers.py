@@ -12,7 +12,10 @@ rule-by-rule validator, its one-shot crossover, its bucket-per-pair
 compression, its edge-switch method and its per-flow draw, which the fast
 path, the blocked crossover, the one-sort compression,
 Topology.edge_switches and the raw-word decoding of generate_flows must
-agree with.
+agree with. label_pad and reference_loads read each label's edges in label
+order, which the solver's offset genes, decoded through its rows in
+pair order, must agree with; GeneCodec maps labels to those genes and back
+through feasible_labels, one flow at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from cect_lab.routing import (
 )
 from cect_lab.topology import Topology
 from cect_lab.traffic import CLASS_FRACTION, Flow, FlowSet, check_mix, check_topology
-from cect_lab.xpath import XPathTable
+from cect_lab.xpath import XPathTable, feasible_labels
 
 
 def random_topology(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.5,
@@ -403,3 +406,47 @@ def grid_maxmin_oracle(
                 for f in range(n_flows):
                     frozen[f] = True
     return rates
+
+
+class GeneCodec:
+    """Labels to the solver's genes and back, for one (table, flows): a gene is
+    the offset of its flow's label within the flow's feasible_labels row."""
+
+    def __init__(self, table: XPathTable, flows: FlowSet):
+        self.rows = [feasible_labels(table, src, dst) for src, dst in flows.ends.tolist()]
+        self.ptr = np.cumsum([0, *map(len, self.rows)])
+        self.flat = np.array([label for row in self.rows for label in row], dtype=np.int64)
+        # the narrowest unsigned dtype that holds the longest row's offsets
+        self.dtype = np.min_scalar_type(max(map(len, self.rows), default=1) - 1)
+
+    def decode(self, genes: np.ndarray) -> np.ndarray:
+        """The int64 labels that genes (one chromosome or a population) pick."""
+        return self.flat[self.ptr[:-1] + genes]
+
+    def encode(self, labels) -> np.ndarray:
+        """The genes, in self.dtype, that pick labels (one chromosome or a population)."""
+        labels = np.asarray(labels, dtype=np.int64)
+        members = np.atleast_2d(labels).tolist()
+        genes = [[row.index(label) for row, label in zip(self.rows, m)] for m in members]
+        return np.array(genes, dtype=self.dtype).reshape(labels.shape)
+
+
+def label_pad(table: XPathTable, topology: Topology) -> np.ndarray:
+    """Padded label rows built label by label from table.label_edge_csr: row l
+    holds label l's edges, then filler id n_edges; row 0 is all filler."""
+    ptr, edges = table.label_edge_csr(topology)
+    hops = np.diff(ptr)
+    pad = np.full((len(hops) + 1, hops.max(initial=0)), len(topology.cap_units), dtype=np.int64)
+    for label in range(1, len(hops) + 1):
+        pad[label, : hops[label - 1]] = edges[ptr[label - 1] : ptr[label]]
+    return pad
+
+
+def reference_loads(pad: np.ndarray, labels, demand_units: np.ndarray, n_edges: int) -> np.ndarray:
+    """Per-edge int64 loads of each row of labels: every flow's demand units
+    added, in integers, at each edge of its label's row of pad (filler dropped)."""
+    labels = np.atleast_2d(labels)
+    loads = np.zeros((len(labels), n_edges + 1), dtype=np.int64)
+    for member, row in zip(loads, labels):
+        np.add.at(member, pad[row], demand_units[:, None])
+    return loads[:, :n_edges]

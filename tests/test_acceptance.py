@@ -41,6 +41,7 @@ from cect_lab.fluidsim import simulate
 from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
 from helpers import (
+    GeneCodec,
     all_hops,
     edge_index,
     edge_list_matrix,
@@ -218,11 +219,11 @@ def test_shortest_is_the_gas_row_0_and_cect_beats_it(sweep_results):
             assignment, _ = experiment.solve("shortest", flows, table, topo, GaConfig())
             ptr, labels = feasible_csr(table, flows)
             assert assignment.labels.tolist() == labels[ptr[:-1]].tolist()
-            row0 = []
+            row0, codec = [], GeneCodec(table, flows)
 
             def first_row(generation, genes, fitness, mu):
                 if generation == 0:
-                    row0.append(genes[0].tolist())
+                    row0.append(codec.decode(genes[0]).tolist())
 
             run_cect(flows, table, topo, GaConfig(max_iterations=1), on_generation=first_row)
             assert row0 == [assignment.labels.tolist()]

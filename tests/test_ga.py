@@ -27,7 +27,14 @@ from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import XPathTable, feasible_csr, feasible_labels, precompute_xpaths
 
-from helpers import labels_by_pair, make_flows, random_topology, reference_uniform_crossover
+from helpers import (
+    GeneCodec,
+    label_pad,
+    labels_by_pair,
+    make_flows,
+    random_topology,
+    reference_uniform_crossover,
+)
 
 PUBLISHED_FITNESSES = [6.82, 1.11, 8.48, 2.57, 3.08]
 PUBLISHED_SHARES = [0.309, 0.050, 0.384, 0.117, 0.140]
@@ -54,7 +61,7 @@ def _fitness(flows, table, topo, *labels, penalty=None) -> float:
     inst = _Instance(flows, table, topo)
     if penalty is not None:
         inst.penalty = penalty
-    fit, _ = _evaluate(inst, _genes(*labels).reshape(1, -1))
+    fit, _ = _evaluate(inst, GeneCodec(table, flows).encode(_genes(*labels)).reshape(1, -1))
     return float(fit[0])
 
 
@@ -107,7 +114,8 @@ def test_overload_can_outrank_a_longer_path_that_fits():
     table = precompute_xpaths(topo, x=2, cap_c=None)
     flows = make_flows([(3, 2, 10.5)])
     direct, detour = feasible_labels(table, 3, 2)
-    fit, mu = _evaluate(_Instance(flows, table, topo), _genes(direct, detour).reshape(2, 1))
+    genes = GeneCodec(table, flows).encode(_genes(direct, detour).reshape(2, 1))
+    fit, mu = _evaluate(_Instance(flows, table, topo), genes)
     # direct: 210 - 10.5 residual, minus 3 * 0.5 overload; detour: 210 - 2 * 10.5
     assert fit.tolist() == [198.0, 189.0]
     assert mu.tolist() == [1.05, 0.105]
@@ -324,7 +332,7 @@ def test_fixed_point_under_identity_operators(fig2a):
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0)])
     pop = np.tile(_genes(3, 4), (4, 1))
     rng = np.random.default_rng(0)
-    fits, _ = _evaluate(_Instance(flows, table, topo), pop)
+    fits, _ = _evaluate(_Instance(flows, table, topo), GeneCodec(table, flows).encode(pop))
     children = _crossover(pop, roulette_select(fits, 4, rng), rng)
     children = _mutate(children, 0.0, table, flows, rng)
     assert all(np.array_equal(c, pop[0]) for c in children)
@@ -332,7 +340,8 @@ def test_fixed_point_under_identity_operators(fig2a):
 
 def test_random_genes_draws_one_stream_in_blocks(fig2a):
     # the population is drawn a block of rows at a time, yet it equals one
-    # draw of uniforms over the whole population, floored into each row
+    # draw of uniforms over the whole population, floored into each row: the
+    # genes are those offsets, and they pick the labels at them
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 1750)
     inst = _Instance(flows, table, topo)
@@ -342,26 +351,37 @@ def test_random_genes_draws_one_stream_in_blocks(fig2a):
     genes = inst.random_genes(n, np.random.default_rng(21))
     uniforms = np.random.default_rng(21).random((n, flows.count))
     ptr, labels = feasible_csr(table, flows)
-    counts = np.diff(ptr)
-    assert genes.dtype == np.min_scalar_type(table.path_count)
-    assert np.array_equal(genes, labels[ptr[:-1] + np.floor(uniforms * counts).astype(np.int64)])
+    offsets = np.floor(uniforms * np.diff(ptr)).astype(np.int64)
+    assert genes.dtype == np.uint8
+    assert np.array_equal(genes, offsets)
+    assert np.array_equal(GeneCodec(table, flows).decode(genes), labels[ptr[:-1] + offsets])
 
 
-def test_instance_refuses_labels_beyond_int32(fig2a, monkeypatch):
-    topo, table = fig2a
-    monkeypatch.setattr(XPathTable, "path_count", property(lambda self: 2**31))
-    with pytest.raises(ValueError, match="int32"):
-        _Instance(make_flows([(3, 1, 1.0)]), table, topo)
+@pytest.mark.parametrize("cap_c, dtype", [(50, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (None, np.uint16)])
+def test_genes_widen_only_past_256_labels_a_row(cap_c, dtype):
+    # a gene is an offset within its flow's row: one byte holds the offsets
+    # of 256 labels. On a complete digraph of 7 switches, x=6 leaves 326
+    # paths between each pair, so only a cap_c above 256 widens the genes
+    nodes = tuple(range(1, 8))
+    topo = Topology(nodes=nodes, links=tuple((s, d, 10.0) for s in nodes for d in nodes if s != d))
+    table = precompute_xpaths(topo, x=6, cap_c=cap_c)
+    flows = make_flows([(1, 2, 1.0), (3, 4, 1.0)])
+    assert len(feasible_labels(table, 1, 2)) == min(326, cap_c or 326)
+    inst = _Instance(flows, table, topo)
+    genes = inst.random_genes(3, np.random.default_rng(0))
+    assert genes.dtype == inst.feas_offsets.dtype == dtype
+    assert np.array_equal(inst.labels(genes), GeneCodec(table, flows).decode(genes))
 
 
-def test_run_breeds_genes_in_the_label_dtype_and_returns_int64_labels(fig2a):
+def test_run_breeds_genes_in_the_offset_dtype_and_returns_int64_labels(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0)])
     dtypes = set()
     config = GaConfig(seed=8, max_iterations=3, population_size=5, mu_target=0.01)
     assignment, _, _ = run_cect(flows, table, topo, config,
                                 on_generation=lambda g, genes, f, m: dtypes.add(genes.dtype))
-    assert dtypes == {np.min_scalar_type(table.path_count)}
+    assert dtypes == {np.dtype(np.uint8)}
     assert assignment.labels.dtype == np.int64
 
 
@@ -456,12 +476,16 @@ def test_run_population_invariants(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0), (1, 2, 5.0)])
     seen = []
+    codec = GeneCodec(table, flows)
 
     def watch(gen, genes, fit, mu):
         seen.append((genes.shape, genes.copy()))
+        # every gene is an offset within its flow's row, so it picks a feasible label
+        assert (genes < np.diff(codec.ptr)).all()
+        labels = codec.decode(genes)
         for i, flow in enumerate(flows.flows):
             feasible = feasible_labels(table, flow.src, flow.dst)
-            assert all(int(g) in feasible for g in genes[:, i])
+            assert all(int(label) in feasible for label in labels[:, i])
 
     config = GaConfig(seed=2, max_iterations=15, population_size=8, mu_target=0.01)
     run_cect(flows, table, topo, config, on_generation=watch)
@@ -565,19 +589,30 @@ def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
     ids=["k4-200", "fig2a", "k4-500-aggregated"],
 )
 def test_run_output_is_the_same_in_every_gene_dtype(case, monkeypatch):
-    # a table of more labels only widens the genes: uint8 holds 255 labels,
-    # uint16 65,535, uint32 the rest; the draws and the loads stay the same
+    # a table of more labels only widens the rows the genes decode into:
+    # uint8 holds 255 rows, uint16 65,535, uint32 the rest. The genes stay
+    # one-byte offsets, and the draws and the loads stay the same
     topo, table, flows, config = case()
     expected = run_cect(flows, table, topo, config)
+    decoded = set()
+    population_loads = kernels.population_loads
+
+    def spy(rows, *args):
+        decoded.add(rows.dtype)
+        return population_loads(rows, *args)
+
+    monkeypatch.setattr(kernels, "population_loads", spy)
     for count, dtype in ((255, np.uint8), (256, np.uint16), (65_535, np.uint16),
                          (65_536, np.uint32)):
         monkeypatch.setattr(XPathTable, "path_count", property(lambda self: count))
-        assert _Instance(flows, table, topo).feas_labels.dtype == dtype
+        assert _Instance(flows, table, topo).base.dtype == dtype
+        decoded.clear()
         dtypes = set()
         assignment, mu, stats = run_cect(
             flows, table, topo, config, on_generation=lambda g, genes, f, m: dtypes.add(genes.dtype)
         )
-        assert dtypes == {np.dtype(dtype)}
+        assert decoded == {np.dtype(dtype)}
+        assert dtypes == {np.dtype(np.uint8)}
         assert np.array_equal(assignment.labels, expected[0].labels)
         assert assignment.labels.dtype == np.int64
         assert mu == expected[1]
@@ -598,13 +633,22 @@ def _load_form_case(aggregated: bool, many: bool):
     return topo, precompute_xpaths(topo, x=4, cap_c=50), flows
 
 
+@functools.lru_cache(maxsize=None)
+def _load_form_codec(aggregated: bool, many: bool) -> GeneCodec:
+    """The GeneCodec of _load_form_case(aggregated, many)."""
+    _, table, flows = _load_form_case(aggregated, many)
+    return GeneCodec(table, flows)
+
+
 def test_run_peak_memory_is_pinned():
     # the two population buffers are the solve's largest allocation: at k=6
-    # (2,754 labels) their genes are uint16. The bound is 1.1 times the peak
-    # measured with uint16 genes (2,482,707 bytes); int32 genes peak at
-    # 3,383,707 bytes, past it
+    # (2,754 labels) their genes are one-byte offsets, decoded into uint16
+    # rows a block at a time. The bound is 1.1 times the peak measured with
+    # uint8 genes (2,065,078 bytes); uint16 genes, as labels took before,
+    # peak at 2,513,578 bytes, past it
     topo, table, flows = _load_form_case(False, True)
-    assert _Instance(flows, table, topo).feas_labels.dtype == np.uint16
+    inst = _Instance(flows, table, topo)
+    assert inst.feas_offsets.dtype == np.uint8 and inst.base.dtype == np.uint16
     config = GaConfig(seed=1, max_iterations=5, mu_target=1e-9)
     run_cect(flows, table, topo, config)  # builds the flow set's cached arrays
     tracemalloc.start()
@@ -614,7 +658,30 @@ def test_run_peak_memory_is_pinned():
     finally:
         tracemalloc.stop()
     assert stats.generations == 5
-    assert peak < 2_730_000, peak
+    assert peak < 2_272_000, peak
+
+
+def test_k12_run_peak_memory_is_bounded_by_one_byte_genes():
+    # solve-k12's shape: 20,000 flows on a k=12 fabric (189,072 labels, so
+    # a label needs uint32), population 388. A 2-generation solve peaks at
+    # 67.5 MB with one-byte genes; the bound is 1.1 times that. uint16 genes
+    # peak at 84.1 MB and uint32 genes, as labels took before, at 117.3 MB
+    topo = make_fat_tree(12, 200.0, 200.0, 100.0)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, 20_000, {"micro": 0.9775, "small": 0.0175, "big": 0.005},
+                           plr=0.95, seed=1)
+    inst = _Instance(flows, table, topo)
+    assert inst.feas_offsets.dtype == np.uint8 and inst.base.dtype == np.uint32
+    assert default_population_size(flows.count, topo.node_count) == 388
+    config = GaConfig(seed=1, max_iterations=2, mu_target=1e-9)
+    tracemalloc.start()
+    try:
+        _, _, stats = run_cect(flows, table, topo, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.generations == 2
+    assert peak < 74_300_000, peak
 
 
 def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
@@ -629,7 +696,7 @@ def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
     flows = generate_flows(topo, 20_000, mix, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
     n_pop = default_population_size(flows.count, topo.node_count)
-    assert inst.aggregated and inst.feas_labels.dtype == np.uint8 and n_pop == 295
+    assert inst.aggregated and inst.feas_offsets.dtype == np.uint8 and n_pop == 295
     config = GaConfig(seed=1, max_iterations=2, mu_target=1e-9)
     tracemalloc.start()
     try:
@@ -662,10 +729,13 @@ def test_carried_loads_equal_a_fresh_evaluation(aggregated, many, population, ra
     topo, table, flows = _load_form_case(aggregated, many)
     inst = _Instance(flows, table, topo)
     assert inst.aggregated == aggregated
+    labels, pad = _load_form_codec(aggregated, many).decode, label_pad(table, topo)
+    label_ptr = table.label_edge_csr(topo)[0]
 
     def check(generation, genes, fit, mu):
+        # the loads of the genes' labels, summed afresh over label-order rows
         fresh = kernels.population_loads(
-            genes, inst.label_ptr, inst.label_pad, inst.demands, inst.n_edges
+            labels(genes), label_ptr, pad, inst.demands, inst.n_edges
         )
         expected_fit, expected_mu = kernels.fitness_mu(fresh, inst.caps, inst.penalty)
         assert np.array_equal(fit, expected_fit), generation

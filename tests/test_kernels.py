@@ -10,9 +10,18 @@ from cect_lab.ga import _Instance
 from cect_lab.routing import RoutingAssignment, assemble
 from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
-from cect_lab.xpath import precompute_xpaths
+from cect_lab.xpath import feasible_csr, precompute_xpaths
 
-from helpers import edge_index, hops_of, labels_by_pair, make_flows, random_topology
+from helpers import (
+    GeneCodec,
+    edge_index,
+    hops_of,
+    label_pad,
+    labels_by_pair,
+    make_flows,
+    random_topology,
+    reference_loads,
+)
 
 ACCEPTANCE_MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
 
@@ -39,31 +48,18 @@ def instance(topology, problem):
     return inst
 
 
-def _label_pad(inst):
-    """The padded label rows built label by label: edges, then filler ids."""
-    hops = np.diff(inst.label_ptr)
-    pad = np.full((len(hops) + 1, hops.max()), inst.n_edges, dtype=np.int64)
-    for label in range(1, len(hops) + 1):
-        pad[label, : hops[label - 1]] = inst.label_edges[
-            inst.label_ptr[label - 1] : inst.label_ptr[label]
-        ]
-    return pad
-
-
-def test_loads_match_manual_accumulation(instance):
+def test_loads_match_manual_accumulation(instance, topology, problem):
+    flows, table = problem
     rng = np.random.default_rng(3)
     genes = instance.random_genes(16, rng)
-    loads = kernels.population_loads(
-        genes, instance.label_ptr, instance.label_pad,
-        instance.demands, instance.n_edges,
-    )
+    loads = instance.loads(genes)
+    labels = GeneCodec(table, flows).decode(genes)
+    label_ptr, label_edges = table.label_edge_csr(topology)
     for m in range(16):
         manual = np.zeros(instance.n_edges, dtype=np.int64)
         for f in range(instance.n_flows):
-            label = int(genes[m, f])
-            for e in instance.label_edges[
-                instance.label_ptr[label - 1] : instance.label_ptr[label]
-            ]:
+            label = int(labels[m, f])
+            for e in label_edges[label_ptr[label - 1] : label_ptr[label]]:
                 manual[e] += instance.demands[f]
         assert np.array_equal(loads[m], manual)
 
@@ -73,19 +69,17 @@ def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
     # gather) against an independent oracle: per-edge sums over each
     # label's edges, read from the path table's hop tuples, and the exact
     # maximum of load / capacity as a fraction
+    flows, table = problem
     rng = np.random.default_rng(1)
     genes = instance.random_genes(16, rng)
-    loads = kernels.population_loads(
-        genes, instance.label_ptr, instance.label_pad,
-        instance.demands, instance.n_edges,
-    )
+    loads = instance.loads(genes)
+    labels = GeneCodec(table, flows).decode(genes)
     penalty = 20
     fit, mu = kernels.fitness_mu(loads, instance.caps, penalty)
     ids = edge_index(topology)
-    flows, table = problem
     for m in range(16):
         expected = np.zeros(instance.n_edges, dtype=np.int64)
-        for flow, label in zip(flows.flows, genes[m]):
+        for flow, label in zip(flows.flows, labels[m]):
             hops = hops_of(table, [label])[0]
             for edge in zip(hops, hops[1:]):
                 expected[ids[edge]] += to_units(flow.demand)
@@ -93,7 +87,7 @@ def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
         assert np.array_equal(loads[m], expected)
         assert mu[m] == expected_mu
 
-        matrix = assemble(RoutingAssignment(genes[m]), flows, table, topology)
+        matrix = assemble(RoutingAssignment(labels[m]), flows, table, topology)
         assert matrix.load_units == {
             edge: int(expected[i]) for edge, i in ids.items() if expected[i]
         }
@@ -104,24 +98,27 @@ def test_backends_agree_on_loads_and_fitness(instance, topology, problem):
         assert fit[m] == pytest.approx((residual.sum() - penalty * overload.sum()) / 1000.0)
 
 
-def _random_flow_csr(instance, rng):
+def _random_flow_csr(problem, topology, rng):
+    """The edge CSR of 2 to 39 flows, each on the shortest label of a random
+    flow of problem, with random demands."""
+    flows, table = problem
+    feas_ptr, feas_labels = feasible_csr(table, flows)
+    label_ptr, label_edges = table.label_edge_csr(topology)
     n = int(rng.integers(2, 40))
     ptr = np.zeros(n + 1, dtype=np.int64)
     flat = []
     for f in range(n):
-        label = int(instance.feas_labels[instance.feas_ptr[rng.integers(instance.n_flows)]])
-        flat.extend(
-            instance.label_edges[instance.label_ptr[label - 1] : instance.label_ptr[label]]
-        )
+        label = int(feas_labels[feas_ptr[rng.integers(flows.count)]])
+        flat.extend(label_edges[label_ptr[label - 1] : label_ptr[label]])
         ptr[f + 1] = len(flat)
     return ptr, np.array(flat, dtype=np.int64), rng.uniform(0.5, 60.0, size=n)
 
 
-def test_maxmin_rates_certify_max_min_fairness(instance):
+def test_maxmin_rates_certify_max_min_fairness(instance, topology, problem):
     rng = np.random.default_rng(2)
     caps = instance.caps.astype(np.float64) / 1000.0
     for _ in range(10):
-        ptr, edges, demands = _random_flow_csr(instance, rng)
+        ptr, edges, demands = _random_flow_csr(problem, topology, rng)
         rates = kernels.maxmin_rates(ptr, edges, demands, caps)
         tol = 1e-9 * max(caps.max(), demands.max())
         flow_of = np.repeat(np.arange(len(demands)), np.diff(ptr))
@@ -165,11 +162,11 @@ def _maxmin_freeze_loop(flow_ptr, flow_edges, demands, capacities):
     return rates
 
 
-def test_maxmin_rates_equal_the_per_flow_freeze_loop(instance):
+def test_maxmin_rates_equal_the_per_flow_freeze_loop(instance, topology, problem):
     rng = np.random.default_rng(5)
     caps = instance.caps.astype(np.float64) / 1000.0
     for _ in range(10):
-        ptr, edges, demands = _random_flow_csr(instance, rng)
+        ptr, edges, demands = _random_flow_csr(problem, topology, rng)
         rates = kernels.maxmin_rates(ptr, edges, demands, caps)
         assert rates.tolist() == _maxmin_freeze_loop(ptr, edges, demands, caps).tolist()
 
@@ -193,11 +190,7 @@ def test_maxmin_rates_equal_the_freeze_loop_on_random_csrs(data, n_edges):
 
 def test_fitness_formula_matches_reference(instance):
     rng = np.random.default_rng(4)
-    genes = instance.random_genes(6, rng)
-    loads = kernels.population_loads(
-        genes, instance.label_ptr, instance.label_pad,
-        instance.demands, instance.n_edges,
-    )
+    loads = instance.loads(instance.random_genes(6, rng))
     penalty = 20
     fit, mu = kernels.fitness_mu(loads, instance.caps, penalty)
     for m in range(6):
@@ -208,28 +201,33 @@ def test_fitness_formula_matches_reference(instance):
         assert mu[m] == pytest.approx((loads[m] / instance.caps).max())
 
 
+def _index(pad, members, n_edges):
+    """The aggregated form's index: member m's block holds pad's columns, one
+    after another, each id offset by m * (n_edges + 1)."""
+    return np.concatenate([column + m * (n_edges + 1) for m in range(members) for column in pad.T])
+
+
 def _check_load_forms_agree(topo, table, flows, members, rng):
     inst = _Instance(flows, table, topo)
-    pad = _label_pad(inst)
-    assert np.array_equal(inst.label_pad, pad)
+    pad = label_pad(table, topo)
+    # the instance's rows are the label rows in pair order: row p + 1 holds
+    # label pair_labels[p]
+    assert np.array_equal(inst.label_pad, pad[np.r_[0, table.pair_labels]])
     genes = inst.random_genes(members, rng)
-    # member m's block of the aggregated form's index: the padded rows'
-    # columns, one after another, each id offset by m * (n_edges + 1)
-    pad_index = np.concatenate(
-        [column + m * (inst.n_edges + 1) for m in range(members) for column in pad.T]
-    )
-    # both forms read the same per-flow demands
-    loop = kernels.population_loads(genes, inst.label_ptr, pad, inst.demands, inst.n_edges)
+    labels = GeneCodec(table, flows).decode(genes)
+    # both forms read the same per-flow demands, here over label-order rows
+    label_ptr = table.label_edge_csr(topo)[0]
+    loop = kernels.population_loads(labels, label_ptr, pad, inst.demands, inst.n_edges)
     aggregated = kernels.population_loads(
-        genes, inst.label_ptr, pad, inst.demands, inst.n_edges, pad_index
+        labels, label_ptr, pad, inst.demands, inst.n_edges, _index(pad, members, inst.n_edges)
     )
     assert loop.dtype == aggregated.dtype == np.int64
     assert np.array_equal(loop, aggregated)
     assert np.array_equal(inst.loads(genes), loop)
     if inst.aggregated:
-        assert np.array_equal(inst.pad_index, pad_index)
+        assert np.array_equal(inst.pad_index, _index(inst.label_pad, members, inst.n_edges))
     for m in range(members):
-        matrix = assemble(RoutingAssignment(genes[m]), flows, table, topo)
+        matrix = assemble(RoutingAssignment(labels[m]), flows, table, topo)
         assert matrix.load_units == {
             edge: int(loop[m, i]) for edge, i in edge_index(topo).items() if loop[m, i]
         }
@@ -284,7 +282,7 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
     assert no_label.size and no_label[-1] == n_edges - 1
     flows = make_flows([(1, 2, 12.5), (2, 1, 0.125)] * 30)
     loads = _check_load_forms_agree(topo, table, flows, 6, np.random.default_rng(12))
-    feasible = _Instance(flows, table, topo).feas_labels
+    feasible = feasible_csr(table, flows)[1]
     crossed = np.unique(kernels.csr_rows(ptr, edges, feasible - 1)[1])
     assert np.setdiff1d(edges, crossed).size
     assert not loads[:, np.setdiff1d(np.arange(n_edges), crossed)].any()
@@ -297,15 +295,15 @@ def test_aggregated_buffers_grow_with_the_population():
     # reads its first rows: 3, then 7, then 5 members each equal the gene loop
     topo = make_fat_tree(4, 200.0, 200.0, 100.0)
     table = precompute_xpaths(topo, x=4, cap_c=50)
-    inst = _Instance(generate_flows(topo, 500, ACCEPTANCE_MIX, plr=0.95, seed=1), table, topo)
+    flows = generate_flows(topo, 500, ACCEPTANCE_MIX, plr=0.95, seed=1)
+    inst = _Instance(flows, table, topo)
     assert inst.aggregated
+    codec, pad = GeneCodec(table, flows), label_pad(table, topo)
     rng = np.random.default_rng(7)
     for rows in (3, 7, 5):
         genes = inst.random_genes(rows, rng)
-        loop = kernels.population_loads(
-            genes, inst.label_ptr, inst.label_pad, inst.demands, inst.n_edges
-        )
-        assert np.array_equal(inst.loads(genes), loop), rows
+        expected = reference_loads(pad, codec.decode(genes), flows.demand_units, inst.n_edges)
+        assert np.array_equal(inst.loads(genes), expected), rows
     assert len(inst.pad_index) == 7 * inst.label_pad.size
 
 
@@ -321,12 +319,55 @@ def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, n_flows, ACCEPTANCE_MIX, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
-    hops = np.diff(inst.label_ptr)
-    gene_entries = hops[inst.shortest - 1].sum()
+    hops = np.diff(table.label_edge_csr(topo)[0])
+    ptr, labels = feasible_csr(table, flows)
+    gene_entries = hops[labels[ptr[:-1]] - 1].sum()
     # the rule: aggregate when the table's labels hold at most half the edge
     # entries of one member's shortest genes (gene entries per label entry at
     # k=4: 0.97 at 200 flows, 1.94 at 400, 2.43 at 500; k=8: 1.16; k=12: 0.10)
     assert (2 * hops.sum() < gene_entries) == aggregated
     assert inst.aggregated == aggregated
-    # both forms read the padded rows, as the mutation deltas do
-    assert np.array_equal(inst.label_pad, _label_pad(inst))
+    # no row holds more than cap_c = 50 labels, so genes are one byte
+    assert inst.random_genes(1, np.random.default_rng(0)).dtype == np.uint8
+    # both forms read the padded rows in pair order, as the mutation deltas do,
+    # and so does the row pointer the loads are handed with them
+    assert np.array_equal(inst.label_pad, label_pad(table, topo)[np.r_[0, table.pair_labels]])
+    assert np.array_equal(np.diff(inst.label_ptr), hops[table.pair_labels - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 7),
+    n_flows=st.integers(1, 40),
+    members=st.integers(1, 9),
+    aggregated=st.booleans(),
+)
+def test_offset_genes_load_the_rows_of_their_labels(seed, n_nodes, n_flows, members, aggregated):
+    # genes decode through the instance's rows in pair order; the reference
+    # reads each decoded label's row in label order. Either load form, and
+    # the mutation's load shift, must agree with it
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, edge_prob=0.5)
+    table = precompute_xpaths(topo, x=3, cap_c=None)
+    pairs = list(labels_by_pair(table))
+    flows = make_flows(
+        [(*pairs[i], int(rng.integers(1, 4000)) / 8) for i in rng.integers(len(pairs), size=n_flows)]
+    )
+    inst = _Instance(flows, table, topo)
+    inst.aggregated, inst.pad_index = aggregated, np.empty(0, np.int64) if aggregated else None
+    codec, pad = GeneCodec(table, flows), label_pad(table, topo)
+    genes = inst.random_genes(members, rng)
+    labels = inst.labels(genes)
+    assert genes.dtype == codec.dtype and labels.dtype == np.int64
+    assert np.array_equal(codec.encode(labels), genes)
+    loads = inst.loads(genes)
+    assert np.array_equal(loads, reference_loads(pad, labels, flows.demand_units, inst.n_edges))
+    # redraw some sites as multipoint_mutate does, and shift the loads by them
+    sites = rng.choice(genes.size, int(rng.integers(1, genes.size + 1)), replace=False)
+    rows, cols = np.divmod(sites, n_flows)
+    new = (rng.random(len(sites)) * np.diff(inst.feas_ptr)[cols]).astype(genes.dtype)
+    inst.shift_loads(loads, slice(0, members), rows, cols, genes[rows, cols], new)
+    genes[rows, cols] = new
+    expected = reference_loads(pad, codec.decode(genes), flows.demand_units, inst.n_edges)
+    assert np.array_equal(loads, expected)

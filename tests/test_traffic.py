@@ -400,6 +400,7 @@ def test_compress_reduces_small_heavy_workload():
     lower, upper = default_compression_bounds(topo)
     out = compress_flows(flows, 2.5, upper)
     assert out.count <= flows.count // 2
+    assert out == reference_compress_flows(flows, 2.5, upper)
     assert lower == pytest.approx(0.01)
     assert upper == pytest.approx(50.0)
 
@@ -473,6 +474,18 @@ def test_no_layer_builds_the_records_of_a_generated_set(tmp_path, monkeypatch):
     run_experiment(config, tmp_path / "res")
     assert readers == []
     assert "flows" not in vars(flows)
+
+
+def test_compress_returns_a_set_with_no_small_flow_unbuilt(monkeypatch):
+    # the default threshold lies below every generated demand: the set comes
+    # back as it is, and its Flow records are never built
+    readers = []
+    monkeypatch.setattr(FlowSet, "flows", property(readers.append))
+    topo = _FAT_TREES[8]
+    flows = generate_flows(topo, 2000, MIX, plr=0.5, seed=5)
+    assert compress_flows(flows, *default_compression_bounds(topo)) is flows
+    assert compress_flows(flows, 0.0, 0.0) is flows
+    assert readers == []
 
 
 def test_flow_file_round_trip_keeps_every_digit(tmp_path):
