@@ -37,8 +37,8 @@ def solve_exact(
     SearchBudgetExceededError when the assignment space is larger than
     budget.
     """
-    feas_ptr, feas_labels = feasible_csr(xpath_table, flowset)
-    if math.prod(np.diff(feas_ptr).tolist()) > budget:
+    row_ptr, row_labels = feasible_csr(xpath_table, flowset)
+    if math.prod(np.diff(row_ptr).tolist()) > budget:
         raise SearchBudgetExceededError(f"assignment search space exceeds budget of {budget}")
 
     caps = topology.cap_units.tolist()
@@ -47,8 +47,8 @@ def solve_exact(
     # each flow's candidates: a label and its path's (edge, capacity) pairs
     options = [
         [(label, [(e, caps[e]) for e in edge_ids[ptr[label - 1] : ptr[label]].tolist()])
-         for label in feas_labels[a:b].tolist()]
-        for a, b in pairwise(feas_ptr.tolist())
+         for label in row_labels[a:b].tolist()]
+        for a, b in pairwise(row_ptr.tolist())
     ]
     loads = [0] * len(caps)
 

@@ -107,11 +107,8 @@ class _Instance:
 
         rows = feasible_rows(table, flowset)
         starts = table.pair_ptr[rows]
-        counts = table.pair_ptr[rows + 1] - starts
-        self.feas_ptr = np.concatenate(([0], np.cumsum(counts)))
-        # each feasible entry's offset within its row, as multipoint_mutate redraws it
-        offsets = np.arange(self.feas_ptr[-1]) - np.repeat(self.feas_ptr[:-1], counts)
-        self.feas_offsets = offsets.astype(np.min_scalar_type(counts.max(initial=1) - 1))
+        self.lengths = table.pair_ptr[rows + 1] - starts  # each flow's feasible row length
+        self.gene_dtype = np.min_scalar_type(self.lengths.max(initial=1) - 1)
         self.base = (starts + 1).astype(np.min_scalar_type(table.path_count))
 
         # the padded rows every load sum reads: row p + 1 holds label
@@ -160,12 +157,11 @@ class _Instance:
     def random_genes(self, n_members: int, rng: np.random.Generator) -> np.ndarray:
         """n_members chromosomes of genes uniform over each flow's feasible row,
         drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
-        genes = np.empty((n_members, self.n_flows), dtype=self.feas_offsets.dtype)
-        counts = np.diff(self.feas_ptr)
+        genes = np.empty((n_members, self.n_flows), dtype=self.gene_dtype)
         for start in range(0, n_members, self.block):
             block = genes[start : start + self.block]
-            # the cast floors: every u * count lies in [0, count)
-            np.copyto(block, rng.random(block.shape) * counts, casting="unsafe")
+            # the cast floors: every u * length lies in [0, length)
+            np.copyto(block, rng.random(block.shape) * self.lengths, casting="unsafe")
         return genes
 
 
@@ -230,23 +226,21 @@ def uniform_crossover(
 def multipoint_mutate(
     genes: np.ndarray,
     mutation_rate: float,
-    feas_ptr: np.ndarray,
-    feas_labels: np.ndarray,
+    lengths: np.ndarray,
     rng: np.random.Generator,
-    on_sites=None,
+    on_sites,
 ) -> None:
     """Redraw, in place, each gene of a population with probability mutation_rate.
 
     One binomial draw counts the redraws, whose sites are then sampled without
-    replacement (the law of one coin per gene). A redraw picks uniformly from
-    the flow's row of the feasible CSR feas_ptr/feas_labels (run_cect passes
-    each entry's offset within its row as its label) and may keep the
-    incumbent, so the realized change rate is at most the mutation rate.
+    replacement (the law of one coin per gene). A redraw picks an offset
+    uniformly from [0, lengths[flow]), the flow's feasible row, and may keep
+    the incumbent, so the realized change rate is at most the mutation rate.
     Where numpy would sample with an index over the whole population (over
     10,000 genes, a twentieth of them drawn), blocks of rows sample instead.
-    on_sites, when given, is called with each block's sites as they are drawn,
-    before they change: (the block's slice of rows, rows within it, flows,
-    old genes, new genes).
+    on_sites is called with each block's sites as they are drawn, before they
+    change: (the block's slice of rows, rows within it, flows, old genes, new
+    genes).
     """
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation_rate must lie in [0, 1]")
@@ -262,11 +256,9 @@ def multipoint_mutate(
         block = genes[first : first + rows]
         sites = rng.choice(block.size, size=count, replace=False, shuffle=False)
         members, flows = np.divmod(sites, block.shape[1])
-        starts = feas_ptr[flows]
-        offsets = (rng.random(count) * (feas_ptr[flows + 1] - starts)).astype(np.int64)
-        new = feas_labels[starts + offsets]
-        if on_sites is not None:
-            on_sites(slice(first, first + rows), members, flows, block[members, flows], new)
+        # the cast floors: every u * length lies in [0, length)
+        new = (rng.random(count) * lengths[flows]).astype(genes.dtype)
+        on_sites(slice(first, first + rows), members, flows, block[members, flows], new)
         block[members, flows] = new
 
 
@@ -355,7 +347,7 @@ def run_cect(
         second -= first
         if needed % 2:
             spare_loads[-1] = loads[picks[-1]]  # an odd last child is a copied parent
-        multipoint_mutate(spare[1:], rate, inst.feas_ptr, inst.feas_offsets, rng,
+        multipoint_mutate(spare[1:], rate, inst.lengths, rng,
                           partial(inst.shift_loads, spare_loads[1:]))
         genes, spare = spare, genes
         loads, spare_loads = spare_loads, loads

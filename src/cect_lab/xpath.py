@@ -61,22 +61,22 @@ class XPathTable:
         return self.edge_ptr, self.edge_ids
 
 
-def check_path_bounds(x: int, cap_c: int | None) -> None:
+def check_path_bounds(x: int, cap_c: int) -> None:
     """Raise ValueError unless the hop bound x and the per-pair cap cap_c are >= 1."""
     if x < 1:
         raise ValueError("hop bound x must be >= 1")
-    if cap_c is not None and cap_c < 1:
+    if cap_c < 1:
         raise ValueError("per-pair cap cap_c must be >= 1")
 
 
-def precompute_xpaths(topology: Topology, x: int, cap_c: int | None) -> XPathTable:
+def precompute_xpaths(topology: Topology, x: int, cap_c: int) -> XPathTable:
     """Enumerate all simple paths with at most x edges between edge switches.
 
     Both ends lie in topology.edge_switches, where flows start and end
     (every switch of a pod-less topology); the hops between may be any
-    switch. When cap_c is not None, each (src, dst) pair keeps only its cap_c
-    shortest paths (ties broken by hop sequence). Labels are dense 1..N over
-    the retained paths, ordered by (length, src, dst, hop sequence).
+    switch. Each (src, dst) pair keeps only its cap_c shortest paths (ties
+    broken by hop sequence). Labels are dense 1..N over the retained paths,
+    ordered by (length, src, dst, hop sequence).
     """
     check_path_bounds(x, cap_c)
 
@@ -104,11 +104,10 @@ def precompute_xpaths(topology: Topology, x: int, cap_c: int | None) -> XPathTab
         # done is in hop order, so a stable sort by pair gives (src, dst, hops)
         pair = tail[done[:, 0]] * n + head[done[:, -1]]
         order = np.argsort(pair, kind="stable")
-        if cap_c is not None:
-            grouped = pair[order]
-            rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
-            order = order[rank + kept[grouped] < cap_c]
-            kept += np.bincount(pair[order], minlength=n * n)
+        grouped = pair[order]
+        rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+        order = order[rank + kept[grouped] < cap_c]
+        kept += np.bincount(pair[order], minlength=n * n)
         levels.append((done[order].ravel(), pair[order]))
 
     edge_ids, pairs = (np.concatenate(arrays) for arrays in zip(*levels))

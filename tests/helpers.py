@@ -43,6 +43,10 @@ from cect_lab.topology import Topology
 from cect_lab.traffic import CLASS_FRACTION, Flow, FlowSet, check_mix, check_topology
 from cect_lab.xpath import XPathTable, feasible_labels
 
+# a per-pair cap above every pair's path count in these tests' tables: the
+# table keeps every path
+ALL_PATHS = 10**9
+
 
 def random_topology(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.5,
                     capacity: float = 10.0) -> Topology:

@@ -41,6 +41,7 @@ from cect_lab.fluidsim import simulate
 from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
 from helpers import (
+    ALL_PATHS,
     GeneCodec,
     all_hops,
     edge_index,
@@ -82,7 +83,7 @@ def criterion(number: int, name: str):
 def test_criterion_1_golden_path_enumeration():
     with criterion(1, "golden path enumeration"):
         start = time.perf_counter()
-        table_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=None)
+        table_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=ALL_PATHS)
         assert dict(enumerate(all_hops(table_a), 1)) == {
             1: (1, 2),
             2: (2, 1),
@@ -91,7 +92,7 @@ def test_criterion_1_golden_path_enumeration():
             5: (3, 2, 1),
             6: (3, 1, 2),
         }
-        table_b = precompute_xpaths(make_sample_topology("fig2b"), x=3, cap_c=None)
+        table_b = precompute_xpaths(make_sample_topology("fig2b"), x=3, cap_c=ALL_PATHS)
         published = {
             (1, 2), (2, 1), (3, 2), (3, 4), (4, 1), (4, 3),
             (1, 3, 2), (1, 3, 4), (3, 4, 1), (4, 1, 3), (4, 1, 2), (4, 3, 2),
@@ -125,7 +126,7 @@ def test_criterion_3_oracle_optimality_gap():
             topo = random_topology(
                 rng, int(rng.integers(3, 7)), edge_prob=0.5, capacity=10.0
             )
-            table = precompute_xpaths(topo, x=3, cap_c=None)
+            table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
             pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
@@ -281,7 +282,7 @@ def test_criterion_7_constraint_suite():
         checked = 0
         while checked < 10_000:
             topo = random_topology(rng, int(rng.integers(3, 8)), edge_prob=0.5)
-            table = precompute_xpaths(topo, x=3, cap_c=None)
+            table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
             pairs = list(labels_by_pair(table))
             if not pairs:
                 continue
@@ -322,7 +323,7 @@ def test_criterion_7_constraint_suite():
         assert set(breaches) == set(ALL_RULES)
 
         # crossover multiset law
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         p1 = np.array([1, 7, 9], dtype=np.int64)
         p2 = np.array([1, 3, 4], dtype=np.int64)
         parents = np.stack([p1, p2])
@@ -334,12 +335,13 @@ def test_criterion_7_constraint_suite():
         # mutation redraw count obeys the binomial law at 3 sigma
         n, rate, seed = 10_000, 0.2, 777
         flowset = make_flows([(3, 1, 1.0)] * n)
-        tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=None)
-        base = np.full((1, n), 3, dtype=np.int64)
-        feas_ptr, feas_labels = feasible_csr(tab_a, flowset)
-        multipoint_mutate(base, rate, feas_ptr, feas_labels, np.random.default_rng(seed))
+        tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=ALL_PATHS)
+        # each gene is an offset into the flow's row (3, 5): offset 0 is label 3
+        base = np.zeros((1, n), dtype=np.uint8)
+        lengths = np.diff(feasible_csr(tab_a, flowset)[0])
+        multipoint_mutate(base, rate, lengths, np.random.default_rng(seed), lambda *sites: None)
         redraws = int(np.random.default_rng(seed).binomial(n, rate))
-        assert int((base != 3).sum()) <= redraws
+        assert int((base != 0).sum()) <= redraws
         sigma = math.sqrt(n * rate * (1 - rate))
         assert abs(redraws - n * rate) <= 3 * sigma
 
@@ -398,7 +400,7 @@ def test_criterion_9_simulator_sanity():
         checked = 0
         while checked < 25:
             topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
-            table = precompute_xpaths(topo, x=3, cap_c=None)
+            table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
             pairs = list(labels_by_pair(table))
             if not pairs:
                 continue

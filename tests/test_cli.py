@@ -128,7 +128,7 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
          r"\[traffic\] unknown flow classes in mix: \['huge'\]"),
         ("x = 4", "x = 0", r"\[paths\] hop bound x must be >= 1"),
         ("cap_c = 50", "cap_c = 0", r"\[paths\] per-pair cap cap_c must be >= 1"),
-        # every path of a pair is precompute_xpaths(cap_c=None), which no config sets
+        # a cap is an integer: no config keeps every path of a pair
         ("cap_c = 50", "cap_c = none",
          r"\[paths\] cap_c: invalid literal for int\(\) with base 10: 'none'"),
         ("model = maxmin", "model = maxmn",
@@ -971,7 +971,7 @@ def test_solve_rejects_an_unknown_method():
     topo = make_sample_topology("fig2a", 10.0)
     flows = FlowSet(flows=(Flow(id=1, src=3, dst=1, demand=1.0),))
     with pytest.raises(ValueError, match="unknown method 'ospf'"):
-        experiment.solve("ospf", flows, precompute_xpaths(topo, x=3, cap_c=None), topo, GaConfig())
+        experiment.solve("ospf", flows, precompute_xpaths(topo, x=3, cap_c=50), topo, GaConfig())
 
 
 @pytest.mark.parametrize("command, file, text, names", [

@@ -16,12 +16,12 @@ from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
 
-from helpers import bfs_distance, labels_by_pair, make_flows, random_topology
+from helpers import ALL_PATHS, bfs_distance, labels_by_pair, make_flows, random_topology
 
 
 def test_single_shortest_path_always_chosen():
     topo = make_sample_topology("fig2a", 10.0)
-    table = precompute_xpaths(topo, x=3, cap_c=None)
+    table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
     flows = make_flows([(1, 2, 1.0)] * 5)
     assignment = route_ecmp(flows, topo, table)
     assert assignment.labels.tolist() == [1] * 5
@@ -39,7 +39,7 @@ def test_chosen_paths_are_bfs_shortest():
     rng = np.random.default_rng(1)
     for _ in range(10):
         topo = random_topology(rng, 6, edge_prob=0.5)
-        table = precompute_xpaths(topo, x=4, cap_c=None)
+        table = precompute_xpaths(topo, x=4, cap_c=ALL_PATHS)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -154,7 +154,7 @@ SOLVERS = {
     ids=["unreachable", "hop-bound", "to-aggregation", "unknown-above", "unknown-below"],
 )
 def test_every_solver_names_the_flow_without_a_path(topo, x, dst):
-    table = precompute_xpaths(topo, x=x, cap_c=None)
+    table = precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)
     flows = make_flows([(1, 2, 1.0), (2, dst, 1.0)])
     for solve in SOLVERS.values():
         message = rf"^flow 2 \(2 -> {dst}\) has no feasible path in the table$"
@@ -190,7 +190,7 @@ def test_route_ecmp_output_is_pinned(k, n_flows, seed, digest):
     n_nodes=st.integers(2, 6),
     edge_prob=st.floats(0.2, 0.9),
     x=st.integers(1, 3),
-    cap_c=st.one_of(st.none(), st.integers(1, 4)),
+    cap_c=st.one_of(st.just(ALL_PATHS), st.integers(1, 4)),
     n_flows=st.integers(1, 3),
 )
 def test_solvers_share_the_feasible_csr(seed, n_nodes, edge_prob, x, cap_c, n_flows):

@@ -10,13 +10,13 @@ from cect_lab.topology import make_sample_topology
 from cect_lab.traffic import FlowSet
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
-from helpers import all_hops, labels_by_pair, make_flows, random_topology
+from helpers import ALL_PATHS, all_hops, labels_by_pair, make_flows, random_topology
 
 
 @pytest.fixture(scope="module")
 def fig2a():
     topo = make_sample_topology("fig2a", 10.0)
-    return topo, precompute_xpaths(topo, x=3, cap_c=None)
+    return topo, precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
 
 
 def test_two_flows_split_across_paths(fig2a):
@@ -50,7 +50,7 @@ def test_exhaustive_against_full_enumeration():
     checked = 0
     for _ in range(30):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         hop_counts = {label: len(hops) - 1 for label, hops in enumerate(all_hops(table), 1)}
         pairs = list(labels_by_pair(table))
         if not pairs:
@@ -87,7 +87,7 @@ def test_exhaustive_against_full_enumeration():
 def test_single_candidate_flows_do_not_deepen_the_search():
     # with x = 1 each flow's only path is its direct edge: a space of 1
     topo = make_sample_topology("fig2a", 10.0)
-    table = precompute_xpaths(topo, x=1, cap_c=None)
+    table = precompute_xpaths(topo, x=1, cap_c=ALL_PATHS)
     flows = make_flows([(3, 1, 0.01)] * 1000)
     assignment, mu = solve_exact(flows, table, topo)
     assert assignment.labels.tolist() == list(feasible_labels(table, 3, 1)) * 1000
@@ -98,7 +98,7 @@ def test_optimum_passes_validation():
     rng = np.random.default_rng(2)
     for _ in range(10):
         topo = random_topology(rng, 5, edge_prob=0.6)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         pairs = sorted(labels_by_pair(table))
         if not pairs:
             continue
@@ -116,7 +116,7 @@ def test_smaller_table_never_improves_optimum(fig2a):
     _, mu_full = solve_exact(flows, table, topo)
     capped = precompute_xpaths(topo, x=3, cap_c=1)
     _, mu_capped = solve_exact(flows, capped, topo)
-    shorter = precompute_xpaths(topo, x=1, cap_c=None)
+    shorter = precompute_xpaths(topo, x=1, cap_c=ALL_PATHS)
     _, mu_short = solve_exact(flows, shorter, topo)
     assert mu_capped >= mu_full
     assert mu_short >= mu_full

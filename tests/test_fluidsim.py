@@ -15,6 +15,7 @@ from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
 from helpers import (
+    ALL_PATHS,
     edge_index, grid_maxmin_oracle, hops_of, labels_by_pair, make_flows, random_topology
 )
 
@@ -74,7 +75,7 @@ def test_conservation_and_feasibility(model):
     rng = np.random.default_rng(0)
     for _ in range(25):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=8.0)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -106,7 +107,7 @@ def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
     links = random_topology(rng, n_nodes, edge_prob=0.6).links
     topo = Topology(nodes=tuple(range(1, n_nodes + 1)),
                     links=tuple((s, d, float(rng.uniform(0.5, 20.0))) for s, d, _ in links))
-    table = precompute_xpaths(topo, x=3, cap_c=None)
+    table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
     pairs = labels_by_pair(table)
     flows, chosen = [], []
     for _ in range(data.draw(st.integers(0, 8))):
@@ -150,7 +151,7 @@ def test_maxmin_matches_grid_oracle():
     rng = np.random.default_rng(5)
     for _ in range(15):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -184,7 +185,7 @@ def test_maxmin_bottlenecked_flows_cannot_grow():
     rng = np.random.default_rng(6)
     for _ in range(15):
         topo = random_topology(rng, 5, edge_prob=0.6, capacity=10.0)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue

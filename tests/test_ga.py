@@ -28,6 +28,7 @@ from cect_lab.traffic import FlowSet, generate_flows
 from cect_lab.xpath import XPathTable, feasible_csr, feasible_labels, precompute_xpaths
 
 from helpers import (
+    ALL_PATHS,
     GeneCodec,
     label_pad,
     labels_by_pair,
@@ -43,7 +44,7 @@ PUBLISHED_SHARES = [0.309, 0.050, 0.384, 0.117, 0.140]
 @pytest.fixture(scope="module")
 def fig2a():
     topo = make_sample_topology("fig2a", 10.0)
-    return topo, precompute_xpaths(topo, x=3, cap_c=None)
+    return topo, precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
 
 
 def _genes(*labels) -> np.ndarray:
@@ -65,11 +66,18 @@ def _fitness(flows, table, topo, *labels, penalty=None) -> float:
     return float(fit[0])
 
 
+def _no_sites(*sites) -> None:
+    """An on_sites hook that watches nothing."""
+
+
 def _mutate(genes, rate, table, flows, rng) -> np.ndarray:
-    """A mutated copy of a population (a 1-D chromosome is one member)."""
-    population = np.atleast_2d(genes).copy()
-    multipoint_mutate(population, rate, *feasible_csr(table, flows), rng)
-    return population
+    """A mutated copy of a population of labels (a 1-D chromosome is one
+    member): its offset genes are redrawn over the instance's row lengths."""
+    codec = GeneCodec(table, flows)
+    population = codec.encode(np.atleast_2d(genes))
+    lengths = _Instance(flows, table, table.topology).lengths
+    multipoint_mutate(population, rate, lengths, rng, _no_sites)
+    return codec.decode(population)
 
 
 def _crossover(genes, picks, rng) -> np.ndarray:
@@ -111,7 +119,7 @@ def test_overload_can_outrank_a_longer_path_that_fits():
     # the penalty weighs overload against residual capacity, so a direct path
     # that overloads 3 -> 2 outranks the two-hop detour that stays far below it
     topo = Topology(nodes=(1, 2, 3), links=((3, 2, 10.0), (3, 1, 100.0), (1, 2, 100.0)))
-    table = precompute_xpaths(topo, x=2, cap_c=None)
+    table = precompute_xpaths(topo, x=2, cap_c=ALL_PATHS)
     flows = make_flows([(3, 2, 10.5)])
     direct, detour = feasible_labels(table, 3, 2)
     genes = GeneCodec(table, flows).encode(_genes(direct, detour).reshape(2, 1))
@@ -250,7 +258,7 @@ def test_crossover_length_mismatch():
 def test_mutate_rate_zero_identity(fig2a):
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0)])
-    before = np.stack([_genes(3, 4, 1), _genes(4, 3, 1)])
+    before = np.stack([_genes(3, 4, 1), _genes(5, 6, 1)])  # feasible, so they encode
     after = _mutate(before, 0.0, table, flows, np.random.default_rng(0))
     assert np.array_equal(after, before)
 
@@ -295,7 +303,7 @@ def test_mutate_samples_large_populations_in_row_blocks(fig2a):
     changed = np.zeros(genes.shape)
     for _ in range(20):
         changed += _mutate(genes, 0.4, table, flows, rng) != genes
-    # each redraw keeps label 3 or moves to label 4 with equal odds, so a
+    # each redraw keeps label 3 or moves to label 5 with equal odds, so a
     # gene changes with probability 0.2, in every row and every column alike
     share = changed / 20
     assert abs(share.mean() - 0.2) <= 3 * math.sqrt(0.16 / (20 * genes.size))
@@ -358,19 +366,20 @@ def test_random_genes_draws_one_stream_in_blocks(fig2a):
 
 
 @pytest.mark.parametrize("cap_c, dtype", [(50, np.uint8), (256, np.uint8), (257, np.uint16),
-                                          (None, np.uint16)])
+                                          (326, np.uint16)])
 def test_genes_widen_only_past_256_labels_a_row(cap_c, dtype):
     # a gene is an offset within its flow's row: one byte holds the offsets
     # of 256 labels. On a complete digraph of 7 switches, x=6 leaves 326
-    # paths between each pair, so only a cap_c above 256 widens the genes
+    # paths between each pair (cap_c 326 keeps them all), so only a cap_c
+    # above 256 widens the genes
     nodes = tuple(range(1, 8))
     topo = Topology(nodes=nodes, links=tuple((s, d, 10.0) for s in nodes for d in nodes if s != d))
     table = precompute_xpaths(topo, x=6, cap_c=cap_c)
     flows = make_flows([(1, 2, 1.0), (3, 4, 1.0)])
-    assert len(feasible_labels(table, 1, 2)) == min(326, cap_c or 326)
+    assert len(feasible_labels(table, 1, 2)) == min(326, cap_c)
     inst = _Instance(flows, table, topo)
     genes = inst.random_genes(3, np.random.default_rng(0))
-    assert genes.dtype == inst.feas_offsets.dtype == dtype
+    assert genes.dtype == inst.gene_dtype == dtype
     assert np.array_equal(inst.labels(genes), GeneCodec(table, flows).decode(genes))
 
 
@@ -393,9 +402,9 @@ def test_breeding_allocates_no_population_sized_array(fig2a):
     # its sites in row blocks)
     topo, table = fig2a
     flows = make_flows([(3, 1, 1.0), (3, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0)] * 500)
-    feasible = feasible_csr(table, flows)
+    inst = _Instance(flows, table, topo)
     rng = np.random.default_rng(8)
-    genes = _Instance(flows, table, topo).random_genes(93, rng)
+    genes = inst.random_genes(93, rng)
     next_genes = np.empty_like(genes)
     picks = rng.integers(0, 93, size=92)
     mask_bytes = 46 * genes.shape[1]
@@ -403,7 +412,7 @@ def test_breeding_allocates_no_population_sized_array(fig2a):
         tracemalloc.start()
         try:
             uniform_crossover(genes, picks, rng, out=next_genes[1:])
-            multipoint_mutate(next_genes[1:], rate, *feasible, rng)
+            multipoint_mutate(next_genes[1:], rate, inst.lengths, rng, _no_sites)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,7 +558,7 @@ def _fat_tree_case(n_flows=200, generations=8):
 def _fig2a_case():
     topo = make_sample_topology("fig2a", 10.0)
     flows = make_flows([(3, 1, 6.0), (3, 1, 6.0), (3, 2, 5.0), (2, 1, 3.0), (1, 2, 4.0)])
-    return topo, precompute_xpaths(topo, x=3, cap_c=None), flows, GaConfig(
+    return topo, precompute_xpaths(topo, x=3, cap_c=ALL_PATHS), flows, GaConfig(
         seed=7, max_iterations=6, mu_target=0.01
     )
 
@@ -626,7 +635,7 @@ def _load_form_case(aggregated: bool, many: bool):
     if aggregated and not many:  # few labels, each shared by many flows
         topo = make_sample_topology("fig2a", 10.0)
         flows = make_flows([(3, 1, 1.0), (3, 2, 2.5), (2, 1, 0.5), (1, 2, 4.0)] * 8)
-        return topo, precompute_xpaths(topo, x=3, cap_c=None), flows
+        return topo, precompute_xpaths(topo, x=3, cap_c=ALL_PATHS), flows
     topo = make_fat_tree(6 if many and not aggregated else 4, 200.0, 200.0, 100.0)
     mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
     flows = generate_flows(topo, 2000 if many else 30, mix, plr=0.95, seed=1)
@@ -648,7 +657,7 @@ def test_run_peak_memory_is_pinned():
     # peak at 2,513,578 bytes, past it
     topo, table, flows = _load_form_case(False, True)
     inst = _Instance(flows, table, topo)
-    assert inst.feas_offsets.dtype == np.uint8 and inst.base.dtype == np.uint16
+    assert inst.gene_dtype == np.uint8 and inst.base.dtype == np.uint16
     config = GaConfig(seed=1, max_iterations=5, mu_target=1e-9)
     run_cect(flows, table, topo, config)  # builds the flow set's cached arrays
     tracemalloc.start()
@@ -665,13 +674,22 @@ def test_k12_run_peak_memory_is_bounded_by_one_byte_genes():
     # solve-k12's shape: 20,000 flows on a k=12 fabric (189,072 labels, so
     # a label needs uint32), population 388. A 2-generation solve peaks at
     # 67.5 MB with one-byte genes; the bound is 1.1 times that. uint16 genes
-    # peak at 84.1 MB and uint32 genes, as labels took before, at 117.3 MB
+    # peak at 84.1 MB and uint32 genes, as labels took before, at 117.3 MB.
+    # The instance's build peaks at 20.3 MB (and the solve at 64.3 MB); the
+    # bound is 1.1 times that. An array per feasible entry (1M of them) took
+    # it to 27.1 MB
     topo = make_fat_tree(12, 200.0, 200.0, 100.0)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, 20_000, {"micro": 0.9775, "small": 0.0175, "big": 0.005},
                            plr=0.95, seed=1)
-    inst = _Instance(flows, table, topo)
-    assert inst.feas_offsets.dtype == np.uint8 and inst.base.dtype == np.uint32
+    tracemalloc.start()
+    try:
+        inst = _Instance(flows, table, topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22_350_000, peak
+    assert inst.gene_dtype == np.uint8 and inst.base.dtype == np.uint32
     assert default_population_size(flows.count, topo.node_count) == 388
     config = GaConfig(seed=1, max_iterations=2, mu_target=1e-9)
     tracemalloc.start()
@@ -696,7 +714,7 @@ def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
     flows = generate_flows(topo, 20_000, mix, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
     n_pop = default_population_size(flows.count, topo.node_count)
-    assert inst.aggregated and inst.feas_offsets.dtype == np.uint8 and n_pop == 295
+    assert inst.aggregated and inst.gene_dtype == np.uint8 and n_pop == 295
     config = GaConfig(seed=1, max_iterations=2, mu_target=1e-9)
     tracemalloc.start()
     try:
@@ -772,7 +790,7 @@ def test_run_tracks_exact_optimum_on_small_instances():
     hits, total = 0, 0
     for _ in range(20):
         topo = random_topology(rng, int(rng.integers(3, 7)), edge_prob=0.5, capacity=10.0)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         pairs = list(labels_by_pair(table))
         if not pairs:
             continue
@@ -803,7 +821,7 @@ def test_run_returns_its_routings_mu_never_above_row_0s(seed, n_nodes, data):
     links = random_topology(rng, n_nodes, edge_prob=0.6).links
     topo = Topology(nodes=tuple(range(1, n_nodes + 1)),
                     links=tuple((s, d, float(rng.uniform(0.5, 20.0))) for s, d, _ in links))
-    table = precompute_xpaths(topo, x=3, cap_c=None)
+    table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
     pairs = sorted(labels_by_pair(table))
     flows = make_flows([
         (*data.draw(st.sampled_from(pairs)), data.draw(st.floats(0.01, 30.0)))

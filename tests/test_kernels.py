@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cect_lab import kernels
-from cect_lab.ga import _Instance
+from cect_lab.ga import _Instance, multipoint_mutate
 from cect_lab.routing import RoutingAssignment, assemble
 from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
 from cect_lab.xpath import feasible_csr, precompute_xpaths
 
 from helpers import (
+    ALL_PATHS,
     GeneCodec,
     edge_index,
     hops_of,
@@ -247,7 +249,7 @@ def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_
     # hold 1 to 3 hops, so shorter rows end in filler
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob=0.5)
-    table = precompute_xpaths(topo, x=3, cap_c=None)
+    table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
     pairs = list(labels_by_pair(table))
     chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
     flows = make_flows(
@@ -261,7 +263,7 @@ def test_load_forms_agree_on_sample_topologies_at_x10(name):
     # x=10 leaves every simple path in, so row widths vary the most
     rng = np.random.default_rng(10)
     topo = make_sample_topology(name, 10.0)
-    table = precompute_xpaths(topo, x=10, cap_c=None)
+    table = precompute_xpaths(topo, x=10, cap_c=ALL_PATHS)
     assert len(set(np.diff(table.label_edge_csr(topo)[0]).tolist())) > 1
     pairs = list(labels_by_pair(table))
     flows = make_flows(
@@ -275,7 +277,7 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
     # an aggregation-core link, the last edge ids among them; flows between
     # two access switches of one pod leave pod links no feasible label crosses
     topo = make_fat_tree(4)
-    table = precompute_xpaths(topo, x=2, cap_c=None)
+    table = precompute_xpaths(topo, x=2, cap_c=ALL_PATHS)
     ptr, edges = table.label_edge_csr(topo)
     n_edges = len(topo.cap_units)
     no_label = np.setdiff1d(np.arange(n_edges), edges)
@@ -349,7 +351,7 @@ def test_offset_genes_load_the_rows_of_their_labels(seed, n_nodes, n_flows, memb
     # the mutation's load shift, must agree with it
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob=0.5)
-    table = precompute_xpaths(topo, x=3, cap_c=None)
+    table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
     pairs = list(labels_by_pair(table))
     flows = make_flows(
         [(*pairs[i], int(rng.integers(1, 4000)) / 8) for i in rng.integers(len(pairs), size=n_flows)]
@@ -363,11 +365,8 @@ def test_offset_genes_load_the_rows_of_their_labels(seed, n_nodes, n_flows, memb
     assert np.array_equal(codec.encode(labels), genes)
     loads = inst.loads(genes)
     assert np.array_equal(loads, reference_loads(pad, labels, flows.demand_units, inst.n_edges))
-    # redraw some sites as multipoint_mutate does, and shift the loads by them
-    sites = rng.choice(genes.size, int(rng.integers(1, genes.size + 1)), replace=False)
-    rows, cols = np.divmod(sites, n_flows)
-    new = (rng.random(len(sites)) * np.diff(inst.feas_ptr)[cols]).astype(genes.dtype)
-    inst.shift_loads(loads, slice(0, members), rows, cols, genes[rows, cols], new)
-    genes[rows, cols] = new
+    # redraw some sites, and shift the loads by them as run_cect does
+    multipoint_mutate(genes, float(rng.random()), inst.lengths, rng,
+                      functools.partial(inst.shift_loads, loads))
     expected = reference_loads(pad, codec.decode(genes), flows.demand_units, inst.n_edges)
     assert np.array_equal(loads, expected)

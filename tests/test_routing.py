@@ -32,6 +32,7 @@ from cect_lab.traffic import Flow, FlowSet, generate_flows
 from cect_lab.xpath import feasible_labels, precompute_xpaths
 
 from helpers import (
+    ALL_PATHS,
     brute_force_simple_paths,
     edge_index,
     edge_list_matrix,
@@ -46,7 +47,7 @@ from helpers import (
 @pytest.fixture(scope="module")
 def fig2a():
     topo = make_sample_topology("fig2a", 10.0)
-    return topo, precompute_xpaths(topo, x=3, cap_c=None)
+    return topo, precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
 
 
 def test_assemble_single_flow_loads(fig2a):
@@ -132,7 +133,7 @@ def test_validate_accepts_all_table_paths():
     rng = np.random.default_rng(3)
     for _ in range(20):
         topo = random_topology(rng, int(rng.integers(3, 8)), edge_prob=0.5)
-        table = precompute_xpaths(topo, x=3, cap_c=None)
+        table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
         pairs = sorted(labels_by_pair(table))
         if not pairs:
             continue
@@ -306,7 +307,7 @@ def test_validate_agrees_with_the_reference_validator(seed, n_nodes, edge_prob, 
     # violations as the rule-by-rule reference, in the same order
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob)
-    table = precompute_xpaths(topo, x=x, cap_c=None)
+    table = precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)
     by_pair = labels_by_pair(table)
     pairs = list(by_pair.items())
     label_ptr, label_edges = table.label_edge_csr(topo)
@@ -661,7 +662,7 @@ def test_dump_round_trip_reloads_negative_and_19_digit_switch_ids(
 def _check_dump_round_trip(rng, topo, x, n_flows):
     """Route n_flows random flows on random feasible labels, and check that their
     dump parses back to the labels and hops, and replays to assemble's matrix."""
-    table = precompute_xpaths(topo, x=x, cap_c=None)
+    table = precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)
     pairs = list(labels_by_pair(table).items())
     flows, chosen = [], []
     for _ in range(n_flows):

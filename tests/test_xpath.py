@@ -18,6 +18,7 @@ from cect_lab.xpath import (
 )
 
 from helpers import (
+    ALL_PATHS,
     all_hops,
     brute_force_simple_paths,
     edge_index,
@@ -47,7 +48,7 @@ GOLDEN_FIG2B_SUBSET = [
 
 @pytest.fixture(scope="module")
 def fig2a_table():
-    return precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=None)
+    return precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=ALL_PATHS)
 
 
 def test_fig2a_golden_labels(fig2a_table):
@@ -67,7 +68,7 @@ def test_fig2a_golden_dump(fig2a_table):
 
 
 def test_fig2b_superset_of_published_table():
-    table = precompute_xpaths(make_sample_topology("fig2b"), x=3, cap_c=None)
+    table = precompute_xpaths(make_sample_topology("fig2b"), x=3, cap_c=ALL_PATHS)
     have = set(all_hops(table))
     for hops in GOLDEN_FIG2B_SUBSET:
         assert hops in have
@@ -78,7 +79,7 @@ def test_fig2b_superset_of_published_table():
 
 def test_one_hop_paths_are_the_edge_set():
     topo = make_sample_topology("fig2a")
-    table = precompute_xpaths(topo, x=1, cap_c=None)
+    table = precompute_xpaths(topo, x=1, cap_c=ALL_PATHS)
     assert set(all_hops(table)) == {(s, d) for s, d, _ in topo.links}
 
 
@@ -119,7 +120,7 @@ def test_enumeration_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes=int(rng.integers(3, 8)), edge_prob=0.4)
     x = int(rng.integers(1, 5))
-    table = precompute_xpaths(topo, x=x, cap_c=None)
+    table = precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)
     assert set(all_hops(table)) == brute_force_simple_paths(topo, x)
 
 
@@ -128,7 +129,7 @@ def test_growth_construction_agrees(seed):
     rng = np.random.default_rng(100 + seed)
     topo = random_topology(rng, n_nodes=6, edge_prob=0.45)
     x = int(rng.integers(1, 5))
-    table = precompute_xpaths(topo, x=x, cap_c=None)
+    table = precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)
     assert set(all_hops(table)) == grow_xpaths(topo, x)
 
 
@@ -137,7 +138,7 @@ def test_monotone_in_hop_bound():
     topo = random_topology(rng, n_nodes=6, edge_prob=0.4)
     previous: set = set()
     for x in range(1, 6):
-        current = set(all_hops(precompute_xpaths(topo, x=x, cap_c=None)))
+        current = set(all_hops(precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)))
         assert previous <= current
         previous = current
 
@@ -163,7 +164,7 @@ def test_per_pair_cap_keeps_shortest_first():
     topo = make_sample_topology("fig2a")
     capped = precompute_xpaths(topo, x=3, cap_c=1)
     assert set(all_hops(capped)) == {(1, 2), (2, 1), (3, 1), (3, 2)}
-    full = precompute_xpaths(topo, x=3, cap_c=None)
+    full = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
     for pair in labels_by_pair(capped):
         labels = feasible_labels(capped, *pair)
         assert len(labels) == 1
@@ -174,7 +175,7 @@ def test_per_pair_cap_keeps_shortest_first():
 
 def test_pair_lists_sorted_by_hops_then_label():
     topo = make_fat_tree(4)
-    table = precompute_xpaths(topo, x=4, cap_c=None)
+    table = precompute_xpaths(topo, x=4, cap_c=ALL_PATHS)
     for pair in labels_by_pair(table):
         labels = feasible_labels(table, *pair)
         hops = [int(table.edge_ptr[l] - table.edge_ptr[l - 1]) for l in labels]
@@ -191,7 +192,7 @@ def test_cap_bounds_pair_sizes():
 def test_rejects_bad_parameters():
     topo = make_sample_topology("fig2a")
     with pytest.raises(ValueError):
-        precompute_xpaths(topo, x=0, cap_c=None)
+        precompute_xpaths(topo, x=0, cap_c=ALL_PATHS)
     with pytest.raises(ValueError):
         precompute_xpaths(topo, x=3, cap_c=0)
 
@@ -199,7 +200,7 @@ def test_rejects_bad_parameters():
 def test_xpath_invariants():
     # every path has at least one edge, visits no switch twice, and its
     # hop count is its edge count
-    table = precompute_xpaths(make_fat_tree(4), x=4, cap_c=None)
+    table = precompute_xpaths(make_fat_tree(4), x=4, cap_c=ALL_PATHS)
     for label, hops in enumerate(all_hops(table), 1):
         assert len(hops) >= 2
         assert len(set(hops)) == len(hops)
@@ -215,7 +216,7 @@ def test_every_path_forms_a_valid_single_flow_route():
     rng = np.random.default_rng(42)
     for _ in range(5):
         topo = random_topology(rng, 6, edge_prob=0.5)
-        table = precompute_xpaths(topo, x=4, cap_c=None)
+        table = precompute_xpaths(topo, x=4, cap_c=ALL_PATHS)
         for label, hops in enumerate(all_hops(table), 1):
             flowset = FlowSet(flows=(Flow(id=1, src=hops[0], dst=hops[-1], demand=1.0),))
             matrix = assemble(RoutingAssignment(np.array([label])), flowset, table, topo)
@@ -232,7 +233,7 @@ def _table_order(hops):
     n_nodes=st.integers(2, 6),
     edge_prob=st.floats(0.2, 0.9),
     x=st.integers(1, 4),
-    cap_c=st.one_of(st.none(), st.integers(1, 5)),
+    cap_c=st.one_of(st.just(ALL_PATHS), st.integers(1, 5)),
     pods=st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 1), st.booleans())), max_size=6),
 )
 def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, pods):
@@ -266,7 +267,7 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, p
     assert {
         pair: [hops[label - 1] for label in labels] for pair, labels in rows.items() if labels
     } == expected
-    if cap_c is None:
+    if cap_c == ALL_PATHS:
         assert set(hops) == every
 
     # each CSR row holds the edge ids of its path's hops
