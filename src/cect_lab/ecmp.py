@@ -12,7 +12,7 @@ import numpy as np
 from .routing import RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable, feasible_csr
+from .xpath import XPathTable, feasible_rows
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -41,13 +41,14 @@ def route_ecmp(flowset: FlowSet, topology: Topology, xpath_table: XPathTable) ->
     ValueError when the table was built for another topology.
     """
     topology.check_edge_keys(xpath_table.topology.edge_keys, "table")
-    ptr, labels = feasible_csr(xpath_table, flowset)
-    starts = ptr[:-1]
-    # rows run shortest first, so each row's minimum-hop paths are a prefix
+    starts, lengths = feasible_rows(xpath_table, flowset)
+    labels = xpath_table.pair_labels
+    # rows run shortest first, so each row's minimum-hop paths are a prefix:
+    # it ends at the first hop change after its start, or at the row's end
     hops = np.diff(xpath_table.edge_ptr)[labels - 1]
-    shortest = hops == np.repeat(hops[starts], np.diff(ptr))
-    sizes = np.add.reduceat(shortest, starts, dtype=np.int64)
+    changes = np.append(np.flatnonzero(hops[1:] != hops[:-1]) + 1, len(labels))
+    ends = np.minimum(changes[np.searchsorted(changes, starts, side="right")], starts + lengths)
     src, dst = flowset.ends.T
     ids = np.arange(1, flowset.count + 1, dtype=np.int64)
-    picks = (fnv1a64(src, dst, ids) % sizes.astype(np.uint64)).astype(np.int64)
+    picks = (fnv1a64(src, dst, ids) % (ends - starts).astype(np.uint64)).astype(np.int64)
     return RoutingAssignment(labels[starts + picks])

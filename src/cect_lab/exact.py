@@ -9,7 +9,6 @@ cross-multiplication), so tie-breaking never depends on float rounding.
 from __future__ import annotations
 
 import math
-from itertools import pairwise
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .errors import SearchBudgetExceededError
 from .routing import RoutingAssignment
 from .topology import Topology
 from .traffic import FlowSet
-from .xpath import XPathTable, feasible_csr
+from .xpath import XPathTable, feasible_rows
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -37,8 +36,8 @@ def solve_exact(
     SearchBudgetExceededError when the assignment space is larger than
     budget.
     """
-    row_ptr, row_labels = feasible_csr(xpath_table, flowset)
-    if math.prod(np.diff(row_ptr).tolist()) > budget:
+    starts, lengths = feasible_rows(xpath_table, flowset)
+    if math.prod(lengths.tolist()) > budget:
         raise SearchBudgetExceededError(f"assignment search space exceeds budget of {budget}")
 
     caps = topology.cap_units.tolist()
@@ -47,8 +46,8 @@ def solve_exact(
     # each flow's candidates: a label and its path's (edge, capacity) pairs
     options = [
         [(label, [(e, caps[e]) for e in edge_ids[ptr[label - 1] : ptr[label]].tolist()])
-         for label in row_labels[a:b].tolist()]
-        for a, b in pairwise(row_ptr.tolist())
+         for label in xpath_table.pair_labels[a : a + n].tolist()]
+        for a, n in zip(starts.tolist(), lengths.tolist())
     ]
     loads = [0] * len(caps)
 

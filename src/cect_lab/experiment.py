@@ -38,7 +38,7 @@ from .traffic import (
     generate_flows,
     save_flows,
 )
-from .xpath import XPathTable, check_path_bounds, feasible_csr, precompute_xpaths
+from .xpath import XPathTable, check_path_bounds, feasible_rows, precompute_xpaths
 
 RESULT_COLUMNS = (
     "method",
@@ -167,7 +167,9 @@ def _read_config(path) -> bytes:
 
 def _parse_config(data: bytes, path) -> ExperimentConfig:
     """Parse and check a config; an unknown section or key is an error."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # a section header never holds a newline, so [DEFAULT] is a plain section
+    # here, which the check below names, and no key is copied into every section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="\n")
     cfg = ExperimentConfig()
     try:
         parser.read_string(data.decode("utf-8"), source=str(path))
@@ -289,8 +291,7 @@ def solve(
     if method == "ecmp":
         return route_ecmp(flows, topology, table), None
     if method == "shortest":
-        ptr, labels = feasible_csr(table, flows)
-        return RoutingAssignment(labels[ptr[:-1]]), None
+        return RoutingAssignment(table.pair_labels[feasible_rows(table, flows)[0]]), None
     if method == "exact":
         return solve_exact(flows, table, topology)[0], None
     raise ValueError(f"unknown method {method!r}")

@@ -1,16 +1,17 @@
 """Genetic routing optimizer over path chromosomes.
 
 Each chromosome holds one gene per flow: the offset of the flow's path label
-within its feasible row (feasible_csr's, shortest first), in the narrowest
-unsigned dtype that holds the longest row (uint8 unless a row holds more than
-256 labels); a population is a 2-D array with one chromosome per row. Loads
-decode a block of members at a time, by one narrow add, into rows of padded
-edge ids, and only the returned chromosome is decoded into labels. Generations
-are bred with fitness-proportionate (roulette) selection, uniform crossover,
-and multipoint mutation, each applied to the whole population in one call;
-the best chromosome is carried over unchanged and never mutated. The
-mutation rate switches to its high setting whenever the best fitness has
-stalled, to climb out of local optima.
+within its feasible row (the flow's slice of the table's pair_labels, from
+feasible_rows, shortest first), in the narrowest unsigned dtype that holds
+the longest row (uint8 unless a row holds more than 256 labels); a
+population is a 2-D array with one chromosome per row. Loads decode a block
+of members at a time, by one narrow add, into rows of padded edge ids, and
+only the returned chromosome is decoded into labels. Generations are bred
+with fitness-proportionate (roulette) selection, uniform crossover, and
+multipoint mutation, each applied to the whole population in one call; the
+best chromosome is carried over unchanged and never mutated. The mutation
+rate switches to its high setting whenever the best fitness has stalled, to
+climb out of local optima.
 
 Fitness is the summed residual capacity over all links, minus the switch
 count times the summed overload. The penalty only weighs overload against
@@ -105,9 +106,7 @@ class _Instance:
         self.n_edges = len(self.caps)
         self.pair_labels = table.pair_labels
 
-        rows = feasible_rows(table, flowset)
-        starts = table.pair_ptr[rows]
-        self.lengths = table.pair_ptr[rows + 1] - starts  # each flow's feasible row length
+        starts, self.lengths = feasible_rows(table, flowset)  # each flow's feasible row
         self.gene_dtype = np.min_scalar_type(self.lengths.max(initial=1) - 1)
         self.base = (starts + 1).astype(np.min_scalar_type(table.path_count))
 
@@ -277,7 +276,8 @@ def run_cect(
     per-generation trace. on_generation, when given, is called with
     (generation, genes, fitness, mu) after each evaluation. genes is the
     population as bred, offsets and not labels, so a hook costs no decode:
-    gene g of flow f picks entry g of flow f's row of feasible_csr.
+    gene g of flow f picks xpath_table.pair_labels[starts[f] + g], with
+    starts from feasible_rows.
     """
     config = config or GaConfig()
     inst = _Instance(flowset, xpath_table, topology)

@@ -10,8 +10,9 @@ and matches the published labeling of the reference topologies.
 The table is a set of numpy arrays built one hop length at a time. A path is
 one row of edge ids, read through edge_ptr or label_edge_csr; its switches
 are its edges' ends in Topology.edge_ends. Each endpoint pair's labels are
-read through feasible_labels, feasible_rows and feasible_csr, which slice
-one CSR over the pairs.
+one row of a CSR over the pairs, pair_ptr/pair_labels: feasible_labels reads
+one pair's row, and feasible_rows gives every flow's slice of pair_labels,
+the one candidate index every solver reads.
 """
 
 from __future__ import annotations
@@ -140,26 +141,21 @@ def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:
     return tuple(table.pair_labels[table.pair_ptr[row] : table.pair_ptr[row + 1]].tolist())
 
 
-def feasible_rows(table: XPathTable, flowset: FlowSet) -> np.ndarray:
-    """The pair_ptr row of every flow, in flow order: flow i's feasible labels
-    are row i's slice of pair_labels, shortest first.
+def feasible_rows(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each flow's int64 (starts, lengths), in flow order: flow i's feasible labels
+    are pair_labels[starts[i] : starts[i] + lengths[i]], shortest first.
 
     Raises CectLabError naming the first flow that has no path in the table.
     """
     rows = _pair_rows(table, flowset.ends)
-    counts = table.pair_ptr[rows + 1] - table.pair_ptr[rows]
-    if not counts.all():
-        i = int(np.argmin(counts))
+    starts = table.pair_ptr[rows]
+    lengths = table.pair_ptr[rows + 1] - starts
+    if not lengths.all():
+        i = int(np.argmin(lengths))
         src, dst = flowset.ends[i].tolist()
         message = f"flow {i + 1} ({src} -> {dst}) has no feasible path in the table"
         raise CectLabError(message)
-    return rows
-
-
-def feasible_csr(table: XPathTable, flowset: FlowSet) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (row ptr, labels) of every flow's feasible labels, in flow order:
-    row i holds feasible_labels for flow i, shortest first; raises as feasible_rows."""
-    return csr_rows(table.pair_ptr, table.pair_labels, feasible_rows(table, flowset))
+    return starts, lengths
 
 
 def format_paths(table: XPathTable, labels: np.ndarray, head: str, *fields: np.ndarray) -> str:

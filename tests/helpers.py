@@ -15,7 +15,10 @@ Topology.edge_switches and the raw-word decoding of generate_flows must
 agree with. label_pad and reference_loads read each label's edges in label
 order, which the solver's offset genes, decoded through its rows in
 pair order, must agree with; GeneCodec maps labels to those genes and back
-through feasible_labels, one flow at a time.
+through feasible_labels, one flow at a time. reference_feasible_csr copies
+each flow's feasible_labels into one CSR, a flow at a time, and
+reference_route_ecmp keeps the package's ECMP over that per-flow copy, which
+route_ecmp's reading of the pair rows must agree with.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from cect_lab.ecmp import fnv1a64
 from cect_lab.routing import (
     RULE_BINARY_INDICATOR,
     RULE_DESTINATION_IN_DEGREE,
@@ -35,6 +39,7 @@ from cect_lab.routing import (
     RULE_NO_EXIT_FROM_DESTINATION,
     RULE_NO_RETURN_TO_SOURCE,
     RULE_SOURCE_OUT_DEGREE,
+    RoutingAssignment,
     RoutingMatrix,
     Violation,
     _check_rows,
@@ -454,3 +459,28 @@ def reference_loads(pad: np.ndarray, labels, demand_units: np.ndarray, n_edges: 
     for member, row in zip(loads, labels):
         np.add.at(member, pad[row], demand_units[:, None])
     return loads[:, :n_edges]
+
+
+def reference_feasible_csr(table: XPathTable, flows: FlowSet) -> tuple[np.ndarray, np.ndarray]:
+    """int64 CSR (row ptr, labels) of every flow's feasible_labels, in flow
+    order, copied one flow at a time."""
+    rows = [feasible_labels(table, src, dst) for src, dst in flows.ends.tolist()]
+    ptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    return ptr, np.array([label for row in rows for label in row], dtype=np.int64)
+
+
+def reference_route_ecmp(flows: FlowSet, topology: Topology, table: XPathTable) -> RoutingAssignment:
+    """Hash ECMP over reference_feasible_csr: each flow's row is compared with
+    its first label's hop count, and the FNV-1a hash picks among the matches.
+    Every flow needs a path in the table."""
+    topology.check_edge_keys(table.topology.edge_keys, "table")
+    ptr, labels = reference_feasible_csr(table, flows)
+    starts = ptr[:-1]
+    # rows run shortest first, so each row's minimum-hop paths are a prefix
+    hops = np.diff(table.edge_ptr)[labels - 1]
+    shortest = hops == np.repeat(hops[starts], np.diff(ptr))
+    sizes = np.add.reduceat(shortest, starts, dtype=np.int64)
+    src, dst = flows.ends.T
+    ids = np.arange(1, flows.count + 1, dtype=np.int64)
+    picks = (fnv1a64(src, dst, ids) % sizes.astype(np.uint64)).astype(np.int64)
+    return RoutingAssignment(labels[starts + picks])

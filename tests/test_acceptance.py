@@ -38,7 +38,7 @@ from cect_lab.routing import (
 from cect_lab.topology import load_topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import compress_flows, generate_flows, load_flows
 from cect_lab.fluidsim import simulate
-from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
+from cect_lab.xpath import feasible_labels, feasible_rows, precompute_xpaths
 
 from helpers import (
     ALL_PATHS,
@@ -218,8 +218,8 @@ def test_shortest_is_the_gas_row_0_and_cect_beats_it(sweep_results):
         for seed in range(cfg.n_seeds):
             flows = load_flows(out / "flows" / f"flows_{n}_{seed}.txt")
             assignment, _ = experiment.solve("shortest", flows, table, topo, GaConfig())
-            ptr, labels = feasible_csr(table, flows)
-            assert assignment.labels.tolist() == labels[ptr[:-1]].tolist()
+            starts = feasible_rows(table, flows)[0]
+            assert assignment.labels.tolist() == table.pair_labels[starts].tolist()
             row0, codec = [], GeneCodec(table, flows)
 
             def first_row(generation, genes, fitness, mu):
@@ -338,7 +338,7 @@ def test_criterion_7_constraint_suite():
         tab_a = precompute_xpaths(make_sample_topology("fig2a"), x=3, cap_c=ALL_PATHS)
         # each gene is an offset into the flow's row (3, 5): offset 0 is label 3
         base = np.zeros((1, n), dtype=np.uint8)
-        lengths = np.diff(feasible_csr(tab_a, flowset)[0])
+        lengths = feasible_rows(tab_a, flowset)[1]
         multipoint_mutate(base, rate, lengths, np.random.default_rng(seed), lambda *sites: None)
         redraws = int(np.random.default_rng(seed).binomial(n, rate))
         assert int((base != 0).sum()) <= redraws

@@ -140,6 +140,10 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("plr = 0.7", "plr = 0.7\ncompress_lower = 1", r"\[traffic\] unknown key 'compress_lower'"),
         ("[ga]", "[ga]\npenalty_weight = 3", r"\[ga\] unknown key 'penalty_weight'"),
         ("[sim]", "[typo]\nfoo = 1\n[sim]", r"unknown section \[typo\]"),
+        # configparser would copy [DEFAULT]'s keys into every section: alone
+        # it set nothing, and beside [sweep] its seed read as a [sweep] key
+        (BASE_CONFIG, "[DEFAULT]\nk = 8\n", r"unknown section \[DEFAULT\]"),
+        ("[sweep]", "[DEFAULT]\nseed = 1\n[sweep]", r"unknown section \[DEFAULT\]"),
         ("kind = fat_tree", "kind = torus", r"\[topology\] unknown kind 'torus'"),
         ("kind = fat_tree", "kind = file", r"\[topology\] kind 'file' needs a path option"),
         ("n_flows = 60,120", "n_flows = -5,0",
@@ -169,7 +173,8 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
          r"\[traffic\] compress: not a boolean: 'maybe'"),
     ],
     ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
-         "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "topology-kind",
+         "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "default-section-alone",
+         "default-section-with-sweep", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
          "comma-only-methods", "unknown-method", "empty-n-flows", "descending-n-flows",
          "zero-step-n-flows", "repeated-mix-class", "no-seeds", "negative-seed", "mix-entry",

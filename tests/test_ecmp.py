@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,16 @@ from cect_lab.ga import GaConfig, run_cect
 from cect_lab.routing import assemble, validate
 from cect_lab.topology import make_fat_tree, make_sample_topology
 from cect_lab.traffic import generate_flows
-from cect_lab.xpath import feasible_csr, feasible_labels, precompute_xpaths
+from cect_lab.xpath import feasible_labels, feasible_rows, precompute_xpaths
 
-from helpers import ALL_PATHS, bfs_distance, labels_by_pair, make_flows, random_topology
+from helpers import (
+    ALL_PATHS,
+    bfs_distance,
+    labels_by_pair,
+    make_flows,
+    random_topology,
+    reference_route_ecmp,
+)
 
 
 def test_single_shortest_path_always_chosen():
@@ -184,6 +192,70 @@ def test_route_ecmp_output_is_pinned(k, n_flows, seed, digest):
     assert hashlib.sha256(assignment.labels.tobytes()).hexdigest() == digest
 
 
+def _check_route_ecmp_equals_the_reference(topo, table):
+    # a flow on every pair with a path, each pair twice, in a random order,
+    # so that the hash picks vary with the flow id
+    pairs = list(labels_by_pair(table)) * 2
+    order = np.random.default_rng(len(pairs)).permutation(len(pairs))
+    flows = make_flows([(*pairs[i], 1.0) for i in order])
+    expected = reference_route_ecmp(flows, topo, table).labels
+    assert np.array_equal(route_ecmp(flows, topo, table).labels, expected)
+    return flows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 6),
+    edge_prob=st.floats(0.2, 0.9),
+    x=st.integers(1, 3),
+    cap_c=st.one_of(st.just(ALL_PATHS), st.integers(1, 4)),
+)
+def test_route_ecmp_equals_the_per_flow_reference(seed, n_nodes, edge_prob, x, cap_c):
+    topo = random_topology(np.random.default_rng(seed), n_nodes, edge_prob)
+    _check_route_ecmp_equals_the_reference(topo, precompute_xpaths(topo, x=x, cap_c=cap_c))
+
+
+@pytest.mark.parametrize("cap_c", [2, 50])
+def test_route_ecmp_ends_a_whole_shortest_row_at_the_next_pair_row(cap_c):
+    # a k=4 fat tree's inter-pod rows (and at cap_c 2 its in-pod rows) hold
+    # only minimum-hop paths, so their prefix is the whole row. The next pair
+    # row starts on other hops after some (a hop change at the row's end) and
+    # on the same hops after others, where only the row's end cuts the prefix
+    topo = make_fat_tree(4)
+    table = precompute_xpaths(topo, x=4, cap_c=cap_c)
+    flows = _check_route_ecmp_equals_the_reference(topo, table)
+    hops = np.append(np.diff(table.edge_ptr)[table.pair_labels - 1], 0)
+    kinds = set()
+    for start, length in zip(*feasible_rows(table, flows)):
+        row = hops[start : start + length]
+        if (row == row[0]).all():
+            kinds.add(bool(hops[start + length] != row[0]))
+    assert kinds == {True, False}
+
+
+def test_candidate_reads_peak_memory_is_bounded():
+    # solve-k12's shape: 20,000 flows on a k=12 fabric (189,072 labels), which
+    # ECMP and "shortest" read as each flow's slice of the table's pair rows.
+    # route_ecmp peaks at 4,858,264 bytes and "shortest" at 791,312; the bounds
+    # are 1.1 times those. A per-flow copy of every candidate label (734k
+    # entries) took them to 19.3 MB and 12.6 MB
+    topo = make_fat_tree(12, 200.0, 200.0, 100.0)
+    table = precompute_xpaths(topo, x=4, cap_c=50)
+    flows = generate_flows(topo, 20_000, MIX, plr=0.95, seed=1)
+    for solve, bound in (
+        (lambda: route_ecmp(flows, topo, table), 5_344_100),
+        (lambda: experiment.solve("shortest", flows, table, topo, GaConfig()), 870_500),
+    ):
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -193,7 +265,7 @@ def test_route_ecmp_output_is_pinned(k, n_flows, seed, digest):
     cap_c=st.one_of(st.just(ALL_PATHS), st.integers(1, 4)),
     n_flows=st.integers(1, 3),
 )
-def test_solvers_share_the_feasible_csr(seed, n_nodes, edge_prob, x, cap_c, n_flows):
+def test_solvers_share_the_feasible_rows(seed, n_nodes, edge_prob, x, cap_c, n_flows):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob)
     table = precompute_xpaths(topo, x=x, cap_c=cap_c)
@@ -204,10 +276,9 @@ def test_solvers_share_the_feasible_csr(seed, n_nodes, edge_prob, x, cap_c, n_fl
     flows = make_flows(
         [(*pairs[rng.integers(len(pairs))], float(rng.integers(1, 9))) for _ in range(n_flows)]
     )
-    ptr, labels = feasible_csr(table, flows)
-    rows = [reference[(f.src, f.dst)] for f in flows.flows]
-    assert ptr.tolist() == np.cumsum([0, *map(len, rows)]).tolist()
-    assert labels.tolist() == [label for row in rows for label in row]
+    starts, lengths = feasible_rows(table, flows)
+    rows = [tuple(table.pair_labels[a : a + n].tolist()) for a, n in zip(starts, lengths)]
+    assert rows == [reference[(f.src, f.dst)] for f in flows.flows]
 
     ecmp = route_ecmp(flows, topo, table)
     cect, _, _ = run_cect(flows, table, topo, GaConfig(max_iterations=3, seed=seed))

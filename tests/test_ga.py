@@ -25,7 +25,7 @@ from cect_lab.ga import (
 from cect_lab.routing import RoutingAssignment, assemble, validate
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
-from cect_lab.xpath import XPathTable, feasible_csr, feasible_labels, precompute_xpaths
+from cect_lab.xpath import XPathTable, feasible_labels, feasible_rows, precompute_xpaths
 
 from helpers import (
     ALL_PATHS,
@@ -358,11 +358,12 @@ def test_random_genes_draws_one_stream_in_blocks(fig2a):
     assert 1 < rows < n and n % rows
     genes = inst.random_genes(n, np.random.default_rng(21))
     uniforms = np.random.default_rng(21).random((n, flows.count))
-    ptr, labels = feasible_csr(table, flows)
-    offsets = np.floor(uniforms * np.diff(ptr)).astype(np.int64)
+    starts, lengths = feasible_rows(table, flows)
+    offsets = np.floor(uniforms * lengths).astype(np.int64)
     assert genes.dtype == np.uint8
     assert np.array_equal(genes, offsets)
-    assert np.array_equal(GeneCodec(table, flows).decode(genes), labels[ptr[:-1] + offsets])
+    assert np.array_equal(GeneCodec(table, flows).decode(genes),
+                          table.pair_labels[starts + offsets])
 
 
 @pytest.mark.parametrize("cap_c, dtype", [(50, np.uint8), (256, np.uint8), (257, np.uint16),

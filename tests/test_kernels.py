@@ -11,7 +11,7 @@ from cect_lab.ga import _Instance, multipoint_mutate
 from cect_lab.routing import RoutingAssignment, assemble
 from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
-from cect_lab.xpath import feasible_csr, precompute_xpaths
+from cect_lab.xpath import feasible_rows, precompute_xpaths
 
 from helpers import (
     ALL_PATHS,
@@ -22,6 +22,7 @@ from helpers import (
     labels_by_pair,
     make_flows,
     random_topology,
+    reference_feasible_csr,
     reference_loads,
 )
 
@@ -104,13 +105,13 @@ def _random_flow_csr(problem, topology, rng):
     """The edge CSR of 2 to 39 flows, each on the shortest label of a random
     flow of problem, with random demands."""
     flows, table = problem
-    feas_ptr, feas_labels = feasible_csr(table, flows)
+    starts = feasible_rows(table, flows)[0]
     label_ptr, label_edges = table.label_edge_csr(topology)
     n = int(rng.integers(2, 40))
     ptr = np.zeros(n + 1, dtype=np.int64)
     flat = []
     for f in range(n):
-        label = int(feas_labels[feas_ptr[rng.integers(flows.count)]])
+        label = int(table.pair_labels[starts[rng.integers(flows.count)]])
         flat.extend(label_edges[label_ptr[label - 1] : label_ptr[label]])
         ptr[f + 1] = len(flat)
     return ptr, np.array(flat, dtype=np.int64), rng.uniform(0.5, 60.0, size=n)
@@ -284,7 +285,7 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
     assert no_label.size and no_label[-1] == n_edges - 1
     flows = make_flows([(1, 2, 12.5), (2, 1, 0.125)] * 30)
     loads = _check_load_forms_agree(topo, table, flows, 6, np.random.default_rng(12))
-    feasible = feasible_csr(table, flows)[1]
+    feasible = reference_feasible_csr(table, flows)[1]
     crossed = np.unique(kernels.csr_rows(ptr, edges, feasible - 1)[1])
     assert np.setdiff1d(edges, crossed).size
     assert not loads[:, np.setdiff1d(np.arange(n_edges), crossed)].any()
@@ -322,8 +323,7 @@ def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     flows = generate_flows(topo, n_flows, ACCEPTANCE_MIX, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
     hops = np.diff(table.label_edge_csr(topo)[0])
-    ptr, labels = feasible_csr(table, flows)
-    gene_entries = hops[labels[ptr[:-1]] - 1].sum()
+    gene_entries = hops[table.pair_labels[feasible_rows(table, flows)[0]] - 1].sum()
     # the rule: aggregate when the table's labels hold at most half the edge
     # entries of one member's shortest genes (gene entries per label entry at
     # k=4: 0.97 at 200 flows, 1.94 at 400, 2.43 at 500; k=8: 1.16; k=12: 0.10)

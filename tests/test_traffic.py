@@ -34,7 +34,7 @@ from cect_lab.traffic import (
     load_flows,
     save_flows,
 )
-from cect_lab.xpath import feasible_csr, precompute_xpaths
+from cect_lab.xpath import feasible_rows, precompute_xpaths
 
 from helpers import (
     ALL_PATHS,
@@ -459,7 +459,7 @@ def test_no_layer_builds_the_records_of_a_generated_set(tmp_path, monkeypatch):
     run_volume_schedule(matrix, flows, topo, dict(enumerate(flows.demands.tolist(), start=1)))
     save_flows(flows, tmp_path / "flows.txt")
     # the errors name a flow from the columns too
-    for fail in (lambda: feasible_csr(precompute_xpaths(topo, x=1, cap_c=ALL_PATHS), flows),
+    for fail in (lambda: feasible_rows(precompute_xpaths(topo, x=1, cap_c=ALL_PATHS), flows),
                  lambda: check_labels(np.zeros(flows.count, np.int64), flows, table),
                  lambda: matrix_from_paths({}, flows, topo)):
         with pytest.raises(CectLabError, match="^flow 1"):

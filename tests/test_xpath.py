@@ -10,8 +10,8 @@ from cect_lab.errors import CectLabError
 from cect_lab.routing import RoutingAssignment, format_assignment
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.xpath import (
-    feasible_csr,
     feasible_labels,
+    feasible_rows,
     format_paths,
     format_table,
     precompute_xpaths,
@@ -97,22 +97,24 @@ def test_feasible_labels_stable(fig2a_table):
     assert first == (4, 6)
 
 
-def test_feasible_csr_rows_are_feasible_labels(fig2a_table):
+def test_feasible_rows_slice_pair_labels_as_feasible_labels(fig2a_table):
     flows = make_flows([(3, 1, 1.0), (1, 2, 1.0), (3, 2, 1.0), (3, 1, 1.0)])
-    ptr, labels = feasible_csr(fig2a_table, flows)
-    assert ptr.tolist() == [0, 2, 3, 5, 7]
-    assert labels.tolist() == [3, 5, 1, 4, 6, 3, 5]
-    assert ptr.dtype == labels.dtype == np.int64
-    ptr, labels = feasible_csr(fig2a_table, make_flows([]))
-    assert ptr.tolist() == [0] and labels.size == 0
+    starts, lengths = feasible_rows(fig2a_table, flows)
+    assert starts.dtype == lengths.dtype == np.int64
+    rows = [fig2a_table.pair_labels[s : s + n].tolist() for s, n in zip(starts, lengths)]
+    assert rows == [[3, 5], [1], [4, 6], [3, 5]]
+    assert rows == [list(feasible_labels(fig2a_table, *pair)) for pair in flows.ends.tolist()]
+    starts, lengths = feasible_rows(fig2a_table, make_flows([]))
+    assert starts.size == lengths.size == 0
+    assert starts.dtype == lengths.dtype == np.int64
 
 
-def test_feasible_csr_names_first_flow_without_path(fig2a_table):
+def test_feasible_rows_names_first_flow_without_path(fig2a_table):
     # 1 -> 3 and 2 -> 3 have no path: node 3 has no in-edges
     flows = make_flows([(3, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
-    message = r"^flow 2 \(1 -> 3\) has no feasible path in the table$"
-    with pytest.raises(CectLabError, match=message):
-        feasible_csr(fig2a_table, flows)
+    with pytest.raises(CectLabError) as raised:
+        feasible_rows(fig2a_table, flows)
+    assert str(raised.value) == "flow 2 (1 -> 3) has no feasible path in the table"
 
 
 @pytest.mark.parametrize("seed", range(8))
