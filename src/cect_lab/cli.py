@@ -123,14 +123,11 @@ def _cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # matrix_from_paths has checked that the dump routes every flow
     flow_rows = [
-        (i, demand, result.per_flow_rate[i], dump[i][0])
+        (i, demand, result.per_flow_rate[i])
         for i, demand in enumerate(flows.demands.tolist(), start=1)
     ]
-    experiment.write_rows(
-        out_dir / "per_flow.csv", ("id", "demand", "delivered", "label"), flow_rows
-    )
+    experiment.write_rows(out_dir / "per_flow.csv", ("id", "demand", "delivered"), flow_rows)
     edge_rows = [
         (s, d, result.link_utilization[(s, d)] * c, result.link_utilization[(s, d)])
         for s, d, c in topo.links

@@ -106,7 +106,8 @@ def matrix_from_paths(
 
     A hop stands for the switch it equals (3.0 for 3, not 3.7 or "3"). Raises
     CectLabError at the first flow whose path is missing or empty, joins
-    other switches, or crosses an unknown edge, in that order."""
+    other switches, or crosses an unknown edge, in that order, and then at the
+    smallest id outside 1..N that has a path."""
     paths = list(map(hops_by_flow.get, range(1, flowset.count + 1), itertools.repeat(())))
     counts = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     at = topology.positions(itertools.chain.from_iterable(paths))
@@ -131,6 +132,9 @@ def matrix_from_paths(
             j = int(np.argmax(pair_ids[first[i] : first[i] + counts[i] - 1] < 0))
             detail = f"path uses unknown edge {tuple(path[j : j + 2])}"
         raise CectLabError(f"flow {i + 1}: {detail}")
+    if len(hops_by_flow) > flowset.count:  # every id 1..N has a path, so some other id does
+        extra = min(hops_by_flow.keys() - range(1, flowset.count + 1))
+        raise CectLabError(f"flow {extra}: not in the flow set")
     return _matrix(np.r_[0, np.cumsum(counts - 1)], pair_ids[inside], flowset, topology)
 
 

@@ -185,8 +185,9 @@ def generate_flows(
     plr a flow leaves its originating pod (destination uniform over other
     pods' edge switches), otherwise it stays pod-local. Pod-less topologies
     are treated as one pod covering every switch and require plr == 0.
-    Deterministic for a fixed seed: an int, or a np.random.PCG64, which
-    default_rng takes as it is and the draw leaves where the loop below would.
+    Deterministic for a fixed seed: an int, or a np.random.PCG64 that holds no
+    buffered half (a ValueError otherwise), which default_rng takes as it is.
+    The draw reads whole random_raw blocks from it and leaves it past the last.
 
     The flows are those of a loop making, per flow, the Generator calls
     rng.random() for the class, rng.integers(len(edge_switches)) for the
@@ -204,6 +205,8 @@ def generate_flows(
     bits = np.random.default_rng(seed).bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise TypeError(f"the flow draw decodes PCG64 words, not {type(bits).__name__} ones")
+    if bits.state["has_uint32"]:
+        raise ValueError("the flow draw starts at a fresh PCG64 word, not at a buffered half")
 
     edges = np.array(topology.edge_switches, np.int64)
     pod = np.array([topology.pod_of.get(sw, 0) for sw in topology.edge_switches])
@@ -213,18 +216,15 @@ def generate_flows(
     sizes = in_pool.sum(axis=2, dtype=np.uint64)  # uint64, as the bounds of 64-bit products
     pools = edges[np.argsort(~in_pool, axis=2, kind="stable")]  # each pool first, in edge order
 
-    saved = bits.state
-    pending = saved["has_uint32"]  # a buffered half joins the block as word 0's high half
-    raw = np.array([saved["uinteger"] << 32] * pending, np.uint64)
     # A flow reads its doubles and at most one fresh word for its two halves, a rejection one
     # half more. Where every pool holds 2 switches, flows start in kind 0 alone, so the table
     # holds kind 0 until a walk leaves it, then all 3 kinds, then a longer block.
-    more, kinds = 3 * n_flows + 16, 1 + 2 * pending
+    raw, more, kinds = np.empty(0, np.uint64), 3 * n_flows + 16, 1
     while True:
         raw = np.concatenate([raw, bits.random_raw(more)])
         width = len(raw) + 1
         picks, succ = _flow_table(raw, sizes, plr, kinds)
-        state, starts = pending * width + pending, np.empty(n_flows, np.int64)
+        state, starts = 0, np.empty(n_flows, np.int64)
         walk, follow = memoryview(starts), memoryview(succ)
         for i in range(n_flows):
             walk[i] = state
@@ -232,13 +232,6 @@ def generate_flows(
         if state < len(succ) - 1:
             break
         more, kinds = (len(raw) if kinds == 3 else 0), 3
-
-    # leave the generator as the loop does: past the words read, with their buffered half
-    word, kind = state % width, state // width
-    bits.state = saved
-    bits.advance(word - pending)
-    held = int(raw[word - kind] >> 32) if kind else 0
-    bits.state = {**bits.state, "has_uint32": int(kind > 0), "uinteger": held}
 
     classes = sorted(class_mix)
     # the draw Generator.choice(p=...) makes: one random(), then a right-side search

@@ -693,6 +693,8 @@ max_iterations = 5
     assert {"throughput", "loss_pct", "mu"} <= set(summary[0])
     with open(sim_dir / "per_flow.csv", newline="", encoding="utf-8") as fh:
         per_flow = list(csv.DictReader(fh))
+    # simulate replays hops, so it writes no label, which nothing checks
+    assert list(per_flow[0]) == ["id", "demand", "delivered"]
     assert len(per_flow) == 40
 
 
@@ -986,6 +988,10 @@ def test_solve_rejects_an_unknown_method():
     # whole message is this line, with no placeholder label
     ("simulate", "assignment", "flow 1 via 1: 99 -> 9 -> 17 -> 11 -> 3\n",
      r"^error: \S+assignment\.txt: flow 1: path 99->3 does not match flow 1->3\n$"),
+    # a line for a flow that the flow set lacks, after the good line of flow 1
+    ("simulate", "assignment",
+     "flow 1 via 1: 1 -> 9 -> 17 -> 11 -> 3\nflow 2 via 1: 1 -> 9 -> 17 -> 11 -> 3\n",
+     r"^error: \S+assignment\.txt: flow 2: not in the flow set\n$"),
     # a demand too large to count in int64 load units
     ("simulate", "flows", "flow 1 1 3 1e306 custom\n", "line "),
     # a switch id beyond int64
@@ -1023,7 +1029,7 @@ def test_solve_rejects_an_unknown_method():
      r"results\.csv: could not convert string to float: 'x'\n$"),
     ("report", "results", f"{','.join(experiment.RESULT_COLUMNS)}\necmp,3,0,2.5\n",
      r"results\.csv: could not convert string to float: ''\n$"),
-], ids=["hop-3.7", "replay-first-hop", "demand-1e306", "switch-beyond-int64",
+], ids=["hop-3.7", "replay-first-hop", "extra-flow", "demand-1e306", "switch-beyond-int64",
         "flow-end-beyond-int64", "linkless-topology", "one-access-switch",
         "compress-on-thin-links", "directory", "default-plr-without-pods",
         "fat-tree-k-5", "edge-capacity-0", "sample-capacity-minus-1", "results-without-columns",

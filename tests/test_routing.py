@@ -700,6 +700,9 @@ def _paths_one_by_one(hops_by_flow, flowset, topology):
                     raise CectLabError(f"flow {flow.id}: path uses unknown edge {edge}")
                 edge_ids.append(ids[edge])
             flow_ptr.append(len(edge_ids))
+        for fid in sorted(hops_by_flow):
+            if not 1 <= fid <= flowset.count:
+                raise CectLabError(f"flow {fid}: not in the flow set")
     except CectLabError as exc:
         return str(exc)
     return flow_ptr, edge_ids
@@ -728,8 +731,8 @@ def test_matrix_from_paths_agrees_with_the_flow_by_flow_reading(seed, n_nodes, d
             path = path[:at] + (data.draw(switches),) + path[at + 1 :]
         if kind != 3:  # else the flow has no path
             hops_by_flow[fid] = path
-    if data.draw(st.booleans()):  # an id outside 1..N is ignored
-        hops_by_flow[len(pairs) + 1] = (2**70,)
+    for fid in data.draw(st.sets(st.sampled_from([0, len(pairs) + 1, len(pairs) + 9]))):
+        hops_by_flow[fid] = (2**70,)  # an id outside 1..N, whatever its path
     flows = make_flows(pairs)
     try:
         matrix = matrix_from_paths(hops_by_flow, flows, topo)
@@ -750,12 +753,17 @@ def test_matrix_from_paths_names_the_lowest_bad_flow(fig2a):
         matrix_from_paths({**paths, 3: (3, 9, 8, 9)}, flows, topo)
     with pytest.raises(CectLabError, match="^flow 2: no path assigned$"):
         matrix_from_paths({1: (3, 1), 4: ()}, flows, topo)
-    # ids outside 1..N are ignored
-    extra = {0: (), 6: (1, 9), **{f: (3, 1) for f in range(1, 6)}}
-    assert matrix_from_paths(extra, flows, topo).load_units == {(3, 1): 5000}
+    # an id outside 1..N fails after every flow of the set, the smallest first
+    good = {f: (3, 1) for f in range(1, 6)}
+    assert matrix_from_paths(good, flows, topo).load_units == {(3, 1): 5000}
+    with pytest.raises(CectLabError, match="^flow 2: no path assigned$"):
+        matrix_from_paths({f: (3, 1) for f in (1, 3, 4, 5, 6)}, flows, topo)
+    for extra, name in (({6: (3, 1)}, 6), ({0: (), 99: (1, 9)}, 0)):
+        with pytest.raises(CectLabError, match=f"^flow {name}: not in the flow set$"):
+            matrix_from_paths({**good, **extra}, flows, topo)
     # a topology without switches knows no edge
     with pytest.raises(CectLabError, match=r"^flow 1: path uses unknown edge \(3, 1\)$"):
-        matrix_from_paths(extra, flows, Topology(nodes=(), links=()))
+        matrix_from_paths({**good, 6: (3, 1)}, flows, Topology(nodes=(), links=()))
 
 
 @pytest.mark.parametrize(
