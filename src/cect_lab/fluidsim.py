@@ -1,10 +1,8 @@
 """Fluid-flow evaluation of routings: delivered rates, throughput, and loss.
 
 Rates are allocated at the flow level without packet dynamics, on the
-routing's per-flow edge-id CSR. The default max-min model water-fills link
-capacities among path-constrained flows; the cheaper bottleneck model scales
-each flow by its worst oversubscribed link under offered loads, in one
-vectorized pass. Either way, delivered rates never exceed demands and
+routing's per-flow edge-id CSR, by max-min water filling of link capacities
+among path-constrained flows. Delivered rates never exceed demands and
 per-link delivered load never exceeds capacity, up to rounding. Volume
 schedules allocate among the still-active rows of the same CSR at every step.
 """
@@ -20,7 +18,8 @@ from .routing import RoutingMatrix, flow_edge_csr
 from .topology import Topology
 from .traffic import FlowSet
 
-MODELS = ("maxmin", "bottleneck")
+# the one fluid model; the model arguments and [sim] model still name it
+MODELS = ("maxmin",)
 # run_volume_schedule's step cap: volume still left after it is an error
 MAX_STEPS = 10_000
 
@@ -41,47 +40,22 @@ class SimResult:
     loss_pct: float
 
 
-def _bottleneck_rates(
-    ptr: np.ndarray, edges: np.ndarray, demands: np.ndarray, caps: np.ndarray
-) -> np.ndarray:
-    """Scale each flow by its most oversubscribed link, under offered loads.
-
-    rate_f = d_f * min over f's edges of min(1, c_e / offered_e). A scaled
-    edge load is at most the sum of d_f * c_e / offered_e over the flows
-    crossing it, which is c_e; a row with no edges keeps its demand.
-    """
-    flow_of = np.repeat(np.arange(len(demands)), np.diff(ptr))
-    offered = np.bincount(edges, weights=demands[flow_of], minlength=len(caps))
-    edge_factor = np.minimum(1.0, caps / np.where(offered > 0, offered, 1.0))
-    factor = np.ones(len(demands))
-    np.minimum.at(factor, flow_of, edge_factor[edges])
-    return demands * factor
-
-
-def _rates(
-    model: str, ptr: np.ndarray, edges: np.ndarray, demands: np.ndarray, caps: np.ndarray
-) -> np.ndarray:
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    if model == "maxmin":
-        return kernels.maxmin_rates(ptr, edges, demands, caps)
-    return _bottleneck_rates(ptr, edges, demands, caps)
-
-
 def simulate(
     routing_matrix: RoutingMatrix,
     flowset: FlowSet,
     topology: Topology,
     model: str = "maxmin",
 ) -> SimResult:
-    """Allocate delivered rates for every flow under the chosen model.
+    """Allocate max-min fair delivered rates for every flow.
 
-    Raises ValueError for an unknown model, or for a routing built for other
-    flows or for a topology with other edges.
+    Raises ValueError for a model other than maxmin, or for a routing built
+    for other flows or for a topology with other edges.
     """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
     demands, caps = flowset.demands, topology.capacities
-    rates = _rates(model, ptr, edges, demands, caps)
+    rates = kernels.maxmin_rates(ptr, edges, demands, caps)
     delivered_load = np.bincount(
         edges, weights=np.repeat(rates, np.diff(ptr)), minlength=len(caps)
     )
@@ -115,8 +89,11 @@ def run_volume_schedule(
     rate x interval (clipped to the remaining volume), and retires finished
     flows so their capacity is freed for the rest. The routing's CSR is
     read once; each step gathers the active rows of it. Raises ValueError
-    naming the flow of a NaN, negative or unknown volume, or volume left after MAX_STEPS.
+    for a model other than maxmin, naming the flow of a NaN, negative or
+    unknown volume, or volume left after MAX_STEPS.
     """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if not interval > 0:  # NaN fails too
         raise ValueError("interval must be positive")
     ptr, edges = flow_edge_csr(routing_matrix, flowset, topology)
@@ -132,7 +109,7 @@ def run_volume_schedule(
         active = np.flatnonzero(remaining > 0)
         if not active.size:
             break
-        rates = _rates(model, *kernels.csr_rows(ptr, edges, active), demands[active], caps)
+        rates = kernels.maxmin_rates(*kernels.csr_rows(ptr, edges, active), demands[active], caps)
         shipped = np.minimum(rates * interval, remaining[active])
         left = remaining[active] - shipped
         remaining[active] = np.where(left < 1e-12, 0.0, left)

@@ -32,13 +32,13 @@ def label_row_sums(edge_ids, weights, n_edges, rows=1):
     return sums[:n_edges] if rows == 1 else sums.reshape(rows, -1)[:, :n_edges]
 
 
-def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=None, out=None):
-    """Per-edge integer loads for each member of a population, into out if given.
+def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index, out):
+    """Per-edge integer loads for each member of a population, into out.
 
     genes holds 1-based rows of label_pad, one row per member, one column per
     flow, and demands one weight per flow; label_pad holds a path's edge ids
     in each row, filled out with the id n_edges (row 0 is all filler), and
-    label_ptr is the rows' CSR row pointer. Without pad_index, a gene loop
+    label_ptr is the rows' CSR row pointer. With pad_index None, a gene loop
     sums each member's rows. pad_index, label_pad.T offset by member as
     label_row_sums reads it, selects the aggregated form: one bincount per
     member sums its demands into row cells, and one more sums every row,
@@ -46,7 +46,6 @@ def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=No
     agree exactly.
     """
     n_members, width = genes.shape[0], label_pad.shape[1]
-    loads = np.empty((n_members, n_edges), dtype=np.int64) if out is None else out
     if pad_index is not None:
         per_cell = np.empty((n_members, len(label_ptr)))  # row 0's cell stays empty
         for m, labels in enumerate(genes):
@@ -54,14 +53,14 @@ def population_loads(genes, label_ptr, label_pad, demands, n_edges, pad_index=No
         # label_pad.T's layout lets each member's cells repeat as whole blocks
         weights = per_cell[:, None].repeat(width, axis=1).ravel()
         sums = label_row_sums(pad_index[: len(weights)], weights, n_edges, n_members)
-        np.copyto(loads, sums, casting="unsafe")
-        return loads
+        np.copyto(out, sums, casting="unsafe")
+        return out
     # take beats fancy indexing here; one bincount per member beats one
     # over the whole population; float64 demands spare each bincount a cast
     weights = demands.repeat(width)
     for m, labels in enumerate(genes):
-        loads[m] = label_row_sums(label_pad.take(labels, axis=0).ravel(), weights, n_edges)
-    return loads
+        out[m] = label_row_sums(label_pad.take(labels, axis=0).ravel(), weights, n_edges)
+    return out
 
 
 def fitness_mu(loads, cap_units, penalty):

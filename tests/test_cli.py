@@ -132,7 +132,10 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("cap_c = 50", "cap_c = none",
          r"\[paths\] cap_c: invalid literal for int\(\) with base 10: 'none'"),
         ("model = maxmin", "model = maxmn",
-         r"\[sim\] model must be one of \('maxmin', 'bottleneck'\), got 'maxmn'"),
+         r"\[sim\] model must be one of \('maxmin',\), got 'maxmn'"),
+        # bottleneck scaling was a second model; max-min is the only one left
+        ("model = maxmin", "model = bottleneck",
+         r"\[sim\] model must be one of \('maxmin',\), got 'bottleneck'"),
         # a section this program no longer reads: single-path routing is --method shortest
         ("[sim]", "[ecmp]\nmax_paths = -3\n[sim]", r"unknown section \[ecmp\]"),
         # a typo, keys this program no longer reads and an unknown section
@@ -172,9 +175,9 @@ def test_invalid_ga_settings_fail_the_config(tmp_path, setting, message):
         ("plr = 0.7", "plr = 0.7\ncompress = maybe",
          r"\[traffic\] compress: not a boolean: 'maybe'"),
     ],
-    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model", "ecmp-max-paths",
-         "typo-key", "deleted-key", "deleted-ga-key", "unknown-section", "default-section-alone",
-         "default-section-with-sweep", "topology-kind",
+    ids=["plr", "mix-sum", "mix-class", "x", "cap_c", "cap_c-none", "sim-model",
+         "sim-model-bottleneck", "ecmp-max-paths", "typo-key", "deleted-key", "deleted-ga-key",
+         "unknown-section", "default-section-alone", "default-section-with-sweep", "topology-kind",
          "topology-path", "n-flows", "repeated-n-flows", "repeated-method", "no-method",
          "comma-only-methods", "unknown-method", "empty-n-flows", "descending-n-flows",
          "zero-step-n-flows", "repeated-mix-class", "no-seeds", "negative-seed", "mix-entry",
@@ -713,7 +716,6 @@ def test_cli_chain_rebuilds_every_sweep_cell(tmp_path, variant):
         text = text.replace("k = 4", "k = 4\nedge_capacity = 1\nagg_capacity = 1\n"
                                      "core_capacity = 1")
         text = text.replace("plr = 0.7", "plr = 0.7\ncompress = true")
-        text = text.replace("model = maxmin", "model = bottleneck")
     config = _ini(tmp_path, text, "sweep.ini")
     out = experiment.run_experiment(config, tmp_path / "res")
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cect_lab import experiment
 from cect_lab.ecmp import route_ecmp
-from cect_lab.fluidsim import MODELS, SimResult, run_volume_schedule, simulate
+from cect_lab.fluidsim import SimResult, run_volume_schedule, simulate
 from cect_lab.routing import RoutingAssignment, assemble, matrix_from_paths
 from cect_lab.topology import Topology, make_fat_tree, make_sample_topology
 from cect_lab.traffic import FlowSet, generate_flows
@@ -30,7 +30,7 @@ def _matrix_for(topo, flows, paths):
     )
 
 
-@pytest.mark.parametrize("model", ["maxmin", "bottleneck"])
+@pytest.mark.parametrize("model", ["maxmin"])
 def test_underloaded_network_delivers_everything(model):
     topo = make_sample_topology("fig2a", 10.0)
     flows = make_flows([(3, 1, 4.0), (3, 2, 2.0)])
@@ -70,7 +70,7 @@ def test_demand_cap_respected_in_maxmin():
     assert result.per_flow_rate[2] == pytest.approx(8.0)  # rest of the link
 
 
-@pytest.mark.parametrize("model", ["maxmin", "bottleneck"])
+@pytest.mark.parametrize("model", ["maxmin"])
 def test_conservation_and_feasibility(model):
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -100,9 +100,8 @@ def test_conservation_and_feasibility(model):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 5),
-       model=st.sampled_from(MODELS), data=st.data())
-def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 5), data=st.data())
+def test_rates_stay_within_demands_and_capacities(seed, n_nodes, data):
     rng = np.random.default_rng(seed)
     links = random_topology(rng, n_nodes, edge_prob=0.6).links
     topo = Topology(nodes=tuple(range(1, n_nodes + 1)),
@@ -116,7 +115,7 @@ def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
         chosen.append(data.draw(st.sampled_from(pairs[pair])))
     flowset = make_flows(flows)
     matrix = assemble(RoutingAssignment(np.array(chosen, dtype=np.int64)), flowset, table, topo)
-    result = simulate(matrix, flowset, topo, model)
+    result = simulate(matrix, flowset, topo)
 
     paths = [list(zip(hops, hops[1:])) for hops in hops_of(table, chosen)]
     delivered = dict.fromkeys(topo.edge_keys, 0.0)
@@ -129,22 +128,10 @@ def test_rates_stay_within_demands_and_capacities(seed, n_nodes, model, data):
     for edge, capacity in capacities.items():
         assert delivered[edge] <= capacity * (1 + 1e-9), (edge, delivered[edge])
     assert result.mu == matrix.mu
-    if model == "bottleneck":
-        # each flow is scaled by its worst edge under offered loads; a flow
-        # with no edge would keep its demand
-        offered = dict.fromkeys(topo.edge_keys, 0.0)
-        for flow, path in zip(flowset.flows, paths):
-            for edge in path:
-                offered[edge] += flow.demand
-        for flow, path in zip(flowset.flows, paths):
-            factor = min([capacities[e] / offered[e] for e in path], default=1.0)
-            expected = flow.demand * min(1.0, factor)
-            assert result.per_flow_rate[flow.id] == pytest.approx(expected, rel=1e-12), flow
-    if model == "maxmin":
-        # water filling wastes nothing: a flow held below its demand crosses a full edge
-        for flow, path in zip(flowset.flows, paths):
-            if result.per_flow_rate[flow.id] < flow.demand - 1e-6:
-                assert any(delivered[e] >= capacities[e] - 1e-6 for e in path), flow
+    # water filling wastes nothing: a flow held below its demand crosses a full edge
+    for flow, path in zip(flowset.flows, paths):
+        if result.per_flow_rate[flow.id] < flow.demand - 1e-6:
+            assert any(delivered[e] >= capacities[e] - 1e-6 for e in path), flow
 
 
 def test_maxmin_matches_grid_oracle():
@@ -235,18 +222,6 @@ def test_maxmin_monotone_under_added_flow():
     after = simulate(grown_matrix, grown, topo, "maxmin")
     for fid in (1, 2):
         assert after.per_flow_rate[fid] <= before.per_flow_rate[fid] + 1e-9
-
-
-def test_bottleneck_scales_each_flow_by_its_worst_edge():
-    # edge 1->2 carries 25 on capacity 10 (factor 0.4), edge 2->3 carries 20
-    # on capacity 5 (factor 0.25): the long flow takes its worse factor
-    topo = Topology(nodes=(1, 2, 3), links=((1, 2, 10.0), (2, 3, 5.0)))
-    flows = make_flows([(1, 3, 20.0), (1, 2, 5.0)])
-    matrix = _matrix_for(topo, flows, [(1, 2, 3), (1, 2)])
-    result = simulate(matrix, flows, topo, "bottleneck")
-    assert result.per_flow_rate == {1: 5.0, 2: 2.0}
-    # delivered loads 5 + 2 = 7 on 1->2 and 5 on 2->3
-    assert result.link_utilization == {(1, 2): 7.0 / 10.0, (2, 3): 5.0 / 5.0}
 
 
 def _report_ratios(tmp_path, cect: SimResult, ecmp: SimResult) -> tuple[float, float]:
@@ -353,8 +328,6 @@ def ecmp_k8():
     [
         ("maxmin", "e5c96b7b95dd4d0251e0b767e46f79872c2c78ceea9c848583356931ffc2e957",
          "b9f44ef785f16026c175de3c1c1a4f9a6b5c2c6c90185ca0542086de89825fa1"),
-        ("bottleneck", "ae62b7b5ac7d02723965cbfdb45d97dbaa7bd0b5af6b82679e77d4d469246899",
-         "ca0a05d3952c282427a4e72e54d9828ce19397cfc95be83a54a56eee0d066150"),
     ],
 )
 def test_simulator_output_is_pinned(ecmp_k8, model, rates_digest, schedule_digest):
@@ -377,8 +350,13 @@ def test_simulate_rejects_unknown_model():
     topo = _line_topology()
     flows = make_flows([(1, 2, 1.0)])
     matrix = _matrix_for(topo, flows, [(1, 2)])
-    with pytest.raises(ValueError):
-        simulate(matrix, flows, topo, "tcp")
+    # bottleneck scaling was a second model; max-min is the only one left
+    for model in ("tcp", "bottleneck"):
+        message = rf"model must be one of \('maxmin',\), got '{model}'"
+        with pytest.raises(ValueError, match=message):
+            simulate(matrix, flows, topo, model)
+        with pytest.raises(ValueError, match=message):
+            run_volume_schedule(matrix, flows, topo, {1: 1.0}, model=model)
 
 
 def test_simulate_rejects_matrix_of_another_topology():
@@ -393,7 +371,7 @@ def test_simulate_rejects_matrix_of_another_topology():
         simulate(matrix, make_flows([(1, 2, 1.0), (1, 2, 1.0)]), _line_topology(10.0))
 
 
-@pytest.mark.parametrize("model", ["maxmin", "bottleneck"])
+@pytest.mark.parametrize("model", ["maxmin"])
 def test_volume_schedule_matches_simulating_each_step(model):
     # reference: simulate the still-active flows, renumbered, at every step
     topo = make_fat_tree(4)

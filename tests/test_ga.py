@@ -754,7 +754,8 @@ def test_carried_loads_equal_a_fresh_evaluation(aggregated, many, population, ra
     def check(generation, genes, fit, mu):
         # the loads of the genes' labels, summed afresh over label-order rows
         fresh = kernels.population_loads(
-            labels(genes), label_ptr, pad, inst.demands, inst.n_edges
+            labels(genes), label_ptr, pad, inst.demands, inst.n_edges, None,
+            np.empty((len(genes), inst.n_edges), np.int64),
         )
         expected_fit, expected_mu = kernels.fitness_mu(fresh, inst.caps, inst.penalty)
         assert np.array_equal(fit, expected_fit), generation

@@ -419,11 +419,10 @@ def test_replayed_revisiting_path_agrees_across_layers():
     found = validate(matrix, flows, topo)
     assert Violation(1, RULE_BINARY_INDICATOR, (1, 2), "value 2") in found
     assert any(v.rule == RULE_NO_RETURN_TO_SOURCE for v in found)
-    for model in ("maxmin", "bottleneck"):
-        result = simulate(matrix, flows, topo, model)
-        assert result.per_flow_rate[1] == pytest.approx(5.0)
-        assert result.link_utilization[(1, 2)] == pytest.approx(1.0)
-        assert result.link_utilization[(2, 3)] == pytest.approx(0.5)
+    result = simulate(matrix, flows, topo)
+    assert result.per_flow_rate[1] == pytest.approx(5.0)
+    assert result.link_utilization[(1, 2)] == pytest.approx(1.0)
+    assert result.link_utilization[(2, 3)] == pytest.approx(0.5)
 
 
 def test_matrix_from_paths_names_the_flow_of_a_bad_path(fig2a):

@@ -454,8 +454,7 @@ def test_no_layer_builds_the_records_of_a_generated_set(tmp_path, monkeypatch):
     dump = parse_assignment_dump(format_assignment(assignment, flows, table))
     replayed = matrix_from_paths({fid: hops for fid, (_, hops) in dump.items()}, flows, topo)
     assert validate(replayed, flows, topo) == []
-    for model in ("maxmin", "bottleneck"):
-        simulate(matrix, flows, topo, model)
+    simulate(matrix, flows, topo)
     run_volume_schedule(matrix, flows, topo, dict(enumerate(flows.demands.tolist(), start=1)))
     save_flows(flows, tmp_path / "flows.txt")
     # the errors name a flow from the columns too
