@@ -117,6 +117,7 @@ class _Instance:
         width = hops.max(initial=0)
         self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
         self.label_pad[1:][np.arange(width) < hops[:, None]] = edges
+        self.weights = self.demands.repeat(width)  # the gene loop's weight per padded entry
         # Aggregate loads by row when the rows hold at most half the edge
         # entries of a member's shortest genes (flows share labels); else, as
         # at k=8 and k=12, loop to avoid population-by-table arrays.
@@ -138,7 +139,7 @@ class _Instance:
             self.pad_index = (self.label_pad.T + offsets[:, None, None]).ravel()
         for first in range(0, len(genes), step):
             kernels.population_loads(genes[first : first + step] + self.base, self.label_ptr,
-                                     self.label_pad, self.demands, self.n_edges, self.pad_index,
+                                     self.label_pad, self.weights, self.n_edges, self.pad_index,
                                      out[first : first + step])
         return out
 
@@ -157,10 +158,11 @@ class _Instance:
         """n_members chromosomes of genes uniform over each flow's feasible row,
         drawn a block of rows at a time; rng fills in C order, so they equal one draw."""
         genes = np.empty((n_members, self.n_flows), dtype=self.gene_dtype)
+        draws = np.empty((min(n_members, self.block), self.n_flows))  # reused by every block
         for start in range(0, n_members, self.block):
-            block = genes[start : start + self.block]
-            # the cast floors: every u * length lies in [0, length)
-            np.copyto(block, rng.random(block.shape) * self.lengths, casting="unsafe")
+            u = rng.random(out=draws[: min(self.block, n_members - start)])
+            u *= self.lengths  # the cast below floors: every u * length lies in [0, length)
+            np.copyto(genes[start : start + self.block], u, casting="unsafe")
         return genes
 
 

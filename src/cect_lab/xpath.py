@@ -7,12 +7,15 @@ flow's pair's labels. Labels are assigned breadth-first by path length, then by 
 destination, hop sequence), which keeps label assignment stable across runs
 and matches the published labeling of the reference topologies.
 
-The table is a set of numpy arrays built one hop length at a time. A path is
-one row of edge ids, read through edge_ptr or label_edge_csr; its switches
-are its edges' ends in Topology.edge_ends. Each endpoint pair's labels are
-one row of a CSR over the pairs, pair_ptr/pair_labels: feasible_labels reads
-one pair's row, and feasible_rows gives every flow's slice of pair_labels,
-the one candidate index every solver reads.
+The table is a set of numpy arrays built one hop length at a time. A row
+grows only along edges whose head lies within the hops it has left of an
+edge switch, and each pair's cap cuts the candidates that end at one before
+their rows are built, so no row is built only to be dropped. A path is one
+row of edge ids, read through edge_ptr or label_edge_csr; its switches are
+its edges' ends in Topology.edge_ends. Each endpoint pair's labels are one
+row of a CSR over the pairs, pair_ptr/pair_labels: feasible_labels reads one
+pair's row, and feasible_rows gives every flow's slice of pair_labels, the
+one candidate index every solver reads.
 """
 
 from __future__ import annotations
@@ -85,42 +88,51 @@ def precompute_xpaths(topology: Topology, x: int, cap_c: int) -> XPathTable:
     # (tail, head), so comparing edge-id rows orders paths as comparing their
     # switch ids does; a row's extensions follow its last switch's out-edges,
     # whose ids ascend, so each level's rows stay in lexicographic order
-    (tail, head), n = topology.edge_ends.T, topology.node_count
-    adj_ptr, edges = np.searchsorted(tail, np.arange(n + 1)), np.arange(len(tail), dtype=np.int32)
-    kept = np.zeros(n * n, dtype=np.int64)
-    is_end = np.isin(topology.node_ids, topology.edge_switches)
+    n = topology.node_count
+    is_end = np.bincount(topology.positions(topology.edge_switches), minlength=n) > 0
+    tail, head = topology.edge_ends.T.astype(np.min_scalar_type(n * n))  # so pairs fit too
+    edges, kept = np.arange(len(tail), dtype=np.int32), np.zeros(n * n, dtype=np.int64)
+    # each switch's hops to the nearest edge switch, x standing for farther: a
+    # row of L edges follows only edges whose head is within x - L hops of one
+    near = np.where(is_end, 0, x)
+    for _ in range(x - 1):
+        np.minimum.at(near, tail, near[head] + 1)
 
-    # grow paths from the edge switches only, and keep those that end at one
-    level = np.flatnonzero(is_end[tail]).astype(np.int32)[:, None]
-    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (edge ids, pairs)
+    # grow paths from the edge switches, each row's source and last switch beside it
+    at = src = np.flatnonzero(is_end).astype(tail.dtype)
+    level, levels = np.empty((len(src), 0), dtype=np.int32), []  # levels: (edge ids, pairs)
     for length in range(1, x + 1):
-        if length > 1:
-            ptr, nxt = csr_rows(adj_ptr, edges, head[level[:, -1]])
-            parent = np.repeat(np.arange(len(level), dtype=np.int32), np.diff(ptr))
-            # a path's switches are its edges' tails and its last head, which is
-            # the new edge's tail: without self-loops, only the tails can recur
-            fresh = np.logical_and.reduce([tail[c][parent] != head[nxt] for c in level.T])
-            level = np.column_stack([level[parent[fresh]], nxt[fresh]])
-        done = level[is_end[head[level[:, -1]]]]
-        # done is in hop order, so a stable sort by pair gives (src, dst, hops)
-        pair = tail[done[:, 0]] * n + head[done[:, -1]]
-        order = np.argsort(pair, kind="stable")
-        grouped = pair[order]
-        rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
-        order = order[rank + kept[grouped] < cap_c]
-        kept += np.bincount(pair[order], minlength=n * n)
-        levels.append((done[order].ravel(), pair[order]))
+        follow = edges[near[head] <= x - length]
+        ptr, nxt = csr_rows(np.searchsorted(tail[follow], np.arange(n + 1)), follow, at)
+        parent, to = np.repeat(np.arange(len(at), dtype=np.int32), np.diff(ptr)), head[nxt]
+        # a path's switches are its edges' tails and its last head, which is
+        # the new edge's tail: without self-loops, only the tails can recur
+        fresh = np.ones(len(nxt), dtype=bool)
+        for column in level.T:
+            fresh &= tail[column][parent] != to
+        # keep the paths that end at an edge switch, capped per pair before their
+        # rows are built: candidates come in row order, so a stable sort by pair
+        # gives (src, dst, hops), and each pair's group starts after the smaller pairs'
+        done = np.flatnonzero(fresh & is_end[to])
+        pair = src[parent[done]] * n + to[done]
+        order, size = np.argsort(pair, kind="stable"), np.bincount(pair, minlength=n * n)
+        room = np.cumsum(size) - size + cap_c - kept  # where each pair's cut ends in order
+        order = order[np.arange(len(order)) < room[pair[order]]]
+        kept, rows = np.minimum(kept + size, cap_c), done[order]
+        grown = np.column_stack([level.take(parent[rows], axis=0), nxt[rows]])
+        levels.append((grown.ravel(), pair[order]))
+        if length < x:  # nothing extends the last level
+            parent, at = parent[fresh], to[fresh]
+            level, src = np.column_stack([level.take(parent, axis=0), nxt[fresh]]), src[parent]
 
-    edge_ids, pairs = (np.concatenate(arrays) for arrays in zip(*levels))
-
+    pairs = np.concatenate([p for _, p in levels])
     # labels run shortest first, so a stable sort by pair keeps that order in each row
-    order = np.argsort(pairs, kind="stable")
     return XPathTable(
         edge_ptr=np.r_[0, np.cumsum(np.repeat(np.arange(1, x + 1), [len(p) for _, p in levels]))],
-        edge_ids=edge_ids.astype(np.int64),
+        edge_ids=np.concatenate([e for e, _ in levels], dtype=np.int64),
         topology=topology,
-        pair_ptr=np.searchsorted(pairs[order], np.arange(n * n + 2)),
-        pair_labels=order + 1,
+        pair_ptr=np.concatenate(([0], np.cumsum(np.bincount(pairs, minlength=n * n + 1)))),
+        pair_labels=np.argsort(pairs, kind="stable") + 1,
     )
 
 

@@ -218,12 +218,13 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     assert np.array_equal(inst.label_pad, pad[np.r_[0, table.pair_labels]])
     genes = inst.random_genes(members, rng)
     labels = GeneCodec(table, flows).decode(genes)
-    # both forms read the same per-flow demands, here over label-order rows
+    # both forms read the same weights, each demand once per padded column, here
+    # over label-order rows
     label_ptr = table.label_edge_csr(topo)[0]
-    loop = kernels.population_loads(labels, label_ptr, pad, inst.demands, inst.n_edges, None,
+    loop = kernels.population_loads(labels, label_ptr, pad, inst.weights, inst.n_edges, None,
                                     np.empty((members, inst.n_edges), np.int64))
     aggregated = kernels.population_loads(
-        labels, label_ptr, pad, inst.demands, inst.n_edges, _index(pad, members, inst.n_edges),
+        labels, label_ptr, pad, inst.weights, inst.n_edges, _index(pad, members, inst.n_edges),
         np.empty((members, inst.n_edges), np.int64),
     )
     assert loop.dtype == aggregated.dtype == np.int64

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,14 +295,60 @@ def test_table_matches_brute_force_ranking(seed, n_nodes, edge_prob, x, cap_c, p
     assert text == dump("flow {0} via {1}: ", shuffled)
 
 
+@pytest.mark.parametrize("cap_c", [1, 2, ALL_PATHS])
+@pytest.mark.parametrize("x", range(1, 7))
+def test_switches_cut_by_distance_drop_no_kept_path(x, cap_c):
+    # 1 and 2 are pod 0's edge switches and 3 its aggregation switch. From 8
+    # and 9 no edge switch can be reached; 5 reaches one only in 3 hops
+    # (5 -> 6 -> 7 -> 2), so a path through 3 -> 5 fits only from x = 5 on,
+    # and a row that reaches 5 with fewer hops left is cut before it grows
+    links = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 4), (4, 2),
+             (3, 5), (5, 6), (6, 7), (7, 2), (3, 8), (8, 9), (9, 8)]
+    topo = Topology(nodes=tuple(range(1, 10)), links=tuple((s, d, 10.0) for s, d in links),
+                    pod_of={1: 0, 2: 0, 3: 0})
+    assert topo.edge_switches == (1, 2)
+    every = brute_force_simple_paths(topo, x)
+    ranked: dict[tuple[int, int], list] = {}
+    for path in sorted(every, key=_table_order):
+        if {path[0], path[-1]} <= {1, 2}:
+            ranked.setdefault((path[0], path[-1]), []).append(path)
+    expected = sorted((p for paths in ranked.values() for p in paths[:cap_c]), key=_table_order)
+    table = precompute_xpaths(topo, x, cap_c)
+    assert all_hops(table) == expected
+    for pair, paths in ranked.items():
+        assert hops_of(table, feasible_labels(table, *pair)) == paths[:cap_c]
+    # the cut switches do lie on simple paths from an edge switch, just on
+    # none that is kept
+    assert any(path[0] == 1 and 8 in path for path in every) == (x >= 2)
+    assert any(5 in path for path in expected) == (x >= 5 and cap_c == ALL_PATHS)
+
+
 @pytest.mark.parametrize("k, count, digest", [
     (4, 208, "fba5a012118fdd1bff3060f9335e47bb0168fb847b609829b1174a6df015e3db"),
     (6, 2754, "b4f57fdb56781222d3af5b27201c075f8adcc8f144d1c7aa05a98b528ba3d318"),
-], ids=["k4", "k6"])
+    (8, 17_024, "61ae9a078b82d5bcc67bd5e86f627b2d732f5e2151d5c15995b9b7f53b2e7315"),
+    (12, 189_072, "b962d7977b3fb56b7620e340898b6931419ed5bca265cc4f15c82def70cb5400"),
+], ids=["k4", "k6", "k8", "k12"])
 def test_fat_tree_table_dump_is_pinned(k, count, digest):
     table = precompute_xpaths(make_fat_tree(k), 4, 50)
     assert table.path_count == count
     assert hashlib.sha256(format_table(table).encode()).hexdigest() == digest
+
+
+def test_fat_tree_table_build_peak_memory_is_bounded():
+    # the k=12 table keeps 186,912 4-hop paths. The last hop extends rows only
+    # along edges into access switches (235,872 candidates, 214,272 of them
+    # simple), and only the kept paths' rows are built: the build peaks at 22,541,390
+    # bytes, and the bound is 1.1 times that. Stacking every simple row of
+    # 4 hops (421,632 of 471,744 extensions) before the cut peaked at 40.3 MB
+    topo = make_fat_tree(12)
+    tracemalloc.start()
+    try:
+        precompute_xpaths(topo, 4, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_795_600, peak
 
 
 def test_label_edge_csr_rejects_another_topology():
