@@ -5,13 +5,14 @@ within its feasible row (the flow's slice of the table's pair_labels, from
 feasible_rows, shortest first), in the narrowest unsigned dtype that holds
 the longest row (uint8 unless a row holds more than 256 labels); a
 population is a 2-D array with one chromosome per row. Loads decode a block
-of members at a time, by one narrow add, into rows of padded edge ids, and
-only the returned chromosome is decoded into labels. Generations are bred
-with fitness-proportionate (roulette) selection, uniform crossover, and
-multipoint mutation, each applied to the whole population in one call; the
-best chromosome is carried over unchanged and never mutated. The mutation
-rate switches to its high setting whenever the best fitness has stalled, to
-climb out of local optima.
+of members at a time, by one narrow add, into rows of padded edge ids, which
+they sum in cells of single edges, half labels or whole labels, whichever
+takes the fewest entries per member; only the returned chromosome is
+decoded into labels. Generations are bred with fitness-proportionate
+(roulette) selection, uniform crossover, and multipoint mutation, each
+applied to the whole population in one call; the best chromosome is carried
+over unchanged and never mutated. The mutation rate switches to its high
+setting whenever the best fitness has stalled, to climb out of local optima.
 
 Fitness is the summed residual capacity over all links, minus the switch
 count times the summed overload. The penalty only weighs overload against
@@ -92,9 +93,54 @@ class RunStats:
     evaluations: int = 0
 
 
+def half_cells(label_pad: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cell map, cell rows) of the half labels of label_pad's rows.
+
+    label_pad holds paths as rows of edge ids, filled out with filler id
+    len(tails), whose edge ids ascend as (tail, head) (tails: each edge's tail).
+    Each row's left half is its first ceil(width / 2) columns and its right
+    half the rest, filled out with filler. The map, C-contiguous in the
+    narrowest unsigned dtype, holds each row's two half ids; cell row i holds
+    half i's edge ids. Halves are numbered in (first edge, then each next
+    edge's rank among its tail's out-edges, filler last) order, with no sort:
+    a half's code so far and its next edge's rank are one key, and the keys
+    that occur are numbered by a cumsum over a presence bincount.
+    """
+    n_edges, half = len(tails), -(-label_pad.shape[1] // 2)
+    if label_pad.shape[1] < 2 * half:
+        label_pad = np.pad(label_pad, ((0, 0), (0, 1)), constant_values=n_edges)
+    halves = label_pad.reshape(-1, half)  # each row's left half, then its right
+    degree = np.bincount(tails)
+    top = degree.max(initial=0)
+    rank = np.append(np.arange(n_edges) - (np.cumsum(degree) - degree)[tails], top)
+    key = halves[:, 0]
+    for column in range(1, half):
+        if column > 1:  # number the codes so far, so that keys stay small
+            key = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+        # the next edge leaves the last one's head, so its rank names it
+        key = key * (top + 1) + rank.take(halves[:, column])
+    present = np.bincount(key) > 0
+    ids = np.cumsum(present) - 1
+    cell_map = ids.astype(np.min_scalar_type(ids[-1])).take(key).reshape(-1, 2)
+    at = np.empty(len(present), dtype=np.int64)  # a place of each key
+    at[key] = np.arange(len(key))
+    return cell_map, halves[at[present]]
+
+
 class _Instance:
     """Array views of one (flows, table, topology) problem instance: the padded
-    edge rows run in table.pair_labels order, so flow f's gene g reads row base[f] + g."""
+    edge rows run in table.pair_labels order, so flow f's gene g reads row base[f] + g.
+
+    Loads sum over the cells of cell_map, as kernels.population_loads reads
+    them: single edges (cell_map is label_pad), half labels (cell_map and
+    cell_pad from half_cells) or whole labels (cell_map None, cell_pad
+    label_pad). The instance picks the cells with the fewest entries per
+    member: 2·W·F for edges, 4·F + ceil(W / 2)·S for halves and F + W·(L + 1)
+    for labels, with F flows, row width W, S halves and L labels. At x=4 with
+    the acceptance mix, k=4 fabrics read single edges below 41 flows (the
+    oracle's instances), halves up to 224 flows and whole labels from 225
+    flows on, and k=8 and k=12 fabrics with 20,000 flows read halves.
+    """
 
     def __init__(self, flowset: FlowSet, table: XPathTable, topology: Topology):
         self.n_flows = flowset.count
@@ -117,12 +163,20 @@ class _Instance:
         width = hops.max(initial=0)
         self.label_pad = np.full((len(hops) + 1, width), self.n_edges, dtype=np.int64)
         self.label_pad[1:][np.arange(width) < hops[:, None]] = edges
-        self.weights = self.demands.repeat(width)  # the gene loop's weight per padded entry
-        # Aggregate loads by row when the rows hold at most half the edge
-        # entries of a member's shortest genes (flows share labels); else, as
-        # at k=8 and k=12, loop to avoid population-by-table arrays.
-        self.aggregated = 2 * len(edges) < hops[self.base - 1].sum()
-        self.pad_index = np.empty(0, dtype=np.int64) if self.aggregated else None
+        del edges, hops  # 7.5 MB at k=12, freed so the half-label build adds no peak
+        # the cells with the fewest entries per member: stage 1's gathers and
+        # adds per flow plus stage 2's cell entries
+        half_map, half_pad = half_cells(self.label_pad, topology.edge_ends[:, 0])
+        forms = (
+            (2 * width * self.n_flows, self.label_pad, None),  # edges
+            (4 * self.n_flows + half_pad.size, half_map, half_pad),  # halves
+            (self.n_flows + self.label_pad.size, None, self.label_pad),  # labels
+        )
+        _, self.cell_map, self.cell_pad = min(forms, key=lambda form: form[0])
+        columns = 1 if self.cell_map is None else self.cell_map.shape[1]
+        self.weights = self.demands.repeat(columns)  # each flow's demand per cell it reads
+        # stage 2's offset index, grown to a block once; None for edge cells
+        self.pad_index = None if self.cell_pad is None else np.empty((0, 0, 0), dtype=np.int64)
 
     def labels(self, genes: np.ndarray) -> np.ndarray:
         """The int64 path labels that genes (one chromosome or a population) pick."""
@@ -133,13 +187,13 @@ class _Instance:
         narrow add decodes each block of members into the rows it reads."""
         out = np.empty((len(genes), self.n_edges), dtype=np.int64) if out is None else out
         step = self.block
-        if self.aggregated and min(len(genes), step) * self.label_pad.size > len(self.pad_index):
-            # the aggregated form's offset index, grown to a block once
+        if self.pad_index is not None and len(self.pad_index) < min(len(genes), step):
             offsets = (self.n_edges + 1) * np.arange(min(len(genes), step))
-            self.pad_index = (self.label_pad.T + offsets[:, None, None]).ravel()
+            # C order, so that each call's leading rows ravel without a copy
+            self.pad_index = np.add(self.cell_pad.T, offsets[:, None, None], order="C")
         for first in range(0, len(genes), step):
             kernels.population_loads(genes[first : first + step] + self.base, self.label_ptr,
-                                     self.label_pad, self.weights, self.n_edges, self.pad_index,
+                                     self.cell_map, self.weights, self.n_edges, self.pad_index,
                                      out[first : first + step])
         return out
 

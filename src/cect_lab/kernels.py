@@ -4,8 +4,9 @@ The genetic solver spends nearly all of its time accumulating per-edge loads
 for whole populations of path assignments, and the fluid simulator in the
 max-min water-filling loop, whose first pass reads every flow's edge row and
 each later pass only the rows of the flows still rising. Both live here, one
-implementation of each kernel. Every load sum is one bincount over padded
-label rows (label_row_sums), not BLAS, whose threads compete.
+implementation of each kernel. Every load sum bincounts demands into cells,
+single edges, half labels or whole labels, and cells into edges over padded
+rows (label_row_sums), not BLAS, whose threads compete.
 """
 
 from __future__ import annotations
@@ -32,35 +33,38 @@ def label_row_sums(edge_ids, weights, n_edges, rows=1):
     return sums[:n_edges] if rows == 1 else sums.reshape(rows, -1)[:, :n_edges]
 
 
-def population_loads(genes, label_ptr, label_pad, weights, n_edges, pad_index, out):
+def population_loads(genes, label_ptr, cell_map, weights, n_edges, pad_index, out):
     """Per-edge integer loads for each member of a population, into out.
 
-    genes holds 1-based rows of label_pad, one row per member, one column per
-    flow, and weights each flow's demand once per column of label_pad (flow
-    f's at f * width onward); label_pad holds a path's edge ids in each row,
-    filled out with the id n_edges (row 0 is all filler), and label_ptr is
-    the rows' CSR row pointer. With pad_index None, a gene loop sums each
-    member's rows. pad_index, label_pad.T offset by member as
-    label_row_sums reads it, selects the aggregated form: one bincount per
-    member sums its demands into row cells, and one more sums every row,
-    weighted by its cell. Both sum integer milli-units below 2**53: they
-    agree exactly.
+    genes holds 1-based label rows, one row per member, one column per flow;
+    label_ptr is the rows' CSR row pointer (row r holds label_ptr[r] -
+    label_ptr[r - 1] hops), which the sums do not read. Loads sum in two
+    stages over cells, each cell a padded row of edge ids, filler id n_edges.
+    Stage 1 bincounts each member's demands into cells: cell_map[r] holds
+    label row r's cell ids (a label is its own cell if cell_map is None),
+    and weights holds each flow's demand once per column of cell_map, flow
+    f's at f * columns onward. Stage 2 sums each block of members' cells into
+    edges with one bincount: pad_index, C-contiguous and shaped (members,
+    cell width, cells), holds every cell's edge ids, member m's offset by
+    m * (n_edges + 1). With pad_index None the cells are single edges,
+    cell_map is the label rows' padded edge ids, and stage 1's sums are the
+    loads. Every form sums integer milli-units below 2**53, so all agree
+    exactly.
     """
-    n_members, width = genes.shape[0], label_pad.shape[1]
-    if pad_index is not None:
-        per_cell = np.empty((n_members, len(label_ptr)))  # row 0's cell stays empty
-        demands = weights[::width].copy()  # contiguous once, not once per bincount
-        for m, labels in enumerate(genes):
-            per_cell[m] = np.bincount(labels, demands, len(label_ptr))
-        # label_pad.T's layout lets each member's cells repeat as whole blocks
-        cells = per_cell[:, None].repeat(width, axis=1).ravel()
-        sums = label_row_sums(pad_index[: len(cells)], cells, n_edges, n_members)
-        np.copyto(out, sums, casting="unsafe")
-        return out
+    # edge cells are the loads, so their filler bin is dropped
+    n_cells = n_edges + 1 if pad_index is None else pad_index.shape[2]
+    cells = out if pad_index is None else np.empty((len(genes), n_cells))
+    kept = cells.shape[1]
     # take beats fancy indexing here; one bincount per member beats one
     # over the whole population; float64 weights spare each bincount a cast
     for m, labels in enumerate(genes):
-        out[m] = label_row_sums(label_pad.take(labels, axis=0).ravel(), weights, n_edges)
+        ids = labels if cell_map is None else cell_map.take(labels, axis=0).ravel()
+        cells[m] = np.bincount(ids, weights, n_cells)[:kept]
+    if pad_index is not None:
+        # pad_index's layout lets each member's cells repeat as whole blocks
+        weights = cells[:, None].repeat(pad_index.shape[1], axis=1).ravel()
+        sums = label_row_sums(pad_index[: len(genes)].ravel(), weights, n_edges, len(genes))
+        np.copyto(out, sums, casting="unsafe")
     return out
 
 

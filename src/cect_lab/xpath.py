@@ -109,7 +109,11 @@ def precompute_xpaths(topology: Topology, x: int, cap_c: int) -> XPathTable:
         # the new edge's tail: without self-loops, only the tails can recur
         fresh = np.ones(len(nxt), dtype=bool)
         for column in level.T:
-            fresh &= tail[column][parent] != to
+            tails = tail[column]
+            # the last level keeps only heads at edge switches, which only
+            # an edge-switch tail can repeat: skip a column that holds none
+            if length < x or is_end[tails].any():
+                fresh &= tails[parent] != to
         # keep the paths that end at an edge switch, capped per pair before their
         # rows are built: candidates come in row order, so a stable sort by pair
         # gives (src, dst, hops), and each pair's group starts after the smaller pairs'

@@ -14,7 +14,8 @@ path, the blocked crossover, the one-sort compression,
 Topology.edge_switches and the raw-word decoding of generate_flows must
 agree with. label_pad and reference_loads read each label's edges in label
 order, which the solver's offset genes, decoded through its rows in
-pair order, must agree with; GeneCodec maps labels to those genes and back
+pair order, must agree with; reference_half_cells numbers the halves of
+label rows by a sort, which the solver's sort-free numbering must agree with; GeneCodec maps labels to those genes and back
 through feasible_labels, one flow at a time. reference_feasible_csr copies
 each flow's feasible_labels into one CSR, a flow at a time, and
 reference_route_ecmp keeps the package's ECMP over that per-flow copy, which
@@ -30,6 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from cect_lab.ecmp import fnv1a64
+from cect_lab.ga import half_cells
 from cect_lab.routing import (
     RULE_BINARY_INDICATOR,
     RULE_DESTINATION_IN_DEGREE,
@@ -459,6 +461,44 @@ def reference_loads(pad: np.ndarray, labels, demand_units: np.ndarray, n_edges: 
     for member, row in zip(loads, labels):
         np.add.at(member, pad[row], demand_units[:, None])
     return loads[:, :n_edges]
+
+
+LOAD_FORMS = ("edges", "halves", "labels")
+
+
+def load_form(inst) -> str:
+    """The cells a solver instance's load sums read: single edges, half labels or whole labels."""
+    if inst.pad_index is None:
+        return "edges"
+    return "labels" if inst.cell_map is None else "halves"
+
+
+def set_load_form(inst, form: str, topology: Topology) -> None:
+    """Make inst's load sums read form's cells, set up as the instance sets up the form it picks."""
+    if form == "edges":
+        inst.cell_map, inst.cell_pad, columns = inst.label_pad, None, inst.label_pad.shape[1]
+    elif form == "halves":
+        inst.cell_map, inst.cell_pad = half_cells(inst.label_pad, topology.edge_ends[:, 0])
+        columns = 2
+    else:
+        inst.cell_map, inst.cell_pad, columns = None, inst.label_pad, 1
+    inst.weights = inst.demands.repeat(columns)
+    inst.pad_index = None if inst.cell_pad is None else np.empty((0, 0, 0), dtype=np.int64)
+
+
+def reference_half_cells(pad: np.ndarray, n_edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """(map, cell rows) of the half labels of pad's rows, numbered by a sort.
+
+    Row r's left half is its first ceil(width / 2) columns, its right half
+    the rest, filled out with filler id n_edges; map[r] holds the places of
+    its two halves among the distinct halves in lexicographic order, and
+    cell row i holds half i's edge ids.
+    """
+    half = -(-pad.shape[1] // 2)
+    right = np.full((len(pad), half), n_edges, dtype=pad.dtype)
+    right[:, : pad.shape[1] - half] = pad[:, half:]
+    cells, places = np.unique(np.concatenate([pad[:, :half], right]), axis=0, return_inverse=True)
+    return places.reshape(2, -1).T, cells
 
 
 def reference_feasible_csr(table: XPathTable, flows: FlowSet) -> tuple[np.ndarray, np.ndarray]:

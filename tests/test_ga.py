@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -29,12 +30,16 @@ from cect_lab.xpath import XPathTable, feasible_labels, feasible_rows, precomput
 
 from helpers import (
     ALL_PATHS,
+    LOAD_FORMS,
     GeneCodec,
     label_pad,
     labels_by_pair,
+    load_form,
     make_flows,
     random_topology,
+    reference_loads,
     reference_uniform_crossover,
+    set_load_form,
 )
 
 PUBLISHED_FITNESSES = [6.82, 1.11, 8.48, 2.57, 3.08]
@@ -564,34 +569,50 @@ def _fig2a_case():
     )
 
 
+@contextlib.contextmanager
+def _forced_load_form(form: str):
+    """Every solver instance built inside reads form's cells, whichever its rule picks."""
+    init = _Instance.__init__
+
+    def forced(self, flowset, table, topology):
+        init(self, flowset, table, topology)
+        set_load_form(self, form, topology)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Instance, "__init__", forced)
+        yield
+
+
 @pytest.mark.parametrize(
-    "case, aggregated, labels_sha, best_mu, rows_sha",
+    "case, form, labels_sha, best_mu, rows_sha",
     [
-        (_fat_tree_case, False,
+        (_fat_tree_case, "halves",
          "8649af175629b53f44ce2f2a565f9ba3dc4bd13aaed7b9b6c320ee48dbd89d10",
          0.55, "5e541797f47e070953f642bb0312dcf9f33de112629a1996151b17989ac7c44a"),
-        (_fig2a_case, False,
+        (_fig2a_case, "labels",
          "1ca8d4b659bbd2582eb0607c3d2a2a47d091a6cad8d4994819f17635c4d13dc6",
          1.1, "debf68177ab49cb4fa039efe5973108a620107d7f5cc07cb1cb5c1ae257027d5"),
-        (lambda: _fat_tree_case(500, 30), True,
+        (lambda: _fat_tree_case(500, 30), "labels",
          "a57df8cbd8e08213b4734afa96a4649e2991721c29706f25a5349f303166ecba",
          0.59, "5158f1e43dafe556a09c726a505672da3e8b198d2e28e3ed91e649ef12b1cabc"),
     ],
     ids=["k4-200", "fig2a", "k4-500-aggregated"],
 )
-def test_run_output_is_pinned(case, aggregated, labels_sha, best_mu, rows_sha):
-    # gene-loop and aggregated-form instances, run to the full budget: the
-    # labels, best mu and every GenerationStats row must not move when the
-    # load kernel or the breeding changes
+def test_run_output_is_pinned(case, form, labels_sha, best_mu, rows_sha):
+    # instances run to the full budget, in the form their rule picks and then
+    # in each form: the labels, best mu and every GenerationStats row must not
+    # move when the load kernel or the breeding changes
     topo, table, flows, config = case()
-    assert _Instance(flows, table, topo).aggregated == aggregated
-    assignment, mu, stats = run_cect(flows, table, topo, config)
-    assert stats.generations == config.max_iterations
-    rows = [dataclasses.astuple(row) for row in stats.rows]
-    assert assignment.labels.dtype == np.int64
-    assert hashlib.sha256(assignment.labels.tobytes()).hexdigest() == labels_sha
-    assert mu == best_mu
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
+    assert load_form(_Instance(flows, table, topo)) == form
+    for forced in (contextlib.nullcontext(), *map(_forced_load_form, LOAD_FORMS)):
+        with forced:
+            assignment, mu, stats = run_cect(flows, table, topo, config)
+        assert stats.generations == config.max_iterations
+        rows = [dataclasses.astuple(row) for row in stats.rows]
+        assert assignment.labels.dtype == np.int64
+        assert hashlib.sha256(assignment.labels.tobytes()).hexdigest() == labels_sha
+        assert mu == best_mu
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == rows_sha
 
 
 @pytest.mark.parametrize(
@@ -630,34 +651,36 @@ def test_run_output_is_the_same_in_every_gene_dtype(case, monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def _load_form_case(aggregated: bool, many: bool):
-    """(topology, table, flows) whose instance picks the aggregated form or the
-    gene loop, with 2,000 flows or a few dozen."""
-    if aggregated and not many:  # few labels, each shared by many flows
+def _load_form_case(shared: bool, many: bool):
+    """(topology, table, flows) with few labels, each shared by many flows, or
+    many labels, and 2,000 flows or a few dozen. Their instances pick single
+    edges (k=4, 30 flows), half labels (k=6, 2,000 flows) or whole labels."""
+    if shared and not many:
         topo = make_sample_topology("fig2a", 10.0)
         flows = make_flows([(3, 1, 1.0), (3, 2, 2.5), (2, 1, 0.5), (1, 2, 4.0)] * 8)
         return topo, precompute_xpaths(topo, x=3, cap_c=ALL_PATHS), flows
-    topo = make_fat_tree(6 if many and not aggregated else 4, 200.0, 200.0, 100.0)
+    topo = make_fat_tree(6 if many and not shared else 4, 200.0, 200.0, 100.0)
     mix = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
     flows = generate_flows(topo, 2000 if many else 30, mix, plr=0.95, seed=1)
     return topo, precompute_xpaths(topo, x=4, cap_c=50), flows
 
 
 @functools.lru_cache(maxsize=None)
-def _load_form_codec(aggregated: bool, many: bool) -> GeneCodec:
-    """The GeneCodec of _load_form_case(aggregated, many)."""
-    _, table, flows = _load_form_case(aggregated, many)
+def _load_form_codec(shared: bool, many: bool) -> GeneCodec:
+    """The GeneCodec of _load_form_case(shared, many)."""
+    _, table, flows = _load_form_case(shared, many)
     return GeneCodec(table, flows)
 
 
 def test_run_peak_memory_is_pinned():
     # the two population buffers are the solve's largest allocation: at k=6
-    # (2,754 labels) their genes are one-byte offsets, decoded into uint16
-    # rows a block at a time. The bound is 1.1 times the peak measured with
+    # (2,754 labels, summed in half-label cells) their genes are one-byte
+    # offsets, decoded into uint16 rows a block at a time. The bound is 1.1 times the peak measured with
     # uint8 genes (2,065,078 bytes); uint16 genes, as labels took before,
     # peak at 2,513,578 bytes, past it
     topo, table, flows = _load_form_case(False, True)
     inst = _Instance(flows, table, topo)
+    assert load_form(inst) == "halves"
     assert inst.gene_dtype == np.uint8 and inst.base.dtype == np.uint16
     config = GaConfig(seed=1, max_iterations=5, mu_target=1e-9)
     run_cect(flows, table, topo, config)  # builds the flow set's cached arrays
@@ -704,7 +727,7 @@ def test_k12_run_peak_memory_is_bounded_by_one_byte_genes():
 
 
 def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
-    # k=4 with 20,000 flows picks the aggregated form. Beside the two uint8
+    # k=4 with 20,000 flows sums whole-label cells. Beside the two uint8
     # gene buffers (295 x 20,000, 11.8 MB) its buffers are members x labels
     # and members x width x labels (2 MB). The mutation's load shift at the 2%
     # rate, about 22 MB, sets the peak of 36.4 MB; a per-gene demand tile and
@@ -715,7 +738,7 @@ def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
     flows = generate_flows(topo, 20_000, mix, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
     n_pop = default_population_size(flows.count, topo.node_count)
-    assert inst.aggregated and inst.gene_dtype == np.uint8 and n_pop == 295
+    assert load_form(inst) == "labels" and inst.gene_dtype == np.uint8 and n_pop == 295
     config = GaConfig(seed=1, max_iterations=2, mu_target=1e-9)
     tracemalloc.start()
     try:
@@ -729,49 +752,51 @@ def test_aggregated_run_peak_memory_is_bounded_by_the_gene_buffers():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    aggregated=st.booleans(),
+    form=st.sampled_from(LOAD_FORMS),
+    shared=st.booleans(),
     many=st.booleans(),
     population=st.integers(2, 9),
     rate=st.sampled_from([0.02, 0.3]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(aggregated=False, many=True, population=9, rate=0.3, seed=1)
-@example(aggregated=True, many=True, population=8, rate=0.3, seed=2)
-@example(aggregated=True, many=False, population=2, rate=0.3, seed=3)
-@example(aggregated=False, many=False, population=2, rate=0.3, seed=4)
-def test_carried_loads_equal_a_fresh_evaluation(aggregated, many, population, rate, seed):
+@example(form="halves", shared=False, many=True, population=9, rate=0.3, seed=1)
+@example(form="labels", shared=True, many=True, population=8, rate=0.3, seed=2)
+@example(form="halves", shared=True, many=False, population=2, rate=0.3, seed=3)
+@example(form="edges", shared=False, many=False, population=2, rate=0.3, seed=4)
+@example(form="edges", shared=False, many=True, population=7, rate=0.3, seed=5)
+@example(form="labels", shared=False, many=False, population=9, rate=0.02, seed=6)
+def test_carried_loads_equal_a_fresh_evaluation(form, shared, many, population, rate, seed):
     # only generation 0 is evaluated whole: later loads are the elite's, the
     # first half of the children's, the second half's derived from their
     # parents', an odd last row's copied from its parent, each shifted by the
     # mutation. Population 2 has no pair, odd sizes no copied row, and with
-    # 2,000 flows from population 7 on, rate 0.3 samples sites in row blocks
-    topo, table, flows = _load_form_case(aggregated, many)
+    # 2,000 flows from population 7 on, rate 0.3 samples sites in row blocks.
+    # Each case runs in each load form
+    topo, table, flows = _load_form_case(shared, many)
     inst = _Instance(flows, table, topo)
-    assert inst.aggregated == aggregated
-    labels, pad = _load_form_codec(aggregated, many).decode, label_pad(table, topo)
-    label_ptr = table.label_edge_csr(topo)[0]
+    labels, pad = _load_form_codec(shared, many).decode, label_pad(table, topo)
 
     def check(generation, genes, fit, mu):
         # the loads of the genes' labels, summed afresh over label-order rows
-        fresh = kernels.population_loads(
-            labels(genes), label_ptr, pad, inst.weights, inst.n_edges, None,
-            np.empty((len(genes), inst.n_edges), np.int64),
-        )
+        fresh = reference_loads(pad, labels(genes), flows.demand_units, inst.n_edges)
         expected_fit, expected_mu = kernels.fitness_mu(fresh, inst.caps, inst.penalty)
         assert np.array_equal(fit, expected_fit), generation
         assert np.array_equal(mu, expected_mu), generation
 
     config = GaConfig(population_size=population, max_iterations=5, mut_min=rate,
                       mut_max=rate, mu_target=1e-9, seed=seed)
-    _, _, stats = run_cect(flows, table, topo, config, on_generation=check)
+    with _forced_load_form(form):
+        assert load_form(_Instance(flows, table, topo)) == form
+        _, _, stats = run_cect(flows, table, topo, config, on_generation=check)
     assert stats.generations == 5
 
 
-@pytest.mark.parametrize("aggregated", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("population", [2, 7, 8])
-def test_each_bred_generation_evaluates_half_of_its_children(monkeypatch, aggregated, population):
+def test_each_bred_generation_evaluates_half_of_its_children(monkeypatch, shared, population):
     # generation 0 evaluates every member; each bred generation only the
-    # first child of each pair, so a change back to whole evaluations shows
+    # first child of each pair, in each load form, so a change back to
+    # whole evaluations shows
     rows = []
     original = kernels.population_loads
 
@@ -780,11 +805,14 @@ def test_each_bred_generation_evaluates_half_of_its_children(monkeypatch, aggreg
         return original(genes, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "population_loads", counting)
-    topo, table, flows = _load_form_case(aggregated, False)
+    topo, table, flows = _load_form_case(shared, False)
     config = GaConfig(population_size=population, max_iterations=6, mu_target=1e-9, seed=3)
-    _, _, stats = run_cect(flows, table, topo, config)
-    assert stats.generations == 6
-    assert sum(rows) == population + stats.generations * ((population - 1) // 2)
+    for form in LOAD_FORMS:
+        rows.clear()
+        with _forced_load_form(form):
+            _, _, stats = run_cect(flows, table, topo, config)
+        assert stats.generations == 6
+        assert sum(rows) == population + stats.generations * ((population - 1) // 2), form
 
 
 def test_run_tracks_exact_optimum_on_small_instances():

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cect_lab import kernels
-from cect_lab.ga import _Instance, multipoint_mutate
+from cect_lab.ga import _Instance, half_cells, multipoint_mutate
 from cect_lab.routing import RoutingAssignment, assemble
 from cect_lab.topology import make_fat_tree, make_sample_topology, to_units
 from cect_lab.traffic import generate_flows
@@ -15,15 +15,19 @@ from cect_lab.xpath import feasible_rows, precompute_xpaths
 
 from helpers import (
     ALL_PATHS,
+    LOAD_FORMS,
     GeneCodec,
     edge_index,
     hops_of,
     label_pad,
     labels_by_pair,
+    load_form,
     make_flows,
     random_topology,
     reference_feasible_csr,
+    reference_half_cells,
     reference_loads,
+    set_load_form,
 )
 
 ACCEPTANCE_MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
@@ -46,8 +50,10 @@ def problem(topology):
 
 @pytest.fixture(scope="module")
 def instance(topology, problem):
+    # 300 flows on 208 labels read whole-label cells: 1,136 entries a member,
+    # against 1,362 in half-label cells and 2,400 in single edges
     inst = _Instance(*problem, topology)
-    assert not inst.aggregated  # the gene loop reads the padded rows
+    assert load_form(inst) == "labels"
     return inst
 
 
@@ -204,40 +210,48 @@ def test_fitness_formula_matches_reference(instance):
         assert mu[m] == pytest.approx((loads[m] / instance.caps).max())
 
 
-def _index(pad, members, n_edges):
-    """The aggregated form's index: member m's block holds pad's columns, one
-    after another, each id offset by m * (n_edges + 1)."""
-    return np.concatenate([column + m * (n_edges + 1) for m in range(members) for column in pad.T])
+def _index(cell_pad, members, n_edges):
+    """Stage 2's index: member m's block holds cell_pad's columns, one after
+    another, each id offset by m * (n_edges + 1)."""
+    return np.stack([cell_pad.T + m * (n_edges + 1) for m in range(members)])
 
 
 def _check_load_forms_agree(topo, table, flows, members, rng):
     inst = _Instance(flows, table, topo)
-    pad = label_pad(table, topo)
+    pad, n = label_pad(table, topo), inst.n_edges
     # the instance's rows are the label rows in pair order: row p + 1 holds
     # label pair_labels[p]
-    assert np.array_equal(inst.label_pad, pad[np.r_[0, table.pair_labels]])
+    rows = np.r_[0, table.pair_labels]
+    assert np.array_equal(inst.label_pad, pad[rows])
+    # the sort-free half numbering equals the sort's, in either row order
+    half_map, half_pad = reference_half_cells(pad, n)
+    for order, (cell_map, cell_pad) in ((rows, half_cells(inst.label_pad, topo.edge_ends[:, 0])),
+                                        (slice(None), half_cells(pad, topo.edge_ends[:, 0]))):
+        assert np.array_equal(cell_map, half_map[order]) and np.array_equal(cell_pad, half_pad)
+        assert cell_map.flags.c_contiguous and cell_map.dtype == np.min_scalar_type(len(cell_pad) - 1)
     genes = inst.random_genes(members, rng)
     labels = GeneCodec(table, flows).decode(genes)
-    # both forms read the same weights, each demand once per padded column, here
-    # over label-order rows
-    label_ptr = table.label_edge_csr(topo)[0]
-    loop = kernels.population_loads(labels, label_ptr, pad, inst.weights, inst.n_edges, None,
-                                    np.empty((members, inst.n_edges), np.int64))
-    aggregated = kernels.population_loads(
-        labels, label_ptr, pad, inst.weights, inst.n_edges, _index(pad, members, inst.n_edges),
-        np.empty((members, inst.n_edges), np.int64),
-    )
-    assert loop.dtype == aggregated.dtype == np.int64
-    assert np.array_equal(loop, aggregated)
-    assert np.array_equal(inst.loads(genes), loop)
-    if inst.aggregated:
-        assert np.array_equal(inst.pad_index, _index(inst.label_pad, members, inst.n_edges))
+    expected = reference_loads(pad, labels, flows.demand_units, n)
+    # every cell map, over label-order rows, with each demand once per column of its map
+    label_ptr, demands = table.label_edge_csr(topo)[0], inst.demands
+    forms = {
+        "edges": (pad, demands.repeat(pad.shape[1]), None),
+        "halves": (half_map, demands.repeat(2), _index(half_pad, members, n)),
+        "labels": (None, demands, _index(pad, members, n)),
+    }
+    for form, (cell_map, weights, pad_index) in forms.items():
+        loads = kernels.population_loads(labels, label_ptr, cell_map, weights, n, pad_index,
+                                         np.empty((members, n), np.int64))
+        assert np.array_equal(loads, expected), form
+    assert np.array_equal(inst.loads(genes), expected)
+    if load_form(inst) != "edges" and members <= inst.block:
+        assert np.array_equal(inst.pad_index, _index(inst.cell_pad, members, n))
     for m in range(members):
         matrix = assemble(RoutingAssignment(labels[m]), flows, table, topo)
         assert matrix.load_units == {
-            edge: int(loop[m, i]) for edge, i in edge_index(topo).items() if loop[m, i]
+            edge: int(expected[m, i]) for edge, i in edge_index(topo).items() if expected[m, i]
         }
-    return loop
+    return expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,13 +261,17 @@ def _check_load_forms_agree(topo, table, flows, members, rng):
     n_pairs=st.integers(1, 4),
     flows_per_pair=st.integers(1, 30),
     members=st.integers(1, 12),
+    x=st.sampled_from([3, 6]),
 )
-def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_pair, members):
-    # few pairs, many flows each: many flows share every label; x=3 rows
-    # hold 1 to 3 hops, so shorter rows end in filler
+@example(seed=0, n_nodes=7, n_pairs=4, flows_per_pair=5, members=3, x=6)
+def test_aggregated_and_gene_loop_loads_agree(seed, n_nodes, n_pairs, flows_per_pair, members, x):
+    # few pairs, many flows each: many flows share every label; rows hold 1
+    # to x hops, so shorter rows end in filler. A width of 3 splits into
+    # halves of 2 and 1 edges; 7 switches at x=6 (the example) reach width
+    # 6, whose halves of 3 edges chain two ranks. Every cell map must agree
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob=0.5)
-    table = precompute_xpaths(topo, x=3, cap_c=ALL_PATHS)
+    table = precompute_xpaths(topo, x=x, cap_c=ALL_PATHS)
     pairs = list(labels_by_pair(table))
     chosen = [pairs[i] for i in rng.choice(len(pairs), min(n_pairs, len(pairs)), replace=False)]
     flows = make_flows(
@@ -279,7 +297,9 @@ def test_load_forms_agree_on_sample_topologies_at_x10(name):
 def test_edges_no_label_crosses_read_zero_in_both_forms():
     # at x=2 a k=4 fat tree's paths stay inside a pod, so no label crosses
     # an aggregation-core link, the last edge ids among them; flows between
-    # two access switches of one pod leave pod links no feasible label crosses
+    # two access switches of one pod leave pod links no feasible label crosses.
+    # Every cell map reads them 0: at width 2 each half is one edge, and
+    # row 0's halves are filler only
     topo = make_fat_tree(4)
     table = precompute_xpaths(topo, x=2, cap_c=ALL_PATHS)
     ptr, edges = table.label_edge_csr(topo)
@@ -296,47 +316,64 @@ def test_edges_no_label_crosses_read_zero_in_both_forms():
 
 
 def test_aggregated_buffers_grow_with_the_population():
-    # the offset index, the form's one population-sized buffer, is grown on
-    # the first call with more rows than before, and a later, smaller call
-    # reads its first rows: 3, then 7, then 5 members each equal the gene loop
+    # stage 2's offset index, the one population-sized buffer of the half-
+    # and whole-label forms, is grown on the first call with more rows than
+    # before, and a later, smaller call reads its first rows: 3, then 7,
+    # then 5 members each equal the reference
     topo = make_fat_tree(4, 200.0, 200.0, 100.0)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, 500, ACCEPTANCE_MIX, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
-    assert inst.aggregated
+    assert load_form(inst) == "labels"
     codec, pad = GeneCodec(table, flows), label_pad(table, topo)
     rng = np.random.default_rng(7)
-    for rows in (3, 7, 5):
-        genes = inst.random_genes(rows, rng)
-        expected = reference_loads(pad, codec.decode(genes), flows.demand_units, inst.n_edges)
-        assert np.array_equal(inst.loads(genes), expected), rows
-    assert len(inst.pad_index) == 7 * inst.label_pad.size
+    for form in ("labels", "halves"):
+        set_load_form(inst, form, topo)
+        for rows in (3, 7, 5):
+            genes = inst.random_genes(rows, rng)
+            expected = reference_loads(pad, codec.decode(genes), flows.demand_units, inst.n_edges)
+            assert np.array_equal(inst.loads(genes), expected), (form, rows)
+        assert inst.pad_index.shape == (7, *inst.cell_pad.T.shape)
 
 
 @pytest.mark.parametrize(
-    "k, n_flows, aggregated",
+    "k, n_flows, cap_c, form",
     [
-        (4, 200, False), (4, 400, False), (4, 500, True), (4, 1000, True), (4, 2000, True),
-        (8, 20_000, False), (12, 20_000, False),
+        (4, 30, 50, "edges"), (4, 200, 50, "halves"), (4, 300, 50, "labels"),
+        (4, 400, 50, "labels"), (4, 500, 50, "labels"), (4, 1000, 50, "labels"),
+        (4, 2000, 50, "labels"), (8, 20_000, 50, "halves"), (12, 20_000, 50, "halves"),
+        (4, 4, 4, "edges"), (4, 6, 4, "edges"),
     ],
 )
-def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
+def test_instance_picks_the_load_form_by_shape(k, n_flows, cap_c, form):
     topo = make_fat_tree(k, 200.0, 200.0, 100.0)
-    table = precompute_xpaths(topo, x=4, cap_c=50)
+    table = precompute_xpaths(topo, x=4, cap_c=cap_c)
     flows = generate_flows(topo, n_flows, ACCEPTANCE_MIX, plr=0.95, seed=1)
     inst = _Instance(flows, table, topo)
-    hops = np.diff(table.label_edge_csr(topo)[0])
-    gene_entries = hops[table.pair_labels[feasible_rows(table, flows)[0]] - 1].sum()
-    # the rule: aggregate when the table's labels hold at most half the edge
-    # entries of one member's shortest genes (gene entries per label entry at
-    # k=4: 0.97 at 200 flows, 1.94 at 400, 2.43 at 500; k=8: 1.16; k=12: 0.10)
-    assert (2 * hops.sum() < gene_entries) == aggregated
-    assert inst.aggregated == aggregated
+    pad = label_pad(table, topo)
+    (n_labels, width), n_halves = pad.shape, len(reference_half_cells(pad, inst.n_edges)[1])
+    # the rule: the fewest entries a member, stage 1's gathers and adds per
+    # flow plus stage 2's cell entries (at k=4, 81 halves of 2 edges and
+    # 209 label rows of 4: single edges only below 41 flows, whole labels
+    # from 225 flows on)
+    entries = {
+        "edges": 2 * width * n_flows,
+        "halves": 4 * n_flows + 2 * n_halves,
+        "labels": n_flows + width * n_labels,
+    }
+    assert width == 4 and min(entries, key=entries.get) == form
+    assert load_form(inst) == form
+    if form == "halves":
+        # the map's ids take the narrowest unsigned dtype, C-contiguous
+        assert inst.cell_map.dtype == {4: np.uint8, 8: np.uint16, 12: np.uint16}[k]
+        assert inst.cell_map.flags.c_contiguous
+        assert len(inst.cell_pad) == {4: 81, 8: 1409, 12: 7345}[k]
     # no row holds more than cap_c = 50 labels, so genes are one byte
     assert inst.random_genes(1, np.random.default_rng(0)).dtype == np.uint8
-    # both forms read the padded rows in pair order, as the mutation deltas do,
+    # every form reads the padded rows in pair order, as the mutation deltas do,
     # and so does the row pointer the loads are handed with them
-    assert np.array_equal(inst.label_pad, label_pad(table, topo)[np.r_[0, table.pair_labels]])
+    hops = np.diff(table.label_edge_csr(topo)[0])
+    assert np.array_equal(inst.label_pad, pad[np.r_[0, table.pair_labels]])
     assert np.array_equal(np.diff(inst.label_ptr), hops[table.pair_labels - 1])
 
 
@@ -346,11 +383,11 @@ def test_instance_picks_the_load_form_by_shape(k, n_flows, aggregated):
     n_nodes=st.integers(2, 7),
     n_flows=st.integers(1, 40),
     members=st.integers(1, 9),
-    aggregated=st.booleans(),
+    form=st.sampled_from(LOAD_FORMS),
 )
-def test_offset_genes_load_the_rows_of_their_labels(seed, n_nodes, n_flows, members, aggregated):
+def test_offset_genes_load_the_rows_of_their_labels(seed, n_nodes, n_flows, members, form):
     # genes decode through the instance's rows in pair order; the reference
-    # reads each decoded label's row in label order. Either load form, and
+    # reads each decoded label's row in label order. Every load form, and
     # the mutation's load shift, must agree with it
     rng = np.random.default_rng(seed)
     topo = random_topology(rng, n_nodes, edge_prob=0.5)
@@ -360,7 +397,7 @@ def test_offset_genes_load_the_rows_of_their_labels(seed, n_nodes, n_flows, memb
         [(*pairs[i], int(rng.integers(1, 4000)) / 8) for i in rng.integers(len(pairs), size=n_flows)]
     )
     inst = _Instance(flows, table, topo)
-    inst.aggregated, inst.pad_index = aggregated, np.empty(0, np.int64) if aggregated else None
+    set_load_form(inst, form, topo)
     codec, pad = GeneCodec(table, flows), label_pad(table, topo)
     genes = inst.random_genes(members, rng)
     labels = inst.labels(genes)
