@@ -97,6 +97,8 @@ class Topology:
     edge_id: np.ndarray = field(init=False, repr=False, compare=False)
     edge_switches: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
+    _low: np.uint64 = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # before sorting, which a str among ints would break
@@ -127,11 +129,21 @@ class Topology:
                       cap_units=to_units(capacities), edge_ends=edge_ends, edge_id=edge_id)
         for array in arrays.values():
             array.flags.writeable = False
+        # a dense position table over the id span [low, high], and one more entry, n,
+        # that every offset at or beyond the span reads; a wider span keeps the dict
+        low, high = (int(nodes[0]), int(nodes[-1])) if nodes else (0, -1)
+        span = high - low + 1
+        table = None
+        if span <= 4 * len(nodes) + 64:
+            table = np.full(span + 1, len(nodes), dtype=np.int64)
+            table[arrays["node_ids"] - low] = np.arange(len(nodes))
+            table.flags.writeable = False
         pod = self.pod_of.get
         leaving = {src for src, dst, _ in links if pod(dst) != pod(src)}
         edge_switches = tuple(sorted(set(self.pod_of) - leaving)) if self.pod_of else nodes
         built = dict(nodes=nodes, links=links, edge_keys=tuple((s, d) for s, d, _ in links),
-                     edge_switches=edge_switches, _position=position, **arrays)
+                     edge_switches=edge_switches, _position=position,
+                     _low=np.uint64(low % 2**64), _table=table, **arrays)
         for name, value in built.items():
             object.__setattr__(self, name, value)
 
@@ -144,7 +156,19 @@ class Topology:
         return len(self.links)
 
     def positions(self, ids) -> np.ndarray:
-        """Each id's int64 index in nodes, node_count for a non-switch; ids match as dict keys."""
+        """Each id's int64 index in nodes, node_count for a non-switch.
+
+        An int64 array keeps its shape and, when the ids span at most 4n + 64
+        values, reads the position table; other ids match as dict keys (3.0
+        is switch 3, "3" and 3.7 are not).
+        """
+        if isinstance(ids, np.ndarray) and ids.dtype == np.int64:
+            if self._table is None:
+                return self.positions(ids.ravel().tolist()).reshape(ids.shape)
+            # offsets wrap modulo 2**64, so an id below low lands past the span too
+            offsets = ids.view(np.uint64) - self._low
+            np.minimum(offsets, len(self._table) - 1, out=offsets)
+            return self._table.take(offsets.view(np.int64))
         absent = itertools.repeat(len(self.nodes))
         return np.fromiter(map(self._position.get, ids, absent), dtype=np.int64)
 

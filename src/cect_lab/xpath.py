@@ -147,8 +147,9 @@ def _pair_rows(table: XPathTable, ends: np.ndarray) -> np.ndarray:
     row, so it can neither wrap nor clamp onto a neighbouring pair's row.
     """
     n = table.topology.node_count
-    pos = table.topology.positions(ends.ravel().tolist()).reshape(ends.shape)
-    return np.where((pos < n).all(axis=-1), pos[..., 0] * n + pos[..., 1], n * n)
+    pos = table.topology.positions(ends)
+    src, dst = pos[..., 0], pos[..., 1]
+    return np.where((src < n) & (dst < n), src * n + dst, n * n)
 
 
 def feasible_labels(table: XPathTable, src: int, dst: int) -> tuple[int, ...]:

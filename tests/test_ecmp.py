@@ -110,6 +110,24 @@ def test_array_hash_matches_bytewise_reference():
     # a value's digest does not depend on the shape it is hashed in
     assert [fnv1a64(*t).item() for t in triples[:10, :, None]] == digests[:10].tolist()
 
+    # the bytes an array's widest value needs, 0 to 8, set how many are read and
+    # how many zero bytes are skipped: each width at its least and its largest
+    # value, an all-zero array, and negative values, which use all 8 bytes
+    least = [2 ** (8 * b - 8) for b in range(1, 9)]
+    largest = [2 ** (8 * b) - 1 for b in range(1, 8)] + [info.max]
+    widths = [np.zeros(3, dtype=np.int64)] + [np.array([v, 1, 0]) for v in least + largest]
+    widths += [np.array([5, -1, 0]), np.array([info.min]), np.array([-256])]
+    for array in widths:
+        expected = [_fnv1a64_reference(v) for v in array.tolist()]
+        assert fnv1a64(array).tolist() == expected, array
+        # next to arrays of other widths, each is read over its own bytes
+        for other in (widths[0], widths[2], widths[-2]):
+            a, b = (p.ravel() for p in np.broadcast_arrays(array[:, None], other))
+            expected = [_fnv1a64_reference(*ab) for ab in zip(a.tolist(), b.tolist())]
+            assert fnv1a64(a, b).tolist() == expected, (array, other)
+    empty = fnv1a64(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    assert empty.dtype == np.uint64 and empty.shape == (0,)
+
 
 def test_routes_pass_validation():
     topo = make_fat_tree(4)
@@ -178,8 +196,9 @@ MIX = {"micro": 0.9775, "small": 0.0175, "big": 0.005}
     [
         (4, 2000, 0, "d56fe6dec5fa13f1c5e47deefbb96dabb6c881e338349bdb5fa5a49f4db7ba2a"),
         (8, 20000, 1, "030f17386fb34065e5951d016500999973d3dd4f67f3028c658e24a3ab7eb980"),
+        (12, 20000, 2, "877a48bcb2cbeb5799e2f8339ce4fdfcd13a0d33dcc3425d4fe05a03b867c5ac"),
     ],
-    ids=["k4-2000", "k8-20000"],
+    ids=["k4-2000", "k8-20000", "k12-20000"],
 )
 def test_route_ecmp_output_is_pinned(k, n_flows, seed, digest):
     # the acceptance mix on the solver-benchmark tables: ECMP's labels must
@@ -237,15 +256,19 @@ def test_route_ecmp_ends_a_whole_shortest_row_at_the_next_pair_row(cap_c):
 def test_candidate_reads_peak_memory_is_bounded():
     # solve-k12's shape: 20,000 flows on a k=12 fabric (189,072 labels), which
     # ECMP and "shortest" read as each flow's slice of the table's pair rows.
-    # route_ecmp peaks at 4,858,264 bytes and "shortest" at 791,312; the bounds
-    # are 1.1 times those. A per-flow copy of every candidate label (734k
-    # entries) took them to 19.3 MB and 12.6 MB
+    # route_ecmp peaks at 4,858,264 bytes, "shortest" at 662,360 and
+    # feasible_rows at 662,040; the bounds are 1.1 times those peaks, and
+    # for "shortest" of its 791,312 when it looked the 40,000 flow ends up
+    # as a list of ints, as feasible_rows then did at 790,992. A per-flow
+    # copy of every candidate label (734k entries) took route_ecmp and
+    # "shortest" to 19.3 MB and 12.6 MB
     topo = make_fat_tree(12, 200.0, 200.0, 100.0)
     table = precompute_xpaths(topo, x=4, cap_c=50)
     flows = generate_flows(topo, 20_000, MIX, plr=0.95, seed=1)
     for solve, bound in (
         (lambda: route_ecmp(flows, topo, table), 5_344_100),
         (lambda: experiment.solve("shortest", flows, table, topo, GaConfig()), 870_500),
+        (lambda: feasible_rows(table, flows), 728_300),
     ):
         tracemalloc.start()
         try:

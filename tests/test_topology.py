@@ -225,6 +225,40 @@ def test_construction_sorts_and_numbers_the_edges():
     assert topo == Topology(nodes=(10, 20, 30), links=topo.links[::-1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "sparse", "negative"]),
+    offsets=st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+    gap=st.integers(200, 2**62),
+    base=st.integers(-(2**63), 2**63 - 1),
+    probes=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+)
+def test_int64_positions_read_as_the_dict(kind, offsets, gap, base, probes):
+    # ids within 60 of each other span at most 4n + 64 values and read the
+    # position table; one more id gap >= 200 beyond them makes the span too
+    # wide, and the dict answers. Either way an id that is no switch reads
+    # node_count, however far outside the span it lies
+    offsets = sorted(offsets)
+    if kind == "sparse":
+        offsets.append(offsets[-1] + gap)
+    top = -1 if kind == "negative" else 2**63 - 1
+    low = min(base, top - offsets[-1])
+    nodes = [low + offset for offset in offsets]
+    topo = Topology(nodes=tuple(nodes), links=())
+    assert (topo._table is None) == (kind == "sparse")
+    high, span = nodes[-1], nodes[-1] - low + 1
+    near = [v + d for v in nodes for d in (-1, 0, 1)]
+    outside = [low - span, low - 1, high + 1, high + 2, high + span, 0]
+    queries = [q for q in near + outside + probes if -(2**63) <= q < 2**63]
+    queries += [-(2**63), 2**63 - 1]
+    expected = [nodes.index(q) if q in nodes else len(nodes) for q in queries]
+    assert topo.positions(queries).tolist() == expected
+    ids = np.array(queries, dtype=np.int64)
+    assert topo.positions(ids).tolist() == expected
+    # an array keeps its shape
+    assert topo.positions(ids[:, None]).tolist() == [[p] for p in expected]
+
+
 _NOT_INTEGERS = [1.5, 1.0, True, "1", np.float64(1.0), np.True_]
 
 
